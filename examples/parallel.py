@@ -1,12 +1,12 @@
-"""Intra-query parallel q-HD evaluation: parity, speedup, and memoization.
+"""Intra-query parallel q-HD evaluation: parity, accounting, and memoization.
 
-A walkthrough of ``repro.parallel`` — the parallel executor over the
-tight coupling:
+There is one q-HD evaluator; ``parallel_workers`` / ``workers`` only says
+whether its per-node folds run inline or on pool workers:
 
-1. **parity** — the parallel evaluator returns rows identical to the
-   serial evaluator (same rows, same order), at any worker count;
-2. **speedup** — the fused batch join kernels do measurably less work
-   (eager projection dedup) and overlap independent subtrees;
+1. **parity** — the same rows in the same order, at any worker count;
+2. **one accounting** — and the same work units: where a fold runs does
+   not change what it charges (under the GIL the wall clock does not
+   improve either — the pool is for multi-core hosts);
 3. **memoization** — structurally identical subtrees are materialized
    once and shared, within a tree and across evaluations that pass the
    same ``NodeMemo``.
@@ -16,9 +16,10 @@ Run:  python examples/parallel.py
 
 import time
 
+from repro.core.evaluator import QHDEvaluator
+from repro.core.memo import NodeMemo
 from repro.core.optimizer import HybridOptimizer
 from repro.engine.scans import atom_relations
-from repro.parallel import NodeMemo, ParallelQHDEvaluator
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_synthetic_database,
@@ -37,7 +38,7 @@ def main() -> None:
     )
     print(f"chain query: {config.n_atoms} atoms, width {plan.width}")
 
-    # -- parity + speedup ------------------------------------------------
+    # -- parity + accounting ---------------------------------------------
     started = time.perf_counter()
     serial = plan.execute()
     serial_wall = time.perf_counter() - started
@@ -47,17 +48,18 @@ def main() -> None:
     parallel_wall = time.perf_counter() - started
 
     assert parallel.relation.tuples == serial.relation.tuples
-    print(f"serial:       {serial_wall * 1e3:7.1f} ms, {serial.work} work units")
-    print(f"parallel(4):  {parallel_wall * 1e3:7.1f} ms, {parallel.work} work units")
-    print(f"speedup:      {serial_wall / parallel_wall:.2f}x, identical rows: True")
+    assert parallel.work_breakdown == serial.work_breakdown
+    print(f"inline:       {serial_wall * 1e3:7.1f} ms, {serial.work} work units")
+    print(f"4 workers:    {parallel_wall * 1e3:7.1f} ms, {parallel.work} work units")
+    print("identical rows, row order and work units: True")
 
     # -- memoization across evaluations ----------------------------------
     base = atom_relations(plan.translation.query, db, plan.translation)
     memo = NodeMemo()
-    first = ParallelQHDEvaluator(
+    first = QHDEvaluator(
         plan.decomposition, plan.translation.query, workers=4, memo=memo
     ).evaluate(base)
-    second = ParallelQHDEvaluator(
+    second = QHDEvaluator(
         plan.decomposition, plan.translation.query, workers=4, memo=memo
     ).evaluate(base)
     assert second.tuples == first.tuples

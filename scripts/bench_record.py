@@ -1,20 +1,14 @@
-"""Record a benchmark into its ``BENCH_*.json`` perf-trajectory artifact.
+"""Record the sharded-serving benchmark into ``BENCH_serving.json``.
 
-Two benchmarks share this recorder (``--benchmark``):
+Mixed multi-tenant traffic over a shard cluster vs one single-process
+baseline (p50/p99 client latency, saturation, per-shard plan-cache hit
+rates, byte-identical-answer parity); gates on parity + per-shard hit rate
+≥ baseline + a clean cross-shard drain:
 
-* ``parallel`` (default) — the chain and star workloads serial vs
-  parallel (2 and 4 workers), with exact row/order parity verified;
-  writes ``BENCH_parallel.json`` and gates on the 1.5× chain speedup:
+    python scripts/bench_record.py --benchmark serving --shards 4
 
-      python scripts/bench_record.py
-
-* ``serving`` — mixed multi-tenant traffic over a shard cluster vs one
-  single-process baseline (p50/p99 client latency, saturation, per-shard
-  plan-cache hit rates, byte-identical-answer parity); writes
-  ``BENCH_serving.json`` and gates on parity + per-shard hit rate ≥
-  baseline + a clean cross-shard drain:
-
-      python scripts/bench_record.py --benchmark serving --shards 4
+(Evaluator, kernel and thread-scaling numbers are the repo benchmark's:
+``python3 perf/run.py``, ``parallel.*`` and ``kernel.*`` metrics.)
 """
 
 from __future__ import annotations
@@ -22,85 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.record import stamp_record, validate_record
-from repro.core.optimizer import HybridOptimizer
-from repro.workloads.synthetic import (
-    StarConfig,
-    SyntheticConfig,
-    generate_star_database,
-    generate_synthetic_database,
-    star_query_sql,
-    synthetic_query_sql,
-)
-
-CHAIN = SyntheticConfig(
-    n_atoms=10, cardinality=1000, selectivity=30, cyclic=True, seed=7
-)
-STAR = StarConfig(n_dimensions=6, fact_rows=2000, dimension_rows=200, seed=5)
-
-WORKLOADS = [
-    ("chain", generate_synthetic_database, CHAIN, synthetic_query_sql, 2),
-    ("star", generate_star_database, STAR, star_query_sql, 3),
-]
-
-WORKER_COUNTS = (2, 4)
-
-
-def measure(plan, workers: int, repeats: int):
-    walls = []
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = plan.execute(parallel_workers=workers)
-        walls.append(time.perf_counter() - started)
-    return {
-        "wall_seconds": statistics.median(walls),
-        "wall_seconds_min": min(walls),
-        "work_units": result.work,
-        "rows": len(result.relation),
-    }, result
-
-
-def run(repeats: int) -> dict:
-    report = {
-        "benchmark": "parallel-qhd-evaluation",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": repeats,
-        "workloads": {},
-    }
-    for name, generate, config, to_sql, width in WORKLOADS:
-        db = generate(config)
-        plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(
-            to_sql(config), name=name
-        )
-        serial_stats, serial = measure(plan, 0, repeats)
-        entry = {"config": str(config), "max_width": width, "serial": serial_stats}
-        for workers in WORKER_COUNTS:
-            parallel_stats, parallel = measure(plan, workers, repeats)
-            identical = (
-                parallel.relation.attributes == serial.relation.attributes
-                and parallel.relation.tuples == serial.relation.tuples
-            )
-            parallel_stats["identical_to_serial"] = identical
-            parallel_stats["speedup"] = round(
-                serial_stats["wall_seconds"] / parallel_stats["wall_seconds"], 3
-            )
-            entry[f"parallel_{workers}"] = parallel_stats
-            if not identical:
-                raise SystemExit(
-                    f"PARITY FAILURE: {name} with {workers} workers "
-                    "returned different rows than serial"
-                )
-        report["workloads"][name] = entry
-    return report
 
 
 def run_serving(args: argparse.Namespace) -> dict:
@@ -140,33 +61,31 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--benchmark",
-        choices=["parallel", "serving"],
-        default="parallel",
-        help="which benchmark to run and record",
+        choices=["serving"],
+        default="serving",
+        help="the benchmark to record (one today; kept so recorded command "
+        "lines stay valid)",
     )
     parser.add_argument(
         "--output",
         default=None,
         help="where to write the JSON report "
-        "(default: BENCH_<benchmark>.json at the repo root)",
+        "(default: BENCH_serving.json at the repo root)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed runs per configuration (parallel)"
+        "--scale", choices=["quick", "full"], default="quick"
     )
     parser.add_argument(
-        "--scale", choices=["quick", "full"], default="quick", help="(serving)"
+        "--shards", type=int, default=4, help="shard processes"
     )
     parser.add_argument(
-        "--shards", type=int, default=4, help="shard processes (serving)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="threads per shard (serving)"
+        "--workers", type=int, default=2, help="threads per shard"
     )
     parser.add_argument(
         "--repetitions",
         type=int,
         default=0,
-        help="repetitions per tenant template, 0 = scale default (serving)",
+        help="repetitions per tenant template, 0 = scale default",
     )
     parser.add_argument(
         "--kill-rate",
@@ -174,55 +93,39 @@ def main() -> int:
         default=0.0,
         help="SIGKILL a random live shard with this probability per tick "
         "while the workload runs; records availability and recovery "
-        "percentiles (serving)",
+        "percentiles",
     )
     parser.add_argument(
         "--supervise",
         action="store_true",
         help="run the shard cluster under the self-healing supervisor "
-        "(implied by --kill-rate > 0) (serving)",
+        "(implied by --kill-rate > 0)",
     )
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
-    output = Path(
-        args.output or root / f"BENCH_{args.benchmark}.json"
-    )
+    output = Path(args.output or root / "BENCH_serving.json")
 
-    if args.benchmark == "serving":
-        report = run_serving(args)
-        write_report(report, output, root)
-        print(json.dumps(report, indent=2))
-        parity = (
-            report["parity"]["identical"] or not report["parity"]["checked"]
-        )
-        hit_rate_ok = report["hit_rate_ok"]
-        drained = report["sharded"]["drained_clean"]
-        print(
-            f"\nparity={parity} per-shard-hit-rate>=baseline={hit_rate_ok} "
-            f"drain-clean={drained}"
-        )
-        resilience = report.get("resilience")
-        recovered = True
-        if resilience is not None:
-            recovered = resilience["recovered_to_full"]
-            print(
-                f"availability={resilience['availability']:.2%} "
-                f"kills={resilience['kills']} "
-                f"restarts={resilience['restarts']} "
-                f"recovered-to-full={recovered}"
-            )
-        return 0 if parity and hit_rate_ok and drained and recovered else 1
-
-    report = run(args.repeats)
+    report = run_serving(args)
     write_report(report, output, root)
-    chain = report["workloads"]["chain"]
-    speedup = chain["parallel_4"]["speedup"]
     print(json.dumps(report, indent=2))
+    parity = report["parity"]["identical"] or not report["parity"]["checked"]
+    hit_rate_ok = report["hit_rate_ok"]
+    drained = report["sharded"]["drained_clean"]
     print(
-        f"\nchain speedup at 4 workers: {speedup}x "
-        f"({'meets' if speedup >= 1.5 else 'BELOW'} the 1.5x bar)"
+        f"\nparity={parity} per-shard-hit-rate>=baseline={hit_rate_ok} "
+        f"drain-clean={drained}"
     )
-    return 0 if speedup >= 1.5 else 1
+    resilience = report.get("resilience")
+    recovered = True
+    if resilience is not None:
+        recovered = resilience["recovered_to_full"]
+        print(
+            f"availability={resilience['availability']:.2%} "
+            f"kills={resilience['kills']} "
+            f"restarts={resilience['restarts']} "
+            f"recovered-to-full={recovered}"
+        )
+    return 0 if parity and hit_rate_ok and drained and recovered else 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Generate EXPERIMENTS.md by running every paper experiment.
 
-Run:  python scripts/generate_experiments_md.py [--scale full|quick]
+Run:  python scripts/generate_experiments_md.py [--scale full|quick] [--check]
+
+``--check`` writes nothing: it re-runs the experiments and exits 1 when a
+deterministic column of the committed ``experiments.csv`` has drifted.
 
 Each section records what the paper's figure shows and the series this
 reproduction measures (work units — the machine-independent time proxy),
@@ -10,6 +13,7 @@ then a short verdict on whether the shape holds.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from pathlib import Path
@@ -17,7 +21,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.export import render_markdown_table, write_csv, write_json
+from repro.bench.export import (
+    render_markdown_table,
+    result_to_rows,
+    write_csv,
+    write_json,
+)
+
+#: The columns of ``experiments.csv`` that do not depend on the clock.
+DETERMINISTIC_COLUMNS = (
+    "experiment", "system", "point", "work", "finished", "answer_rows",
+    "work_decompose", "work_optimize", "work_execute",
+)
 
 PAPER_NOTES = {
     "fig7a": (
@@ -100,10 +115,42 @@ Regenerate with: `python scripts/generate_experiments_md.py --scale full`
 """
 
 
+def drift(results, committed_csv: Path) -> list:
+    """Rows whose deterministic columns differ from the committed CSV."""
+    # As csv.DictWriter renders them: None is the empty field.
+    fresh = [
+        tuple(
+            "" if row[column] is None else str(row[column])
+            for column in DETERMINISTIC_COLUMNS
+        )
+        for result in results
+        for row in result_to_rows(result)
+    ]
+    with open(committed_csv, newline="") as handle:
+        committed = [
+            tuple(row.get(column, "<missing>") for column in DETERMINISTIC_COLUMNS)
+            for row in csv.DictReader(handle)
+        ]
+    problems = [
+        f"{old[:3]}: committed {old[3:]} != regenerated {new[3:]}"
+        for old, new in zip(committed, fresh)
+        if old != new
+    ]
+    if len(committed) != len(fresh):
+        problems.append(f"{len(committed)} committed rows != {len(fresh)} regenerated")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", choices=["quick", "full"], default="full")
     parser.add_argument("--output", default="EXPERIMENTS.md")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if experiments.csv's deterministic "
+        "columns no longer match a fresh run",
+    )
     args = parser.parse_args()
 
     sections = [HEADER]
@@ -130,6 +177,12 @@ def main() -> int:
         for note in result.notes:
             sections.append(f"*{note}*\n")
 
+    if args.check:
+        problems = drift(results, Path(args.output).with_name("experiments.csv"))
+        for problem in problems:
+            print(f"DRIFT {problem}")
+        print(f"{len(problems)} drifted row(s)")
+        return 1 if problems else 0
     Path(args.output).write_text("\n".join(sections))
     write_csv(results, Path(args.output).with_name("experiments.csv"))
     write_json(results, Path(args.output).with_name("experiments.json"))

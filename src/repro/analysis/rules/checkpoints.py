@@ -126,7 +126,12 @@ class WorkChargingRule(Rule):
         "a function with a `meter` parameter must reference it (charge or"
         " forward); accepting and dropping the meter leaks work accounting"
     )
-    scopes = ("repro/engine/", "repro/relational/", "repro/parallel/")
+    scopes = (
+        "repro/engine/",
+        "repro/relational/",
+        "repro/core/",
+        "repro/parallel/",
+    )
 
     def check(self, source: FileSource) -> List[Finding]:
         findings: List[Finding] = []

@@ -101,6 +101,7 @@ class LockDisciplineRule(Rule):
         "repro/obs/",
         "repro/resilience/",
         "repro/metering.py",
+        "repro/core/memo.py",
     )
 
     def check(self, source: FileSource) -> List[Finding]:

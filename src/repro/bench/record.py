@@ -30,7 +30,6 @@ _REQUIRED_KEYS = {
         "parity",
         "hit_rate_ok",
     ),
-    "parallel-qhd-evaluation": ("workloads", "repeats"),
 }
 
 
@@ -114,10 +113,6 @@ def validate_record(
                 ):
                     if key not in resilience:
                         problems.append(f"'resilience' missing {key!r}")
-    if benchmark == "parallel-qhd-evaluation":
-        workloads = record.get("workloads")
-        if "workloads" in record and not isinstance(workloads, Mapping):
-            problems.append("'workloads' must be an object")
     if require_stamp:
         sha = record.get("git_sha")
         if "git_sha" not in record:

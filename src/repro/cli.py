@@ -98,10 +98,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         rows.append((f"q-hd(par={args.parallel})", qhd_par))
 
     coupled = SimulatedDBMS(database, POSTGRES_PROFILE)
-    install_structural_optimizer(
+    handler = install_structural_optimizer(
         coupled, max_width=args.width, parallel_workers=args.parallel
     )
-    rows.append(("postgres+q-hd", coupled.run_sql(sql, work_budget=budget)))
+    try:
+        rows.append(("postgres+q-hd", coupled.run_sql(sql, work_budget=budget)))
+    finally:
+        handler.close()  # type: ignore[attr-defined]
 
     print(f"{'system':<16} {'work':>12} {'rows':>8} {'wall(s)':>9}")
     for name, res in rows:

@@ -19,14 +19,16 @@ are CQ variables — see :func:`atom_relations`.
 
 from __future__ import annotations
 
+import collections
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import dataclass, field
 from typing import (
+    Deque,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -37,8 +39,10 @@ from repro.metering import NULL_METER, SpillModel, WorkMeter
 from repro.obs.tracing import NullTracer, Tracer, current_tracer
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.relational.relation import Relation
-from repro.resilience.context import current_context
+from repro.resilience.context import current_context, fanout_context
 from repro.core.hypertree import Hypertree, HypertreeNode
+from repro.core.memo import NodeMemo, Signature, node_signature
+from repro.core.pool import SubtreePool
 
 # ---------------------------------------------------------------------------
 # Base scans live in the engine substrate; re-exported here for convenience.
@@ -163,6 +167,48 @@ def yannakakis_acyclic(
 # ---------------------------------------------------------------------------
 
 
+#: (node, the interface to return, its children with their results in
+#: fold order).
+_Task = Tuple[
+    HypertreeNode,
+    Optional[FrozenSet[str]],
+    List[Tuple[HypertreeNode, Optional[Relation]]],
+]
+
+
+@dataclass
+class _Schedule:
+    """What one evaluation will run — fixed before any node is folded."""
+
+    #: Every node, children before parents, siblings in
+    #: ``ordered_children`` order: the order the inline path folds in.
+    order: List[HypertreeNode]
+    #: node id → its children, Optimize guards first (the fold order).
+    children: Dict[int, List[HypertreeNode]]
+    #: node id → the interface its parent requests (``None`` at the root).
+    keeps: Dict[int, Optional[FrozenSet[str]]]
+    signatures: Dict[int, Signature]
+    #: The nodes that will actually be folded, parents before children.
+    compute: List[HypertreeNode] = field(default_factory=list)
+    #: node id → the structurally identical node whose result it shares.
+    aliases: Dict[int, int] = field(default_factory=dict)
+    #: node id → materialization: memo hits up front, fold results as
+    #: they complete.
+    results: Dict[int, Optional[Relation]] = field(default_factory=dict)
+    #: node id → the fold log of each node actually folded.
+    traces: Dict[int, List[str]] = field(default_factory=dict)
+    memo_hits: int = 0
+
+    def result_of(self, node: HypertreeNode) -> Optional[Relation]:
+        return self.results.get(self.aliases.get(node.node_id, node.node_id))
+
+    def task(self, node: HypertreeNode) -> "_Task":
+        """What the node's fold needs — captured when it is scheduled, so a
+        running fold shares no mutable state with the scheduler."""
+        inputs = [(child, self.result_of(child)) for child in self.children[node.node_id]]
+        return node, self.keeps[node.node_id], inputs
+
+
 class QHDEvaluator:
     """Single-pass bottom-up evaluation of a q-hypertree decomposition.
 
@@ -174,6 +220,27 @@ class QHDEvaluator:
     The per-child projection onto χ(p) is what keeps intermediate results
     bounded: since out(Q) ⊆ χ(root), no information needed by the answer is
     ever discarded (feature (a) of Definition 2).
+
+    Every node is one task: its fold needs only its children's results, so
+    sibling subtrees are independent.  ``workers <= 1`` runs the tasks
+    inline on the calling thread in post-order; ``workers >= 2`` submits
+    each to a :class:`~repro.core.pool.SubtreePool` the moment its
+    children complete.  The folds, and therefore the answer (rows *and*
+    order) and every work-unit charge, are the same at any worker count.
+
+    Args:
+        decomposition: the q-hypertree decomposition to evaluate.
+        query: the conjunctive query.
+        meter: work-unit accounting (thread-safe; shared by all workers).
+        spill: optional spill model charged per materialized intermediate.
+        tracer: span sink; pool-worker ``qhd.node`` spans are pinned under
+            the submitting ``qhd.parallel`` span.
+        workers: pool workers to fan nodes out on; ``0``/``1`` = inline.
+        memo: a per-query :class:`~repro.core.memo.NodeMemo`; pass the same
+            instance across degradation-ladder retries to share subtree
+            materializations.
+        pool: an existing pool to run on when ``workers >= 2``; without
+            one, an ephemeral pool lives for the :meth:`evaluate` call.
     """
 
     def __init__(
@@ -183,12 +250,20 @@ class QHDEvaluator:
         meter: WorkMeter = NULL_METER,
         spill: Optional[SpillModel] = None,
         tracer: "Optional[Union[Tracer, NullTracer]]" = None,
+        workers: int = 0,
+        memo: Optional[NodeMemo] = None,
+        pool: Optional[SubtreePool] = None,
     ):
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
         self.decomposition = decomposition
         self.query = query
         self.meter = meter
         self.spill = spill
         self.tracer = tracer if tracer is not None else current_tracer()
+        self.workers = workers
+        self.memo = memo
+        self._pool = pool
         self._trace: List[str] = []
 
     # ------------------------------------------------------------------
@@ -203,9 +278,13 @@ class QHDEvaluator:
         output = list(self.query.output)
         if not _constant_atoms_satisfiable(self.query, relations):
             return Relation(output, [])
-        root_rel = self._evaluate_node(
-            self.decomposition.root, relations, keep=None
-        )
+        schedule = self._schedule(relations)
+        if self.workers <= 1:
+            self._run_inline(schedule, relations)
+        else:
+            self._run_pooled(schedule, relations)
+        self._trace = self._assemble_trace(schedule)
+        root_rel = schedule.result_of(self.decomposition.root)
         if root_rel is None:
             raise ExecutionError(
                 "decomposition root produced no relation (empty λ and no children)"
@@ -218,57 +297,224 @@ class QHDEvaluator:
             )
         return root_rel.project(output, dedup=True, meter=self.meter)
 
+    def trace(self) -> List[str]:
+        """Evaluation log (node order, intermediate sizes) for EXPLAIN
+        output, in post-order whatever order the nodes actually ran in."""
+        return list(self._trace)
+
+    # ------------------------------------------------------------------
+    # Scheduling
     # ------------------------------------------------------------------
 
-    def _evaluate_node(
+    def _schedule(self, relations: Mapping[str, Relation]) -> _Schedule:
+        root = self.decomposition.root
+        # A child's result only matters to its parent through their shared
+        # χ variables: everything else is dropped by the parent's
+        # projection anyway, so each child is asked for that interface only
+        # (a legal choice of evaluation, and the one that keeps
+        # intermediate results semijoin-sized).
+        children: Dict[int, List[HypertreeNode]] = {}
+        keeps: Dict[int, Optional[FrozenSet[str]]] = {root.node_id: None}
+        order: List[HypertreeNode] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            children[node.node_id] = node.ordered_children()
+            for child in children[node.node_id]:
+                keeps[child.node_id] = child.chi & node.chi
+                stack.append(child)
+        order.reverse()
+
+        signatures: Dict[int, Signature] = {}
+        for node in order:
+            signatures[node.node_id] = node_signature(
+                node,
+                keeps[node.node_id],
+                relations,
+                tuple(signatures[c.node_id] for c in children[node.node_id]),
+            )
+        schedule = _Schedule(order, children, keeps, signatures)
+
+        # Memo/alias resolution, top-down: a subtree whose signature is
+        # already materialized (an earlier ladder attempt) or claimed by a
+        # structurally identical subtree of this tree is not folded at all
+        # — neither are its descendants.
+        claimed: Dict[Signature, int] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            signature = signatures[node.node_id]
+            cached = self.memo.get(signature) if self.memo is not None else None
+            if cached is not None:
+                schedule.results[node.node_id] = cached
+                schedule.memo_hits += 1
+                continue
+            owner = claimed.get(signature)
+            if owner is not None:
+                schedule.aliases[node.node_id] = owner
+                schedule.memo_hits += 1
+                continue
+            claimed[signature] = node.node_id
+            schedule.compute.append(node)
+            stack.extend(reversed(children[node.node_id]))
+        return schedule
+
+    def _run_inline(
+        self, schedule: _Schedule, relations: Mapping[str, Relation]
+    ) -> None:
+        scheduled = {node.node_id for node in schedule.compute}
+        for node in schedule.order:
+            if node.node_id in scheduled:
+                outcome = self._run_node(schedule.task(node), relations)
+                self._finish(schedule, node, outcome)
+
+    def _run_pooled(
+        self, schedule: _Schedule, relations: Mapping[str, Relation]
+    ) -> None:
+        # Dependency edges: a node waits for each child's *producer* — the
+        # child itself, or the structurally identical node it aliases.
+        scheduled = {node.node_id for node in schedule.compute}
+        pending: Dict[int, int] = {}
+        waiters: Dict[int, List[HypertreeNode]] = collections.defaultdict(list)
+        ready: Deque[HypertreeNode] = collections.deque()
+        for node in schedule.compute:
+            deps = [
+                producer
+                for producer in (
+                    schedule.aliases.get(child.node_id, child.node_id)
+                    for child in schedule.children[node.node_id]
+                )
+                if producer in scheduled
+            ]
+            pending[node.node_id] = len(deps)
+            for dep in deps:
+                waiters[dep].append(node)
+            if not deps:
+                ready.append(node)
+
+        # Every worker runs under a fan-out context carrying the query's
+        # deadline/memory/fault bounds plus a shared cancellation token.
+        worker_context, fanout_token = fanout_context(current_context())
+        pool = self._pool if self._pool is not None else SubtreePool(self.workers)
+        futures: Dict["Future[object]", HypertreeNode] = {}
+        try:
+            with self.tracer.span(
+                "qhd.parallel",
+                meter=self.meter,
+                workers=self.workers,
+                nodes=len(schedule.order),
+                scheduled=len(schedule.compute),
+            ) as parallel_span:
+                # Worker threads have no span stack of their own: pin
+                # their spans under this one.
+                parent_span_id = getattr(parallel_span, "span_id", 0) or None
+                try:
+                    while ready or futures:
+                        while ready:
+                            node = ready.popleft()
+                            futures[
+                                pool.submit_node(
+                                    self._run_node,
+                                    schedule.task(node),
+                                    relations,
+                                    parent_span_id,
+                                    context=worker_context,
+                                )
+                            ] = node
+                        done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            node = futures.pop(future)
+                            self._finish(schedule, node, future.result())  # type: ignore[arg-type]
+                            for waiter in waiters.get(node.node_id, ()):
+                                pending[waiter.node_id] -= 1
+                                if pending[waiter.node_id] == 0:
+                                    ready.append(waiter)
+                except BaseException as exc:
+                    # Fan the failure out: every sibling still running
+                    # observes the token at its next checkpoint instead of
+                    # finishing doomed work; then drain and re-raise.
+                    fanout_token.cancel(
+                        f"parallel q-HD aborted: {type(exc).__name__}"
+                    )
+                    wait(list(futures))
+                    raise
+                parallel_span.tag(memo_hits=schedule.memo_hits)
+        finally:
+            if self._pool is None:
+                pool.close()
+
+    def _finish(
         self,
+        schedule: _Schedule,
         node: HypertreeNode,
+        outcome: "Tuple[Optional[Relation], List[str]]",
+    ) -> None:
+        rel, lines = outcome
+        schedule.results[node.node_id] = rel
+        schedule.traces[node.node_id] = lines
+        if rel is not None and self.memo is not None:
+            self.memo.put(schedule.signatures[node.node_id], rel)
+
+    def _assemble_trace(self, schedule: _Schedule) -> List[str]:
+        lines: List[str] = []
+        for node in schedule.order:
+            node_id = node.node_id
+            if node_id in schedule.traces:
+                lines.extend(schedule.traces[node_id])
+            elif node_id in schedule.aliases or node_id in schedule.results:
+                rel = schedule.result_of(node)
+                lines.append(
+                    f"node {node_id}: memo -> "
+                    f"{len(rel) if rel is not None else 0} tuples"
+                )
+        return lines
+
+    # ------------------------------------------------------------------
+    # Per-node fold (inline, or on a pool worker)
+    # ------------------------------------------------------------------
+
+    def _run_node(
+        self,
+        task: _Task,
         relations: Mapping[str, Relation],
-        keep: "Optional[FrozenSet[str]]" = None,
-    ) -> Optional[Relation]:
+        parent_span_id: Optional[int] = None,
+    ) -> "Tuple[Optional[Relation], List[str]]":
         current_context().checkpoint("exec.qhd")
+        node = task[0]
+        lines: List[str] = []
         with self.tracer.span(
             "qhd.node",
             meter=self.meter,
+            parent_id=parent_span_id,
             node=node.node_id,
             atoms=len(node.lam),
             children=len(node.children),
         ) as span:
-            folds_before = len(self._trace)
-            rel = self._fold_node(node, relations, keep)
-            span.tag(
-                rows_out=len(rel) if rel is not None else 0,
-                folds=len(self._trace) - folds_before,
-            )
-        return rel
+            rel = self._fold(task, relations, lines)
+            span.tag(rows_out=len(rel) if rel is not None else 0, folds=len(lines))
+        return rel, lines
 
-    def _fold_node(
+    def _fold(
         self,
-        node: HypertreeNode,
+        task: _Task,
         relations: Mapping[str, Relation],
-        keep: "Optional[FrozenSet[str]]" = None,
+        lines: List[str],
     ) -> Optional[Relation]:
-        # Children are evaluated first (bottom-up), then steps P′/P″ fold
-        # the node's λ relations and its children's results.  The paper
-        # leaves the topological order free ("there are different ways of
-        # evaluating Q w.r.t. HD, depending on the choice of the
-        # topological order"); we exploit that freedom: Optimize-guard
-        # children are folded first (the §4.1 soundness caveat), the other
-        # sources greedily smallest-first.  After each join the result is
-        # projected onto χ(p) plus whatever variables still link it to the
-        # sources not yet folded.
+        # Steps P′/P″ fold the node's λ relations and its children's
+        # results.  The paper leaves the topological order free ("there are
+        # different ways of evaluating Q w.r.t. HD, depending on the choice
+        # of the topological order"); we exploit that freedom:
+        # Optimize-guard children are folded first (the §4.1 soundness
+        # caveat), the other sources greedily — smallest among those
+        # sharing a variable with the current result, to avoid cartesian
+        # steps.  After each join the result is projected onto χ(p) plus
+        # whatever variables still link it to the sources not yet folded.
+        node, keep, inputs = task
         guard_ids = {id(child) for child in node.guards.values()}
         guard_rels: List[Relation] = []
         other_rels: List[Relation] = []
-        for child in node.ordered_children():
-            # A child's result only matters to this node through their
-            # shared χ variables: everything else is dropped by this
-            # node's projection anyway, so ask the child to return only
-            # the interface (a legal choice of evaluation, and the one
-            # that keeps intermediate results semijoin-sized).
-            child_rel = self._evaluate_node(
-                child, relations, keep=frozenset(child.chi & node.chi)
-            )
+        for child, child_rel in inputs:
             if child_rel is None:
                 continue
             if id(child) in guard_ids:
@@ -277,10 +523,18 @@ class QHDEvaluator:
                 other_rels.append(child_rel)
         other_rels.extend(relations[name] for name in node.lam)
 
-        # Guard children are folded first (the §4.1 soundness caveat); the
-        # remaining sources greedily — smallest among those sharing a
-        # variable with the current result, to avoid cartesian steps.
         context = current_context()
+        joined: Tuple[str, ...] = ()
+
+        def materialized(rows: int) -> None:
+            # Each step's join result counts against the memory budget and
+            # the spill model at its full, pre-projection size (``joined``
+            # is the current step's attribute list).
+            context.account(rows, len(joined), "exec.qhd")
+            if self.spill is not None:
+                self.spill.charge(self.meter, rows)
+
+        target = node.chi if keep is None else keep
         rel: Optional[Relation] = None
         pending = sorted(guard_rels, key=len) + sorted(other_rels, key=len)
         n_guards = len(guard_rels)
@@ -300,29 +554,29 @@ class QHDEvaluator:
                     0,
                 )
             source = pending.pop(index)
-            rel = source if rel is None else rel.natural_join(source, meter=self.meter)
-            context.account(len(rel), len(rel.attributes), "exec.qhd")
-            if self.spill is not None:
-                self.spill.charge(self.meter, len(rel))
             linking: set = set()
             for remaining in pending:
                 linking.update(remaining.attributes)
-            target = node.chi if keep is None else keep
+            joined = source.attributes if rel is None else rel.joined_attributes(source)
             kept_attrs = [
                 a
-                for a in rel.attributes
-                if a in target or a in linking or (keep is not None and a in node.chi and pending)
+                for a in joined
+                if a in target
+                or a in linking
+                or (keep is not None and a in node.chi and pending)
             ]
-            rel = rel.project(kept_attrs, dedup=True, meter=self.meter)
-            self._trace.append(
+            if rel is None:
+                materialized(len(source))
+                rel = source.project(kept_attrs, dedup=True, meter=self.meter)
+            else:
+                rel = rel.join_project(
+                    source, kept_attrs, meter=self.meter, on_joined=materialized
+                )
+            lines.append(
                 f"node {node.node_id}: fold {source.name or 'child'} "
                 f"-> {len(rel)} tuples"
             )
         return rel
-
-    def trace(self) -> List[str]:
-        """Evaluation log (node order, intermediate sizes) for EXPLAIN output."""
-        return list(self._trace)
 
 
 def evaluate_qhd(

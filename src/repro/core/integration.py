@@ -50,7 +50,9 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.context import current_context
 from repro.core.costmodel import DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
+from repro.core.memo import NodeMemo
 from repro.core.optimizer import cost_model_from_database
+from repro.core.pool import SubtreePool
 from repro.core.qhd import q_hypertree_decomp
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -143,11 +145,11 @@ def install_structural_optimizer(
             by template fingerprint; templates whose planning keeps failing
             skip the cost-k-decomp search (straight to the ladder's
             fallback steps) until the cooldown elapses.
-        parallel_workers: ``>= 2`` evaluates decompositions on that many
-            pool workers (:class:`repro.parallel.ParallelQHDEvaluator`)
-            with a per-request :class:`repro.parallel.NodeMemo`; ``0``/``1``
-            keeps the serial evaluator, byte-identical to previous
-            releases.
+        parallel_workers: ``>= 2`` fans each decomposition's nodes out on
+            a shared :class:`~repro.core.pool.SubtreePool` of that many
+            workers, with a per-request :class:`~repro.core.memo.NodeMemo`;
+            ``0``/``1`` folds them inline.  Rows, row order and work units
+            are the same either way.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
             receiving one phase observation per planning/execution step
@@ -176,21 +178,19 @@ def install_structural_optimizer(
 
     Returns:
         The installed handler (also retained on the DBMS); call
-        ``dbms.set_optimizer_handler(None)`` to uninstall.
+        ``dbms.set_optimizer_handler(None)`` to uninstall and
+        ``handler.close()`` to stop its worker pool
+        (``parallel_workers >= 2``).
     """
     # Cost models are pure functions of (statistics version, query); cache
     # them so a repeated query re-reads the statistics catalog zero times.
     model_cache: dict = {}
     model_lock = make_lock("integration.model_cache")
 
-    # One shared two-tier pool for every request the handler serves;
+    # One shared pool for every request the handler serves;
     # node tasks never wait on other node tasks, so requests interleave
     # on it without deadlock risk.
-    pool = None
-    if parallel_workers >= 2:
-        from repro.parallel import SubtreePool
-
-        pool = SubtreePool(parallel_workers)
+    pool = SubtreePool(parallel_workers) if parallel_workers >= 2 else None
 
     def _model_for(
         engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
@@ -436,25 +436,15 @@ def install_structural_optimizer(
             base = atom_relations(
                 translation.query, engine.database, translation, meter
             )
-            if parallel_workers >= 2:
-                from repro.parallel import ParallelQHDEvaluator
-
-                return ParallelQHDEvaluator(
-                    tree,
-                    translation.query,
-                    meter,
-                    spill=engine.spill_model,
-                    tracer=tracer,
-                    workers=parallel_workers,
-                    memo=memo,
-                    pool=pool,
-                ).evaluate(base)
             return QHDEvaluator(
                 tree,
                 translation.query,
                 meter,
                 spill=engine.spill_model,
                 tracer=tracer,
+                workers=parallel_workers,
+                memo=memo,
+                pool=pool,
             ).evaluate(base)
 
         exec_started = time.perf_counter() if scope is not None else 0.0
@@ -468,11 +458,7 @@ def install_structural_optimizer(
             if scope is not None and breaker_key is not None:
                 span.tag(template=breaker_key)
                 scope.span_ids.append(span.span_id)
-            memo = None
-            if parallel_workers >= 2:
-                from repro.parallel import NodeMemo
-
-                memo = NodeMemo()
+            memo = NodeMemo() if parallel_workers >= 2 else None
             try:
                 answer = _evaluate(decomposition, memo)
             except _LADDER_ERRORS:
@@ -549,5 +535,11 @@ def install_structural_optimizer(
         return answer, plan_text, label
 
     dbms.set_optimizer_handler(handler)
-    handler.parallel_pool = pool  # type: ignore[attr-defined]
+
+    def close() -> None:
+        """Stop the handler's worker pool (idempotent; a no-op without one)."""
+        if pool is not None:
+            pool.close()
+
+    handler.close = close  # type: ignore[attr-defined]
     return handler

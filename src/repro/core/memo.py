@@ -31,9 +31,26 @@ from repro.analysis.lockwitness import make_lock
 from repro.core.hypertree import HypertreeNode
 from repro.relational.relation import Relation
 
-__all__ = ["NodeMemo", "subtree_signature"]
+__all__ = ["NodeMemo", "node_signature", "subtree_signature"]
 
 Signature = Tuple[object, ...]
+
+
+def node_signature(
+    node: HypertreeNode,
+    keep: "Optional[FrozenSet[str]]",
+    relations: Mapping[str, Relation],
+    children: "Tuple[Signature, ...]",
+) -> Signature:
+    """A node's signature given its children's (``ordered_children`` order).
+
+    The evaluator signs a whole tree in one post-order pass with this;
+    :func:`subtree_signature` is the stand-alone recursive form.
+    """
+    lam = tuple(
+        sorted((name, len(relations[name])) for name in node.lam)
+    )
+    return ("node", lam, keep, node.chi, children)
 
 
 def subtree_signature(
@@ -49,17 +66,11 @@ def subtree_signature(
             at the root, meaning "project onto χ(node)").
         relations: atom name → relation, as passed to the evaluator.
     """
-    lam = tuple(
-        sorted((name, len(relations[name])) for name in node.lam)
-    )
-    kept = None if keep is None else tuple(sorted(keep))
     children = tuple(
-        subtree_signature(
-            child, frozenset(child.chi & node.chi), relations
-        )
+        subtree_signature(child, child.chi & node.chi, relations)
         for child in node.ordered_children()
     )
-    return ("node", lam, kept, tuple(sorted(node.chi)), children)
+    return node_signature(node, keep, relations, children)
 
 
 class NodeMemo:

@@ -135,9 +135,9 @@ class OptimizedPlan:
     ) -> DBMSResult:
         """Evaluate via the q-hypertree evaluator and apply SQL semantics.
 
-        ``parallel_workers >= 2`` evaluates the decomposition tree on that
-        many pool workers with the fused batch kernels; ``0``/``1`` is the
-        serial path, byte-identical to previous releases.
+        ``parallel_workers >= 2`` fans the decomposition's nodes out on
+        that many pool workers; ``0``/``1`` folds them inline.  Rows, row
+        order and work units are the same either way.
         """
         from repro.errors import WorkBudgetExceeded
 
@@ -147,25 +147,14 @@ class OptimizedPlan:
             base = atom_relations(
                 self.translation.query, self.database, self.translation, meter
             )
-            if parallel_workers >= 2:
-                from repro.parallel import ParallelQHDEvaluator
-
-                evaluator = ParallelQHDEvaluator(
-                    self.decomposition,
-                    self.translation.query,
-                    meter,
-                    spill,
-                    tracer=tracer,
-                    workers=parallel_workers,
-                )
-            else:
-                evaluator = QHDEvaluator(
-                    self.decomposition,
-                    self.translation.query,
-                    meter,
-                    spill,
-                    tracer=tracer,
-                )
+            evaluator = QHDEvaluator(
+                self.decomposition,
+                self.translation.query,
+                meter,
+                spill,
+                tracer=tracer,
+                workers=parallel_workers,
+            )
             answer = evaluator.evaluate(base)
             final = apply_sql_semantics(answer, self.translation, meter)
             finished = True

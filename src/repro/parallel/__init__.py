@@ -1,8 +1,20 @@
-"""Intra-query parallel q-HD evaluation (scheduler, memo, batch kernels)."""
+"""Intra-query parallel q-HD evaluation — the names of its pieces.
 
-from repro.parallel.executor import ParallelQHDEvaluator, SubtreePool
-from repro.parallel.kernels import fused_join_project, joined_attributes
-from repro.parallel.memo import NodeMemo, subtree_signature
+The implementation lives with the evaluator: one
+:class:`~repro.core.evaluator.QHDEvaluator` fans decomposition nodes out
+on a :class:`~repro.core.pool.SubtreePool` when ``workers >= 2``, shares
+subtree materializations through a :class:`~repro.core.memo.NodeMemo`,
+and folds with :meth:`Relation.join_project
+<repro.relational.relation.Relation.join_project>`.
+"""
+
+from repro.core.evaluator import QHDEvaluator as ParallelQHDEvaluator
+from repro.core.memo import NodeMemo, subtree_signature
+from repro.core.pool import SubtreePool
+from repro.relational.relation import Relation
+
+fused_join_project = Relation.join_project
+joined_attributes = Relation.joined_attributes
 
 __all__ = [
     "ParallelQHDEvaluator",

@@ -72,6 +72,14 @@ def _row_getter(
     return operator.itemgetter(*indices)
 
 
+def _unique_attributes(attributes: Sequence[str]) -> Tuple[str, ...]:
+    """``attributes`` as a tuple; duplicate names are a :class:`SchemaError`."""
+    names = tuple(attributes)
+    if len(set(names)) != len(names):
+        raise SchemaError(f"duplicate attribute names: {names}")
+    return names
+
+
 class Relation:
     """A named, attribute-addressed bag of tuples.
 
@@ -89,9 +97,7 @@ class Relation:
         tuples: Iterable[Tuple[object, ...]] = (),
         name: str = "",
     ):
-        self.attributes: Tuple[str, ...] = tuple(attributes)
-        if len(set(self.attributes)) != len(self.attributes):
-            raise SchemaError(f"duplicate attribute names: {self.attributes}")
+        self.attributes: Tuple[str, ...] = _unique_attributes(attributes)
         self.tuples: List[Tuple[object, ...]] = list(tuples)
         self.name = name
         self._index: Dict[str, int] = {
@@ -113,8 +119,9 @@ class Relation:
     ) -> "Relation":
         """Construct without the per-row arity scan.
 
-        For hot paths (the parallel batch kernels) whose rows are
-        arity-correct by construction; ``tuples`` is adopted, not copied.
+        For operator outputs, whose rows are arity-correct by construction
+        and whose attribute names the operator has already checked;
+        ``tuples`` is adopted, not copied.
         """
         rel = cls.__new__(cls)
         rel.attributes = tuple(attributes)
@@ -183,22 +190,12 @@ class Relation:
         meter: WorkMeter = NULL_METER,
     ) -> "Relation":
         """π over ``attributes``; set semantics when ``dedup`` (the default)."""
-        indices = [self.index_of(a) for a in attributes]
+        indices = [self.index_of(a) for a in _unique_attributes(attributes)]
         meter.charge(len(self.tuples), "project")
-        row_of = _row_getter(indices)
-        if dedup:
-            seen: set = set()
-            seen_add = seen.add
-            out: List[Tuple[object, ...]] = []
-            out_append = out.append
-            for row in self.tuples:
-                key = row_of(row)
-                if key not in seen:
-                    seen_add(key)
-                    out_append(key)
-        else:
-            out = list(map(row_of, self.tuples))
-        return Relation(attributes, out, name=self.name)
+        rows = map(_row_getter(indices), self.tuples)
+        # dict.fromkeys keeps first occurrences in row order, at C speed.
+        out = list(dict.fromkeys(rows)) if dedup else list(rows)
+        return Relation._trusted(attributes, out, name=self.name)
 
     def select(
         self,
@@ -275,35 +272,53 @@ class Relation:
         other_set = set(other.attributes)
         return tuple(a for a in self.attributes if a in other_set)
 
-    def natural_join(
-        self, other: "Relation", meter: WorkMeter = NULL_METER
-    ) -> "Relation":
-        """⋈ hash join on shared attribute names.
+    def _build_probe(self, other: "Relation") -> "Tuple[Relation, Relation]":
+        """Hash-join sides: build on the smaller relation, probe the larger."""
+        return (self, other) if len(self) <= len(other) else (other, self)
 
-        With no shared attributes this is the cartesian product.  Work is
-        charged per input tuple and per output tuple *as produced*, so a
-        budgeted meter aborts a blow-up before it is materialized.
+    def joined_attributes(self, other: "Relation") -> Tuple[str, ...]:
+        """The attribute order ``self.natural_join(other)`` produces: the
+        probe side's attributes, then the build side's non-shared ones."""
+        build, probe = self._build_probe(other)
+        return probe.attributes + tuple(
+            a for a in build.attributes if a not in probe._index
+        )
+
+    def _hash_join_rows(
+        self,
+        other: "Relation",
+        meter: WorkMeter,
+        keep: Optional[Sequence[str]] = None,
+    ) -> "Tuple[List[Tuple[object, ...]], List[str]]":
+        """The build/probe loop behind ⋈: one row per (probe row, build
+        match) pair, in probe-row then build-row order, and the rows'
+        attributes.
+
+        With ``keep=None`` rows carry every joined attribute
+        (:meth:`joined_attributes` order).  Otherwise each row carries only
+        the kept probe columns followed by the kept build columns, each
+        group in ``keep`` order — the dropped columns are never copied.
+        The pairs enumerated, and so the charges and checkpoints, do not
+        depend on ``keep``.
         """
         shared = self.shared_attributes(other)
-        # Build on the smaller side.
-        build, probe = (self, other) if len(self) <= len(other) else (other, self)
-        build_idx = [build.index_of(a) for a in shared]
-        probe_idx = [probe.index_of(a) for a in shared]
-
-        out_attrs = list(probe.attributes) + [
-            a for a in build.attributes if a not in probe._index
-        ]
-        build_rest_idx = [
-            i for i, a in enumerate(build.attributes) if a not in probe._index
-        ]
-
+        build, probe = self._build_probe(other)
+        build_key = _key_getter([build.index_of(a) for a in shared])
+        probe_key = _key_getter([probe.index_of(a) for a in shared])
+        if keep is None:
+            # The whole probe row is the head: no copy.
+            emitted = list(self.joined_attributes(other))
+            head_of, rest_attrs = None, emitted[len(probe.attributes) :]
+        else:
+            head_attrs = [a for a in keep if a in probe._index]
+            rest_attrs = [a for a in keep if a not in probe._index]
+            emitted = head_attrs + rest_attrs
+            head_of = _row_getter([probe._index[a] for a in head_attrs])
+        rest_of = _row_getter([build.index_of(a) for a in rest_attrs])
         context = current_context()
-        build_key = _key_getter(build_idx)
-        probe_key = _key_getter(probe_idx)
-        rest_of = _row_getter(build_rest_idx)
 
         # Build phase: one hash-table insert per row, keys extracted by a
-        # precompiled itemgetter, the non-key suffix precomputed once per
+        # precompiled itemgetter, the output suffix precomputed once per
         # build row (it is re-emitted for every probe match).  Work is
         # charged in ≤ _CHECK_EVERY blocks with identical totals.
         table: Dict[object, List[Tuple[object, ...]]] = {}
@@ -335,19 +350,67 @@ class Relation:
                 matches = table_get(probe_key(row))
                 if not matches:
                     continue
+                head = row if head_of is None else head_of(row)
                 if len(matches) <= _CHECK_EVERY:
                     # Charged *before* materialization so a budgeted meter
                     # aborts a blow-up before its rows exist.
                     meter.charge(len(matches), "join-out")
-                    out_extend([row + rest for rest in matches])
+                    out_extend([head + rest for rest in matches])
                 else:
                     for mstart in range(0, len(matches), _CHECK_EVERY):
                         context.checkpoint("exec.join")
                         run = matches[mstart : mstart + _CHECK_EVERY]
                         meter.charge(len(run), "join-out")
-                        out_extend([row + rest for rest in run])
-        name = f"({self.name}⋈{other.name})" if self.name and other.name else ""
-        return Relation(out_attrs, out, name=name)
+                        out_extend([head + rest for rest in run])
+        return out, emitted
+
+    def _join_name(self, other: "Relation") -> str:
+        return f"({self.name}⋈{other.name})" if self.name and other.name else ""
+
+    def natural_join(
+        self, other: "Relation", meter: WorkMeter = NULL_METER
+    ) -> "Relation":
+        """⋈ hash join on shared attribute names.
+
+        With no shared attributes this is the cartesian product.  Work is
+        charged per input tuple and per output tuple *as produced*, so a
+        budgeted meter aborts a blow-up before it is materialized.
+        """
+        rows, attributes = self._hash_join_rows(other, meter)
+        return Relation._trusted(attributes, rows, name=self._join_name(other))
+
+    def join_project(
+        self,
+        other: "Relation",
+        keep: Sequence[str],
+        meter: WorkMeter = NULL_METER,
+        on_joined: Optional[Callable[[int], None]] = None,
+    ) -> "Relation":
+        """⋈ then π onto ``keep`` with set semantics, without materializing
+        the dropped columns.
+
+        Equal — attributes, rows, row order and every charge — to
+        ``self.natural_join(other, meter).project(keep, dedup=True, meter)``.
+        ``keep`` is any duplicate-free selection of
+        :meth:`joined_attributes`, in any order.
+
+        Args:
+            on_joined: called with the row count of the join result the
+                two-step form would have materialized, after the join's
+                charges and before the ``project`` charge — where a caller
+                accounts that intermediate against memory and spill
+                budgets.
+        """
+        keep = _unique_attributes(keep)
+        rows, emitted = self._hash_join_rows(other, meter, keep)
+        if on_joined is not None:
+            on_joined(len(rows))
+        meter.charge(len(rows), "project")
+        out = list(dict.fromkeys(rows))
+        # Rows were emitted probe columns first; restore ``keep`` order.
+        if emitted != list(keep):
+            out = list(map(_row_getter([emitted.index(a) for a in keep]), out))
+        return Relation._trusted(keep, out, name=self._join_name(other))
 
     def nested_loop_join(
         self, other: "Relation", meter: WorkMeter = NULL_METER
@@ -383,8 +446,7 @@ class Relation:
                         context.checkpoint("exec.join")
                     meter.charge(1, "nlj-out")
                     out.append(row + other_rests[j])
-        name = f"({self.name}⋈{other.name})" if self.name and other.name else ""
-        return Relation(out_attrs, out, name=name)
+        return Relation(out_attrs, out, name=self._join_name(other))
 
     def merge_join(
         self, other: "Relation", meter: WorkMeter = NULL_METER
@@ -450,8 +512,7 @@ class Relation:
                     meter.charge(len(run_rests), "join-out")
                     out_extend([left_row + rest for rest in run_rests])
                 i, j = i_end, j_end
-        name = f"({self.name}⋈{other.name})" if self.name and other.name else ""
-        return Relation(out_attrs, out, name=name)
+        return Relation(out_attrs, out, name=self._join_name(other))
 
     def semijoin(
         self, other: "Relation", meter: WorkMeter = NULL_METER

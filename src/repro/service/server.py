@@ -88,12 +88,11 @@ class QueryService:
         breaker: the per-template :class:`CircuitBreaker` backing the
             degradation ladder; pass one explicitly to share or configure
             it, or leave the default (3 failures, 30 s cooldown).
-        parallel_workers: ``>= 2`` evaluates each query's decomposition
-            tree *intra-query parallel* on that many
-            :class:`repro.parallel.SubtreePool` workers (results identical
-            to serial, rows and order); ``0``/``1`` keeps the serial
-            evaluator.  Orthogonal to ``workers``, which bounds how many
-            *queries* run concurrently.
+        parallel_workers: ``>= 2`` fans each query's decomposition nodes
+            out on that many :class:`repro.core.pool.SubtreePool` workers;
+            ``0``/``1`` folds them inline (rows, row order and work units
+            are the same either way).  Orthogonal to ``workers``, which
+            bounds how many *queries* run concurrently.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
             receiving phase histograms, SLO outcomes, and slow-query
@@ -355,7 +354,7 @@ class QueryService:
         )
         if self.dbms.optimizer_handler is self._handler:
             self.dbms.set_optimizer_handler(None)
-        self._close_parallel_pool()
+        self._handler.close()  # type: ignore[attr-defined]
         return drained
 
     def close(self) -> None:
@@ -366,12 +365,7 @@ class QueryService:
         self.pool.shutdown(wait=True)
         if self.dbms.optimizer_handler is self._handler:
             self.dbms.set_optimizer_handler(None)
-        self._close_parallel_pool()
-
-    def _close_parallel_pool(self) -> None:
-        parallel_pool = getattr(self._handler, "parallel_pool", None)
-        if parallel_pool is not None:
-            parallel_pool.close()
+        self._handler.close()  # type: ignore[attr-defined]
 
     def __enter__(self) -> "QueryService":
         return self

@@ -80,6 +80,18 @@ class TestCommands:
         assert "q-hd" in out
         assert "answers agree: True" in out
 
+    def test_run_parallel_leaves_no_pool_threads(self, capsys):
+        import threading
+
+        before = set(threading.enumerate())
+        assert main(
+            ["run", "q5", "--size-mb", "20", "--width", "3", "--parallel", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "q-hd(par=2)" in out
+        assert "answers agree: True" in out
+        assert set(threading.enumerate()) <= before
+
     def test_analyze(self, capsys):
         assert main(["analyze", "q5", "--size-mb", "50", "--width", "3"]) == 0
         out = capsys.readouterr().out

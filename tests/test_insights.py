@@ -943,7 +943,7 @@ class TestBenchRecord:
     def test_stamp_adds_provenance(self):
         from repro.bench.record import stamp_record
 
-        record = {"benchmark": "parallel-qhd-evaluation"}
+        record = {"benchmark": "sharded-serving"}
         stamp_record(record, sha="a" * 40)
         assert record["git_sha"] == "a" * 40
         assert record["recorded_at"].endswith("Z")

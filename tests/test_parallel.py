@@ -1,19 +1,22 @@
-"""The intra-query parallel evaluator: parity, memoization, tracing, faults.
+"""The q-HD evaluator across worker counts: parity, memoization, tracing, faults.
 
-The contract under test is the strongest one the module makes: for every
-workload and every worker count, the parallel evaluator returns *exactly*
-the serial evaluator's relation — same rows, same order — and under
-injected faults each run is correct-or-typed-error, never silently wrong.
+The contract under test is the strongest one the evaluator makes: for every
+workload and every worker count it returns *exactly* the inline
+evaluation's relation — same rows, same order — for exactly the same work
+units, and under injected faults or exhausted budgets each run is
+correct-or-typed-error, never silently wrong.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.engine.scans import atom_relations
-from repro.errors import ReproError
-from repro.metering import WorkMeter
+from repro.errors import MemoryBudgetExceeded, ReproError, WorkBudgetExceeded
+from repro.metering import SpillModel, WorkMeter
 from repro.obs.tracing import Tracer
 from repro.parallel import (
     NodeMemo,
@@ -24,8 +27,11 @@ from repro.parallel import (
     subtree_signature,
 )
 from repro.relational.relation import Relation
+from repro.resilience.budget import MemoryBudget
+from repro.resilience.context import resilient
 from repro.resilience.faults import FaultInjector
 from repro.service.server import QueryService
+from repro.core.evaluator import QHDEvaluator
 from repro.core.optimizer import HybridOptimizer
 from repro.core.views import _view_dependencies, execute_view_plan
 from repro.workloads.synthetic import (
@@ -71,6 +77,8 @@ class TestParity:
             assert parallel.relation.attributes == serial.relation.attributes, name
             assert parallel.relation.tuples == serial.relation.tuples, name
             assert parallel.finished and serial.finished
+            assert parallel.work == serial.work, name
+            assert parallel.work_breakdown == serial.work_breakdown, name
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("query", ["q5", "q8"])
@@ -84,23 +92,28 @@ class TestParity:
         parallel = plan.execute(parallel_workers=workers)
         assert parallel.relation.attributes == serial.relation.attributes
         assert parallel.relation.tuples == serial.relation.tuples
+        assert parallel.work == serial.work
+        assert parallel.work_breakdown == serial.work_breakdown
 
     def test_single_worker_is_the_serial_path(self, workloads):
-        """``parallel_workers=1`` must add zero work units (overhead guard)."""
+        """``workers <= 1`` folds inline: no pool, no thread, no fan-out span."""
         name, db, sql, width = workloads[0]
         plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
-        serial = plan.execute()
-        one = plan.execute(parallel_workers=1)
-        assert one.work == serial.work
-        assert one.work_breakdown == serial.work_breakdown
+        for workers in (0, 1):
+            tracer = Tracer()
+            plan.execute(tracer=tracer, parallel_workers=workers)
+            assert not tracer.spans("qhd.parallel")
+            nodes = tracer.spans("qhd.node")
+            assert nodes
+            assert {span.thread for span in nodes} == {
+                threading.current_thread().name
+            }
+        assert not [t for t in threading.enumerate() if t.name.startswith("qhd-node")]
 
     def test_trace_matches_serial_shape(self, workloads):
         name, db, sql, width = workloads[0]
         plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
         base = atom_relations(plan.translation.query, db, plan.translation)
-        serial_lines = []
-        from repro.core.evaluator import QHDEvaluator
-
         serial_ev = QHDEvaluator(plan.decomposition, plan.translation.query)
         serial_ev.evaluate(base)
         parallel_ev = ParallelQHDEvaluator(
@@ -111,13 +124,85 @@ class TestParity:
         assert len(parallel_ev.trace()) == len(serial_ev.trace())
 
 
+class TestBudgets:
+    """Typed budget errors fire at the same fold, with the same numbers,
+    whether nodes run inline or on pool workers.
+
+    The chain decomposition is a path, so its nodes run one after another
+    at any worker count and the trip point is deterministic.
+    """
+
+    SPILL = SpillModel(200, 3.0)
+
+    @pytest.fixture(scope="class")
+    def chain(self, workloads):
+        name, db, sql, width = workloads[0]
+        plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
+        assert all(len(n.children) <= 1 for n in plan.decomposition.root.walk())
+        return db, plan
+
+    def _evaluate(self, db, plan, workers, budget=None, memory=None):
+        meter = WorkMeter(budget=budget)
+        base = atom_relations(plan.translation.query, db, plan.translation, meter)
+        evaluator = QHDEvaluator(
+            plan.decomposition,
+            plan.translation.query,
+            meter,
+            spill=self.SPILL,
+            workers=workers,
+        )
+        with resilient(memory=memory):
+            try:
+                return evaluator.evaluate(base), meter
+            except (WorkBudgetExceeded, MemoryBudgetExceeded) as error:
+                return error, meter
+
+    def test_work_budget_trips_at_the_same_charge(self, chain):
+        db, plan = chain
+        _, full = self._evaluate(db, plan, 0)
+        tripped = 0
+        for tenths in range(1, 10):
+            budget = full.total * tenths // 10
+            inline, inline_meter = self._evaluate(db, plan, 0, budget=budget)
+            pooled, pooled_meter = self._evaluate(db, plan, 2, budget=budget)
+            assert type(pooled) is type(inline)
+            assert pooled_meter.snapshot() == inline_meter.snapshot()
+            if isinstance(inline, WorkBudgetExceeded):
+                tripped += 1
+                assert (pooled.spent, pooled.phase) == (inline.spent, inline.phase)
+        assert tripped >= 5
+
+    def test_memory_budget_trips_at_the_same_fold(self, chain):
+        db, plan = chain
+        tripped = 0
+        for cells in (300, 1000, 3000, 10000, 10**9):
+            inline, inline_meter = self._evaluate(
+                db, plan, 0, memory=MemoryBudget(max_cells=cells)
+            )
+            pooled, pooled_meter = self._evaluate(
+                db, plan, 2, memory=MemoryBudget(max_cells=cells)
+            )
+            assert type(pooled) is type(inline)
+            assert pooled_meter.snapshot() == inline_meter.snapshot()
+            if isinstance(inline, MemoryBudgetExceeded):
+                tripped += 1
+                assert str(pooled) == str(inline)
+                assert (pooled.rows, pooled.row_width, pooled.cells) == (
+                    inline.rows,
+                    inline.row_width,
+                    inline.cells,
+                )
+        assert 1 <= tripped < 5
+
+
 class TestFusedKernel:
     def test_matches_join_then_project(self):
         left = Relation(["a", "j"], [(i % 5, i % 3) for i in range(40)], name="L")
         right = Relation(["j", "b"], [(i % 3, i % 7) for i in range(50)], name="R")
         keep = ["a", "b"]
         expected = left.natural_join(right).project(keep, dedup=True)
-        fused = fused_join_project(left, right, keep)
+        fused = left.join_project(right, keep)
+        assert fused_join_project is Relation.join_project
         assert fused.attributes == expected.attributes
         assert fused.tuples == expected.tuples
 
@@ -132,19 +217,27 @@ class TestFusedKernel:
         meter = WorkMeter()
         left = Relation(["a", "j"], [(i, i % 4) for i in range(30)])
         right = Relation(["j", "b"], [(i % 4, i) for i in range(30)])
-        fused_join_project(left, right, ["a", "b"], meter=meter)
-        assert "join-build" in meter.by_category
-        assert "join-probe" in meter.by_category
-        assert "join-out" in meter.by_category
+        seen = []
+        left.join_project(right, ["a", "b"], meter=meter, on_joined=seen.append)
+        reference = WorkMeter()
+        joined = left.natural_join(right, meter=reference)
+        joined.project(["a", "b"], dedup=True, meter=reference)
+        assert meter.snapshot() == reference.snapshot()
+        assert {"join-build", "join-probe", "join-out", "project"} <= set(
+            meter.by_category
+        )
+        # The caller is handed the size of the join the two-step form
+        # would have materialized.
+        assert seen == [len(joined)]
 
     def test_cross_product_and_empty(self):
         left = Relation(["a"], [(1,), (2,)], name="L")
         right = Relation(["b"], [(3,), (4,)], name="R")
-        fused = fused_join_project(left, right, ["a", "b"])
+        fused = left.join_project(right, ["a", "b"])
         expected = left.natural_join(right).project(["a", "b"], dedup=True)
         assert fused.tuples == expected.tuples
         empty = Relation(["j", "b"], [], name="E")
-        out = fused_join_project(Relation(["a", "j"], [(1, 2)]), empty, ["a"])
+        out = Relation(["a", "j"], [(1, 2)]).join_project(empty, ["a"])
         assert len(out) == 0
 
 

@@ -19,6 +19,7 @@ from repro.core.optimizer import HybridOptimizer
 from repro.core.views import execute_view_plan
 from repro.engine.dbms import COMMDB_PROFILE, POSTGRES_PROFILE, SimulatedDBMS
 from repro.engine.scans import atom_relations
+from repro.metering import WorkMeter
 from repro.relational import AttributeType, Database, Relation, RelationSchema
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,48 @@ def test_semijoin_equals_join_projection(pair):
     joined = r.natural_join(s).project(list(r.attributes), dedup=True)
     semi = r.semijoin(s).distinct()
     assert joined.same_content(semi)
+
+
+@st.composite
+def join_project_case(draw):
+    """Two *bag* relations over random schemas, and a ``keep`` list.
+
+    Schemas are drawn from a small pool so the pair may share several
+    attributes, one, or none (a cartesian product); rows repeat; either
+    side may be empty; ``keep`` is any sub-permutation of the joined
+    attributes — it may drop the join key, or keep everything.
+    """
+    pool = ["a", "b", "c", "d", "e"]
+    left_attrs = draw(st.permutations(pool))[: draw(st.integers(1, 3))]
+    right_attrs = draw(st.permutations(pool))[: draw(st.integers(1, 3))]
+
+    def rows(width):
+        row = st.tuples(*[st.integers(min_value=0, max_value=2)] * width)
+        return draw(st.lists(row, min_size=0, max_size=9))
+
+    left = Relation(left_attrs, rows(len(left_attrs)), name="l")
+    right = Relation(right_attrs, rows(len(right_attrs)), name="r")
+    joined = list(left.joined_attributes(right))
+    keep = draw(st.permutations(joined))[: draw(st.integers(0, len(joined)))]
+    return left, right, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=join_project_case())
+def test_join_project_equals_join_then_project(case):
+    """Attributes, rows, row order and every charge."""
+    left, right, keep = case
+    reference_meter, meter = WorkMeter(), WorkMeter()
+    joined = left.natural_join(right, meter=reference_meter)
+    expected = joined.project(keep, dedup=True, meter=reference_meter)
+    assert joined.attributes == left.joined_attributes(right)
+    sizes = []
+    actual = left.join_project(right, keep, meter=meter, on_joined=sizes.append)
+    assert actual.attributes == expected.attributes
+    assert actual.tuples == expected.tuples
+    assert actual.name == expected.name
+    assert meter.snapshot() == reference_meter.snapshot()
+    assert sizes == [len(joined)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -59,6 +59,17 @@ class TestUnary:
         p = r.project(["b", "a"], dedup=False)
         assert p.tuples[0] == ("x", 1)
 
+    def test_project_rejects_duplicate_names(self, r):
+        """Operator outputs skip ``Relation.__init__``; the check must not."""
+        with pytest.raises(SchemaError):
+            r.project(["a", "a"])
+        with pytest.raises(SchemaError):
+            r.join_project(r, ["a", "a"])
+
+    def test_project_keeps_first_occurrence_order(self):
+        rel = Relation(["a", "b"], [(2, 0), (1, 0), (2, 1), (1, 1), (3, 0)])
+        assert rel.project(["a"]).tuples == [(2,), (1,), (3,)]
+
     def test_select_predicate(self, r):
         out = r.select(lambda row: row[0] == 2)
         assert len(out) == 2
