@@ -904,6 +904,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cache behaviour.  With ``--analyze`` both plans are *executed* and each
     operator is annotated with actual rows, work units, and wall time.
     """
+    from repro.obs.tracing import tracing
     from repro.service.fingerprint import fingerprint_translation
 
     database = generate_tpch_database(size_mb=args.size_mb, seed=args.seed, analyze=True)
@@ -921,7 +922,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print("Engine join plan (dp-bushy, with statistics):")
         print(dbms.explain(translation, use_statistics=True))
     print()
-    plan = optimizer.optimize(translation)
+    with tracing() as tracer:
+        plan = optimizer.optimize(translation)
+    if args.analyze:
+        (search,) = tracer.spans("decompose.search")
+        tags = search.tags
+        print(
+            f"planning: {tags['candidates']} candidate separators "
+            f"({tags['pruned']} pruned) over {tags['subproblems']} subproblems; "
+            f"weighting: {tags['distinct_lambdas']} distinct λ, "
+            f"{tags['estimate_joins']} join estimates; "
+            f"{search.duration * 1e3:.1f} ms"
+        )
     print(f"q-hypertree decomposition (width {plan.width}):")
     print(plan.explain(analyze=args.analyze, work_budget=args.budget))
     return 0

@@ -23,7 +23,7 @@ from repro.metering import NULL_METER, WorkMeter
 from repro.obs.tracing import current_tracer
 from repro.resilience.context import current_context
 from repro.core.costmodel import DecompositionCostModel, JoinEstimate
-from repro.core.detkdecomp import _candidate_separators, _split
+from repro.core.detkdecomp import _SearchSpace
 from repro.core.hypertree import Hypertree, HypertreeNode
 
 
@@ -35,9 +35,6 @@ class _Best:
     width: int
     estimate: JoinEstimate  # estimate of the node relation handed to the parent
     node: HypertreeNode
-
-    def key(self, lam: Tuple[str, ...]) -> Tuple[float, int, Tuple[str, ...]]:
-        return (self.cost, self.width, lam)
 
 
 class CostKDecomp:
@@ -74,20 +71,27 @@ class CostKDecomp:
         self.output_weight = output_weight
         self.output_variables = frozenset(output_variables)
         self.meter = meter
-        self.atom_variables: Dict[str, FrozenSet[str]] = {
-            edge.name: edge.vertices for edge in hypergraph
-        }
+        self._space = _SearchSpace(hypergraph, k)
+        self.atom_variables = self._space.edge_variables
         self._root_key: Optional[Tuple[FrozenSet[str], FrozenSet[str]]] = None
+        # Every memo table lives on this per-call object, never on the cost
+        # model (the serving layer shares one model across threads).  The
+        # DP table's nodes are shared by every candidate parent that reuses
+        # a subproblem (a DAG); ``decompose()`` clones the winner into a tree.
         self._memo: Dict[
             Tuple[FrozenSet[str], FrozenSet[str]], Optional[_Best]
         ] = {}
+        # λ → (joined estimate, join cost): the λ join depends on λ alone,
+        # each candidate only projects it onto its χ.
+        self._lambda_joins: Dict[Tuple[str, ...], Tuple[JoinEstimate, float]] = {}
         # Search statistics, reported on the "decompose.search" span (and
         # free to read afterwards): candidate separators evaluated, pruned
         # (no strictly shrinking split, or an unsolvable sub-component),
-        # and DP memo hits.
+        # DP memo hits, and join estimates computed (λ joins + stitches).
         self.candidates = 0
         self.pruned = 0
         self.memo_hits = 0
+        self.estimate_joins = 0
         # The search is exponential in k; every candidate separator is a
         # cooperative abort point (deadline/cancel/fault) for the serving
         # layer's resilience context.
@@ -127,6 +131,8 @@ class CostKDecomp:
                 pruned=self.pruned,
                 memo_hits=self.memo_hits,
                 subproblems=len(self._memo),
+                distinct_lambdas=len(self._lambda_joins),
+                estimate_joins=self.estimate_joins,
                 found=best is not None,
             )
             if best is not None:
@@ -155,75 +161,66 @@ class CostKDecomp:
     def _search(
         self, component: FrozenSet[str], connector: FrozenSet[str]
     ) -> Optional[_Best]:
-        component_vars = self.hypergraph.variables_of(component)
-        best: Optional[_Best] = None
-        best_key: Optional[Tuple[float, int, Tuple[str, ...]]] = None
+        model = self.cost_model
+        at_root = self.output_weight > 0.0 and self._root_key == (
+            component,
+            connector,
+        )
+        # The winner so far: its (cost, width, λ) key, χ, children and
+        # stitched estimate — its node is built once, after the enumeration.
+        best: Optional[tuple] = None
 
-        for lam in _candidate_separators(
-            self.hypergraph, component, connector, self.k
-        ):
+        for lam, chi in self._space.separators(component, connector):
             self._context.checkpoint("decompose.search")
             self.meter.charge(1, "plan")
             self.candidates += 1
-            lam_vars = self.hypergraph.variables_of(lam)
-            chi = lam_vars & (connector | component_vars)
-            pieces = _split(self.hypergraph, component, chi)
+            pieces = self._space.split(component, chi)
             if any(len(sub) >= len(component) for sub, _ in pieces):
                 self.pruned += 1
                 continue
 
-            node_estimate, node_cost = self.cost_model.node_estimate(
-                lam, self.atom_variables, chi
-            )
-            total_cost = node_cost
-            children: List[HypertreeNode] = []
-            current = node_estimate
-            feasible = True
+            lam_join = self._lambda_joins.get(lam)
+            if lam_join is None:
+                lam_join = model.join_atoms(lam, self.atom_variables)
+                self._lambda_joins[lam] = lam_join
+                self.estimate_joins += len(lam) - 1
+            current = model.project(lam_join[0], chi)
+            total_cost = lam_join[1]
+            width = len(lam)
+            children: List[_Best] = []
             for sub, sub_connector in pieces:
-                child_best = self._solve(sub, sub_connector)
-                if child_best is None:
-                    feasible = False
+                child = self._solve(sub, sub_connector)
+                if child is None:
                     break
-                children.append(child_best.node)
-                total_cost += child_best.cost
-                total_cost += self.cost_model.stitch_cost(
-                    current, child_best.estimate
-                )
-                current = self.cost_model.stitch(
-                    current, child_best.estimate, chi
-                )
-            if not feasible:
+                children.append(child)
+                total_cost += child.cost
+                step_cost, current = model.stitch(current, child.estimate, chi)
+                total_cost += step_cost
+                self.estimate_joins += 1
+                if child.width > width:
+                    width = child.width
+            if len(children) < len(pieces):
                 self.pruned += 1
                 continue
 
-            if (
-                self.output_weight > 0.0
-                and self._root_key == (component, connector)
-            ):
-                answer = self.cost_model.project(
-                    current, self.output_variables & chi
-                )
+            if at_root:
+                answer = model.project(current, self.output_variables & chi)
                 total_cost += self.output_weight * answer.cardinality
 
-            width = max(
-                [len(lam)] + [self._subtree_width(c) for c in children]
-            )
-            candidate = _Best(
-                cost=total_cost,
-                width=width,
-                estimate=self.cost_model.project(current, chi),
-                node=HypertreeNode(
-                    chi=chi, lam=lam, children=[c.clone() for c in children]
-                ),
-            )
-            candidate_key = candidate.key(lam)
-            if best_key is None or candidate_key < best_key:
-                best, best_key = candidate, candidate_key
-        return best
-
-    @staticmethod
-    def _subtree_width(node: HypertreeNode) -> int:
-        return max(len(n.lam) for n in node.walk())
+            candidate_key = (total_cost, width, lam)
+            if best is None or candidate_key < best[0]:
+                best = (candidate_key, chi, children, current)
+        if best is None:
+            return None
+        (cost, width, lam), chi, children, current = best
+        return _Best(
+            cost=cost,
+            width=width,
+            estimate=model.project(current, chi),
+            node=HypertreeNode(
+                chi=chi, lam=lam, children=[child.node for child in children]
+            ),
+        )
 
 
 def cost_k_decomp(

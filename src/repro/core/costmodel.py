@@ -117,19 +117,38 @@ class DecompositionCostModel:
         shared_variables: Iterable[str],
     ) -> JoinEstimate:
         """Textbook natural-join estimate over the shared variables."""
-        size = left.cardinality * right.cardinality
+        # The planner's innermost loop: ``distinct_of`` and the two-argument
+        # ``min``/``max`` calls are spelled out as comparisons that pick the
+        # same operand the builtins would, so every float is unchanged.
+        left_card, left_distinct = left.cardinality, left.distinct
+        right_card, right_distinct = right.cardinality, right.distinct
+        size = left_card * right_card
         for variable in shared_variables:
-            size /= max(left.distinct_of(variable), right.distinct_of(variable))
+            ours = left_distinct.get(variable, DEFAULT_DISTINCT)
+            if left_card < ours:
+                ours = left_card
+            if 1.0 > ours:
+                ours = 1.0
+            theirs = right_distinct.get(variable, DEFAULT_DISTINCT)
+            if right_card < theirs:
+                theirs = right_card
+            if 1.0 > theirs:
+                theirs = 1.0
+            size /= theirs if theirs > ours else ours
         size = max(size, 0.0)
         distinct: Dict[str, float] = {}
-        for variable in set(left.distinct) | set(right.distinct):
-            if variable in left.distinct and variable in right.distinct:
-                estimate = min(left.distinct[variable], right.distinct[variable])
+        for variable in set(left_distinct) | set(right_distinct):
+            if variable in left_distinct:
+                estimate = left_distinct[variable]
+                if variable in right_distinct:
+                    other = right_distinct[variable]
+                    if other < estimate:
+                        estimate = other
             else:
-                estimate = left.distinct.get(
-                    variable, right.distinct.get(variable, DEFAULT_DISTINCT)
-                )
-            distinct[variable] = max(min(estimate, size), 1.0)
+                estimate = right_distinct[variable]
+            if size < estimate:
+                estimate = size
+            distinct[variable] = 1.0 if 1.0 > estimate else estimate
         return JoinEstimate(size, distinct)
 
     def join_sequence(
@@ -171,37 +190,32 @@ class DecompositionCostModel:
     # Decomposition-node costing (the weighting function of cost-k-decomp)
     # ------------------------------------------------------------------
 
-    def node_estimate(
+    def join_atoms(
         self,
         lam_atoms: Sequence[str],
         atom_variables: Mapping[str, FrozenSet[str]],
-        chi: FrozenSet[str],
     ) -> Tuple[JoinEstimate, float]:
-        """Estimate computing one node's relation (step P′).
+        """Estimate joining one node's λ atoms, smallest-first (step P′).
 
-        Joins the λ atoms (smallest-first) and projects onto χ; returns the
-        projected estimate and the join cost.
+        Returns the joined estimate and the join cost.  Both depend on λ
+        alone: a search computes them once per distinct λ and projects the
+        estimate onto each candidate's χ with :meth:`project`.
         """
         estimates = [self.atom_as_join(name) for name in lam_atoms]
         variables = [frozenset(atom_variables[name]) for name in lam_atoms]
-        joined, cost = self.join_sequence(estimates, variables)
-        projected = self.project(joined, chi)
-        return projected, cost
-
-    @staticmethod
-    def stitch_cost(parent: JoinEstimate, child: JoinEstimate) -> float:
-        """Cost of joining a child's relation into its parent (step P″)."""
-        shared = set(parent.distinct) & set(child.distinct)
-        out = DecompositionCostModel.join(parent, child, shared)
-        return parent.cardinality + child.cardinality + out.cardinality
+        return self.join_sequence(estimates, variables)
 
     @staticmethod
     def stitch(
         parent: JoinEstimate, child: JoinEstimate, chi: FrozenSet[str]
-    ) -> JoinEstimate:
-        """Resulting parent estimate after absorbing one child (projected to χ)."""
+    ) -> Tuple[float, JoinEstimate]:
+        """Absorb one child's relation into its parent (step P″).
+
+        One join estimate yields both results: the cost of the step and the
+        parent's estimate afterwards, restricted to χ.
+        """
         shared = set(parent.distinct) & set(child.distinct)
         joined = DecompositionCostModel.join(parent, child, shared)
-        keep = set(joined.distinct) & chi
-        distinct = {v: d for v, d in joined.distinct.items() if v in keep}
-        return JoinEstimate(joined.cardinality, distinct)
+        cost = parent.cardinality + child.cardinality + joined.cardinality
+        distinct = {v: d for v, d in joined.distinct.items() if v in chi}
+        return cost, JoinEstimate(joined.cardinality, distinct)

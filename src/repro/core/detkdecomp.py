@@ -22,8 +22,7 @@ obtains condition 2 of Definition 2 (out(Q) ⊆ χ(root)).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DecompositionError
 from repro.hypergraph.algorithms import connected_components
@@ -33,53 +32,84 @@ from repro.core.hypertree import Hypertree, HypertreeNode
 _FAIL = None
 
 
-def _candidate_separators(
-    hypergraph: Hypergraph,
-    component: FrozenSet[str],
-    connector: FrozenSet[str],
-    k: int,
-) -> Iterator[Tuple[str, ...]]:
-    """Enumerate λ-candidates for a (component, connector) subproblem.
+class _SearchSpace:
+    """The ``(component, connector)`` subproblem space of one search.
 
-    A candidate is a set of 1..k hyperedges (from the *whole* hypergraph —
-    edges outside the component may be needed to cover the connector) such
-    that:
-
-    * every connector variable is covered: connector ⊆ var(λ);
-    * at least one candidate edge intersects the component's variables
-      (progress guarantee);
-    * no candidate edge is useless (each must intersect
-      connector ∪ var(component)).
+    det-k-decomp and cost-k-decomp enumerate the same λ-candidates and split
+    components the same way; this object is what they share.  It belongs to
+    one search object and dies with it, so its ``var(component)`` memo needs
+    no lock, bound or invalidation.
     """
-    component_vars = hypergraph.variables_of(component)
-    relevant_vars = connector | component_vars
-    relevant_edges = sorted(
-        edge.name
-        for edge in hypergraph
-        if edge.vertices & relevant_vars
-    )
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(relevant_edges, size):
-            lam_vars = hypergraph.variables_of(combo)
-            if not connector <= lam_vars:
-                continue
-            if not lam_vars & component_vars:
-                continue
-            yield combo
 
+    def __init__(self, hypergraph: Hypergraph, k: int):
+        self.hypergraph = hypergraph
+        self.k = k
+        self.edge_variables: Dict[str, FrozenSet[str]] = {
+            edge.name: edge.vertices for edge in hypergraph
+        }
+        self._sorted_edges = sorted(self.edge_variables.items())
+        self._variables: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
-def _split(
-    hypergraph: Hypergraph,
-    component: FrozenSet[str],
-    chi: FrozenSet[str],
-) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
-    """Split a component against χ; returns (sub-component, connector) pairs."""
-    subcomponents = connected_components(hypergraph, component, chi)
-    result = []
-    for sub in subcomponents:
-        connector = hypergraph.variables_of(sub) & chi
-        result.append((sub, frozenset(connector)))
-    return result
+    def variables_of(self, edges: FrozenSet[str]) -> FrozenSet[str]:
+        """``var(edges)``, computed once per distinct edge set."""
+        found = self._variables.get(edges)
+        if found is None:
+            found = self._variables[edges] = self.hypergraph.variables_of(edges)
+        return found
+
+    def separators(
+        self, component: FrozenSet[str], connector: FrozenSet[str]
+    ) -> Iterator[Tuple[Tuple[str, ...], FrozenSet[str]]]:
+        """Enumerate ``(λ, χ)`` candidates for a subproblem.
+
+        A candidate λ is a set of 1..k hyperedges (from the *whole*
+        hypergraph — edges outside the component may be needed to cover the
+        connector) such that:
+
+        * every connector variable is covered: connector ⊆ var(λ);
+        * at least one candidate edge intersects the component's variables
+          (progress guarantee);
+        * no candidate edge is useless (each must intersect
+          connector ∪ var(component));
+
+        and χ = var(λ) ∩ (connector ∪ var(component)).  The order is that of
+        ``itertools.combinations`` over the sorted relevant edges, size by
+        size (ties between equal-cost decompositions break on it); each
+        combination extends the union of its prefix by one edge instead of
+        re-unioning all of its edges.
+        """
+        component_vars = self.variables_of(component)
+        scope = connector | component_vars
+        relevant = [
+            edge for edge in self._sorted_edges if not edge[1].isdisjoint(scope)
+        ]
+        count = len(relevant)
+        prefixes: List[Tuple[Tuple[str, ...], FrozenSet[str], int]] = [
+            ((), frozenset(), 0)
+        ]
+        for size in range(1, self.k + 1):
+            extended = []
+            for prefix, prefix_vars, start in prefixes:
+                for index in range(start, count):
+                    name, variables = relevant[index]
+                    lam = prefix + (name,)
+                    lam_vars = prefix_vars | variables
+                    if size < self.k:
+                        extended.append((lam, lam_vars, index + 1))
+                    if connector <= lam_vars and not lam_vars.isdisjoint(
+                        component_vars
+                    ):
+                        yield lam, lam_vars & scope
+            prefixes = extended
+
+    def split(
+        self, component: FrozenSet[str], chi: FrozenSet[str]
+    ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
+        """Split a component against χ; returns (sub-component, connector) pairs."""
+        return [
+            (sub, self.variables_of(sub) & chi)
+            for sub in connected_components(self.hypergraph, component, chi)
+        ]
 
 
 class DetKDecomp:
@@ -90,6 +120,10 @@ class DetKDecomp:
             raise DecompositionError("width bound k must be at least 1")
         self.hypergraph = hypergraph
         self.k = k
+        self._space = _SearchSpace(hypergraph, k)
+        # Memoised nodes are shared by every candidate parent that reuses a
+        # subproblem (a DAG, ``parent`` pointers meaningless);
+        # ``decompose()`` clones the result into a proper tree.
         self._memo: Dict[
             Tuple[FrozenSet[str], FrozenSet[str]], Optional[HypertreeNode]
         ] = {}
@@ -128,39 +162,27 @@ class DetKDecomp:
         self, component: FrozenSet[str], connector: FrozenSet[str]
     ) -> Optional[HypertreeNode]:
         key = (component, connector)
-        if key in self._memo:
-            cached = self._memo[key]
-            return cached.clone() if cached is not None else None
-
-        result = self._search(component, connector)
-        self._memo[key] = result.clone() if result is not None else None
-        return result
+        if key not in self._memo:
+            self._memo[key] = self._search(component, connector)
+        return self._memo[key]
 
     def _search(
         self, component: FrozenSet[str], connector: FrozenSet[str]
     ) -> Optional[HypertreeNode]:
-        component_vars = self.hypergraph.variables_of(component)
-        for lam in _candidate_separators(
-            self.hypergraph, component, connector, self.k
-        ):
-            lam_vars = self.hypergraph.variables_of(lam)
-            chi = lam_vars & (connector | component_vars)
-            pieces = _split(self.hypergraph, component, chi)
+        for lam, chi in self._space.separators(component, connector):
+            pieces = self._space.split(component, chi)
             # Progress guarantee: every sub-component must be strictly
             # smaller, otherwise the candidate made no headway.
             if any(len(sub) >= len(component) for sub, _ in pieces):
                 continue
             children: List[HypertreeNode] = []
-            failed = False
             for sub, sub_connector in pieces:
                 child = self._solve(sub, sub_connector)
                 if child is None:
-                    failed = True
                     break
                 children.append(child)
-            if failed:
-                continue
-            return HypertreeNode(chi=chi, lam=lam, children=children)
+            if len(children) == len(pieces):
+                return HypertreeNode(chi=chi, lam=lam, children=children)
         return None
 
 

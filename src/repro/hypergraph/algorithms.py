@@ -165,41 +165,29 @@ def connected_components(
         A deterministic list of frozensets of edge names.
     """
     separator = frozenset(separator_vertices)
-    names = sorted(set(edge_names))
-
-    # Union-find over edges, linked through shared non-separator vertices.
-    parent: Dict[str, str] = {name: name for name in names}
-
-    def find(name: str) -> str:
-        root = name
-        while parent[root] != root:
-            root = parent[root]
-        while parent[name] != root:
-            parent[name], name = root, parent[name]
-        return root
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    # Edges are linked through shared non-separator vertices.  ``root`` names
+    # each edge's group and ``members`` lists each group; on a link the group
+    # of the vertex's first owner absorbs the newcomer's group.
+    root: Dict[str, str] = {}
+    members: Dict[str, List[str]] = {}
     vertex_owner: Dict[str, str] = {}
-    uncovered: List[str] = []
-    for name in names:
+    for name in sorted(set(edge_names)):
         free_vertices = hypergraph.edge(name).vertices - separator
         if not free_vertices:
             continue  # fully covered by the separator
-        uncovered.append(name)
+        root[name] = name
+        members[name] = [name]
         for vertex in free_vertices:
-            if vertex in vertex_owner:
-                union(vertex_owner[vertex], name)
-            else:
+            owner = vertex_owner.get(vertex)
+            if owner is None:
                 vertex_owner[vertex] = name
-
-    groups: Dict[str, Set[str]] = {}
-    for name in uncovered:
-        groups.setdefault(find(name), set()).add(name)
-    return [frozenset(group) for _, group in sorted(groups.items())]
+            elif root[owner] != root[name]:
+                kept = root[owner]
+                absorbed = members.pop(root[name])
+                for member in absorbed:
+                    root[member] = kept
+                members[kept] += absorbed
+    return [frozenset(group) for _, group in sorted(members.items())]
 
 
 def component_frontier(

@@ -73,6 +73,12 @@ class TestCommands:
         assert "HashJoin" in out
         assert "λ=" in out
 
+    def test_explain_analyze_reports_planning_effort(self, capsys):
+        assert main(["explain", "q5", "--size-mb", "20", "--analyze"]) == 0
+        out = capsys.readouterr().out
+        assert "planning: " in out
+        assert "distinct λ" in out and "join estimates" in out
+
     def test_run_compares_systems(self, capsys):
         assert main(["run", "q5", "--size-mb", "50", "--width", "3"]) == 0
         out = capsys.readouterr().out

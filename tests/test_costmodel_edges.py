@@ -27,7 +27,49 @@ class TestAtomEstimate:
         assert est.distinct_of("zzz") > 0
 
 
+def textbook_join(left, right, shared_variables):
+    """``DecompositionCostModel.join`` as first written, builtins and all."""
+    size = left.cardinality * right.cardinality
+    for variable in shared_variables:
+        size /= max(left.distinct_of(variable), right.distinct_of(variable))
+    size = max(size, 0.0)
+    distinct = {}
+    for variable in set(left.distinct) | set(right.distinct):
+        if variable in left.distinct and variable in right.distinct:
+            estimate = min(left.distinct[variable], right.distinct[variable])
+        else:
+            estimate = left.distinct.get(
+                variable, right.distinct.get(variable, 100.0)
+            )
+        distinct[variable] = max(min(estimate, size), 1.0)
+    return JoinEstimate(size, distinct)
+
+
+estimates = st.builds(
+    JoinEstimate,
+    st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e9, allow_nan=False)),
+    st.dictionaries(
+        st.sampled_from("ABCDEFGH"),
+        st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e9, allow_nan=False)),
+        max_size=6,
+    ),
+)
+
+
 class TestJoinMath:
+    @settings(max_examples=300, deadline=None)
+    @given(left=estimates, right=estimates, data=st.data())
+    def test_join_is_bit_identical_to_the_textbook_form(self, left, right, data):
+        # The production join spells min/max out as comparisons; same floats,
+        # same dict order (``project`` multiplies in that order).
+        shared = data.draw(st.lists(st.sampled_from("ABCDEFGH"), unique=True))
+        got = DecompositionCostModel.join(left, right, shared)
+        want = textbook_join(left, right, shared)
+        assert float(got.cardinality).hex() == float(want.cardinality).hex()
+        assert [(v, float(d).hex()) for v, d in got.distinct.items()] == [
+            (v, float(d).hex()) for v, d in want.distinct.items()
+        ]
+
     @settings(max_examples=60, deadline=None)
     @given(l_card=positive, r_card=positive, l_d=positive, r_d=positive)
     def test_join_size_bounded_by_cross_product(self, l_card, r_card, l_d, r_d):
@@ -81,9 +123,8 @@ class TestNodeEstimate:
             }
         )
         atom_vars = {atom.name: atom.variables for atom in q.atoms}
-        estimate, cost = model.node_estimate(
-            ["a", "b"], atom_vars, frozenset({"X", "Y", "Z"})
-        )
+        joined, cost = model.join_atoms(["a", "b"], atom_vars)
+        estimate = model.project(joined, frozenset({"X", "Y", "Z"}))
         # 100·50 / max(20, 25) = 200 joined rows.
         assert estimate.cardinality == pytest.approx(200)
         assert cost > 0
@@ -91,5 +132,10 @@ class TestNodeEstimate:
     def test_stitch_reduces_to_chi(self):
         parent = JoinEstimate(100, {"X": 10, "Y": 10})
         child = JoinEstimate(50, {"Y": 10, "Z": 5})
-        stitched = DecompositionCostModel.stitch(parent, child, frozenset({"X", "Y"}))
+        cost, stitched = DecompositionCostModel.stitch(
+            parent, child, frozenset({"X", "Y"})
+        )
         assert "Z" not in stitched.distinct
+        joined = DecompositionCostModel.join(parent, child, ["Y"])
+        assert stitched.cardinality == joined.cardinality
+        assert cost == 100 + 50 + joined.cardinality

@@ -3,10 +3,17 @@
 The ``no-wall-clock`` lint rule keeps unseeded randomness out of the
 planner statically; these tests pin the dynamic half of the contract for
 the two randomized components, the GEQO join-order search and the
-synthetic workload generator.
+synthetic workload generator — and for the one unseeded source the planner
+cannot avoid, string hashing: cost-k-decomp iterates sets of variable names.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.engine.cost import CardinalityEstimator, EstimationContext
 from repro.engine.geqo import GeqoOptimizer
@@ -19,6 +26,7 @@ from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_star_database,
     generate_synthetic_database,
+    synthetic_query_sql,
 )
 
 
@@ -78,3 +86,64 @@ class TestSyntheticDeterminism:
         assert table_dump(generate_star_database(config)) == table_dump(
             generate_star_database(config)
         )
+
+
+def planner_fingerprints():
+    """``{query: [cost.hex(), tree]}`` of statistics-driven searches."""
+    from repro.core.costkdecomp import cost_k_decomp
+    from repro.core.optimizer import HybridOptimizer, cost_model_from_database
+    from repro.workloads.tpch import generate_tpch_database
+    from repro.workloads.tpch_queries import query_q5, query_q8
+
+    def shape(node):
+        return [sorted(node.chi), list(node.lam), [shape(c) for c in node.children]]
+
+    tpch = generate_tpch_database(size_mb=5, seed=1, analyze=True)
+    chain = SyntheticConfig(n_atoms=8, cardinality=200, cyclic=True, seed=4)
+    chain_db = generate_synthetic_database(chain)
+    chain_db.analyze()
+    fingerprints = {}
+    for label, database, sql in (
+        ("q5", tpch, query_q5()),
+        ("q8", tpch, query_q8()),
+        ("chain8", chain_db, synthetic_query_sql(chain)),
+    ):
+        translation = HybridOptimizer(database, max_width=4).translate(sql)
+        model = cost_model_from_database(translation, database, True)
+        tree, cost = cost_k_decomp(
+            translation.query.hypergraph(),
+            4,
+            model,
+            required_root_cover=translation.query.output_variables,
+            output_weight=1.0,
+        )
+        fingerprints[label] = [float(cost).hex(), shape(tree.root)]
+    return fingerprints
+
+
+class TestHashSeedDeterminism:
+    def test_search_is_independent_of_string_hashing(self):
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            result = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "import json; from tests.test_determinism import "
+                    "planner_fingerprints as f; print(json.dumps(f()))",
+                ],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(json.loads(result.stdout))
+        assert set(outputs[0]) == {"q5", "q8", "chain8"}
+        assert outputs[0] == outputs[1]

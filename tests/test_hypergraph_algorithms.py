@@ -130,6 +130,60 @@ class TestComponents:
         assert frontier == frozenset({"Z"})
 
 
+def union_find_components(hypergraph, edge_names, separator_vertices):
+    """Reference for ``connected_components``: the textbook union-find.
+
+    The *order* of the returned groups (by the name of each group's
+    union-find root) decides the child order of every decomposition node,
+    so the production function must reproduce it, not just the partition.
+    """
+    separator = frozenset(separator_vertices)
+    names = sorted(set(edge_names))
+    parent = {name: name for name in names}
+
+    def find(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    vertex_owner = {}
+    uncovered = []
+    for name in names:
+        free_vertices = hypergraph.edge(name).vertices - separator
+        if not free_vertices:
+            continue
+        uncovered.append(name)
+        for vertex in free_vertices:
+            if vertex in vertex_owner:
+                ra, rb = find(vertex_owner[vertex]), find(name)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                vertex_owner[vertex] = name
+    groups = {}
+    for name in uncovered:
+        groups.setdefault(find(name), set()).add(name)
+    return [frozenset(group) for _, group in sorted(groups.items())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_components_match_union_find_reference(data):
+    vertices = [f"V{i}" for i in range(8)]
+    edges = {
+        f"e{i}": data.draw(
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True)
+        )
+        for i in range(data.draw(st.integers(1, 9)))
+    }
+    hg = Hypergraph.from_dict(edges)
+    subset = data.draw(st.lists(st.sampled_from(sorted(edges)), unique=True))
+    separator = data.draw(st.lists(st.sampled_from(vertices), unique=True))
+    assert connected_components(hg, subset, separator) == union_find_components(
+        hg, subset, separator
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(min_value=1, max_value=12))
 def test_lines_always_acyclic(n):
