@@ -22,10 +22,10 @@ Run:  python examples/insights.py
 import random
 
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
+from repro.obs.histogram import summary
 from repro.obs.insights import (
     InsightsRegistry,
     merge_insights_snapshots,
-    quantile_from_snapshot,
     render_insights_prometheus,
     render_top,
 )
@@ -82,10 +82,10 @@ def main() -> None:
         print(f"  {template[:16]}…  queries={entry['queries']} "
               f"errors={entry['errors']}")
         for phase, data in entry["phases"].items():
-            latency = data["latency"]
+            latency = summary(data["latency"])
             print(f"    {phase:<10} n={latency['count']:<3} "
-                  f"p50={quantile_from_snapshot(latency, 0.5) * 1000:7.2f}ms "
-                  f"p99={quantile_from_snapshot(latency, 0.99) * 1000:7.2f}ms "
+                  f"p50={latency['p50'] * 1000:7.2f}ms "
+                  f"p99={latency['p99'] * 1000:7.2f}ms "
                   f"work={data['work']['total']:.0f}")
         slo = entry["slo"]
         print(f"    slo: good={slo['good']} bad={slo['bad']} "

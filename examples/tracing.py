@@ -21,7 +21,8 @@ import io
 
 from repro.core.optimizer import HybridOptimizer
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.histogram import WORK_RANGE, Histogram, summary
+from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.tracing import tracing
 from repro.workloads.tpch import generate_tpch_database
 from repro.workloads.tpch_queries import query_q5
@@ -60,10 +61,15 @@ def main() -> None:
     # -- 3. metrics registry + JSONL export ----------------------------------
     registry = MetricsRegistry()
     registry.counter("example_queries_total").inc()
-    registry.histogram("example_work_units", buckets=(1_000, 10_000, 100_000)) \
-        .observe(result.work)
+    span_seconds = registry.histogram("example_span_seconds")
+    for span in spans:
+        span_seconds.observe(span.duration)
     print("\nPrometheus exposition:")
-    print(registry.render_text())
+    print(render_prometheus(registry.export()))
+    # Outside a registry the same class summarises any distribution.
+    work_units = Histogram(index_range=WORK_RANGE)
+    work_units.observe(result.work)
+    print(f"work-unit summary: {summary(work_units.snapshot())}")
 
     buffer = io.StringIO()
     exported = tracer.export_jsonl(buffer)

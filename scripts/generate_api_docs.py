@@ -3,11 +3,16 @@
 Walks every module under ``repro``, lists public classes and functions
 with their signatures and docstring summaries.  Run after API changes:
 
-    python scripts/generate_api_docs.py
+    python scripts/generate_api_docs.py [--check]
+
+``--check`` writes nothing: it exits 1 when the committed ``docs/API.md``
+no longer matches what the docstrings generate (the CI ``lint`` job).
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import pkgutil
@@ -74,6 +79,14 @@ def document_module(module) -> List[str]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if docs/API.md is out of date",
+    )
+    args = parser.parse_args()
+
     lines = [
         "# API reference",
         "",
@@ -99,7 +112,23 @@ def main() -> int:
         lines.extend(document_module(module))
 
     output = Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    output.write_text("\n".join(lines))
+    generated = "\n".join(lines)
+    if args.check:
+        committed = output.read_text() if output.exists() else ""
+        drift = list(
+            difflib.unified_diff(
+                committed.splitlines(),
+                generated.splitlines(),
+                "docs/API.md (committed)",
+                "docs/API.md (generated)",
+                lineterm="",
+            )
+        )
+        for line in drift:
+            print(line)
+        print("docs/API.md is out of date" if drift else "docs/API.md is current")
+        return 1 if drift else 0
+    output.write_text(generated)
     print(f"wrote {output} ({len(lines)} lines)")
     return 0
 

@@ -230,7 +230,7 @@ def _insights_summary(merged_insights) -> dict:
     needs the headline shape: per-template query/error counts and the
     execute-phase p50/p99 from the merged streaming histograms.
     """
-    from repro.obs.insights.histogram import quantile_from_snapshot
+    from repro.obs.histogram import quantile_from_snapshot
 
     templates = {}
     if isinstance(merged_insights, dict):
@@ -243,14 +243,10 @@ def _insights_summary(merged_insights) -> dict:
                 "errors": entry.get("errors", 0),
                 "latency_p50_ms": round(
                     quantile_from_snapshot(latency, 0.50) * 1000, 3
-                )
-                if latency
-                else 0.0,
+                ),
                 "latency_p99_ms": round(
                     quantile_from_snapshot(latency, 0.99) * 1000, 3
-                )
-                if latency
-                else 0.0,
+                ),
             }
     return {"templates": templates}
 

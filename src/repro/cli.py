@@ -328,6 +328,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.obs.flush import FlushRegistry
+    from repro.obs.metrics import render_prometheus
     from repro.obs.tracing import tracing
     from repro.resilience.faults import FaultInjector
     from repro.service.metrics import render_snapshot
@@ -452,7 +453,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_format == "json":
             print(json_module.dumps(snapshot, indent=2, sort_keys=True))
         elif args.metrics_format == "prom":
-            print(service.metrics.render_text())
+            print(render_prometheus(service.metrics.registry.export()))
             if insights is not None:
                 from repro.obs.insights.registry import (
                     render_insights_prometheus,

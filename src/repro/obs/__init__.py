@@ -1,13 +1,16 @@
 """``repro.obs`` — the observability layer: tracing, metrics, EXPLAIN ANALYZE.
 
-Three dependency-free pieces, usable together or alone:
+Four dependency-free pieces, usable together or alone:
 
 * :mod:`repro.obs.tracing` — hierarchical spans with wall time, work-unit
   deltas (via :class:`~repro.metering.WorkMeter`), and tags, exported as
   JSONL.  Disabled by default and zero-cost when disabled.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
-  and fixed-bucket histograms; the serving layer's
-  :class:`~repro.service.metrics.ServiceMetrics` is built on it.
+  and histograms with one export, one merge and one Prometheus renderer;
+  the serving layer's :class:`~repro.service.metrics.ServiceMetrics` is
+  built on it.
+* :mod:`repro.obs.histogram` — the one distribution summary: a
+  log-bucketed, exactly mergeable :class:`~repro.obs.histogram.Histogram`.
 * :mod:`repro.obs.explain` — EXPLAIN ANALYZE renderers: operator trees
   annotated with actual rows, work units, time, and estimation error.
 """
@@ -21,14 +24,13 @@ from repro.obs.tracing import (
     set_tracer,
     tracing,
 )
+from repro.obs.histogram import Histogram
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_WORK_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
+    render_prometheus,
 )
 from repro.obs.explain import (
     NodeStats,
@@ -51,8 +53,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "get_registry",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_WORK_BUCKETS",
+    "render_prometheus",
     "NodeStats",
     "stats_by_node",
     "estimation_error",

@@ -1,12 +1,10 @@
-"""Per-template query insights: histograms, slow log, SLOs, top, report.
+"""Per-template query insights: slow log, SLOs, registry, top, report.
 
 The observability layer the drift/adaptation work needs: PR 2's metrics
 say *the cluster* got slower; this package says **which query template**
 got slower, **in which phase**, **when**, and keeps the evidence (slow
 captures, burn rates, mergeable distributions) to prove it.
 
-* :mod:`~repro.obs.insights.histogram` — mergeable log-bucketed
-  streaming histograms (fixed memory, exact bucket counts);
 * :mod:`~repro.obs.insights.slowlog` — bounded top-K latency outliers
   per template plus every typed-error/degradation event;
 * :mod:`~repro.obs.insights.slo` — per-template SLO objectives with
@@ -22,15 +20,6 @@ Everything is **zero work-unit cost when disabled**: pass
 is a constant-time no-op.
 """
 
-from repro.obs.insights.histogram import (
-    DEFAULT_SCALE,
-    LATENCY_RANGE,
-    WORK_RANGE,
-    StreamingHistogram,
-    bucket_upper_bound,
-    merge_snapshots,
-    quantile_from_snapshot,
-)
 from repro.obs.insights.registry import (
     NULL_INSIGHTS,
     InsightsRegistry,
@@ -59,13 +48,6 @@ from repro.obs.insights.top import (
 )
 
 __all__ = [
-    "StreamingHistogram",
-    "merge_snapshots",
-    "quantile_from_snapshot",
-    "bucket_upper_bound",
-    "DEFAULT_SCALE",
-    "LATENCY_RANGE",
-    "WORK_RANGE",
     "InsightsRegistry",
     "NullInsights",
     "NULL_INSIGHTS",

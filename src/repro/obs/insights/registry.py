@@ -5,9 +5,9 @@ One :class:`InsightsRegistry` per serving process collects, keyed by the
 insight lines up with cache and shard behaviour) and by **phase**
 (``decompose`` / ``optimize`` / ``execute``):
 
-* a latency :class:`~repro.obs.insights.histogram.StreamingHistogram`
-  and a work-unit histogram per (template, phase) — fixed memory,
-  exactly mergeable across shards;
+* a latency :class:`~repro.obs.histogram.Histogram` and a work-unit
+  histogram per (template, phase) — fixed memory, exactly mergeable
+  across shards;
 * per-template query/error counters and degradation-event counts;
 * the bounded :class:`~repro.obs.insights.slowlog.SlowQueryLog`;
 * a per-template :class:`~repro.obs.insights.slo.SLOTracker` with
@@ -32,10 +32,10 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.lockwitness import make_lock
-from repro.obs.insights.histogram import (
+from repro.obs.histogram import (
     LATENCY_RANGE,
     WORK_RANGE,
-    StreamingHistogram,
+    Histogram,
     merge_snapshots,
     quantile_from_snapshot,
 )
@@ -71,8 +71,8 @@ class _TemplateState:
     """Everything tracked for one template (created lazily)."""
 
     def __init__(self, policy: SLOPolicy, clock: Clock) -> None:
-        self.phase_latency: Dict[str, StreamingHistogram] = {}
-        self.phase_work: Dict[str, StreamingHistogram] = {}
+        self.phase_latency: Dict[str, Histogram] = {}
+        self.phase_work: Dict[str, Histogram] = {}
         self.queries = 0
         self.errors = 0
         self.events: Dict[str, int] = {}
@@ -143,11 +143,11 @@ class InsightsRegistry:
         with self._lock:
             latency = state.phase_latency.get(phase)
             if latency is None:
-                latency = StreamingHistogram(index_range=LATENCY_RANGE)
+                latency = Histogram(index_range=LATENCY_RANGE)
                 state.phase_latency[phase] = latency
             work_hist = state.phase_work.get(phase)
             if work_hist is None:
-                work_hist = StreamingHistogram(index_range=WORK_RANGE)
+                work_hist = Histogram(index_range=WORK_RANGE)
                 state.phase_work[phase] = work_hist
         latency.observe(seconds)
         work_hist.observe(work)

@@ -5,7 +5,7 @@ by the Tracer (the CI serving artifact, or any ad-hoc capture), the
 analyzer reconstructs the per-template latency/work distributions the
 live :class:`~repro.obs.insights.registry.InsightsRegistry` would have
 held — by feeding the span durations and work-unit deltas through the
-**same** :class:`~repro.obs.insights.histogram.StreamingHistogram` — and
+**same** :class:`~repro.obs.histogram.Histogram` — and
 checks two things:
 
 * **consistency** — the records pass
@@ -32,10 +32,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.insights.histogram import (
+from repro.obs.histogram import (
     LATENCY_RANGE,
     WORK_RANGE,
-    StreamingHistogram,
+    Histogram,
+    merge_snapshots,
     quantile_from_snapshot,
 )
 from repro.obs.tracing import validate_span_records
@@ -95,8 +96,8 @@ def _template_of(record: Record) -> Optional[str]:
 
 class _Phase:
     def __init__(self) -> None:
-        self.latency = StreamingHistogram(index_range=LATENCY_RANGE)
-        self.work = StreamingHistogram(index_range=WORK_RANGE)
+        self.latency = Histogram(index_range=LATENCY_RANGE)
+        self.work = Histogram(index_range=WORK_RANGE)
 
 
 class _Template:
@@ -120,7 +121,7 @@ def analyze_spans(records: List[Record]) -> Dict[str, Any]:
     Returns ``{"templates": {template: {"queries", "errors",
     "cache_hits", "plans", "phases": {phase: {"latency", "work"}}}},
     "spans", "problems"}`` — the phase entries are
-    :class:`StreamingHistogram` snapshots, directly comparable (and
+    :class:`Histogram` snapshots, directly comparable (and
     mergeable) with live registry exports.
     """
     # An offline file carries no retention metadata, so an unknown parent
@@ -228,8 +229,6 @@ def _overall_quantile(
     analysis: Mapping[str, Any], phase: str, q: float
 ) -> float:
     """The q-th quantile of one phase's latency across all templates."""
-    from repro.obs.insights.histogram import merge_snapshots
-
     snapshots: List[Mapping[str, object]] = []
     templates = analysis.get("templates")
     if isinstance(templates, Mapping):
@@ -244,8 +243,7 @@ def _overall_quantile(
                 latency = data.get("latency")
                 if isinstance(latency, Mapping) and latency:
                     snapshots.append(latency)
-    merged = merge_snapshots(snapshots)
-    return quantile_from_snapshot(merged, q) if merged else 0.0
+    return quantile_from_snapshot(merge_snapshots(snapshots), q)
 
 
 def check_baseline(

@@ -20,7 +20,7 @@ import json
 import os
 from typing import Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 
-from repro.obs.insights.histogram import quantile_from_snapshot
+from repro.obs.histogram import quantile_from_snapshot
 
 __all__ = ["render_top", "run_top", "load_snapshot_file", "publish_snapshot_file"]
 

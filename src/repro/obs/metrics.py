@@ -1,4 +1,4 @@
-"""A unified metrics registry: counters, gauges, and fixed-bucket histograms.
+"""A unified metrics registry: counters, gauges, and histograms.
 
 One process-wide :class:`MetricsRegistry` (see :func:`get_registry`)
 replaces the ad-hoc lock-guarded counter classes that used to live in each
@@ -12,43 +12,36 @@ Design points:
 * **thread-safe** — instruments take one lock per update; registration is
   idempotent (asking for an existing name returns the same instrument,
   asking for it with a different type raises).
-* **fixed buckets** — histograms count observations into cumulative
-  ``le``-style buckets chosen at registration, so snapshots are bounded
-  and mergeable; min/max/sum/count ride along.
-* **no ``inf`` leaks** — empty summaries snapshot ``min``/``max`` as 0.0
-  and expose ``minimum = None``, so JSON export never sees ``Infinity``.
-* **text or JSON** — :meth:`MetricsRegistry.snapshot` is a plain dict;
-  :meth:`MetricsRegistry.render_text` is a Prometheus-flavoured exposition
-  (``name{label="v"} value`` lines) for the CLI's metrics output.
+* **one histogram** — :meth:`MetricsRegistry.histogram` returns the
+  log-bucketed, exactly mergeable :class:`~repro.obs.histogram.Histogram`;
+  its snapshot is bounded, JSON-safe (``min``/``max`` are ``None`` until
+  the first observation, never ``inf``) and is the wire format.
+* **one export, one merge, one renderer** — :meth:`MetricsRegistry.export`
+  is a picklable kind-tagged dict; :func:`merge_registry_exports` folds N
+  of them (one per shard) into one; :func:`render_prometheus` is the
+  Prometheus-flavoured exposition of any export — a live registry's, a
+  shipped one, or the merged cluster view — so all three scrape alike.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
 from repro.analysis.lockwitness import make_lock
+from repro.obs.histogram import Histogram, merge_snapshots, prometheus_lines
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_WORK_BUCKETS",
+    "merge_registry_exports",
+    "render_prometheus",
 ]
 
 Number = Union[int, float]
-
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
-)
-"""Seconds-scale buckets for wall-clock latency histograms."""
-
-DEFAULT_WORK_BUCKETS: Tuple[float, ...] = (
-    100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000
-)
-"""Work-unit-scale buckets (tuples touched per query)."""
+Export = Dict[str, Dict[str, Any]]
 
 
 class _Instrument:
@@ -121,94 +114,6 @@ class Gauge(_Instrument):
         return round(value, 6) if isinstance(value, float) else value
 
 
-class Histogram(_Instrument):
-    """Fixed-bucket distribution summary (cumulative ``le`` buckets).
-
-    Tracks count/sum/min/max plus one counter per bucket boundary; an
-    implicit ``+inf`` bucket equals ``count``.  ``minimum`` is ``None``
-    until the first observation — never ``inf`` — so merging and JSON
-    export are always safe.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[Number] = DEFAULT_LATENCY_BUCKETS,
-        help: str = "",
-    ):
-        super().__init__(name, help)
-        if not buckets:
-            raise ValueError("histogram needs at least one bucket boundary")
-        ordered = tuple(sorted(float(b) for b in buckets))
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("histogram bucket boundaries must be distinct")
-        self.buckets = ordered
-        self._counts = [0] * len(ordered)
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-
-    def observe(self, value: Number) -> None:
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-            for index, boundary in enumerate(self.buckets):
-                if value <= boundary:
-                    self._counts[index] += 1
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (same buckets) into this one."""
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other.count, other.total
-            minimum, maximum = other.minimum, other.maximum
-        with self._lock:
-            self.count += count
-            self.total += total
-            for index, n in enumerate(counts):
-                self._counts[index] += n
-            if minimum is not None and (self.minimum is None or minimum < self.minimum):
-                self.minimum = minimum
-            if maximum is not None and (self.maximum is None or maximum > self.maximum):
-                self.maximum = maximum
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "count": self.count,
-                "total": round(self.total, 6),
-                "mean": round(self.total / self.count, 6) if self.count else 0.0,
-                "min": round(self.minimum, 6) if self.minimum is not None else 0.0,
-                "max": round(self.maximum, 6) if self.maximum is not None else 0.0,
-                "buckets": {
-                    _boundary_label(b): n
-                    for b, n in zip(self.buckets, self._counts)
-                },
-            }
-
-
-def _boundary_label(boundary: float) -> str:
-    return f"le_{boundary:g}"
-
-
 class MetricsRegistry:
     """A named collection of instruments with one consistent snapshot.
 
@@ -229,15 +134,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._register(name, Gauge, lambda: Gauge(name, help))
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[Number] = DEFAULT_LATENCY_BUCKETS,
-        help: str = "",
-    ) -> Histogram:
-        return self._register(
-            name, Histogram, lambda: Histogram(name, buckets, help)
-        )
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._register(name, Histogram, lambda: Histogram(name, help))
 
     def _register(self, name: str, kind: type, factory) -> Any:
         with self._lock:
@@ -277,26 +175,81 @@ class MetricsRegistry:
             for name, instrument in sorted(instruments.items())
         }
 
-    def render_text(self) -> str:
-        """Prometheus-flavoured exposition of every instrument."""
+    def export(self) -> Export:
+        """A picklable, kind-tagged export: ``{name: {"kind", "help",
+        "value"}}``, a histogram's value being its wire snapshot.
+
+        The shape :func:`merge_registry_exports` and
+        :func:`render_prometheus` consume; shard workers ship it across
+        the process boundary.
+        """
         with self._lock:
             instruments = dict(self._instruments)
-        lines: List[str] = []
-        for name, instrument in sorted(instruments.items()):
-            if instrument.help:
-                lines.append(f"# HELP {name} {instrument.help}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            snap = instrument.snapshot()
-            if isinstance(snap, dict):  # histogram
-                for boundary, count in snap["buckets"].items():
-                    le = boundary[len("le_"):]
-                    lines.append(f'{name}_bucket{{le="{le}"}} {count}')
-                lines.append(f'{name}_bucket{{le="+Inf"}} {snap["count"]}')
-                lines.append(f"{name}_sum {snap['total']}")
-                lines.append(f"{name}_count {snap['count']}")
-            else:
-                lines.append(f"{name} {snap}")
-        return "\n".join(lines)
+        return {
+            name: {
+                "kind": instrument.kind,
+                "help": instrument.help,
+                "value": instrument.snapshot(),
+            }
+            for name, instrument in sorted(instruments.items())
+        }
+
+
+def merge_registry_exports(
+    exports: Sequence[Mapping[str, Mapping[str, Any]]],
+) -> Export:
+    """One merged registry export from N per-process exports.
+
+    Counters and gauges sum; histograms merge through
+    :func:`~repro.obs.histogram.merge_snapshots`.  Kind mismatches across
+    exports raise — shards run identical code, so a mismatch is a
+    protocol bug, not data.
+    """
+    kinds: Dict[str, Tuple[str, str]] = {}
+    values: Dict[str, List[Any]] = {}
+    for export in exports:
+        for name, entry in export.items():
+            kind, _ = kinds.setdefault(
+                name, (entry["kind"], entry.get("help", ""))
+            )
+            if kind != entry["kind"]:
+                raise ValueError(
+                    f"metric {name!r} is a {kind} on one shard "
+                    f"and a {entry['kind']} on another"
+                )
+            values.setdefault(name, []).append(entry["value"])
+    return {
+        name: {
+            "kind": kind,
+            "help": help,
+            "value": (
+                merge_snapshots(values[name])
+                if kind == Histogram.kind
+                else sum(values[name])
+            ),
+        }
+        for name, (kind, help) in kinds.items()
+    }
+
+
+def render_prometheus(export: Mapping[str, Mapping[str, Any]]) -> str:
+    """Prometheus-flavoured exposition of a registry export.
+
+    The only renderer: a live registry (``render_prometheus(
+    registry.export())``), an export shipped from a worker and the merged
+    cluster view all produce their text here.
+    """
+    lines: List[str] = []
+    for name in sorted(export):
+        entry = export[name]
+        if entry.get("help"):
+            lines.append(f"# HELP {name} {entry['help']}")
+        lines.append(f"# TYPE {name} {entry['kind']}")
+        if entry["kind"] == Histogram.kind:
+            lines.extend(prometheus_lines(name, entry["value"]))
+        else:
+            lines.append(f"{name} {entry['value']}")
+    return "\n".join(lines)
 
 
 _GLOBAL_REGISTRY = MetricsRegistry()

@@ -22,7 +22,6 @@ from repro.service.fingerprint import (
 from repro.service.plancache import CachedPlan, CacheStats, PlanCache
 from repro.service.executor_pool import ExecutorPool
 from repro.service.metrics import (
-    LatencyStat,
     ServiceMetrics,
     SupervisorMetrics,
     render_snapshot,
@@ -38,7 +37,6 @@ __all__ = [
     "CacheStats",
     "PlanCache",
     "ExecutorPool",
-    "LatencyStat",
     "ServiceMetrics",
     "SupervisorMetrics",
     "render_snapshot",

@@ -8,8 +8,8 @@ available three ways:
 * :meth:`ServiceMetrics.snapshot` — the stable nested dict the CLI
   (``hdqo serve`` / ``bench-serve``), :mod:`repro.bench.serving` and the
   tests consume (unchanged shape);
-* :meth:`ServiceMetrics.render_text` — Prometheus-flavoured exposition via
-  the registry;
+* ``render_prometheus(ServiceMetrics().registry.export())`` —
+  Prometheus-flavoured exposition (:mod:`repro.obs.metrics`);
 * ``ServiceMetrics().registry`` — direct instrument access for anything
   else.
 
@@ -19,85 +19,11 @@ services — and tests — never share counters.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.analysis.lockwitness import make_lock
-from repro.obs.insights.histogram import (
-    LATENCY_RANGE,
-    StreamingHistogram,
-    quantile_from_snapshot,
-)
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
-
-
-@dataclass
-class LatencyStat:
-    """Streaming summary of a duration/size distribution (no samples kept).
-
-    ``minimum`` is ``None`` until the first observation — never ``inf`` —
-    so merging summaries and exporting snapshots to JSON is always safe.
-    Quantiles come from an embedded log-bucketed
-    :class:`~repro.obs.insights.histogram.StreamingHistogram`, so they
-    stay exact under :meth:`merge` (pool-worker / cross-shard
-    aggregation) instead of drifting like sampled percentiles would.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: Optional[float] = None
-    maximum: float = 0.0
-    hdr: StreamingHistogram = field(
-        default_factory=lambda: StreamingHistogram(index_range=LATENCY_RANGE),
-        repr=False,
-        compare=False,
-    )
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self.hdr.observe(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """The q-th quantile (log-bucket upper bound) of the stream."""
-        return self.hdr.quantile(q)
-
-    def merge(self, other: "LatencyStat") -> None:
-        """Fold another summary into this one (pool-worker aggregation)."""
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None and (
-            self.minimum is None or other.minimum < self.minimum
-        ):
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-        self.hdr.merge(other.hdr)
-
-    def snapshot(self) -> Dict[str, object]:
-        hdr = self.hdr.snapshot()
-        return {
-            "count": self.count,
-            "total": round(self.total, 6),
-            "mean": round(self.mean, 6),
-            "min": round(self.minimum, 6) if self.minimum is not None else 0.0,
-            "max": round(self.maximum, 6),
-            "p50": quantile_from_snapshot(hdr, 0.50),
-            "p90": quantile_from_snapshot(hdr, 0.90),
-            "p99": quantile_from_snapshot(hdr, 0.99),
-            # The histogram rides along so cross-shard merges recompute
-            # the quantiles from merged buckets instead of summing them.
-            "hdr": hdr,
-        }
+from repro.obs.histogram import is_snapshot, summarised, summary
+from repro.obs.metrics import MetricsRegistry
 
 
 class ServiceMetrics:
@@ -139,14 +65,8 @@ class ServiceMetrics:
             "service_work_units_total", help="Execution work units charged"
         )
         self._latency = reg.histogram(
-            "service_latency_seconds",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-            help="Per-query wall-clock latency",
+            "service_latency_seconds", help="Per-query wall-clock latency"
         )
-        # Fine-grained log-bucketed twin of the fixed-bucket histogram:
-        # the source of the p50/p90/p99 fields and of exact cross-shard
-        # quantile merging (the "hdr" sub-dict in snapshots).
-        self._latency_hdr = StreamingHistogram(index_range=LATENCY_RANGE)
         self._plans_built = reg.counter(
             "service_plans_built_total", help="Decompositions built fresh"
         )
@@ -183,31 +103,15 @@ class ServiceMetrics:
             help="Queries aborted by the memory budget",
         )
 
-    # -- legacy attribute surface (kept for callers and tests) -----------
+    # -- the counters callers read directly --------------------------------
 
     @property
     def queries(self) -> int:
         return self._queries.value
 
     @property
-    def finished(self) -> int:
-        return self._finished.value
-
-    @property
-    def dnf(self) -> int:
-        return self._dnf.value
-
-    @property
-    def errors(self) -> int:
-        return self._errors.value
-
-    @property
     def rejected(self) -> int:
         return self._rejected.value
-
-    @property
-    def work_units(self) -> int:
-        return self._work_units.value
 
     @property
     def plans_built(self) -> int:
@@ -218,36 +122,8 @@ class ServiceMetrics:
         return self._plans_cached.value
 
     @property
-    def plan_fallbacks(self) -> int:
-        return self._plan_fallbacks.value
-
-    @property
     def planning_units(self) -> int:
         return self._planning_units.value
-
-    @property
-    def planning_seconds(self) -> float:
-        return float(self._planning_seconds.value)
-
-    @property
-    def degraded_lower_k(self) -> int:
-        return self._degraded_lower_k.value
-
-    @property
-    def breaker_skips(self) -> int:
-        return self._breaker_skips.value
-
-    @property
-    def deadline_misses(self) -> int:
-        return self._deadline_misses.value
-
-    @property
-    def cancellations(self) -> int:
-        return self._cancellations.value
-
-    @property
-    def memory_aborts(self) -> int:
-        return self._memory_aborts.value
 
     # ------------------------------------------------------------------
 
@@ -262,7 +138,6 @@ class ServiceMetrics:
                 self._dnf.inc()
             self._work_units.inc(work)
             self._latency.observe(seconds)
-            self._latency_hdr.observe(seconds)
 
     def record_error(self) -> None:
         with self._lock:
@@ -338,12 +213,6 @@ class ServiceMetrics:
         """A nested dict of every counter; pass the plan cache's snapshot
         to merge it under the ``"cache"`` key."""
         with self._lock:
-            hdr = self._latency_hdr.snapshot()
-            latency = dict(self._latency.snapshot())
-            latency["p50"] = quantile_from_snapshot(hdr, 0.50)
-            latency["p90"] = quantile_from_snapshot(hdr, 0.90)
-            latency["p99"] = quantile_from_snapshot(hdr, 0.99)
-            latency["hdr"] = hdr
             data: Dict[str, object] = {
                 "queries": {
                     "submitted": self._queries.snapshot(),
@@ -353,7 +222,7 @@ class ServiceMetrics:
                     "rejected": self._rejected.snapshot(),
                     "work_units": self._work_units.snapshot(),
                 },
-                "latency_seconds": latency,
+                "latency_seconds": summarised(self._latency.snapshot()),
                 "planning": {
                     "built": self._plans_built.snapshot(),
                     "cache_hits": self._plans_cached.snapshot(),
@@ -373,18 +242,15 @@ class ServiceMetrics:
             data["cache"] = cache
         return data
 
-    def render_text(self) -> str:
-        """Prometheus-flavoured exposition of the underlying registry."""
-        return self.registry.render_text()
-
 
 class SupervisorMetrics:
     """Cluster self-healing counters for a supervised shard router.
 
     Registry-backed like :class:`ServiceMetrics` (``shard_*`` instrument
-    names), with one :class:`LatencyStat` for shard recovery times — the
-    down-to-serving interval per restart — so availability reports can
-    quote exact recovery percentiles even after cross-run merging.
+    names), including a ``shard_recovery_seconds`` histogram of shard
+    recovery times — the down-to-serving interval per restart — so
+    availability reports can quote exact recovery percentiles even after
+    cross-run merging.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -415,7 +281,10 @@ class SupervisorMetrics:
             "shard_ring_epochs_total",
             help="Ring epoch bumps (route-LRU invalidations)",
         )
-        self._recovery = LatencyStat()
+        self._recovery = reg.histogram(
+            "shard_recovery_seconds",
+            help="Down-to-serving interval per shard restart",
+        )
 
     @property
     def worker_deaths(self) -> int:
@@ -428,18 +297,6 @@ class SupervisorMetrics:
     @property
     def breaker_opens(self) -> int:
         return self._breaker_opens.value
-
-    @property
-    def failovers(self) -> int:
-        return self._failovers.value
-
-    @property
-    def unavailable(self) -> int:
-        return self._unavailable.value
-
-    @property
-    def ring_epochs(self) -> int:
-        return self._ring_epochs.value
 
     def record_worker_death(self) -> None:
         with self._lock:
@@ -478,18 +335,23 @@ class SupervisorMetrics:
                 "failovers": self._failovers.snapshot(),
                 "unavailable": self._unavailable.snapshot(),
                 "ring_epochs": self._ring_epochs.snapshot(),
-                "recovery_seconds": self._recovery.snapshot(),
+                "recovery_seconds": summarised(self._recovery.snapshot()),
             }
-
-    def render_text(self) -> str:
-        """Prometheus-flavoured exposition of the underlying registry."""
-        return self.registry.render_text()
 
 
 def render_snapshot(snapshot: Dict[str, object], indent: str = "") -> str:
-    """Human-readable multi-line rendering of a metrics snapshot."""
+    """Human-readable multi-line rendering of a metrics snapshot.
+
+    A histogram prints as its summary lines (count, total, mean, extrema,
+    quantiles), never as its bucket table: the wire snapshot under
+    ``"hdr"`` is skipped, a bare one is summarised.
+    """
     lines = []
     for key, value in snapshot.items():
+        if key == "hdr" and is_snapshot(value):
+            continue
+        if is_snapshot(value):
+            value = summary(value)
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(render_snapshot(value, indent + "  "))

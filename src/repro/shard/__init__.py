@@ -25,10 +25,7 @@ deterministic worker processes:
 from repro.shard.aggregate import (
     SPAN_ID_STRIDE,
     merge_metric_snapshots,
-    merge_registry_exports,
     merge_span_records,
-    registry_export,
-    render_prometheus,
     shard_cache_hit_rates,
 )
 from repro.shard.frontdoor import AsyncFrontDoor
@@ -70,10 +67,7 @@ __all__ = [
     "decode_error",
     "encode_error",
     "merge_metric_snapshots",
-    "merge_registry_exports",
     "merge_span_records",
-    "registry_export",
-    "render_prometheus",
     "shard_cache_hit_rates",
     "shard_worker_main",
 ]

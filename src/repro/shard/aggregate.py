@@ -2,11 +2,13 @@
 
 Each shard worker owns its own metrics registry, plan cache, and tracer —
 there is no shared memory, so "cluster observability" is a *merge*
-problem.  Both sink formats were designed mergeable (PR 2): metric
-snapshots are nested dicts of counters and fixed-bucket histograms
-(pointwise addition, with the derived fields — means, hit rates, min/max
-— recomputed, never summed), and span exports are plain records whose ids
-only need to be made process-unique.
+problem.  Both sink formats were designed mergeable: metric snapshots are
+nested dicts of counters (pointwise addition) and summarised histograms
+(merged through :func:`repro.obs.histogram.merge_snapshots` and
+re-summarised, so means, extrema and quantiles are recomputed, never
+summed), and span exports are plain records whose ids only need to be
+made process-unique.  Registry exports merge and render in
+:mod:`repro.obs.metrics`.
 
 Span merging namespaces every shard's ids into a disjoint block of
 :data:`SPAN_ID_STRIDE` (shard *s* owns ``(s+1)*stride .. (s+2)*stride``),
@@ -22,10 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.insights.histogram import (
-    merge_snapshots as merge_hdr_snapshots,
-)
-from repro.obs.insights.histogram import quantile_from_snapshot
+from repro.obs.histogram import is_snapshot, merge_snapshots, summarised
 from repro.obs.insights.registry import merge_insights_snapshots
 
 #: Span-id block size per shard; far above any tracer retention cap.
@@ -55,14 +54,17 @@ def _merge_level(dicts: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             # (histogram bucket addition, SLO window max, slow-log
             # re-ranking) — the generic pointwise sum would corrupt them.
             merged[key] = merge_insights_snapshots(values)
-            continue
-        if key == "hdr" and all(isinstance(v, Mapping) for v in values):
-            # Log-bucketed histogram wire format: geometry fields
-            # (scale/lo/hi) must match, not sum, and sibling quantiles
-            # are recomputed from the merged buckets below.
-            merged[key] = merge_hdr_snapshots(values)
-            continue
-        if all(isinstance(v, Mapping) for v in values):
+        elif all(
+            isinstance(v, Mapping) and is_snapshot(v.get("hdr"))
+            for v in values
+        ):
+            # A summarised histogram: geometry fields must match, not
+            # sum, and every derived field (total, mean, extrema,
+            # quantiles) comes from the merged buckets.
+            merged[key] = summarised(
+                merge_snapshots([v["hdr"] for v in values])
+            )
+        elif all(isinstance(v, Mapping) for v in values):
             merged[key] = _merge_level(values)
         elif all(_is_number(v) for v in values):
             merged[key] = sum(values)
@@ -70,21 +72,6 @@ def _merge_level(dicts: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             merged[key] = values[0]  # non-numeric metadata: first wins
 
     # Derived fields must be recomputed, not summed.
-    count = merged.get("count")
-    if _is_number(count) and _is_number(merged.get("total")):
-        merged["mean"] = (
-            round(merged["total"] / count, 6) if count else 0.0
-        )
-    if "min" in merged or "max" in merged:
-        # A summary with count == 0 snapshots min/max as 0.0 placeholders;
-        # only populated summaries participate in the extrema.
-        populated = [d for d in dicts if d.get("count", 1)]
-        minima = [d["min"] for d in populated if _is_number(d.get("min"))]
-        maxima = [d["max"] for d in populated if _is_number(d.get("max"))]
-        if "min" in merged:
-            merged["min"] = round(min(minima), 6) if minima else 0.0
-        if "max" in merged:
-            merged["max"] = round(max(maxima), 6) if maxima else 0.0
     hits, misses = merged.get("hits"), merged.get("misses")
     if _is_number(hits) and _is_number(misses) and "hit_rate" in merged:
         lookups = hits + misses
@@ -92,14 +79,6 @@ def _merge_level(dicts: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     for key in list(merged):
         if isinstance(merged[key], float):
             merged[key] = round(merged[key], 6)
-    # Quantiles are bucket boundaries of the merged histogram, never sums
-    # — recomputed last (after rounding) so they stay byte-identical to a
-    # single-process run's snapshot.
-    hdr = merged.get("hdr")
-    if isinstance(hdr, Mapping):
-        for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-            if name in merged:
-                merged[name] = quantile_from_snapshot(hdr, q)
     return merged
 
 
@@ -108,9 +87,9 @@ def merge_metric_snapshots(
 ) -> Dict[str, Any]:
     """One cluster-wide snapshot from per-shard service snapshots.
 
-    Counters (and histogram buckets) add; ``mean`` is recomputed from the
-    merged ``total``/``count``; ``min``/``max`` take the extrema over
-    shards that actually observed something; cache ``hit_rate`` is
+    Counters add; a summarised histogram (``latency_seconds``) is the
+    summary of the merged ``hdr`` — byte-identical to the one a single
+    process fed the same observations would report; cache ``hit_rate`` is
     recomputed from the merged hit/miss counts.  Capacities (pool workers,
     queue and cache capacity) add too — the merged view describes the
     cluster, not an average shard.
@@ -166,120 +145,6 @@ def merge_span_records(
             remapped["tags"] = tags
             merged.append(remapped)
     return merged
-
-
-# ---------------------------------------------------------------------------
-# Prometheus registries
-# ---------------------------------------------------------------------------
-
-
-def registry_export(registry: Any) -> Dict[str, Dict[str, Any]]:
-    """A picklable, kind-tagged export of a
-    :class:`~repro.obs.metrics.MetricsRegistry`.
-
-    ``{name: {"kind", "help", "value"}}`` — the shape
-    :func:`merge_registry_exports` consumes.  Workers ship this across
-    the process boundary so the router can expose one cluster-wide
-    Prometheus view.
-    """
-    export: Dict[str, Dict[str, Any]] = {}
-    for name in registry.names():
-        instrument = registry.get(name)
-        if instrument is None:
-            continue
-        export[name] = {
-            "kind": instrument.kind,
-            "help": instrument.help,
-            "value": instrument.snapshot(),
-        }
-    return export
-
-
-def merge_registry_exports(
-    exports: Sequence[Mapping[str, Mapping[str, Any]]],
-) -> Dict[str, Dict[str, Any]]:
-    """One merged registry export from N per-shard exports.
-
-    Counters and gauges sum; histograms sum counts/totals/buckets and
-    take min/max extrema (a histogram with ``count == 0`` exports its
-    min/max as 0.0 placeholders, which are excluded).  Kind mismatches
-    across shards raise — shards run identical code, so a mismatch is a
-    protocol bug, not data.
-    """
-    merged: Dict[str, Dict[str, Any]] = {}
-    for export in exports:
-        for name, entry in export.items():
-            if name not in merged:
-                merged[name] = {
-                    "kind": entry["kind"],
-                    "help": entry.get("help", ""),
-                    "value": _copy_value(entry["value"]),
-                }
-                continue
-            target = merged[name]
-            if target["kind"] != entry["kind"]:
-                raise ValueError(
-                    f"metric {name!r} is a {target['kind']} on one shard "
-                    f"and a {entry['kind']} on another"
-                )
-            value = entry["value"]
-            if isinstance(value, Mapping):  # histogram
-                target["value"] = _merge_histogram(target["value"], value)
-            else:
-                target["value"] = target["value"] + value
-    return merged
-
-
-def _copy_value(value: Any) -> Any:
-    if isinstance(value, Mapping):
-        copied = dict(value)
-        copied["buckets"] = dict(value.get("buckets") or {})
-        return copied
-    return value
-
-
-def _merge_histogram(
-    left: Mapping[str, Any], right: Mapping[str, Any]
-) -> Dict[str, Any]:
-    count = left["count"] + right["count"]
-    total = round(left["total"] + right["total"], 6)
-    populated = [h for h in (left, right) if h["count"]]
-    buckets = dict(left.get("buckets") or {})
-    for label, n in (right.get("buckets") or {}).items():
-        buckets[label] = buckets.get(label, 0) + n
-    return {
-        "count": count,
-        "total": total,
-        "mean": round(total / count, 6) if count else 0.0,
-        "min": round(min(h["min"] for h in populated), 6) if populated else 0.0,
-        "max": round(max(h["max"] for h in populated), 6) if populated else 0.0,
-        "buckets": buckets,
-    }
-
-
-def render_prometheus(export: Mapping[str, Mapping[str, Any]]) -> str:
-    """Prometheus-flavoured exposition of a (merged) registry export.
-
-    Mirrors :meth:`repro.obs.metrics.MetricsRegistry.render_text`, so the
-    cluster view scrapes exactly like a single process's.
-    """
-    lines: List[str] = []
-    for name in sorted(export):
-        entry = export[name]
-        if entry.get("help"):
-            lines.append(f"# HELP {name} {entry['help']}")
-        lines.append(f"# TYPE {name} {entry['kind']}")
-        value = entry["value"]
-        if isinstance(value, Mapping):  # histogram
-            for boundary, count in (value.get("buckets") or {}).items():
-                le = boundary[len("le_"):]
-                lines.append(f'{name}_bucket{{le="{le}"}} {count}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {value["count"]}')
-            lines.append(f"{name}_sum {value['total']}")
-            lines.append(f"{name}_count {value['count']}")
-        else:
-            lines.append(f"{name} {value}")
-    return "\n".join(lines)
 
 
 def merged_spans_dropped(exits: Mapping[int, Any]) -> int:

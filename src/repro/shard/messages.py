@@ -155,7 +155,7 @@ class SnapshotReply:
 
     Attributes:
         registry: the shard's kind-tagged Prometheus registry export
-            (:func:`repro.shard.aggregate.registry_export`), merged by
+            (:meth:`repro.obs.metrics.MetricsRegistry.export`), merged by
             the router into one cluster exposition.
     """
 
@@ -241,7 +241,7 @@ class WorkerExit:
         drained: every worker thread finished within the grace period.
         snapshot: final metrics/cache snapshot.
         registry: the shard's kind-tagged Prometheus registry export
-            (:func:`repro.shard.aggregate.registry_export`).
+            (:meth:`repro.obs.metrics.MetricsRegistry.export`).
         span_records: the shard tracer's exported span records (empty when
             tracing was off).
         spans_dropped: spans lost to the tracer's retention cap.

@@ -68,14 +68,13 @@ from repro.errors import (
     ShardError,
     ShardUnavailable,
 )
+from repro.obs.metrics import merge_registry_exports, render_prometheus
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.service.fingerprint import fingerprint_translation
 from repro.shard.aggregate import (
     merge_metric_snapshots,
-    merge_registry_exports,
     merge_span_records,
-    render_prometheus,
     shard_cache_hit_rates,
 )
 from repro.shard.hashring import ConsistentHashRing
@@ -895,7 +894,8 @@ class ShardRouter:
         return data
 
     def render_prometheus(self) -> str:
-        """One Prometheus exposition merged from every shard's registry.
+        """One Prometheus exposition merged from every shard's registry,
+        plus the supervisor's ``shard_*`` instruments when supervised.
 
         Uses the most recent registry export from each shard (refreshed
         by :meth:`snapshot` and finalized by :meth:`drain`).
@@ -905,6 +905,8 @@ class ShardRouter:
                 self._registry_exports[shard_id]
                 for shard_id in sorted(self._registry_exports)
             ]
+        if self.supervisor is not None:
+            exports.append(self.supervisor.metrics.registry.export())
         return render_prometheus(merge_registry_exports(exports))
 
     def client_latencies(self) -> List[float]:

@@ -37,7 +37,6 @@ from typing import Dict, Optional
 from repro.analysis.lockwitness import make_lock
 from repro.errors import QueryCancelled, ReproError
 from repro.relational.database import Database
-from repro.shard.aggregate import registry_export
 from repro.shard.messages import (
     DrainCommand,
     QueryAnswer,
@@ -262,7 +261,7 @@ def shard_worker_main(
                     message.request_id,
                     shard_id,
                     service.snapshot(),
-                    registry=registry_export(service.metrics.registry),
+                    registry=service.metrics.registry.export(),
                 )
             )
         elif isinstance(message, DrainCommand):
@@ -298,7 +297,7 @@ def shard_worker_main(
             shard_id=shard_id,
             drained=drained and flushed,
             snapshot=service.snapshot(),
-            registry=registry_export(service.metrics.registry),
+            registry=service.metrics.registry.export(),
             span_records=span_records,
             spans_dropped=spans_dropped,
             open_spans=open_spans,

@@ -6,9 +6,10 @@ import faulthandler
 import itertools
 import os
 import random
+import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import pytest
 
@@ -170,3 +171,53 @@ WHERE r0.b0 = r1.a1 AND r1.b1 = r2.a2 AND r2.b2 = r3.a3 AND r3.b3 = r0.a0
 @pytest.fixture()
 def chain_sql():
     return CHAIN_SQL
+
+
+# ---------------------------------------------------------------------------
+# Prometheus exposition well-formedness
+# ---------------------------------------------------------------------------
+
+_SAMPLE_LINE = re.compile(
+    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
+    r'(?:\{(?P<labels>[^{}]*)\})? (?P<value>\S+)$'
+)
+_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+
+
+def assert_wellformed_exposition(
+    text: str, sums: Optional[Mapping[str, float]] = None
+) -> None:
+    """Every sample line parses and every histogram series is coherent.
+
+    Per histogram series (``_bucket`` lines sharing their non-``le``
+    labels): ``le`` strictly increasing, cumulative counts non-decreasing,
+    the ``+Inf`` bucket present, last, and equal to ``_count``, and a
+    ``_sum`` sample present — equal to ``sums[name]`` (the exact total)
+    when the caller knows it.
+    """
+    buckets: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
+    samples: Dict[Tuple[str, str], float] = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        match = _SAMPLE_LINE.match(line)
+        assert match, f"unparseable sample line: {line!r}"
+        value = float(match["value"])  # raises on a malformed value
+        labels = dict(_LABEL.findall(match["labels"] or ""))
+        name = match["name"]
+        if name.endswith("_bucket") and "le" in labels:
+            le = float(labels.pop("le").replace("+Inf", "inf"))
+            series = (name[: -len("_bucket")], repr(sorted(labels.items())))
+            buckets.setdefault(series, []).append((le, int(value)))
+        else:
+            samples[(name, repr(sorted(labels.items())))] = value
+    for (name, labels), series in buckets.items():
+        bounds = [le for le, _ in series]
+        counts = [count for _, count in series]
+        assert bounds == sorted(set(bounds)), f"{name}: le not increasing"
+        assert counts == sorted(counts), f"{name}: buckets not cumulative"
+        assert bounds[-1] == float("inf"), f"{name}: no +Inf bucket"
+        assert counts[-1] == samples[(f"{name}_count", labels)], name
+        assert (f"{name}_sum", labels) in samples, f"{name}: no _sum"
+        if sums is not None and name in sums:
+            assert samples[(f"{name}_sum", labels)] == sums[name], name

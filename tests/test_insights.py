@@ -27,35 +27,45 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.obs.flush import FlushRegistry
-from repro.obs.insights import (
+from repro.obs.histogram import (
     DEFAULT_SCALE,
     LATENCY_RANGE,
-    NULL_INSIGHTS,
     WORK_RANGE,
+    Histogram,
+    bucket_upper_bound,
+    merge_snapshots,
+    quantile_from_snapshot,
+    summarised,
+    summary,
+)
+from repro.obs.insights import (
+    NULL_INSIGHTS,
     InsightsRegistry,
     SLOPolicy,
     SLOTracker,
     SlowQueryLog,
-    StreamingHistogram,
     analyze_spans,
-    bucket_upper_bound,
     check_baseline,
     load_snapshot_file,
     load_span_records,
     merge_insights_snapshots,
     merge_slo_snapshots,
     merge_slow_entries,
-    merge_snapshots,
     publish_snapshot_file,
-    quantile_from_snapshot,
     render_insights_prometheus,
     render_report,
     render_top,
     run_top,
 )
-from repro.service.metrics import LatencyStat, ServiceMetrics
+from repro.obs.metrics import (
+    MetricsRegistry,
+    merge_registry_exports,
+    render_prometheus,
+)
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import QueryService
 from repro.shard.aggregate import merge_metric_snapshots
+from tests.conftest import assert_wellformed_exposition
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,7 +77,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 class TestStreamingHistogram:
     def test_bucketing_is_deterministic_and_clamped(self):
-        h = StreamingHistogram(index_range=(-8, 8))
+        h = Histogram(index_range=(-8, 8))
         h.observe(0.0)       # non-positive -> reserved bucket below lo
         h.observe(-3.0)
         h.observe(1e-9)      # far below range -> clamps to lo
@@ -77,10 +87,10 @@ class TestStreamingHistogram:
         assert snap["buckets"] == {"-9": 2, "-8": 1, "8": 1}
 
     def test_quantile_is_a_bucket_upper_bound(self):
-        h = StreamingHistogram()
+        h = Histogram()
         for v in (0.010, 0.011, 0.012, 0.500):
             h.observe(v)
-        p50 = h.quantile(0.50)
+        p50 = quantile_from_snapshot(h.snapshot(), 0.50)
         # The bound encloses the observed median within one bucket width.
         assert 0.011 <= p50 <= 0.011 * 2 ** (1 / DEFAULT_SCALE)
         snap = h.snapshot()
@@ -88,40 +98,38 @@ class TestStreamingHistogram:
         assert p50 in {bucket_upper_bound(i, DEFAULT_SCALE) for i in indexes}
 
     def test_empty_histogram_quantile_and_totals(self):
-        h = StreamingHistogram()
-        assert h.quantile(0.99) == 0.0
-        assert h.count == 0
-        assert h.total == 0.0
-        snap = h.snapshot()
+        snap = Histogram().snapshot()
+        assert quantile_from_snapshot(snap, 0.99) == 0.0
+        assert snap["count"] == 0
+        assert snap["total"] == 0.0
         assert snap["min"] is None and snap["max"] is None
 
     def test_quantile_of_nonpositive_bucket_is_zero(self):
-        h = StreamingHistogram()
+        h = Histogram()
         h.observe(0)
-        assert h.quantile(0.5) == 0.0
+        assert quantile_from_snapshot(h.snapshot(), 0.5) == 0.0
 
     def test_geometry_mismatch_refuses_to_merge(self):
-        latency = StreamingHistogram(index_range=LATENCY_RANGE)
-        work = StreamingHistogram(index_range=WORK_RANGE)
+        latency = Histogram(index_range=LATENCY_RANGE)
+        work = Histogram(index_range=WORK_RANGE)
         with pytest.raises(ValueError, match="geometry"):
-            latency.merge(work)
-        with pytest.raises(ValueError):
             merge_snapshots([latency.snapshot(), work.snapshot()])
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            StreamingHistogram(scale=0)
-        with pytest.raises(ValueError):
-            StreamingHistogram(index_range=(5, 4))
+            Histogram(index_range=(5, 4))
         with pytest.raises(ValueError):
             quantile_from_snapshot({}, 1.5)
 
     def test_snapshot_round_trip(self):
-        h = StreamingHistogram()
+        h = Histogram()
         for v in (0.001, 0.25, 7.5):
             h.observe(v)
-        rebuilt = StreamingHistogram.from_snapshot(h.snapshot())
-        assert rebuilt.snapshot() == h.snapshot()
+        snap = h.snapshot()
+        # The snapshot is the wire format: it survives JSON and the merge.
+        assert json.loads(json.dumps(snap)) == snap
+        assert merge_snapshots([snap]) == snap
+        assert merge_snapshots([snap, {}, Histogram().snapshot()]) == snap
 
     def test_merge_empty_inputs(self):
         assert merge_snapshots([]) == {}
@@ -144,21 +152,48 @@ class TestMergeIsExact:
     @settings(max_examples=60, deadline=None)
     @given(parts=st.lists(observations, min_size=1, max_size=5))
     def test_sharded_equals_single_process(self, parts):
-        single = StreamingHistogram()
+        single = Histogram()
         shards = []
         for part in parts:
-            shard = StreamingHistogram()
+            shard = Histogram()
             for v in part:
                 single.observe(v)
                 shard.observe(v)
             shards.append(shard.snapshot())
         merged = merge_snapshots(shards)
         expected = single.snapshot()
-        if not single.count:
+        if not expected["count"]:
             # All-empty snapshots merge to the empty sentinel.
             assert merged == {} or merged["count"] == 0
             return
         assert merged == expected  # byte-identical: buckets, totals, extrema
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parts=st.lists(observations, min_size=1, max_size=5),
+        geometry=st.sampled_from([LATENCY_RANGE, WORK_RANGE, (-8, 8)]),
+    )
+    def test_quantiles_lie_within_the_observed_range(self, parts, geometry):
+        """A bucket bound may overshoot the data (and a clamp bucket may
+        undershoot it); the reported quantile never does, merged or not."""
+        single = Histogram(index_range=geometry)
+        shards = []
+        for part in parts:
+            shard = Histogram(index_range=geometry)
+            for v in part:
+                single.observe(v)
+                shard.observe(v)
+            shards.append(shard.snapshot())
+        digest = summary(merge_snapshots(shards))
+        assert digest == summary(single.snapshot())
+        assert (
+            digest["min"] <= digest["p50"] <= digest["p90"]
+            <= digest["p99"] <= digest["max"]
+        )
+        values = [v for part in parts for v in part]
+        if values:
+            assert digest["min"] == round(min(values), 9)
+            assert digest["max"] == round(max(values), 9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -168,7 +203,7 @@ class TestMergeIsExact:
     def test_commutative_and_associative(self, parts, seed):
         snaps = []
         for part in parts:
-            h = StreamingHistogram()
+            h = Histogram()
             for v in part:
                 h.observe(v)
             snaps.append(h.snapshot())
@@ -417,6 +452,7 @@ class TestInsightsRegistry:
         assert 'hdqo_template_queries_total{template="T\\"1"} 2' in text
         assert 'window="fast"' in text and 'window="slow"' in text
         assert 'phase="execute",quantile="p99"' in text
+        assert_wellformed_exposition(text)
         # An empty snapshot still renders the metric headers.
         assert "# TYPE hdqo_slo_burn_rate gauge" in (
             render_insights_prometheus({})
@@ -496,17 +532,19 @@ class TestServiceIntegration:
 
 class TestLatencyQuantiles:
     def test_latency_stat_quantiles_and_merge(self):
-        left, right = LatencyStat(), LatencyStat()
+        left, right = Histogram(), Histogram()
         for v in (0.010, 0.020):
             left.observe(v)
         right.observe(0.500)
-        left.merge(right)
-        snap = left.snapshot()
+        snap = summarised(
+            merge_snapshots([left.snapshot(), right.snapshot()])
+        )
         assert snap["count"] == 3
         assert snap["p50"] == quantile_from_snapshot(snap["hdr"], 0.50)
         assert 0.02 <= snap["p50"] < 0.03
-        assert snap["p99"] >= 0.5
-        # The pre-existing summary fields are still there, unchanged.
+        # The bucket holding 0.5 ends at 0.545…; the quantile is capped
+        # at the observed maximum.
+        assert snap["p99"] == snap["max"] == 0.5
         assert {"count", "total", "mean", "min", "max"} <= set(snap)
 
     def test_service_metrics_snapshot_has_quantiles(self):
@@ -514,25 +552,103 @@ class TestLatencyQuantiles:
         metrics.record_query(finished=True, work=10, seconds=0.25)
         latency = metrics.snapshot()["latency_seconds"]
         assert latency["count"] == 1
-        assert latency["p50"] == latency["p99"] > 0.25
+        assert latency["p50"] == latency["p99"] == latency["max"] == 0.25
         assert latency["hdr"]["count"] == 1
 
 
 class TestAggregateMergeSpecialCases:
     def test_hdr_merges_exactly_and_quantiles_recompute(self):
         shards = []
-        single = LatencyStat()
+        single = Histogram()
         for values in ((0.010, 0.040), (0.080, 0.120, 0.500)):
-            stat = LatencyStat()
+            stat = Histogram()
             for v in values:
                 stat.observe(v)
                 single.observe(v)
-            shards.append({"latency_seconds": stat.snapshot()})
+            shards.append({"latency_seconds": summarised(stat.snapshot())})
         merged = merge_metric_snapshots(shards)["latency_seconds"]
-        expected = single.snapshot()
+        expected = summarised(single.snapshot())
         assert merged["hdr"] == expected["hdr"]  # byte-identical buckets
-        for q in ("p50", "p90", "p99"):
-            assert merged[q] == expected[q]
+        assert json.dumps(merged) == json.dumps(expected)
+
+    def test_merged_latency_equals_single_process_key_for_key(self):
+        """The determinism defect: float totals summed per shard and then
+        across shards differed from one process's sum in the 6th decimal.
+        ``total`` and ``mean`` now derive from the integer ``total_ns``."""
+        rng = random.Random(20260928)
+        latencies = [rng.lognormvariate(-6.0, 1.5) for _ in range(3001)]
+        for seed in range(20):
+            shuffled = list(latencies)
+            random.Random(seed).shuffle(shuffled)
+            single = ServiceMetrics()
+            shards = [ServiceMetrics() for _ in range(3)]
+            for index, seconds in enumerate(shuffled):
+                single.record_query(finished=True, work=1, seconds=seconds)
+                shards[index % 3].record_query(
+                    finished=True, work=1, seconds=seconds
+                )
+            merged = merge_metric_snapshots([s.snapshot() for s in shards])
+            expected = single.snapshot()["latency_seconds"]
+            assert merged["latency_seconds"] == expected, seed
+            assert json.dumps(merged["latency_seconds"]) == json.dumps(
+                expected
+            ), seed
+
+    def test_every_histogram_renders_identically_however_it_was_fed(self):
+        """Single process, its shipped export, and N merged exports fed
+        the same observations in another order: one exposition text, and
+        byte-identical histogram sections in the nested snapshot."""
+        rng = random.Random(7)
+        observations = [
+            (f"T{rng.randrange(3)}", rng.lognormvariate(-5.0, 1.0),
+             rng.randrange(1, 5000))
+            for _ in range(300)
+        ]
+
+        def feed(stream, shards):
+            clock = FakeClock()
+            metrics = [ServiceMetrics() for _ in range(shards)]
+            insights = [InsightsRegistry(clock=clock) for _ in range(shards)]
+            for index, (template, seconds, work) in enumerate(stream):
+                shard = index % shards
+                metrics[shard].record_query(
+                    finished=True, work=work, seconds=seconds
+                )
+                insights[shard].record_phase(
+                    template, "execute", seconds, work=work
+                )
+            exports = [m.registry.export() for m in metrics]
+            snapshot = merge_metric_snapshots([
+                {**m.snapshot(), "insights": i.snapshot()}
+                for m, i in zip(metrics, insights)
+            ])
+            return exports, snapshot
+
+        (live,), single = feed(observations, 1)
+        shuffled = list(observations)
+        rng.shuffle(shuffled)
+        exports, merged = feed(shuffled, 4)
+
+        text = render_prometheus(live)
+        assert render_prometheus(json.loads(json.dumps(live))) == text
+        assert render_prometheus(merge_registry_exports([live])) == text
+        assert render_prometheus(merge_registry_exports(exports)) == text
+        assert_wellformed_exposition(
+            text,
+            sums={"service_latency_seconds": single["latency_seconds"]["total"]},
+        )
+        assert json.dumps(merged["latency_seconds"]) == json.dumps(
+            single["latency_seconds"]
+        )
+        for template, entry in single["insights"]["templates"].items():
+            phases = merged["insights"]["templates"][template]["phases"]
+            for kind in ("latency", "work"):
+                assert json.dumps(phases["execute"][kind]) == json.dumps(
+                    entry["phases"]["execute"][kind]
+                ), (template, kind)
+        assert_wellformed_exposition(
+            render_insights_prometheus(merged["insights"])
+        )
 
     def test_insights_snapshots_merge_not_sum(self):
         clock = FakeClock()

@@ -10,12 +10,18 @@ from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.core.optimizer import HybridOptimizer
 from repro.metering import WorkMeter, split_phases
 from repro.obs.explain import estimation_error, stats_by_node
+from repro.obs.histogram import (
+    WORK_RANGE,
+    Histogram,
+    merge_snapshots,
+    summary,
+)
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
+    render_prometheus,
 )
 from repro.obs.tracing import (
     NULL_TRACER,
@@ -25,9 +31,9 @@ from repro.obs.tracing import (
     set_tracer,
     tracing,
 )
-from repro.service.metrics import LatencyStat, ServiceMetrics
+from repro.service.metrics import ServiceMetrics, render_snapshot
 from repro.service.server import QueryService
-from tests.conftest import CHAIN_SQL
+from tests.conftest import CHAIN_SQL, assert_wellformed_exposition
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +195,46 @@ class TestMetricsRegistry:
         assert gauge.value == 8
 
     def test_histogram_buckets_and_summary(self):
-        histogram = Histogram("h", buckets=(1, 10, 100))
+        histogram = Histogram("h", index_range=WORK_RANGE)
         for value in (0.5, 5, 50, 500):
             histogram.observe(value)
         snap = histogram.snapshot()
         assert snap["count"] == 4
-        assert snap["buckets"] == {"le_1": 1, "le_10": 2, "le_100": 3}
+        # floor(8 * log2(v)), clamped below at lo = 0 for the 0.5.
+        assert snap["buckets"] == {"0": 1, "18": 1, "45": 1, "71": 1}
         assert snap["min"] == 0.5
         assert snap["max"] == 500
-        assert snap["mean"] == pytest.approx(138.875)
+        digest = summary(snap)
+        assert digest["count"] == 4
+        assert digest["total"] == 555.5
+        assert digest["mean"] == pytest.approx(138.875)
+        assert (digest["min"], digest["max"]) == (0.5, 500)
+        assert set(digest) == {
+            "count", "total", "mean", "min", "max", "p50", "p90", "p99"
+        }
 
     def test_histogram_empty_snapshot_has_no_inf(self):
-        snap = Histogram("h", buckets=(1,)).snapshot()
-        assert snap["min"] == 0.0 and snap["max"] == 0.0
-        json.dumps(snap)  # must be JSON-safe
+        snap = Histogram("h").snapshot()
+        assert snap["min"] is None and snap["max"] is None
+        assert "Infinity" not in json.dumps(snap)  # must be JSON-safe
+        registry = MetricsRegistry()
+        registry.histogram("h")
+        text = render_prometheus(registry.export())
+        assert 'h_bucket{le="+Inf"} 0' in text and "h_sum 0.0" in text
+        assert_wellformed_exposition(text, sums={"h": 0.0})
 
     def test_histogram_merge(self):
-        a = Histogram("a", buckets=(1, 10))
-        b = Histogram("b", buckets=(1, 10))
+        a = Histogram("a")
+        b = Histogram("b")
         a.observe(0.5)
         b.observe(20)
-        a.merge(b)
-        snap = a.snapshot()
+        snap = merge_snapshots([a.snapshot(), b.snapshot()])
         assert snap["count"] == 2
         assert snap["min"] == 0.5 and snap["max"] == 20
-        with pytest.raises(ValueError):
-            a.merge(Histogram("c", buckets=(2,)))
+        with pytest.raises(ValueError, match="geometry"):
+            merge_snapshots(
+                [snap, Histogram("c", index_range=WORK_RANGE).snapshot()]
+            )
 
     def test_registration_idempotent(self):
         registry = MetricsRegistry()
@@ -238,51 +258,83 @@ class TestMetricsRegistry:
     def test_render_text(self):
         registry = MetricsRegistry()
         registry.counter("requests_total", help="All requests").inc(3)
-        registry.histogram("latency", buckets=(0.1, 1.0)).observe(0.05)
-        text = registry.render_text()
+        registry.histogram("latency").observe(0.05)
+        text = render_prometheus(registry.export())
         assert "# HELP requests_total All requests" in text
         assert "# TYPE requests_total counter" in text
         assert "requests_total 3" in text
-        assert 'latency_bucket{le="0.1"} 1' in text
+        # le steps over the powers of two; 0.05 lies in [2^-5, 2^-4).
+        assert 'latency_bucket{le="0.03125"} 0' in text
+        assert 'latency_bucket{le="0.0625"} 1' in text
         assert 'latency_bucket{le="+Inf"} 1' in text
+        assert "latency_sum 0.05" in text
         assert "latency_count 1" in text
+        assert_wellformed_exposition(text)
+
+    def test_le_label_set_is_fixed_and_boundaries_are_exclusive(self):
+        def bucket_lines(*values):
+            registry = MetricsRegistry()
+            histogram = registry.histogram("latency")
+            for value in values:
+                histogram.observe(value)
+            text = render_prometheus(registry.export())
+            assert_wellformed_exposition(text)
+            return [
+                line.rsplit(" ", 1)
+                for line in text.splitlines()
+                if line.startswith("latency_bucket")
+            ]
+
+        empty = bucket_lines()
+        busy = bucket_lines(0.0, 1e-9, 0.0625, 3.0, 1e9)
+        # A scraper sees the same series whatever was observed.
+        assert [label for label, _ in empty] == [label for label, _ in busy]
+        counts = dict(busy)
+        assert counts['latency_bucket{le="0"}'] == "1"
+        assert counts['latency_bucket{le="0.0625"}'] == "2"  # exclusive
+        assert counts['latency_bucket{le="0.125"}'] == "3"
+        assert counts['latency_bucket{le="4096.0"}'] == "4"  # hi clamp
+        assert counts['latency_bucket{le="+Inf"}'] == "5"    # only here
 
     def test_global_registry_is_shared(self):
         assert get_registry() is get_registry()
 
 
 # ---------------------------------------------------------------------------
-# LatencyStat / ServiceMetrics
+# Latency summaries / ServiceMetrics
 # ---------------------------------------------------------------------------
 
 
 class TestLatencyStat:
+    """What the deleted ``LatencyStat`` guaranteed, held by ``summary``."""
+
     def test_minimum_never_inf_in_snapshot(self):
-        stat = LatencyStat()
-        assert stat.minimum is None
-        snap = stat.snapshot()
-        assert snap["min"] == 0.0
+        empty = Histogram().snapshot()
+        assert empty["min"] is None
+        digest = summary(empty)
+        assert digest["min"] == 0.0 and digest["p99"] == 0.0
         # The historic bug: min serialized as Infinity in JSON exports.
-        assert "Infinity" not in json.dumps(snap)
+        assert "Infinity" not in json.dumps(digest)
+        assert summary({}) == digest
 
     def test_observe_and_merge(self):
-        a, b = LatencyStat(), LatencyStat()
+        a, b = Histogram(), Histogram()
         a.observe(2.0)
         b.observe(0.5)
         b.observe(4.0)
-        a.merge(b)
-        assert a.count == 3
-        assert a.minimum == 0.5
-        assert a.maximum == 4.0
-        assert a.mean == pytest.approx(6.5 / 3)
+        digest = summary(merge_snapshots([a.snapshot(), b.snapshot()]))
+        assert digest["count"] == 3
+        assert digest["min"] == 0.5
+        assert digest["max"] == 4.0
+        assert digest["total"] == 6.5
+        assert digest["mean"] == pytest.approx(6.5 / 3)
 
     def test_merge_empty_keeps_minimum_none(self):
-        a, b = LatencyStat(), LatencyStat()
-        a.merge(b)
-        assert a.minimum is None
+        a, b = Histogram(), Histogram()
+        assert merge_snapshots([a.snapshot(), b.snapshot()])["min"] is None
         a.observe(1.0)
-        a.merge(LatencyStat())
-        assert a.minimum == 1.0
+        merged = merge_snapshots([a.snapshot(), b.snapshot()])
+        assert merged["min"] == 1.0 and merged["max"] == 1.0
 
 
 class TestServiceMetrics:
@@ -299,6 +351,29 @@ class TestServiceMetrics:
         assert snap["cache"]["capacity"] == 8
         json.dumps(snap)
 
+    def test_one_observation_per_query(self):
+        """One histogram behind latency_seconds: one total, one min/max,
+        one bucket table, and no quantile above the observed maximum."""
+        metrics = ServiceMetrics()
+        metrics.record_query(finished=True, work=1, seconds=0.002629)
+        latency = metrics.snapshot()["latency_seconds"]
+        assert set(latency) == {
+            "count", "total", "mean", "min", "max", "p50", "p90", "p99", "hdr"
+        }
+        assert latency["hdr"]["count"] == latency["count"] == 1
+        assert latency["total"] == latency["hdr"]["total"] == 0.002629
+        assert latency["p50"] == latency["p99"] == latency["max"] == 0.002629
+        histograms = [
+            name
+            for name, entry in metrics.registry.export().items()
+            if entry["kind"] == "histogram"
+        ]
+        assert histograms == ["service_latency_seconds"]
+        assert (
+            metrics.registry.get("service_latency_seconds").snapshot()
+            == latency["hdr"]
+        )
+
     def test_instances_do_not_share_instruments(self):
         a, b = ServiceMetrics(), ServiceMetrics()
         a.record_query(finished=True, work=1, seconds=0.0)
@@ -307,10 +382,23 @@ class TestServiceMetrics:
     def test_render_text_exposes_service_instruments(self):
         metrics = ServiceMetrics()
         metrics.record_query(finished=False, work=2, seconds=0.5)
-        text = metrics.render_text()
+        text = render_prometheus(metrics.registry.export())
         assert "service_queries_submitted_total 1" in text
         assert "service_queries_dnf_total 1" in text
         assert "service_latency_seconds_count 1" in text
+        assert_wellformed_exposition(text)
+
+    def test_render_snapshot_prints_summaries_not_bucket_tables(self):
+        metrics = ServiceMetrics()
+        metrics.record_query(finished=True, work=2, seconds=0.5)
+        text = render_snapshot(metrics.snapshot())
+        assert "latency_seconds:\n  count: 1\n  total: 0.5" in text
+        assert "p99: 0.5" in text
+        for wire_key in ("hdr", "buckets", "total_ns", "scale"):
+            assert wire_key not in text
+        # A bare wire snapshot (an insights phase) is summarised too.
+        bare = render_snapshot({"latency": Histogram().snapshot()})
+        assert "p50: 0.0" in bare and "buckets" not in bare
 
 
 # ---------------------------------------------------------------------------

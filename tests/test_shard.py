@@ -13,6 +13,7 @@ per-shard plan-cache hit rates no worse than the baseline's.
 """
 
 import asyncio
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -31,7 +32,12 @@ from repro.errors import (
     SqlSyntaxError,
     WorkBudgetExceeded,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.histogram import Histogram, summarised
+from repro.obs.metrics import (
+    MetricsRegistry,
+    merge_registry_exports,
+    render_prometheus,
+)
 from repro.obs.tracing import validate_span_records
 from repro.relational import AttributeType, Database, RelationSchema
 from repro.service.server import QueryService
@@ -43,14 +49,11 @@ from repro.shard import (
     decode_error,
     encode_error,
     merge_metric_snapshots,
-    merge_registry_exports,
     merge_span_records,
-    registry_export,
-    render_prometheus,
     shard_cache_hit_rates,
 )
 
-from tests.conftest import CHAIN_SQL
+from tests.conftest import CHAIN_SQL, assert_wellformed_exposition
 
 SHARDS = 3
 
@@ -170,30 +173,31 @@ class TestErrorCodec:
 
 class TestMergeMetricSnapshots:
     def test_counters_sum_and_derived_fields_recompute(self):
+        busy, idle = Histogram(), Histogram()
+        busy.observe(0.25)
+        busy.observe(0.75)
         left = {
             "queries": {"submitted": 3, "finished": 3},
-            "latency_seconds": {
-                "count": 2, "total": 1.0, "mean": 0.5,
-                "min": 0.25, "max": 0.75,
-            },
+            "latency_seconds": summarised(busy.snapshot()),
             "cache": {"hits": 3, "misses": 1, "hit_rate": 0.75},
         }
         right = {
             "queries": {"submitted": 5, "finished": 4},
-            "latency_seconds": {
-                "count": 0, "total": 0.0, "mean": 0.0,
-                "min": 0.0, "max": 0.0,  # count == 0: placeholders
-            },
+            # count == 0: the summary's min/max are 0.0 placeholders.
+            "latency_seconds": summarised(idle.snapshot()),
             "cache": {"hits": 1, "misses": 3, "hit_rate": 0.25},
         }
+        assert right["latency_seconds"]["min"] == 0.0
         merged = merge_metric_snapshots([left, right])
         assert merged["queries"] == {"submitted": 8, "finished": 7}
         latency = merged["latency_seconds"]
         assert latency["count"] == 2
+        assert latency["total"] == 1.0
         assert latency["mean"] == 0.5  # recomputed, not summed
         # The empty shard's 0.0 placeholders must not win the extrema.
         assert latency["min"] == 0.25
         assert latency["max"] == 0.75
+        assert latency == left["latency_seconds"]
         assert merged["cache"]["hit_rate"] == 0.5  # 4 hits / 8 lookups
 
     def test_empty_input(self):
@@ -288,23 +292,23 @@ class TestRegistryAggregation:
         counter.inc(3 * scale)
         gauge = registry.gauge("inflight", help="current")
         gauge.set(2 * scale)
-        histogram = registry.histogram(
-            "latency", buckets=(0.1, 1.0), help="seconds"
-        )
+        histogram = registry.histogram("latency", help="seconds")
         histogram.observe(0.05 * scale)
+        registry.histogram("idle", help="never observed")
         return registry
 
     def test_single_export_renders_like_the_live_registry(self):
         registry = self.populated_registry(1)
-        assert (
-            render_prometheus(registry_export(registry))
-            == registry.render_text()
-        )
+        live = render_prometheus(registry.export())
+        shipped = pickle.loads(pickle.dumps(registry.export()))
+        assert render_prometheus(shipped) == live
+        assert render_prometheus(merge_registry_exports([shipped])) == live
+        assert_wellformed_exposition(live, sums={"latency": 0.05, "idle": 0.0})
 
     def test_merge_sums_counters_and_histograms(self):
         exports = [
-            registry_export(self.populated_registry(1)),
-            registry_export(self.populated_registry(2)),
+            self.populated_registry(1).export(),
+            self.populated_registry(2).export(),
         ]
         merged = merge_registry_exports(exports)
         assert merged["rpc_total"]["value"] == 9
@@ -313,9 +317,13 @@ class TestRegistryAggregation:
         assert histogram["count"] == 2
         assert histogram["min"] == 0.05
         assert histogram["max"] == 0.1
+        # Extrema ignore histograms that never observed anything.
+        assert merged["idle"]["value"]["count"] == 0
+        assert merged["idle"]["value"]["min"] is None
         text = render_prometheus(merged)
         assert "rpc_total 9" in text
         assert 'latency_bucket{le="+Inf"} 2' in text
+        assert_wellformed_exposition(text, sums={"latency": 0.15})
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -493,6 +501,11 @@ class TestClusterObservability:
         expected = 2 * len(cluster.queries)
         assert f"service_queries_submitted_total {expected}" in text
         assert "# TYPE service_queries_submitted_total counter" in text
+        assert f"service_latency_seconds_count {expected}" in text
+        merged = cluster.live_snapshot["merged"]["latency_seconds"]
+        assert_wellformed_exposition(
+            text, sums={"service_latency_seconds": merged["total"]}
+        )
 
     def test_client_latencies_recorded_per_query(self, cluster):
         assert len(cluster.latencies) == 2 * len(cluster.queries)

@@ -39,6 +39,7 @@ from repro.shard import (
     encode_error,
 )
 
+from tests.conftest import assert_wellformed_exposition
 from tests.test_shard import SHARDS, TEMPLATES, workload
 
 import random as random_module
@@ -414,6 +415,7 @@ def healed_cluster(chain_db_module):
         artifacts["after"] = router.run_all(queries)
         artifacts["epoch_after"] = router.ring_epoch()
         artifacts["snapshot"] = router.snapshot()
+        artifacts["prometheus"] = router.render_prometheus()
         artifacts["live_after"] = router.live_shards()
     finally:
         artifacts["drained"] = router.drain(grace_seconds=30.0)
@@ -476,6 +478,29 @@ class TestSelfHealingCluster:
             "worker-death", "restart-scheduled",
             "worker-restarted", "shard-recovered",
         } <= kinds
+
+    def test_prometheus_exposition_carries_the_supervisor_instruments(
+        self, healed_cluster
+    ):
+        """The cluster exposition is the workers' merged ``service_*``
+        instruments *plus* the supervisor's ``shard_*`` ones — restarts
+        and the recovery-time histogram were once in no exposition."""
+        text = healed_cluster["prometheus"]
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        metrics = healed_cluster["snapshot"]["supervisor"]["metrics"]
+        assert int(samples["shard_worker_restarts_total"]) >= 1
+        assert int(samples["shard_worker_deaths_total"]) >= 1
+        recovery = metrics["recovery_seconds"]
+        assert int(samples["shard_recovery_seconds_count"]) >= 1
+        assert "# TYPE shard_recovery_seconds histogram" in text
+        assert "service_queries_submitted_total" in samples
+        assert_wellformed_exposition(
+            text, sums={"shard_recovery_seconds": recovery["total"]}
+        )
 
     def test_router_snapshot_tags_down_shards_and_incarnations(
         self, healed_cluster
