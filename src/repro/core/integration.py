@@ -27,9 +27,8 @@ Two serving-layer amortizations live in the installed handler:
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 from repro.analysis.lockwitness import make_lock
 from repro.errors import (
@@ -50,6 +49,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.context import current_context
 from repro.core.costmodel import DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
+from repro.core.hypertree import Hypertree
 from repro.core.memo import NodeMemo
 from repro.core.optimizer import cost_model_from_database
 from repro.core.pool import SubtreePool
@@ -57,6 +57,7 @@ from repro.core.qhd import q_hypertree_decomp
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.obs.insights.registry import InsightsRegistry, NullInsights
+    from repro.service.fingerprint import QueryFingerprint
     from repro.service.metrics import ServiceMetrics
     from repro.service.plancache import PlanCache
 
@@ -71,23 +72,6 @@ _LADDER_ERRORS = (
     MemoryBudgetExceeded,
     InjectedFault,
 )
-
-
-class _InsightScope:
-    """Per-query carrier between the handler body and its insights wrapper.
-
-    The body knows the template key, the degradation step taken, and the
-    serving span ids; the wrapper knows the end-to-end latency and the
-    final outcome.  One mutable scope hands the former to the latter
-    without re-computing the fingerprint.
-    """
-
-    __slots__ = ("key", "degraded_to", "span_ids")
-
-    def __init__(self) -> None:
-        self.key: Optional[str] = None
-        self.degraded_to: Optional[str] = None
-        self.span_ids: list = []
 
 
 def _span_subtree(tracer, root_ids) -> list:
@@ -159,22 +143,30 @@ def install_structural_optimizer(
             makes every recording call a constant-time no-op with zero
             work-unit cost.
 
-    The installed handler plans through a **degradation ladder**: (1) the
-    cost-k-decomp search at ``max_width`` (cache-accelerated); on failure
-    — no decomposition, deadline, work/memory budget, injected fault —
-    (2) a cached structural plan at a *smaller* width bound (lookup +
-    rename only, never a new search); (3) the built-in quantitative
-    planner; (4) the original typed error.  Every step taken is recorded
-    on the ``serve.plan`` span (``degraded_to``, ``breaker_open`` tags)
-    and as a :class:`ServiceMetrics` counter.
+    The installed handler obtains the query's **template identity** at
+    most once per operation — one canonicalisation and one schema digest
+    when a plan cache (capacity > 0), a breaker or an enabled insights
+    sink is configured, none otherwise — and derives the breaker key, the
+    ``template=`` span tag, the insights key, the plan-cache key at
+    ``max_width`` and every lower-width key from it.
 
-    In parallel mode the ladder extends into *execution*: when evaluating
-    the chosen decomposition fails with a ladder error, the handler
-    retries once with a cached lower-width plan — passing the **same**
-    per-request node memo, so every subtree the failed attempt already
-    materialized (and the retry's tree shares) is reused instead of
-    recomputed.  The memo never outlives the request, so plan-cache
-    stats-version invalidation still governs freshness.
+    It plans through one **degradation ladder**: (1) the cost-k-decomp
+    search at ``max_width`` (cache-accelerated; skipped while the
+    template's breaker is open); on failure — no decomposition, deadline,
+    work/memory budget, injected fault — (2) a cached structural plan at
+    a *smaller* width bound (lookup + rename only, never a new search);
+    (3) the built-in quantitative planner; (4) the original typed error.
+    Every rung taken is recorded on the span that took it
+    (``degraded_to``, ``breaker_open`` tags), as a :class:`ServiceMetrics`
+    counter and as an insights event.
+
+    In parallel mode a ladder error while *evaluating* a ``max_width``
+    plan re-enters the ladder at rung 2: the handler retries once with a
+    cached lower-width plan — passing the **same** per-request node memo,
+    so every subtree the failed attempt already materialized (and the
+    retry's tree shares) is reused instead of recomputed — and re-raises
+    when there is none.  The memo never outlives the request, so
+    plan-cache stats-version invalidation still governs freshness.
 
     Returns:
         The installed handler (also retained on the DBMS); call
@@ -182,6 +174,18 @@ def install_structural_optimizer(
         ``handler.close()`` to stop its worker pool
         (``parallel_workers >= 2``).
     """
+    from repro.service.fingerprint import (
+        fingerprint_translation,
+        rename_hypertree,
+        schema_digest,
+    )
+
+    sink = insights if insights is not None else NULL_INSIGHTS
+    caching = plan_cache is not None and plan_cache.capacity > 0
+    # Whoever keys on the template — plan cache, breaker, insights — makes
+    # the handler canonicalise; an install with none of them never does.
+    keyed = caching or breaker is not None or sink.enabled
+
     # Cost models are pure functions of (statistics version, query); cache
     # them so a repeated query re-reads the statistics catalog zero times.
     model_cache: dict = {}
@@ -220,94 +224,60 @@ def install_structural_optimizer(
             model_cache[key] = model
         return model
 
-    def _fingerprint(
+    def _identity(
+        engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
+    ) -> "Callable[[int], QueryFingerprint]":
+        """The operation's template identity: canonicalised once, keyed per k.
+
+        Only the ``k=`` field differs between the plan-cache key at
+        ``max_width`` (whose ``key`` is also the breaker key and the
+        insights / ``template=`` tag) and the lower-k rung keys.
+        """
+        canonical = fingerprint_translation(translation)
+        schema = f"schema={schema_digest(engine.database)}"
+        flags = f"opt={optimize};stats={use_stats}"
+        return lambda k: canonical.with_context(f"{schema};k={k};{flags}")
+
+    def _named_for(
+        translation: TranslationResult, tree: Hypertree, fingerprint: "QueryFingerprint"
+    ) -> Hypertree:
+        """A cached canonical tree in the requesting query's names."""
+        return rename_hypertree(
+            tree,
+            fingerprint.inverse_var_map(),
+            fingerprint.inverse_atom_map(),
+            hypergraph=translation.query.hypergraph(),
+        )
+
+    def _search(
         engine: SimulatedDBMS,
         translation: TranslationResult,
         use_stats: bool,
-        k: int,
+        fingerprint: "Optional[QueryFingerprint]",
     ):
-        """The canonical template fingerprint for a given width bound."""
-        from repro.service.fingerprint import fingerprint_translation, schema_digest
+        """Rung 1: the decomposition at ``max_width`` — cached or searched.
 
-        context = (
-            f"schema={schema_digest(engine.database)};k={k};"
-            f"opt={optimize};stats={use_stats}"
-        )
-        return fingerprint_translation(translation, context=context)
-
-    def _cached_lower_k(
-        engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
-    ):
-        """Ladder step 2: a cached decomposition at a smaller width bound.
-
-        Lookup + rename only — never triggers a new search, so this step is
-        effectively free.  Returns ``(decomposition, k)`` or ``(None, None)``.
+        Returns ``(decomposition, cache_hit, plan_units)``; raises
+        :class:`DecompositionNotFound` when no width-≤k decomposition
+        exists (a failure the cache remembers too).
         """
-        from repro.service.fingerprint import rename_hypertree
-
-        if plan_cache is None or plan_cache.capacity == 0:
-            return None, None
-        stats_version = engine.database.stats_version
-        for lower in range(max_width - 1, 0, -1):
-            fingerprint = _fingerprint(engine, translation, use_stats, lower)
-            entry = plan_cache.lookup(fingerprint, stats_version)
-            if entry is None or entry.failure:
-                continue
-            decomposition = rename_hypertree(
-                entry.tree,
-                fingerprint.inverse_var_map(),
-                fingerprint.inverse_atom_map(),
-                hypergraph=translation.query.hypergraph(),
-            )
-            return decomposition, lower
-        return None, None
-
-    def _structural_plan(
-        engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
-    ):
-        """The decomposition for this query: cached, renamed, or fresh.
-
-        Returns ``(decomposition_or_None, cache_hit, plan_units, seconds)``
-        where ``None`` means "no width-≤k decomposition exists".
-        """
-        from repro.service.fingerprint import rename_hypertree
-
-        started = time.perf_counter()
         stats_version = engine.database.stats_version
 
-        def build_fresh(fingerprint=None):
+        def build():
             plan_meter = WorkMeter()
-            model = _model_for(engine, translation, use_stats)
-            try:
-                decomposition = q_hypertree_decomp(
-                    translation.query,
-                    max_width,
-                    cost_model=model,
-                    optimize=optimize,
-                    meter=plan_meter,
-                )
-            except DecompositionNotFound:
-                if plan_cache is not None and fingerprint is not None:
-                    plan_cache.store(fingerprint, None, stats_version)
-                raise
-            if plan_cache is not None and fingerprint is not None:
-                canonical = rename_hypertree(
-                    decomposition, fingerprint.var_map, fingerprint.atom_map
-                )
-                plan_cache.store(fingerprint, canonical, stats_version)
-            return (
-                decomposition,
-                False,
-                plan_meter.total,
-                time.perf_counter() - started,
+            decomposition = q_hypertree_decomp(
+                translation.query,
+                max_width,
+                cost_model=_model_for(engine, translation, use_stats),
+                optimize=optimize,
+                meter=plan_meter,
             )
+            return decomposition, False, plan_meter.total
 
-        if plan_cache is None or plan_cache.capacity == 0:
-            # capacity 0 = caching disabled: skip fingerprinting and
-            # single-flight coalescing, plan every query independently.
-            return build_fresh()
-
-        fingerprint = _fingerprint(engine, translation, use_stats, max_width)
+        if not caching:
+            # No lookup and no single-flight coalescing: every query is
+            # planned independently.
+            return build()
         current_context().checkpoint("plancache.get")
         entry = plan_cache.lookup(fingerprint, stats_version)
         if entry is None:
@@ -316,222 +286,211 @@ def install_structural_optimizer(
             with plan_cache.build_lock(fingerprint.key):
                 entry = plan_cache.lookup(fingerprint, stats_version)
                 if entry is None:
-                    return build_fresh(fingerprint)
+                    try:
+                        built = build()
+                    except DecompositionNotFound:
+                        plan_cache.store(fingerprint, None, stats_version)
+                        raise
+                    canonical = rename_hypertree(
+                        built[0], fingerprint.var_map, fingerprint.atom_map
+                    )
+                    plan_cache.store(fingerprint, canonical, stats_version)
+                    return built
         if entry.failure:
             raise DecompositionNotFound(
                 f"cached: no width-≤{max_width} decomposition for "
                 "this template",
                 width=max_width,
             )
-        decomposition = rename_hypertree(
-            entry.tree,
-            fingerprint.inverse_var_map(),
-            fingerprint.inverse_atom_map(),
-            hypergraph=translation.query.hypergraph(),
-        )
-        return decomposition, True, 0, time.perf_counter() - started
+        return _named_for(translation, entry.tree, fingerprint), True, 0
 
-    sink = insights if insights is not None else NULL_INSIGHTS
+    def _lower_k(engine, translation, identity, key, span):
+        """Rung 2: a cached decomposition at a smaller width bound.
 
-    def _handle(
-        engine: SimulatedDBMS,
-        translation: TranslationResult,
-        meter: WorkMeter,
-        scope: Optional[_InsightScope],
-    ) -> Tuple[Relation, str, str]:
-        tracer = current_tracer()
-        use_stats = engine.database.has_statistics()
-        decomposition = None
-        cache_hit = False
-        lower_k = None
-        failure: Optional[BaseException] = None
-        breaker_key = None
-        with tracer.span("serve.plan", query=translation.query.name) as span:
-            # Ladder step 1: cost-k-decomp at max_width — unless this
-            # template's breaker is open (repeated planning failures).
-            skip_search = False
-            if breaker is not None or scope is not None:
-                breaker_key = _fingerprint(
-                    engine, translation, use_stats, max_width
-                ).key
-                span.tag(template=breaker_key)
-                if scope is not None:
-                    scope.key = breaker_key
-                    scope.span_ids.append(span.span_id)
-                if breaker is not None and not breaker.allow(breaker_key):
-                    skip_search = True
-                    span.tag(breaker_open=True)
-                    if metrics is not None:
-                        metrics.record_breaker_skip()
-                    if scope is not None:
-                        sink.record_event(breaker_key, "breaker_open")
-            if not skip_search:
-                try:
-                    decomposition, cache_hit, plan_units, plan_seconds = (
-                        _structural_plan(engine, translation, use_stats)
-                    )
-                except _LADDER_ERRORS as exc:
-                    failure = exc
-                    span.tag(cache_hit=False, error=type(exc).__name__)
-                    if breaker is not None:
-                        breaker.record_failure(breaker_key)
-                    if scope is not None and breaker_key is not None:
-                        sink.record_event(
-                            breaker_key, f"plan_error:{type(exc).__name__}"
-                        )
-                else:
-                    span.tag(cache_hit=cache_hit, plan_units=plan_units)
-                    if breaker is not None:
-                        breaker.record_success(breaker_key)
-                    if scope is not None and breaker_key is not None:
-                        sink.record_phase(
-                            breaker_key, "decompose", plan_seconds, plan_units
-                        )
-            if decomposition is None:
-                # Ladder step 2: a cached plan at a smaller width bound.
-                decomposition, lower_k = _cached_lower_k(
-                    engine, translation, use_stats
-                )
-                if decomposition is not None:
-                    span.tag(degraded_to=f"lower-k({lower_k})")
-                    if scope is not None and breaker_key is not None:
-                        scope.degraded_to = f"lower-k({lower_k})"
-                        sink.record_event(breaker_key, "degraded:lower-k")
-                elif fallback_to_builtin:
-                    span.tag(degraded_to="builtin", fallback=True)
-                    if scope is not None and breaker_key is not None:
-                        scope.degraded_to = "builtin"
-                        sink.record_event(breaker_key, "degraded:builtin")
-
-        if decomposition is None:
-            # Ladder step 3: the built-in quantitative planner; step 4: the
-            # original typed error when fallback is disabled.
+        Lookup + rename only — never a new search.  Taking the rung is
+        recorded here, once, for the planning step and the execution
+        retry alike: the ``degraded_to`` tag on the span that took it,
+        the ``degraded_lower_k`` counter, the insights event.  Returns
+        ``(decomposition, k)`` or ``(None, None)``.
+        """
+        if not caching:
+            return None, None
+        stats_version = engine.database.stats_version
+        for lower in range(max_width - 1, 0, -1):
+            fingerprint = identity(lower)
+            entry = plan_cache.lookup(fingerprint, stats_version)
+            if entry is None or entry.failure:
+                continue
+            span.tag(degraded_to=f"lower-k({lower})")
             if metrics is not None:
-                metrics.record_plan(cache_hit=False, fallback=True)
-            if not fallback_to_builtin:
-                if failure is not None:
-                    raise failure
-                raise DecompositionNotFound(
-                    "circuit breaker open for this template and no cached "
-                    "lower-width plan available",
-                    width=max_width,
-                )
-            answer, plan_text, label = engine.plan_and_join(
-                translation, meter, use_stats, optimizer_enabled=True
-            )
-            return (
-                answer,
-                f"(builtin fallback: {label})\n{plan_text}",
-                "builtin-fallback",
-            )
-        if metrics is not None:
-            if lower_k is not None:
-                metrics.record_plan(cache_hit=True)
                 metrics.record_degradation("lower-k")
-            else:
-                metrics.record_plan(
-                    cache_hit=cache_hit, units=plan_units, seconds=plan_seconds
-                )
-        def _evaluate(tree, memo):
-            base = atom_relations(
-                translation.query, engine.database, translation, meter
-            )
-            return QHDEvaluator(
-                tree,
-                translation.query,
-                meter,
-                spill=engine.spill_model,
-                tracer=tracer,
-                workers=parallel_workers,
-                memo=memo,
-                pool=pool,
-            ).evaluate(base)
+            sink.record_event(key, "degraded:lower-k")
+            return _named_for(translation, entry.tree, fingerprint), lower
+        return None, None
 
-        exec_started = time.perf_counter() if scope is not None else 0.0
-        exec_work_start = meter.total if scope is not None else 0
-        with tracer.span(
-            "serve.execute",
-            meter=meter,
-            query=translation.query.name,
-            cache_hit=cache_hit,
-        ) as span:
-            if scope is not None and breaker_key is not None:
-                span.tag(template=breaker_key)
-                scope.span_ids.append(span.span_id)
-            memo = NodeMemo() if parallel_workers >= 2 else None
-            try:
-                answer = _evaluate(decomposition, memo)
-            except _LADDER_ERRORS:
-                # Execution-level ladder rung (parallel mode only): retry
-                # once with a cached lower-width plan, sharing the same
-                # per-request memo so subtrees the failed attempt already
-                # materialized are reused, not recomputed.
-                if memo is None or lower_k is not None:
-                    raise
-                retry_tree, retry_k = _cached_lower_k(
-                    engine, translation, use_stats
-                )
-                if retry_tree is None:
-                    raise
-                span.tag(exec_degraded_to=f"lower-k({retry_k})")
-                if metrics is not None:
-                    metrics.record_degradation("exec-lower-k")
-                if scope is not None and breaker_key is not None:
-                    scope.degraded_to = f"exec-lower-k({retry_k})"
-                    sink.record_event(breaker_key, "degraded:exec-lower-k")
-                answer = _evaluate(retry_tree, memo)
-                decomposition, lower_k = retry_tree, retry_k
-            if memo is not None:
-                span.tag(memo_hits=memo.hits)
-            span.tag(rows_out=len(answer))
-        if scope is not None and breaker_key is not None:
-            sink.record_phase(
-                breaker_key,
-                "execute",
-                time.perf_counter() - exec_started,
-                meter.total - exec_work_start,
-            )
-        if lower_k is not None:
-            label = f"q-hd(k={lower_k})"
-        else:
-            label = "q-hd(cached)" if cache_hit else "q-hd"
-        return answer, decomposition.render(), label
+    def _evaluate(engine, translation, meter, tracer, tree, memo):
+        base = atom_relations(
+            translation.query, engine.database, translation, meter
+        )
+        return QHDEvaluator(
+            tree,
+            translation.query,
+            meter,
+            spill=engine.spill_model,
+            tracer=tracer,
+            workers=parallel_workers,
+            memo=memo,
+            pool=pool,
+        ).evaluate(base)
 
     def handler(
         engine: SimulatedDBMS, translation: TranslationResult, meter: WorkMeter
     ) -> Tuple[Relation, str, str]:
-        if not sink.enabled:
-            return _handle(engine, translation, meter, None)
-        # Insights wrapper: end-to-end latency, SLO outcome, and (on
-        # slow-log admission only) the expensive evidence capture.
-        scope = _InsightScope()
+        tracer = current_tracer()
+        use_stats = engine.database.has_statistics()
         started = time.perf_counter()
+        identity = top = key = None
+        decomposition = lower_k = failure = None
+        cache_hit, plan_units, plan_seconds = False, 0, 0.0
         try:
-            answer, plan_text, label = _handle(
-                engine, translation, meter, scope
-            )
-        except Exception as exc:
-            if scope.key is not None:
-                seconds = time.perf_counter() - started
-                sink.record_event(scope.key, f"error:{type(exc).__name__}")
-                sink.record_outcome(scope.key, seconds, ok=False)
-            raise
-        seconds = time.perf_counter() - started
-        if scope.key is not None:
-            sink.record_outcome(scope.key, seconds, ok=True)
-            if sink.qualifies_slow(scope.key, seconds):
-                tracer = current_tracer()
-                sink.record_slow(
-                    scope.key,
-                    seconds,
-                    {
-                        "query": translation.query.name,
-                        "plan_label": label,
-                        "degraded_to": scope.degraded_to,
-                        "explain": plan_text,
-                        "spans": _span_subtree(tracer, scope.span_ids),
-                    },
+            with tracer.span("serve.plan", query=translation.query.name) as span:
+                span_ids = [span.span_id]
+                if keyed:
+                    identity = _identity(engine, translation, use_stats)
+                    top = identity(max_width)
+                    key = top.key
+                    span.tag(template=key)
+                # Rung 1: cost-k-decomp at max_width — unless this
+                # template's breaker is open (repeated planning failures).
+                if breaker is not None and not breaker.allow(key):
+                    failure = DecompositionNotFound(
+                        "circuit breaker open for this template and no "
+                        "cached lower-width plan available",
+                        width=max_width,
+                    )
+                    span.tag(breaker_open=True)
+                    if metrics is not None:
+                        metrics.record_breaker_skip()
+                    sink.record_event(key, "breaker_open")
+                else:
+                    try:
+                        decomposition, cache_hit, plan_units = _search(
+                            engine, translation, use_stats, top
+                        )
+                    except _LADDER_ERRORS as exc:
+                        failure = exc
+                        span.tag(cache_hit=False, error=type(exc).__name__)
+                        sink.record_event(
+                            key, f"plan_error:{type(exc).__name__}"
+                        )
+                    else:
+                        plan_seconds = time.perf_counter() - started
+                        span.tag(cache_hit=cache_hit, plan_units=plan_units)
+                        sink.record_phase(
+                            key, "decompose", plan_seconds, plan_units
+                        )
+                    if breaker is not None:
+                        if failure is None:
+                            breaker.record_success(key)
+                        else:
+                            breaker.record_failure(key)
+                if decomposition is None:
+                    decomposition, lower_k = _lower_k(
+                        engine, translation, identity, key, span
+                    )
+                    if decomposition is None and fallback_to_builtin:
+                        span.tag(degraded_to="builtin", fallback=True)
+                        sink.record_event(key, "degraded:builtin")
+            if metrics is not None:
+                # One planning event per handled query, whichever rung.
+                metrics.record_plan(
+                    cache_hit=cache_hit or lower_k is not None,
+                    units=plan_units,
+                    seconds=plan_seconds,
+                    fallback=decomposition is None,
                 )
+            if decomposition is None:
+                # Rung 3: the built-in quantitative planner; rung 4: the
+                # original typed error when fallback is disabled.
+                if not fallback_to_builtin:
+                    raise failure
+                answer, plan_text, label = engine.plan_and_join(
+                    translation, meter, use_stats, optimizer_enabled=True
+                )
+                plan_text = f"(builtin fallback: {label})\n{plan_text}"
+                label = "builtin-fallback"
+            else:
+                exec_started = time.perf_counter()
+                exec_work_start = meter.total
+                with tracer.span(
+                    "serve.execute",
+                    meter=meter,
+                    query=translation.query.name,
+                    cache_hit=cache_hit,
+                ) as span:
+                    span_ids.append(span.span_id)
+                    if key is not None:
+                        span.tag(template=key)
+                    memo = NodeMemo() if parallel_workers >= 2 else None
+                    try:
+                        answer = _evaluate(
+                            engine, translation, meter, tracer, decomposition, memo
+                        )
+                    except _LADDER_ERRORS:
+                        # The execution retry is rung 2 again (parallel
+                        # mode only, and only from a max_width plan): the
+                        # same per-request memo goes to the retry, so
+                        # subtrees the failed attempt already materialized
+                        # are reused, not recomputed.
+                        if memo is None or lower_k is not None:
+                            raise
+                        decomposition, lower_k = _lower_k(
+                            engine, translation, identity, key, span
+                        )
+                        if decomposition is None:
+                            raise
+                        answer = _evaluate(
+                            engine, translation, meter, tracer, decomposition, memo
+                        )
+                    if memo is not None:
+                        span.tag(memo_hits=memo.hits)
+                    span.tag(rows_out=len(answer))
+                sink.record_phase(
+                    key,
+                    "execute",
+                    time.perf_counter() - exec_started,
+                    meter.total - exec_work_start,
+                )
+                plan_text = decomposition.render()
+                if lower_k is not None:
+                    label = f"q-hd(k={lower_k})"
+                else:
+                    label = "q-hd(cached)" if cache_hit else "q-hd"
+        except Exception as exc:
+            if key is not None:
+                sink.record_event(key, f"error:{type(exc).__name__}")
+                sink.record_outcome(key, time.perf_counter() - started, ok=False)
+            raise
+        # End-to-end latency, SLO outcome, and (on slow-log admission only)
+        # the expensive evidence capture.
+        seconds = time.perf_counter() - started
+        sink.record_outcome(key, seconds, ok=True)
+        if sink.qualifies_slow(key, seconds):
+            if lower_k is not None:
+                degraded_to = f"lower-k({lower_k})"
+            else:
+                degraded_to = "builtin" if decomposition is None else None
+            sink.record_slow(
+                key,
+                seconds,
+                {
+                    "query": translation.query.name,
+                    "plan_label": label,
+                    "degraded_to": degraded_to,
+                    "explain": plan_text,
+                    "spans": _span_subtree(tracer, span_ids),
+                },
+            )
         return answer, plan_text, label
 
     dbms.set_optimizer_handler(handler)

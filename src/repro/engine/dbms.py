@@ -41,12 +41,11 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 
 # An optimizer handler receives the DBMS, the translated query and the run's
-# meter, and returns the conjunctive answer (variables covering out(Q)) plus
-# a plan description for EXPLAIN — optionally with a third element naming
-# the planner that produced the plan ("q-hd", "q-hd(cached)",
-# "builtin-fallback"); two-element returns keep the legacy "q-hd" label.
+# meter, and returns the conjunctive answer (variables covering out(Q)), a
+# plan description for EXPLAIN, and the label of the planner that produced
+# the plan ("q-hd", "q-hd(cached)", "q-hd(k=1)", "builtin-fallback").
 OptimizerHandler = Callable[
-    ["SimulatedDBMS", TranslationResult, WorkMeter], Tuple[Relation, str]
+    ["SimulatedDBMS", TranslationResult, WorkMeter], Tuple[Relation, str, str]
 ]
 
 
@@ -255,23 +254,28 @@ class SimulatedDBMS:
             if isinstance(sql, TranslationResult)
             else self.translate(sql, work_budget=work_budget)
         )
-        if use_statistics is None:
+        # An installed handler is the optimizer (Fig. 6): it returns the same
+        # (answer, plan, label) triple and reads the statistics mode itself.
+        handler = None if bypass_handler else self.optimizer_handler
+        if use_statistics is None or handler is not None:
             use_statistics = self.database.has_statistics()
         meter = WorkMeter(budget=work_budget)
         started = time.perf_counter()
-
-        if self.optimizer_handler is not None and not bypass_handler:
-            return self._run_with_handler(translation, meter, started)
-
+        label = "q-hd"
         try:
-            answer, plan_text, label = self.plan_and_join(
-                translation, meter, use_statistics, optimizer_enabled
-            )
+            if handler is not None:
+                answer, plan_text, label = handler(self, translation, meter)
+            else:
+                answer, plan_text, label = self.plan_and_join(
+                    translation, meter, use_statistics, optimizer_enabled
+                )
             final = apply_sql_semantics(answer, translation, meter)
             finished = True
         except WorkBudgetExceeded:
             answer, final, finished = None, None, False
-            plan_text, label = "(aborted)", "aborted"
+            plan_text = "(aborted)"
+            if handler is None:
+                label = "aborted"
         elapsed = time.perf_counter() - started
         return DBMSResult(
             relation=final,
@@ -282,38 +286,6 @@ class SimulatedDBMS:
             plan_text=plan_text,
             finished=finished,
             used_statistics=use_statistics,
-            optimizer=label,
-            work_breakdown=meter.snapshot(),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _run_with_handler(
-        self, translation: TranslationResult, meter: WorkMeter, started: float
-    ) -> DBMSResult:
-        assert self.optimizer_handler is not None
-        label = "q-hd"
-        try:
-            outcome = self.optimizer_handler(self, translation, meter)
-            if len(outcome) == 3:
-                answer, plan_text, label = outcome
-            else:
-                answer, plan_text = outcome
-            final = apply_sql_semantics(answer, translation, meter)
-            finished = True
-        except WorkBudgetExceeded:
-            answer, final, finished = None, None, False
-            plan_text = "(aborted)"
-        elapsed = time.perf_counter() - started
-        return DBMSResult(
-            relation=final,
-            answer=answer,
-            work=meter.total,
-            simulated_seconds=meter.total * self.profile.work_time_factor,
-            elapsed_seconds=elapsed,
-            plan_text=plan_text,
-            finished=finished,
-            used_statistics=self.database.has_statistics(),
             optimizer=label,
             work_breakdown=meter.snapshot(),
         )

@@ -58,11 +58,28 @@ class QueryFingerprint:
     var_map: Mapping[str, str]
     atom_map: Mapping[str, str]
 
+    def with_context(self, context: str) -> "QueryFingerprint":
+        """This (context-free) fingerprint keyed for one serving context.
+
+        Appends the ``ctx=`` line and re-hashes; the canonical labelling
+        depends on neither the width bound nor the statistics, so the
+        renaming maps are shared, not copied.  An empty context is the
+        fingerprint itself.
+        """
+        if not context:
+            return self
+        text = f"{self.text}\nctx={context}"
+        return QueryFingerprint(_key(text), text, self.var_map, self.atom_map)
+
     def inverse_var_map(self) -> Dict[str, str]:
         return {canon: orig for orig, canon in self.var_map.items()}
 
     def inverse_atom_map(self) -> Dict[str, str]:
         return {canon: orig for orig, canon in self.atom_map.items()}
+
+
+def _key(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
 def schema_digest(database: Database) -> str:
@@ -164,6 +181,11 @@ def fingerprint_translation(
     context: str = "",
 ) -> QueryFingerprint:
     """Fingerprint a translated query template.
+
+    The canonicalisation (colour refinement + individualization) sees
+    only the translation; ``context`` is folded in afterwards by
+    :meth:`QueryFingerprint.with_context`, so a caller that needs the
+    same template under several contexts canonicalises once.
 
     Args:
         translation: the SQL → CQ translation of the query.
@@ -271,11 +293,8 @@ def fingerprint_translation(
             f"{atom_map[name]}:{relation_of[name]}({bindings})|f[{filters}]|e[{intra}]"
         )
     lines.append("out=(" + ",".join(var_map[v] for v in query.output) + ")")
-    if context:
-        lines.append(f"ctx={context}")
     text = "\n".join(lines)
-    key = hashlib.sha256(text.encode()).hexdigest()[:20]
-    return QueryFingerprint(key=key, text=text, var_map=var_map, atom_map=atom_map)
+    return QueryFingerprint(_key(text), text, var_map, atom_map).with_context(context)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from threading import Event, Thread
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Union
 
@@ -71,6 +71,7 @@ from repro.errors import (
 from repro.obs.metrics import merge_registry_exports, render_prometheus
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
+from repro.resilience.retry import RetryBudget, RetryPolicy
 from repro.service.fingerprint import fingerprint_translation
 from repro.shard.aggregate import (
     merge_metric_snapshots,
@@ -128,10 +129,11 @@ class _ShardHandle:
 class _PendingEntry:
     """One in-flight request and everything needed to retry it.
 
-    ``deadline_at`` anchors the *original* deadline on the router's
-    monotonic clock: a retry gets only what remains of it, never a fresh
-    budget.  ``sql``/``work_budget`` are kept so a crash-stranded query
-    can be re-dispatched verbatim to a failover shard.
+    ``budget`` anchors the *original* deadline on the router's monotonic
+    clock and counts the dispatches; every re-dispatch of one query
+    shares it, so a retry gets only what remains, never a fresh budget.
+    ``sql``/``work_budget`` are kept so a crash-stranded query can be
+    re-dispatched verbatim to a failover shard.
     """
 
     future: "Future[DBMSResult]"
@@ -139,9 +141,7 @@ class _PendingEntry:
     submitted: float  # perf_counter at first dispatch
     sql: str
     work_budget: Optional[int]
-    deadline_at: Optional[float]  # monotonic instant, None = unbounded
-    attempts: int = 1
-    retries_left: int = 0
+    budget: RetryBudget
 
 
 class ShardRouter:
@@ -213,6 +213,8 @@ class ShardRouter:
         self.supervisor: Optional[ShardSupervisor] = (
             ShardSupervisor(self, supervise) if supervise is not None else None
         )
+        # An unsupervised router never re-dispatches.
+        self._retry = supervise.retry if supervise else RetryPolicy(max_retries=0)
 
         ctx = multiprocessing.get_context("spawn")
         self._response_queue = ctx.Queue()
@@ -361,11 +363,6 @@ class ShardRouter:
             if deadline_seconds is not None
             else None
         )
-        retries = (
-            self.supervisor.policy.retry.max_retries
-            if self.supervisor is not None
-            else 0
-        )
         reroutes = 0
         while True:
             shard_id = self.route(sql)
@@ -391,21 +388,16 @@ class ShardRouter:
                         f"shard {shard_id} worker is dead",
                         shard_id=shard_id,
                     )
-                request_id = self._next_request_id
-                self._next_request_id += 1
-                handle.inflight += 1
-                handle.dispatched += 1
-                handle.peak_inflight = max(
-                    handle.peak_inflight, handle.inflight
-                )
-                self._pending[request_id] = _PendingEntry(
-                    future=future,
-                    shard_id=shard_id,
-                    submitted=time.perf_counter(),
-                    sql=sql,
-                    work_budget=work_budget,
-                    deadline_at=deadline_at,
-                    retries_left=retries,
+                request_id = self._track_locked(
+                    handle,
+                    _PendingEntry(
+                        future=future,
+                        shard_id=shard_id,
+                        submitted=time.perf_counter(),
+                        sql=sql,
+                        work_budget=work_budget,
+                        budget=self._retry.budget(deadline_at),
+                    ),
                 )
             handle.request_queue.put(
                 QueryRequest(
@@ -416,6 +408,16 @@ class ShardRouter:
                 )
             )
             return future
+
+    def _track_locked(self, handle: _ShardHandle, entry: _PendingEntry) -> int:
+        """Book one dispatch to ``handle`` as in flight; returns its request id."""
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        handle.inflight += 1
+        handle.dispatched += 1
+        handle.peak_inflight = max(handle.peak_inflight, handle.inflight)
+        self._pending[request_id] = entry
+        return request_id
 
     def run_all(
         self,
@@ -645,23 +647,16 @@ class ShardRouter:
 
         Queries are read-only and idempotent, so a retry is always
         *correct*; the only questions are budgets.  A retry must fit
-        inside the original deadline (``deadline_at`` never moves) and
-        inside the per-query retry budget; when either is exhausted — or
-        no live shard remains — the caller gets a typed
+        inside the original deadline (the budget's anchor never moves)
+        and inside the per-query retry budget; when either is exhausted —
+        or no live shard remains — the caller gets a typed
         :class:`~repro.errors.ShardUnavailable`.
         """
         if entry.future.done():
             return
-        denial: Optional[str] = None
-        remaining: Optional[float] = None
-        if entry.retries_left <= 0:
-            denial = "retry-budget"
-        elif entry.deadline_at is not None:
-            remaining = entry.deadline_at - time.monotonic()
-            if remaining <= 0:
-                denial = "deadline"
+        denial = entry.budget.admissible()
         if denial is None:
-            denial = self._dispatch_retry(entry, remaining)
+            denial = self._dispatch_retry(entry)
         if denial is None:
             return  # re-dispatched to a failover shard
         supervisor = self.supervisor
@@ -677,16 +672,14 @@ class ShardRouter:
             ShardUnavailable(
                 f"shard {dead_shard} worker died (exit code {exitcode}) "
                 f"with the query in flight; {detail} after "
-                f"{entry.attempts} attempt(s)",
+                f"{entry.budget.attempts} attempt(s)",
                 shard_id=dead_shard,
-                attempts=entry.attempts,
+                attempts=entry.budget.attempts,
                 reason=denial,
             )
         )
 
-    def _dispatch_retry(
-        self, entry: _PendingEntry, remaining: Optional[float]
-    ) -> Optional[str]:
+    def _dispatch_retry(self, entry: _PendingEntry) -> Optional[str]:
         """Dispatch one retry to a live failover shard (collector thread).
 
         Returns None on success, else the denial reason.  The dispatch is
@@ -706,22 +699,13 @@ class ShardRouter:
                 handle = self._handles[target]
                 if handle.dead:
                     continue  # raced another death; route again
-                request_id = self._next_request_id
-                self._next_request_id += 1
-                handle.inflight += 1
-                handle.dispatched += 1
-                handle.peak_inflight = max(
-                    handle.peak_inflight, handle.inflight
-                )
-                self._pending[request_id] = _PendingEntry(
-                    future=entry.future,
-                    shard_id=target,
-                    submitted=entry.submitted,
-                    sql=entry.sql,
-                    work_budget=entry.work_budget,
-                    deadline_at=entry.deadline_at,
-                    attempts=entry.attempts + 1,
-                    retries_left=entry.retries_left - 1,
+                try:
+                    remaining = entry.budget.admit()
+                except RuntimeError:
+                    # admissible() a moment ago: only the clock moved.
+                    return "deadline"
+                request_id = self._track_locked(
+                    handle, replace(entry, shard_id=target)
                 )
             handle.request_queue.put(
                 QueryRequest(
@@ -1002,12 +986,18 @@ class ShardRouter:
         deadline = time.monotonic() + budget
         clean = True
         for handle in handles:
-            remaining = max(0.0, deadline - time.monotonic())
             if handle.dead:
                 clean = False
                 continue
-            if not handle.exited.wait(timeout=remaining):
-                clean = False
+            # Wait in watchdog ticks, not in one block: a worker killed
+            # less than a tick before the drain never posts WorkerExit and
+            # is declared dead only after this wait began.  (The collector
+            # does that on an empty poll, so a clean worker's exit message
+            # — flushed before its process ends — is never overtaken.)
+            while not handle.exited.wait(timeout=_POLL_SECONDS):
+                if handle.dead or time.monotonic() >= deadline:
+                    clean = False
+                    break
             handle.process.join(
                 timeout=max(0.0, deadline - time.monotonic()) + 1.0
             )

@@ -192,7 +192,7 @@ class TestOptimizerHandler:
             answer, plan, _label = engine.plan_and_join(
                 translation, meter, True, True
             )
-            return answer, "handled:" + plan
+            return answer, "handled:" + plan, "q-hd"
 
         dbms.set_optimizer_handler(handler)
         result = dbms.run_sql(chain_sql)

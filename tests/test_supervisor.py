@@ -579,8 +579,17 @@ class TestConcurrentDrain:
         router = ShardRouter(config, shards=2, supervise=FAST_POLICY)
         verdicts = []
         try:
-            router.run_all([TEMPLATES[0].format(c=3)])
-            os.kill(router.shard_pids()[0], signal.SIGKILL)
+            sql = TEMPLATES[0].format(c=3)
+            router.run_all([sql])
+            # The victim is the shard that did *not* just answer: a worker
+            # SIGKILLed while its queue feeder still holds the shared
+            # response queue's write lock strands every other worker's
+            # messages (a multiprocessing.Queue hazard this test is not
+            # about).  The kill lands less than a watchdog tick before
+            # the drains either way.
+            victim = 1 - router.route(sql)
+            os.kill(router.shard_pids()[victim], signal.SIGKILL)
+            started = time.monotonic()
 
             def drain():
                 verdicts.append(router.drain(grace_seconds=30.0))
@@ -591,7 +600,10 @@ class TestConcurrentDrain:
             for thread in threads:
                 thread.join(timeout=60.0)
                 assert not thread.is_alive()
+            # Neither drain sits out grace + margin on the killed worker.
+            assert time.monotonic() - started < 10.0
         finally:
             verdicts.append(router.drain(grace_seconds=30.0))
+        assert verdicts[0] is False  # a shard did not drain cleanly
         assert len(set(verdicts)) == 1  # idempotent: one shared verdict
         assert router.lock_violations() == {}

@@ -1,0 +1,406 @@
+"""One template identity per operation, one degradation ladder.
+
+* the context-free canonicalisation and ``with_context`` compose to the
+  fingerprint ``fingerprint_translation(t, context=c)`` always produced;
+* the Fig. 6 handler canonicalises (and digests the schema) exactly once
+  per operation on every path — and never for a bare install;
+* the ladder's four rungs, and the execution-time retry that re-enters
+  it at rung 2, each leave the same label / span tag / counter / insights
+  event wherever they are taken.
+"""
+
+import zlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.integration as integration
+import repro.service.fingerprint as fingerprint_module
+from repro.core.integration import install_structural_optimizer
+from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
+from repro.errors import InjectedFault, QueryError
+from repro.obs.insights.registry import InsightsRegistry
+from repro.obs.tracing import tracing
+from repro.query.translate import sql_to_conjunctive
+from repro.resilience import CircuitBreaker, FaultInjector
+from repro.service.fingerprint import fingerprint_translation
+from repro.service.server import QueryService
+
+from tests.test_parser_properties import random_query
+from tests.test_translate_properties import schema_for
+
+ACYCLIC_SQL = "SELECT r0.a0, r0.b0 FROM r0, r1 WHERE r0.b0 = r1.a1"
+
+
+# ---------------------------------------------------------------------------
+# (a) canonicalise once, key many
+# ---------------------------------------------------------------------------
+
+_context = st.builds(
+    "schema={};k={};opt={};stats={}".format,
+    st.text("0123456789abcdef", min_size=12, max_size=12),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=random_query(), context=st.one_of(st.just(""), _context))
+def test_with_context_equals_fingerprinting_in_context(query, context):
+    try:
+        translation = sql_to_conjunctive(query, schema_for(query))
+    except QueryError:
+        return
+    direct = fingerprint_translation(translation, context=context)
+    derived = fingerprint_translation(translation).with_context(context)
+    assert derived == direct  # key, text, var_map, atom_map
+    assert list(derived.var_map.items()) == list(direct.var_map.items())
+    assert list(derived.atom_map.items()) == list(direct.atom_map.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(query=random_query(), k=st.integers(1, 5))
+def test_contexts_differing_in_k_share_the_labelling(query, k):
+    try:
+        translation = sql_to_conjunctive(query, schema_for(query))
+    except QueryError:
+        return
+    canonical = fingerprint_translation(translation)
+    at_k = canonical.with_context(f"schema=0;k={k};opt=True;stats=True")
+    below = canonical.with_context(f"schema=0;k={k + 1};opt=True;stats=True")
+    assert at_k.key != below.key and at_k.text != below.text
+    assert at_k.var_map is below.var_map is canonical.var_map
+    assert at_k.atom_map is below.atom_map is canonical.atom_map
+    assert at_k.text.startswith(canonical.text + "\nctx=")
+
+
+# ---------------------------------------------------------------------------
+# (b) exactly one canonicalisation per operation
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def identity_calls(monkeypatch):
+    """Count the two halves of the identity as the handler obtains them.
+
+    The handler binds both names when it is installed, so the fixture
+    must be requested before the service (or install) under test exists.
+    """
+    calls = {"canonicalise": 0, "schema_digest": 0}
+    canonicalise = fingerprint_module.fingerprint_translation
+    digest = fingerprint_module.schema_digest
+
+    def counting_canonicalise(translation, context=""):
+        calls["canonicalise"] += 1
+        return canonicalise(translation, context)
+
+    def counting_digest(database):
+        calls["schema_digest"] += 1
+        return digest(database)
+
+    monkeypatch.setattr(
+        fingerprint_module, "fingerprint_translation", counting_canonicalise
+    )
+    monkeypatch.setattr(fingerprint_module, "schema_digest", counting_digest)
+    return calls
+
+
+def _one_operation(calls, run):
+    calls.update(canonicalise=0, schema_digest=0)
+    result = run()
+    assert calls == {"canonicalise": 1, "schema_digest": 1}, calls
+    return result
+
+
+def _seed_lower_width_plan(svc, sql, width=1):
+    """Leave a width-``width`` plan for ``sql`` in the service's cache,
+    exactly as a previous lower-width deployment would have."""
+    install_structural_optimizer(
+        svc.dbms, max_width=width, plan_cache=svc.plan_cache
+    )
+    seeded = svc.dbms.run_sql(sql)
+    assert seeded.optimizer == "q-hd"
+    svc.dbms.set_optimizer_handler(svc._handler)
+    return seeded
+
+
+def _first_call_only(site):
+    """An injector whose only firing at ``site`` is the very first call."""
+    period = 1000
+    return FaultInjector(
+        f"{site}:error:{1 / period}",
+        seed=(-zlib.crc32(site.encode())) % period,
+    )
+
+
+class TestOneIdentityPerOperation:
+    def test_miss_then_hit(self, identity_calls, chain_db, chain_sql):
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2, workers=1
+        ) as svc:
+            miss = _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            hit = _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+        assert (miss.optimizer, hit.optimizer) == ("q-hd", "q-hd(cached)")
+
+    def test_cached_failure(self, identity_calls, chain_db, chain_sql):
+        # The 4-cycle has no width-1 decomposition; the failure is cached.
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=1, workers=1
+        ) as svc:
+            for _ in range(2):
+                result = _one_operation(
+                    identity_calls, lambda: svc.execute(chain_sql)
+                )
+                assert result.optimizer == "builtin-fallback"
+            assert svc.snapshot()["cache"]["hits"] == 1
+
+    def test_breaker_open(self, identity_calls, chain_db, chain_sql):
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            fault_injector=FaultInjector("decompose.search:error:1.0"),
+            breaker=CircuitBreaker(failure_threshold=1),
+        ) as svc:
+            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            assert svc.snapshot()["resilience"]["breaker_skips"] == 1
+
+    def test_planning_lower_k_rung(self, identity_calls, chain_db):
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=3, workers=1
+        ) as svc:
+            _seed_lower_width_plan(svc, ACYCLIC_SQL)
+            svc.fault_injector = FaultInjector("plancache.get:error:1.0")
+            # Two rung keys are derived (k=2 misses, k=1 hits) — still one
+            # canonicalisation.
+            result = _one_operation(
+                identity_calls, lambda: svc.execute(ACYCLIC_SQL)
+            )
+        assert result.optimizer == "q-hd(k=1)"
+
+    def test_execution_lower_k_rung(self, identity_calls, chain_db):
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            parallel_workers=2,
+        ) as svc:
+            _seed_lower_width_plan(svc, ACYCLIC_SQL)
+            svc.fault_injector = _first_call_only("exec.qhd")
+            result = _one_operation(
+                identity_calls, lambda: svc.execute(ACYCLIC_SQL)
+            )
+        assert result.optimizer == "q-hd(k=1)"
+
+    def test_insights_on(self, identity_calls, chain_db, chain_sql):
+        insights = InsightsRegistry()
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            insights=insights,
+        ) as svc:
+            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+        (template,) = insights.snapshot()["templates"].values()
+        assert template["queries"] == 2
+
+    def test_bare_install_never_canonicalises(
+        self, identity_calls, chain_db, chain_sql
+    ):
+        """What Fig. 9's coupling experiment, the TPC-H suite and
+        ``hdqo run`` install: nothing keyed on the template."""
+        from repro.service.metrics import ServiceMetrics
+
+        dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
+        metrics = ServiceMetrics()
+        install_structural_optimizer(dbms, max_width=2, metrics=metrics)
+        with tracing() as tracer:
+            assert dbms.run_sql(chain_sql).optimizer == "q-hd"
+            assert dbms.run_sql(chain_sql).optimizer == "q-hd"
+        assert identity_calls == {"canonicalise": 0, "schema_digest": 0}
+        assert metrics.plans_built == 2
+        for span in tracer.spans("serve.plan") + tracer.spans("serve.execute"):
+            assert "template" not in span.tags
+
+
+# ---------------------------------------------------------------------------
+# (c) the ladder, rung by rung
+# ---------------------------------------------------------------------------
+
+
+# service kwargs, faults armed after seeding, seed a k=1 plan?, label (or the
+# typed error), serve.plan tags, serve.execute present?, counter deltas, events
+RUNGS = [
+    pytest.param(
+        {},
+        None,
+        False,
+        "q-hd",
+        {"cache_hit": False},
+        True,
+        {"planning.built": 1, "planning.fallbacks": 0,
+         "resilience.degraded_lower_k": 0},
+        {},
+        id="rung1-search",
+    ),
+    pytest.param(
+        {},
+        "plancache.get:error:1.0",
+        True,
+        "q-hd(k=1)",
+        {"cache_hit": False, "error": "InjectedFault",
+         "degraded_to": "lower-k(1)"},
+        True,
+        {"planning.cache_hits": 1, "planning.fallbacks": 0,
+         "resilience.degraded_lower_k": 1},
+        {"plan_error:InjectedFault": 1, "degraded:lower-k": 1},
+        id="rung2-lower-k",
+    ),
+    pytest.param(
+        {},
+        "plancache.get:error:1.0",
+        False,
+        "builtin-fallback",
+        {"cache_hit": False, "error": "InjectedFault",
+         "degraded_to": "builtin", "fallback": True},
+        False,
+        {"planning.built": 1, "planning.fallbacks": 1,
+         "resilience.degraded_lower_k": 0},
+        {"plan_error:InjectedFault": 1, "degraded:builtin": 1},
+        id="rung3-builtin",
+    ),
+    pytest.param(
+        {"fallback_to_builtin": False},
+        "plancache.get:error:1.0",
+        False,
+        InjectedFault,
+        {"cache_hit": False, "error": "InjectedFault"},
+        False,
+        {"planning.built": 1, "planning.fallbacks": 1,
+         "resilience.degraded_lower_k": 0},
+        {"plan_error:InjectedFault": 1, "error:InjectedFault": 1},
+        id="rung4-typed-error",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, faults, seed_k1, label, plan_tags, executes, counters, events",
+    RUNGS,
+)
+def test_ladder_rung_by_rung(
+    chain_db, kwargs, faults, seed_k1, label, plan_tags, executes, counters, events
+):
+    insights = InsightsRegistry()
+    with QueryService(
+        SimulatedDBMS(chain_db, COMMDB_PROFILE),
+        max_width=2,
+        workers=1,
+        insights=insights,
+        **kwargs,
+    ) as svc:
+        if seed_k1:
+            _seed_lower_width_plan(svc, ACYCLIC_SQL)
+        if faults:
+            svc.fault_injector = FaultInjector(faults)
+        before = svc.snapshot()
+        with tracing() as tracer:
+            if isinstance(label, str):
+                assert svc.execute(ACYCLIC_SQL).optimizer == label
+            else:
+                with pytest.raises(label):
+                    svc.execute(ACYCLIC_SQL)
+        after = svc.snapshot()
+
+    (plan_span,) = tracer.spans("serve.plan")
+    template = plan_span.tags["template"]
+    assert {
+        tag: value for tag, value in plan_span.tags.items()
+        if tag in ("cache_hit", "error", "degraded_to", "fallback", "breaker_open")
+    } == plan_tags
+    execute_spans = tracer.spans("serve.execute")
+    assert len(execute_spans) == (1 if executes else 0)
+    for span in execute_spans:
+        assert span.tags["template"] == template
+        assert "degraded_to" not in span.tags  # taken while planning
+
+    for path, delta in counters.items():
+        section, name = path.split(".")
+        assert after[section][name] - before[section][name] == delta, path
+    seen = insights.snapshot()["templates"][template]
+    assert seen["events"] == events
+    assert seen["queries"] == 1
+    assert seen["errors"] == (0 if isinstance(label, str) else 1)
+
+
+class TestExecutionRung:
+    """A ladder error while *evaluating* the max-width plan (parallel mode)
+    re-enters the ladder at rung 2."""
+
+    def test_retry_serves_the_cached_lower_width_plan(
+        self, chain_db, monkeypatch
+    ):
+        baseline = SimulatedDBMS(chain_db, COMMDB_PROFILE).run_sql(ACYCLIC_SQL)
+        memos = []
+
+        class RecordingEvaluator(integration.QHDEvaluator):
+            def __init__(self, *args, memo=None, **kwargs):
+                memos.append(memo)
+                super().__init__(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(integration, "QHDEvaluator", RecordingEvaluator)
+        insights = InsightsRegistry()
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            parallel_workers=2,
+            insights=insights,
+        ) as svc:
+            _seed_lower_width_plan(svc, ACYCLIC_SQL)
+            assert svc.execute(ACYCLIC_SQL).optimizer == "q-hd"  # k=2 cached
+            del memos[:]
+            svc.fault_injector = injector = _first_call_only("exec.qhd")
+            before = svc.snapshot()
+            with tracing() as tracer:
+                result = svc.execute(ACYCLIC_SQL)
+            after = svc.snapshot()
+
+        assert injector.snapshot()["fired"] == {"exec.qhd:error": 1}
+        assert result.optimizer == "q-hd(k=1)"
+        assert result.relation.tuples == baseline.relation.tuples
+        # Counted as the lower-k rung it is — the built-in planner never ran.
+        assert after["planning"]["fallbacks"] == before["planning"]["fallbacks"] == 0
+        assert (
+            after["resilience"]["degraded_lower_k"]
+            - before["resilience"]["degraded_lower_k"]
+        ) == 1
+        assert after["planning"]["cache_hits"] - before["planning"]["cache_hits"] == 1
+        # Tagged on the span that took the rung.
+        (plan_span,) = tracer.spans("serve.plan")
+        (execute_span,) = tracer.spans("serve.execute")
+        assert plan_span.tags["cache_hit"] is True
+        assert "degraded_to" not in plan_span.tags
+        assert execute_span.tags["degraded_to"] == "lower-k(1)"
+        assert execute_span.tags["template"] == plan_span.tags["template"]
+        events = insights.snapshot()["templates"][plan_span.tags["template"]]
+        assert events["events"] == {"degraded:lower-k": 1}
+        assert events["errors"] == 0
+        # Both attempts evaluated against the one per-request memo.
+        assert len(memos) == 2
+        assert memos[0] is not None and memos[0] is memos[1]
+
+    def test_no_lower_width_plan_reraises(self, chain_db):
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            parallel_workers=2,
+            fault_injector=_first_call_only("exec.qhd"),
+        ) as svc:
+            with pytest.raises(InjectedFault):
+                svc.execute(ACYCLIC_SQL)
+            assert svc.snapshot()["resilience"]["degraded_lower_k"] == 0
