@@ -9,24 +9,27 @@ cooperative-abort errors.  This package turns those conventions into
 machine-checked rules:
 
 * :mod:`repro.analysis.base` — the :class:`~repro.analysis.base.Rule`
-  protocol, :class:`~repro.analysis.base.Finding` records, severity
-  levels, and ``# hdqo: ignore[rule-id]`` suppressions;
-* :mod:`repro.analysis.rules` — the domain rule battery (see
-  :data:`repro.analysis.rules.ALL_RULES` for the catalogue);
-* :mod:`repro.analysis.driver` — per-file ``ast`` visiting with parallel
-  file walking;
+  protocol (``check(model)``), :class:`~repro.analysis.base.Finding`
+  records, severity levels, and ``# hdqo: ignore[rule-id]`` suppressions;
+* :mod:`repro.analysis.interproc` — the program model every rule checks
+  and the four whole-program analyses over its call graph;
+* :mod:`repro.analysis.rules` — the per-file rules and the one catalogue
+  (:data:`repro.analysis.rules.ALL_RULES`);
+* :mod:`repro.analysis.driver` — the one pass: parse once, run the
+  selected rules, apply suppressions and the baseline;
 * :mod:`repro.analysis.report` — text and JSON reporters (the ``hdqo
   lint`` CLI output);
 * :mod:`repro.analysis.lockwitness` — the complementary *dynamic* check:
   an opt-in instrumented lock (``HDQO_LOCKCHECK=1``) that records
   per-thread lock-acquisition graphs and reports ordering cycles.
 
-Run it with ``hdqo lint [--format json] [--select rules] [paths]``.
+Run it with ``hdqo lint [--format json] [--select rules] [--baseline
+file] [--graphs-out dir] [paths]``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.base import ERROR, WARNING, BaseRule, FileSource, Finding, Rule
+from repro.analysis.base import ERROR, WARNING, FileRule, FileSource, Finding, Rule
 from repro.analysis.driver import AnalysisReport, run_analysis
 from repro.analysis.lockwitness import (
     GLOBAL_WITNESS,
@@ -41,7 +44,7 @@ from repro.analysis.rules import ALL_RULES
 __all__ = [
     "ERROR",
     "WARNING",
-    "BaseRule",
+    "FileRule",
     "FileSource",
     "Finding",
     "Rule",

@@ -1,9 +1,15 @@
 """Core abstractions of the static-analysis pass.
 
-A :class:`Rule` inspects one parsed file (:class:`FileSource`) and returns
-:class:`Finding` records.  Rules are *scoped*: each declares the package
-subpaths it guards (``repro/engine/``, ``repro/service/``, …), so a rule
-about physical-operator row loops never fires on, say, the CLI.
+Every rule has one protocol: :meth:`Rule.check` takes the
+:class:`~repro.analysis.interproc.model.ProgramModel` — whose module
+table holds each file parsed once as a :class:`FileSource` — and returns
+:class:`Finding` records.  A rule that reads the call graph or the
+tracked value flow asks for it (:func:`~repro.analysis.interproc.model.
+resolve_program`, idempotent), so that step runs only when a selected
+rule needs it.  :class:`FileRule` is the base for rules that look at one
+file at a time: they are *scoped* to package subpaths
+(``repro/engine/``, ``repro/service/``, …), so a rule about
+physical-operator row loops never fires on, say, the CLI.
 
 Suppressions follow the familiar inline-comment convention::
 
@@ -20,8 +26,11 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.analysis.interproc.model import ProgramModel
 
 ERROR = "error"
 WARNING = "warning"
@@ -52,8 +61,7 @@ class Finding:
     column: int
     message: str
     #: Stable identity of the finding, independent of line numbers — the
-    #: handle baseline entries match on (interprocedural findings set it;
-    #: per-file findings may leave it empty).
+    #: handle baseline entries match on.
     key: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -143,23 +151,49 @@ class FileSource:
 
 
 class Rule:
-    """Base class (and de-facto protocol) for one static-analysis rule.
+    """One static-analysis rule: ``check(model)`` returns its findings.
 
-    Subclasses set :attr:`rule_id`, :attr:`severity`, :attr:`description`,
-    and :attr:`scopes`, and implement :meth:`check`.
+    Subclasses set :attr:`rule_id`, :attr:`severity` and
+    :attr:`description`, and implement :meth:`check`.
     """
 
     rule_id: str = "rule"
     severity: str = ERROR
     description: str = ""
+    def check(self, model: "ProgramModel") -> List[Finding]:
+        raise NotImplementedError
+
+
+class FileRule(Rule):
+    """A rule that inspects one parsed file at a time.
+
+    Subclasses set :attr:`scopes` and implement :meth:`check_file`;
+    :meth:`check` applies it to every in-scope module of the model.
+    """
+
     #: Substrings of the forward-slash path this rule applies to.
     scopes: Tuple[str, ...] = ("repro/",)
 
     def applies_to(self, posix_path: str) -> bool:
         return any(scope in posix_path for scope in self.scopes)
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         raise NotImplementedError
+
+    def check(self, model: "ProgramModel") -> List[Finding]:
+        findings: List[Finding] = []
+        for name, module in model.modules.items():
+            source = module.source
+            if not self.applies_to(source.posix_path):
+                continue
+            for finding in self.check_file(source):
+                # Baseline identity: module, enclosing def and the flagged
+                # line's text — it survives edits that only move the line,
+                # and accepts that line in that function only.
+                scope = enclosing_scope(source.tree, finding.line)
+                text = source.text.splitlines()[finding.line - 1].strip()
+                findings.append(replace(finding, key=f"{name}:{scope}:{text}"))
+        return findings
 
     def finding(
         self, source: FileSource, node: ast.AST, message: str
@@ -175,8 +209,25 @@ class Rule:
         )
 
 
-#: Back-compat alias: rules subclass this; external code may type against it.
-BaseRule = Rule
+def enclosing_scope(tree: ast.Module, line: int) -> str:
+    """Dotted name of the innermost def/class spanning ``line``
+    (``Class.method``), or ``<module>`` for top-level code."""
+    names: List[str] = []
+    body: List[ast.AST] = list(tree.body)
+    while body:
+        node = body.pop()
+        start = getattr(node, "lineno", None)
+        if start is None:  # ``arguments``, ``match_case``, …: look inside
+            body.extend(ast.iter_child_nodes(node))
+            continue
+        if not start <= line <= (getattr(node, "end_lineno", None) or start):
+            continue
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.append(node.name)
+        body = list(ast.iter_child_nodes(node))
+    return ".".join(names) or "<module>"
 
 
 def attr_chain(node: ast.expr) -> Optional[List[str]]:
@@ -196,6 +247,15 @@ def attr_chain(node: ast.expr) -> Optional[List[str]]:
         parts.reverse()
         return parts
     return None
+
+
+def assign_targets(node: ast.AST) -> List[ast.expr]:
+    """Target expressions of an assignment statement (``[]`` for others)."""
+    if isinstance(node, ast.Assign):
+        return list(node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
 
 
 def call_method_name(node: ast.Call) -> Optional[str]:

@@ -1,16 +1,16 @@
-"""Interprocedural (whole-program) static analyses.
+"""The program model and the four whole-program analyses.
 
-Where :mod:`repro.analysis.rules` checks one file at a time, this
-package builds a call graph over the whole source tree
-(:mod:`~repro.analysis.interproc.model`) and runs four program-wide
-verifications on top of it:
+:mod:`~repro.analysis.interproc.model` parses the source tree once into
+a :class:`~repro.analysis.interproc.model.ProgramModel` — the object
+every rule checks — and, on request, resolves a call graph over it.
+Four rules read that graph (or the class hierarchy):
 
 * :mod:`~repro.analysis.interproc.lockorder` — the static
   may-acquire-after graph over ``make_lock`` names must be acyclic
   (``interproc-lock-order``);
 * :mod:`~repro.analysis.interproc.races` — guarded attributes of
-  thread-shared classes must be accessed under the class lock, and
-  ``*_locked`` helpers called with it held (``interproc-race``);
+  lock-owning or thread-reached classes must be accessed under the class
+  lock, and ``*_locked`` helpers called with it held (``interproc-race``);
 * :mod:`~repro.analysis.interproc.codec` — every ``ReproError``
   subclass must round-trip through the shard wire codec
   (``interproc-codec``);
@@ -18,51 +18,33 @@ verifications on top of it:
   not flow into plans, routing, or wire messages
   (``interproc-determinism``).
 
-Run them via ``hdqo lint --interproc`` or programmatically through
-:func:`~repro.analysis.interproc.engine.run_interproc`.
+They sit in the one catalogue (:data:`repro.analysis.rules.ALL_RULES`)
+beside the per-file rules and run through the one driver
+(:func:`repro.analysis.driver.run_analysis`, ``hdqo lint``).
 """
 
 from repro.analysis.interproc.codec import CodecCompletenessAnalysis
-from repro.analysis.interproc.engine import (
-    BASELINE_FILENAME,
-    BaselineEntry,
-    InterprocReport,
-    all_analyses,
-    apply_baseline,
-    call_graph_json,
-    find_baseline,
-    interproc_rule_ids,
-    load_baseline,
-    run_interproc,
-    write_graphs,
-)
 from repro.analysis.interproc.lockorder import (
     LockGraph,
     LockOrderAnalysis,
     build_lock_graph,
 )
-from repro.analysis.interproc.model import ProgramModel, build_program
+from repro.analysis.interproc.model import (
+    ProgramModel,
+    index_program,
+    resolve_program,
+)
 from repro.analysis.interproc.ordering import DeterminismAnalysis
 from repro.analysis.interproc.races import SharedStateRaceAnalysis
 
 __all__ = [
-    "BASELINE_FILENAME",
-    "BaselineEntry",
     "CodecCompletenessAnalysis",
     "DeterminismAnalysis",
-    "InterprocReport",
     "LockGraph",
     "LockOrderAnalysis",
     "ProgramModel",
     "SharedStateRaceAnalysis",
-    "all_analyses",
-    "apply_baseline",
     "build_lock_graph",
-    "build_program",
-    "call_graph_json",
-    "find_baseline",
-    "interproc_rule_ids",
-    "load_baseline",
-    "run_interproc",
-    "write_graphs",
+    "index_program",
+    "resolve_program",
 ]

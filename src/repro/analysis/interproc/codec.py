@@ -36,7 +36,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.base import ERROR, WARNING, Finding
+from repro.analysis.base import WARNING, Finding, Rule, assign_targets
 from repro.analysis.interproc.model import (
     ClassInfo,
     FunctionInfo,
@@ -80,13 +80,10 @@ def _parse_tables(module: ModuleInfo) -> Optional[CodecTables]:
     found_fields = False
     found_message_only = False
     for node in module.source.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        for target in assign_targets(node):
             if not isinstance(target, ast.Name) or value is None:
                 continue
             if target.id == "_ERROR_FIELDS" and isinstance(value, ast.Dict):
@@ -194,27 +191,24 @@ def _constructor_of(model: ProgramModel, info: ClassInfo) -> _Constructor:
 def _self_assignments(fn: FunctionInfo) -> Set[str]:
     stored: Set[str] = set()
     for node in ast.walk(fn.node):
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets: List[ast.expr] = (
-                list(node.targets)
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    stored.add(target.attr)
+        for target in assign_targets(node):
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                stored.add(target.attr)
     return stored
 
 
-class CodecCompletenessAnalysis:
-    """Verify the shard error codec covers the whole error hierarchy."""
+class CodecCompletenessAnalysis(Rule):
+    """Verify the shard error codec covers the whole error hierarchy.
+
+    Reads only what indexing declares (class hierarchy, constructor
+    signatures, module-level literals) — never the call graph.
+    """
 
     rule_id = RULE_ID
-    severity = ERROR
     description = (
         "every ReproError subclass must round-trip through the shard "
         "codec without degrading to a generic ShardError"

@@ -31,12 +31,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.base import ERROR, Finding
+from repro.analysis.base import Finding, Rule
 from repro.analysis.interproc.model import (
     CallSite,
     ProgramModel,
     iter_held_events,
-    resolver_of,
+    resolve_program,
 )
 
 RULE_ID = "interproc-lock-order"
@@ -140,7 +140,7 @@ def compute_may_acquire(model: ProgramModel) -> Dict[str, Set[str]]:
 
 def build_lock_graph(model: ProgramModel) -> LockGraph:
     """Derive the may-acquire-after graph over the whole program."""
-    resolver = resolver_of(model)
+    resolver = resolve_program(model)
     graph = LockGraph(may_acquire=compute_may_acquire(model))
     for fn in model.functions.values():
         for event in iter_held_events(resolver, fn):
@@ -266,24 +266,17 @@ def _cycle_path(
     return component + [component[0]]
 
 
-class LockOrderAnalysis:
+class LockOrderAnalysis(Rule):
     """Report lock-order cycles in the static may-acquire-after graph."""
 
     rule_id = RULE_ID
-    severity = ERROR
     description = (
         "static may-acquire-after graph over make_lock names must be "
         "acyclic (a cycle is a potential deadlock)"
     )
 
-    def __init__(self) -> None:
-        #: The graph built by the last :meth:`check` (exported by the
-        #: engine as the ``lock-graph`` artifact).
-        self.graph: Optional[LockGraph] = None
-
     def check(self, model: ProgramModel) -> List[Finding]:
         graph = build_lock_graph(model)
-        self.graph = graph
         adjacency = graph.successors()
         findings: List[Finding] = []
         for component in _strongly_connected(adjacency):

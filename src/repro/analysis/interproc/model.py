@@ -1,12 +1,13 @@
 """Whole-program model: modules, classes, functions, and the call graph.
 
-The per-file rules in :mod:`repro.analysis.rules` see one AST at a time;
-the interprocedural analyses need the *program*: which function calls
-which, which attribute holds an instance of which class, which locks a
-callee may acquire, which functions run on worker threads.  This module
-builds that model from the same parsed :class:`~repro.analysis.base.
-FileSource` objects the per-file driver uses (one parse per file, shared
-through :class:`~repro.analysis.driver.SourceCache`).
+Every rule checks one :class:`ProgramModel`.  :func:`index_program`
+parses each file once into the module table (what the per-file rules
+iterate) and declares classes and functions; :func:`resolve_program`
+adds what the whole-program analyses read: which function calls which,
+which attribute holds an instance of which class, which locks a callee
+may acquire, which functions run on worker threads.  The second step is
+idempotent and runs on first request, so an invocation whose selected
+rules never ask for it pays for parsing only.
 
 Resolution is heuristic but sound *in the direction the analyses need*:
 
@@ -42,8 +43,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.base import FileSource, attr_chain
-from repro.analysis.driver import SourceCache, iter_python_files
+from repro.analysis.base import (
+    ERROR,
+    FileSource,
+    Finding,
+    assign_targets,
+    attr_chain,
+)
+
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache", ".pytest_cache"})
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 
@@ -157,8 +165,10 @@ class ProgramModel:
     """The resolved whole-program view the analyses consume."""
 
     def __init__(self) -> None:
-        #: The resolver that built this model (set by :func:`build_program`).
+        #: The resolver that built the call graph (set by
+        #: :func:`resolve_program`; ``None`` on an index-only model).
         self.resolver: Optional["_Resolver"] = None
+        #: module name → parsed module; every file is parsed exactly once.
         self.modules: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
@@ -169,15 +179,10 @@ class ProgramModel:
         #: (callee qualname, param name) → values bound at call sites
         #: (functions, class instances, locks — closures see them all).
         self.param_funcs: Dict[Tuple[str, str], ValueSet] = {}
-        #: method name → qualnames (diagnostics).
-        self.methods_by_name: Dict[str, Set[str]] = {}
-        #: Files that failed to parse (path → error text).
-        self.unparsed: Dict[str, str] = {}
+        #: One ``syntax-error`` finding per file that could not be parsed.
+        self.unparsed: List[Finding] = []
 
     # -- lookups --------------------------------------------------------
-
-    def function_at(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.functions.get(qualname)
 
     def mro(self, cls: str) -> List[ClassInfo]:
         """The class and its in-program ancestors, nearest first."""
@@ -364,7 +369,6 @@ class _ModuleIndexer(ast.NodeVisitor):
             params=[arg.arg for arg in node.args.args],
         )
         self.model.functions[qualname] = info
-        self.model.methods_by_name.setdefault(name, set()).add(qualname)
         if self._class_stack and not self._func_stack:
             self._class_stack[-1].methods[name] = qualname
         self._func_stack.append(info)
@@ -579,15 +583,9 @@ class _Resolver:
         # through locals regardless of statement order.
         for node in _own_statements(fn.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                if value is not None:
-                    evaluated = self.eval_expr(value, fn)
-                    for target in targets:
+                if node.value is not None:
+                    evaluated = self.eval_expr(node.value, fn)
+                    for target in assign_targets(node):
                         if isinstance(target, ast.Name):
                             slot = fn.env.setdefault(target.id, ValueSet())
                             slot.merge(evaluated)
@@ -737,12 +735,7 @@ class _Resolver:
                     value = node.value
                     if value is None:
                         continue
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
+                    for target in assign_targets(node):
                         chain = attr_chain(target)
                         if (
                             chain is None
@@ -784,18 +777,24 @@ class _Resolver:
                         ).merge(bound)
 
     def summarize_guarded(self, info: ClassInfo) -> None:
-        """Attributes written while one of the class's locks is held."""
-        lock_names = set(info.attr_locks.values())
+        """Attributes written while one of the class's locks — its own or
+        an ancestor's — is held."""
+        lock_attrs: Dict[str, str] = {}
+        for ancestor in reversed(self.model.mro(info.qualname)):
+            lock_attrs.update(ancestor.attr_locks)  # nearest class wins
+        lock_names = set(lock_attrs.values())
         if not lock_names:
             return
         for qual in info.methods.values():
             fn = self.model.functions.get(qual)
             if fn is None:
                 continue
-            for _node, attr, held in iter_self_writes(self, fn):
-                if attr in info.attr_locks:
+            for event in iter_held_events(self, fn):
+                if event[0] != "access" or not event[3]:
                     continue
-                if held & lock_names:
+                attr, held = event[2], event[4]
+                assert isinstance(attr, str) and isinstance(held, set)
+                if attr not in lock_attrs and held & lock_names:
                     info.guarded.add(attr)
 
     # -- module env -----------------------------------------------------
@@ -810,16 +809,10 @@ class _Resolver:
         )
         for node in module.source.tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if value is None:
+                if node.value is None:
                     continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                evaluated = self.eval_expr(value, holder)
-                for target in targets:
+                evaluated = self.eval_expr(node.value, holder)
+                for target in assign_targets(node):
                     if isinstance(target, ast.Name):
                         module.env.setdefault(
                             target.id, ValueSet()
@@ -835,65 +828,18 @@ _EMPTY_FN = ast.Lambda(
 )
 
 
-def iter_self_writes(
-    resolver: _Resolver, fn: FunctionInfo
-) -> Iterator[Tuple[ast.AST, str, Set[str]]]:
-    """``(node, attr, held-locks)`` for every ``self.<attr>`` write in
-    ``fn``'s own body (container mutations count; nested defs excluded)."""
-
-    def walk(node: ast.AST, held: Set[str]) -> Iterator[
-        Tuple[ast.AST, str, Set[str]]
-    ]:
-        if isinstance(
-            node,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ):
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            acquired: Set[str] = set()
-            for item in node.items:
-                acquired |= resolver.lock_names_of(item.context_expr, fn)
-            inner = held | acquired
-            for child in ast.iter_child_nodes(node):
-                yield from walk(child, inner)
-            return
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets: List[ast.expr] = (
-                list(node.targets)
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            queue = list(targets)
-            while queue:
-                target = queue.pop()
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    queue.extend(target.elts)
-                    continue
-                while isinstance(target, ast.Subscript):
-                    target = target.value
-                chain = attr_chain(target)
-                if chain and len(chain) >= 2 and chain[0] == "self":
-                    yield target, chain[1], set(held)
-        for child in ast.iter_child_nodes(node):
-            yield from walk(child, held)
-
-    body: Sequence[ast.AST] = (
-        [fn.node.body] if isinstance(fn.node, ast.Lambda) else fn.node.body
-    )
-    for stmt in body:
-        yield from walk(stmt, set())
-
-
 #: One event from :func:`iter_held_events`:
 #: ``("acquire", node, acquired-locks, held-before)`` for a ``with`` item,
 #: ``("call", CallSite, held)`` for every call expression, and
-#: ``("access", node, attr, is_write, held)`` for every ``self.<attr>``.
+#: ``("access", node, attr, is_write, held)`` for every ``self.<attr>`` —
+#: a write when it is, or is the root of, an assignment target:
+#: ``self.n = 0``, ``self.stats.misses += 1``, ``self._counts[k] = v``.
 HeldEvent = Tuple[str, object, object, object, object]
 
 
 def iter_held_events(
     resolver: _Resolver, fn: FunctionInfo
-) -> Iterator[Tuple[str, object, object, object, object]]:
+) -> Iterator[HeldEvent]:
     """Walk ``fn``'s own body tracking which locks are held where.
 
     The single traversal both lock-order and race analysis consume:
@@ -904,10 +850,9 @@ def iter_held_events(
     with the set of lock names held at that point.
     """
     sites = {id(site.node): site for site in fn.calls}
+    written: Set[int] = set()  # id() of ``self.<attr>`` nodes assigned through
 
-    def walk(
-        node: ast.AST, held: Set[str]
-    ) -> Iterator[Tuple[str, object, object, object, object]]:
+    def walk(node: ast.AST, held: Set[str]) -> Iterator[HeldEvent]:
         if isinstance(
             node,
             (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
@@ -927,9 +872,13 @@ def iter_held_events(
             site = sites.get(id(node))
             if site is not None:
                 yield ("call", site, set(held), None, None)
+        written.update(map(id, _self_write_roots(node)))
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == "self":
-                is_write = isinstance(node.ctx, (ast.Store, ast.Del))
+                is_write = (
+                    isinstance(node.ctx, (ast.Store, ast.Del))
+                    or id(node) in written
+                )
                 yield ("access", node, node.attr, is_write, set(held))
         for child in ast.iter_child_nodes(node):
             yield from walk(child, held)
@@ -939,6 +888,26 @@ def iter_held_events(
     )
     for stmt in body:
         yield from walk(stmt, set())
+
+
+def _self_write_roots(node: ast.AST) -> List[ast.Attribute]:
+    """The ``self.<attr>`` node under each target of an assignment
+    statement: subscripts are stripped and dotted chains followed to
+    their root, so container and nested-path mutations count."""
+    roots: List[ast.Attribute] = []
+    queue = assign_targets(node)
+    while queue:
+        target = queue.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            queue.extend(target.elts)
+            continue
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        while isinstance(target, ast.Attribute):
+            if isinstance(target.value, ast.Name) and target.value.id == "self":
+                roots.append(target)
+            target = target.value
+    return roots
 
 
 def _terminal_name(expr: ast.expr) -> Optional[str]:
@@ -972,26 +941,47 @@ def _annotated_args(node: FunctionNode) -> List[ast.arg]:
     return args
 
 
-def build_program(
-    paths: Sequence[str],
-    cache: Optional[SourceCache] = None,
-) -> ProgramModel:
-    """Parse ``paths`` (sharing ``cache``) and resolve the program model.
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    collected: List[str] = []
+    for path in paths:
+        if os.path.isfile(path):
+            collected.append(path)
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = sorted(d for d in dirnames if d not in _SKIP_DIRS)
+            for name in sorted(filenames):
+                if name.endswith(".py"):
+                    collected.append(os.path.join(dirpath, name))
+    return sorted(set(collected))
 
-    Files that fail to parse are recorded in :attr:`ProgramModel.unparsed`
-    and skipped — the per-file driver reports them as ``syntax-error``.
+
+def index_program(paths: Sequence[str]) -> ProgramModel:
+    """Parse every file under ``paths`` once and declare what it defines.
+
+    A file that fails to parse becomes a ``syntax-error`` finding in
+    :attr:`ProgramModel.unparsed` rather than aborting the run.
     """
-    cache = cache if cache is not None else SourceCache()
     model = ProgramModel()
     for path in iter_python_files(paths):
         try:
-            source = cache.load(path)
+            with open(path, "r", encoding="utf-8") as handle:
+                source = FileSource.parse(path, handle.read())
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            model.unparsed[path] = str(exc)
+            model.unparsed.append(
+                Finding(
+                    rule_id="syntax-error",
+                    severity=ERROR,
+                    path=path,
+                    line=int(getattr(exc, "lineno", None) or 1),
+                    column=0,
+                    message=f"file could not be analysed: {exc}",
+                )
+            )
             continue
         name = _module_name(path, _package_root(path))
-        if not name:
-            continue
+        if name in model.modules:
+            name = source.posix_path  # same-named loose files stay distinct
         module = ModuleInfo(
             name=name,
             path=source.posix_path,
@@ -1000,7 +990,13 @@ def build_program(
         )
         model.modules[name] = module
         _ModuleIndexer(model, module).visit(source.tree)
+    return model
 
+
+def resolve_program(model: ProgramModel) -> "_Resolver":
+    """Resolve value flow, the call graph and thread roots (idempotent)."""
+    if model.resolver is not None:
+        return model.resolver
     resolver = _Resolver(model)
     for module in model.modules.values():
         resolver.scan_module_env(module)
@@ -1028,14 +1024,7 @@ def build_program(
     for info in model.classes.values():
         resolver.summarize_guarded(info)
     model.resolver = resolver
-    return model
-
-
-def resolver_of(model: ProgramModel) -> "_Resolver":
-    """The resolver used to build ``model`` (for the analyses)."""
-    if model.resolver is None:
-        model.resolver = _Resolver(model)
-    return model.resolver
+    return resolver
 
 
 __all__ = [
@@ -1045,8 +1034,8 @@ __all__ = [
     "ModuleInfo",
     "ProgramModel",
     "ValueSet",
-    "build_program",
+    "index_program",
     "iter_held_events",
-    "iter_self_writes",
-    "resolver_of",
+    "iter_python_files",
+    "resolve_program",
 ]

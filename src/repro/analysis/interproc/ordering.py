@@ -35,12 +35,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Set
 
-from repro.analysis.base import ERROR, Finding
+from repro.analysis.base import Finding, Rule
 from repro.analysis.interproc.model import (
     FunctionInfo,
     ProgramModel,
     _Resolver,
-    resolver_of,
+    resolve_program,
 )
 
 RULE_ID = "interproc-determinism"
@@ -102,24 +102,18 @@ def functions_reaching(model: ProgramModel, sinks: Set[str]) -> Set[str]:
     return reaching
 
 
-class DeterminismAnalysis:
+class DeterminismAnalysis(Rule):
     """Flag set-ordered iteration feeding plan/routing/wire construction."""
 
     rule_id = RULE_ID
-    severity = ERROR
     description = (
         "iteration order over set/frozenset values must not flow into "
         "plan construction, ring routing, or wire messages — sort first"
     )
 
-    def __init__(
-        self, sink_basenames: FrozenSet[str] = DEFAULT_SINK_BASENAMES
-    ) -> None:
-        self.sink_basenames = sink_basenames
-
     def check(self, model: ProgramModel) -> List[Finding]:
-        resolver = resolver_of(model)
-        sinks = sink_functions(model, self.sink_basenames)
+        resolver = resolve_program(model)
+        sinks = sink_functions(model, DEFAULT_SINK_BASENAMES)
         in_scope = functions_reaching(model, sinks)
         findings: List[Finding] = []
         for qualname in sorted(in_scope):

@@ -1,26 +1,27 @@
 """Shared-state race analysis: unguarded access to lock-guarded attributes.
 
-The per-file ``lock-discipline`` rule proves that guarded attributes are
-*written* under a lock — within one file, for the directories it scopes.
-It cannot see the whole-program half of the story: which instances are
-actually *shared* across threads, whether ``*_locked`` helpers really are
-called with the lock held, and unguarded *reads* racing guarded writes.
+Which attributes a lock guards is never written down, so a later edit
+can add an unguarded access and introduce a data race no test reliably
+catches.  The model derives the guarded set per class — every ``self``
+attribute written while one of the class's locks is held — and this
+analysis flags accesses to those attributes made with no class lock held.
 
-This analysis closes those gaps with the call graph:
-
-* a class is **shared** when any of its methods is reachable from a
+* a class is **shared** when one of its methods is reachable from a
   thread/process root (a ``Thread(target=…)``, a pool submission, a
-  shard worker) — once one method runs on a worker thread, every method
-  of the instance races against it, including ones only the main thread
-  calls;
-* inside a shared class, any read *or* write of a **guarded** attribute
-  (one written under the class's lock somewhere) executed while no class
-  lock is held is flagged — the torn-read / lost-update half the
-  intraprocedural rule cannot name;
-* a call to a ``*_locked`` helper with no class lock held violates the
-  helper's documented contract ("caller holds the lock") and is flagged
-  at the call site — this is how an unguarded *write* hidden inside a
-  helper escapes the per-file rule, and how it gets caught here.
+  shard worker) **or it owns a lock**, its own or one a base class
+  creates — a class that builds itself a lock declares that its
+  instances are touched from several threads, whether or not the thread
+  that does so is part of the linted program;
+* in a shared class, an unguarded **write** of a guarded attribute is
+  flagged — ``self.n = 0``, and equally the container and nested-path
+  mutations ``self._counts[k] = v`` / ``self.stats.misses += 1``, the
+  same shapes that put an attribute in the guarded set — and so is a call to a ``*_locked`` helper (whose contract is
+  "caller holds the lock") with no class lock held — this is how an
+  unguarded write hidden inside a helper gets caught;
+* an unguarded **read** (the torn-read half) is flagged where the call
+  graph names the concurrent party: in classes a thread root reaches.  A
+  lock-owning class no thread root reaches may read its own attributes
+  freely.
 
 ``__init__`` / ``__new__`` / ``__del__`` construct or finalize the
 instance before/after it is shared and are exempt, as are the
@@ -34,7 +35,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set, Tuple
 
-from repro.analysis.base import ERROR, Finding
+from repro.analysis.base import Finding, Rule
 from repro.analysis.interproc.model import (
     CallSite,
     ClassInfo,
@@ -42,7 +43,7 @@ from repro.analysis.interproc.model import (
     ProgramModel,
     _Resolver,
     iter_held_events,
-    resolver_of,
+    resolve_program,
 )
 
 RULE_ID = "interproc-race"
@@ -50,40 +51,37 @@ RULE_ID = "interproc-race"
 _EXEMPT_METHODS = frozenset({"__init__", "__new__", "__del__"})
 
 
-def shared_classes(model: ProgramModel) -> Set[str]:
+def thread_reached_classes(model: ProgramModel) -> Set[str]:
     """Classes with a method reachable from a thread/process root."""
     reachable = model.reachable_from(model.thread_roots)
-    shared: Set[str] = set()
+    reached: Set[str] = set()
     for qualname in reachable:
         fn = model.functions.get(qualname)
         if fn is not None and fn.cls is not None:
-            shared.add(fn.cls)
-    return shared
+            reached.add(fn.cls)
+    return reached
 
 
-class SharedStateRaceAnalysis:
-    """Flag unguarded guarded-attribute access in thread-shared classes."""
+class SharedStateRaceAnalysis(Rule):
+    """Flag unguarded guarded-attribute access in shared classes."""
 
     rule_id = RULE_ID
-    severity = ERROR
     description = (
-        "guarded attributes of thread-shared classes must be accessed "
-        "under the class lock; *_locked helpers must be called with it held"
+        "guarded attributes of lock-owning or thread-reached classes must "
+        "be accessed under the class lock; *_locked helpers must be called "
+        "with it held"
     )
 
     def check(self, model: ProgramModel) -> List[Finding]:
-        resolver = resolver_of(model)
-        shared = shared_classes(model)
+        resolver = resolve_program(model)
+        reached = thread_reached_classes(model)
         findings: List[Finding] = []
         seen: Set[Tuple[str, str, str]] = set()
-        for cls_qualname in sorted(shared):
-            info = model.classes.get(cls_qualname)
-            if info is None:
-                continue
+        for cls_qualname, info in sorted(model.classes.items()):
             lock_names = self._class_locks(model, info)
-            guarded = self._guarded_attrs(model, info)
             if not lock_names:
-                continue
+                continue  # neither the class nor an ancestor owns a lock
+            guarded = self._guarded_attrs(model, info)
             for method_name, method_qualname in sorted(info.methods.items()):
                 fn = model.functions.get(method_qualname)
                 if fn is None:
@@ -94,8 +92,8 @@ class SharedStateRaceAnalysis:
                     continue  # contract checked at call sites below
                 findings.extend(
                     self._check_method(
-                        resolver, info, fn, method_name,
-                        lock_names, guarded, seen,
+                        resolver, info, fn, method_name, lock_names,
+                        guarded, seen, cls_qualname in reached,
                     )
                 )
         findings.sort(key=Finding.sort_key)
@@ -126,18 +124,17 @@ class SharedStateRaceAnalysis:
         lock_names: Set[str],
         guarded: Set[str],
         seen: Set[Tuple[str, str, str]],
+        thread_reached: bool,
     ) -> List[Finding]:
         findings: List[Finding] = []
         for event in iter_held_events(resolver, fn):
             kind = event[0]
             if kind == "access":
-                node, attr, is_write, held = (
-                    event[1], event[2], event[3], event[4],
-                )
+                _, node, attr, is_write, held = event
                 assert isinstance(attr, str) and isinstance(held, set)
                 if attr not in guarded or attr in info.attr_locks:
                     continue
-                if held & lock_names:
+                if held & lock_names or not (is_write or thread_reached):
                     continue
                 dedupe = (info.qualname, attr, method_name)
                 if dedupe in seen:
@@ -153,7 +150,7 @@ class SharedStateRaceAnalysis:
                         message=(
                             f"{info.name}.{attr} {verb} without holding "
                             f"{lock_list} in {method_name}(); the instance "
-                            f"is shared with worker threads and the "
+                            f"is shared between threads and the "
                             f"attribute is lock-guarded elsewhere"
                         ),
                     )
@@ -210,4 +207,4 @@ def _is_self_call(site: CallSite) -> bool:
     )
 
 
-__all__ = ["RULE_ID", "SharedStateRaceAnalysis", "shared_classes"]
+__all__ = ["RULE_ID", "SharedStateRaceAnalysis", "thread_reached_classes"]

@@ -24,9 +24,9 @@ import ast
 from typing import Dict, List, Set
 
 from repro.analysis.base import (
+    FileRule,
     FileSource,
     Finding,
-    Rule,
     call_method_name,
     iter_functions,
     iter_scope_nodes,
@@ -47,7 +47,7 @@ def _loop_has_checkpoint(loop: ast.AST) -> bool:
     return False
 
 
-class CheckpointCoverageRule(Rule):
+class CheckpointCoverageRule(FileRule):
     """Row loops that charge work units must hit a cooperative checkpoint."""
 
     rule_id = "checkpoint-coverage"
@@ -62,7 +62,7 @@ class CheckpointCoverageRule(Rule):
         "repro/parallel/",
     )
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         findings: List[Finding] = []
         for function in iter_functions(source.tree):
             findings.extend(self._check_scope(source, function))
@@ -118,7 +118,7 @@ class CheckpointCoverageRule(Rule):
         return findings
 
 
-class WorkChargingRule(Rule):
+class WorkChargingRule(FileRule):
     """Operators that accept a WorkMeter must charge it or forward it."""
 
     rule_id = "work-charging"
@@ -133,7 +133,7 @@ class WorkChargingRule(Rule):
         "repro/parallel/",
     )
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         findings: List[Finding] = []
         for function in iter_functions(source.tree):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):

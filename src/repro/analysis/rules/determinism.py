@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.base import FileSource, Finding, Rule, attr_chain
+from repro.analysis.base import FileRule, FileSource, Finding, attr_chain
 
 _WALL_CLOCK_CALLS = frozenset(
     {"time", "time_ns", "ctime", "asctime", "localtime", "gmtime", "strftime"}
@@ -36,7 +36,7 @@ _DATETIME_CALLS = frozenset({"now", "utcnow", "today"})
 _RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
 
 
-class WallClockRule(Rule):
+class WallClockRule(FileRule):
     """Metered paths must not read the wall clock or global randomness."""
 
     rule_id = "no-wall-clock"
@@ -47,7 +47,7 @@ class WallClockRule(Rule):
     )
     scopes = ("repro/core/", "repro/engine/")
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(source.tree):
             if isinstance(node, ast.ImportFrom):

@@ -24,9 +24,9 @@ import ast
 from typing import List
 
 from repro.analysis.base import (
+    FileRule,
     FileSource,
     Finding,
-    Rule,
     exception_names,
     iter_scope_nodes,
 )
@@ -48,7 +48,7 @@ def _handler_reraises(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-class ErrorSwallowingRule(Rule):
+class ErrorSwallowingRule(FileRule):
     """Broad exception handlers must let cooperative aborts propagate."""
 
     rule_id = "error-swallowing"
@@ -59,7 +59,7 @@ class ErrorSwallowingRule(Rule):
     )
     scopes = ("repro/",)
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Try):

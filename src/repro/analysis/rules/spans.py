@@ -13,10 +13,10 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from repro.analysis.base import FileSource, Finding, Rule, call_method_name
+from repro.analysis.base import FileRule, FileSource, Finding, call_method_name
 
 
-class SpanBalanceRule(Rule):
+class SpanBalanceRule(FileRule):
     """``tracer.span()`` calls must be ``with``-managed."""
 
     rule_id = "span-balance"
@@ -26,7 +26,7 @@ class SpanBalanceRule(Rule):
     )
     scopes = ("repro/",)
 
-    def check(self, source: FileSource) -> List[Finding]:
+    def check_file(self, source: FileSource) -> List[Finding]:
         managed: Set[int] = set()
         for node in ast.walk(source.tree):
             if isinstance(node, (ast.With, ast.AsyncWith)):

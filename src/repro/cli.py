@@ -146,83 +146,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the domain static-analysis battery over the repro sources.
+    """Run the static-analysis rules over the repro sources.
 
     With no paths, lints the installed ``repro`` package itself — the
-    self-clean gate CI enforces.  ``--interproc`` adds the whole-program
-    rule group (lock-order, races, codec, determinism), sharing one
-    parsed AST per file with the per-file battery.  Exits 1 when any
-    error-severity finding survives suppression and the baseline (or a
-    ``--select``-ed rule id is unknown).
+    self-clean gate CI enforces.  Exits 1 when any error-severity finding
+    survives suppression and the baseline, when a ``--select``-ed rule id
+    is unknown, or when a ``--baseline`` file cannot be read.
     """
     import os.path
 
     import repro
-    from repro.analysis import run_analysis, render_json, render_text
-    from repro.analysis.driver import SourceCache
-    from repro.analysis.interproc import (
-        all_analyses,
-        find_baseline,
-        run_interproc,
-        write_graphs,
-    )
+    from repro.analysis import render_json, render_text, run_analysis
+    from repro.analysis.driver import find_baseline, write_graphs
     from repro.analysis.rules import ALL_RULES
 
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.rule_id} ({rule.severity}): {rule.description}")
-        for analysis in all_analyses():
-            print(
-                f"{analysis.rule_id} ({analysis.severity}) [interproc]: "
-                f"{analysis.description}"
-            )
         return 0
     paths = args.paths or [os.path.dirname(repro.__file__)]
-    select = (
-        [name.strip() for name in args.select.split(",")] if args.select
-        else None
-    )
-    interproc_ids = {str(a.rule_id) for a in all_analyses()}
-    file_select = select
-    interproc_select = None
-    if select is not None and args.interproc:
-        # Partition the selection between the two rule groups.
-        interproc_select = [s for s in select if s in interproc_ids]
-        file_select = [s for s in select if s not in interproc_ids]
-    cache = SourceCache()
     try:
-        if file_select is not None and not file_select:
-            report = run_analysis(paths, rules=[], jobs=args.jobs, cache=cache)
-        else:
-            report = run_analysis(
-                paths, select=file_select, jobs=args.jobs, cache=cache
-            )
-        if args.interproc:
-            baseline = (
-                args.baseline
-                if args.baseline is not None
-                else find_baseline(paths)
-            )
-            interproc = run_interproc(
-                paths,
-                cache=cache,
-                select=interproc_select,
-                baseline_path=baseline,
-            )
-            report.findings.extend(interproc.findings)
-            report.findings.sort(key=lambda f: f.sort_key())
-            report.suppressed += interproc.suppressed
-            report.baselined = len(interproc.baselined)
-            if args.graphs_out:
-                for path in write_graphs(interproc, args.graphs_out):
-                    print(f"wrote {path}", file=sys.stderr)
+        report = run_analysis(
+            paths,
+            select=args.select.split(",") if args.select else None,
+            baseline_path=args.baseline or find_baseline(paths),
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
+    if args.graphs_out:
+        for path in write_graphs(report.model, args.graphs_out):
+            print(f"wrote {path}", file=sys.stderr)
+    print(render_json(report) if args.format == "json" else render_text(report))
     return 0 if report.ok else 1
 
 
@@ -1016,21 +971,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel file-analysis workers (default: auto)",
-    )
-    p.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    p.add_argument(
-        "--interproc",
-        action="store_true",
-        help="also run the whole-program rule group "
-        "(lock-order, races, codec, determinism)",
     )
     p.add_argument(
         "--baseline",
@@ -1043,8 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graphs-out",
         metavar="DIR",
         default=None,
-        help="write call-graph.json and lock-graph.json artifacts here "
-        "(with --interproc)",
+        help="write call-graph.json and lock-graph.json artifacts here",
     )
     p.set_defaults(func=cmd_lint)
 

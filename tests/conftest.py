@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
+import io
 import itertools
+import json
 import os
 import random
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import pytest
@@ -65,6 +69,36 @@ def _lock_order_witness():
 
     if lockcheck_enabled():
         GLOBAL_WITNESS.assert_clean()
+
+
+# ---------------------------------------------------------------------------
+# One self-lint of src/repro per session (the model build is the cost)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def self_lint(tmp_path_factory):
+    """CI's lint command, run once: ``hdqo lint --format json --graphs-out``.
+
+    Returns the exit code, the JSON report and the two graph artifacts, so
+    every self-clean / graph assertion in the suite reads one run.
+    """
+    from repro.cli import main as cli_main
+
+    graphs = tmp_path_factory.mktemp("lint-graphs")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = cli_main(
+            ["lint", "--format", "json", "--graphs-out", str(graphs)]
+        )
+    return SimpleNamespace(
+        code=code,
+        payload=json.loads(stdout.getvalue()),
+        call_graph=json.loads((graphs / "call-graph.json").read_text()),
+        lock_graph=json.loads((graphs / "lock-graph.json").read_text()),
+    )
 
 
 # ---------------------------------------------------------------------------

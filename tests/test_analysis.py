@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro.analysis import run_analysis, render_json, render_text
 from repro.analysis.base import FileSource
-from repro.analysis.driver import analyze_file, iter_python_files, resolve_rules
+from repro.analysis.driver import resolve_rules
+from repro.analysis.interproc.model import iter_python_files
 from repro.analysis.lockwitness import (
     LockWitness,
     WitnessLock,
@@ -172,7 +172,7 @@ class TestWorkCharging:
 
 
 # ---------------------------------------------------------------------------
-# lock-discipline
+# lock discipline (interproc-race on a class that owns a lock)
 # ---------------------------------------------------------------------------
 
 
@@ -195,8 +195,10 @@ class TestLockDiscipline:
 
     def test_unguarded_write_to_guarded_attr_is_flagged(self, tmp_path):
         report = lint_fixture(tmp_path, "repro/service/box.py", self.BAD)
-        assert rule_ids(report) == ["lock-discipline"]
-        assert "self.count" in report.findings[0].message
+        assert rule_ids(report) == ["interproc-race"]
+        message = report.findings[0].message
+        assert "Box.count written without holding" in message
+        assert "in reset()" in message
 
     def test_init_and_locked_helpers_are_exempt(self, tmp_path):
         report = lint_fixture(
@@ -220,9 +222,82 @@ class TestLockDiscipline:
         )
         assert report.findings == []
 
-    def test_rule_only_fires_in_concurrent_layers(self, tmp_path):
-        report = lint_fixture(tmp_path, "repro/engine/box.py", self.BAD)
+    def test_rule_fires_for_a_lock_owning_class_in_any_package(self, tmp_path):
+        # No path list: owning a lock is what makes the class shared.
+        report = lint_fixture(tmp_path / "a", "repro/engine/box.py", self.BAD)
+        assert rule_ids(report) == ["interproc-race"]
+        lockless = self.BAD.replace("threading.Lock()", "None").replace(
+            "with self._lock:", "if True:"
+        )
+        report = lint_fixture(tmp_path / "b", "repro/service/box.py", lockless)
         assert report.findings == []
+
+    def test_container_and_nested_path_writes_are_writes(self, tmp_path):
+        # The Attribute node of ``self._items[k] = v`` / ``self.stats.n += 1``
+        # has Load context; they are writes all the same, in the guarded
+        # set and at the unguarded site, with no thread root in sight.
+        report = lint_fixture(
+            tmp_path,
+            "repro/engine/tally.py",
+            """
+            import threading
+
+            class Tally:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._items = {}
+                    self.stats = Stats()
+
+                def put(self, k, v):
+                    with self._lock:
+                        self._items[k] = v
+                        self.stats.n += 1
+
+                def sneak(self, k, v):
+                    self._items[k] = v
+
+                def miscount(self):
+                    self.stats.n += 1
+
+                def peek(self, k):
+                    return self._items.get(k), self.stats.n
+
+            class Stats:
+                n = 0
+            """,
+        )
+        assert rule_ids(report) == ["interproc-race"] * 2
+        assert [f.key for f in report.findings] == [
+            "race:Tally._items:sneak",
+            "race:Tally.stats:miscount",
+        ]
+        assert all("written without holding" in f.message for f in report.findings)
+
+    def test_a_lock_inherited_from_a_base_class_counts(self, tmp_path):
+        report = lint_fixture(
+            tmp_path,
+            "repro/engine/derived.py",
+            """
+            import threading
+
+            class Base:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+            class Derived(Base):
+                def __init__(self):
+                    super().__init__()
+                    self.count = 0
+
+                def bump(self):
+                    with self._lock:
+                        self.count += 1
+
+                def reset(self):
+                    self.count = 0
+            """,
+        )
+        assert [f.key for f in report.findings] == ["race:Derived.count:reset"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +505,22 @@ class TestDriver:
         files = iter_python_files([str(tmp_path)])
         assert [os.path.basename(path) for path in files] == ["real.py"]
 
-    def test_serial_and_parallel_runs_agree(self, tmp_path):
-        for index in range(6):
-            (tmp_path / f"repro/service/m{index}.py").parent.mkdir(
-                parents=True, exist_ok=True
-            )
-            (tmp_path / f"repro/service/m{index}.py").write_text(
+    def test_same_named_loose_files_are_all_checked(self, tmp_path):
+        # Two ``m.py`` outside any package share a module name; neither
+        # may shadow the other in the model's module table.
+        for package in ("service", "obs"):
+            target = tmp_path / "repro" / package / "m.py"
+            target.parent.mkdir(parents=True)
+            target.write_text(
                 "def run(fn):\n"
                 "    try:\n"
                 "        return fn()\n"
                 "    except Exception:\n"
                 "        return None\n"
             )
-        serial = run_analysis([str(tmp_path)], jobs=1)
-        parallel = run_analysis([str(tmp_path)], jobs=4)
-        assert [f.to_dict() for f in serial.findings] == [
-            f.to_dict() for f in parallel.findings
-        ]
-        assert serial.files == parallel.files == 6
+        report = run_analysis([str(tmp_path)])
+        assert report.files == 2
+        assert rule_ids(report) == ["error-swallowing"] * 2
 
 
 class TestReporters:
@@ -489,12 +562,11 @@ class TestReporters:
 
 
 class TestSelfClean:
-    def test_repro_package_has_zero_findings(self):
-        package_dir = os.path.dirname(repro.__file__)
-        report = run_analysis([package_dir])
-        assert report.files > 80
-        messages = "\n".join(f.render() for f in report.findings)
-        assert report.findings == [], f"lint findings on src/repro:\n{messages}"
+    def test_repro_package_has_zero_findings(self, self_lint):
+        payload = self_lint.payload
+        assert payload["files"] > 80
+        messages = json.dumps(payload["findings"], indent=2)
+        assert payload["findings"] == [], f"lint findings on src/repro:\n{messages}"
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +574,30 @@ class TestSelfClean:
 # ---------------------------------------------------------------------------
 
 
+CATALOGUE = [rule.rule_id for rule in ALL_RULES]
+
+
 class TestLintCli:
-    def test_clean_tree_exits_zero(self, capsys):
-        assert cli_main(["lint"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
+    def test_clean_tree_exits_zero(self, self_lint):
+        assert self_lint.code == 0
+        assert self_lint.payload["errors"] == 0
+        assert self_lint.payload["ok"] is True
+
+    @pytest.mark.parametrize("rule_id", CATALOGUE)
+    def test_every_listed_rule_is_selectable_alone(self, rule_id, capsys):
+        assert cli_main(["lint", "--list-rules"]) == 0
+        assert f"{rule_id} (" in capsys.readouterr().out
+        assert cli_main(["lint", "--select", rule_id]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
+
+    def test_selecting_the_whole_catalogue_equals_no_select(
+        self, self_lint, capsys
+    ):
+        code = cli_main(
+            ["lint", "--format", "json", "--select", ",".join(CATALOGUE)]
+        )
+        assert code == self_lint.code
+        assert json.loads(capsys.readouterr().out) == self_lint.payload
 
     def test_findings_exit_nonzero_and_json_renders(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "obs" / "leaky.py"
@@ -519,7 +610,18 @@ class TestLintCli:
 
     def test_select_unknown_rule_fails(self, capsys):
         assert cli_main(["lint", "--select", "bogus"]) == 1
-        assert "unknown rule" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown rule id(s): bogus" in err
+        # The full catalogue is named, once.
+        for rule_id in CATALOGUE:
+            assert err.count(rule_id) == 1
+
+    def test_help_lists_neither_removed_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["lint", "--help"])
+        out = capsys.readouterr().out
+        assert "--jobs" not in out and "--interproc" not in out
+        assert "--baseline" in out and "--graphs-out" in out
 
     def test_list_rules_prints_catalogue(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0

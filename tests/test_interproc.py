@@ -1,8 +1,8 @@
-"""The interprocedural analyzer: each analysis on seeded bad/good fixture
-packages, suppression and baseline behavior, the JSON reporter schema, the
-parse-exactly-once invariant, the dynamic-witness ⊆ static-graph soundness
-check — and the self-clean gate (zero unbaselined findings on
-``src/repro``)."""
+"""The whole-program analyses: each on seeded bad/good fixture packages,
+suppression and baseline behavior (uniform across rules), the JSON
+reporter schema, the parse-exactly-once invariant, the dynamic-witness ⊆
+static-graph soundness check — and the self-clean gate (zero unbaselined
+findings on ``src/repro``)."""
 
 from __future__ import annotations
 
@@ -13,15 +13,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.driver import SourceCache, run_analysis
-from repro.analysis.interproc import (
-    BaselineEntry,
-    build_program,
-    interproc_rule_ids,
-    find_baseline,
-    run_interproc,
-)
-from repro.analysis.interproc.lockorder import build_lock_graph
+from repro.analysis.base import FileSource
+from repro.analysis.driver import find_baseline, run_analysis
+from repro.analysis.interproc import build_lock_graph
 from repro.cli import main as cli_main
 
 REPRO_SRC = str(Path(repro.__file__).parent)
@@ -36,7 +30,23 @@ def write_fixture(tmp_path: Path, files: dict) -> Path:
 
 
 def interproc_report(tmp_path: Path, files: dict, **kwargs):
-    return run_interproc([str(write_fixture(tmp_path, files))], **kwargs)
+    return run_analysis([str(write_fixture(tmp_path, files))], **kwargs)
+
+
+def write_baseline(tmp_path: Path, *entries) -> str:
+    """A baseline file accepting the given ``(rule, key)`` pairs."""
+    path = tmp_path / "accepted.json"
+    path.write_text(
+        json.dumps(
+            {
+                "entries": [
+                    {"rule": rule, "key": key, "justification": "test"}
+                    for rule, key in entries
+                ]
+            }
+        )
+    )
+    return str(path)
 
 
 def keys(report):
@@ -116,7 +126,7 @@ class TestLockOrderAnalysis:
 
     def test_lock_graph_artifact_records_edges(self, tmp_path):
         report = interproc_report(tmp_path, CYCLIC_LOCKS)
-        graph = report.graphs["lock-graph"]
+        graph = build_lock_graph(report.model).to_json()
         edges = {(e["source"], e["target"]) for e in graph["edges"]}
         assert ("Fixture.A", "Fixture.B") in edges
         assert ("Fixture.B", "Fixture.A") in edges
@@ -216,8 +226,8 @@ class TestSharedStateRaceAnalysis:
         assert keys(report) == ["locked-call:Counter._bump_locked:reset"]
 
     def test_unshared_class_is_not_flagged(self, tmp_path):
-        # Same racy shape, but no thread root anywhere: single-threaded
-        # code may read its own attributes freely.
+        # Same racy shape, but no thread root anywhere: a class no thread
+        # reaches may read its own attributes freely.
         files = {
             "shared.py": RACY_SHARED["shared.py"].replace(
                 "self._thread = threading.Thread(target=self._run)",
@@ -382,28 +392,19 @@ class TestSuppressionAndBaseline:
         report = interproc_report(
             tmp_path,
             RACY_SHARED,
-            baseline_entries=[
-                BaselineEntry(
-                    rule="interproc-race",
-                    key="race:Counter.total:peek",
-                    justification="test",
-                )
-            ],
+            baseline_path=write_baseline(
+                tmp_path, ("interproc-race", "race:Counter.total:peek")
+            ),
         )
         assert report.findings == []
-        assert [f.key for f in report.baselined] == [
-            "race:Counter.total:peek"
-        ]
+        assert report.baselined == 1
 
     def test_stale_baseline_entry_is_reported(self, tmp_path):
+        baseline = write_baseline(
+            tmp_path, ("interproc-race", "race:Gone.attr:method")
+        )
         report = interproc_report(
-            tmp_path,
-            GUARDED_SHARED,
-            baseline_entries=[
-                BaselineEntry(
-                    rule="interproc-race", key="race:Gone.attr:method"
-                )
-            ],
+            tmp_path, GUARDED_SHARED, baseline_path=baseline
         )
         assert keys(report) == [
             "baseline-stale:interproc-race:race:Gone.attr:method"
@@ -411,6 +412,87 @@ class TestSuppressionAndBaseline:
         (finding,) = report.findings
         assert finding.rule_id == "interproc-baseline"
         assert finding.severity == "warning"
+        assert finding.path == baseline
+        # An entry whose rule did not run cannot be judged stale …
+        report = run_analysis(
+            [str(tmp_path)], select=["span-balance"], baseline_path=baseline
+        )
+        assert report.findings == []
+        # … but one naming a rule the catalogue does not have (a typo, a
+        # removed rule) is stale under every selection.
+        baseline = write_baseline(tmp_path, ("lock-discipline", "box:x"))
+        for select in (None, ["span-balance"]):
+            report = run_analysis(
+                [str(tmp_path)], select=select, baseline_path=baseline
+            )
+            assert keys(report) == ["baseline-stale:lock-discipline:box:x"]
+
+    def test_baseline_covers_per_file_rules_too(self, tmp_path):
+        leaky = {
+            "repro/obs/leaky.py": """
+            def trace(tracer):
+                return tracer.span("leak")
+            """
+        }
+        report = interproc_report(tmp_path, leaky)
+        (finding,) = report.findings
+        assert finding.rule_id == "span-balance"
+        assert finding.key == 'leaky:trace:return tracer.span("leak")'
+        report = run_analysis(
+            [str(tmp_path)],
+            baseline_path=write_baseline(
+                tmp_path, (finding.rule_id, finding.key)
+            ),
+        )
+        assert (report.findings, report.baselined) == ([], 1)
+        # Moving the line keeps the identity; an inline comment wins over
+        # the baseline (suppressed, and the entry goes stale).
+        (tmp_path / "repro/obs/leaky.py").write_text(
+            "\n\ndef trace(tracer):\n"
+            '    return tracer.span("leak")  # hdqo: ignore[span-balance]\n'
+        )
+        report = run_analysis(
+            [str(tmp_path)],
+            baseline_path=write_baseline(
+                tmp_path, (finding.rule_id, finding.key)
+            ),
+        )
+        assert (report.suppressed, report.baselined) == (1, 0)
+        assert [f.rule_id for f in report.findings] == ["interproc-baseline"]
+
+    def test_baselining_one_line_does_not_hide_its_twin(self, tmp_path):
+        # Two textually identical findings in two functions: the key names
+        # the enclosing def, so accepting one leaves the other reported.
+        swallowing = {
+            "repro/service/twins.py": """
+            class Handler:
+                def first(self, work):
+                    try:
+                        work()
+                    except Exception:
+                        pass
+
+            def second(work):
+                try:
+                    work()
+                except Exception:
+                    pass
+            """
+        }
+        report = interproc_report(tmp_path, swallowing)
+        assert keys(report) == [
+            "twins:Handler.first:except Exception:",
+            "twins:second:except Exception:",
+        ]
+        report = run_analysis(
+            [str(tmp_path)],
+            baseline_path=write_baseline(
+                tmp_path, ("error-swallowing", keys(report)[0])
+            ),
+        )
+        assert (keys(report), report.baselined) == (
+            ["twins:second:except Exception:"], 1
+        )
 
     def test_baseline_file_is_discovered_upwards(self, tmp_path):
         write_fixture(tmp_path, RACY_SHARED)
@@ -430,14 +512,14 @@ class TestSuppressionAndBaseline:
         )
         found = find_baseline([str(tmp_path / "shared.py")])
         assert found == str(baseline)
-        report = run_interproc([str(tmp_path)], baseline_path=found)
+        report = run_analysis([str(tmp_path)], baseline_path=found)
         assert report.findings == []
-        assert len(report.baselined) == 1
+        assert report.baselined == 1
 
     def test_unknown_select_raises(self, tmp_path):
         write_fixture(tmp_path, GUARDED_SHARED)
-        with pytest.raises(ValueError, match="unknown interproc rule id"):
-            run_interproc([str(tmp_path)], select=["no-such-rule"])
+        with pytest.raises(ValueError, match="unknown rule id"):
+            run_analysis([str(tmp_path)], select=["no-such-rule"])
 
     def test_select_restricts_analyses(self, tmp_path):
         # Only the codec analysis runs: the race finding disappears.
@@ -449,14 +531,14 @@ class TestSuppressionAndBaseline:
 
 
 # ---------------------------------------------------------------------------
-# CLI integration: flags, JSON schema, graph artifacts
+# CLI integration: baseline flag, JSON schema, graph artifacts
 # ---------------------------------------------------------------------------
 
 
 class TestLintCli:
     def test_interproc_failure_sets_exit_code(self, tmp_path, capsys):
         write_fixture(tmp_path, RACY_SHARED)
-        assert cli_main(["lint", "--interproc", str(tmp_path)]) == 1
+        assert cli_main(["lint", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "race:Counter.total:peek" not in out  # keys are JSON-only
         assert "Counter.total" in out
@@ -464,7 +546,7 @@ class TestLintCli:
     def test_json_schema_includes_keys_and_baselined(self, tmp_path, capsys):
         write_fixture(tmp_path, RACY_SHARED)
         code = cli_main(
-            ["lint", "--interproc", "--format", "json", str(tmp_path)]
+            ["lint", "--format", "json", str(tmp_path)]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -482,7 +564,7 @@ class TestLintCli:
         out_dir = tmp_path / "artifacts"
         code = cli_main(
             [
-                "lint", "--interproc", "--graphs-out", str(out_dir),
+                "lint", "--graphs-out", str(out_dir),
                 str(tmp_path / "locks.py"),
             ]
         )
@@ -496,13 +578,42 @@ class TestLintCli:
     def test_list_rules_includes_interproc_group(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in interproc_rule_ids():
-            assert rule_id in out
-        assert "[interproc]" in out
+        for rule_id in (
+            "interproc-lock-order", "interproc-race",
+            "interproc-codec", "interproc-determinism",
+        ):
+            assert f"{rule_id} (error)" in out
 
-    def test_without_flag_interproc_rules_do_not_run(self, tmp_path, capsys):
+    def test_without_flag_interproc_rules_do_not_run(
+        self, tmp_path, monkeypatch
+    ):
+        # There is no flag any more: the selection decides.  Rules that
+        # never read the call graph pass the racy fixture without the
+        # resolve step running at all.
         write_fixture(tmp_path, RACY_SHARED)
-        assert cli_main(["lint", str(tmp_path)]) == 0
+        scanned = []
+        monkeypatch.setattr(
+            "repro.analysis.interproc.model._Resolver.scan_function",
+            lambda self, fn: scanned.append(fn.qualname),
+        )
+        code = cli_main(
+            ["lint", "--select", "span-balance,interproc-codec", str(tmp_path)]
+        )
+        assert (code, scanned) == (0, [])
+
+    def test_explicit_baseline_must_be_readable(self, tmp_path, capsys):
+        write_fixture(tmp_path, RACY_SHARED)
+        missing = str(tmp_path / "no-such-baseline.json")
+        code = cli_main(["lint", "--baseline", missing, str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert missing in captured.err
+        assert "checked" not in captured.out  # no report was produced
+        # The discovered default stays optional: none above tmp_path, and
+        # the run reports the finding instead of failing on the baseline.
+        assert find_baseline([str(tmp_path)]) is None
+        assert cli_main(["lint", str(tmp_path)]) == 1
+        assert "Counter.total" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -510,32 +621,36 @@ class TestLintCli:
 # ---------------------------------------------------------------------------
 
 
-class TestSourceCacheSharing:
-    def test_each_file_parses_once_across_both_groups(self, tmp_path):
+class TestParseOnce:
+    def test_one_lint_invocation_parses_each_file_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
         write_fixture(tmp_path, RACY_SHARED)
         write_fixture(tmp_path, CYCLIC_LOCKS)
-        cache = SourceCache()
-        run_analysis([str(tmp_path)], cache=cache)
-        run_interproc([str(tmp_path)], cache=cache)
-        assert cache.parse_counts  # both files loaded through the cache
-        assert set(cache.parse_counts.values()) == {1}
+        parses = []
+        original = FileSource.parse.__func__
+
+        def counting_parse(cls, path, text):
+            parses.append(path)
+            return original(cls, path, text)
+
+        monkeypatch.setattr(FileSource, "parse", classmethod(counting_parse))
+        # No --select: per-file rules and whole-program rules both run.
+        assert cli_main(["lint", str(tmp_path)]) == 1
+        assert sorted(parses) == sorted(
+            str(tmp_path / name) for name in ("locks.py", "shared.py")
+        )
 
 
 # ---------------------------------------------------------------------------
-# Whole-repo gates (the expensive model build happens once, shared)
+# Whole-repo gates (one self-lint per session: conftest's ``self_lint``)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def repro_report():
-    return run_interproc(
-        [REPRO_SRC], baseline_path=find_baseline([REPRO_SRC])
-    )
 
 
 class TestSelfCleanGate:
-    def test_src_repro_is_clean_modulo_baseline(self, repro_report):
-        assert repro_report.findings == []
+    def test_src_repro_is_clean_modulo_baseline(self, self_lint):
+        assert self_lint.payload["findings"] == []
+        assert self_lint.payload["baselined"] == 2
 
     def test_baseline_entries_are_justified(self):
         path = find_baseline([REPRO_SRC])
@@ -544,8 +659,8 @@ class TestSelfCleanGate:
         for entry in payload["entries"]:
             assert entry["justification"].strip(), entry["key"]
 
-    def test_thread_roots_cover_the_serving_stack(self, repro_report):
-        roots = repro_report.model.thread_roots
+    def test_thread_roots_cover_the_serving_stack(self, self_lint):
+        roots = self_lint.call_graph["thread_roots"]
         names = {root.rsplit(".", 2)[-2] + "." + root.rsplit(".", 1)[-1]
                  for root in roots if "." in root}
         assert "ExecutorPool._worker" in names
@@ -555,7 +670,7 @@ class TestSelfCleanGate:
 
 class TestWitnessSubgraph:
     def test_dynamic_edges_are_statically_predicted(
-        self, monkeypatch, chain_db, chain_sql
+        self, monkeypatch, chain_db, chain_sql, self_lint
     ):
         """Every lock-order edge the runtime witnesses must already be in
         the static may-acquire-after graph (soundness on exercised paths).
@@ -586,8 +701,10 @@ class TestWitnessSubgraph:
         } - before
         assert witnessed, "workload exercised no nested lock acquisitions"
 
-        model = build_program([REPRO_SRC], SourceCache())
-        static_pairs = build_lock_graph(model).pairs()
+        static_pairs = {
+            (edge["source"], edge["target"])
+            for edge in self_lint.lock_graph["edges"]
+        }
         missing = sorted(pair for pair in witnessed if pair not in static_pairs)
         assert not missing, (
             "dynamically witnessed lock-order edges missing from the "
