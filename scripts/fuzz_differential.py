@@ -1,9 +1,12 @@
 """Differential fuzzer: random queries, every execution strategy, one oracle.
 
 Generates random conjunctive workloads (lines, chains, stars with random
-sizes, domains and filters), runs each through the quantitative engine,
-the q-HD plan, the classic 3-phase evaluation and the SQL-view stack, and
-verifies all answers agree.  Any disagreement prints a reproducer seed.
+sizes and domains, and 0–3 constant filters — comparisons, BETWEEN, IN —
+over random columns), runs each through the quantitative engine, the q-HD
+plan, the classic 3-phase evaluation, the SQL-view stack and the un-pushed
+baseline (filters applied per row on the join result, so independent of
+the base scans the other four share), and verifies all answers agree.  Any
+disagreement prints a reproducer seed.
 
 Run:  python scripts/fuzz_differential.py --iterations 200 --seed 0
 """
@@ -23,6 +26,30 @@ from repro.core.views import execute_view_plan
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.engine.scans import atom_relations
 from repro.relational import AttributeType, Database, RelationSchema
+
+
+COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+#: The un-pushed baseline joins unfiltered, undeduplicated tables in FROM
+#: order; a case it cannot finish within this many work units is not compared.
+UNPUSHED_BUDGET = 300_000
+
+
+def random_filters(rng: random.Random, columns, domain: int):
+    """0–3 constant filters, each over a random column of ``columns``."""
+    filters = []
+    for _ in range(rng.randint(0, 3)):
+        column = rng.choice(columns)
+        shape = rng.choice(["compare", "between", "in"])
+        if shape == "compare":
+            filters.append(f"{column} {rng.choice(COMPARISONS)} {rng.randrange(domain)}")
+        elif shape == "between":
+            low = rng.randrange(domain)
+            filters.append(f"{column} BETWEEN {low} AND {rng.randrange(low, domain)}")
+        else:
+            values = sorted({rng.randrange(domain) for _ in range(rng.randint(1, 3))})
+            filters.append(f"{column} IN ({', '.join(map(str, values))})")
+    return filters
 
 
 def random_case(rng: random.Random):
@@ -45,8 +72,8 @@ def random_case(rng: random.Random):
         conditions = [f"r{i}.y{i} = r{i + 1}.x{i + 1}" for i in range(n - 1)]
         if kind == "chain":
             conditions.append(f"r{n - 1}.y{n - 1} = r0.x0")
-        if rng.random() < 0.5:
-            conditions.append(f"r0.x0 <= {rng.randrange(domain)}")
+        columns = [f"r{i}.{c}{i}" for i in range(n) for c in "xy"]
+        conditions += random_filters(rng, columns, domain)
         sql = (
             f"SELECT r0.x0, r1.x1 FROM {', '.join(f'r{i}' for i in range(n))} "
             f"WHERE {' AND '.join(conditions)}"
@@ -74,6 +101,8 @@ def random_case(rng: random.Random):
             schema, [(k, rng.randrange(domain)) for k in range(domain)]
         )
     conditions = [f"fact.k{i} = dim{i}.k{i}" for i in range(d)]
+    columns = ["fact.m"] + [f"fact.k{i}" for i in range(d)] + [f"dim{i}.p{i}" for i in range(d)]
+    conditions += random_filters(rng, columns, domain)
     sql = (
         f"SELECT dim0.p0, fact.m FROM fact, "
         f"{', '.join(f'dim{i}' for i in range(d))} "
@@ -82,25 +111,31 @@ def random_case(rng: random.Random):
     return db, sql, f"star-{d}"
 
 
-def check_case(db: Database, sql: str) -> bool:
-    """Run every strategy; True when all agree."""
+def check_case(db: Database, sql: str):
+    """Run every strategy; ``(all agree, the un-pushed baseline was compared)``."""
     db.analyze()
     dbms = SimulatedDBMS(db, COMMDB_PROFILE)
     reference = dbms.run_sql(sql).relation
 
     plan = HybridOptimizer(db, max_width=3).optimize(sql)
     if not plan.execute().relation.same_content(reference):
-        return False
+        return False, False
 
     translation = plan.translation
     rels = atom_relations(translation.query, db, translation)
     single = evaluate_qhd(plan.decomposition, translation.query, rels)
     classic = evaluate_hd_classic(plan.decomposition, translation.query, rels)
     if not single.same_content(classic):
-        return False
+        return False, False
 
     via_views = execute_view_plan(plan.to_sql_views(), dbms).relation
-    return via_views.same_content(reference)
+    if not via_views.same_content(reference):
+        return False, False
+
+    unpushed = dbms.run_sql(sql, optimizer_enabled=False, work_budget=UNPUSHED_BUDGET)
+    if not unpushed.finished:
+        return True, False
+    return unpushed.relation.same_content(reference), True
 
 
 def main() -> int:
@@ -111,13 +146,15 @@ def main() -> int:
 
     failures = []
     counts = {}
+    unpushed_compared = 0
     for i in range(args.iterations):
         case_seed = args.seed * 1_000_003 + i
         rng = random.Random(case_seed)
         db, sql, label = random_case(rng)
         counts[label.split("-")[0]] = counts.get(label.split("-")[0], 0) + 1
         try:
-            ok = check_case(db, sql)
+            ok, compared = check_case(db, sql)
+            unpushed_compared += compared
         except Exception as exc:  # noqa: BLE001 — a fuzzer reports, not crashes
             print(f"[seed {case_seed}] {label}: EXCEPTION {exc!r}")
             failures.append(case_seed)
@@ -129,7 +166,8 @@ def main() -> int:
     total = args.iterations
     print(
         f"\n{total - len(failures)}/{total} cases agree "
-        f"({', '.join(f'{k}: {v}' for k, v in sorted(counts.items()))})"
+        f"({', '.join(f'{k}: {v}' for k, v in sorted(counts.items()))}; "
+        f"un-pushed baseline compared on {unpushed_compared})"
     )
     if failures:
         print(f"failing seeds: {failures}")

@@ -19,12 +19,20 @@ from repro.query import ast
 Row = Tuple[object, ...]
 Resolver = Callable[[ast.ColumnRef], int]
 
+def like_regex(pattern: object) -> "re.Pattern[str]":
+    """SQL LIKE ``pattern`` compiled for ``fullmatch`` on string values: % is
+    any run, _ any one character (newlines too), the rest literal.  A
+    non-string pattern matches nothing."""
+    if not isinstance(pattern, str):
+        return re.compile("(?!)")
+    return re.compile(
+        re.escape(pattern).replace("%", ".*").replace("_", "."), re.DOTALL
+    )
+
+
 def _sql_like(value: object, pattern: object) -> bool:
-    """SQL LIKE: % matches any run, _ matches one character."""
-    if not isinstance(value, str) or not isinstance(pattern, str):
-        return False
-    regex = "^" + re.escape(pattern).replace("%", ".*").replace("_", ".") + "$"
-    return re.match(regex, value) is not None
+    """``value LIKE pattern``; false unless both are strings."""
+    return isinstance(value, str) and bool(like_regex(pattern).fullmatch(value))
 
 
 _COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
@@ -87,6 +95,10 @@ def compile_predicate(
         raise ExecutionError(f"unsupported comparison operator {comparison.op!r}")
     left = compile_scalar(comparison.left, resolve)
     right = compile_scalar(comparison.right, resolve)
+    if comparison.op == "like" and isinstance(comparison.right, ast.Literal):
+        # A literal pattern is compiled here, once, not once per row.
+        like = like_regex(comparison.right.value).fullmatch
+        compare = lambda value, _pattern: isinstance(value, str) and bool(like(value))
 
     def predicate(row: Row) -> bool:
         try:

@@ -14,23 +14,106 @@ Two binding modes:
 ``push_filters=False`` reproduces the *optimizer disabled* baseline: scans
 stay unfiltered and the constant predicates are returned as residual
 predicates to apply after the joins (the naive evaluation order).
+
+Both modes run one pipeline (:func:`_scan`): the base table's row list is
+narrowed filter by filter, then projected once onto the atom's columns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, QueryError
-from repro.engine.expressions import compile_filter, conjunction
+from repro.engine.expressions import _COMPARATORS, Resolver, compile_filter, like_regex
 from repro.metering import NULL_METER, WorkMeter
 from repro.query import ast
 from repro.query.conjunctive import ConjunctiveQuery, Constant
 from repro.query.translate import TranslationResult
 from repro.relational.database import Database
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, _unique_attributes, row_selector
 from repro.resilience.context import current_context
 
 Row = Tuple[object, ...]
+
+
+def _operand(
+    expression: ast.Expression, rows: List[Row], resolve: Resolver
+) -> Optional[Iterable[object]]:
+    """A column's or a literal's value for each row, as a C-level iterator."""
+    if isinstance(expression, ast.ColumnRef):
+        return map(itemgetter(resolve(expression)), rows)
+    if isinstance(expression, ast.Literal):
+        return repeat(expression.value)
+    return None
+
+
+def _narrow(
+    rows: List[Row], predicate: "ast.Comparison | ast.InList", resolve: Resolver
+) -> List[Row]:
+    """The rows that pass one filter, in order, in one pass.
+
+    ``column op literal``, ``column LIKE literal`` and ``column IN (…)`` are
+    one comprehension with the test inline; any other comparison between
+    columns and literals is one ``compress`` over C-level maps, operands in
+    their written order.  Neither makes a Python call per row.  The rest —
+    arithmetic, LIKE with a computed pattern — is :func:`compile_filter`'s
+    per-row closure.
+    """
+    if isinstance(predicate, ast.InList):
+        if isinstance(predicate.expr, ast.ColumnRef):
+            index, values = resolve(predicate.expr), frozenset(predicate.values)
+            return [r for r in rows if r[index] in values]
+    elif isinstance(predicate, ast.Comparison):
+        op, left, right = predicate.op, predicate.left, predicate.right
+        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
+            index = resolve(left)
+            if op != "like":
+                return row_selector(op)(rows, index, right.value)
+            like = like_regex(right.value).fullmatch
+            return [r for r in rows if isinstance(r[index], str) and like(r[index])]
+        if op != "like":
+            sides = [_operand(side, rows, resolve) for side in (left, right)]
+            if None not in sides:
+                return list(compress(rows, map(_COMPARATORS[op], *sides)))
+    keep = compile_filter(predicate, resolve)
+    return [r for r in rows if keep(r)]
+
+
+def _scan(
+    base: Relation,
+    alias: str,
+    predicates: Sequence["ast.Comparison | ast.InList"],
+    columns: Sequence[str],
+    variables: Sequence[str],
+    dedup: bool,
+) -> Relation:
+    """The scan pipeline both modes run: narrow ``base``'s row list filter
+    by filter, in order — a later filter sees only what the earlier ones
+    kept — then project once onto ``columns``, named ``variables``."""
+
+    def resolve(ref: ast.ColumnRef) -> int:
+        if ref.table is not None and ref.table != alias:
+            raise ExecutionError(
+                f"filter for alias {alias!r} references {ref.table!r}"
+            )
+        return base.index_of(ref.column)
+
+    rows = base.tuples
+    for predicate in predicates:
+        try:
+            rows = _narrow(rows, predicate, resolve)
+        except TypeError as exc:
+            raise ExecutionError(f"type error evaluating {predicate}: {exc}") from exc
+    projected = Relation._trusted(base.attributes, rows).project(columns, dedup)
+    return Relation._trusted(
+        _unique_attributes(variables), projected.tuples, name=alias
+    )
+
+
+def _columns_equal(left: str, right: str) -> ast.Comparison:
+    return ast.Comparison("=", ast.ColumnRef(None, left), ast.ColumnRef(None, right))
 
 
 def atom_relations(
@@ -65,7 +148,6 @@ def atom_relations_sql(
     context = current_context()
     relations: Dict[str, Relation] = {}
     residual: List[Callable[[Row], bool]] = []
-    residual_specs: List[Tuple[str, ast.Comparison]] = []
 
     for atom in query.atoms:
         context.checkpoint("exec.scan")
@@ -73,72 +155,28 @@ def atom_relations_sql(
         base = database.table(atom.relation)
         meter.charge(len(base), "scan")
 
-        filtered = base
-        if push_filters:
-            def resolve(
-                ref: ast.ColumnRef, _base: Relation = base, _alias: str = alias
-            ) -> int:
-                if ref.table is not None and ref.table != _alias:
-                    raise ExecutionError(
-                        f"filter for alias {_alias!r} references {ref.table!r}"
-                    )
-                return _base.index_of(ref.column)
+        predicates = list(translation.atom_filters.get(alias, ()))
+        if not push_filters:
+            # They reference CQ variables of the joined result instead.
+            residual += [_residual_predicate(translation, p) for p in predicates]
+            predicates = []
+        predicates += [
+            _columns_equal(left, right)
+            for left, right in translation.intra_atom_equalities.get(alias, ())
+        ]
+        columns = [translation.variable_bindings[v][alias] for v in atom.terms]
+        relations[alias] = _scan(
+            base, alias, predicates, columns, atom.terms, dedup=push_filters
+        )
 
-            predicates = [
-                compile_filter(comparison, resolve)
-                for comparison in translation.atom_filters.get(alias, ())
-            ]
-            if predicates:
-                filtered = filtered.select(conjunction(predicates))
-        else:
-            for comparison in translation.atom_filters.get(alias, ()):
-                residual_specs.append((alias, comparison))
-
-        for left, right in translation.intra_atom_equalities.get(alias, ()):
-            filtered = filtered.select_attr_eq(left, right)
-
-        columns: List[str] = []
-        variables: List[str] = []
-        for variable in atom.terms:
-            assert isinstance(variable, str)
-            columns.append(translation.variable_bindings[variable][alias])
-            variables.append(variable)
-        projected = filtered.project(columns, dedup=push_filters)
-        relations[alias] = Relation(variables, projected.tuples, name=alias)
-
-    # Residual predicates reference CQ variables of the joined result.
-    for alias, comparison in residual_specs:
-        residual.append(_residual_predicate(translation, comparison))
     return relations, residual
-
-
-class _VariableResolverFactory:
-    """Late-bound resolver: column refs → positions in the joined relation."""
-
-    def __init__(self, translation: TranslationResult):
-        self.translation = translation
-        self.attribute_index: Optional[Dict[str, int]] = None
-
-    def bind(self, relation: Relation) -> None:
-        self.attribute_index = {a: i for i, a in enumerate(relation.attributes)}
-
-    def __call__(self, ref: ast.ColumnRef) -> int:
-        variable = self.translation.resolve_variable(ref)
-        if self.attribute_index is None:
-            raise ExecutionError("residual predicate used before bind()")
-        try:
-            return self.attribute_index[variable]
-        except KeyError:
-            raise ExecutionError(
-                f"variable {variable!r} missing from the joined relation"
-            ) from None
 
 
 def _residual_predicate(
     translation: TranslationResult, comparison: ast.Comparison
 ) -> Callable[[Row], bool]:
-    """A predicate over join-result rows, resolved lazily at first use."""
-    factory = _VariableResolverFactory(translation)
+    """A predicate over join-result rows; ``predicate.bind(relation)``
+    compiles it against that relation's attribute positions before use."""
     compiled: List[Callable[[Row], bool]] = []
 
     def predicate(row: Row) -> bool:
@@ -147,9 +185,15 @@ def _residual_predicate(
         return compiled[0](row)
 
     def bind(relation: Relation) -> None:
-        factory.bind(relation)
-        compiled.clear()
-        compiled.append(compile_filter(comparison, factory))
+        def resolve(ref: ast.ColumnRef) -> int:
+            variable = translation.resolve_variable(ref)
+            if not relation.has_attribute(variable):
+                raise ExecutionError(
+                    f"variable {variable!r} missing from the joined relation"
+                )
+            return relation.index_of(variable)
+
+        compiled[:] = [compile_filter(comparison, resolve)]
 
     predicate.bind = bind  # type: ignore[attr-defined]
     return predicate
@@ -186,17 +230,19 @@ def atom_relations_positional(
                 f"{atom.relation!r} has arity {len(base.attributes)}"
             )
         meter.charge(len(base), "scan")
-        filtered = base
+        predicates: List[ast.Comparison] = []
         first_position: Dict[str, str] = {}
         for attribute, term in zip(base.attributes, atom.terms):
             if isinstance(term, Constant):
-                filtered = filtered.select_compare(attribute, "=", term.value)
+                column, value = ast.ColumnRef(None, attribute), ast.Literal(term.value)
+                predicates.append(ast.Comparison("=", column, value))
             elif term in first_position:
-                filtered = filtered.select_attr_eq(first_position[term], attribute)
+                predicates.append(_columns_equal(first_position[term], attribute))
             else:
                 first_position[term] = attribute
         variables = sorted(first_position)
         columns = [first_position[v] for v in variables]
-        projected = filtered.project(columns, dedup=True)
-        relations[atom.name] = Relation(variables, projected.tuples, name=atom.name)
+        relations[atom.name] = _scan(
+            base, atom.name, predicates, columns, variables, dedup=True
+        )
     return relations

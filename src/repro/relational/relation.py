@@ -36,14 +36,28 @@ from repro.resilience.context import current_context
 #: milliseconds, rare enough to stay off the per-tuple hot path.
 _CHECK_EVERY = 4096
 
-_COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+Rows = List[Tuple[object, ...]]
+
+#: σ column ⟨op⟩ constant over a row list: one comprehension per operator
+#: with the comparison inline, so a selection makes no Python call per row.
+_SELECT_COMPARE: Dict[str, Callable[[Rows, int, object], Rows]] = {
+    "=": lambda rows, i, c: [r for r in rows if r[i] == c],
+    "<>": lambda rows, i, c: [r for r in rows if r[i] != c],
+    "<": lambda rows, i, c: [r for r in rows if r[i] < c],
+    "<=": lambda rows, i, c: [r for r in rows if r[i] <= c],
+    ">": lambda rows, i, c: [r for r in rows if r[i] > c],
+    ">=": lambda rows, i, c: [r for r in rows if r[i] >= c],
 }
+
+
+def row_selector(op: str) -> Callable[[Rows, int, object], Rows]:
+    """``(rows, index, value) -> the rows with row[index] ⟨op⟩ value``, in
+    order, for op in ``= <> < <= > >=``: :meth:`Relation.select_compare` on a
+    bare row list, which a base scan narrows before it builds one relation."""
+    select = _SELECT_COMPARE.get(op)
+    if select is None:
+        raise SchemaError(f"unsupported comparison operator {op!r}")
+    return select
 
 
 def _key_getter(indices: Sequence[int]) -> Callable[[Tuple[object, ...]], object]:
@@ -177,7 +191,7 @@ class Relation:
         return self.to_multiset() == other.to_multiset()
 
     def copy(self, name: "str | None" = None) -> "Relation":
-        return Relation(self.attributes, list(self.tuples), name or self.name)
+        return Relation._trusted(self.attributes, list(self.tuples), name or self.name)
 
     # ------------------------------------------------------------------
     # Unary operators
@@ -205,7 +219,7 @@ class Relation:
         """σ with an arbitrary tuple predicate."""
         meter.charge(len(self.tuples), "select")
         kept = [row for row in self.tuples if predicate(row)]
-        return Relation(self.attributes, kept, name=self.name)
+        return Relation._trusted(self.attributes, kept, name=self.name)
 
     def select_compare(
         self,
@@ -215,13 +229,11 @@ class Relation:
         meter: WorkMeter = NULL_METER,
     ) -> "Relation":
         """σ attribute ⟨op⟩ constant, with op in ``= <> < <= > >=``."""
-        compare = _COMPARATORS.get(op)
-        if compare is None:
-            raise SchemaError(f"unsupported comparison operator {op!r}")
+        select = row_selector(op)
         idx = self.index_of(attribute)
         meter.charge(len(self.tuples), "select")
-        kept = [row for row in self.tuples if compare(row[idx], value)]
-        return Relation(self.attributes, kept, name=self.name)
+        kept = select(self.tuples, idx, value)
+        return Relation._trusted(self.attributes, kept, name=self.name)
 
     def select_attr_eq(
         self, left: str, right: str, meter: WorkMeter = NULL_METER
@@ -230,12 +242,12 @@ class Relation:
         li, ri = self.index_of(left), self.index_of(right)
         meter.charge(len(self.tuples), "select")
         kept = [row for row in self.tuples if row[li] == row[ri]]
-        return Relation(self.attributes, kept, name=self.name)
+        return Relation._trusted(self.attributes, kept, name=self.name)
 
     def rename(self, mapping: Dict[str, str]) -> "Relation":
         """ρ: rename attributes; unmentioned attributes keep their names."""
-        new_attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        return Relation(new_attrs, self.tuples, name=self.name)
+        new_attrs = _unique_attributes(mapping.get(a, a) for a in self.attributes)
+        return Relation._trusted(new_attrs, list(self.tuples), name=self.name)
 
     def distinct(self, meter: WorkMeter = NULL_METER) -> "Relation":
         meter.charge(len(self.tuples), "distinct")
@@ -245,7 +257,7 @@ class Relation:
             if row not in seen:
                 seen.add(row)
                 out.append(row)
-        return Relation(self.attributes, out, name=self.name)
+        return Relation._trusted(self.attributes, out, name=self.name)
 
     def sort_by(
         self,
@@ -258,10 +270,10 @@ class Relation:
         for attribute, descending in reversed(list(keys)):
             idx = self.index_of(attribute)
             rows.sort(key=lambda row: row[idx], reverse=descending)
-        return Relation(self.attributes, rows, name=self.name)
+        return Relation._trusted(self.attributes, rows, name=self.name)
 
     def limit(self, count: int) -> "Relation":
-        return Relation(self.attributes, self.tuples[:count], name=self.name)
+        return Relation._trusted(self.attributes, self.tuples[:count], name=self.name)
 
     # ------------------------------------------------------------------
     # Binary operators
@@ -446,7 +458,7 @@ class Relation:
                         context.checkpoint("exec.join")
                     meter.charge(1, "nlj-out")
                     out.append(row + other_rests[j])
-        return Relation(out_attrs, out, name=self._join_name(other))
+        return Relation._trusted(out_attrs, out, name=self._join_name(other))
 
     def merge_join(
         self, other: "Relation", meter: WorkMeter = NULL_METER
@@ -512,7 +524,7 @@ class Relation:
                     meter.charge(len(run_rests), "join-out")
                     out_extend([left_row + rest for rest in run_rests])
                 i, j = i_end, j_end
-        return Relation(out_attrs, out, name=self._join_name(other))
+        return Relation._trusted(out_attrs, out, name=self._join_name(other))
 
     def semijoin(
         self, other: "Relation", meter: WorkMeter = NULL_METER

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.engine.expressions import compile_predicate, compile_scalar, conjunction
+from repro.engine.expressions import (
+    compile_filter,
+    compile_predicate,
+    compile_scalar,
+    conjunction,
+)
 from repro.query import ast
 
 
@@ -90,3 +95,58 @@ class TestPredicate:
     def test_single_conjunction_is_identity(self):
         p = lambda row: False
         assert conjunction([p]) is p
+
+
+class TestLike:
+    CASES = [
+        # (value, pattern, matches)
+        ("abc\n", "abc", False),  # a trailing newline is a character
+        ("a\nb", "%", True),  # % spans newlines
+        ("a\nb", "a_b", True),  # _ is any one character, newline included
+        ("abc", "a%", True),
+        ("abc", "%c", True),
+        ("abc", "a_c", True),
+        ("abc", "a_", False),
+        ("", "%", True),
+        ("", "_", False),
+        ("a.c", "a.c", True),
+        ("abc", "a.c", False),  # regex metacharacters are literal
+        ("a*", "a*", True),
+        ("aaa", "a*", False),
+        ("(x)[y]", "(x)[y]", True),
+        ("a\\b", "a\\b", True),
+        (7, "%", False),
+        (None, "%", False),
+        ("7", 7, False),
+    ]
+
+    @pytest.mark.parametrize("value, pattern, matches", CASES)
+    def test_literal_pattern(self, value, pattern, matches):
+        pred = compile_filter(
+            ast.Comparison("like", ast.ColumnRef(None, "a"), ast.Literal(pattern)),
+            resolver({"a": 0}),
+        )
+        assert pred((value,)) is matches
+
+    @pytest.mark.parametrize("value, pattern, matches", CASES)
+    def test_pattern_from_a_column(self, value, pattern, matches):
+        pred = compile_filter(
+            ast.Comparison("like", ast.ColumnRef(None, "a"), ast.ColumnRef(None, "p")),
+            resolver({"a": 0, "p": 1}),
+        )
+        assert pred((value, pattern)) is matches
+
+    def test_literal_pattern_compiled_once(self, monkeypatch):
+        import re
+
+        compiled = []
+        real_compile = re.compile
+        monkeypatch.setattr(
+            re, "compile", lambda *args: compiled.append(args) or real_compile(*args)
+        )
+        pred = compile_filter(
+            ast.Comparison("like", ast.ColumnRef(None, "a"), ast.Literal("a%")),
+            resolver({"a": 0}),
+        )
+        assert [pred((v,)) for v in ("ab", "b", "a")] == [True, False, True]
+        assert len(compiled) == 1

@@ -94,6 +94,33 @@ class TestUnary:
         assert renamed.attributes == ("x", "b")
         assert renamed.tuples == r.tuples
 
+    def test_rename_rejects_a_name_collision(self, r):
+        with pytest.raises(SchemaError, match="duplicate"):
+            r.rename({"a": "b"})
+
+    def test_rename_does_not_share_the_row_list(self, r):
+        renamed = r.rename({"a": "x"})
+        renamed.tuples.append((9, "q"))
+        assert len(r) == 4
+
+    def test_derived_relations_keep_schema_and_name(self, r):
+        """Unary operators adopt their rows unchecked: what they hand on
+        must still be a well-formed relation."""
+        for derived in (
+            r.select(lambda row: row[0] == 2),
+            r.select_compare("a", ">=", 2),
+            r.select_attr_eq("a", "a"),
+            r.distinct(),
+            r.sort_by([("b", True)]),
+            r.limit(2),
+            r.copy(),
+        ):
+            assert derived.attributes == r.attributes
+            assert derived.name == "r"
+            assert derived.index_of("b") == 1
+            assert all(len(row) == 2 for row in derived.tuples)
+            assert derived.tuples is not r.tuples
+
     def test_distinct(self, r):
         assert len(r.distinct()) == 3
 

@@ -1,8 +1,13 @@
 """Tests for base-scan construction (atom_relations)."""
 
-import pytest
+import dataclasses
+import sys
 
-from repro.errors import QueryError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ExecutionError, QueryError
+from repro.engine.expressions import compile_filter, conjunction
 from repro.engine.scans import (
     apply_residual_filters,
     atom_relations,
@@ -10,11 +15,12 @@ from repro.engine.scans import (
     atom_relations_sql,
 )
 from repro.metering import WorkMeter
+from repro.query import ast
 from repro.query.builder import ConjunctiveQueryBuilder
 from repro.query.conjunctive import Constant
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
-from repro.relational import AttributeType, Database, RelationSchema
+from repro.relational import AttributeType, Database, Relation, RelationSchema
 
 
 @pytest.fixture()
@@ -126,3 +132,286 @@ class TestPositionalMode:
         q = ConjunctiveQueryBuilder().atom("x", "s", "B", "D").output("D").build()
         rels = atom_relations(q, db)  # no translation → positional
         assert "x" in rels
+
+
+# ---------------------------------------------------------------------------
+# The per-row scan the compiled pipeline replaced, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_scan(query, database, translation=None, meter=None, push_filters=True):
+    """Base scans the way they were built before the one pipeline.
+
+    Every row goes through ``select(conjunction(compile_filter…))`` closures,
+    then ``select_attr_eq`` / ``select_compare``, ``project`` and the
+    arity-checking ``Relation`` constructor.  The production scan must agree
+    with it in attributes, rows, row order, name and charges.
+    Returns ``(relations, residual filter count)``.
+    """
+    meter = meter if meter is not None else WorkMeter()
+    relations, unpushed = {}, 0
+    for atom in query.atoms:
+        base = database.table(atom.relation)
+        meter.charge(len(base), "scan")
+        filtered = base
+        if translation is None:
+            first_position = {}
+            for attribute, term in zip(base.attributes, atom.terms):
+                if isinstance(term, Constant):
+                    filtered = filtered.select_compare(attribute, "=", term.value)
+                elif term in first_position:
+                    filtered = filtered.select_attr_eq(first_position[term], attribute)
+                else:
+                    first_position[term] = attribute
+            variables = sorted(first_position)
+            columns = [first_position[v] for v in variables]
+        else:
+            alias = atom.name
+
+            def resolve(ref, _base=base, _alias=alias):
+                if ref.table is not None and ref.table != _alias:
+                    raise ExecutionError(
+                        f"filter for alias {_alias!r} references {ref.table!r}"
+                    )
+                return _base.index_of(ref.column)
+
+            comparisons = translation.atom_filters.get(alias, ())
+            if push_filters:
+                predicates = [compile_filter(c, resolve) for c in comparisons]
+                if predicates:
+                    filtered = filtered.select(conjunction(predicates))
+            else:
+                unpushed += len(comparisons)
+            for left, right in translation.intra_atom_equalities.get(alias, ()):
+                filtered = filtered.select_attr_eq(left, right)
+            variables = list(atom.terms)
+            columns = [translation.variable_bindings[v][alias] for v in variables]
+        dedup = push_filters or translation is None
+        projected = filtered.project(columns, dedup=dedup)
+        relations[atom.name] = Relation(variables, projected.tuples, name=atom.name)
+    return relations, unpushed
+
+
+def _outcome(run):
+    """What a scan did, comparably: its relations and charges, or its error."""
+    meter = WorkMeter()
+    try:
+        relations, residual = run(meter)
+    except ExecutionError as exc:
+        return "error", type(exc), meter.snapshot()
+    described = {
+        alias: (rel.attributes, rel.tuples, rel.name)
+        for alias, rel in relations.items()
+    }
+    return "ok", described, residual, meter.snapshot()
+
+
+INTS = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+STRINGS = st.one_of(
+    st.none(), st.sampled_from(["", "ab", "abc", "a\nb", "abc\n", "a%", "a_b", "a.b", "x"])
+)
+PATTERNS = st.sampled_from(["%", "a_b", "abc", "a%", "%b", "a.b", "a\\%", "_", "", 3])
+COLUMNS = {"a": INTS, "b": INTS, "s": STRINGS, "c": st.integers(0, 2)}
+OPS = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+
+
+def _ref(draw, column):
+    return ast.ColumnRef(draw(st.sampled_from([None, "t"])), column)
+
+
+@st.composite
+def scan_filter(draw):
+    """One pushed-down filter of any shape the scan recognises, or the
+    arithmetic one it leaves to ``compile_filter``."""
+    shape = draw(
+        st.sampled_from(
+            ["col-lit", "lit-col", "in", "like", "col-col", "arith", "lit-lit"]
+        )
+    )
+    column = draw(st.sampled_from(["a", "b", "s", "c"]))
+    literal = ast.Literal(draw(COLUMNS[column].filter(lambda v: v is not None)))
+    if shape == "col-lit":
+        return ast.Comparison(draw(OPS), _ref(draw, column), literal)
+    if shape == "lit-col":
+        return ast.Comparison(draw(OPS), literal, _ref(draw, column))
+    if shape == "in":
+        values = draw(st.lists(COLUMNS[column], max_size=3))
+        return ast.InList(_ref(draw, column), tuple(values))
+    if shape == "like":
+        return ast.Comparison("like", _ref(draw, column), ast.Literal(draw(PATTERNS)))
+    if shape == "col-col":
+        other = draw(st.sampled_from(["a", "b", "c"]))
+        return ast.Comparison(draw(OPS), _ref(draw, column), _ref(draw, other))
+    if shape == "lit-lit":
+        return ast.Comparison(draw(OPS), ast.Literal(1), ast.Literal(draw(st.integers(0, 2))))
+    number = draw(st.sampled_from(["a", "b", "c"]))
+    total = ast.BinaryOp("+", _ref(draw, number), ast.Literal(1))
+    return ast.Comparison(draw(OPS), total, ast.Literal(3))
+
+
+@st.composite
+def scan_table(draw):
+    rows = draw(
+        st.lists(st.tuples(*(COLUMNS[c] for c in ("a", "b", "s", "c"))), max_size=12)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    database = Database("scans")
+    database.create_table(
+        RelationSchema.of(
+            "t",
+            {
+                "a": AttributeType.INT,
+                "b": AttributeType.INT,
+                "s": AttributeType.STRING,
+                "c": AttributeType.INT,
+            },
+        ),
+        rows,
+    )
+    return database
+
+
+class TestAgainstReferenceScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        database=scan_table(),
+        selected=st.lists(
+            st.sampled_from(["a", "b", "s", "c"]), min_size=1, max_size=4, unique=True
+        ),
+        filters=st.lists(scan_filter(), max_size=4),
+        equalities=st.lists(st.sampled_from([("a", "b"), ("b", "c"), ("a", "c")]), max_size=2),
+        push_filters=st.booleans(),
+    )
+    def test_sql_mode(self, database, selected, filters, equalities, push_filters):
+        translation = dataclasses.replace(
+            sql_to_conjunctive(
+                parse_sql(f"SELECT {', '.join('t.' + c for c in selected)} FROM t"),
+                database.schema.as_mapping(),
+            ),
+            atom_filters={"t": tuple(filters)},
+            intra_atom_equalities={"t": tuple(equalities)},
+        )
+        query = translation.query
+
+        def production(meter):
+            relations, residual = atom_relations_sql(
+                query, database, translation, meter, push_filters
+            )
+            return relations, len(residual)
+
+        def reference(meter):
+            return reference_scan(query, database, translation, meter, push_filters)
+
+        assert _outcome(production) == _outcome(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        database=scan_table(),
+        terms=st.tuples(
+            *(
+                st.one_of(st.sampled_from(["X", "Y", "Z"]), COLUMNS[c].map(Constant))
+                for c in ("a", "b", "s", "c")
+            )
+        ),
+    )
+    def test_positional_mode(self, database, terms):
+        variables = sorted({t for t in terms if isinstance(t, str)})
+        query = (
+            ConjunctiveQueryBuilder().atom("x", "t", *terms).output(*variables[:1]).build()
+        )
+        production = _outcome(
+            lambda meter: (atom_relations_positional(query, database, meter), 0)
+        )
+        assert production == _outcome(lambda meter: reference_scan(query, database, None, meter))
+
+
+class TestScanErrors:
+    def _translation(self, database, comparison):
+        translation = sql_to_conjunctive(
+            parse_sql("SELECT t.a FROM t"), database.schema.as_mapping()
+        )
+        return dataclasses.replace(translation, atom_filters={"t": (comparison,)})
+
+    @pytest.mark.parametrize(
+        "comparison",
+        [
+            ast.Comparison("<", ast.ColumnRef("t", "a"), ast.Literal(2)),
+            ast.Comparison("<", ast.Literal(2), ast.ColumnRef("t", "a")),
+            ast.Comparison("<", ast.ColumnRef("t", "a"), ast.ColumnRef("t", "b")),
+        ],
+        ids=str,
+    )
+    def test_type_error_is_the_reference_execution_error(self, comparison):
+        database = Database("scans")
+        database.create_table(
+            RelationSchema.of("t", {"a": AttributeType.INT, "b": AttributeType.INT}),
+            [(1, 2), (None, 3), (3, 1)],
+        )
+        translation = self._translation(database, comparison)
+        with pytest.raises(ExecutionError) as expected:
+            reference_scan(translation.query, database, translation)
+        with pytest.raises(ExecutionError) as raised:
+            atom_relations(translation.query, database, translation)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith(f"type error evaluating {comparison}: '<' not")
+
+    def test_filter_on_another_alias_rejected(self, db):
+        comparison = ast.Comparison("=", ast.ColumnRef("s", "b"), ast.Literal(1))
+        translation = self._translation(db, comparison)
+        with pytest.raises(ExecutionError, match="filter for alias 't' references 's'"):
+            atom_relations(translation.query, db, translation)
+
+    def test_like_through_the_scan(self):
+        database = Database("scans")
+        database.create_table(
+            RelationSchema.of("t", {"a": AttributeType.STRING}),
+            [("abc\n",), ("a\nb",), ("abc",), ("a.c",), (None,), (7,)],
+        )
+        for pattern, kept in [
+            ("abc", ["abc"]),
+            ("%", ["abc\n", "a\nb", "abc", "a.c"]),
+            ("a_b", ["a\nb"]),
+            ("a.c", ["a.c"]),
+            (7, []),
+        ]:
+            comparison = ast.Comparison("like", ast.ColumnRef(None, "a"), ast.Literal(pattern))
+            translation = self._translation(database, comparison)
+            rels = atom_relations(translation.query, database, translation)
+            assert [row[0] for row in rels["t"].tuples] == kept, pattern
+
+
+class TestScanWorkGuard:
+    """No clock: Python-level calls made by a scan must not grow with the
+    table.  The per-row closure path made ≈ 9 calls per row here."""
+
+    @staticmethod
+    def _calls(rows):
+        database = Database("scans")
+        database.create_table(
+            RelationSchema.of("t", {"k": AttributeType.INT, "d": AttributeType.DATE}),
+            [(i, f"1995-{i % 12 + 1:02d}-{i % 28 + 1:02d}") for i in range(rows)],
+        )
+        translation = sql_to_conjunctive(
+            parse_sql(
+                "SELECT t.k FROM t WHERE t.d >= '1995-03-01' AND t.d < '1995-09-15' "
+                "AND t.k >= 10 AND t.k < 4000"
+            ),
+            database.schema.as_mapping(),
+        )
+        calls = []
+
+        def profiler(_frame, event, _arg):
+            if event == "call":
+                calls.append(1)
+
+        sys.setprofile(profiler)
+        try:
+            relations, _ = atom_relations_sql(translation.query, database, translation)
+        finally:
+            sys.setprofile(None)
+        assert 0 < len(relations["t"]) < rows
+        return len(calls)
+
+    def test_calls_do_not_scale_with_rows(self):
+        small, large = self._calls(500), self._calls(5000)
+        assert abs(large - small) < 20, (small, large)
