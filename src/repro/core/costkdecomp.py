@@ -15,7 +15,7 @@ lexicographic λ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DecompositionError
 from repro.hypergraph.hypergraph import Hypergraph
@@ -73,14 +73,12 @@ class CostKDecomp:
         self.meter = meter
         self._space = _SearchSpace(hypergraph, k)
         self.atom_variables = self._space.edge_variables
-        self._root_key: Optional[Tuple[FrozenSet[str], FrozenSet[str]]] = None
+        self._root_key: Optional[Tuple[int, int]] = None
         # Every memo table lives on this per-call object, never on the cost
         # model (the serving layer shares one model across threads).  The
         # DP table's nodes are shared by every candidate parent that reuses
         # a subproblem (a DAG); ``decompose()`` clones the winner into a tree.
-        self._memo: Dict[
-            Tuple[FrozenSet[str], FrozenSet[str]], Optional[_Best]
-        ] = {}
+        self._memo: Dict[Tuple[int, int], Optional[_Best]] = {}
         # λ → (joined estimate, join cost): the λ join depends on λ alone,
         # each candidate only projects it onto its χ.
         self._lambda_joins: Dict[Tuple[str, ...], Tuple[JoinEstimate, float]] = {}
@@ -107,25 +105,24 @@ class CostKDecomp:
         Returns ``(hypertree, estimated_cost)`` or None when no width-≤k
         decomposition with the required root cover exists.
         """
-        all_edges = frozenset(edge.name for edge in self.hypergraph)
         cover = frozenset(required_root_cover)
         unknown = cover - self.hypergraph.vertices
         if unknown:
             raise DecompositionError(
                 f"required root-cover variables not in hypergraph: {sorted(unknown)}"
             )
-        if not all_edges:
+        if not len(self.hypergraph):
             root = HypertreeNode(chi=cover, lam=())
             return Hypertree(root, self.hypergraph), 0.0
-        self._root_key = (all_edges, cover)
+        self._root_key = (self._space.all_edges, self._space.vertex_mask(cover))
         with current_tracer().span(
             "decompose.search",
             meter=self.meter,
             k=self.k,
-            edges=len(all_edges),
+            edges=len(self.hypergraph),
             variables=len(self.hypergraph.vertices),
         ) as span:
-            best = self._solve(all_edges, cover)
+            best = self._solve(*self._root_key)
             span.tag(
                 candidates=self.candidates,
                 pruned=self.pruned,
@@ -143,9 +140,7 @@ class CostKDecomp:
 
     # ------------------------------------------------------------------
 
-    def _solve(
-        self, component: FrozenSet[str], connector: FrozenSet[str]
-    ) -> Optional[_Best]:
+    def _solve(self, component: int, connector: int) -> Optional[_Best]:
         key = (component, connector)
         if key in self._memo:
             self.memo_hits += 1
@@ -158,10 +153,9 @@ class CostKDecomp:
         self._memo[key] = result
         return result
 
-    def _search(
-        self, component: FrozenSet[str], connector: FrozenSet[str]
-    ) -> Optional[_Best]:
+    def _search(self, component: int, connector: int) -> Optional[_Best]:
         model = self.cost_model
+        space = self._space
         at_root = self.output_weight > 0.0 and self._root_key == (
             component,
             connector,
@@ -170,14 +164,16 @@ class CostKDecomp:
         # stitched estimate — its node is built once, after the enumeration.
         best: Optional[tuple] = None
 
-        for lam, chi in self._space.separators(component, connector):
+        for lam, chi_mask in space.separators(component, connector):
             self._context.checkpoint("decompose.search")
             self.meter.charge(1, "plan")
             self.candidates += 1
-            pieces = self._space.split(component, chi)
-            if any(len(sub) >= len(component) for sub, _ in pieces):
+            pieces = space.split(component, chi_mask)
+            # No strictly shrinking split: the one piece is the component.
+            if pieces and pieces[0][0] == component:
                 self.pruned += 1
                 continue
+            chi = space.names_of(chi_mask)
 
             lam_join = self._lambda_joins.get(lam)
             if lam_join is None:

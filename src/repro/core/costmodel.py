@@ -136,19 +136,22 @@ class DecompositionCostModel:
                 theirs = 1.0
             size /= theirs if theirs > ours else ours
         size = max(size, 0.0)
+        # ``left``'s variables, then ``right``'s unseen ones: ``project``
+        # multiplies in this order, which must not be a set's (string hashing).
         distinct: Dict[str, float] = {}
-        for variable in set(left_distinct) | set(right_distinct):
-            if variable in left_distinct:
-                estimate = left_distinct[variable]
-                if variable in right_distinct:
-                    other = right_distinct[variable]
-                    if other < estimate:
-                        estimate = other
-            else:
-                estimate = right_distinct[variable]
+        for variable, estimate in left_distinct.items():
+            if variable in right_distinct:
+                other = right_distinct[variable]
+                if other < estimate:
+                    estimate = other
             if size < estimate:
                 estimate = size
             distinct[variable] = 1.0 if 1.0 > estimate else estimate
+        for variable, estimate in right_distinct.items():
+            if variable not in left_distinct:
+                if size < estimate:
+                    estimate = size
+                distinct[variable] = 1.0 if 1.0 > estimate else estimate
         return JoinEstimate(size, distinct)
 
     def join_sequence(
@@ -167,7 +170,8 @@ class DecompositionCostModel:
         current, current_vars = items[0]
         cost = current.cardinality
         for estimate, variables in items[1:]:
-            shared = current_vars & variables
+            # Sorted: the division order of a float must not be set order.
+            shared = sorted(current_vars & variables)
             current = self.join(current, estimate, shared)
             current_vars = current_vars | variables
             cost += estimate.cardinality + current.cardinality
@@ -214,7 +218,8 @@ class DecompositionCostModel:
         One join estimate yields both results: the cost of the step and the
         parent's estimate afterwards, restricted to χ.
         """
-        shared = set(parent.distinct) & set(child.distinct)
+        child_distinct = child.distinct
+        shared = [v for v in parent.distinct if v in child_distinct]
         joined = DecompositionCostModel.join(parent, child, shared)
         cost = parent.cardinality + child.cardinality + joined.cardinality
         distinct = {v: d for v, d in joined.distinct.items() if v in chi}

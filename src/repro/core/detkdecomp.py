@@ -2,15 +2,15 @@
 
 A memoized recursive search in the style of Gottlob–Leone–Scarcello's
 opt-k-decomp / det-k-decomp family.  Subproblems are pairs
-``(component, connector)`` where *component* is a set of hyperedge names
-still to decompose and *connector* is the set of variables shared with the
-parent's χ label.  For each subproblem the algorithm enumerates λ-candidates
-(≤ k hyperedges covering the connector and touching the component), sets
+``(component, connector)`` where *component* is a set of hyperedges still
+to decompose and *connector* is the set of variables shared with the
+parent's χ label (both integer bitsets, see :class:`_SearchSpace`).  For
+each subproblem the algorithm enumerates λ-candidates (≤ k hyperedges
+covering the connector and touching the component), sets
 
     χ(p) = var(λ(p)) ∩ (connector ∪ var(component)),
 
-splits the component against χ(p) (see
-:func:`repro.hypergraph.algorithms.connected_components`) and recurses.
+splits the component against χ(p) into its [χ(p)]-components and recurses.
 This construction yields decompositions satisfying all four conditions of
 Definition 1 (in particular the Special Descendant Condition), i.e. genuine
 normal-form-style hypertree decompositions.
@@ -25,41 +25,67 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DecompositionError
-from repro.hypergraph.algorithms import connected_components
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.core.hypertree import Hypertree, HypertreeNode
 
-_FAIL = None
+#: The ``(sub-component, connector)`` pieces of one split, two bitsets each.
+_Pieces = Tuple[Tuple[int, int], ...]
 
 
 class _SearchSpace:
     """The ``(component, connector)`` subproblem space of one search.
 
     det-k-decomp and cost-k-decomp enumerate the same λ-candidates and split
-    components the same way; this object is what they share.  It belongs to
-    one search object and dies with it, so its ``var(component)`` memo needs
-    no lock, bound or invalidation.
+    components the same way; this object is what they share.  It runs on
+    Python ints: edges are numbered in sorted-name order and vertices in
+    sorted order, a component is a bitset of edge numbers, and
+    ``var(component)``, connectors and χ are bitsets of vertex numbers.
+    Names reappear only in the λ tuples and through :meth:`names_of`.  The
+    numbering and the memos belong to one search object and die with it
+    (``Hypergraph`` is mutable; a numbering kept there would need an
+    invalidation rule), so they need no lock, bound or invalidation.
     """
 
     def __init__(self, hypergraph: Hypergraph, k: int):
-        self.hypergraph = hypergraph
         self.k = k
-        self.edge_variables: Dict[str, FrozenSet[str]] = {
-            edge.name: edge.vertices for edge in hypergraph
-        }
-        self._sorted_edges = sorted(self.edge_variables.items())
-        self._variables: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self.edge_variables = {edge.name: edge.vertices for edge in hypergraph}
+        self._vertices = sorted(hypergraph.vertices)
+        self._vertex_bit = {name: 1 << i for i, name in enumerate(self._vertices)}
+        #: ``(edge name, var(edge))`` in edge-number order.
+        self._edges: List[Tuple[str, int]] = [
+            (name, self.vertex_mask(variables))
+            for name, variables in sorted(self.edge_variables.items())
+        ]
+        self.all_edges = (1 << len(self._edges)) - 1
+        # var(component): the root's here, every other one from the
+        # ``split`` that produces the component.
+        self._variables: Dict[int, int] = {self.all_edges: 0}
+        for _name, variables in self._edges:
+            self._variables[self.all_edges] |= variables
+        self._splits: Dict[Tuple[int, int], _Pieces] = {}
+        self._names: Dict[int, FrozenSet[str]] = {}
 
-    def variables_of(self, edges: FrozenSet[str]) -> FrozenSet[str]:
-        """``var(edges)``, computed once per distinct edge set."""
-        found = self._variables.get(edges)
+    def vertex_mask(self, names: Iterable[str]) -> int:
+        """The bitset of a collection of variable names."""
+        mask = 0
+        for name in sorted(names):
+            mask |= self._vertex_bit[name]
+        return mask
+
+    def names_of(self, variables: int) -> FrozenSet[str]:
+        """The names in a bitset (the cost model and tree nodes take names)."""
+        found = self._names.get(variables)
         if found is None:
-            found = self._variables[edges] = self.hypergraph.variables_of(edges)
+            found = self._names[variables] = frozenset(
+                name
+                for number, name in enumerate(self._vertices)
+                if variables >> number & 1
+            )
         return found
 
     def separators(
-        self, component: FrozenSet[str], connector: FrozenSet[str]
-    ) -> Iterator[Tuple[Tuple[str, ...], FrozenSet[str]]]:
+        self, component: int, connector: int
+    ) -> Iterator[Tuple[Tuple[str, ...], int]]:
         """Enumerate ``(λ, χ)`` candidates for a subproblem.
 
         A candidate λ is a set of 1..k hyperedges (from the *whole*
@@ -78,15 +104,11 @@ class _SearchSpace:
         combination extends the union of its prefix by one edge instead of
         re-unioning all of its edges.
         """
-        component_vars = self.variables_of(component)
+        component_vars = self._variables[component]
         scope = connector | component_vars
-        relevant = [
-            edge for edge in self._sorted_edges if not edge[1].isdisjoint(scope)
-        ]
+        relevant = [edge for edge in self._edges if edge[1] & scope]
         count = len(relevant)
-        prefixes: List[Tuple[Tuple[str, ...], FrozenSet[str], int]] = [
-            ((), frozenset(), 0)
-        ]
+        prefixes: List[Tuple[Tuple[str, ...], int, int]] = [((), 0, 0)]
         for size in range(1, self.k + 1):
             extended = []
             for prefix, prefix_vars, start in prefixes:
@@ -96,20 +118,56 @@ class _SearchSpace:
                     lam_vars = prefix_vars | variables
                     if size < self.k:
                         extended.append((lam, lam_vars, index + 1))
-                    if connector <= lam_vars and not lam_vars.isdisjoint(
-                        component_vars
-                    ):
+                    if connector & lam_vars == connector and lam_vars & component_vars:
                         yield lam, lam_vars & scope
             prefixes = extended
 
-    def split(
-        self, component: FrozenSet[str], chi: FrozenSet[str]
-    ) -> List[Tuple[FrozenSet[str], FrozenSet[str]]]:
-        """Split a component against χ; returns (sub-component, connector) pairs."""
-        return [
-            (sub, self.variables_of(sub) & chi)
-            for sub in connected_components(self.hypergraph, component, chi)
+    def split(self, component: int, chi: int) -> _Pieces:
+        """Split a component against χ into ``(sub-component, connector)`` pairs.
+
+        The pieces are the [χ]-components of the component — edges linked
+        through shared vertices outside χ; edges χ covers entirely belong
+        to none — ordered by smallest member edge name (= lowest edge bit)
+        and computed once per distinct ``(component, χ)`` of the search.  A
+        piece is a subset of the component, so a split made no headway
+        exactly when its first piece *is* the component.
+        """
+        key = (component, chi)
+        pieces = self._splits.get(key)
+        if pieces is None:
+            pieces = self._splits[key] = self._flood(component, chi)
+        return pieces
+
+    def _flood(self, component: int, chi: int) -> _Pieces:
+        free = ~chi
+        pending = [
+            (1 << number, variables)
+            for number, (_name, variables) in enumerate(self._edges)
+            if component >> number & 1 and variables & free
         ]
+        pieces = []
+        while pending:
+            # The lowest unclaimed edge seeds a piece, which then absorbs
+            # every edge sharing a free vertex with it, until none does.
+            piece, piece_vars = pending[0]
+            pending = pending[1:]
+            grew = True
+            while grew and pending:
+                grew = False
+                reach = piece_vars & free
+                apart = []
+                for edge in pending:
+                    if edge[1] & reach:
+                        piece |= edge[0]
+                        piece_vars |= edge[1]
+                        reach = piece_vars & free
+                        grew = True
+                    else:
+                        apart.append(edge)
+                pending = apart
+            self._variables[piece] = piece_vars
+            pieces.append((piece, piece_vars & chi))
+        return tuple(pieces)
 
 
 class DetKDecomp:
@@ -124,9 +182,7 @@ class DetKDecomp:
         # Memoised nodes are shared by every candidate parent that reuses a
         # subproblem (a DAG, ``parent`` pointers meaningless);
         # ``decompose()`` clones the result into a proper tree.
-        self._memo: Dict[
-            Tuple[FrozenSet[str], FrozenSet[str]], Optional[HypertreeNode]
-        ] = {}
+        self._memo: Dict[Tuple[int, int], Optional[HypertreeNode]] = {}
 
     def decompose(
         self, required_root_cover: Iterable[str] = ()
@@ -141,39 +197,36 @@ class DetKDecomp:
         Returns:
             A :class:`Hypertree` satisfying Definition 1, or None.
         """
-        all_edges = frozenset(edge.name for edge in self.hypergraph)
         cover = frozenset(required_root_cover)
         unknown = cover - self.hypergraph.vertices
         if unknown:
             raise DecompositionError(
                 f"required root-cover variables not in hypergraph: {sorted(unknown)}"
             )
-        if not all_edges:
+        if not len(self.hypergraph):
             root = HypertreeNode(chi=cover, lam=())
             return Hypertree(root, self.hypergraph)
-        node = self._solve(all_edges, cover)
+        space = self._space
+        node = self._solve(space.all_edges, space.vertex_mask(cover))
         if node is None:
             return None
         return Hypertree(node.clone(), self.hypergraph)
 
     # ------------------------------------------------------------------
 
-    def _solve(
-        self, component: FrozenSet[str], connector: FrozenSet[str]
-    ) -> Optional[HypertreeNode]:
+    def _solve(self, component: int, connector: int) -> Optional[HypertreeNode]:
         key = (component, connector)
         if key not in self._memo:
             self._memo[key] = self._search(component, connector)
         return self._memo[key]
 
-    def _search(
-        self, component: FrozenSet[str], connector: FrozenSet[str]
-    ) -> Optional[HypertreeNode]:
-        for lam, chi in self._space.separators(component, connector):
-            pieces = self._space.split(component, chi)
+    def _search(self, component: int, connector: int) -> Optional[HypertreeNode]:
+        space = self._space
+        for lam, chi in space.separators(component, connector):
+            pieces = space.split(component, chi)
             # Progress guarantee: every sub-component must be strictly
             # smaller, otherwise the candidate made no headway.
-            if any(len(sub) >= len(component) for sub, _ in pieces):
+            if pieces and pieces[0][0] == component:
                 continue
             children: List[HypertreeNode] = []
             for sub, sub_connector in pieces:
@@ -182,7 +235,7 @@ class DetKDecomp:
                     break
                 children.append(child)
             if len(children) == len(pieces):
-                return HypertreeNode(chi=chi, lam=lam, children=children)
+                return HypertreeNode(space.names_of(chi), lam, children)
         return None
 
 

@@ -162,12 +162,18 @@ def connected_components(
     the component notion used by det-k-decomp.
 
     Returns:
-        A deterministic list of frozensets of edge names.
+        The components as frozensets of edge names, ordered by each
+        component's smallest edge name — a function of the partition alone,
+        so it cannot depend on set iteration (string hashing).  The
+        decomposition search orders the pieces of a split the same way
+        (they become a node's children, in this order).
     """
     separator = frozenset(separator_vertices)
     # Edges are linked through shared non-separator vertices.  ``root`` names
     # each edge's group and ``members`` lists each group; on a link the group
-    # of the vertex's first owner absorbs the newcomer's group.
+    # of the vertex's first owner absorbs the newcomer's group (for an edge
+    # bridging two earlier groups that follows set order; the final sort
+    # does not).
     root: Dict[str, str] = {}
     members: Dict[str, List[str]] = {}
     vertex_owner: Dict[str, str] = {}
@@ -187,7 +193,7 @@ def connected_components(
                 for member in absorbed:
                     root[member] = kept
                 members[kept] += absorbed
-    return [frozenset(group) for _, group in sorted(members.items())]
+    return [frozenset(group) for group in sorted(members.values(), key=min)]
 
 
 def component_frontier(

@@ -16,7 +16,7 @@ from repro.core.costmodel import (
     JoinEstimate,
 )
 from repro.core.costkdecomp import CostKDecomp, cost_k_decomp
-from repro.core.detkdecomp import det_k_decomp
+from repro.core.detkdecomp import _SearchSpace, det_k_decomp
 from repro.core.hypertree import HypertreeNode
 from repro.core.optimizer import HybridOptimizer, cost_model_from_database
 from repro.core.validate import validate_decomposition
@@ -190,7 +190,7 @@ class ReferenceSearch:
     candidate's children and walks subtrees for the width.  The production
     search must agree with it bit for bit — cost, tree, counters.  It also
     records what a search *has* to compute at least once (``lambdas``,
-    ``stitched``), the yardstick of the work guard below.
+    ``stitched``, ``splits``), the yardstick of the work guard below.
     """
 
     def __init__(self, hypergraph, k, model, output_weight=0.0, output_variables=()):
@@ -205,6 +205,7 @@ class ReferenceSearch:
         self.pruned = 0
         self.lambdas = set()
         self.stitched = 0
+        self.splits = set()
 
     def decompose(self, required_root_cover=()):
         self.root_key = (
@@ -225,6 +226,7 @@ class ReferenceSearch:
                     yield combo
 
     def split(self, component, chi):
+        self.splits.add((component, chi))
         return [
             (sub, frozenset(self.hypergraph.variables_of(sub) & chi))
             for sub in union_find_components(self.hypergraph, component, chi)
@@ -263,12 +265,12 @@ class ReferenceSearch:
                 child_cost, _width, child_estimate, child_node = child
                 children.append(child_node)
                 total += child_cost
-                shared = set(current.distinct) & set(child_estimate.distinct)
+                shared = [v for v in current.distinct if v in child_estimate.distinct]
                 out = model.join(current, child_estimate, shared)
                 total += (
                     current.cardinality + child_estimate.cardinality + out.cardinality
                 )
-                shared = set(current.distinct) & set(child_estimate.distinct)
+                shared = [v for v in current.distinct if v in child_estimate.distinct]
                 out = model.join(current, child_estimate, shared)
                 keep = set(out.distinct) & chi
                 current = JoinEstimate(
@@ -456,8 +458,8 @@ class TestMatchesReferenceSearch:
 
 
 class TestSearchWorkGuard:
-    """No clock: counts that fail when per-candidate re-joining or
-    per-candidate cloning comes back."""
+    """No clock: counts that fail when per-candidate re-joining,
+    per-candidate cloning or per-candidate splitting comes back."""
 
     def test_chain9_k4_joins_and_nodes(self, monkeypatch):
         query = path_query(9, cyclic=True)
@@ -494,3 +496,24 @@ class TestSearchWorkGuard:
         (span,) = tracer.spans("decompose.search")
         assert span.tags["estimate_joins"] == len(joins)
         assert span.tags["distinct_lambdas"] == len(reference.lambdas)
+
+    def test_chain9_k4_floods_once_per_distinct_split(self, monkeypatch):
+        query = path_query(9, cyclic=True)
+        hypergraph = query.hypergraph()
+        model = skewed_model(query)
+        reference = ReferenceSearch(hypergraph, 4, model)
+        reference.decompose(query.output_variables)
+
+        floods = []
+        real_flood = _SearchSpace._flood
+        monkeypatch.setattr(
+            _SearchSpace,
+            "_flood",
+            lambda *args: floods.append(1) or real_flood(*args),
+        )
+        search = CostKDecomp(hypergraph, 4, model)
+        search.decompose(query.output_variables)
+
+        assert search.candidates == reference.candidates
+        assert 0 < len(floods) <= len(reference.splits)
+        assert 2 * len(floods) <= reference.candidates

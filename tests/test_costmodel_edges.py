@@ -34,7 +34,10 @@ def textbook_join(left, right, shared_variables):
         size /= max(left.distinct_of(variable), right.distinct_of(variable))
     size = max(size, 0.0)
     distinct = {}
-    for variable in set(left.distinct) | set(right.distinct):
+    # Dict order: left's variables, then right's unseen ones.
+    for variable in list(left.distinct) + [
+        v for v in right.distinct if v not in left.distinct
+    ]:
         if variable in left.distinct and variable in right.distinct:
             estimate = min(left.distinct[variable], right.distinct[variable])
         else:

@@ -94,6 +94,7 @@ def planner_fingerprints():
     from repro.core.optimizer import HybridOptimizer, cost_model_from_database
     from repro.workloads.tpch import generate_tpch_database
     from repro.workloads.tpch_queries import query_q5, query_q8
+    from tests.test_costkdecomp import path_query, skewed_model
 
     def shape(node):
         return [sorted(node.chi), list(node.lam), [shape(c) for c in node.children]]
@@ -118,6 +119,13 @@ def planner_fingerprints():
             output_weight=1.0,
         )
         fingerprints[label] = [float(cost).hex(), shape(tree.root)]
+    # Splits with an edge bridging two earlier groups: the piece order (and
+    # through the stitch order the cost, hence the λ chosen) once followed
+    # the iteration order of a set of variable names.
+    for n, k in ((9, 2), (10, 3), (11, 2)):
+        query = path_query(n, cyclic=True)
+        tree, cost = cost_k_decomp(query.hypergraph(), k, skewed_model(query))
+        fingerprints[f"skewed-chain{n}-k{k}"] = [float(cost).hex(), shape(tree.root)]
     return fingerprints
 
 
@@ -125,7 +133,7 @@ class TestHashSeedDeterminism:
     def test_search_is_independent_of_string_hashing(self):
         root = Path(__file__).resolve().parent.parent
         outputs = []
-        for hash_seed in ("1", "2"):
+        for hash_seed in ("0", "1", "2", "3"):
             env = dict(
                 os.environ,
                 PYTHONHASHSEED=hash_seed,
@@ -145,5 +153,13 @@ class TestHashSeedDeterminism:
             )
             assert result.returncode == 0, result.stderr
             outputs.append(json.loads(result.stdout))
-        assert set(outputs[0]) == {"q5", "q8", "chain8"}
-        assert outputs[0] == outputs[1]
+        assert set(outputs[0]) == {
+            "q5",
+            "q8",
+            "chain8",
+            "skewed-chain9-k2",
+            "skewed-chain10-k3",
+            "skewed-chain11-k2",
+        }
+        for output in outputs[1:]:
+            assert output == outputs[0]

@@ -12,7 +12,11 @@ from repro.hypergraph import (
     line_hypergraph,
     random_hypergraph,
 )
-from repro.core.detkdecomp import det_k_decomp, hypertree_width
+from repro.hypergraph.algorithms import connected_components
+from repro.core.detkdecomp import _SearchSpace, det_k_decomp, hypertree_width
+from repro.core.validate import validate_decomposition
+
+from .test_costkdecomp import ReferenceSearch
 
 
 class TestKnownWidths:
@@ -103,6 +107,14 @@ class TestDecomposition:
         assert tree is not None
         assert len(tree) == 1
 
+    def test_more_edges_than_a_machine_word(self):
+        # Components are Python ints, not a fixed-width type: 70 edge bits.
+        hg = line_hypergraph(70)
+        assert hypertree_width(hg) == 1
+        tree = det_k_decomp(hg, 1)
+        report = validate_decomposition(tree, require_hd_conditions=True)
+        assert report.ok, report.render()
+
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -125,3 +137,70 @@ def test_cycles_decompose_at_2_not_1(n):
     assert det_k_decomp(cycle_hypergraph(n), 1) is None
     tree = det_k_decomp(cycle_hypergraph(n), 2)
     assert tree is not None and tree.is_hypertree_decomposition()
+
+
+# ---------------------------------------------------------------------------
+# The bitset search space against its name-set oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hypergraph_and_separator(draw):
+    """1–9 edges over 8 vertices, plus a subset of the vertices in use."""
+    vertices = [f"V{i}" for i in range(8)]
+    edges = {
+        f"e{i}": draw(
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True)
+        )
+        for i in range(draw(st.integers(1, 9)))
+    }
+    hg = Hypergraph.from_dict(edges)
+    separator = draw(st.lists(st.sampled_from(sorted(hg.vertices)), unique=True))
+    return hg, frozenset(separator)
+
+
+def edge_names(space, component):
+    return frozenset(
+        name for number, (name, _) in enumerate(space._edges) if component >> number & 1
+    )
+
+
+def named_pieces(space, pieces):
+    return [(edge_names(space, sub), space.names_of(conn)) for sub, conn in pieces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=hypergraph_and_separator(), data=st.data())
+def test_split_matches_connected_components(drawn, data):
+    """Same partition, same piece order, same connectors."""
+    hg, chi = drawn
+    space = _SearchSpace(hg, 2)
+    subset = data.draw(st.lists(st.sampled_from(sorted(hg.edge_names)), unique=True))
+    component = sum(
+        1 << number for number, (name, _) in enumerate(space._edges) if name in subset
+    )
+    assert named_pieces(space, space.split(component, space.vertex_mask(chi))) == [
+        (sub, hg.variables_of(sub) & chi)
+        for sub in connected_components(hg, subset, chi)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=hypergraph_and_separator(), k=st.integers(1, 3))
+def test_separators_match_combinations_oracle(drawn, k):
+    """The λ sequence of ``itertools.combinations``, χ = var(λ) ∩ scope —
+    at the root and on every piece of one split of it."""
+    hg, chi = drawn
+    space = _SearchSpace(hg, k)
+    reference = ReferenceSearch(hg, k, model=None)
+    root = (space.all_edges, space.vertex_mask(chi))
+    for component, connector in (root,) + space.split(*root):
+        names, connector_names = named_pieces(space, [(component, connector)])[0]
+        scope = connector_names | hg.variables_of(names)
+        assert [
+            (lam, space.names_of(lam_chi))
+            for lam, lam_chi in space.separators(component, connector)
+        ] == [
+            (lam, hg.variables_of(lam) & scope)
+            for lam in reference.separators(names, connector_names)
+        ]

@@ -133,9 +133,11 @@ class TestComponents:
 def union_find_components(hypergraph, edge_names, separator_vertices):
     """Reference for ``connected_components``: the textbook union-find.
 
-    The *order* of the returned groups (by the name of each group's
-    union-find root) decides the child order of every decomposition node,
-    so the production function must reproduce it, not just the partition.
+    The *order* of the returned groups (by each group's smallest edge
+    name — never by its union-find root, which set iteration order picks
+    when one edge bridges two earlier groups) decides the child order of
+    every decomposition node, so the production function must reproduce
+    it, not just the partition.
     """
     separator = frozenset(separator_vertices)
     names = sorted(set(edge_names))
@@ -163,7 +165,7 @@ def union_find_components(hypergraph, edge_names, separator_vertices):
     groups = {}
     for name in uncovered:
         groups.setdefault(find(name), set()).add(name)
-    return [frozenset(group) for _, group in sorted(groups.items())]
+    return [frozenset(group) for group in sorted(groups.values(), key=min)]
 
 
 @settings(max_examples=200, deadline=None)
