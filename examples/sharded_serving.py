@@ -17,11 +17,11 @@ Run:  python examples/sharded_serving.py
 """
 
 import asyncio
+from dataclasses import replace
 
-from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.obs.tracing import validate_span_records
-from repro.service import QueryService
-from repro.shard import AsyncFrontDoor, ShardConfig, ShardRouter
+from repro.service import ServiceConfig
+from repro.shard import AsyncFrontDoor, ShardRouter
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_synthetic_database,
@@ -51,7 +51,7 @@ def main() -> None:
         for template in templates
     ]
 
-    shard_config = ShardConfig(
+    shard_config = ServiceConfig(
         database=db,
         max_width=3,
         workers=2,
@@ -68,9 +68,8 @@ def main() -> None:
 
     # -- 2. parity with a single-process service ------------------------
     sharded = router.run_all(queries)
-    with QueryService(
-        SimulatedDBMS(db, COMMDB_PROFILE), max_width=3, workers=2 * SHARDS
-    ) as single:
+    # The same serving world in one process, with the cluster's threads.
+    with replace(shard_config, workers=2 * SHARDS).build() as single:
         baseline = single.run_all(queries)
     identical = all(
         s.relation.attributes == b.relation.attributes

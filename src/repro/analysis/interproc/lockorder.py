@@ -149,8 +149,8 @@ def build_lock_graph(model: ProgramModel) -> LockGraph:
                 node, acquired, held = event[1], event[2], event[3]
                 assert isinstance(acquired, set) and isinstance(held, set)
                 line = int(getattr(node, "lineno", fn.line))
-                for held_name in held:
-                    for acquired_name in acquired:
+                for held_name in sorted(held):
+                    for acquired_name in sorted(acquired):
                         graph.add_edge(
                             held_name,
                             acquired_name,
@@ -166,9 +166,13 @@ def build_lock_graph(model: ProgramModel) -> LockGraph:
                 if not held:
                     continue
                 line = int(getattr(site.node, "lineno", fn.line))
-                for target in site.targets:
-                    for acquired_name in graph.may_acquire.get(target, ()):  # noqa: B007
-                        for held_name in held:
+                # Sorted: which sites survive an edge's provenance cap
+                # must not follow set (string-hash) order.
+                for target in sorted(site.targets):
+                    for acquired_name in sorted(
+                        graph.may_acquire.get(target, ())
+                    ):
+                        for held_name in sorted(held):
                             graph.add_edge(
                                 held_name,
                                 acquired_name,

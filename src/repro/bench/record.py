@@ -1,11 +1,12 @@
-"""Bench-record provenance: stamping and schema validation.
+"""Bench-record provenance: stamping, schema validation, the one writer.
 
 Every ``BENCH_*.json`` file is one point on the repo's perf trajectory,
 and a point is only comparable if it says *what code* produced it and
 *when*: :func:`stamp_record` adds the git SHA and an ISO-8601 UTC
 timestamp, and :func:`validate_record` checks the record's shape before
-it is written — both used by ``scripts/bench_record.py`` on the write
-side and by ``hdqo report --baseline`` on the read side.
+it is written.  :func:`write_record` is the write side
+(``hdqo bench-serve --shards N --record FILE``); ``hdqo report
+--baseline`` validates on the read side.
 
 The wall clock appears here deliberately: a *recorded artifact's*
 provenance timestamp is metadata about the file, not measurement state —
@@ -15,10 +16,13 @@ the no-wall-clock rule governs the measured core, not the recorder.
 from __future__ import annotations
 
 import datetime
+import json
+import os
+import platform
 import subprocess
 from typing import Any, List, Mapping, Optional
 
-__all__ = ["stamp_record", "validate_record", "git_sha"]
+__all__ = ["stamp_record", "validate_record", "write_record", "git_sha"]
 
 #: Per-benchmark required top-level keys (beyond the common ones).
 _REQUIRED_KEYS = {
@@ -134,3 +138,31 @@ def validate_record(
                     f"'recorded_at' is not ISO-8601: {recorded_at!r}"
                 )
     return problems
+
+
+def write_record(report: Mapping[str, Any], path: str) -> dict:
+    """Write ``report`` to ``path`` as a stamped, validated bench record.
+
+    Adds the environment envelope (``python``, ``machine``) and the
+    provenance stamp, and validates *before* the write so a malformed
+    record never lands on the perf trajectory (``ValueError``, nothing
+    written).  Returns the record as written.
+    """
+    record = dict(
+        report,
+        python=platform.python_version(),
+        machine=platform.machine(),
+    )
+    # The SHA of the checkout this code runs from, wherever it is run.
+    problems = validate_record(
+        stamp_record(record, cwd=os.path.dirname(__file__))
+    )
+    if problems:
+        raise ValueError(
+            "refusing to write invalid bench record:\n"
+            + "\n".join(f"  - {problem}" for problem in problems)
+        )
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    return record

@@ -192,59 +192,41 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_process_payload(service, insights) -> dict:
-    """The ``hdqo top`` snapshot payload for a single-process service."""
-    metrics = service.metrics
-    hits = metrics.plans_cached
-    plans = hits + metrics.plans_built
+def _top_payload(view, saturation: Optional[float], shards: int) -> dict:
+    """The ``hdqo top`` snapshot payload from a service-shaped snapshot:
+    one service's own, or a cluster's merged view."""
+    from repro.service.metrics import plan_hit_rate
+
     return {
         "service": {
-            "queries": metrics.queries,
-            "cache_hit_rate": hits / plans if plans else 0.0,
-            "saturation": None,
-            "shards": 1,
-        },
-        "insights": insights.snapshot() if insights is not None else {},
-    }
-
-
-def _cluster_payload(snapshot, saturation: float, shards: int) -> dict:
-    """The ``hdqo top`` snapshot payload from a (merged) router snapshot."""
-    merged = snapshot.get("merged") or {}
-    planning = merged.get("planning") or {}
-    hits = planning.get("cache_hits", 0)
-    plans = hits + planning.get("built", 0)
-    return {
-        "service": {
-            "queries": (merged.get("queries") or {}).get("submitted", 0),
-            "cache_hit_rate": hits / plans if plans else 0.0,
+            "queries": (view.get("queries") or {}).get("submitted", 0),
+            "cache_hit_rate": plan_hit_rate(view.get("planning") or {}) or 0.0,
             "saturation": saturation,
             "shards": shards,
         },
-        "insights": merged.get("insights") or {},
+        "insights": view.get("insights") or {},
     }
 
 
-def _start_insights_publisher(args, flushers, payload, final_payload=None):
+def _start_insights_publisher(args, flushers, payload):
     """Publish the insights snapshot file periodically + once on flush.
 
     Returns the publisher's stop event (or None when not publishing).
     The final publish is a registered flusher, so whichever exit path
     runs — SIGINT, SIGTERM, normal drain — writes the last snapshot
-    exactly once.  ``final_payload`` overrides the periodic payload for
-    that flush-time write (the sharded path reads worker-exit snapshots
-    there, the live poll path being closed by then).
+    exactly once, from ``payload(final=True)`` (a cluster reads its
+    worker-exit snapshots there, the live poll path being closed by then).
     """
-    if not getattr(args, "insights", False) or not args.insights_snapshot:
+    if not args.insights or not args.insights_snapshot:
         return None
     import threading
 
     from repro.obs.insights.top import publish_snapshot_file
 
     path = args.insights_snapshot
-    last = final_payload if final_payload is not None else payload
     flushers.register(
-        "insights-snapshot", lambda: publish_snapshot_file(path, last())
+        "insights-snapshot",
+        lambda: publish_snapshot_file(path, payload(final=True)),
     )
     stop = threading.Event()
 
@@ -252,7 +234,7 @@ def _start_insights_publisher(args, flushers, payload, final_payload=None):
         while not stop.wait(args.insights_interval):
             try:
                 publish_snapshot_file(path, payload())
-            except Exception:  # hdqo: ignore[error-swallowing] — a failed periodic publish must not kill serving; the flush-time publish reports errors
+            except Exception:  # hdqo: ignore[error-swallowing] — a failed periodic publish (or a draining cluster) must not kill serving; the flush-time publish reports errors
                 pass
 
     threading.Thread(
@@ -262,32 +244,42 @@ def _start_insights_publisher(args, flushers, payload, final_payload=None):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve queries read from stdin (one per line) through a QueryService.
+    """Serve queries read from stdin (one per line) through one serving world.
 
     Lines are TPC-H query names (``q5``) or inline SQL; blank lines and
     ``#`` comments are skipped.  Repeated templates exercise the plan
-    cache — the point of the serving layer.
+    cache — the point of the serving layer.  The world is one
+    :class:`~repro.service.config.ServiceConfig`, served by its
+    :class:`~repro.service.server.QueryService` or, with ``--shards N``,
+    by a :class:`~repro.shard.router.ShardRouter` over N worker processes
+    — same result lines either way; the sharded metrics snapshot is the
+    *merged* cluster view (plus per-shard detail) and its trace the
+    merged, shard-tagged cross-process timeline.
 
     ``--trace FILE`` turns end-to-end tracing on for the whole batch and
     exports every span (``serve.plan``, ``serve.execute``, ``qhd.node``,
-    ``exec.*``) as JSONL; ``--metrics-format`` picks the final snapshot
-    rendering (human text, JSON, or Prometheus exposition).
+    ``exec.*``) as validated JSONL; ``--metrics-format`` picks the final
+    snapshot rendering (human text, JSON, or Prometheus exposition).
 
     SIGINT/SIGTERM trigger a graceful drain: no new queries start, queued
     queries are cancelled, in-flight queries get ``--grace`` seconds to
     finish, and the trace/metrics snapshot is still flushed before exit
     (exit status 130).
     """
-    import contextlib
     import json as json_module
     import signal
 
+    from repro.analysis.lockwitness import GLOBAL_WITNESS, lockcheck_enabled
     from repro.obs.flush import FlushRegistry
     from repro.obs.metrics import render_prometheus
-    from repro.obs.tracing import tracing
-    from repro.resilience.faults import FaultInjector
+    from repro.obs.tracing import (
+        NULL_TRACER,
+        Tracer,
+        tracing,
+        validate_span_records,
+    )
+    from repro.service.config import ServiceConfig
     from repro.service.metrics import render_snapshot
-    from repro.service.server import QueryService
 
     database = generate_tpch_database(
         size_mb=args.size_mb, seed=args.seed, analyze=True
@@ -301,19 +293,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not queries:
         print("no queries on stdin", file=sys.stderr)
         return 1
-    if args.shards >= 2:
-        return _serve_sharded(args, database, queries)
 
-    insights = None
-    if args.insights:
-        from repro.obs.insights.registry import InsightsRegistry
-
-        insights = InsightsRegistry()
-    injector = (
-        FaultInjector(args.inject, seed=args.seed) if args.inject else None
-    )
-    service = QueryService(
-        SimulatedDBMS(database, COMMDB_PROFILE),
+    config = ServiceConfig(
+        database=database,
         max_width=args.width,
         workers=args.workers,
         queue_capacity=args.queue_capacity,
@@ -322,19 +304,44 @@ def cmd_serve(args: argparse.Namespace) -> int:
         deadline_seconds=(
             args.deadline_ms / 1000.0 if args.deadline_ms else None
         ),
-        fault_injector=injector,
+        fault_spec=args.inject,
+        seed=args.seed,
         parallel_workers=args.parallel,
-        insights=insights,
+        trace=bool(args.trace),
+        insights=args.insights,
     )
+    router = None
+    if args.shards >= 2:
+        from repro.shard import ShardRouter, SupervisorPolicy
+
+        policy = (
+            SupervisorPolicy(max_restarts=args.max_restarts, seed=args.seed)
+            if args.supervise
+            else None
+        )
+        backend = router = ShardRouter(
+            config, shards=args.shards, supervise=policy
+        )
+        units = f"{args.shards} shards"
+    else:
+        backend = service = config.build()
+        units = "in-flight queries"
+
+    def payload(final: bool = False) -> dict:
+        if router is None:
+            return _top_payload(service.snapshot(), None, 1)
+        snapshot = router.final_snapshot() if final else router.snapshot()
+        return _top_payload(
+            snapshot["merged"], router.saturation(), args.shards
+        )
+
     # Every exit path (SIGINT, SIGTERM, normal end-of-input) funnels
     # through one FlushRegistry: each registered flusher runs exactly once.
     flushers = FlushRegistry()
-    stop_publisher = _start_insights_publisher(
-        args, flushers, lambda: _single_process_payload(service, insights)
-    )
+    stop_publisher = _start_insights_publisher(args, flushers, payload)
     exit_code = 0
-    tracer = None
-    trace_scope = tracing() if args.trace else contextlib.nullcontext(None)
+    # A cluster traces inside its workers (config.trace); one process here.
+    tracer = Tracer() if config.trace and router is None else NULL_TRACER
 
     def _on_signal(signum, frame):  # pragma: no cover - exercised via tests
         raise KeyboardInterrupt
@@ -346,15 +353,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except (ValueError, OSError):
             pass  # not the main thread (tests) or unsupported platform
     try:
-        with trace_scope as active_tracer:
-            tracer = active_tracer
+        with tracing(tracer):
             print(f"{'#':>3} {'optimizer':<16} {'work':>12} {'rows':>8} {'wall(s)':>9}")
             try:
-                outcomes = service.run_all(queries, return_exceptions=True)
+                outcomes = backend.run_all(queries, return_exceptions=True)
             except KeyboardInterrupt:
                 exit_code = 130
                 print(
-                    "\ninterrupted: draining in-flight queries "
+                    f"\ninterrupted: draining {units} "
                     f"(grace {args.grace:.1f}s)...",
                     file=sys.stderr,
                 )
@@ -377,248 +383,103 @@ def cmd_serve(args: argparse.Namespace) -> int:
             signal.signal(sig, handler)
         # Stop accepting work and drain before flushing observability, so
         # the exported trace and metrics cover every query that ran.
-        if exit_code == 130:
-            drained = service.drain(grace_seconds=args.grace)
-            if not drained:
-                print(
-                    "warning: some workers did not finish within the grace "
-                    "period",
-                    file=sys.stderr,
-                )
-        else:
-            service.close()
-        if tracer is not None:
-            exported = tracer.export_jsonl(args.trace)
-            problems = tracer.validate()
-            print()
-            print(f"trace: {exported} spans -> {args.trace}")
-            for problem in problems:
-                print(f"trace problem: {problem}", file=sys.stderr)
-                if exit_code == 0:
-                    exit_code = 2
-        if stop_publisher is not None:
-            stop_publisher.set()
-        flushers.flush()
-        for error in flushers.errors:
-            print(f"flush error: {error}", file=sys.stderr)
-            if exit_code == 0:
-                exit_code = 2
-        print()
-        snapshot = service.snapshot()
-        if args.metrics_format == "json":
-            print(json_module.dumps(snapshot, indent=2, sort_keys=True))
-        elif args.metrics_format == "prom":
-            print(render_prometheus(service.metrics.registry.export()))
-            if insights is not None:
-                from repro.obs.insights.registry import (
-                    render_insights_prometheus,
-                )
-
-                print(render_insights_prometheus(insights.snapshot()))
-        else:
-            insights_snap = snapshot.pop("insights", None)
-            print(render_snapshot(snapshot))
-            if insights_snap is not None:
-                from repro.obs.insights.top import render_top
-
-                print()
-                print(
-                    render_top(
-                        _single_process_payload(service, insights)
-                    )
-                )
-    return exit_code
-
-
-def _serve_sharded(args: argparse.Namespace, database, queries: List[str]) -> int:
-    """The ``serve --shards N`` path: one router, N worker processes.
-
-    Same contract as the single-process path — per-query result lines,
-    graceful SIGINT/SIGTERM drain (exit 130), observability flushed last
-    — but the metrics snapshot is the *merged* cluster view (plus
-    per-shard detail) and the exported trace is the merged, shard-tagged
-    cross-process timeline, validated before exit.
-    """
-    import json as json_module
-    import signal
-
-    from repro.errors import ReproError
-    from repro.obs.flush import FlushRegistry
-    from repro.obs.tracing import validate_span_records
-    from repro.service.metrics import render_snapshot
-    from repro.shard import ShardConfig, ShardRouter, SupervisorPolicy
-
-    config = ShardConfig(
-        database=database,
-        max_width=args.width,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        cache_capacity=args.cache_capacity,
-        work_budget=args.budget,
-        deadline_seconds=(
-            args.deadline_ms / 1000.0 if args.deadline_ms else None
-        ),
-        fault_spec=args.inject,
-        seed=args.seed,
-        parallel_workers=args.parallel,
-        trace=bool(args.trace),
-        insights=bool(args.insights),
-    )
-    policy = (
-        SupervisorPolicy(max_restarts=args.max_restarts, seed=args.seed)
-        if args.supervise
-        else None
-    )
-    router = ShardRouter(config, shards=args.shards, supervise=policy)
-
-    def _live_payload() -> dict:
-        try:
-            snapshot = router.snapshot()
-        except ReproError:  # closing/draining: keep the last published file
-            raise RuntimeError("router is draining")
-        return _cluster_payload(snapshot, router.saturation(), args.shards)
-
-    def _final_payload() -> dict:
-        return _cluster_payload(
-            router.final_snapshot(), router.saturation(), args.shards
-        )
-
-    flushers = FlushRegistry()
-    stop_publisher = _start_insights_publisher(
-        args, flushers, _live_payload, final_payload=_final_payload
-    )
-    exit_code = 0
-
-    def _on_signal(signum, frame):  # pragma: no cover - exercised via tests
-        raise KeyboardInterrupt
-
-    old_handlers = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            old_handlers[sig] = signal.signal(sig, _on_signal)
-        except (ValueError, OSError):
-            pass  # not the main thread (tests) or unsupported platform
-    try:
-        print(f"{'#':>3} {'optimizer':<16} {'work':>12} {'rows':>8} {'wall(s)':>9}")
-        try:
-            outcomes = router.run_all(queries, return_exceptions=True)
-        except KeyboardInterrupt:
-            exit_code = 130
-            print(
-                f"\ninterrupted: draining {args.shards} shards "
-                f"(grace {args.grace:.1f}s)...",
-                file=sys.stderr,
-            )
-            outcomes = []
-        for index, result in enumerate(outcomes, 1):
-            if isinstance(result, Exception):
-                print(f"{index:>3} error: {result}")
-                exit_code = 2
-                continue
-            work = str(result.work) if result.finished else "DNF"
-            count = (
-                str(len(result.relation))
-                if result.relation is not None
-                else "-"
-            )
-            print(
-                f"{index:>3} {result.optimizer:<16} {work:>12} "
-                f"{count:>8} {result.elapsed_seconds:>9.3f}"
-            )
-            if not result.finished:
-                exit_code = 2
-    finally:
-        for sig, handler in old_handlers.items():
-            signal.signal(sig, handler)
-        # Drain every shard before flushing observability, so the merged
-        # trace and metrics cover every query that ran on any shard.
-        drained = router.drain(grace_seconds=args.grace)
+        drained = backend.drain(grace_seconds=args.grace)
         if not drained and exit_code == 130:
             print(
-                "warning: some shards did not drain within the grace "
-                "period",
+                f"warning: draining {units} outlasted the grace period",
                 file=sys.stderr,
             )
-        if args.trace:
-            records = router.span_records()
+        problems: List[str] = []
+        if config.trace:
+            if router is None:
+                records = tracer.to_records()
+                dropped, still_open = tracer.dropped, tracer.open_spans
+                source = ""
+            else:
+                records = router.span_records()
+                dropped, still_open = router.spans_dropped(), router.open_spans()
+                source = f" from {units}"
             with open(args.trace, "w") as handle:
                 for record in records:
                     handle.write(json_module.dumps(record) + "\n")
-            problems = validate_span_records(
-                records,
-                dropped=router.spans_dropped(),
-                open_count=router.open_spans(),
-                require_shard_tag=True,
-            )
             print()
-            print(
-                f"trace: {len(records)} spans from {args.shards} shards "
-                f"-> {args.trace}"
-            )
-            for problem in problems:
-                print(f"trace problem: {problem}", file=sys.stderr)
-                if exit_code == 0:
-                    exit_code = 2
-        violations = router.lock_violations()
-        for shard_id, violation in sorted(violations.items()):
-            print(
-                f"lock-order violation on shard {shard_id}: {violation}",
-                file=sys.stderr,
-            )
-            if exit_code == 0:
-                exit_code = 2
+            print(f"trace: {len(records)} spans{source} -> {args.trace}")
+            problems += [
+                f"trace problem: {problem}"
+                for problem in validate_span_records(
+                    records,
+                    dropped=dropped,
+                    open_count=still_open,
+                    require_shard_tag=router is not None,
+                )
+            ]
+        if router is not None:
+            problems += [
+                f"lock-order violation on shard {shard_id}: {violation}"
+                for shard_id, violation in sorted(
+                    router.lock_violations().items()
+                )
+            ]
+        if lockcheck_enabled():
+            problems += [
+                f"lock-order violation: {violation}"
+                for violation in GLOBAL_WITNESS.violations
+            ]
         if stop_publisher is not None:
             stop_publisher.set()
         flushers.flush()
-        for error in flushers.errors:
-            print(f"flush error: {error}", file=sys.stderr)
+        problems += [f"flush error: {error}" for error in flushers.errors]
+        for problem in problems:
+            print(problem, file=sys.stderr)
             if exit_code == 0:
                 exit_code = 2
         print()
-        snapshot = router.final_snapshot()
+        snapshot = (
+            service.snapshot() if router is None else router.final_snapshot()
+        )
+        view = dict(snapshot if router is None else snapshot["merged"])
         if args.metrics_format == "json":
             print(json_module.dumps(snapshot, indent=2, sort_keys=True))
         elif args.metrics_format == "prom":
-            print(router.render_prometheus())
-            merged_insights = (snapshot.get("merged") or {}).get("insights")
-            if args.insights and merged_insights:
+            print(
+                render_prometheus(service.metrics.registry.export())
+                if router is None
+                else router.render_prometheus()
+            )
+            if args.insights and view.get("insights"):
                 from repro.obs.insights.registry import (
                     render_insights_prometheus,
                 )
 
-                print(render_insights_prometheus(merged_insights))
+                print(render_insights_prometheus(view["insights"]))
         else:
-            merged = dict(snapshot["merged"])
-            merged_insights = merged.pop("insights", None)
-            print("merged cluster metrics:")
-            print(render_snapshot(merged, indent="  "))
-            print("per-shard cache hit rates:")
-            for shard_id, rate in sorted(
-                snapshot["cache_hit_rates"].items()
-            ):
-                shown = f"{rate:.2%}" if rate is not None else "-"
-                print(f"  shard {shard_id}: {shown}")
-            supervisor_view = snapshot.get("supervisor")
-            if supervisor_view is not None:
-                sup = supervisor_view["metrics"]
-                print(
-                    "supervision: "
-                    f"deaths={sup['worker_deaths']}  "
-                    f"restarts={sup['restarts']}  "
-                    f"failovers={sup['failovers']}  "
-                    f"breaker opens={sup['breaker_opens']}"
-                )
-            if merged_insights is not None:
+            has_insights = view.pop("insights", None) is not None
+            if router is None:
+                print(render_snapshot(view))
+            else:
+                print("merged cluster metrics:")
+                print(render_snapshot(view, indent="  "))
+                print("per-shard cache hit rates:")
+                for shard_id, rate in sorted(
+                    snapshot["cache_hit_rates"].items()
+                ):
+                    shown = f"{rate:.2%}" if rate is not None else "-"
+                    print(f"  shard {shard_id}: {shown}")
+                supervisor_view = snapshot.get("supervisor")
+                if supervisor_view is not None:
+                    sup = supervisor_view["metrics"]
+                    print(
+                        "supervision: "
+                        f"deaths={sup['worker_deaths']}  "
+                        f"restarts={sup['restarts']}  "
+                        f"failovers={sup['failovers']}  "
+                        f"breaker opens={sup['breaker_opens']}"
+                    )
+            if has_insights:
                 from repro.obs.insights.top import render_top
 
                 print()
-                print(
-                    render_top(
-                        _cluster_payload(
-                            snapshot, router.saturation(), args.shards
-                        )
-                    )
-                )
+                print(render_top(payload(final=True)))
     return exit_code
 
 
@@ -695,8 +556,6 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
 
 def _bench_serve_sharded(args: argparse.Namespace) -> int:
     """``bench-serve --shards N``: the multi-tenant cluster benchmark."""
-    import json as json_module
-
     from repro.bench.serving import run_sharded_serving
 
     report = run_sharded_serving(
@@ -768,16 +627,9 @@ def _bench_serve_sharded(args: argparse.Namespace) -> int:
             f"worst p99={worst}ms"
         )
     if args.record:
-        # Same envelope scripts/bench_record.py --benchmark serving writes,
-        # so BENCH_serving.json is one format wherever it was produced.
-        import platform
+        from repro.bench.record import write_record
 
-        report = dict(report)
-        report["python"] = platform.python_version()
-        report["machine"] = platform.machine()
-        with open(args.record, "w") as handle:
-            json_module.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        write_record(report, args.record)
         print(f"recorded -> {args.record}")
     ok = (
         (report["parity"]["identical"] or not parity["checked"])
@@ -912,6 +764,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--width", type=int, default=4, help="width bound k")
 
+    def bounds(p: argparse.ArgumentParser) -> None:
+        """The deadline/fault flags ``serve`` and ``bench-serve`` share."""
+        p.add_argument(
+            "--deadline-ms",
+            type=float,
+            default=None,
+            help="per-query wall-clock deadline in milliseconds",
+        )
+        p.add_argument(
+            "--inject",
+            metavar="FAULTSPEC",
+            default=None,
+            help="deterministic fault injection: site:kind:rate[:param], "
+            "comma separated (e.g. 'exec.join:error:0.1,decompose.search:latency:0.05:20')",
+        )
+
     p = sub.add_parser("decompose", help="show the q-hypertree decomposition")
     common(p)
     p.add_argument("--views", action="store_true", help="also print SQL views")
@@ -1026,19 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="rendering of the final metrics snapshot",
     )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-query wall-clock deadline in milliseconds",
-    )
-    p.add_argument(
-        "--inject",
-        metavar="FAULTSPEC",
-        default=None,
-        help="deterministic fault injection: site:kind:rate[:param], "
-        "comma separated (e.g. 'exec.join:error:0.1,decompose.search:latency:0.05:20')",
-    )
+    bounds(p)
     p.add_argument(
         "--grace",
         type=float,
@@ -1149,18 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repetitions", type=int, default=0, help="0 = scale default"
     )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-query wall-clock deadline in milliseconds",
-    )
-    p.add_argument(
-        "--inject",
-        metavar="FAULTSPEC",
-        default=None,
-        help="deterministic fault injection: site:kind:rate[:param]",
-    )
+    bounds(p)
     p.add_argument(
         "--shards",
         type=int,

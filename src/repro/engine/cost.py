@@ -229,7 +229,9 @@ class CardinalityEstimator:
         for variable in shared_variables:
             rows /= max(left.distinct_of(variable), right.distinct_of(variable))
         distinct: Dict[str, float] = {}
-        for variable in set(left.distinct) | set(right.distinct):
+        # ``left``'s variables, then ``right``'s unseen ones — never a
+        # set's order, which follows string hashing.
+        for variable in dict.fromkeys((*left.distinct, *right.distinct)):
             if variable in left.distinct and variable in right.distinct:
                 value = min(left.distinct[variable], right.distinct[variable])
             else:

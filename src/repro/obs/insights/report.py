@@ -267,7 +267,7 @@ def check_baseline(
     if "recorded_at" not in baseline or "git_sha" not in baseline:
         warnings.append(
             "baseline record is unstamped (no git_sha/recorded_at); "
-            "re-record with scripts/bench_record.py"
+            "re-record with hdqo bench-serve --shards N --record"
         )
 
     templates = analysis.get("templates")

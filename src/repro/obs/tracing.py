@@ -437,7 +437,9 @@ def set_tracer(tracer: Optional[Union[Tracer, NullTracer]]) -> None:
 
 
 @contextlib.contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
+def tracing(
+    tracer: Optional[Union[Tracer, NullTracer]] = None,
+) -> Iterator[Union[Tracer, NullTracer]]:
     """Enable tracing for a block; yields the (new or given) tracer.
 
     The previous tracer is restored on exit, so blocks nest safely.

@@ -10,6 +10,8 @@ star):
 * :mod:`repro.service.executor_pool` — bounded worker pool with
   reject-on-saturation admission control;
 * :mod:`repro.service.server` — :class:`QueryService`, the façade;
+* :mod:`repro.service.config` — :class:`ServiceConfig`, the one description
+  of a serving world and the only constructor of its service;
 * :mod:`repro.service.metrics` — latency / work-unit / cache counters.
 """
 
@@ -27,6 +29,7 @@ from repro.service.metrics import (
     render_snapshot,
 )
 from repro.service.server import QueryService
+from repro.service.config import ServiceConfig
 
 __all__ = [
     "QueryFingerprint",
@@ -41,4 +44,5 @@ __all__ = [
     "SupervisorMetrics",
     "render_snapshot",
     "QueryService",
+    "ServiceConfig",
 ]

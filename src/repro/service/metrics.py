@@ -19,7 +19,7 @@ services — and tests — never share counters.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.analysis.lockwitness import make_lock
 from repro.obs.histogram import is_snapshot, summarised, summary
@@ -337,6 +337,22 @@ class SupervisorMetrics:
                 "ring_epochs": self._ring_epochs.snapshot(),
                 "recovery_seconds": summarised(self._recovery.snapshot()),
             }
+
+
+def plan_hit_rate(planning: Mapping[str, Any]) -> Optional[float]:
+    """Plan-cache hit rate per *query* from a snapshot's ``planning``
+    section (None before the first plan).
+
+    ``cache_hits / (cache_hits + built)`` — not the cache's raw lookup
+    stats: single-flight builds re-check the cache under the build lock,
+    so lookup-level misses double-count every build (plus one more per
+    thread that lost the race), which would make the rate depend on
+    scheduling.  The planning counters count each served query exactly
+    once.
+    """
+    hits = planning.get("cache_hits", 0)
+    plans = hits + planning.get("built", 0)
+    return hits / plans if plans else None
 
 
 def render_snapshot(snapshot: Dict[str, object], indent: str = "") -> str:

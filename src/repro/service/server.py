@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.dbms import DBMSResult, SimulatedDBMS
 from repro.obs.insights.registry import (
@@ -55,6 +56,40 @@ from repro.resilience.faults import FaultInjector
 from repro.service.executor_pool import ExecutorPool
 from repro.service.metrics import ServiceMetrics
 from repro.service.plancache import PlanCache
+
+
+def gather_batch(
+    submit: Callable[[Any], Future[DBMSResult]],
+    queries: Sequence[Any],
+    return_exceptions: bool,
+) -> List[Union[DBMSResult, Exception]]:
+    """Submit every query, then resolve the futures in submission order.
+
+    With ``return_exceptions``, a query that raises a library error (a
+    syntax error, a missed deadline, a blown budget) — at submission or
+    while running — yields its exception object in place of a result
+    instead of aborting the whole batch: the CLI's behaviour.
+    Cancellation is different: a :class:`~repro.errors.QueryCancelled`
+    means the *caller* asked to stop, so it always propagates and aborts
+    the batch.  Anything outside :class:`~repro.errors.ReproError` is a
+    bug, not a query outcome, and propagates too.
+    """
+
+    def settle(step: Callable[[], Any]) -> Any:
+        try:
+            return step()
+        except QueryCancelled:
+            raise
+        except ReproError as exc:
+            if not return_exceptions:
+                raise
+            return exc
+
+    pending = [settle(partial(submit, sql)) for sql in queries]
+    return [
+        outcome if isinstance(outcome, Exception) else settle(outcome.result)
+        for outcome in pending
+    ]
 
 
 class QueryService:
@@ -205,32 +240,15 @@ class QueryService:
         """Run a batch through the pool, blocking for queue room (never
         rejecting), and return results in submission order.
 
-        With ``return_exceptions``, a query that raises a library error
-        (a syntax error, a missed deadline, a blown budget) yields its
-        exception object in place of a result instead of aborting the
-        whole batch — the CLI's behaviour.  Cancellation is different: a
-        :class:`~repro.errors.QueryCancelled` means the *caller* asked to
-        stop, so it always propagates and aborts the batch.  Anything
-        outside :class:`~repro.errors.ReproError` is a bug, not a query
-        outcome, and propagates too.
+        ``return_exceptions`` is :func:`gather_batch`'s.
         """
-        futures = [
-            self.pool.submit_blocking(
+        return gather_batch(
+            lambda sql: self.pool.submit_blocking(
                 self._run, sql, work_budget, deadline_seconds
-            )
-            for sql in queries
-        ]
-        results: List[Union[DBMSResult, Exception]] = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except QueryCancelled:
-                raise
-            except ReproError as exc:
-                if not return_exceptions:
-                    raise
-                results.append(exc)
-        return results
+            ),
+            queries,
+            return_exceptions,
+        )
 
     def warm_up(
         self, queries: Sequence[Union[str, ast.SelectQuery]]

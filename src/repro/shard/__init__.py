@@ -45,7 +45,7 @@ from repro.shard.messages import (
 )
 from repro.shard.router import ShardRouter
 from repro.shard.supervisor import ShardSupervisor, SupervisorPolicy
-from repro.shard.worker import ShardConfig, shard_worker_main
+from repro.shard.worker import shard_worker_main
 
 __all__ = [
     "SPAN_ID_STRIDE",
@@ -56,7 +56,6 @@ __all__ = [
     "QueryFailure",
     "QueryRequest",
     "RestartEvent",
-    "ShardConfig",
     "ShardRouter",
     "ShardSupervisor",
     "SnapshotCommand",

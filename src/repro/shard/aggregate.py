@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.histogram import is_snapshot, merge_snapshots, summarised
 from repro.obs.insights.registry import merge_insights_snapshots
+from repro.service.metrics import plan_hit_rate
 
 #: Span-id block size per shard; far above any tracer retention cap.
 SPAN_ID_STRIDE = 10_000_000
@@ -147,28 +148,13 @@ def merge_span_records(
     return merged
 
 
-def merged_spans_dropped(exits: Mapping[int, Any]) -> int:
-    """Total spans lost to per-shard retention caps (for validation)."""
-    return sum(getattr(exit_, "spans_dropped", 0) for exit_ in exits.values())
-
-
 def shard_cache_hit_rates(
     shard_snapshots: Mapping[int, Mapping[str, Any]],
 ) -> Dict[int, Optional[float]]:
-    """Per-shard plan-cache hit rate per *query* (None for idle shards).
-
-    Computed from the planning counters — ``cache_hits / (cache_hits +
-    built)`` — not the cache's raw lookup stats: single-flight builds
-    re-check the cache under the build lock, so lookup-level misses
-    double-count every build (plus one more per thread that lost the
-    race), which would make the rate depend on scheduling.  The planning
-    counters count each served query exactly once.
-    """
+    """Per-shard :func:`~repro.service.metrics.plan_hit_rate`, rounded
+    to four places (None for idle shards)."""
     rates: Dict[int, Optional[float]] = {}
     for shard_id, snapshot in shard_snapshots.items():
-        planning = snapshot.get("planning") or {}
-        hits = planning.get("cache_hits", 0)
-        built = planning.get("built", 0)
-        plans = hits + built
-        rates[shard_id] = round(hits / plans, 4) if plans else None
+        rate = plan_hit_rate(snapshot.get("planning") or {})
+        rates[shard_id] = round(rate, 4) if rate is not None else None
     return rates

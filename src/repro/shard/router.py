@@ -62,8 +62,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Union
 from repro.analysis.lockwitness import make_lock
 from repro.engine.dbms import DBMSResult
 from repro.errors import (
-    QueryCancelled,
-    ReproError,
     ServiceClosed,
     ShardError,
     ShardUnavailable,
@@ -72,7 +70,9 @@ from repro.obs.metrics import merge_registry_exports, render_prometheus
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.service.config import ServiceConfig
 from repro.service.fingerprint import fingerprint_translation
+from repro.service.server import gather_batch
 from repro.shard.aggregate import (
     merge_metric_snapshots,
     merge_span_records,
@@ -90,7 +90,7 @@ from repro.shard.messages import (
     WorkerReady,
 )
 from repro.shard.supervisor import ShardSupervisor, SupervisorPolicy
-from repro.shard.worker import ShardConfig, shard_worker_main
+from repro.shard.worker import shard_worker_main
 
 #: Matches SQL constants (quoted strings, numbers) for the routing LRU key.
 _CONSTANT_RE = re.compile(r"'(?:[^']|'')*'|\b\d+(?:\.\d+)?\b")
@@ -166,7 +166,7 @@ class ShardRouter:
 
     def __init__(
         self,
-        config: ShardConfig,
+        config: ServiceConfig,
         shards: int,
         *,
         replicas: int = 128,
@@ -428,44 +428,21 @@ class ShardRouter:
     ) -> "List[Union[DBMSResult, Exception]]":
         """Route a batch across the cluster; results in submission order.
 
-        Same contract as :meth:`QueryService.run_all`: with
-        ``return_exceptions``, typed library errors come back in place of
-        results; :class:`~repro.errors.QueryCancelled` (the caller asked
-        to stop) and non-library exceptions always propagate.  Errors
-        raised at *submission* time — an unparseable query failing in
-        :meth:`route`, a dead shard — follow the same rule, so one bad
-        query never aborts the rest of the batch.
+        Same contract as :meth:`QueryService.run_all`
+        (:func:`~repro.service.server.gather_batch`); errors raised at
+        *submission* time here are an unparseable query failing in
+        :meth:`route` or a dead shard, so one bad query never aborts the
+        rest of the batch.
         """
-        outcomes: "List[Union[Future, Exception]]" = []
-        for sql in queries:
-            try:
-                outcomes.append(
-                    self.submit(
-                        sql,
-                        work_budget=work_budget,
-                        deadline_seconds=deadline_seconds,
-                    )
-                )
-            except QueryCancelled:
-                raise
-            except ReproError as exc:
-                if not return_exceptions:
-                    raise
-                outcomes.append(exc)
-        results: "List[Union[DBMSResult, Exception]]" = []
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                results.append(outcome)
-                continue
-            try:
-                results.append(outcome.result())
-            except QueryCancelled:
-                raise
-            except ReproError as exc:
-                if not return_exceptions:
-                    raise
-                results.append(exc)
-        return results
+        return gather_batch(
+            lambda sql: self.submit(
+                sql,
+                work_budget=work_budget,
+                deadline_seconds=deadline_seconds,
+            ),
+            queries,
+            return_exceptions,
+        )
 
     # ------------------------------------------------------------------
     # Collector
@@ -738,7 +715,7 @@ class ShardRouter:
     def _respawn_shard(self, shard_id: int, incarnation: int) -> bool:
         """Spawn a replacement worker (supervisor thread).
 
-        The replacement reuses the cluster's :class:`ShardConfig`
+        The replacement reuses the cluster's :class:`ServiceConfig`
         verbatim — every per-shard source of randomness derives from
         ``config.seed + shard_id``, so the new incarnation rebuilds an
         identical serving world (seeded determinism).  A fresh request

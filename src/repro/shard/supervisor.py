@@ -18,7 +18,7 @@ heals through a small per-shard state machine:
   jittered_backoff`; the RNG is ``Random(seed, shard_id)``-derived, so a
   supervised cluster restarts on a reproducible schedule).
 * **starting** — the worker was respawned with the *same*
-  :class:`~repro.shard.worker.ShardConfig` and an incremented
+  :class:`~repro.service.config.ServiceConfig` and an incremented
   incarnation; because every per-shard source of randomness derives from
   ``config.seed + shard_id``, the replacement rebuilds an identical
   serving world.

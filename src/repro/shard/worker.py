@@ -1,12 +1,11 @@
 """The shard worker process: one :class:`QueryService` behind two queues.
 
 Each worker is spawned (never forked — a fresh interpreter, no inherited
-locks or thread state), receives its :class:`ShardConfig` pickled through
-the process arguments, builds its own deterministic world — database,
-:class:`~repro.service.server.QueryService`, plan cache, metrics registry,
-per-shard :class:`~repro.resilience.faults.FaultInjector` seeded
-``seed + shard_id``, and (optionally) a
-:class:`~repro.obs.tracing.Tracer` — then serves a simple loop:
+locks or thread state), receives its
+:class:`~repro.service.config.ServiceConfig` pickled through the process
+arguments, builds its own deterministic world from it
+(``config.build(shard_id)``, plus a :class:`~repro.obs.tracing.Tracer`
+when ``config.trace``) — then serves a simple loop:
 
 * :class:`~repro.shard.messages.QueryRequest` → submitted to the shard's
   own executor pool (intra-shard concurrency), the outcome posted back as
@@ -31,12 +30,12 @@ import os
 import signal
 import threading
 from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.analysis.lockwitness import make_lock
 from repro.errors import QueryCancelled, ReproError
-from repro.relational.database import Database
+from repro.obs.tracing import NULL_TRACER, Tracer, set_tracer
+from repro.service.config import ServiceConfig
 from repro.shard.messages import (
     DrainCommand,
     QueryAnswer,
@@ -52,54 +51,6 @@ from repro.shard.messages import (
 #: How long the exit path waits for the last response callbacks after the
 #: service itself has drained (they only have to enqueue a message).
 _FLUSH_TIMEOUT = 10.0
-
-
-@dataclass
-class ShardConfig:
-    """Everything a worker needs to rebuild its serving world, picklable.
-
-    One config is shared by every shard of a cluster; the only per-shard
-    variation is derived deterministically from ``shard_id`` (the fault
-    injector's seed), so a cluster is reproducible end to end.
-
-    Attributes mirror :class:`~repro.service.server.QueryService` plus:
-
-    Attributes:
-        database: the (pickled) database every shard serves.
-        profile: the simulated-engine profile.
-        fault_spec: fault-injection spec string (chaos testing); each
-            shard runs its own injector seeded ``seed + shard_id``.
-        seed: base seed for per-shard derived randomness.
-        trace: run a per-shard tracer; span records are shipped back on
-            exit for cross-shard merging.
-        trace_max_spans: the shard tracer's retention cap.
-        insights: run a per-shard
-            :class:`~repro.obs.insights.registry.InsightsRegistry`; its
-            snapshot rides inside the service snapshot (the ``insights``
-            key) and merges exactly in
-            :func:`~repro.shard.aggregate.merge_metric_snapshots`.
-    """
-
-    database: Database
-    profile: object = None
-    max_width: int = 4
-    workers: int = 4
-    queue_capacity: int = 64
-    cache_capacity: int = 128
-    cache_ttl_seconds: Optional[float] = None
-    work_budget: Optional[int] = None
-    fallback_to_builtin: bool = True
-    optimize: bool = True
-    deadline_seconds: Optional[float] = None
-    memory_budget_cells: Optional[int] = None
-    max_intermediate_rows: Optional[int] = None
-    fault_spec: Optional[str] = None
-    seed: int = 0
-    parallel_workers: int = 0
-    trace: bool = False
-    trace_max_spans: int = 100_000
-    insights: bool = False
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 class _InflightTable:
@@ -146,7 +97,7 @@ def _answer_from_result(request_id: int, shard_id: int, result) -> QueryAnswer:
 
 def shard_worker_main(
     shard_id: int,
-    config: ShardConfig,
+    config: ServiceConfig,
     request_queue,
     response_queue,
     incarnation: int = 0,
@@ -165,44 +116,9 @@ def shard_worker_main(
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
 
-    from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
-    from repro.obs.tracing import Tracer, set_tracer
-    from repro.resilience.faults import FaultInjector
-    from repro.service.server import QueryService
-
-    tracer = None
-    if config.trace:
-        tracer = Tracer(max_spans=config.trace_max_spans)
-        set_tracer(tracer)
-
-    injector = (
-        FaultInjector(config.fault_spec, seed=config.seed + shard_id)
-        if config.fault_spec
-        else None
-    )
-    insights = None
-    if config.insights:
-        from repro.obs.insights.registry import InsightsRegistry
-
-        insights = InsightsRegistry()
-    profile = config.profile if config.profile is not None else COMMDB_PROFILE
-    service = QueryService(
-        SimulatedDBMS(config.database, profile),
-        max_width=config.max_width,
-        workers=config.workers,
-        queue_capacity=config.queue_capacity,
-        cache_capacity=config.cache_capacity,
-        cache_ttl_seconds=config.cache_ttl_seconds,
-        work_budget=config.work_budget,
-        fallback_to_builtin=config.fallback_to_builtin,
-        optimize=config.optimize,
-        deadline_seconds=config.deadline_seconds,
-        memory_budget_cells=config.memory_budget_cells,
-        max_intermediate_rows=config.max_intermediate_rows,
-        fault_injector=injector,
-        parallel_workers=config.parallel_workers,
-        insights=insights,
-    )
+    tracer = Tracer() if config.trace else NULL_TRACER
+    set_tracer(tracer)
+    service = config.build(shard_id)
     inflight = _InflightTable()
 
     def finish(request_id: int, future: Future) -> None:
@@ -276,14 +192,6 @@ def shard_worker_main(
     # their response messages.
     flushed = inflight.wait_empty(timeout=_FLUSH_TIMEOUT)
 
-    span_records = []
-    spans_dropped = 0
-    open_spans = 0
-    if tracer is not None:
-        span_records = tracer.to_records()
-        spans_dropped = tracer.dropped
-        open_spans = tracer.open_spans
-
     lock_violation = None
     from repro.analysis.lockwitness import GLOBAL_WITNESS, lockcheck_enabled
 
@@ -298,9 +206,9 @@ def shard_worker_main(
             drained=drained and flushed,
             snapshot=service.snapshot(),
             registry=service.metrics.registry.export(),
-            span_records=span_records,
-            spans_dropped=spans_dropped,
-            open_spans=open_spans,
+            span_records=tracer.to_records(),
+            spans_dropped=tracer.dropped,
+            open_spans=tracer.open_spans,
             lock_violation=lock_violation,
             incarnation=incarnation,
         )

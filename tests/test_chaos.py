@@ -215,7 +215,8 @@ class TestShardChaosStorm:
     processes (CI's shards job raises ``HDQO_TEST_SHARDS`` to 8)."""
 
     def test_shard_storm_correct_or_typed_error(self, chain_db):
-        from repro.shard import ShardConfig, ShardRouter
+        from repro.service.config import ServiceConfig
+        from repro.shard import ShardRouter
 
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         queries = shard_storm_queries()
@@ -226,7 +227,7 @@ class TestShardChaosStorm:
                 assert result.finished
                 answers[sql] = result.relation
 
-        config = ShardConfig(
+        config = ServiceConfig(
             database=chain_db,
             max_width=2,
             workers=2,
@@ -257,9 +258,10 @@ class TestShardChaosStorm:
     def test_drain_mid_shard_storm_every_query_resolves(self, chain_db):
         """Cross-shard graceful drain with latency faults keeping queries
         in flight: no future may hang, and every outcome is explicit."""
-        from repro.shard import ShardConfig, ShardRouter
+        from repro.service.config import ServiceConfig
+        from repro.shard import ShardRouter
 
-        config = ShardConfig(
+        config = ServiceConfig(
             database=chain_db,
             max_width=2,
             workers=2,
@@ -391,7 +393,8 @@ class TestWorkerKillStorm:
         import signal as signal_module
         import time
 
-        from repro.shard import ShardConfig, ShardRouter, SupervisorPolicy
+        from repro.service.config import ServiceConfig
+        from repro.shard import ShardRouter, SupervisorPolicy
 
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         queries = shard_storm_queries(repetitions=30)
@@ -402,7 +405,7 @@ class TestWorkerKillStorm:
                 assert result.finished
                 answers[sql] = result.relation
 
-        config = ShardConfig(
+        config = ServiceConfig(
             database=chain_db,
             max_width=2,
             workers=2,

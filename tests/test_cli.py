@@ -199,7 +199,10 @@ class TestCommands:
         assert report["parity"]["identical"] is True
         assert report["hit_rate_ok"] is True
         assert report["sharded"]["drained_clean"] is True
-        assert report["python"]  # the bench_record.py envelope
+        assert report["python"]  # the environment envelope
+        from repro.bench.record import validate_record
+
+        assert validate_record(report) == []  # stamped: one record format
 
     def test_serve_sigint_drains_and_flushes(self):
         """SIGINT mid-batch: graceful drain, exit 130, metrics still flushed."""
@@ -249,35 +252,92 @@ class TestCommands:
         assert "queries:" in out
         assert "pool:" in out
 
+    @pytest.mark.parametrize(
+        "metrics_format, single_marker, sharded_marker",
+        [
+            ("text", "\nqueries:\n  submitted: 3", "\n  queries:\n    submitted: 3"),
+            ("json", '\n  "planning": {', '\n  "merged": {'),
+            ("prom", "\nservice_queries_submitted_total 3", "\nservice_queries_submitted_total 3"),
+        ],
+        ids=["text", "json", "prom"],
+    )
     def test_serve_sharded_answers_match_single_process(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, metrics_format, single_marker, sharded_marker
     ):
         """``--shards 2`` and the default path print identical result
         lines for the same stdin batch (rows, order, and work units; only
-        wall-clock columns may differ)."""
+        wall-clock columns may differ) — whatever the final rendering,
+        which each mode still prints after them."""
         import io
 
-        def result_lines(argv, stdin):
+        def result_lines(argv, stdin, marker):
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-            assert main(argv) == 0
+            assert main(argv + ["--metrics-format", metrics_format]) == 0
+            out = capsys.readouterr().out
+            assert marker in out
             lines = []
-            for line in capsys.readouterr().out.splitlines():
+            for line in out.splitlines():
                 parts = line.split()
                 # "  1 q-hd   165   25   0.001" -> drop the wall column.
-                if parts and parts[0].isdigit():
+                if len(parts) == 5 and parts[0].isdigit():
                     lines.append(tuple(parts[:-1]))
             return lines
 
         stdin = "q5\nq5\nq3\n"
         single = result_lines(
-            ["serve", "--size-mb", "20", "--workers", "2"], stdin
+            ["serve", "--size-mb", "20", "--workers", "2"],
+            stdin,
+            single_marker,
         )
         sharded = result_lines(
             ["serve", "--size-mb", "20", "--workers", "2", "--shards", "2"],
             stdin,
+            sharded_marker,
         )
         assert len(single) == 3
         assert sharded == single
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_serve_prom_insights_block_follows_the_flag(
+        self, capsys, monkeypatch, shards
+    ):
+        """One guard in both modes: the per-template Prometheus block is
+        printed exactly when ``--insights`` is on (and recorded anything)."""
+        import io
+
+        argv = ["serve", "--size-mb", "20", "--workers", "2",
+                "--shards", shards, "--metrics-format", "prom"]
+        for flags, expected in (([], False), (["--insights"], True)):
+            monkeypatch.setattr("sys.stdin", io.StringIO("q5\nq5\n"))
+            assert main(argv + flags) == 0
+            out = capsys.readouterr().out
+            assert "service_queries_submitted_total 2" in out
+            assert ("hdqo_template_queries_total{" in out) is expected
+
+    def test_serve_single_process_reports_lock_order_violations(
+        self, capsys, monkeypatch
+    ):
+        """``HDQO_LOCKCHECK=1``: a witnessed lock-order cycle in the serving
+        process is a stderr line and exit 2 without ``--shards`` too."""
+        import io
+
+        from repro.analysis import lockwitness
+
+        witness = lockwitness.LockWitness()
+        first = lockwitness.WitnessLock("test.first", witness)
+        second = lockwitness.WitnessLock("test.second", witness)
+        with first, second:
+            pass
+        with second, first:
+            pass
+        assert witness.violations
+        monkeypatch.setattr(lockwitness, "GLOBAL_WITNESS", witness)
+        monkeypatch.setenv("HDQO_LOCKCHECK", "1")
+        monkeypatch.setattr("sys.stdin", io.StringIO("q5\n"))
+        assert main(["serve", "--size-mb", "20", "--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "q-hd" in captured.out  # the query itself was fine
+        assert "lock-order violation: " in captured.err
 
     def test_serve_supervised_answers_match_single_process(
         self, capsys, monkeypatch

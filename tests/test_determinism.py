@@ -4,7 +4,8 @@ The ``no-wall-clock`` lint rule keeps unseeded randomness out of the
 planner statically; these tests pin the dynamic half of the contract for
 the two randomized components, the GEQO join-order search and the
 synthetic workload generator — and for the one unseeded source the planner
-cannot avoid, string hashing: cost-k-decomp iterates sets of variable names.
+cannot avoid, string hashing: cost-k-decomp and the built-in planner's
+estimator both handle sets of variable names.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def planner_fingerprints():
     """``{query: [cost.hex(), tree]}`` of statistics-driven searches."""
     from repro.core.costkdecomp import cost_k_decomp
     from repro.core.optimizer import HybridOptimizer, cost_model_from_database
+    from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
     from repro.workloads.tpch import generate_tpch_database
     from repro.workloads.tpch_queries import query_q5, query_q8
     from tests.test_costkdecomp import path_query, skewed_model
@@ -119,6 +121,11 @@ def planner_fingerprints():
             output_weight=1.0,
         )
         fingerprints[label] = [float(cost).hex(), shape(tree.root)]
+        # The comparison system: the built-in planner's statistics-driven
+        # join tree, with its float estimates.
+        fingerprints[f"builtin-{label}"] = SimulatedDBMS(
+            database, COMMDB_PROFILE
+        ).explain(translation, use_statistics=True)
     # Splits with an edge bridging two earlier groups: the piece order (and
     # through the stitch order the cost, hence the λ chosen) once followed
     # the iteration order of a set of variable names.
@@ -157,6 +164,9 @@ class TestHashSeedDeterminism:
             "q5",
             "q8",
             "chain8",
+            "builtin-q5",
+            "builtin-q8",
+            "builtin-chain8",
             "skewed-chain9-k2",
             "skewed-chain10-k3",
             "skewed-chain11-k2",

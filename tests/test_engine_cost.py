@@ -1,6 +1,7 @@
 """Tests for the engine's cardinality estimation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.cost import (
     CardinalityEstimator,
@@ -119,7 +120,53 @@ class TestFilterSelectivity:
         assert filters_selectivity((comp, comp), stats) == pytest.approx(0.01)
 
 
+def textbook_join(left, right, shared_variables):
+    """``CardinalityEstimator.join`` with the dict order spelled out:
+    left's variables, then right's unseen ones."""
+    rows = left.rows * right.rows
+    for variable in shared_variables:
+        rows /= max(left.distinct_of(variable), right.distinct_of(variable))
+    distinct = {}
+    for variable in list(left.distinct) + [
+        v for v in right.distinct if v not in left.distinct
+    ]:
+        if variable in left.distinct and variable in right.distinct:
+            value = min(left.distinct[variable], right.distinct[variable])
+        else:
+            value = left.distinct.get(variable, right.distinct.get(variable))
+        distinct[variable] = max(min(value, max(rows, 1.0)), 1.0)
+    return JoinSizeEstimate(max(rows, 0.0), distinct)
+
+
+size_estimates = st.builds(
+    JoinSizeEstimate,
+    st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e9, allow_nan=False)),
+    st.dictionaries(
+        st.sampled_from(["o_orderkey", "c_custkey", "n_name", "x", "y", "z"]),
+        st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e9, allow_nan=False)),
+        max_size=6,
+    ),
+)
+
+
 class TestJoinEstimates:
+    @settings(max_examples=300, deadline=None)
+    @given(left=size_estimates, right=size_estimates, data=st.data())
+    def test_join_floats_and_dict_order_are_hash_independent(
+        self, left, right, data
+    ):
+        # The order of ``distinct`` is what a later product would multiply
+        # in; it must be insertion order, not a set's (string hashing).
+        shared = tuple(
+            data.draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True))
+        )
+        got = CardinalityEstimator.join(left, right, shared)
+        want = textbook_join(left, right, shared)
+        assert float(got.rows).hex() == float(want.rows).hex()
+        assert [(v, float(d).hex()) for v, d in got.distinct.items()] == [
+            (v, float(d).hex()) for v, d in want.distinct.items()
+        ]
+
     def test_textbook_formula(self):
         left = JoinSizeEstimate(100, {"x": 10})
         right = JoinSizeEstimate(200, {"x": 20})

@@ -967,7 +967,8 @@ CLUSTER_TEMPLATES = [
 @pytest.fixture(scope="module")
 def insights_cluster():
     """One 2-shard run with ``insights=True`` + its single-process twin."""
-    from repro.shard import ShardConfig, ShardRouter
+    from repro.service.config import ServiceConfig
+    from repro.shard import ShardRouter
 
     database = _chain_db()
     queries = [
@@ -988,7 +989,7 @@ def insights_cluster():
     finally:
         single.close()
 
-    config = ShardConfig(
+    config = ServiceConfig(
         database=database, max_width=2, workers=2, insights=True
     )
     router = ShardRouter(config, shards=2)

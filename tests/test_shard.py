@@ -40,11 +40,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import validate_span_records
 from repro.relational import AttributeType, Database, RelationSchema
+from repro.service.config import ServiceConfig
 from repro.service.server import QueryService
 from repro.shard import (
     AsyncFrontDoor,
     ConsistentHashRing,
-    ShardConfig,
     ShardRouter,
     decode_error,
     encode_error,
@@ -380,7 +380,7 @@ def cluster():
     finally:
         baseline_service.close()
 
-    config = ShardConfig(
+    config = ServiceConfig(
         database=database,
         max_width=2,
         workers=2,

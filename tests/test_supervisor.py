@@ -28,10 +28,10 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.dbms import DBMSResult
 from repro.errors import ShardError, ShardUnavailable
 from repro.resilience import RetryBudget, RetryPolicy, jittered_backoff
+from repro.service.config import ServiceConfig
 from repro.shard import (
     ConsistentHashRing,
     RestartEvent,
-    ShardConfig,
     ShardRouter,
     ShardSupervisor,
     SupervisorPolicy,
@@ -389,7 +389,7 @@ def _rows(outcomes):
 @pytest.fixture(scope="module")
 def healed_cluster(chain_db_module):
     """Kill a worker mid-life, let the supervisor heal it, capture it all."""
-    config = ShardConfig(
+    config = ServiceConfig(
         database=chain_db_module,
         max_width=2,
         workers=2,
@@ -531,7 +531,7 @@ class TestSupervisedParity:
     def test_zero_fault_supervised_run_is_byte_identical(self, chain_db_module):
         """The acceptance bar: ``supervise`` must be invisible when
         nothing fails — same rows, same order, same work counters."""
-        config = ShardConfig(
+        config = ServiceConfig(
             database=chain_db_module,
             max_width=2,
             workers=2,
@@ -569,7 +569,7 @@ class TestConcurrentDrain:
         """Kill a worker, then drain from two threads while the
         supervisor is mid-restart: exactly one drain runs, both callers
         get the same verdict, nothing hangs, nothing respawns after."""
-        config = ShardConfig(
+        config = ServiceConfig(
             database=chain_db_module,
             max_width=2,
             workers=2,
