@@ -80,10 +80,10 @@ VERDICTS = {
     "fig7a": "Shape reproduced: CommDB (all selectivities) grows geometrically and hits the budget (DNF) at 8–10 atoms; q-HD stays within a small multiple of its 2-atom cost. Lower selectivity ⇒ earlier DNF, as in the paper.",
     "fig7b": "Shape reproduced with the paper's own nuance: at selectivity 30 (large joins) the chain crossover falls at ~9 atoms and q-HD wins at 10 while the baseline nears the budget; at selectivities 60/90 the baseline remains competitive — the paper notes q-HD's gain concentrates on long, low-selectivity queries (§6.1: 'on queries where the structure plays a marginal role, q-HD … is generally not competitive').",
     "fig7c": "Shape reproduced: cardinality 1000 pushes the baseline to DNF earliest; q-HD scales linearly with cardinality.",
-    "fig7d": "Shape reproduced on the cyclic family: the baseline crosses over at ~9 atoms for every cardinality and q-HD wins beyond; at the extreme point (10 atoms, cardinality ≥ 750) both exceed the budget — the width-2 chain decomposition's V² node relations are the polynomial bound's price, visible in the paper's Fig. 7(d) as well.",
+    "fig7d": "Shape reproduced on the cyclic family: the baseline crosses over at ~9 atoms for every cardinality and q-HD wins beyond; at 10 atoms q-HD still finishes at cardinality 750 (2,054,290 units) where the baseline exceeds the budget, and only cardinality 1000 exceeds it on both sides — the width-2 chain decomposition's V² node relations are the polynomial bound's price, visible in the paper's Fig. 7(d) as well.",
     "fig8a": "Shape reproduced: q-HD < CommDB+stats at every size (~1.4×); the optimizer-disabled baseline's ratio to CommDB+stats grows with size (memory-pressure spilling) and exceeds the budget at the largest sizes.",
     "fig8b": "Shape reproduced: same ordering on the 8-relation Q8 join core.",
-    "fig9": "Shape reproduced: the coupling wins from 6 atoms and the gap grows to ~10× (acyclic) / ~3× (chain) at 10 atoms; stock PostgreSQL degrades fastest once GEQO takes over (≥ 8 relations).",
+    "fig9": "Shape reproduced: the coupling wins at every size on acyclic queries and from 6 atoms on chains, and the gap grows to ~15× (acyclic) / ~3× (chain) at 10 atoms; stock PostgreSQL degrades fastest once GEQO takes over (≥ 8 relations).",
     "fig10": "Shape reproduced on the paper's pipeline inputs (first-found NF decompositions): Optimize strips the duplicated bounding atoms and halves the work at 10 atoms. Note: the full cost-k-decomp search already avoids most of the redundancy upfront, so the ablation is run on det-k-decomp outputs (the decompositions of the paper's HD₁ example).",
     "overhead": "Shape reproduced: ANALYZE cost grows linearly with database size while decomposition time stays milliseconds and size-independent (the paper's 800 s vs 1.5 s contrast).",
 }
@@ -108,6 +108,10 @@ ratios, scaled down 100× for the in-memory Python engine (the `size_mb`
 axis keeps the paper's 200–1000 labels). Synthetic workloads use the
 paper's exact parameters (cardinality 450–1000, selectivity 30–90 % distinct
 values, 2–10 atoms).
+
+**q-HD projection rule.** After every fold step a decomposition node keeps
+only the interface its parent asks for (χ(node) ∩ χ(parent); out(Q) at the
+root) plus the variables its still-pending sources join on.
 
 Regenerate with: `python scripts/generate_experiments_md.py --scale full`
 (also writes `experiments.csv` / `experiments.json` next to this file).

@@ -171,7 +171,7 @@ def yannakakis_acyclic(
 #: fold order).
 _Task = Tuple[
     HypertreeNode,
-    Optional[FrozenSet[str]],
+    FrozenSet[str],
     List[Tuple[HypertreeNode, Optional[Relation]]],
 ]
 
@@ -185,8 +185,8 @@ class _Schedule:
     order: List[HypertreeNode]
     #: node id → its children, Optimize guards first (the fold order).
     children: Dict[int, List[HypertreeNode]]
-    #: node id → the interface its parent requests (``None`` at the root).
-    keeps: Dict[int, Optional[FrozenSet[str]]]
+    #: node id → the interface its parent requests (out(Q) at the root).
+    keeps: Dict[int, FrozenSet[str]]
     signatures: Dict[int, Signature]
     #: The nodes that will actually be folded, parents before children.
     compute: List[HypertreeNode] = field(default_factory=list)
@@ -212,14 +212,18 @@ class _Schedule:
 class QHDEvaluator:
     """Single-pass bottom-up evaluation of a q-hypertree decomposition.
 
-    Step P′: at each node, join the λ atoms' relations (smallest first) and
-    project onto χ(p).  Step P″: bottom-up over the tree, join each node
-    with its children — Optimize-guard children *first* — projecting onto
-    χ(p) after every child.  Step P‴: project the root onto out(Q).
+    Step P′: at each node, join the λ atoms' relations (smallest first).
+    Step P″: bottom-up over the tree, join each node with its children —
+    Optimize-guard children *first*.  Step P‴: the root's result is
+    out(Q).
 
-    The per-child projection onto χ(p) is what keeps intermediate results
-    bounded: since out(Q) ⊆ χ(root), no information needed by the answer is
-    ever discarded (feature (a) of Definition 2).
+    One projection rule keeps intermediate results bounded: after every
+    fold step a node keeps only its requested interface — χ(p) ∩ χ(parent),
+    or out(Q) at the root — plus the variables that link it to the sources
+    it has still to fold.  Since out(Q) ⊆ χ(root), no information needed by
+    the answer is ever discarded (feature (a) of Definition 2).  A work
+    budget trips inside a join at most one probe block (≤ 4096 probe rows'
+    output) beyond its limit.
 
     Every node is one task: its fold needs only its children's results, so
     sibling subtrees are independent.  ``workers <= 1`` runs the tasks
@@ -295,6 +299,7 @@ class QHDEvaluator:
                 f"output variables missing at the decomposition root: {missing} "
                 "(the root must cover out(Q) — Definition 2, condition 2)"
             )
+        # The root already holds exactly out(Q): this puts it in order.
         return root_rel.project(output, dedup=True, meter=self.meter)
 
     def trace(self) -> List[str]:
@@ -312,9 +317,12 @@ class QHDEvaluator:
         # χ variables: everything else is dropped by the parent's
         # projection anyway, so each child is asked for that interface only
         # (a legal choice of evaluation, and the one that keeps
-        # intermediate results semijoin-sized).
+        # intermediate results semijoin-sized).  The root is asked for
+        # out(Q), which it covers (Definition 2, condition 2).
         children: Dict[int, List[HypertreeNode]] = {}
-        keeps: Dict[int, Optional[FrozenSet[str]]] = {root.node_id: None}
+        keeps: Dict[int, FrozenSet[str]] = {
+            root.node_id: frozenset(self.query.output)
+        }
         order: List[HypertreeNode] = []
         stack = [root]
         while stack:
@@ -508,8 +516,10 @@ class QHDEvaluator:
         # Optimize-guard children are folded first (the §4.1 soundness
         # caveat), the other sources greedily — smallest among those
         # sharing a variable with the current result, to avoid cartesian
-        # steps.  After each join the result is projected onto χ(p) plus
-        # whatever variables still link it to the sources not yet folded.
+        # steps.  After each join the result is projected onto the
+        # requested interface ``keep`` plus whatever variables still link it
+        # to the sources not yet folded: π_A(R ⋈ S) = π_A(π_B(R) ⋈ S) with
+        # B = (A ∪ attr(S)) ∩ attr(R), so nothing the answer needs is lost.
         node, keep, inputs = task
         guard_ids = {id(child) for child in node.guards.values()}
         guard_rels: List[Relation] = []
@@ -534,7 +544,6 @@ class QHDEvaluator:
             if self.spill is not None:
                 self.spill.charge(self.meter, rows)
 
-        target = node.chi if keep is None else keep
         rel: Optional[Relation] = None
         pending = sorted(guard_rels, key=len) + sorted(other_rels, key=len)
         n_guards = len(guard_rels)
@@ -558,13 +567,7 @@ class QHDEvaluator:
             for remaining in pending:
                 linking.update(remaining.attributes)
             joined = source.attributes if rel is None else rel.joined_attributes(source)
-            kept_attrs = [
-                a
-                for a in joined
-                if a in target
-                or a in linking
-                or (keep is not None and a in node.chi and pending)
-            ]
+            kept_attrs = [a for a in joined if a in keep or a in linking]
             if rel is None:
                 materialized(len(source))
                 rel = source.project(kept_attrs, dedup=True, meter=self.meter)

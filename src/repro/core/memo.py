@@ -62,8 +62,9 @@ def subtree_signature(
 
     Args:
         node: the decomposition node.
-        keep: the interface projection requested by the parent (``None``
-            at the root, meaning "project onto χ(node)").
+        keep: the interface projection requested by the parent — at the
+            root, out(Q), so two queries over one body with different
+            outputs never share a root result.
         relations: atom name → relation, as passed to the evaluator.
     """
     children = tuple(

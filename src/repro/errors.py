@@ -52,8 +52,10 @@ class WorkBudgetExceeded(ExecutionError):
         budget: the work-unit limit that was crossed.
         spent: units charged when the limit was crossed — because the meter
             checks on *every* charge, this is at most one charge beyond the
-            budget, even mid-join (the blow-up is aborted before it
-            materializes, not at the next operator boundary).
+            budget, even mid-join: a hash join charges each probe block's
+            output (≤ 4096 probe rows' matches) as one charge before any of
+            its rows exist, so the blow-up is aborted before it
+            materializes, not at the next operator boundary.
         phase: the meter category of the charge that crossed the line
             (``"join-out"``, ``"plan"``, …), locating the failure inside an
             operator rather than between operators.

@@ -15,6 +15,7 @@ mode of bad quantitative plans the paper's Fig. 7/8 expose.
 from __future__ import annotations
 
 import operator
+from itertools import chain, compress, repeat
 from typing import (
     Callable,
     Dict,
@@ -251,12 +252,8 @@ class Relation:
 
     def distinct(self, meter: WorkMeter = NULL_METER) -> "Relation":
         meter.charge(len(self.tuples), "distinct")
-        seen = set()
-        out = []
-        for row in self.tuples:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
+        # First occurrences in row order, as project(dedup=True) keeps them.
+        out = list(dict.fromkeys(self.tuples))
         return Relation._trusted(self.attributes, out, name=self.name)
 
     def sort_by(
@@ -301,10 +298,10 @@ class Relation:
         other: "Relation",
         meter: WorkMeter,
         keep: Optional[Sequence[str]] = None,
-    ) -> "Tuple[List[Tuple[object, ...]], List[str]]":
+    ) -> "Tuple[List[Tuple[object, ...]], List[str], int]":
         """The build/probe loop behind ⋈: one row per (probe row, build
-        match) pair, in probe-row then build-row order, and the rows'
-        attributes.
+        match) pair, in probe-row then build-row order, the rows'
+        attributes, and the pair count ``join-out`` was charged.
 
         With ``keep=None`` rows carry every joined attribute
         (:meth:`joined_attributes` order).  Otherwise each row carries only
@@ -348,33 +345,57 @@ class Relation:
                 else:
                     bucket.append(rest_of(row))
 
-        # Probe phase.  The checkpoint is driven by *probe-row* count, not
-        # output count: a long probe with few or no matches must still be
-        # interruptible by deadlines and cancellation.
+        # Probe phase, one ≤ _CHECK_EVERY-row block at a time.  The
+        # checkpoint is driven by *probe-row* count, not output count: a long
+        # probe with few or no matches must still be interruptible by
+        # deadlines and cancellation.  A block's pairs are counted from its
+        # buckets and charged as one lump *before* any of its rows exist, so
+        # a budgeted meter aborts a blow-up while it is still hypothetical;
+        # the rows are then emitted at C level.  Only a block holding a
+        # bucket larger than _CHECK_EVERY takes the per-row loop, which
+        # checkpoints and charges inside that bucket.
+        big_buckets = max(map(len, table.values()), default=0) > _CHECK_EVERY
         out: List[Tuple[object, ...]] = []
         out_extend = out.extend
+        pairs = 0
         probe_rows = probe.tuples
         for start in range(0, len(probe_rows), _CHECK_EVERY):
             context.checkpoint("exec.join")
             chunk = probe_rows[start : start + _CHECK_EVERY]
             meter.charge(len(chunk), "join-probe")
-            for row in chunk:
-                matches = table_get(probe_key(row))
-                if not matches:
-                    continue
-                head = row if head_of is None else head_of(row)
-                if len(matches) <= _CHECK_EVERY:
-                    # Charged *before* materialization so a budgeted meter
-                    # aborts a blow-up before its rows exist.
-                    meter.charge(len(matches), "join-out")
-                    out_extend([head + rest for rest in matches])
-                else:
+            hits = list(map(table_get, map(probe_key, chunk)))
+            # The matched probe rows' buckets, in probe order (misses are None).
+            buckets = list(filter(None, hits))
+            if not buckets:
+                continue
+            if big_buckets and max(map(len, buckets)) > _CHECK_EVERY:
+                for row, matches in zip(chunk, hits):
+                    if not matches:
+                        continue
+                    head = row if head_of is None else head_of(row)
+                    pairs += len(matches)
+                    if len(matches) <= _CHECK_EVERY:
+                        meter.charge(len(matches), "join-out")
+                        out_extend([head + rest for rest in matches])
+                        continue
                     for mstart in range(0, len(matches), _CHECK_EVERY):
                         context.checkpoint("exec.join")
                         run = matches[mstart : mstart + _CHECK_EVERY]
                         meter.charge(len(run), "join-out")
                         out_extend([head + rest for rest in run])
-        return out, emitted
+                continue
+            block_pairs = sum(map(len, buckets))
+            meter.charge(block_pairs, "join-out")
+            pairs += block_pairs
+            heads = compress(chunk, hits)
+            if head_of is not None:
+                heads = map(head_of, heads)
+            out_extend(
+                chain.from_iterable(
+                    map(map, repeat(operator.add), map(repeat, heads), buckets)
+                )
+            )
+        return out, emitted, pairs
 
     def _join_name(self, other: "Relation") -> str:
         return f"({self.name}⋈{other.name})" if self.name and other.name else ""
@@ -385,10 +406,11 @@ class Relation:
         """⋈ hash join on shared attribute names.
 
         With no shared attributes this is the cartesian product.  Work is
-        charged per input tuple and per output tuple *as produced*, so a
-        budgeted meter aborts a blow-up before it is materialized.
+        charged per input tuple and per output tuple, each probe block's
+        output *before* its rows are built, so a budgeted meter aborts a
+        blow-up before it is materialized.
         """
-        rows, attributes = self._hash_join_rows(other, meter)
+        rows, attributes, _pairs = self._hash_join_rows(other, meter)
         return Relation._trusted(attributes, rows, name=self._join_name(other))
 
     def join_project(
@@ -414,10 +436,10 @@ class Relation:
                 budgets.
         """
         keep = _unique_attributes(keep)
-        rows, emitted = self._hash_join_rows(other, meter, keep)
+        rows, emitted, pairs = self._hash_join_rows(other, meter, keep)
         if on_joined is not None:
-            on_joined(len(rows))
-        meter.charge(len(rows), "project")
+            on_joined(pairs)
+        meter.charge(pairs, "project")
         out = list(dict.fromkeys(rows))
         # Rows were emitted probe columns first; restore ``keep`` order.
         if emitted != list(keep):
@@ -537,7 +559,7 @@ class Relation:
         shared = self.shared_attributes(other)
         if not shared:
             if len(other) == 0:
-                return Relation(self.attributes, [], name=self.name)
+                return Relation._trusted(self.attributes, [], name=self.name)
             return self.copy()
         context = current_context()
         context.checkpoint("exec.join")
@@ -553,7 +575,7 @@ class Relation:
                 context.checkpoint("exec.join")
             chunk = rows[start : start + _CHECK_EVERY]
             kept.extend([row for row in chunk if self_key(row) in keys])
-        return Relation(self.attributes, kept, name=self.name)
+        return Relation._trusted(self.attributes, kept, name=self.name)
 
     def union(self, other: "Relation", meter: WorkMeter = NULL_METER) -> "Relation":
         """Bag union; requires identical attribute sets (order-normalized)."""
@@ -573,7 +595,7 @@ class Relation:
             chunk = rows[start : start + _CHECK_EVERY]
             meter.charge(len(chunk), "union")
             merged.extend(chunk if aligned else list(map(row_of, chunk)))
-        return Relation(self.attributes, merged, name=self.name)
+        return Relation._trusted(self.attributes, merged, name=self.name)
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -611,7 +633,10 @@ class Relation:
         if not group_by and not groups:
             groups[()] = []  # global aggregate over the empty relation
 
-        out_attrs = list(group_by) + [out for _f, _a, out in aggregates]
+        # A group-by column may collide with an aggregate alias.
+        out_attrs = _unique_attributes(
+            list(group_by) + [out for _f, _a, out in aggregates]
+        )
         out_rows: List[Tuple[object, ...]] = []
         for key in groups:
             rows = groups[key]
@@ -620,7 +645,7 @@ class Relation:
                 column = [row[idx] for row in rows] if idx is not None else rows
                 values.append(_apply_aggregate(func, column, idx is not None))
             out_rows.append(tuple(values))
-        return Relation(out_attrs, out_rows, name=self.name)
+        return Relation._trusted(out_attrs, out_rows, name=self.name)
 
 
 def _numeric_sum(column: List[object]) -> object:

@@ -14,6 +14,7 @@ from repro.errors import HypergraphError
 from repro.metering import SpillModel, WorkMeter
 from repro.query.builder import ConjunctiveQueryBuilder
 from repro.core.detkdecomp import det_k_decomp
+from repro.core.memo import NodeMemo
 from repro.core.evaluator import (
     QHDEvaluator,
     atom_relations,
@@ -196,6 +197,84 @@ def test_property_qhd_equals_brute_force_on_chains(n, seed, values):
     tree = q_hypertree_decomp(q, 2)
     got = evaluate_qhd(tree, q, rels)
     assert got.same_content(brute_force_answer(q, rels))
+
+
+def star_query(n, output=("C",)):
+    builder = ConjunctiveQueryBuilder("star")
+    for i in range(n):
+        builder.atom(f"p{i}", f"rel{i}", "C", f"V{i}")
+    return builder.output(*output).build()
+
+
+@st.composite
+def shaped_case(draw):
+    """A random line, chain or star CQ with a random head of 0–3 variables
+    (Boolean included), its width-≤3 q-HD, and small random relations."""
+    shape = draw(st.sampled_from(["line", "chain", "star"]))
+    n = draw(st.integers(min_value=3 if shape == "chain" else 2, max_value=6))
+    body = {"line": line_query, "chain": chain_query, "star": star_query}[shape](n)
+    variables = sorted(body.variables)
+    head = draw(st.permutations(variables))[: draw(st.integers(0, 3))]
+    query = body.with_output(head)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    db = random_database_for(query, rng, max_rows=12, values=draw(st.integers(2, 4)))
+    return query, q_hypertree_decomp(query, 3), atom_relations(query, db)
+
+
+class TestProjectionRule:
+    """Every fold step keeps only the node's interface — out(Q) at the root —
+    plus the variables pending sources need."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=shaped_case())
+    def test_equals_classic_hd_as_sets(self, case):
+        query, tree, rels = case
+        classic = evaluate_hd_classic(tree, query, rels)
+        single_pass = evaluate_qhd(tree, query, rels)
+        assert single_pass.attributes == tuple(query.output)
+        assert set(single_pass.tuples) == set(classic.tuples)
+        assert len(single_pass.tuples) == len(set(single_pass.tuples))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=shaped_case())
+    def test_worker_counts_agree_byte_for_byte(self, case):
+        query, tree, rels = case
+        runs = []
+        for workers in (0, 2):
+            meter = WorkMeter()
+            answer = QHDEvaluator(tree, query, meter, workers=workers).evaluate(rels)
+            runs.append((answer.attributes, answer.tuples, meter.snapshot()))
+        assert runs[0] == runs[1]
+
+    def test_root_drops_chi_variables_outside_the_head(self):
+        q = chain_query(6, output=("V0",))
+        rels = relations_for(q, seed=4, rows=25, values=4)
+        tree = q_hypertree_decomp(q, 2)
+        assert len(tree.root.chi) > 1
+        evaluator = QHDEvaluator(tree, q, WorkMeter())
+        answer = evaluator.evaluate(rels)
+        assert answer.same_content(brute_force_answer(q, rels))
+        root_lines = [
+            line for line in evaluator.trace()
+            if line.startswith(f"node {tree.root.node_id}:")
+        ]
+        # The root's last fold already holds exactly the answer's rows.
+        assert root_lines[-1].endswith(f"-> {len(answer)} tuples")
+
+    def test_shared_memo_keys_the_root_on_the_head(self):
+        """Two heads over one body share a memo but never a root result."""
+        narrow = chain_query(5, output=("V0",))
+        wide = narrow.with_output(["V0", "V2"])
+        rels = relations_for(wide, seed=6, rows=20, values=3)
+        tree = q_hypertree_decomp(wide, 2)
+        memo = NodeMemo()
+        first = QHDEvaluator(tree, narrow, memo=memo).evaluate(rels)
+        second = QHDEvaluator(tree, wide, memo=memo).evaluate(rels)
+        assert memo.hits > 0  # the subtrees below the root were shared
+        assert first.same_content(brute_force_answer(narrow, rels))
+        assert second.same_content(brute_force_answer(wide, rels))
+        fresh = QHDEvaluator(tree, wide).evaluate(rels)
+        assert second.tuples == fresh.tuples
 
 
 @settings(max_examples=30, deadline=None)
