@@ -8,20 +8,17 @@ serving stack:
    renamed aliases) always share a shard and that shard's plan cache;
 2. **parity** — a sharded batch answers byte-identically (rows *and*
    order) to one single-process service;
-3. **the async front door** — awaitable submission with per-shard
-   backpressure and deadlines that keep ticking in the queue;
-4. **one merged view** — per-shard metric snapshots, plan-cache hit
+3. **one merged view** — per-shard metric snapshots, plan-cache hit
    rates, and shard-tagged span records aggregated cluster-wide.
 
 Run:  python examples/sharded_serving.py
 """
 
-import asyncio
 from dataclasses import replace
 
 from repro.obs.tracing import validate_span_records
 from repro.service import ServiceConfig
-from repro.shard import AsyncFrontDoor, ShardRouter
+from repro.shard import ShardRouter
 from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_synthetic_database,
@@ -78,17 +75,7 @@ def main() -> None:
     )
     print(f"parity over {len(queries)} queries: identical={identical}")
 
-    # -- 3. the async front door ----------------------------------------
-    async def serve_async():
-        async with AsyncFrontDoor(router, queue_depth=8) as door:
-            results = await door.run_all(queries)
-            return results, door.snapshot()
-
-    results, door_snapshot = asyncio.run(serve_async())
-    print(f"front door served {len(results)} queries "
-          f"(expired in queue: {door_snapshot['expired_in_queue']})")
-
-    # -- 4. the merged cluster view --------------------------------------
+    # -- 3. the merged cluster view --------------------------------------
     snapshot = router.snapshot()
     merged = snapshot["merged"]
     print(f"cluster: {merged['queries']['submitted']} submitted, "

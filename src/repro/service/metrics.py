@@ -259,7 +259,7 @@ class SupervisorMetrics:
         reg = self.registry
         self._worker_deaths = reg.counter(
             "shard_worker_deaths_total",
-            help="Worker processes observed dead by the watchdog",
+            help="Worker processes observed dead by the router",
         )
         self._restarts = reg.counter(
             "shard_worker_restarts_total",

@@ -10,14 +10,14 @@ deterministic worker processes:
   typed-error codec across the process boundary;
 * :mod:`repro.shard.worker` — the worker process: one
   :class:`~repro.service.server.QueryService` (own plan cache, metrics,
-  tracer, fault injector) behind a request/response queue pair;
+  tracer, fault injector) behind its own request queue and response
+  pipe;
 * :mod:`repro.shard.router` — :class:`ShardRouter`: spawn, route,
-  multiplex, watch liveness, drain gracefully;
+  multiplex, read a worker's death as end-of-file on its pipe, drain
+  gracefully;
 * :mod:`repro.shard.supervisor` — :class:`ShardSupervisor`: self-healing
   (seeded restarts with jittered backoff and a per-shard breaker, ring
   failover, deadline-aware retries of crash-stranded queries);
-* :mod:`repro.shard.frontdoor` — :class:`AsyncFrontDoor`: an asyncio
-  submission front with per-shard backpressure;
 * :mod:`repro.shard.aggregate` — merging per-shard metric snapshots and
   span records into one validated cluster view.
 """
@@ -28,7 +28,6 @@ from repro.shard.aggregate import (
     merge_span_records,
     shard_cache_hit_rates,
 )
-from repro.shard.frontdoor import AsyncFrontDoor
 from repro.shard.hashring import ConsistentHashRing
 from repro.shard.messages import (
     DrainCommand,
@@ -49,7 +48,6 @@ from repro.shard.worker import shard_worker_main
 
 __all__ = [
     "SPAN_ID_STRIDE",
-    "AsyncFrontDoor",
     "ConsistentHashRing",
     "DrainCommand",
     "QueryAnswer",

@@ -85,9 +85,8 @@ class DrainCommand:
 class WorkerReady:
     """Sent once by each worker after its service is built and serving.
 
-    ``incarnation`` distinguishes supervised restarts of the same shard:
-    the router ignores ready messages from incarnations it no longer
-    tracks (a worker that managed to announce itself just before dying).
+    ``incarnation`` names the supervised restart of the shard that sent
+    it (the router already knows it from the pipe the message came on).
     """
 
     shard_id: int

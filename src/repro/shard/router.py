@@ -6,7 +6,8 @@ context — a fresh interpreter each, no forked locks), routes every query
 by **consistent-hashing its canonical template fingerprint** so
 isomorphic queries always land on the same shard (each shard's plan
 cache sees only its own slice of the template universe), and multiplexes
-responses back to per-request futures through a single collector thread.
+responses back to per-request futures through a single collector thread
+that reads one response pipe per worker incarnation.
 
 Design points that keep the boundary honest:
 
@@ -24,8 +25,11 @@ Design points that keep the boundary honest:
 * **failures are explicit** — worker-side errors come back as typed
   :class:`~repro.errors.ReproError`\\ s via the message codec, and a
   worker that *dies* fails its in-flight futures with
-  :class:`~repro.errors.ShardError` from the collector's liveness
-  watchdog: every submitted query resolves, correct-or-explicit-error;
+  :class:`~repro.errors.ShardError`: the worker holds the only write end
+  of its response pipe, so its death reaches the collector as
+  end-of-file (or a frame torn by a SIGKILL) on that pipe, at once and
+  whatever the other shards are sending — every submitted query
+  resolves, correct-or-explicit-error;
 * **the cluster can heal itself** — with a
   :class:`~repro.shard.supervisor.SupervisorPolicy`, a dead worker is
   restarted (seeded jittered backoff, per-shard budget, shard-level
@@ -48,7 +52,6 @@ Design points that keep the boundary honest:
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import re
 import threading
 import time
@@ -56,6 +59,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, replace
+from multiprocessing import connection
 from threading import Event, Thread
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Union
 
@@ -98,7 +102,9 @@ _CONSTANT_RE = re.compile(r"'(?:[^']|'')*'|\b\d+(?:\.\d+)?\b")
 #: Routing-LRU capacity: distinct masked query texts remembered.
 _ROUTE_CACHE_CAPACITY = 4096
 
-#: Collector poll interval; also the liveness-watchdog tick.
+#: Collector wait timeout (also the startup poll): how soon a respawned
+#: worker's pipe joins the wait set and a stop request is noticed.  Death
+#: needs no timeout.
 _POLL_SECONDS = 0.2
 
 #: Extra seconds past the drain grace before stragglers are killed hard.
@@ -106,20 +112,31 @@ _DRAIN_MARGIN = 15.0
 
 
 class _ShardHandle:
-    """Router-side state of one worker process (one incarnation)."""
+    """Router-side state of one worker process (one incarnation).
+
+    ``responses`` is the read end of the incarnation's own response pipe;
+    the worker holds the only write end.  ``gone`` is set once that pipe
+    hit end-of-file — after the :class:`WorkerExit`, if one came.
+    """
 
     def __init__(
-        self, shard_id: int, process, request_queue, incarnation: int = 0
+        self,
+        shard_id: int,
+        process,
+        request_queue,
+        responses: connection.Connection,
+        incarnation: int,
     ) -> None:
         self.shard_id = shard_id
         self.process = process
         self.request_queue = request_queue
+        self.responses = responses
         self.incarnation = incarnation
         self.ready = Event()
-        self.exited = Event()
+        self.gone = Event()
         self.exit: Optional[WorkerExit] = None
         self.pid: Optional[int] = None
-        self.dead = False  # watchdog verdict, not merely "exited"
+        self.dead = False  # gone without a WorkerExit: crashed
         self.inflight = 0
         self.peak_inflight = 0
         self.dispatched = 0
@@ -190,7 +207,7 @@ class ShardRouter:
         # condition lets blocked submitters wait for per-shard room.
         self._lock = make_lock("ShardRouter._state")
         self._room = threading.Condition(self._lock)
-        self._pending: Dict[int, "tuple[Future, int, float]"] = {}
+        self._pending: Dict[int, _PendingEntry] = {}
         self._snapshot_waiters: Dict[int, Future] = {}
         self._next_request_id = 0
         self._routes: "OrderedDict[str, int]" = OrderedDict()
@@ -209,41 +226,26 @@ class ShardRouter:
         self._down: Set[int] = set()  # shards currently without a live worker
         self._ring_epoch = 0  # bumps on every down/up transition
         self._supervision_active = False  # True once startup completed
-        self._dead_handles: List[_ShardHandle] = []  # crashed incarnations
+        self._dead_handles: List[_ShardHandle] = []  # replaced incarnations
         self.supervisor: Optional[ShardSupervisor] = (
             ShardSupervisor(self, supervise) if supervise is not None else None
         )
         # An unsupervised router never re-dispatches.
         self._retry = supervise.retry if supervise else RetryPolicy(max_retries=0)
 
-        ctx = multiprocessing.get_context("spawn")
-        self._response_queue = ctx.Queue()
-        self._handles: List[_ShardHandle] = []
-        for shard_id in range(shards):
-            request_queue = ctx.Queue()
-            process = ctx.Process(
-                target=shard_worker_main,
-                args=(shard_id, config, request_queue, self._response_queue),
-                name=f"hdqo-shard-{shard_id}",
-                daemon=True,
-            )
-            self._handles.append(
-                _ShardHandle(shard_id, process, request_queue)
-            )
-
+        self._handles: List[_ShardHandle] = [
+            self._spawn(shard_id, 0) for shard_id in range(shards)
+        ]
         self._stop_collector = Event()
         self._collector = Thread(
             target=self._collect, name="hdqo-shard-collector", daemon=True
         )
-
-        for handle in self._handles:
-            handle.process.start()
         self._collector.start()
         self._await_ready(start_timeout)
         if self.supervisor is not None:
             # Only now: startup failures above stay fail-fast (the
-            # cluster never served), and the watchdog's supervised path
-            # can assume any not-ready handle is a crashed restart.
+            # cluster never served), and a death the collector sees from
+            # here on — a not-ready restart included — is supervised.
             self._supervision_active = True
             self.supervisor.start()
 
@@ -251,13 +253,36 @@ class ShardRouter:
     # Startup
     # ------------------------------------------------------------------
 
+    def _spawn(self, shard_id: int, incarnation: int) -> _ShardHandle:
+        """Start one worker incarnation with its own queue and pipe."""
+        ctx = multiprocessing.get_context("spawn")
+        request_queue = ctx.Queue()
+        responses, sink = ctx.Pipe(duplex=False)
+        suffix = f"-r{incarnation}" if incarnation else ""
+        process = ctx.Process(
+            target=shard_worker_main,
+            args=(shard_id, self.config, request_queue, sink),
+            kwargs={"incarnation": incarnation},
+            name=f"hdqo-shard-{shard_id}{suffix}",
+            daemon=True,
+        )
+        try:
+            process.start()
+        finally:
+            # From here the worker holds the only write end: end-of-file
+            # on ``responses`` means this incarnation is gone.
+            sink.close()
+        return _ShardHandle(
+            shard_id, process, request_queue, responses, incarnation
+        )
+
     def _await_ready(self, timeout: float) -> None:
         deadline = time.monotonic() + timeout
         with self._lock:
             handles = list(self._handles)
         for handle in handles:
             while not handle.ready.wait(timeout=_POLL_SECONDS):
-                if not handle.process.is_alive():
+                if handle.gone.is_set():
                     self._abort_start()
                     raise ShardError(
                         f"shard {handle.shard_id} worker died during "
@@ -449,67 +474,56 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def _collect(self) -> None:
-        """Drain the response queue; watch worker liveness in the gaps."""
+        """Read every live incarnation's response pipe (collector thread).
+
+        A message's sender is the pipe it came on, so it can only reach
+        its own incarnation's handle; end-of-file on a pipe — or a frame
+        torn by a SIGKILL — is that worker gone.
+        """
         while not self._stop_collector.is_set():
-            try:
-                message = self._response_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                self._check_liveness()
-                continue
-            if isinstance(message, WorkerReady):
-                with self._lock:
-                    handle = self._handles[message.shard_id]
-                if message.incarnation != handle.incarnation:
-                    continue  # a stale incarnation's ready; ignore
-                handle.pid = message.pid
-                handle.ready.set()
-                if self._supervision_active:
-                    self._on_worker_ready(
-                        message.shard_id, message.incarnation
-                    )
-            elif isinstance(message, QueryAnswer):
-                self._resolve(
-                    message.request_id, message.shard_id, message
-                )
-            elif isinstance(message, QueryFailure):
-                self._resolve(
-                    message.request_id, message.shard_id, message
-                )
-            elif isinstance(message, SnapshotReply):
-                with self._room:
-                    waiter = self._snapshot_waiters.pop(
-                        message.request_id, None
-                    )
-                    self._registry_exports[message.shard_id] = (
-                        message.registry
-                    )
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(
-                        (message.shard_id, message.snapshot)
-                    )
-            elif isinstance(message, WorkerExit):
-                with self._lock:
-                    handle = self._handles[message.shard_id]
-                if message.incarnation != handle.incarnation:
-                    continue  # a stale incarnation's exit; ignore
-                handle.exit = message
-                with self._room:
-                    self._registry_exports[message.shard_id] = (
-                        message.registry
-                    )
-                handle.exited.set()
+            with self._lock:
+                by_pipe = {
+                    handle.responses: handle
+                    for handle in self._handles
+                    if not handle.gone.is_set()
+                }
+            for pipe in connection.wait(list(by_pipe), timeout=_POLL_SECONDS):
+                handle = by_pipe[pipe]
+                try:
+                    message = pipe.recv()
+                except (EOFError, OSError):
+                    self._on_pipe_closed(handle)
+                else:
+                    self._deliver(handle, message)
+
+    def _deliver(self, handle: _ShardHandle, message: Any) -> None:
+        if isinstance(message, (QueryAnswer, QueryFailure)):
+            self._resolve(handle, message)
+        elif isinstance(message, WorkerReady):
+            handle.pid = message.pid
+            handle.ready.set()
+            if self._supervision_active:
+                self._on_worker_ready(handle.shard_id, handle.incarnation)
+        elif isinstance(message, SnapshotReply):
+            with self._room:
+                waiter = self._snapshot_waiters.pop(message.request_id, None)
+                self._registry_exports[handle.shard_id] = message.registry
+            if waiter is not None and not waiter.done():
+                waiter.set_result((handle.shard_id, message.snapshot))
+        elif isinstance(message, WorkerExit):
+            handle.exit = message
+            with self._room:
+                self._registry_exports[handle.shard_id] = message.registry
 
     def _resolve(
         self,
-        request_id: int,
-        shard_id: int,
+        handle: _ShardHandle,
         message: "Union[QueryAnswer, QueryFailure]",
     ) -> None:
         with self._room:
-            entry = self._pending.pop(request_id, None)
+            entry = self._pending.pop(message.request_id, None)
             if entry is None:
-                return  # already failed by the watchdog or drain
-            handle = self._handles[entry.shard_id]
+                return  # already failed by the drain
             handle.inflight -= 1
             self._latencies.append(
                 time.perf_counter() - entry.submitted
@@ -522,58 +536,51 @@ class ShardRouter:
         else:
             entry.future.set_exception(message.to_error())
 
-    def _check_liveness(self) -> None:
-        """React to dead worker processes (collector thread).
+    def _on_pipe_closed(self, handle: _ShardHandle) -> None:
+        """``handle``'s pipe hit end-of-file: the worker is gone (collector).
 
-        Unsupervised: fail the shard's in-flight futures and leave the
-        shard dead (the historical behavior).  Supervised: mark the
-        shard down (epoch bump, LRU clear), hand the death to the
-        supervisor for a scheduled restart, and retry-or-fail every
-        stranded in-flight query.  The supervised path also covers
-        workers that crash *during a restart's startup* — the not-ready
-        guard applies only before supervision is active.
+        A clean worker's :class:`WorkerExit` always precedes its
+        end-of-file, so without one this is a crash.  Unsupervised: fail
+        the shard's in-flight futures and leave the shard dead.
+        Supervised: :meth:`_on_worker_death`, which also covers a restart
+        that crashes during its own startup.  Before supervision is
+        active, a worker that dies before it is ready is
+        :meth:`_await_ready`'s to report.
         """
-        with self._lock:
-            handles = list(self._handles)
-        for handle in handles:
-            if handle.dead or handle.exited.is_set():
-                continue
-            if handle.process.is_alive():
-                continue
-            if not self._supervision_active and not handle.ready.is_set():
-                continue
-            # The process exited without a WorkerExit: a crash.  (A clean
-            # worker posts WorkerExit before leaving, and the queue feeder
-            # flushes it before process exit, so the exit message — if any
-            # — has been or will be observed; losing this race only means
-            # failing an already-resolved request id, which _resolve
-            # ignores.)
-            if self._supervision_active:
-                self._on_worker_death(handle)
-            else:
+        handle.responses.close()
+        crashed = handle.exit is None
+        if crashed:
+            handle.process.join(timeout=1.0)  # reap: the exit code is known
+        handle.gone.set()
+        if not crashed:
+            return
+        if self._supervision_active:
+            self._on_worker_death(handle)
+        elif handle.ready.is_set():
+            with self._room:
                 handle.dead = True
-                self._fail_shard_pending(
-                    handle,
-                    f"shard {handle.shard_id} worker died (exit code "
-                    f"{handle.process.exitcode}) with requests in flight",
-                )
+                doomed = self._pop_pending_locked(handle)
+            for entry in doomed:
+                if not entry.future.done():
+                    entry.future.set_exception(
+                        ShardError(
+                            f"shard {handle.shard_id} worker died (exit "
+                            f"code {handle.process.exitcode}) with "
+                            f"requests in flight",
+                            shard_id=handle.shard_id,
+                        )
+                    )
 
-    def _fail_shard_pending(self, handle: _ShardHandle, reason: str) -> None:
-        with self._room:
-            doomed = [
-                (request_id, entry)
-                for request_id, entry in self._pending.items()
-                if entry.shard_id == handle.shard_id
-            ]
-            for request_id, _ in doomed:
-                del self._pending[request_id]
-            handle.inflight = 0
-            self._room.notify_all()
-        for _, entry in doomed:
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ShardError(reason, shard_id=handle.shard_id)
-                )
+    def _pop_pending_locked(self, handle: _ShardHandle) -> List[_PendingEntry]:
+        """Remove and return every request in flight on ``handle``."""
+        doomed_ids = [
+            request_id
+            for request_id, entry in self._pending.items()
+            if entry.shard_id == handle.shard_id
+        ]
+        handle.inflight = 0
+        self._room.notify_all()
+        return [self._pending.pop(request_id) for request_id in doomed_ids]
 
     # ------------------------------------------------------------------
     # Supervision: death, failover retries, recovery, respawn
@@ -593,20 +600,11 @@ class ShardRouter:
         """
         exitcode = handle.process.exitcode
         with self._room:
-            if handle.dead or self._handles[handle.shard_id] is not handle:
-                return  # another path already handled this incarnation
             handle.dead = True
             self._down.add(handle.shard_id)
             self._ring_epoch += 1
             self._routes.clear()
-            doomed_ids = [
-                request_id
-                for request_id, entry in self._pending.items()
-                if entry.shard_id == handle.shard_id
-            ]
-            doomed = [self._pending.pop(request_id) for request_id in doomed_ids]
-            handle.inflight = 0
-            self._room.notify_all()
+            doomed = self._pop_pending_locked(handle)
         supervisor = self.supervisor
         assert supervisor is not None  # guarded by _supervision_active
         supervisor.metrics.record_ring_epoch()
@@ -722,29 +720,17 @@ class ShardRouter:
         queue discards whatever the dead incarnation never consumed
         (those queries were already retried or failed explicitly).
 
-        Returns False when the router is draining (no spawn happened).
+        Returns False when the router is draining (no serving spawn).
         """
         with self._room:
             if self._closed:
                 return False
             old = self._handles[shard_id]
-        ctx = multiprocessing.get_context("spawn")
-        request_queue = ctx.Queue()
-        process = ctx.Process(
-            target=shard_worker_main,
-            args=(shard_id, self.config, request_queue,
-                  self._response_queue),
-            kwargs={"incarnation": incarnation},
-            name=f"hdqo-shard-{shard_id}-r{incarnation}",
-            daemon=True,
-        )
-        process.start()
-        handle = _ShardHandle(
-            shard_id, process, request_queue, incarnation=incarnation
-        )
+        handle = self._spawn(shard_id, incarnation)
         with self._room:
             if self._closed:
-                process.kill()
+                handle.process.kill()
+                self._dead_handles.append(handle)  # drain() closes it
                 return False
             # The old incarnation's queue is intentionally left open:
             # a submitter that raced the death may still hold a
@@ -770,9 +756,7 @@ class ShardRouter:
             if self._closed:
                 raise ServiceClosed("shard router is closed")
             live = [
-                handle
-                for handle in self._handles
-                if not handle.dead and not handle.exited.is_set()
+                handle for handle in self._handles if not handle.gone.is_set()
             ]
             for handle in live:
                 request_id = self._next_request_id
@@ -955,26 +939,13 @@ class ShardRouter:
             # respawn can replace a slot after this point.
             handles = list(self._handles)
         for handle in handles:
-            if not handle.dead:
-                handle.request_queue.put(
-                    DrainCommand(grace_seconds=grace_seconds)
-                )
+            handle.request_queue.put(DrainCommand(grace_seconds=grace_seconds))
         budget = (grace_seconds or 0.0) + _DRAIN_MARGIN
         deadline = time.monotonic() + budget
         clean = True
         for handle in handles:
-            if handle.dead:
-                clean = False
-                continue
-            # Wait in watchdog ticks, not in one block: a worker killed
-            # less than a tick before the drain never posts WorkerExit and
-            # is declared dead only after this wait began.  (The collector
-            # does that on an empty poll, so a clean worker's exit message
-            # — flushed before its process ends — is never overtaken.)
-            while not handle.exited.wait(timeout=_POLL_SECONDS):
-                if handle.dead or time.monotonic() >= deadline:
-                    clean = False
-                    break
+            # A crash sets ``gone`` as promptly as a clean exit does.
+            handle.gone.wait(timeout=max(0.0, deadline - time.monotonic()))
             handle.process.join(
                 timeout=max(0.0, deadline - time.monotonic()) + 1.0
             )
@@ -983,7 +954,7 @@ class ShardRouter:
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
                 clean = False
-            if handle.exit is not None and not handle.exit.drained:
+            if handle.exit is None or not handle.exit.drained:
                 clean = False
         # The collector saw every WorkerExit that will ever arrive.
         self._stop_collector.set()
@@ -1009,8 +980,7 @@ class ShardRouter:
         for handle in all_handles:
             handle.request_queue.close()
             handle.request_queue.cancel_join_thread()
-        self._response_queue.close()
-        self._response_queue.cancel_join_thread()
+            handle.responses.close()
         return clean
 
     def close(self) -> None:

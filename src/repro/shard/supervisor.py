@@ -1,7 +1,7 @@
 """``ShardSupervisor``: the cluster's self-healing layer.
 
-The router's liveness watchdog detects that a worker process died; the
-supervisor decides *what happens next*.  Without it (the pre-supervision
+The router reads a worker's death as end-of-file on that worker's
+response pipe; the supervisor decides *what happens next*.  Without it (the pre-supervision
 default) a dead shard's templates error forever.  With it, the cluster
 heals through a small per-shard state machine:
 
@@ -87,9 +87,9 @@ class SupervisorPolicy:
             stranded by a crash.
         seed: base seed of the per-shard backoff jitter RNGs.
         start_timeout_seconds: how long a respawned worker may take to
-            become ready before the watchdog treats it as dead (enforced
-            by process liveness, not a timer — a hung-but-alive worker
-            is out of scope here).
+            become ready before it counts as dead (enforced by its pipe's
+            end-of-file, not a timer — a hung-but-alive worker is out of
+            scope here).
     """
 
     max_restarts: int = 5

@@ -1,4 +1,5 @@
-"""The shard worker process: one :class:`QueryService` behind two queues.
+"""The shard worker process: one :class:`QueryService` behind a request
+queue and a response pipe.
 
 Each worker is spawned (never forked — a fresh interpreter, no inherited
 locks or thread state), receives its
@@ -18,15 +19,22 @@ when ``config.trace``) — then serves a simple loop:
   outstanding request, and the final metrics + span records leave in a
   :class:`~repro.shard.messages.WorkerExit` before the process ends.
 
+Requests arrive on this incarnation's own queue.  Every response leaves
+on its own pipe, whose only write end the worker holds, so the router
+reads the worker's death as end-of-file there.
+
 Workers ignore SIGINT/SIGTERM: shutdown is *coordinated* by the router
 (terminal signals hit the whole foreground process group, and a worker
 dying mid-protocol would strand in-flight futures), and a worker that
-outlives the grace period is killed hard by the router.
+outlives the grace period is killed hard by the router.  A worker whose
+router process is gone closes its service and exits on its own.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import queue
 import signal
 import threading
 from concurrent.futures import CancelledError, Future
@@ -49,8 +57,11 @@ from repro.shard.messages import (
 )
 
 #: How long the exit path waits for the last response callbacks after the
-#: service itself has drained (they only have to enqueue a message).
+#: service itself has drained (they only have to send a message).
 _FLUSH_TIMEOUT = 10.0
+
+#: How often an idle worker checks that its router process is alive.
+_ORPHAN_CHECK_SECONDS = 1.0
 
 
 class _InflightTable:
@@ -99,11 +110,12 @@ def shard_worker_main(
     shard_id: int,
     config: ServiceConfig,
     request_queue,
-    response_queue,
+    responses,
     incarnation: int = 0,
 ) -> None:
     """Entry point of a shard worker process (spawn target).
 
+    ``responses`` is the write end of this incarnation's response pipe.
     ``incarnation`` is 0 for the original process and increments on
     every supervised restart.  The serving world is rebuilt from the
     *same* config either way — all per-shard randomness derives from
@@ -120,6 +132,13 @@ def shard_worker_main(
     set_tracer(tracer)
     service = config.build(shard_id)
     inflight = _InflightTable()
+    send_lock = make_lock("ShardWorker._send")
+    router = multiprocessing.parent_process()
+
+    def send(message) -> None:
+        """Send one response; pool threads and the main loop share the pipe."""
+        with send_lock:
+            responses.send(message)
 
     def finish(request_id: int, future: Future) -> None:
         """Done-callback (runs on a pool worker thread): post the outcome."""
@@ -129,21 +148,15 @@ def shard_worker_main(
             except CancelledError:
                 # Queued but never started: the drain cancelled it.
                 exc = QueryCancelled("shard draining", site="shard.queue")
-                response_queue.put(
-                    QueryFailure(request_id, shard_id, *encode_error(exc))
-                )
+                send(QueryFailure(request_id, shard_id, *encode_error(exc)))
             except BaseException as exc:  # hdqo: ignore[error-swallowing] — delivered as a typed QueryFailure response
-                response_queue.put(
-                    QueryFailure(request_id, shard_id, *encode_error(exc))
-                )
+                send(QueryFailure(request_id, shard_id, *encode_error(exc)))
             else:
-                response_queue.put(
-                    _answer_from_result(request_id, shard_id, result)
-                )
+                send(_answer_from_result(request_id, shard_id, result))
         finally:
             inflight.remove(request_id)
 
-    response_queue.put(
+    send(
         WorkerReady(
             shard_id=shard_id, pid=os.getpid(), incarnation=incarnation
         )
@@ -151,7 +164,15 @@ def shard_worker_main(
 
     grace: Optional[float] = None
     while True:
-        message = request_queue.get()
+        try:
+            message = request_queue.get(timeout=_ORPHAN_CHECK_SECONDS)
+        except queue.Empty:
+            if not router.is_alive():
+                # Orphaned: nobody is left to drain us or read a WorkerExit.
+                service.close()
+                responses.close()
+                return
+            continue
         if isinstance(message, QueryRequest):
             try:
                 future = service.submit(
@@ -160,7 +181,7 @@ def shard_worker_main(
                     deadline_seconds=message.deadline_seconds,
                 )
             except ReproError as exc:  # overloaded/closed: still explicit
-                response_queue.put(
+                send(
                     QueryFailure(
                         message.request_id, shard_id, *encode_error(exc)
                     )
@@ -172,7 +193,7 @@ def shard_worker_main(
                 lambda fut, request_id=request_id: finish(request_id, fut)
             )
         elif isinstance(message, SnapshotCommand):
-            response_queue.put(
+            send(
                 SnapshotReply(
                     message.request_id,
                     shard_id,
@@ -200,7 +221,7 @@ def shard_worker_main(
         if violations:
             lock_violation = str(violations[0])
 
-    response_queue.put(
+    send(
         WorkerExit(
             shard_id=shard_id,
             drained=drained and flushed,
@@ -213,6 +234,6 @@ def shard_worker_main(
             incarnation=incarnation,
         )
     )
-    # Let the feeder thread flush the exit message before the process ends.
-    response_queue.close()
-    response_queue.join_thread()
+    # The send returned with the whole message in the pipe; end-of-file
+    # follows it.
+    responses.close()

@@ -1,20 +1,28 @@
-"""Shard subsystem: ring, wire codec, aggregation, router, front door.
+"""Shard subsystem: ring, wire codec, aggregation, router.
 
 The cheap layers (hash ring, error codec, snapshot/span/registry merges,
 span-record validation) are tested in-process.  The expensive layer —
 real worker processes behind a :class:`ShardRouter` — runs **once** in a
-module-scoped fixture that drives a multi-template workload through both
-the blocking router API and the asyncio front door, captures every
+module-scoped fixture that drives a multi-template workload through the
+router twice (the second pass from two threads at once), captures every
 artifact (results, snapshots, merged trace, Prometheus text), drains,
 and lets the assertions below pick the run apart.  The contract under
-test is the PR's acceptance bar: a sharded cluster answers
-byte-identically (rows *and* order) to one single-process service, with
-per-shard plan-cache hit rates no worse than the baseline's.
+test is the acceptance bar: a sharded cluster answers byte-identically
+(rows *and* order) to one single-process service, with per-shard
+plan-cache hit rates no worse than the baseline's.  Worker death on the
+transport — continuous traffic, orphaned workers — is tested at the end.
 """
 
-import asyncio
+import json
+import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -43,7 +51,6 @@ from repro.relational import AttributeType, Database, RelationSchema
 from repro.service.config import ServiceConfig
 from repro.service.server import QueryService
 from repro.shard import (
-    AsyncFrontDoor,
     ConsistentHashRing,
     ShardRouter,
     decode_error,
@@ -393,12 +400,22 @@ def cluster():
     routes_again = {sql: router.route(sql) for sql in queries}
     sharded_results = router.run_all(queries)
 
-    async def front_door_pass():
-        async with AsyncFrontDoor(router, queue_depth=8) as door:
-            results = await door.run_all(queries)
-            return results, door.snapshot()
+    # The second pass: the same workload from two threads at once (even
+    # and odd positions), reassembled in submission order.
+    second_pass = [None] * len(queries)
 
-    frontdoor_results, frontdoor_snapshot = asyncio.run(front_door_pass())
+    def half(parity):
+        positions = range(parity, len(queries), 2)
+        results = router.run_all([queries[i] for i in positions])
+        for i, result in zip(positions, results):
+            second_pass[i] = result
+
+    threads = [threading.Thread(target=half, args=(p,)) for p in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
     live_snapshot = router.snapshot()
     prometheus_text = router.render_prometheus()
     latencies = router.client_latencies()
@@ -412,8 +429,7 @@ def cluster():
         routes=routes,
         routes_again=routes_again,
         sharded_results=sharded_results,
-        frontdoor_results=frontdoor_results,
-        frontdoor_snapshot=frontdoor_snapshot,
+        second_pass=second_pass,
         live_snapshot=live_snapshot,
         prometheus_text=prometheus_text,
         latencies=latencies,
@@ -433,11 +449,13 @@ class TestClusterParity:
             assert shard.relation.attributes == base.relation.attributes
             assert shard.relation.tuples == base.relation.tuples
 
-    def test_front_door_answers_match_router_answers(self, cluster):
-        for direct, doored in zip(
-            cluster.sharded_results, cluster.frontdoor_results
+    def test_second_pass_answers_match_first_pass(self, cluster):
+        assert len(cluster.second_pass) == len(cluster.sharded_results)
+        for first, second in zip(
+            cluster.sharded_results, cluster.second_pass
         ):
-            assert doored.relation.tuples == direct.relation.tuples
+            assert second.relation.attributes == first.relation.attributes
+            assert second.relation.tuples == first.relation.tuples
 
     def test_deterministic_work_survives_the_boundary(self, cluster):
         for base, shard in zip(
@@ -472,8 +490,8 @@ class TestClusterRouting:
 
 class TestClusterObservability:
     def test_merged_counters_cover_every_query(self, cluster):
-        # 3 passes over the workload: router.run_all, front door, and the
-        # baseline ran separately (not merged here).
+        # Two passes over the workload (the baseline ran separately and
+        # is not merged here).
         merged = cluster.live_snapshot["merged"]
         expected = 2 * len(cluster.queries)
         assert merged["queries"]["submitted"] == expected
@@ -511,13 +529,6 @@ class TestClusterObservability:
         assert len(cluster.latencies) == 2 * len(cluster.queries)
         assert all(latency >= 0 for latency in cluster.latencies)
 
-    def test_front_door_saw_no_expiries_or_leftovers(self, cluster):
-        snapshot = cluster.frontdoor_snapshot
-        assert snapshot["expired_in_queue"] == 0
-        assert sum(
-            view["enqueued"] for view in snapshot["per_shard"].values()
-        ) == len(cluster.queries)
-
 
 class TestClusterDrain:
     def test_drain_was_clean_and_is_idempotent(self, cluster):
@@ -554,180 +565,109 @@ class TestClusterDrain:
         )
 
 
+
 # ---------------------------------------------------------------------------
-# Front-door semantics against a stub router (deterministic, no processes)
+# Worker death on the transport
 # ---------------------------------------------------------------------------
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-class _StubRouter:
-    """Just enough router surface for front-door unit tests."""
+#: Starts a 2-shard router, prints its worker pids, then waits to be killed.
+ORPHAN_SCRIPT = """
+import json, time
+from repro.relational import AttributeType, Database, RelationSchema
+from repro.service.config import ServiceConfig
+from repro.shard import ShardRouter
 
-    def __init__(self, shards=1, max_inflight_per_shard=1):
-        self.shards = shards
-        self.max_inflight_per_shard = max_inflight_per_shard
-        self.submitted = []
-        self.futures = []
-        self.fail_with = None
-
-    def route(self, sql):
-        return 0
-
-    def submit(self, sql, work_budget=None, deadline_seconds=None):
-        if self.fail_with is not None:
-            raise self.fail_with
-        from concurrent.futures import Future
-
-        future = Future()
-        self.submitted.append((sql, work_budget, deadline_seconds))
-        self.futures.append(future)
-        return future
+db = Database("orphans")
+db.create_table(RelationSchema.of("r", {"a": AttributeType.INT}), [(1,), (2,)])
+router = ShardRouter(ServiceConfig(database=db, max_width=2, workers=1), shards=2)
+print(json.dumps(sorted(router.shard_pids().values())), flush=True)
+time.sleep(600)
+"""
 
 
-class TestFrontDoorSemantics:
-    def test_submit_nowait_rejects_when_the_queue_is_full(self):
-        async def scenario():
-            router = _StubRouter(max_inflight_per_shard=1)
-            async with AsyncFrontDoor(router, queue_depth=1) as door:
-                # q1 occupies the router slot (its future never resolves
-                # here), q2 occupies the dispatcher awaiting the
-                # semaphore, q3 fills the queue; q4 must bounce.
-                tasks = [
-                    asyncio.create_task(door.submit(f"q{i}"))
-                    for i in range(3)
-                ]
-                await asyncio.sleep(0.05)  # let the dispatcher settle
-                with pytest.raises(ServiceOverloaded):
-                    await door.submit_nowait("q3")
-                for future in router.futures:
-                    future.set_result("done")
-                for task in tasks:
-                    task.cancel()
-            return router
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
-        router = asyncio.run(scenario())
-        assert len(router.submitted) == 1  # only q0 reached the router
 
-    def test_deadline_expires_while_queued(self):
-        async def scenario():
-            router = _StubRouter()
-            async with AsyncFrontDoor(router, queue_depth=4) as door:
-                blocker = asyncio.create_task(door.submit("block"))
-                await asyncio.sleep(0.05)
-                # The only router slot is held, so this waits in the
-                # dispatcher past its entire (tiny) deadline.
-                doomed = asyncio.create_task(
-                    door.submit("late", deadline_seconds=0.01)
-                )
-                await asyncio.sleep(0.1)
-                router.futures[0].set_result("done")
-                assert await blocker == "done"
-                with pytest.raises(DeadlineExceeded) as err:
-                    await doomed
-                assert err.value.site == "shard.frontdoor"
-                return door.snapshot()
-
-        snapshot = asyncio.run(scenario())
-        assert snapshot["expired_in_queue"] == 1
-
-    def test_expired_items_drain_without_consuming_the_slot(self):
-        """Submissions that expire *while queued* are rejected at
-        dequeue, before the semaphore acquire: they neither strand a
-        dispatch slot nor linger in the bounded queue."""
-
-        async def scenario():
-            router = _StubRouter(max_inflight_per_shard=1)
-            async with AsyncFrontDoor(router, queue_depth=8) as door:
-                blocker = asyncio.create_task(door.submit("block"))
-                await asyncio.sleep(0.05)  # blocker holds the only slot
-                doomed = [
-                    asyncio.create_task(
-                        door.submit(f"late{i}", deadline_seconds=0.01)
-                    )
-                    for i in range(3)
-                ]
-                await asyncio.sleep(0.1)  # all three expire while queued
-                router.futures[0].set_result("done")
-                assert await blocker == "done"
-                for task in doomed:
-                    with pytest.raises(DeadlineExceeded):
-                        await task
-                # The slot came back: a fresh submission dispatches.
-                fresh = asyncio.create_task(door.submit("fresh"))
-                await asyncio.sleep(0.05)
-                router.futures[-1].set_result("done")
-                assert await fresh == "done"
-                return door.snapshot(), [s for s, _, _ in router.submitted]
-
-        snapshot, submitted = asyncio.run(scenario())
-        assert snapshot["expired_in_queue"] == 3
-        assert submitted == ["block", "fresh"]  # the doomed never dispatch
-        assert all(
-            view["queued"] == 0 for view in snapshot["per_shard"].values()
+class TestTransportDeath:
+    def test_death_is_noticed_under_continuous_traffic(self):
+        """A worker's death fails its futures at once, even while another
+        shard keeps the collector busy with answers."""
+        config = ServiceConfig(
+            database=_make_chain_db(), max_width=2, workers=2,
+            queue_capacity=32, cache_capacity=64,
         )
+        router = ShardRouter(config, shards=2)
+        owners = {router.route(t.format(c=3)): t.format(c=3)
+                  for t in TEMPLATES}
+        busy = router.route(TEMPLATES[0].format(c=3))
+        victim = 1 - busy
+        stop = threading.Event()
+        busy_outcomes = []
 
-    def test_abandoned_submission_skipped_at_dequeue(self):
-        """A caller that gave up while queued is dropped at dequeue
-        without taking (or leaking) a semaphore slot."""
+        def traffic():
+            while not stop.is_set():
+                busy_outcomes.extend(router.run_all(
+                    [owners[busy]] * 4, return_exceptions=True
+                ))
 
-        async def scenario():
-            router = _StubRouter(max_inflight_per_shard=1)
-            async with AsyncFrontDoor(router, queue_depth=8) as door:
-                blocker = asyncio.create_task(door.submit("block"))
-                await asyncio.sleep(0.05)
-                abandoned = [
-                    asyncio.create_task(door.submit(f"gone{i}"))
-                    for i in range(2)
-                ]
-                await asyncio.sleep(0.05)
-                for task in abandoned:
-                    task.cancel()
-                await asyncio.sleep(0.05)
-                router.futures[0].set_result("done")
-                assert await blocker == "done"
-                fresh = asyncio.create_task(door.submit("fresh"))
-                await asyncio.sleep(0.05)
-                router.futures[-1].set_result("done")
-                assert await fresh == "done"
-                for task in abandoned:
-                    with pytest.raises(asyncio.CancelledError):
-                        await task
-                return [sql for sql, _, _ in router.submitted]
-
-        submitted = asyncio.run(scenario())
-        assert submitted == ["block", "fresh"]
-
-    def test_router_side_errors_surface_through_submit(self):
-        async def scenario():
-            router = _StubRouter()
-            router.fail_with = ShardError("shard 0 worker is dead",
-                                          shard_id=0)
-            async with AsyncFrontDoor(router) as door:
+        thread = threading.Thread(target=traffic, daemon=True)
+        thread.start()
+        try:
+            assert set(owners) == {0, 1}
+            time.sleep(0.3)  # answers are flowing from the busy shard
+            os.kill(router.shard_pids()[victim], signal.SIGKILL)
+            started = time.monotonic()
+            try:
+                future = router.submit(owners[victim])
+            except ShardError:
+                pass  # the death was already read
+            else:
                 with pytest.raises(ShardError):
-                    await door.submit("q")
+                    future.result(timeout=2.0)
+            assert time.monotonic() - started < 2.0
+            answered = len(busy_outcomes)
+            time.sleep(0.2)
+            assert thread.is_alive() and len(busy_outcomes) > answered
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            router.drain(grace_seconds=10.0)
+        assert not thread.is_alive()
+        assert all(isinstance(o, DBMSResult) for o in busy_outcomes)
 
-        asyncio.run(scenario())
-
-    def test_remaining_deadline_is_decremented_by_queue_wait(self):
-        async def scenario():
-            router = _StubRouter(max_inflight_per_shard=2)
-            async with AsyncFrontDoor(router) as door:
-                task = asyncio.create_task(
-                    door.submit("q", deadline_seconds=30.0)
-                )
-                await asyncio.sleep(0.05)
-                router.futures[0].set_result("done")
-                await task
-            return router.submitted[0][2]
-
-        forwarded = asyncio.run(scenario())
-        assert forwarded is not None
-        assert 0 < forwarded <= 30.0
-
-    def test_use_before_enter_is_an_error(self):
-        door = AsyncFrontDoor(_StubRouter())
-
-        async def scenario():
-            with pytest.raises(RuntimeError):
-                await door.submit("q")
-
-        asyncio.run(scenario())
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_orphaned_workers_exit_when_the_router_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, env=env, text=True,
+        )
+        pids = []
+        try:
+            pids = json.loads(proc.stdout.readline())
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)

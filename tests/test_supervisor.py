@@ -1,6 +1,6 @@
 """Self-healing shard serving: supervisor, retries, failover, parity.
 
-Three layers of coverage, cheapest first:
+Four layers of coverage, cheapest first:
 
 * **property layer** — hypothesis round-trips of the new wire shapes
   (:class:`ShardUnavailable` through the error codec,
@@ -14,19 +14,25 @@ Three layers of coverage, cheapest first:
   worker, watch traffic fail over with zero wrong answers, the shard
   restart, and the post-recovery run stay byte-identical; plus the
   acceptance-bar parity check that ``supervise`` with zero faults is
-  byte-identical to an unsupervised cluster.
+  byte-identical to an unsupervised cluster;
+* **honest kills** — SIGKILL the worker that just answered, or one that
+  is sending a > 1 MB answer, and the cluster still resolves every query
+  and drains in seconds.
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.dbms import DBMSResult
-from repro.errors import ShardError, ShardUnavailable
+from repro.errors import ReproError, ShardError, ShardUnavailable
+from repro.relational import AttributeType, Database, RelationSchema
 from repro.resilience import RetryBudget, RetryPolicy, jittered_backoff
 from repro.service.config import ServiceConfig
 from repro.shard import (
@@ -581,13 +587,8 @@ class TestConcurrentDrain:
         try:
             sql = TEMPLATES[0].format(c=3)
             router.run_all([sql])
-            # The victim is the shard that did *not* just answer: a worker
-            # SIGKILLed while its queue feeder still holds the shared
-            # response queue's write lock strands every other worker's
-            # messages (a multiprocessing.Queue hazard this test is not
-            # about).  The kill lands less than a watchdog tick before
-            # the drains either way.
-            victim = 1 - router.route(sql)
+            # The victim is the worker that just answered.
+            victim = router.route(sql)
             os.kill(router.shard_pids()[victim], signal.SIGKILL)
             started = time.monotonic()
 
@@ -606,4 +607,121 @@ class TestConcurrentDrain:
             verdicts.append(router.drain(grace_seconds=30.0))
         assert verdicts[0] is False  # a shard did not drain cleanly
         assert len(set(verdicts)) == 1  # idempotent: one shared verdict
+        assert router.lock_violations() == {}
+
+
+#: A single-atom scan whose answer pickles to > 1 MB (120k two-int rows).
+BIG_ROWS = 120_000
+BIG_SQL = "SELECT big.x, big.y FROM big"
+
+#: Small templates over a 40-row table; at least one lives off the
+#: large answer's shard.
+SMALL_SQL = [
+    "SELECT s.a FROM small s WHERE s.a < 5",
+    "SELECT s.a, t.b FROM small s, small t WHERE s.b = t.a",
+    "SELECT s.b FROM small s, small t WHERE s.a = t.b AND t.a < 5",
+    "SELECT s.a, s.b FROM small s WHERE s.b < 5",
+]
+
+KILLS = 5
+
+
+def _big_db():
+    db = Database("big-answers")
+    ints = AttributeType.INT
+    db.create_table(
+        RelationSchema.of("big", {"x": ints, "y": ints}),
+        [(i, (i * 7919) % 100_003) for i in range(BIG_ROWS)],
+    )
+    db.create_table(
+        RelationSchema.of("small", {"a": ints, "b": ints}),
+        [(i % 8, (3 * i) % 8) for i in range(40)],
+    )
+    db.analyze()
+    return db
+
+
+class TestKillWhileSendingLargeAnswers:
+    def test_kills_mid_answer_resolve_everything_and_drain(self):
+        """SIGKILL the large answer's worker five times while it streams
+        > 1 MB answers: every query resolves (rows or a typed error), the
+        other shard keeps answering throughout, and drain takes seconds."""
+        router = ShardRouter(
+            ServiceConfig(
+                database=_big_db(), max_width=2, workers=2,
+                queue_capacity=64, seed=0,
+            ),
+            shards=2,
+            supervise=FAST_POLICY,
+        )
+        stop = threading.Event()
+        small_outcomes, kill_times, big_futures = [], [], []
+        drain_seconds = None
+        try:
+            owner = router.route(BIG_SQL)
+            small = [sql for sql in SMALL_SQL if router.route(sql) != owner]
+            assert small
+            big_rows = _rows([router.submit(BIG_SQL).result(timeout=60)])
+            assert len(pickle.dumps(big_rows[0][1])) >= 1 << 20
+            small_rows = _rows(router.run_all(small))
+
+            def small_traffic():
+                while not stop.is_set():
+                    outcomes = router.run_all(small, return_exceptions=True)
+                    small_outcomes.append((time.monotonic(), outcomes))
+
+            thread = threading.Thread(target=small_traffic, daemon=True)
+            thread.start()
+            killed = None
+            for _ in range(KILLS):
+                # Wait for a fresh incarnation to serve the owner's slice
+                # again (a just-killed process can still look alive).
+                deadline = time.monotonic() + RECOVERY_TIMEOUT
+                while not (
+                    router.shard_pids().get(owner) not in (None, killed)
+                    and len(router.live_shards()) == 2
+                    and router.route(BIG_SQL) == owner
+                ):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                batch = [router.submit(BIG_SQL) for _ in range(4)]
+                big_futures.extend(batch)
+                stalled = threading.Event()
+
+                def stall_collector(_):
+                    # Done-callbacks run on the collector thread: while it
+                    # sleeps here, the worker's next answer fills the pipe
+                    # and blocks mid-frame.
+                    if not stalled.is_set():
+                        stalled.set()
+                        time.sleep(0.5)
+
+                for future in batch:
+                    future.add_done_callback(stall_collector)
+                wait(batch, timeout=60, return_when=FIRST_COMPLETED)
+                time.sleep(0.25)
+                killed = router.shard_pids()[owner]
+                os.kill(killed, signal.SIGKILL)
+                kill_times.append(time.monotonic())
+            for future in big_futures:
+                try:
+                    assert _rows([future.result(timeout=60)]) == big_rows
+                except ReproError:
+                    pass  # typed: a retry budget ran out
+            time.sleep(0.5)
+            stop.set()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        finally:
+            stop.set()
+            started = time.monotonic()
+            router.drain(grace_seconds=30.0)
+            drain_seconds = time.monotonic() - started
+        assert drain_seconds < 10.0
+        for _, outcomes in small_outcomes:
+            assert _rows(outcomes) == small_rows
+        for killed_at in kill_times:  # the other shard never stalled
+            assert any(
+                killed_at < at <= killed_at + 5.0 for at, _ in small_outcomes
+            )
         assert router.lock_violations() == {}
