@@ -1,15 +1,19 @@
-"""Query insights: per-template histograms, slow log, SLOs, and merging.
+"""Query insights: one per-template record, its span replay, and merging.
 
 A walkthrough of ``repro.obs.insights`` — the observability layer that
 answers *which template* got slower, *in which phase*:
 
 1. **recording** — attach an :class:`~repro.obs.insights.InsightsRegistry`
-   to a :class:`~repro.service.QueryService` and serve a mixed workload;
-   the optimizer handler feeds per-phase latency/work histograms, SLO
-   outcomes, and slow-query captures, keyed by canonical template
-   fingerprint (zero work-unit cost when the registry is off);
-2. **inspection** — the snapshot's per-template phase quantiles, the
-   bounded top-K slow log, and the fast/slow SLO burn rates;
+   to a :class:`~repro.service.QueryService` and serve a mixed workload
+   under tracing; the optimizer handler makes one ``record_query`` call
+   per query (counters, per-phase latency/work histograms, events) plus
+   slow-query captures, keyed by canonical template fingerprint (zero
+   work-unit cost when the registry is off);
+2. **inspection and replay** — the snapshot's per-template phase
+   quantiles and the bounded top-K slow log; then ``hdqo report``'s
+   :func:`~repro.obs.insights.analyze_spans` replays the exported
+   ``serve.query`` spans through the same rule and rebuilds the live
+   record;
 3. **exact merging** — two registries fed disjoint traffic merge into
    the snapshot one registry holding all of it would produce, bucket for
    bucket (the property the sharded serving path relies on);
@@ -25,10 +29,13 @@ from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.obs.histogram import summary
 from repro.obs.insights import (
     InsightsRegistry,
+    analyze_spans,
     merge_insights_snapshots,
     render_insights_prometheus,
     render_top,
+    replay_mismatches,
 )
+from repro.obs.tracing import tracing
 from repro.relational import AttributeType, Database, RelationSchema
 from repro.service import QueryService
 
@@ -53,18 +60,20 @@ def make_database() -> Database:
     return db
 
 
-def serve(db: Database, queries: list) -> dict:
-    """Run a batch through a service with insights on; return the snapshot."""
+def serve(db: Database, queries: list) -> tuple:
+    """Run a batch through a service with insights on, under tracing;
+    return the registry snapshot and the span records."""
     insights = InsightsRegistry()
     service = QueryService(
         SimulatedDBMS(db, COMMDB_PROFILE), max_width=2, workers=2,
         insights=insights,
     )
     try:
-        service.run_all(queries)
+        with tracing() as tracer:
+            service.run_all(queries)
     finally:
         service.close()
-    return insights.snapshot()
+    return insights.snapshot(), tracer.to_records()
 
 
 def main() -> None:
@@ -76,30 +85,35 @@ def main() -> None:
     ]
 
     # -- 1 + 2. record a workload, inspect per-template phases ---------------
-    snapshot = serve(db, workload)
+    snapshot, spans = serve(db, workload)
     print("per-template phase distributions:")
     for template, entry in snapshot["templates"].items():
         print(f"  {template[:16]}…  queries={entry['queries']} "
-              f"errors={entry['errors']}")
+              f"errors={entry['errors']} cache_hits={entry['cache_hits']}")
         for phase, data in entry["phases"].items():
             latency = summary(data["latency"])
             print(f"    {phase:<10} n={latency['count']:<3} "
                   f"p50={latency['p50'] * 1000:7.2f}ms "
                   f"p99={latency['p99'] * 1000:7.2f}ms "
                   f"work={data['work']['total']:.0f}")
-        slo = entry["slo"]
-        print(f"    slo: good={slo['good']} bad={slo['bad']} "
-              f"fast-burn={slo['fast_burn_rate']}")
 
     outliers = snapshot["slow_log"]["outliers"]
     print(f"\nslow log: top-K outliers for {len(outliers)} template(s)")
+
+    # The offline twin: replaying the serve.query spans through the same
+    # record_query rule rebuilds the live record.
+    mismatches = replay_mismatches(snapshot, analyze_spans(spans))
+    print(f"span replay == live registry: {not mismatches}")
+    assert not mismatches, mismatches
 
     # -- 3. exact cross-registry merging -------------------------------------
     # Split the workload across two registries the way the shard router
     # does — template-affine, each template entirely on one side — and
     # the merged work histograms equal the single registry's exactly.
-    left = serve(db, [q for q in workload if q.startswith(TEMPLATES[0][:18])])
-    right = serve(db, [q for q in workload if not q.startswith(TEMPLATES[0][:18])])
+    left, _ = serve(db, [q for q in workload if q.startswith(TEMPLATES[0][:18])])
+    right, _ = serve(
+        db, [q for q in workload if not q.startswith(TEMPLATES[0][:18])]
+    )
     merged = merge_insights_snapshots([left, right])
     exact = all(
         merged["templates"][key]["phases"][phase]["work"]

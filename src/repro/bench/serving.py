@@ -133,8 +133,9 @@ def run_serving_throughput(
             :class:`~repro.resilience.faults.FaultInjector`; each service
             run gets its own injector seeded from ``seed``.
         insights: attach a per-run
-            :class:`~repro.obs.insights.registry.InsightsRegistry`; the
-            per-template counts ride along in the record extras.
+            :class:`~repro.obs.insights.registry.InsightsRegistry`; its
+            snapshot and per-template counts ride along in the record
+            extras.
     """
     repetitions = repetitions or (8 if scale == "quick" else 20)
     database, templates = serving_workload(scale, seed)
@@ -165,6 +166,7 @@ def run_serving_throughput(
             if insights:
                 insight_snapshot = snapshot["insights"]
                 insight_extras = {
+                    "insights": insight_snapshot,
                     "insight_templates": len(insight_snapshot["templates"]),
                     "slow_outliers": sum(
                         len(entries)

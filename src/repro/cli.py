@@ -12,8 +12,7 @@ Subcommands:
 * ``serve`` — run queries (stdin, one per line) through a concurrent
   :class:`~repro.service.server.QueryService` and print per-query results
   plus the serving metrics snapshot (``--insights`` adds the per-template
-  insights registry: streaming histograms, slow-query log, SLO burn
-  rates);
+  insights registry: counters, streaming histograms, slow-query log);
 * ``top`` — live terminal view over a published insights snapshot;
 * ``report`` — offline per-template analytics over exported span JSONL,
   with optional regression checks against a ``BENCH_*.json`` baseline;
@@ -661,9 +660,9 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """Offline per-template analytics over an exported span JSONL file.
 
-    Reconstructs the per-template/per-phase latency and work distributions
-    the live insights registry would have held, validates the trace's
-    internal consistency, and — with ``--baseline`` — flags regressions
+    Replays every ``serve.query`` span into a fresh insights registry (the
+    record the live registry held, by the same rule), validates the
+    trace's internal consistency, and — with ``--baseline`` — flags regressions
     against a recorded ``BENCH_*.json`` trajectory point.  Exits 1 on any
     trace problem or flagged regression.
     """
@@ -937,8 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--insights",
         action="store_true",
-        help="record per-template query insights (streaming latency/work "
-        "histograms, slow-query log, SLO burn rates); zero work-unit "
+        help="record per-template query insights (counters, streaming "
+        "latency/work histograms, slow-query log); zero work-unit "
         "cost when off",
     )
     p.add_argument(

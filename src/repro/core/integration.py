@@ -74,23 +74,22 @@ _LADDER_ERRORS = (
 )
 
 
-def _span_subtree(tracer, root_ids) -> list:
-    """Finished-span records under the given serving span ids.
+def _span_subtree(tracer, root_id: int) -> list:
+    """Finished-span records of one ``serve.query`` span and its subtree.
 
-    The slow-query log's evidence capture: the ``serve.plan`` /
-    ``serve.execute`` spans of one query plus every descendant
+    The slow-query log's evidence capture: the query span, its
+    ``serve.plan`` / ``serve.execute`` children and every descendant
     (``decompose.*``, ``qhd.node``, ``exec.*``).  Runs only on slow-log
     admission — bounded by the log's top-K — never on the hot path.
     """
-    roots = {span_id for span_id in root_ids if span_id}
-    if not roots:
+    if not root_id:
         return []
     spans = tracer.spans()
     children: dict = {}
     for span in spans:
         children.setdefault(span.parent_id, []).append(span)
     selected = []
-    frontier = [span for span in spans if span.span_id in roots]
+    frontier = [span for span in spans if span.span_id == root_id]
     while frontier:
         span = frontier.pop()
         selected.append(span)
@@ -136,12 +135,11 @@ def install_structural_optimizer(
             are the same either way.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
-            receiving one phase observation per planning/execution step
-            (keyed by canonical template fingerprint), SLO outcomes, and
-            slow-query captures with the query's span subtree; the
-            default :data:`~repro.obs.insights.registry.NULL_INSIGHTS`
-            makes every recording call a constant-time no-op with zero
-            work-unit cost.
+            receiving one ``record_query`` per handled query (keyed by
+            canonical template fingerprint) and slow-query captures with
+            the query's span subtree; the default
+            :data:`~repro.obs.insights.registry.NULL_INSIGHTS` makes every
+            recording call a constant-time no-op with zero work-unit cost.
 
     The installed handler obtains the query's **template identity** at
     most once per operation — one canonicalisation and one schema digest
@@ -158,7 +156,16 @@ def install_structural_optimizer(
     (3) the built-in quantitative planner; (4) the original typed error.
     Every rung taken is recorded on the span that took it
     (``degraded_to``, ``breaker_open`` tags), as a :class:`ServiceMetrics`
-    counter and as an insights event.
+    counter and as an event.
+
+    Each handled query is one ``serve.query`` span around ``serve.plan``
+    and ``serve.execute`` (which also holds a built-in execution).  The
+    query span carries ``template``, ``cache_hit`` (a plan from the cache
+    at any width) and ``events``; ``error`` on any span means that span
+    raised (an absorbed planning failure is ``plan_error`` on
+    ``serve.plan``).  The handler's one ``insights.record_query`` call
+    reads those same values, so ``hdqo report`` replaying the spans
+    rebuilds the live record.
 
     In parallel mode a ladder error while *evaluating* a ``max_width``
     plan re-enters the ladder at rung 2: the handler retries once with a
@@ -304,13 +311,13 @@ def install_structural_optimizer(
             )
         return _named_for(translation, entry.tree, fingerprint), True, 0
 
-    def _lower_k(engine, translation, identity, key, span):
+    def _lower_k(engine, translation, identity, events, span):
         """Rung 2: a cached decomposition at a smaller width bound.
 
         Lookup + rename only — never a new search.  Taking the rung is
         recorded here, once, for the planning step and the execution
         retry alike: the ``degraded_to`` tag on the span that took it,
-        the ``degraded_lower_k`` counter, the insights event.  Returns
+        the ``degraded_lower_k`` counter, the event.  Returns
         ``(decomposition, k)`` or ``(None, None)``.
         """
         if not caching:
@@ -324,7 +331,7 @@ def install_structural_optimizer(
             span.tag(degraded_to=f"lower-k({lower})")
             if metrics is not None:
                 metrics.record_degradation("lower-k")
-            sink.record_event(key, "degraded:lower-k")
+            events.append("degraded:lower-k")
             return _named_for(translation, entry.tree, fingerprint), lower
         return None, None
 
@@ -348,133 +355,147 @@ def install_structural_optimizer(
     ) -> Tuple[Relation, str, str]:
         tracer = current_tracer()
         use_stats = engine.database.has_statistics()
+        name = translation.query.name
         started = time.perf_counter()
         identity = top = key = None
-        decomposition = lower_k = failure = None
-        cache_hit, plan_units, plan_seconds = False, 0, 0.0
-        try:
-            with tracer.span("serve.plan", query=translation.query.name) as span:
-                span_ids = [span.span_id]
-                if keyed:
-                    identity = _identity(engine, translation, use_stats)
-                    top = identity(max_width)
-                    key = top.key
-                    span.tag(template=key)
-                # Rung 1: cost-k-decomp at max_width — unless this
-                # template's breaker is open (repeated planning failures).
-                if breaker is not None and not breaker.allow(key):
-                    failure = DecompositionNotFound(
-                        "circuit breaker open for this template and no "
-                        "cached lower-width plan available",
-                        width=max_width,
-                    )
-                    span.tag(breaker_open=True)
-                    if metrics is not None:
-                        metrics.record_breaker_skip()
-                    sink.record_event(key, "breaker_open")
-                else:
-                    try:
-                        decomposition, cache_hit, plan_units = _search(
-                            engine, translation, use_stats, top
+        decomposition = lower_k = failure = error = exec_started = None
+        cache_hit = served_cached = False
+        plan_units, plan_seconds, exec_work_start = 0, 0.0, 0
+        events: list = []
+        with tracer.span("serve.query", query=name) as query_span:
+            try:
+                with tracer.span("serve.plan", query=name) as span:
+                    if keyed:
+                        identity = _identity(engine, translation, use_stats)
+                        top = identity(max_width)
+                        key = top.key
+                        query_span.tag(template=key)
+                        span.tag(template=key)
+                    # Rung 1: cost-k-decomp at max_width — unless this
+                    # template's breaker is open (repeated planning failures).
+                    if breaker is not None and not breaker.allow(key):
+                        failure = DecompositionNotFound(
+                            "circuit breaker open for this template and no "
+                            "cached lower-width plan available",
+                            width=max_width,
                         )
-                    except _LADDER_ERRORS as exc:
-                        failure = exc
-                        span.tag(cache_hit=False, error=type(exc).__name__)
-                        sink.record_event(
-                            key, f"plan_error:{type(exc).__name__}"
-                        )
+                        span.tag(breaker_open=True)
+                        if metrics is not None:
+                            metrics.record_breaker_skip()
+                        events.append("breaker_open")
                     else:
-                        plan_seconds = time.perf_counter() - started
-                        span.tag(cache_hit=cache_hit, plan_units=plan_units)
-                        sink.record_phase(
-                            key, "decompose", plan_seconds, plan_units
-                        )
-                    if breaker is not None:
-                        if failure is None:
-                            breaker.record_success(key)
+                        try:
+                            decomposition, cache_hit, plan_units = _search(
+                                engine, translation, use_stats, top
+                            )
+                        except _LADDER_ERRORS as exc:
+                            failure = exc
+                            span.tag(
+                                cache_hit=False, plan_error=type(exc).__name__
+                            )
+                            events.append(f"plan_error:{type(exc).__name__}")
                         else:
-                            breaker.record_failure(key)
-                if decomposition is None:
-                    decomposition, lower_k = _lower_k(
-                        engine, translation, identity, key, span
+                            span.tag(cache_hit=cache_hit, plan_units=plan_units)
+                        if breaker is not None:
+                            if failure is None:
+                                breaker.record_success(key)
+                            else:
+                                breaker.record_failure(key)
+                    if decomposition is None:
+                        decomposition, lower_k = _lower_k(
+                            engine, translation, identity, events, span
+                        )
+                        if decomposition is None and fallback_to_builtin:
+                            span.tag(degraded_to="builtin", fallback=True)
+                            events.append("degraded:builtin")
+                plan_seconds = time.perf_counter() - started
+                served_cached = cache_hit or lower_k is not None
+                if metrics is not None:
+                    # One planning event per handled query, whichever rung.
+                    metrics.record_plan(
+                        cache_hit=served_cached,
+                        units=plan_units,
+                        seconds=plan_seconds if failure is None else 0.0,
+                        fallback=decomposition is None,
                     )
-                    if decomposition is None and fallback_to_builtin:
-                        span.tag(degraded_to="builtin", fallback=True)
-                        sink.record_event(key, "degraded:builtin")
-            if metrics is not None:
-                # One planning event per handled query, whichever rung.
-                metrics.record_plan(
-                    cache_hit=cache_hit or lower_k is not None,
-                    units=plan_units,
-                    seconds=plan_seconds,
-                    fallback=decomposition is None,
-                )
-            if decomposition is None:
-                # Rung 3: the built-in quantitative planner; rung 4: the
-                # original typed error when fallback is disabled.
-                if not fallback_to_builtin:
-                    raise failure
-                answer, plan_text, label = engine.plan_and_join(
-                    translation, meter, use_stats, optimizer_enabled=True
-                )
-                plan_text = f"(builtin fallback: {label})\n{plan_text}"
-                label = "builtin-fallback"
-            else:
-                exec_started = time.perf_counter()
-                exec_work_start = meter.total
+                if decomposition is None and not fallback_to_builtin:
+                    raise failure  # rung 4: the original typed error
+                exec_started, exec_work_start = time.perf_counter(), meter.total
                 with tracer.span(
                     "serve.execute",
                     meter=meter,
-                    query=translation.query.name,
+                    query=name,
                     cache_hit=cache_hit,
                 ) as span:
-                    span_ids.append(span.span_id)
                     if key is not None:
                         span.tag(template=key)
-                    memo = NodeMemo() if parallel_workers >= 2 else None
-                    try:
-                        answer = _evaluate(
-                            engine, translation, meter, tracer, decomposition, memo
+                    if decomposition is None:
+                        # Rung 3: the built-in quantitative planner.
+                        answer, plan_text, label = engine.plan_and_join(
+                            translation, meter, use_stats, optimizer_enabled=True
                         )
-                    except _LADDER_ERRORS:
-                        # The execution retry is rung 2 again (parallel
-                        # mode only, and only from a max_width plan): the
-                        # same per-request memo goes to the retry, so
-                        # subtrees the failed attempt already materialized
-                        # are reused, not recomputed.
-                        if memo is None or lower_k is not None:
-                            raise
-                        decomposition, lower_k = _lower_k(
-                            engine, translation, identity, key, span
-                        )
-                        if decomposition is None:
-                            raise
-                        answer = _evaluate(
-                            engine, translation, meter, tracer, decomposition, memo
-                        )
-                    if memo is not None:
-                        span.tag(memo_hits=memo.hits)
+                        plan_text = f"(builtin fallback: {label})\n{plan_text}"
+                        label = "builtin-fallback"
+                    else:
+                        memo = NodeMemo() if parallel_workers >= 2 else None
+                        try:
+                            answer = _evaluate(
+                                engine, translation, meter, tracer,
+                                decomposition, memo,
+                            )
+                        except _LADDER_ERRORS:
+                            # The execution retry is rung 2 again (parallel
+                            # mode only, and only from a max_width plan):
+                            # the same per-request memo goes to the retry,
+                            # so subtrees the failed attempt already
+                            # materialized are reused, not recomputed.
+                            if memo is None or lower_k is not None:
+                                raise
+                            decomposition, lower_k = _lower_k(
+                                engine, translation, identity, events, span
+                            )
+                            if decomposition is None:
+                                raise
+                            answer = _evaluate(
+                                engine, translation, meter, tracer,
+                                decomposition, memo,
+                            )
+                        if memo is not None:
+                            span.tag(memo_hits=memo.hits)
+                        plan_text = decomposition.render()
+                        if lower_k is not None:
+                            label = f"q-hd(k={lower_k})"
+                        else:
+                            label = "q-hd(cached)" if cache_hit else "q-hd"
                     span.tag(rows_out=len(answer))
-                sink.record_phase(
-                    key,
-                    "execute",
-                    time.perf_counter() - exec_started,
-                    meter.total - exec_work_start,
-                )
-                plan_text = decomposition.render()
-                if lower_k is not None:
-                    label = f"q-hd(k={lower_k})"
-                else:
-                    label = "q-hd(cached)" if cache_hit else "q-hd"
-        except Exception as exc:
-            if key is not None:
-                sink.record_event(key, f"error:{type(exc).__name__}")
-                sink.record_outcome(key, time.perf_counter() - started, ok=False)
-            raise
-        # End-to-end latency, SLO outcome, and (on slow-log admission only)
-        # the expensive evidence capture.
+            except BaseException as exc:  # what Span.__exit__ tags as `error`
+                error = type(exc).__name__
+                raise
+            finally:
+                # The one insights record, from the values tagged on the
+                # serve.query span and its serve.plan / serve.execute
+                # children — what `hdqo report` replays.
+                query_span.tag(cache_hit=served_cached, events=tuple(events))
+                if key is not None:
+                    executed = exec_started is not None
+                    sink.record_query(
+                        key,
+                        plan_seconds=plan_seconds,
+                        plan_units=plan_units,
+                        cache_hit=served_cached,
+                        execute_seconds=(
+                            time.perf_counter() - exec_started
+                            if executed
+                            else None
+                        ),
+                        execute_work=(
+                            meter.total - exec_work_start if executed else 0
+                        ),
+                        events=events,
+                        error=error,
+                    )
+        # On slow-log admission only: the expensive evidence capture.
         seconds = time.perf_counter() - started
-        sink.record_outcome(key, seconds, ok=True)
         if sink.qualifies_slow(key, seconds):
             if lower_k is not None:
                 degraded_to = f"lower-k({lower_k})"
@@ -484,11 +505,11 @@ def install_structural_optimizer(
                 key,
                 seconds,
                 {
-                    "query": translation.query.name,
+                    "query": name,
                     "plan_label": label,
                     "degraded_to": degraded_to,
                     "explain": plan_text,
-                    "spans": _span_subtree(tracer, span_ids),
+                    "spans": _span_subtree(tracer, query_span.span_id),
                 },
             )
         return answer, plan_text, label

@@ -1,19 +1,19 @@
-"""Per-template query insights: slow log, SLOs, registry, top, report.
+"""Per-template query insights: one record, two feeders, three views.
 
 The observability layer the drift/adaptation work needs: PR 2's metrics
 say *the cluster* got slower; this package says **which query template**
-got slower, **in which phase**, **when**, and keeps the evidence (slow
-captures, burn rates, mergeable distributions) to prove it.
+got slower, **in which phase**, and keeps the evidence (slow captures,
+mergeable distributions) to prove it.
 
+* :mod:`~repro.obs.insights.registry` — the per-template record and the
+  one rule that fills it (:meth:`InsightsRegistry.record_query`), with
+  exact cross-shard snapshot merging;
 * :mod:`~repro.obs.insights.slowlog` — bounded top-K latency outliers
   per template plus every typed-error/degradation event;
-* :mod:`~repro.obs.insights.slo` — per-template SLO objectives with
-  fast/slow burn-rate windows on the injected monotonic clock;
-* :mod:`~repro.obs.insights.registry` — the per-process registry tying
-  them together, with exact cross-shard snapshot merging;
 * :mod:`~repro.obs.insights.top` — the live ``hdqo top`` terminal view;
-* :mod:`~repro.obs.insights.report` — the offline ``hdqo report`` span
-  analyzer with bench-baseline regression flags.
+* :mod:`~repro.obs.insights.report` — ``hdqo report``: replays exported
+  ``serve.query`` spans into a fresh registry, with bench-baseline
+  regression flags.
 
 Everything is **zero work-unit cost when disabled**: pass
 :data:`NULL_INSIGHTS` (the default everywhere) and every recording call
@@ -32,12 +32,7 @@ from repro.obs.insights.report import (
     check_baseline,
     load_span_records,
     render_report,
-)
-from repro.obs.insights.slo import (
-    DEFAULT_SLO,
-    SLOPolicy,
-    SLOTracker,
-    merge_slo_snapshots,
+    replay_mismatches,
 )
 from repro.obs.insights.slowlog import SlowQueryLog, merge_slow_entries
 from repro.obs.insights.top import (
@@ -55,14 +50,11 @@ __all__ = [
     "render_insights_prometheus",
     "SlowQueryLog",
     "merge_slow_entries",
-    "SLOPolicy",
-    "SLOTracker",
-    "DEFAULT_SLO",
-    "merge_slo_snapshots",
     "analyze_spans",
     "check_baseline",
     "load_span_records",
     "render_report",
+    "replay_mismatches",
     "render_top",
     "run_top",
     "load_snapshot_file",

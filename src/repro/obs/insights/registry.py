@@ -1,34 +1,37 @@
-"""The per-template insights registry: histograms + slow log + SLO.
+"""The per-template insights registry: one record per template, one rule.
 
 One :class:`InsightsRegistry` per serving process collects, keyed by the
 **canonical template fingerprint** (the plan-cache/routing key, so every
-insight lines up with cache and shard behaviour) and by **phase**
-(``decompose`` / ``optimize`` / ``execute``):
+insight lines up with cache and shard behaviour):
 
+* per-template ``queries`` / ``errors`` / ``cache_hits`` counters and
+  degradation-event counts;
 * a latency :class:`~repro.obs.histogram.Histogram` and a work-unit
-  histogram per (template, phase) — fixed memory, exactly mergeable
-  across shards;
-* per-template query/error counters and degradation-event counts;
-* the bounded :class:`~repro.obs.insights.slowlog.SlowQueryLog`;
-* a per-template :class:`~repro.obs.insights.slo.SLOTracker` with
-  fast/slow burn-rate windows.
+  histogram per (template, phase) — phases :data:`PHASES` — fixed
+  memory, exactly mergeable across shards;
+* the bounded :class:`~repro.obs.insights.slowlog.SlowQueryLog`.
+
+A handled query enters the registry through exactly one call,
+:meth:`InsightsRegistry.record_query`.  Its two feeders are the live
+optimizer handler (``repro.core.integration``), once per query, and the
+offline ``hdqo report`` replay
+(:func:`~repro.obs.insights.report.analyze_spans`), once per
+``serve.query`` span record — so the live and replayed records agree by
+construction.
 
 **Zero cost when disabled** (the PR 2 contract): the process default is
 :data:`NULL_INSIGHTS`, whose every method is a constant no-op — no
 allocation, no locking, no clock reads, and never a work-unit charge
 (the registry never touches a :class:`~repro.metering.WorkMeter` at
-all).  Instrumented code holds one reference and branches on
-``insights.enabled`` exactly once per call site.
+all).
 
 Snapshots are plain nested dicts of primitives — pickle-safe — merged
 across shard processes by :func:`merge_insights_snapshots`, which is
-exact for histograms and counters (sums), re-ranks the slow log, and is
-conservative (worst-shard) for windowed burn rates.
+exact for histograms and counters (sums) and re-ranks the slow log.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.lockwitness import make_lock
@@ -38,13 +41,6 @@ from repro.obs.histogram import (
     Histogram,
     merge_snapshots,
     quantile_from_snapshot,
-)
-from repro.obs.insights.slo import (
-    DEFAULT_SLO,
-    Clock,
-    SLOPolicy,
-    SLOTracker,
-    merge_slo_snapshots,
 )
 from repro.obs.insights.slowlog import Entry, SlowQueryLog, merge_slow_entries
 
@@ -57,8 +53,9 @@ __all__ = [
     "render_insights_prometheus",
 ]
 
-#: The canonical phase keys (free-form keys are accepted too).
-PHASES: Tuple[str, ...] = ("decompose", "optimize", "execute")
+#: The phases of a handled query.  Procedure Optimize runs inside
+#: ``decompose`` and charges no units of its own.
+PHASES: Tuple[str, ...] = ("decompose", "execute")
 
 #: Bound on distinct templates tracked; beyond it, new templates fold
 #: into one overflow key so memory stays fixed under template churn.
@@ -70,13 +67,23 @@ _OVERFLOW_KEY = "(overflow)"
 class _TemplateState:
     """Everything tracked for one template (created lazily)."""
 
-    def __init__(self, policy: SLOPolicy, clock: Clock) -> None:
-        self.phase_latency: Dict[str, Histogram] = {}
-        self.phase_work: Dict[str, Histogram] = {}
+    def __init__(self) -> None:
+        #: phase -> (latency histogram, work histogram)
+        self.phases: Dict[str, Tuple[Histogram, Histogram]] = {}
         self.queries = 0
         self.errors = 0
+        self.cache_hits = 0
         self.events: Dict[str, int] = {}
-        self.slo = SLOTracker(policy, clock=clock)
+
+    def phase(self, name: str) -> Tuple[Histogram, Histogram]:
+        """The phase's histogram pair (caller holds the registry lock)."""
+        pair = self.phases.get(name)
+        if pair is None:
+            pair = self.phases[name] = (
+                Histogram(index_range=LATENCY_RANGE),
+                Histogram(index_range=WORK_RANGE),
+            )
+        return pair
 
 
 class InsightsRegistry:
@@ -85,9 +92,6 @@ class InsightsRegistry:
     Args:
         slow_k: slowest queries retained per template.
         max_events: error/degradation events retained.
-        slo: the SLO policy applied to every template.
-        clock: monotonic clock injected into the SLO windows (tests
-            pass a fake; production uses :func:`time.monotonic`).
         max_templates: distinct templates tracked before folding into
             an overflow bucket.
     """
@@ -98,82 +102,62 @@ class InsightsRegistry:
         self,
         slow_k: int = 8,
         max_events: int = 256,
-        slo: SLOPolicy = DEFAULT_SLO,
-        clock: Clock = time.monotonic,
         max_templates: int = _MAX_TEMPLATES,
     ) -> None:
         self.slow_k = slow_k
-        self.slo_policy = slo
-        self._clock = clock
         self.max_templates = max_templates
         self.slow_log = SlowQueryLog(top_k=slow_k, max_events=max_events)
         self._lock = make_lock("InsightsRegistry._lock")
         self._templates: Dict[str, _TemplateState] = {}
 
-    # -- template bookkeeping -------------------------------------------
+    # -- recording -------------------------------------------------------
 
-    def _state(self, template: str) -> _TemplateState:
-        """The template's state (caller holds no lock; we take it)."""
+    def record_query(
+        self,
+        template: str,
+        *,
+        plan_seconds: float,
+        plan_units: int,
+        cache_hit: bool,
+        execute_seconds: Optional[float],
+        execute_work: int,
+        events: Sequence[str],
+        error: Optional[str],
+    ) -> None:
+        """One handled query — the only way a query enters the registry.
+
+        The rule: ``queries`` +1; ``errors`` +1 when the query raised
+        (``error`` names the exception class and adds an
+        ``error:<Name>`` event); ``cache_hits`` +1 when the plan came from
+        the cache at any width; each event counted and pushed to the
+        slow-log ring; the ``decompose`` phase observed always, the
+        ``execute`` phase whenever the query executed
+        (``execute_seconds`` is not None), by q-HD or the built-in
+        planner.
+        """
+        if error is not None:
+            events = [*events, f"error:{error}"]
         with self._lock:
             state = self._templates.get(template)
             if state is None:
-                if (
-                    len(self._templates) >= self.max_templates
-                    and template != _OVERFLOW_KEY
-                ):
-                    return self._state_overflow_locked()
-                state = _TemplateState(self.slo_policy, self._clock)
-                self._templates[template] = state
-            return state
-
-    def _state_overflow_locked(self) -> _TemplateState:
-        state = self._templates.get(_OVERFLOW_KEY)
-        if state is None:
-            state = _TemplateState(self.slo_policy, self._clock)
-            self._templates[_OVERFLOW_KEY] = state
-        return state
-
-    # -- recording -------------------------------------------------------
-
-    def record_phase(
-        self, template: str, phase: str, seconds: float, work: int = 0
-    ) -> None:
-        """One phase observation: wall-clock seconds + work units."""
-        state = self._state(template)
-        with self._lock:
-            latency = state.phase_latency.get(phase)
-            if latency is None:
-                latency = Histogram(index_range=LATENCY_RANGE)
-                state.phase_latency[phase] = latency
-            work_hist = state.phase_work.get(phase)
-            if work_hist is None:
-                work_hist = Histogram(index_range=WORK_RANGE)
-                state.phase_work[phase] = work_hist
-        latency.observe(seconds)
-        work_hist.observe(work)
-
-    def record_outcome(
-        self, template: str, seconds: float, ok: bool
-    ) -> None:
-        """One finished query: feeds counters and the SLO windows."""
-        state = self._state(template)
-        with self._lock:
+                if len(self._templates) >= self.max_templates:
+                    template = _OVERFLOW_KEY
+                state = self._templates.setdefault(template, _TemplateState())
             state.queries += 1
-            if not ok:
-                state.errors += 1
-        state.slo.record(seconds, ok)
-
-    def record_event(
-        self,
-        template: str,
-        kind: str,
-        detail: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """One degradation/typed-error event (counted + slow-logged)."""
-        state = self._state(template)
-        with self._lock:
-            state.events[kind] = state.events.get(kind, 0) + 1
-        self.slow_log.record_event(template, kind, detail)
+            state.errors += error is not None
+            state.cache_hits += cache_hit
+            for kind in events:
+                state.events[kind] = state.events.get(kind, 0) + 1
+            observations = [(state.phase("decompose"), plan_seconds, plan_units)]
+            if execute_seconds is not None:
+                observations.append(
+                    (state.phase("execute"), execute_seconds, execute_work)
+                )
+        for (latency, work), seconds, units in observations:
+            latency.observe(seconds)
+            work.observe(units)
+        for kind in events:
+            self.slow_log.record_event(template, kind)
 
     def qualifies_slow(self, template: str, seconds: float) -> bool:
         """Cheap pre-check before building an expensive slow capture."""
@@ -190,43 +174,34 @@ class InsightsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """The full registry as a picklable nested dict.
 
-        ``{"slow_k", "templates": {key: {"queries", "errors", "events",
-        "phases": {phase: {"latency", "work"}}, "slo"}}, "slow_log"}``
+        ``{"slow_k", "templates": {key: {"queries", "errors",
+        "cache_hits", "events", "phases": {phase: {"latency", "work"}}}},
+        "slow_log"}``
         """
         with self._lock:
-            items = sorted(self._templates.items())
-        templates: Dict[str, object] = {}
-        for template, state in items:
-            with self._lock:
-                phases = sorted(
-                    set(state.phase_latency) | set(state.phase_work)
-                )
-                queries, errors = state.queries, state.errors
-                events = dict(state.events)
-            templates[template] = {
-                "queries": queries,
-                "errors": errors,
-                "events": events,
-                "phases": {
-                    phase: {
-                        "latency": (
-                            state.phase_latency[phase].snapshot()
-                            if phase in state.phase_latency
-                            else {}
-                        ),
-                        "work": (
-                            state.phase_work[phase].snapshot()
-                            if phase in state.phase_work
-                            else {}
-                        ),
-                    }
-                    for phase in phases
-                },
-                "slo": state.slo.snapshot(),
-            }
+            items = [
+                (template, state.queries, state.errors, state.cache_hits,
+                 dict(state.events), sorted(state.phases.items()))
+                for template, state in sorted(self._templates.items())
+            ]
         return {
             "slow_k": self.slow_k,
-            "templates": templates,
+            "templates": {
+                template: {
+                    "queries": queries,
+                    "errors": errors,
+                    "cache_hits": cache_hits,
+                    "events": events,
+                    "phases": {
+                        phase: {
+                            "latency": latency.snapshot(),
+                            "work": work.snapshot(),
+                        }
+                        for phase, (latency, work) in phases
+                    },
+                }
+                for template, queries, errors, cache_hits, events, phases in items
+            },
             "slow_log": self.slow_log.snapshot(),
         }
 
@@ -236,21 +211,17 @@ class NullInsights:
 
     enabled = False
 
-    def record_phase(
-        self, template: str, phase: str, seconds: float, work: int = 0
-    ) -> None:
-        return None
-
-    def record_outcome(
-        self, template: str, seconds: float, ok: bool
-    ) -> None:
-        return None
-
-    def record_event(
+    def record_query(
         self,
         template: str,
-        kind: str,
-        detail: Optional[Mapping[str, object]] = None,
+        *,
+        plan_seconds: float,
+        plan_units: int,
+        cache_hit: bool,
+        execute_seconds: Optional[float],
+        execute_work: int,
+        events: Sequence[str],
+        error: Optional[str],
     ) -> None:
         return None
 
@@ -284,8 +255,7 @@ def merge_insights_snapshots(
     on one shard under fingerprint routing, so this is usually a
     disjoint union — but overlapping keys merge correctly too, which is
     what makes the operation associative and commutative).  Slow-log
-    outliers re-rank to the global top-K; windowed burn rates take the
-    worst shard.
+    outliers re-rank to the global top-K.
     """
     present = [s for s in snapshots if s]
     if not present:
@@ -356,18 +326,13 @@ def _merge_template(sources: List[Mapping[str, object]]) -> Dict[str, object]:
             "latency": merge_snapshots(latency_snaps),
             "work": merge_snapshots(work_snaps),
         }
-    slo_snaps = [
-        dict(slo)
-        for source in sources
-        if isinstance(slo := source.get("slo"), Mapping)
-    ]
-    return {
-        "queries": sum(_int(source.get("queries")) for source in sources),
-        "errors": sum(_int(source.get("errors")) for source in sources),
-        "events": {kind: events[kind] for kind in sorted(events)},
-        "phases": merged_phases,
-        "slo": merge_slo_snapshots(slo_snaps),
+    merged: Dict[str, object] = {
+        counter: sum(_int(source.get(counter)) for source in sources)
+        for counter in ("queries", "errors", "cache_hits")
     }
+    merged["events"] = {kind: events[kind] for kind in sorted(events)}
+    merged["phases"] = merged_phases
+    return merged
 
 
 def _merge_slow_logs(
@@ -412,17 +377,14 @@ def _int(value: object) -> int:
 def render_insights_prometheus(snapshot: Mapping[str, object]) -> str:
     """Labelled Prometheus lines for a (merged) insights snapshot.
 
-    Per template: query/error totals, SLO good/bad totals, fast/slow
-    burn-rate gauges, and per-phase p50/p99 latency gauges — the
-    exposition the ISSUE's burn-rate alerting consumes.
+    Per template: query/error totals and per-phase p50/p99 latency
+    gauges.
     """
     lines: List[str] = [
         "# HELP hdqo_template_queries_total Queries observed per template",
         "# TYPE hdqo_template_queries_total counter",
         "# HELP hdqo_template_errors_total Typed errors per template",
         "# TYPE hdqo_template_errors_total counter",
-        "# HELP hdqo_slo_burn_rate Error-budget burn rate per window",
-        "# TYPE hdqo_slo_burn_rate gauge",
         "# HELP hdqo_phase_latency_seconds Phase latency quantiles",
         "# TYPE hdqo_phase_latency_seconds gauge",
     ]
@@ -442,15 +404,6 @@ def render_insights_prometheus(snapshot: Mapping[str, object]) -> str:
             f'hdqo_template_errors_total{{template="{label}"}} '
             f"{_int(entry.get('errors'))}"
         )
-        slo = entry.get("slo")
-        if isinstance(slo, Mapping):
-            for window in ("fast", "slow"):
-                rate = slo.get(f"{window}_burn_rate")
-                if isinstance(rate, (int, float)):
-                    lines.append(
-                        f'hdqo_slo_burn_rate{{template="{label}",'
-                        f'window="{window}"}} {rate}'
-                    )
         phases = entry.get("phases")
         if isinstance(phases, Mapping):
             for phase in sorted(str(p) for p in phases):

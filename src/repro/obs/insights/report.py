@@ -1,30 +1,27 @@
 """``hdqo report`` — offline trace analytics over exported span JSONL.
 
-The post-hoc twin of the live registry: given a ``spans.jsonl`` exported
-by the Tracer (the CI serving artifact, or any ad-hoc capture), the
-analyzer reconstructs the per-template latency/work distributions the
-live :class:`~repro.obs.insights.registry.InsightsRegistry` would have
-held — by feeding the span durations and work-unit deltas through the
-**same** :class:`~repro.obs.histogram.Histogram` — and
-checks two things:
+The post-hoc twin of the live registry, by construction: given a
+``spans.jsonl`` exported by the Tracer (the CI serving artifact, or any
+ad-hoc capture), :func:`analyze_spans` replays every ``serve.query``
+span record into a fresh
+:class:`~repro.obs.insights.registry.InsightsRegistry` through the same
+:meth:`~repro.obs.insights.registry.InsightsRegistry.record_query` the
+live optimizer handler calls — the query span's ``template``,
+``cache_hit``, ``events`` and ``error`` tags, its ``serve.plan`` child's
+duration and ``plan_units`` (decompose), its ``serve.execute`` child's
+duration and work delta (execute).  The replay then checks two things:
 
 * **consistency** — the records pass
   :func:`repro.obs.tracing.validate_span_records`, parse as JSON, and
-  the serving spans carry template attribution; any problem here is a
-  broken trace pipeline and fails the CI step;
+  the ``serve.query`` spans carry template attribution; any problem here
+  is a broken trace pipeline and fails the CI step;
 * **regressions** — with ``--baseline BENCH_*.json``, deterministic
   signals from the trace are compared against the recorded bench
-  trajectory: an error burst where the baseline recorded none, lost
+  trajectory: queries that raised where the baseline recorded none, lost
   plan-cache amortization, and a p99 blow-up beyond a generous tolerance
   factor (wall-clock comparisons across machines need slack; the factor
   is configurable and sized so an honest run never trips it while a
   seeded regression — a 10×+ tail — always does).
-
-Phase attribution: ``serve.plan`` spans are the **decompose** phase
-(work = the ``plan_units`` tag, the deterministic search effort),
-``decompose.optimize`` spans roll up to the enclosing ``serve.plan``'s
-template as the **optimize** phase, and ``serve.execute`` spans are the
-**execute** phase (work = the span's meter delta).
 """
 
 from __future__ import annotations
@@ -32,13 +29,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.histogram import (
-    LATENCY_RANGE,
-    WORK_RANGE,
-    Histogram,
-    merge_snapshots,
-    quantile_from_snapshot,
-)
+from repro.obs.histogram import merge_snapshots, quantile_from_snapshot
+from repro.obs.insights.registry import InsightsRegistry
 from repro.obs.tracing import validate_span_records
 
 __all__ = [
@@ -46,6 +38,7 @@ __all__ = [
     "analyze_spans",
     "check_baseline",
     "render_report",
+    "replay_mismatches",
     "DEFAULT_TOLERANCE",
 ]
 
@@ -82,147 +75,122 @@ def load_span_records(path: str) -> Tuple[List[Record], List[str]]:
     return records, problems
 
 
+def _tags(record: Optional[Record]) -> Dict[str, Any]:
+    tags = record.get("tags") if record is not None else None
+    return tags if isinstance(tags, dict) else {}
+
+
 def _template_of(record: Record) -> Optional[str]:
-    tags = record.get("tags")
-    if isinstance(tags, dict):
-        template = tags.get("template")
-        if isinstance(template, str) and template:
-            return template
-        query = tags.get("query")
-        if isinstance(query, str) and query:
-            return query
+    tags = _tags(record)
+    for name in ("template", "query"):
+        value = tags.get(name)
+        if isinstance(value, str) and value:
+            return value
     return None
 
 
-class _Phase:
-    def __init__(self) -> None:
-        self.latency = Histogram(index_range=LATENCY_RANGE)
-        self.work = Histogram(index_range=WORK_RANGE)
-
-
-class _Template:
-    def __init__(self) -> None:
-        self.phases: Dict[str, _Phase] = {}
-        self.queries = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.plans = 0
-
-    def phase(self, name: str) -> _Phase:
-        found = self.phases.get(name)
-        if found is None:
-            found = self.phases[name] = _Phase()
-        return found
+def _number(record: Optional[Record], field: str) -> float:
+    value = record.get(field) if record is not None else None
+    return value if isinstance(value, (int, float)) else 0
 
 
 def analyze_spans(records: List[Record]) -> Dict[str, Any]:
-    """Reconstruct per-template phase distributions from span records.
+    """Replay ``serve.query`` span records into a fresh registry.
 
-    Returns ``{"templates": {template: {"queries", "errors",
-    "cache_hits", "plans", "phases": {phase: {"latency", "work"}}}},
-    "spans", "problems"}`` — the phase entries are
-    :class:`Histogram` snapshots, directly comparable (and
-    mergeable) with live registry exports.
+    Returns the registry's snapshot (``{"slow_k", "templates",
+    "slow_log"}``, the live shape — directly comparable and mergeable
+    with live exports) plus ``"spans"`` (records read) and
+    ``"problems"``.
     """
     # An offline file carries no retention metadata, so an unknown parent
     # may be a legitimately dropped span — dropped=1 keeps every other
     # check (duplicates, negative durations/work) while skipping that one.
     problems = list(validate_span_records(records, dropped=1))
-    by_id = {record.get("span_id"): record for record in records}
-    templates: Dict[str, _Template] = {}
-
-    def state(template: str) -> _Template:
-        found = templates.get(template)
-        if found is None:
-            found = templates[template] = _Template()
-        return found
-
-    def ancestor_template(record: Record) -> Optional[str]:
-        seen = 0
-        current: Optional[Record] = record
-        while current is not None and seen < 64:
-            seen += 1
-            if current.get("name") in ("serve.plan", "serve.execute"):
-                return _template_of(current)
-            parent_id = current.get("parent_id")
-            current = by_id.get(parent_id) if parent_id is not None else None
-        return None
-
-    serving = [
-        record
-        for record in records
-        if record.get("name") in ("serve.plan", "serve.execute")
-    ]
-    untagged = sum(1 for record in serving if _template_of(record) is None)
-    if serving and untagged:
+    children: Dict[Any, Dict[str, Record]] = {}
+    for record in records:
+        if record.get("name") in ("serve.plan", "serve.execute"):
+            children.setdefault(record.get("parent_id"), {})[
+                record["name"]
+            ] = record
+    queries = [r for r in records if r.get("name") == "serve.query"]
+    untagged = sum(1 for record in queries if _template_of(record) is None)
+    if untagged:
         problems.append(
-            f"{untagged} of {len(serving)} serving span(s) lack template "
+            f"{untagged} of {len(queries)} serve.query span(s) lack template "
             f"attribution (no 'template'/'query' tag)"
         )
 
-    for record in records:
-        name = record.get("name")
-        duration = record.get("duration")
-        work_units = record.get("work_units")
-        duration = float(duration) if isinstance(duration, (int, float)) else 0.0
-        work = int(work_units) if isinstance(work_units, int) else 0
-        tags = record.get("tags")
-        tags = tags if isinstance(tags, dict) else {}
-        if name == "serve.plan":
-            template = _template_of(record)
-            if template is None:
-                continue
-            entry = state(template)
-            plan_units = tags.get("plan_units")
-            phase = entry.phase("decompose")
-            phase.latency.observe(duration)
-            phase.work.observe(
-                int(plan_units) if isinstance(plan_units, int) else 0
-            )
-            entry.plans += 1
-            if tags.get("cache_hit") is True:
-                entry.cache_hits += 1
-            if "error" in tags:
-                entry.errors += 1
-        elif name == "serve.execute":
-            template = _template_of(record)
-            if template is None:
-                continue
-            entry = state(template)
-            phase = entry.phase("execute")
-            phase.latency.observe(duration)
-            phase.work.observe(work)
-            entry.queries += 1
-            if "error" in tags:
-                entry.errors += 1
-        elif name == "decompose.optimize":
-            template = ancestor_template(record)
-            if template is None:
-                continue
-            phase = state(template).phase("optimize")
-            phase.latency.observe(duration)
-            phase.work.observe(work)
+    registry = InsightsRegistry()
+    for record in queries:
+        template = _template_of(record)
+        if template is None:
+            continue
+        tags = _tags(record)
+        phases = children.get(record["span_id"], {})
+        plan, execute = phases.get("serve.plan"), phases.get("serve.execute")
+        events = tags.get("events")
+        error = tags.get("error")
+        registry.record_query(
+            template,
+            plan_seconds=_number(plan, "duration"),
+            plan_units=int(_number(_tags(plan), "plan_units")),
+            cache_hit=tags.get("cache_hit") is True,
+            execute_seconds=(
+                None if execute is None else _number(execute, "duration")
+            ),
+            execute_work=int(_number(execute, "work_units")),
+            events=[e for e in events if isinstance(e, str)]
+            if isinstance(events, list)
+            else [],
+            error=error if isinstance(error, str) else None,
+        )
+    return {**registry.snapshot(), "spans": len(records), "problems": problems}
 
-    return {
-        "spans": len(records),
-        "problems": problems,
-        "templates": {
-            template: {
-                "queries": entry.queries,
-                "errors": entry.errors,
-                "cache_hits": entry.cache_hits,
-                "plans": entry.plans,
-                "phases": {
-                    phase_name: {
-                        "latency": phase.latency.snapshot(),
-                        "work": phase.work.snapshot(),
-                    }
-                    for phase_name, phase in sorted(entry.phases.items())
-                },
-            }
-            for template, entry in sorted(templates.items())
-        },
+
+def _comparable(entry: Mapping[str, Any]) -> Dict[str, Any]:
+    flat = {
+        field: entry[field]
+        for field in ("queries", "errors", "cache_hits", "events")
     }
+    flat["phases"] = sorted(entry["phases"])
+    for phase, data in entry["phases"].items():
+        flat[f"{phase}.latency.count"] = data["latency"]["count"]
+        flat[f"{phase}.work"] = data["work"]
+    return flat
+
+
+def replay_mismatches(
+    live: Mapping[str, Any], replayed: Mapping[str, Any]
+) -> List[str]:
+    """Where a span replay's per-template records differ from the live ones.
+
+    Compares, per template, what both feeders fill exactly: ``queries``,
+    ``errors``, ``cache_hits``, ``events``, the phase set, each phase's
+    latency count and each phase's work histogram.  (Latencies are two
+    clocks' readings of one interval, so only their counts must agree.)
+    Empty when the records match.
+    """
+    ours, theirs = (
+        {
+            key: _comparable(entry)
+            for key, entry in (side.get("templates") or {}).items()
+        }
+        for side in (live, replayed)
+    )
+    mismatches: List[str] = []
+    for key in sorted(set(ours) | set(theirs)):
+        a, b = ours.get(key), theirs.get(key)
+        if a is None or b is None:
+            where = "replay" if a is None else "live registry"
+            mismatches.append(f"template {key}: only in the {where}")
+            continue
+        mismatches.extend(
+            f"template {key}: {field} live={a.get(field)!r} "
+            f"replayed={b.get(field)!r}"
+            for field in sorted(set(a) | set(b))
+            if a.get(field) != b.get(field)
+        )
+    return mismatches
 
 
 def _overall_quantile(
@@ -271,42 +239,29 @@ def check_baseline(
         )
 
     templates = analysis.get("templates")
-    templates = templates if isinstance(templates, Mapping) else {}
-    total_queries = sum(
-        entry.get("queries", 0)
-        for entry in templates.values()
+    entries = [
+        entry
+        for entry in (templates.values() if isinstance(templates, Mapping) else ())
         if isinstance(entry, Mapping)
-    )
-    total_errors = sum(
-        entry.get("errors", 0)
-        for entry in templates.values()
-        if isinstance(entry, Mapping)
-    )
-    total_hits = sum(
-        entry.get("cache_hits", 0)
-        for entry in templates.values()
-        if isinstance(entry, Mapping)
+    ]
+    total_queries, total_errors, total_hits = (
+        sum(int(_number(entry, counter)) for entry in entries)
+        for counter in ("queries", "errors", "cache_hits")
     )
 
     sharded = baseline.get("sharded")
     sharded = sharded if isinstance(sharded, Mapping) else {}
     baseline_errors = sharded.get("errors")
-    if (
-        isinstance(baseline_errors, int)
-        and baseline_errors == 0
-        and isinstance(total_errors, int)
-        and total_errors > 0
-    ):
+    if baseline_errors == 0 and total_errors > 0:
         flags.append(
-            f"error regression: trace has {total_errors} errored serving "
-            f"span(s); baseline recorded 0 errors"
+            f"error regression: {total_errors} traced quer(y/ies) raised; "
+            f"baseline recorded 0 errors"
         )
 
     baseline_hits = sharded.get("cache_hits_total")
     if (
         isinstance(baseline_hits, int)
         and baseline_hits > 0
-        and isinstance(total_queries, int)
         and total_queries > 0
         and total_hits == 0
     ):
@@ -336,49 +291,29 @@ def render_report(
     flags: Optional[List[str]] = None,
     warnings: Optional[List[str]] = None,
 ) -> str:
-    """Human-readable report text for an analysis (+ baseline results)."""
-    template_count = analysis.get("templates")
-    template_count = (
-        len(template_count) if isinstance(template_count, Mapping) else 0
-    )
+    """Human-readable report text for an analysis (+ baseline results).
+
+    ``analysis`` has the registry's snapshot shape (what
+    :func:`analyze_spans` returns).
+    """
+    templates = analysis.get("templates") or {}
     lines = [
         f"hdqo report — {analysis.get('spans', 0)} span(s), "
-        f"{template_count} template(s)",
+        f"{len(templates)} template(s)",
         "",
         f"{'TEMPLATE':<25} {'PHASE':<10} {'N':>6} {'P50(ms)':>9} "
         f"{'P99(ms)':>9} {'WORK-P50':>9} {'WORK-TOT':>10}",
     ]
-    templates = analysis.get("templates")
-    templates = templates if isinstance(templates, Mapping) else {}
-    for template in sorted(str(key) for key in templates):
-        entry = templates[template]
-        if not isinstance(entry, Mapping):
-            continue
-        phases = entry.get("phases")
-        phases = phases if isinstance(phases, Mapping) else {}
+    for template, entry in sorted(templates.items()):
         shown = template if len(template) <= 24 else template[:23] + "…"
-        for phase_name in sorted(str(p) for p in phases):
-            data = phases[phase_name]
-            if not isinstance(data, Mapping):
-                continue
-            latency = data.get("latency")
-            work = data.get("work")
-            latency = latency if isinstance(latency, Mapping) else {}
-            work = work if isinstance(work, Mapping) else {}
-            count = latency.get("count")
-            count = count if isinstance(count, int) else 0
-            work_total = work.get("total")
-            work_total = (
-                float(work_total)
-                if isinstance(work_total, (int, float))
-                else 0.0
-            )
+        for phase_name, data in sorted(entry["phases"].items()):
+            latency, work = data["latency"], data["work"]
             lines.append(
-                f"{shown:<25} {phase_name:<10} {count:>6} "
+                f"{shown:<25} {phase_name:<10} {latency['count']:>6} "
                 f"{quantile_from_snapshot(latency, 0.5) * 1000:>9.2f} "
                 f"{quantile_from_snapshot(latency, 0.99) * 1000:>9.2f} "
                 f"{quantile_from_snapshot(work, 0.5):>9.0f} "
-                f"{work_total:>10.0f}"
+                f"{work['total']:>10.0f}"
             )
             shown = ""
     problems = analysis.get("problems")

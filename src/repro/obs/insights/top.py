@@ -4,8 +4,8 @@ The serving process (``hdqo serve --insights``) periodically publishes
 its merged insights snapshot as one JSON file (written atomically:
 temp file + rename, so a reader never sees a torn write).  ``hdqo top``
 polls that file and renders the classic top-style table — top templates
-by p99 latency, work units, error rate, and burn rate, with cache hit
-rate and shard saturation in the header — refreshing in place on a TTY
+by p99 latency, work units and error rate, with cache hit rate and
+shard saturation in the header — refreshing in place on a TTY
 and **degrading to a single text snapshot** when stdout is not a TTY
 (CI logs, pipes), exactly once, no escape codes.
 
@@ -69,7 +69,7 @@ def _template_rows(
         work_total = 0.0
         phases = entry.get("phases")
         if isinstance(phases, Mapping):
-            for phase_name in ("execute", "decompose", "optimize"):
+            for phase_name in ("execute", "decompose"):
                 data = phases.get(phase_name)
                 if not isinstance(data, Mapping):
                     continue
@@ -89,12 +89,6 @@ def _template_rows(
                     total = work.get("total")
                     if isinstance(total, (int, float)):
                         work_total += float(total)
-        burn = 0.0
-        slo = entry.get("slo")
-        if isinstance(slo, Mapping):
-            rate = slo.get("fast_burn_rate")
-            if isinstance(rate, (int, float)):
-                burn = float(rate)
         rows.append(
             (
                 key,
@@ -105,7 +99,6 @@ def _template_rows(
                     "p50": p50,
                     "p99": p99,
                     "work": work_total,
-                    "burn": burn,
                 },
             )
         )
@@ -139,15 +132,14 @@ def render_top(data: Mapping[str, object], limit: int = 12) -> str:
         ),
         "",
         f"{'TEMPLATE':<25} {'QUERIES':>8} {'ERR%':>6} "
-        f"{'P50(ms)':>9} {'P99(ms)':>9} {'WORK':>12} {'BURN':>6}",
+        f"{'P50(ms)':>9} {'P99(ms)':>9} {'WORK':>12}",
     ]
     rows = _template_rows(insights)
     for key, row in rows[:limit]:
         lines.append(
             f"{_short(key):<25} {row['queries']:>8.0f} "
             f"{row['error_rate']:>6.1%} {row['p50'] * 1000:>9.2f} "
-            f"{row['p99'] * 1000:>9.2f} {row['work']:>12.0f} "
-            f"{row['burn']:>6.2f}"
+            f"{row['p99'] * 1000:>9.2f} {row['work']:>12.0f}"
         )
     if not rows:
         lines.append("(no template traffic observed yet)")

@@ -13,14 +13,14 @@ operators report each materialized intermediate and the budget raises
 * ``max_intermediate_rows`` — a flat cap on any single intermediate,
   the "no operator may produce more than N rows" guard.
 
-Accounting is estimated, not measured: releases are best-effort (operators
-release inputs they have consumed), so the live-cell figure is an upper
-bound — exactly the conservative direction a guard should err in.
+Accounting is estimated, not measured, and nothing is ever returned:
+``live_cells`` is the cells of every intermediate accounted so far, an
+upper bound on what the query holds — exactly the conservative direction
+a guard should err in.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional
 
 from repro.analysis.lockwitness import make_lock
@@ -36,8 +36,7 @@ class MemoryBudget:
             (None = unbounded).
 
     Attributes:
-        live_cells: estimated cells currently held.
-        peak_cells: high-water mark of ``live_cells``.
+        live_cells: estimated cells accounted so far.
         intermediates: number of materializations accounted.
     """
 
@@ -53,7 +52,6 @@ class MemoryBudget:
         self.max_cells = max_cells
         self.max_intermediate_rows = max_intermediate_rows
         self.live_cells = 0
-        self.peak_cells = 0
         self.intermediates = 0
         self._lock = make_lock("MemoryBudget._lock")
 
@@ -67,8 +65,6 @@ class MemoryBudget:
         with self._lock:
             self.intermediates += 1
             self.live_cells += cells
-            if self.live_cells > self.peak_cells:
-                self.peak_cells = self.live_cells
             live = self.live_cells
         if (
             self.max_intermediate_rows is not None
@@ -82,17 +78,10 @@ class MemoryBudget:
                 site, rows, row_width, live, budget_cells=self.max_cells
             )
 
-    def release(self, rows: int, row_width: int) -> None:
-        """Return a consumed intermediate's cells (best-effort, floored at 0)."""
-        cells = rows * max(row_width, 1)
-        with self._lock:
-            self.live_cells = max(self.live_cells - cells, 0)
-
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "live_cells": self.live_cells,
-                "peak_cells": self.peak_cells,
                 "intermediates": self.intermediates,
             }
 

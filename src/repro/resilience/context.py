@@ -227,11 +227,6 @@ class ExecutionContext:
         if self.memory is not None:
             self.memory.account(rows, row_width, site)
 
-    def release(self, rows: int, row_width: int) -> None:
-        """Return a freed intermediate's cells to the memory budget."""
-        if self.memory is not None:
-            self.memory.release(rows, row_width)
-
     def __repr__(self) -> str:
         parts = []
         if self.deadline is not None:
@@ -263,9 +258,6 @@ class NullExecutionContext:
         return None
 
     def account(self, rows: int, row_width: int, site: str = "") -> None:
-        return None
-
-    def release(self, rows: int, row_width: int) -> None:
         return None
 
 

@@ -130,7 +130,7 @@ class QueryService:
             bounds how many *queries* run concurrently.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
-            receiving phase histograms, SLO outcomes, and slow-query
+            receiving one record per handled query and slow-query
             captures from the optimizer handler; None (the default)
             installs the zero-cost :data:`NULL_INSIGHTS` no-op.
     """

@@ -52,8 +52,8 @@ def _merge_level(dicts: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         values = [d[key] for d in dicts if key in d]
         if key == "insights" and all(isinstance(v, Mapping) for v in values):
             # Per-template insight snapshots have their own exact merge
-            # (histogram bucket addition, SLO window max, slow-log
-            # re-ranking) — the generic pointwise sum would corrupt them.
+            # (histogram bucket addition, slow-log re-ranking) — the
+            # generic pointwise sum would corrupt them.
             merged[key] = merge_insights_snapshots(values)
         elif all(
             isinstance(v, Mapping) and is_snapshot(v.get("hdr"))

@@ -1,4 +1,4 @@
-"""Query insights: histograms, slow log, SLO, registry, top, report.
+"""Query insights: histograms, slow log, registry, top, report.
 
 The contract under test is the PR's acceptance bar:
 
@@ -14,7 +14,8 @@ The contract under test is the PR's acceptance bar:
   out byte-identical to a single-process run of the same workload;
 * ``hdqo report`` flags a seeded regression against the committed
   ``BENCH_serving.json`` trajectory point and passes clean on an honest
-  trace.
+  trace — including one whose template falls back to the built-in
+  planner.
 """
 
 import io
@@ -41,20 +42,18 @@ from repro.obs.histogram import (
 from repro.obs.insights import (
     NULL_INSIGHTS,
     InsightsRegistry,
-    SLOPolicy,
-    SLOTracker,
     SlowQueryLog,
     analyze_spans,
     check_baseline,
     load_snapshot_file,
     load_span_records,
     merge_insights_snapshots,
-    merge_slo_snapshots,
     merge_slow_entries,
     publish_snapshot_file,
     render_insights_prometheus,
     render_report,
     render_top,
+    replay_mismatches,
     run_top,
 )
 from repro.obs.metrics import (
@@ -62,6 +61,7 @@ from repro.obs.metrics import (
     merge_registry_exports,
     render_prometheus,
 )
+from repro.obs.tracing import tracing
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import QueryService
 from repro.shard.aggregate import merge_metric_snapshots
@@ -267,77 +267,6 @@ class TestSlowQueryLog:
 
 
 # ---------------------------------------------------------------------------
-# SLO burn rates (fake clock only — no wall time in this test)
-# ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestSLOTracker:
-    def test_burn_rate_math(self):
-        clock = FakeClock()
-        tracker = SLOTracker(
-            SLOPolicy(threshold_seconds=0.1, objective=0.99), clock=clock
-        )
-        for _ in range(99):
-            tracker.record(0.05, True)
-        tracker.record(0.05, False)  # typed error -> bad
-        snap = tracker.snapshot()
-        assert snap["good"] == 99 and snap["bad"] == 1
-        # 1% bad on a 1% budget: burning exactly at rate 1.
-        assert snap["fast_burn_rate"] == pytest.approx(1.0)
-
-    def test_slow_query_is_bad_even_when_ok(self):
-        tracker = SLOTracker(
-            SLOPolicy(threshold_seconds=0.1), clock=FakeClock()
-        )
-        tracker.record(0.5, True)  # no error, but over threshold
-        assert tracker.snapshot()["bad"] == 1
-
-    def test_windows_age_out_but_lifetime_totals_do_not(self):
-        clock = FakeClock()
-        policy = SLOPolicy(
-            threshold_seconds=0.1,
-            fast_window_seconds=10.0,
-            slow_window_seconds=60.0,
-        )
-        tracker = SLOTracker(policy, clock=clock)
-        tracker.record(9.0, False)
-        assert tracker.snapshot()["fast_burn_rate"] > 0
-        clock.now += 30.0  # past the fast window, inside the slow one
-        snap = tracker.snapshot()
-        assert snap["fast_burn_rate"] == 0.0
-        assert snap["slow_burn_rate"] > 0
-        assert snap["bad"] == 1  # lifetime totals never reset
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(objective=1.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(threshold_seconds=0.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(fast_window_seconds=600.0, slow_window_seconds=60.0)
-
-    def test_merge_takes_worst_shard_burn(self):
-        clock = FakeClock()
-        quiet = SLOTracker(clock=clock)
-        burning = SLOTracker(clock=clock)
-        quiet.record(0.01, True)
-        burning.record(9.0, False)
-        merged = merge_slo_snapshots([quiet.snapshot(), burning.snapshot()])
-        assert merged["good"] == 1 and merged["bad"] == 1
-        assert merged["fast_burn_rate"] == burning.snapshot()["fast_burn_rate"]
-        assert merge_slo_snapshots([]) is None
-        assert merge_slo_snapshots([{}, {}]) is None
-
-
-# ---------------------------------------------------------------------------
 # Flush registry
 # ---------------------------------------------------------------------------
 
@@ -374,33 +303,52 @@ class TestFlushRegistry:
 # ---------------------------------------------------------------------------
 
 
+def _query(registry, template, seconds=0.010, work=100, *, executed=True,
+           cache_hit=False, events=(), error=None):
+    registry.record_query(
+        template,
+        plan_seconds=0.001,
+        plan_units=7,
+        cache_hit=cache_hit,
+        execute_seconds=seconds if executed else None,
+        execute_work=work,
+        events=events,
+        error=error,
+    )
+
+
 def _feed(registry, template, n, base=0.010, work=100):
     for i in range(n):
-        registry.record_phase(template, "decompose", base, work=7)
-        registry.record_phase(template, "execute", base * (i + 1), work=work)
-        registry.record_outcome(template, base * (i + 1), True)
+        _query(registry, template, base * (i + 1), work, cache_hit=i > 0)
 
 
 class TestInsightsRegistry:
     def test_snapshot_shape(self):
-        registry = InsightsRegistry(clock=FakeClock())
+        registry = InsightsRegistry()
         _feed(registry, "T1", 3)
-        registry.record_event("T1", "degraded", {"degraded_to": "width-1"})
+        _query(registry, "T1", executed=False, events=["breaker_open"],
+               error="DecompositionNotFound")
         snap = registry.snapshot()
         entry = snap["templates"]["T1"]
-        assert entry["queries"] == 3 and entry["errors"] == 0
-        assert entry["events"] == {"degraded": 1}
+        assert entry["queries"] == 4 and entry["errors"] == 1
+        assert entry["cache_hits"] == 2
+        assert entry["events"] == {
+            "breaker_open": 1, "error:DecompositionNotFound": 1,
+        }
         assert set(entry["phases"]) == {"decompose", "execute"}
+        # decompose is observed for every query, execute only when it ran
+        assert entry["phases"]["decompose"]["latency"]["count"] == 4
+        assert entry["phases"]["decompose"]["work"]["total"] == 28.0
         assert entry["phases"]["execute"]["latency"]["count"] == 3
         assert entry["phases"]["execute"]["work"]["total"] == 300.0
-        assert entry["slo"]["good"] == 3
-        assert snap["slow_log"]["events"][0]["kind"] == "degraded"
+        assert [e["kind"] for e in snap["slow_log"]["events"]] == [
+            "breaker_open", "error:DecompositionNotFound",
+        ]
 
     def test_merge_parity_with_single_registry(self):
-        clock = FakeClock()
-        single = InsightsRegistry(clock=clock)
-        shard_a = InsightsRegistry(clock=clock)
-        shard_b = InsightsRegistry(clock=clock)
+        single = InsightsRegistry()
+        shard_a = InsightsRegistry()
+        shard_b = InsightsRegistry()
         _feed(single, "T1", 4)
         _feed(shard_a, "T1", 4)
         _feed(single, "T2", 2, base=0.020)
@@ -414,22 +362,23 @@ class TestInsightsRegistry:
                 merged["templates"][key]["phases"]
                 == expected["templates"][key]["phases"]
             )
-            assert (
-                merged["templates"][key]["queries"]
-                == expected["templates"][key]["queries"]
-            )
+            for counter in ("queries", "errors", "cache_hits"):
+                assert (
+                    merged["templates"][key][counter]
+                    == expected["templates"][key][counter]
+                )
         assert merge_insights_snapshots([]) == {}
 
     def test_overflow_folds_new_templates(self):
-        registry = InsightsRegistry(clock=FakeClock(), max_templates=2)
+        registry = InsightsRegistry(max_templates=2)
         for name in ("T1", "T2", "T3", "T4"):
-            registry.record_outcome(name, 0.01, True)
+            _query(registry, name)
         snap = registry.snapshot()
         assert set(snap["templates"]) == {"T1", "T2", "(overflow)"}
         assert snap["templates"]["(overflow)"]["queries"] == 2
 
     def test_slow_capture_via_registry(self):
-        registry = InsightsRegistry(slow_k=1, clock=FakeClock())
+        registry = InsightsRegistry(slow_k=1)
         assert registry.qualifies_slow("T1", 0.5)
         assert registry.record_slow("T1", 0.5, {"plan": "scan"})
         assert not registry.record_slow("T1", 0.1, {"plan": "cheap"})
@@ -438,23 +387,21 @@ class TestInsightsRegistry:
 
     def test_null_insights_is_inert(self):
         assert not NULL_INSIGHTS.enabled
-        NULL_INSIGHTS.record_phase("T", "execute", 1.0, work=5)
-        NULL_INSIGHTS.record_outcome("T", 1.0, False)
-        NULL_INSIGHTS.record_event("T", "kind")
+        _query(NULL_INSIGHTS, "T", events=["kind"], error="QueryError")
         assert not NULL_INSIGHTS.qualifies_slow("T", 99.0)
         assert not NULL_INSIGHTS.record_slow("T", 99.0, {})
         assert NULL_INSIGHTS.snapshot() == {}
 
     def test_prometheus_exposition(self):
-        registry = InsightsRegistry(clock=FakeClock())
+        registry = InsightsRegistry()
         _feed(registry, 'T"1', 2)
         text = render_insights_prometheus(registry.snapshot())
         assert 'hdqo_template_queries_total{template="T\\"1"} 2' in text
-        assert 'window="fast"' in text and 'window="slow"' in text
         assert 'phase="execute",quantile="p99"' in text
+        assert "burn" not in text
         assert_wellformed_exposition(text)
         # An empty snapshot still renders the metric headers.
-        assert "# TYPE hdqo_slo_burn_rate gauge" in (
+        assert "# TYPE hdqo_template_queries_total counter" in (
             render_insights_prometheus({})
         )
 
@@ -606,17 +553,14 @@ class TestAggregateMergeSpecialCases:
         ]
 
         def feed(stream, shards):
-            clock = FakeClock()
             metrics = [ServiceMetrics() for _ in range(shards)]
-            insights = [InsightsRegistry(clock=clock) for _ in range(shards)]
+            insights = [InsightsRegistry() for _ in range(shards)]
             for index, (template, seconds, work) in enumerate(stream):
                 shard = index % shards
                 metrics[shard].record_query(
                     finished=True, work=work, seconds=seconds
                 )
-                insights[shard].record_phase(
-                    template, "execute", seconds, work=work
-                )
+                _query(insights[shard], template, seconds, work)
             exports = [m.registry.export() for m in metrics]
             snapshot = merge_metric_snapshots([
                 {**m.snapshot(), "insights": i.snapshot()}
@@ -651,11 +595,10 @@ class TestAggregateMergeSpecialCases:
         )
 
     def test_insights_snapshots_merge_not_sum(self):
-        clock = FakeClock()
         shards = []
-        single = InsightsRegistry(clock=clock)
+        single = InsightsRegistry()
         for template in ("T1", "T2"):
-            registry = InsightsRegistry(clock=clock)
+            registry = InsightsRegistry()
             _feed(registry, template, 3)
             _feed(single, template, 3)
             shards.append({"insights": registry.snapshot()})
@@ -673,9 +616,9 @@ class TestAggregateMergeSpecialCases:
 
 
 def _top_payload():
-    registry = InsightsRegistry(clock=FakeClock())
+    registry = InsightsRegistry()
     _feed(registry, "SELECT-chain", 5)
-    registry.record_event("SELECT-chain", "degraded")
+    _query(registry, "SELECT-chain", events=["degraded"])
     return {
         "service": {
             "queries": 5,
@@ -759,46 +702,39 @@ class TestTop:
 # ---------------------------------------------------------------------------
 
 
+def _span(span_id, parent_id, name, start, duration, work, tags):
+    return {
+        "span_id": span_id, "parent_id": parent_id, "name": name,
+        "start": start, "duration": duration, "work_units": work,
+        "tags": tags,
+    }
+
+
 def _serving_spans(execute_seconds, errors=0, cache_hits=True, n=8):
-    """A synthetic but contract-valid serving trace for one template."""
+    """A synthetic but contract-valid serving trace for one template:
+    per query a ``serve.query`` root over ``serve.plan`` (with a nested
+    ``decompose.optimize``) and ``serve.execute``."""
     records = []
-    span_id = 0
     for i in range(n):
-        records.append({
-            "span_id": span_id,
-            "parent_id": None,
-            "name": "serve.plan",
-            "start": 0.1 * i,
-            "duration": 0.002,
-            "work_units": 0,
-            "tags": {
-                "template": "chain-template",
-                "plan_units": 40,
-                "cache_hit": cache_hits and i > 0,
-            },
-        })
-        records.append({
-            "span_id": span_id + 1,
-            "parent_id": span_id,
-            "name": "decompose.optimize",
-            "start": 0.1 * i,
-            "duration": 0.001,
-            "work_units": 12,
-            "tags": {},
-        })
+        root, start = 4 * i, 0.1 * i
+        hit = cache_hits and i > 0
+        query_tags = {"template": "chain-template", "cache_hit": hit,
+                      "events": []}
         execute_tags = {"template": "chain-template"}
         if i < errors:
-            execute_tags["error"] = "WorkBudgetExceeded"
-        records.append({
-            "span_id": span_id + 2,
-            "parent_id": None,
-            "name": "serve.execute",
-            "start": 0.1 * i + 0.01,
-            "duration": execute_seconds,
-            "work_units": 250,
-            "tags": execute_tags,
-        })
-        span_id += 3
+            query_tags["error"] = execute_tags["error"] = "WorkBudgetExceeded"
+        records += [
+            _span(root + 1, root, "serve.plan", start, 0.002, 0, {
+                "template": "chain-template", "plan_units": 40,
+                "cache_hit": hit,
+            }),
+            _span(root + 2, root + 1, "decompose.optimize", start, 0.001,
+                  12, {}),
+            _span(root + 3, root, "serve.execute", start + 0.01,
+                  execute_seconds, 250, execute_tags),
+            _span(root, None, "serve.query", start,
+                  0.01 + execute_seconds, 250, query_tags),
+        ]
     return records
 
 
@@ -831,21 +767,19 @@ class TestReport:
         records = _serving_spans(execute_seconds=0.004)
         analysis = analyze_spans(records)
         assert analysis["problems"] == []
+        assert analysis["spans"] == len(records)
         entry = analysis["templates"]["chain-template"]
-        assert entry["queries"] == 8
-        assert entry["plans"] == 8 and entry["cache_hits"] == 7
-        assert set(entry["phases"]) == {"decompose", "optimize", "execute"}
+        assert entry["queries"] == 8 and entry["errors"] == 0
+        assert entry["cache_hits"] == 7
+        # Optimize runs inside decompose; it is not a phase of its own.
+        assert set(entry["phases"]) == {"decompose", "execute"}
+        assert entry["phases"]["decompose"]["work"]["total"] == 8 * 40.0
         execute = entry["phases"]["execute"]
         assert execute["latency"]["count"] == 8
         assert execute["work"]["total"] == 8 * 250.0
-        # optimize spans attribute through the parent serve.plan span
-        assert entry["phases"]["optimize"]["work"]["total"] == 8 * 12.0
 
     def test_untagged_serving_spans_are_a_problem(self):
-        records = [{
-            "span_id": 0, "parent_id": None, "name": "serve.execute",
-            "start": 0.0, "duration": 0.01, "work_units": 1, "tags": {},
-        }]
+        records = [_span(0, None, "serve.query", 0.0, 0.01, 1, {})]
         analysis = analyze_spans(records)
         assert any("attribution" in p for p in analysis["problems"])
 
@@ -857,6 +791,55 @@ class TestReport:
         analysis = analyze_spans(records)
         flags, warnings = check_baseline(analysis, baseline)
         assert flags == []
+
+    def test_builtin_fallback_run_passes_committed_baseline(self):
+        """A healthy run whose template falls back to the built-in planner:
+        the absorbed planning failures are events, not errors, so the
+        replay agrees with the live registry and the baseline is clean."""
+        from tests.conftest import CHAIN_SQL
+
+        baseline = json.loads(
+            (REPO_ROOT / "BENCH_serving.json").read_text()
+        )
+        insights = InsightsRegistry()
+        with QueryService(
+            SimulatedDBMS(_chain_db(), COMMDB_PROFILE),
+            max_width=1,
+            workers=1,
+            insights=insights,
+        ) as service:
+            with tracing() as tracer:
+                for _ in range(4):
+                    service.execute(PAIR_SQL.format(c=3))
+                    assert service.execute(CHAIN_SQL).optimizer == (
+                        "builtin-fallback"
+                    )
+        analysis = analyze_spans(tracer.to_records())
+        assert analysis["problems"] == []
+        flags, _ = check_baseline(analysis, baseline)
+        assert flags == []
+        live = insights.snapshot()["templates"]
+        assert len(live) == 2
+        for key, entry in live.items():
+            replayed = analysis["templates"][key]
+            assert replayed["queries"] == entry["queries"] == 4
+            assert replayed["errors"] == entry["errors"] == 0
+            assert replayed["events"] == entry["events"]
+            assert set(replayed["phases"]) == {"decompose", "execute"}
+
+    def test_replay_mismatches_names_each_differing_field(self):
+        live, replayed = InsightsRegistry(), InsightsRegistry()
+        for registry in (live, replayed):
+            _feed(registry, "T1", 3)
+        assert replay_mismatches(live.snapshot(), replayed.snapshot()) == []
+        _query(live, "T1", executed=False, events=["breaker_open"])
+        _query(replayed, "T2")
+        mismatches = replay_mismatches(live.snapshot(), replayed.snapshot())
+        fields = [m.split(": ")[1].split()[0] for m in mismatches[:-1]]
+        assert fields == [
+            "decompose.latency.count", "decompose.work", "events", "queries",
+        ]
+        assert mismatches[-1] == "template T2: only in the replay"
 
     def test_seeded_regression_is_flagged(self):
         baseline = json.loads(

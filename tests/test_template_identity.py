@@ -4,9 +4,11 @@
   fingerprint ``fingerprint_translation(t, context=c)`` always produced;
 * the Fig. 6 handler canonicalises (and digests the schema) exactly once
   per operation on every path — and never for a bare install;
-* the ladder's four rungs, and the execution-time retry that re-enters
-  it at rung 2, each leave the same label / span tag / counter / insights
-  event wherever they are taken.
+* the ladder's four rungs (and rung 1 skipped by an open breaker), and
+  the execution-time retry that re-enters it at rung 2, each leave the
+  same label / span tag / counter / insights event wherever they are
+  taken — and ``hdqo report``'s replay of the spans rebuilds exactly the
+  live insights record.
 """
 
 import zlib
@@ -20,6 +22,7 @@ from repro.core.integration import install_structural_optimizer
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.errors import InjectedFault, QueryError
 from repro.obs.insights.registry import InsightsRegistry
+from repro.obs.insights.report import analyze_spans, replay_mismatches
 from repro.obs.tracing import tracing
 from repro.query.translate import sql_to_conjunctive
 from repro.resilience import CircuitBreaker, FaultInjector
@@ -231,6 +234,14 @@ class TestOneIdentityPerOperation:
 # ---------------------------------------------------------------------------
 
 
+class _OpenBreaker(CircuitBreaker):
+    """A breaker already open for every template, as after repeated
+    planning failures."""
+
+    def allow(self, key):
+        return False
+
+
 # service kwargs, faults armed after seeding, seed a k=1 plan?, label (or the
 # typed error), serve.plan tags, serve.execute present?, counter deltas, events
 RUNGS = [
@@ -251,7 +262,7 @@ RUNGS = [
         "plancache.get:error:1.0",
         True,
         "q-hd(k=1)",
-        {"cache_hit": False, "error": "InjectedFault",
+        {"cache_hit": False, "plan_error": "InjectedFault",
          "degraded_to": "lower-k(1)"},
         True,
         {"planning.cache_hits": 1, "planning.fallbacks": 0,
@@ -264,9 +275,9 @@ RUNGS = [
         "plancache.get:error:1.0",
         False,
         "builtin-fallback",
-        {"cache_hit": False, "error": "InjectedFault",
+        {"cache_hit": False, "plan_error": "InjectedFault",
          "degraded_to": "builtin", "fallback": True},
-        False,
+        True,
         {"planning.built": 1, "planning.fallbacks": 1,
          "resilience.degraded_lower_k": 0},
         {"plan_error:InjectedFault": 1, "degraded:builtin": 1},
@@ -277,12 +288,24 @@ RUNGS = [
         "plancache.get:error:1.0",
         False,
         InjectedFault,
-        {"cache_hit": False, "error": "InjectedFault"},
+        {"cache_hit": False, "plan_error": "InjectedFault"},
         False,
         {"planning.built": 1, "planning.fallbacks": 1,
          "resilience.degraded_lower_k": 0},
         {"plan_error:InjectedFault": 1, "error:InjectedFault": 1},
         id="rung4-typed-error",
+    ),
+    pytest.param(
+        {"breaker": _OpenBreaker()},
+        None,
+        False,
+        "builtin-fallback",
+        {"breaker_open": True, "degraded_to": "builtin", "fallback": True},
+        True,
+        {"planning.built": 1, "planning.fallbacks": 1,
+         "resilience.breaker_skips": 1},
+        {"breaker_open": 1, "degraded:builtin": 1},
+        id="breaker-open",
     ),
 ]
 
@@ -315,15 +338,24 @@ def test_ladder_rung_by_rung(
                     svc.execute(ACYCLIC_SQL)
         after = svc.snapshot()
 
+    (query_span,) = tracer.spans("serve.query")
     (plan_span,) = tracer.spans("serve.plan")
-    template = plan_span.tags["template"]
+    template = query_span.tags["template"]
+    assert plan_span.tags["template"] == template
+    assert plan_span.parent_id == query_span.span_id
     assert {
         tag: value for tag, value in plan_span.tags.items()
-        if tag in ("cache_hit", "error", "degraded_to", "fallback", "breaker_open")
+        if tag in ("cache_hit", "error", "plan_error", "degraded_to",
+                   "fallback", "breaker_open")
     } == plan_tags
+    # `error` marks the span that raised: only the query span, on rung 4.
+    assert query_span.tags.get("error") == (
+        None if isinstance(label, str) else label.__name__
+    )
     execute_spans = tracer.spans("serve.execute")
     assert len(execute_spans) == (1 if executes else 0)
     for span in execute_spans:
+        assert span.parent_id == query_span.span_id
         assert span.tags["template"] == template
         assert "degraded_to" not in span.tags  # taken while planning
 
@@ -334,6 +366,15 @@ def test_ladder_rung_by_rung(
     assert seen["events"] == events
     assert seen["queries"] == 1
     assert seen["errors"] == (0 if isinstance(label, str) else 1)
+
+    assert set(seen["phases"]) == (
+        {"decompose", "execute"} if executes else {"decompose"}
+    )
+    # One rule, two feeders: the span replay rebuilds the live record —
+    # queries, errors, cache hits, events, phase set, per-phase latency
+    # counts and work histograms.
+    replayed = analyze_spans(tracer.to_records())
+    assert replay_mismatches(insights.snapshot(), replayed) == []
 
 
 class TestExecutionRung:
