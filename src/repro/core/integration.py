@@ -142,7 +142,8 @@ def install_structural_optimizer(
             recording call a constant-time no-op with zero work-unit cost.
 
     The installed handler obtains the query's **template identity** at
-    most once per operation — one canonicalisation and one schema digest
+    most once per operation — one canonicalisation (none when the
+    translation carries its ``fingerprint``) and one cached schema digest
     when a plan cache (capacity > 0), a breaker or an enabled insights
     sink is configured, none otherwise — and derives the breaker key, the
     ``template=`` span tag, the insights key, the plan-cache key at
@@ -238,9 +239,13 @@ def install_structural_optimizer(
 
         Only the ``k=`` field differs between the plan-cache key at
         ``max_width`` (whose ``key`` is also the breaker key and the
-        insights / ``template=`` tag) and the lower-k rung keys.
+        insights / ``template=`` tag) and the lower-k rung keys.  A
+        translation that arrives canonicalised (from the serving layer's
+        text memo) is not canonicalised again.
         """
-        canonical = fingerprint_translation(translation)
+        canonical = translation.fingerprint
+        if canonical is None:
+            canonical = fingerprint_translation(translation)
         schema = f"schema={schema_digest(engine.database)}"
         flags = f"opt={optimize};stats={use_stats}"
         return lambda k: canonical.with_context(f"{schema};k={k};{flags}")

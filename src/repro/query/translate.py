@@ -15,11 +15,14 @@ to the unique FROM-clause relation that has an attribute of that name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import QueryError
 from repro.query import ast
 from repro.query.conjunctive import Atom, ConjunctiveQuery
+
+if TYPE_CHECKING:
+    from repro.service.fingerprint import QueryFingerprint
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,9 @@ class TranslationResult:
             twice); enforced as base-scan filters.
         output_columns: for each output variable of ``CQ(Q)``, the bound
             column it came from (used to rename answer attributes).
+        fingerprint: the translation's context-free template fingerprint
+            when whoever built it canonicalised it already (the serving
+            layer's text memo does), else None.  Not part of equality.
     """
 
     query: ConjunctiveQuery
@@ -60,6 +66,9 @@ class TranslationResult:
     output_columns: Dict[str, BoundColumn]
     schema: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     column_variables: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    fingerprint: Optional[QueryFingerprint] = field(
+        default=None, compare=False, repr=False
+    )
 
     def variable_for(self, alias: str, column: str) -> Optional[str]:
         """The CQ variable carried by ``alias.column``, if any.

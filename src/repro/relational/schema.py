@@ -8,6 +8,7 @@ lookup helpers.  The SQL translator only needs ``attribute_names``.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -108,6 +109,7 @@ class DatabaseSchema:
 
     def __init__(self, relations: Iterable[RelationSchema] = ()):
         self._relations: Dict[str, RelationSchema] = {}
+        self._digest: Optional[str] = None
         for schema in relations:
             self.add(schema)
 
@@ -115,6 +117,21 @@ class DatabaseSchema:
         if schema.name in self._relations:
             raise SchemaError(f"duplicate relation {schema.name!r}")
         self._relations[schema.name] = schema
+        self._digest = None
+
+    def digest(self) -> str:
+        """A short digest of the relation names and columns.
+
+        Computed once per schema state: :meth:`add` drops it, and
+        ``Database.drop_table`` builds a new schema.
+        """
+        if self._digest is None:
+            parts = [
+                f"{name}({','.join(columns)})"
+                for name, columns in sorted(self.as_mapping().items())
+            ]
+            self._digest = hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
+        return self._digest
 
     def relation(self, name: str) -> RelationSchema:
         try:

@@ -86,12 +86,10 @@ def schema_digest(database: Database) -> str:
     """A short digest of the database schema (relation names + columns).
 
     Part of the fingerprint context: a plan decomposes a query *against a
-    schema*; schema changes must not reuse old templates.
+    schema*; schema changes must not reuse old templates.  Cached on the
+    schema (:meth:`~repro.relational.schema.DatabaseSchema.digest`).
     """
-    parts = []
-    for relation, columns in sorted(database.schema.as_mapping().items()):
-        parts.append(f"{relation}({','.join(columns)})")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
+    return database.schema.digest()
 
 
 # ---------------------------------------------------------------------------

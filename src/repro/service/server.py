@@ -16,7 +16,10 @@ fronted by
   becomes a DNF result, not a stuck worker;
 * **graceful degradation** — templates with no width-≤k decomposition fall
   back to the engine's built-in planner (and the failure itself is cached,
-  so repetitions skip the failing search).
+  so repetitions skip the failing search);
+* a **text memo** — a repeated SQL text skips parsing, translation and
+  canonicalisation: its translation, fingerprint attached, is kept per
+  (exact text, schema digest), LRU-bounded by the plan cache's capacity.
 
 Queries are read-only, so concurrent executions over the shared database
 need no further coordination; all mutable serving state (caches, metrics,
@@ -26,10 +29,13 @@ meters) is lock-guarded.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
+from dataclasses import replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.lockwitness import make_lock
 from repro.engine.dbms import DBMSResult, SimulatedDBMS
 from repro.obs.insights.registry import (
     NULL_INSIGHTS,
@@ -43,6 +49,9 @@ from repro.errors import (
     ReproError,
 )
 from repro.query import ast
+from repro.query.parser import parse_sql
+from repro.query.subqueries import has_subqueries
+from repro.query.translate import TranslationResult
 from repro.core.integration import install_structural_optimizer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import MemoryBudget
@@ -54,6 +63,7 @@ from repro.resilience.context import (
 )
 from repro.resilience.faults import FaultInjector
 from repro.service.executor_pool import ExecutorPool
+from repro.service.fingerprint import fingerprint_translation, schema_digest
 from repro.service.metrics import ServiceMetrics
 from repro.service.plancache import PlanCache
 
@@ -102,7 +112,8 @@ class QueryService:
         workers: pool worker threads.
         queue_capacity: maximum queries waiting for a worker; beyond it,
             :meth:`submit` rejects with ``ServiceOverloaded``.
-        cache_capacity: plan cache entries (0 disables plan caching).
+        cache_capacity: plan cache entries, and text memo entries (0
+            disables both).
         cache_ttl_seconds: plan cache entry lifetime (None = no expiry).
         work_budget: default per-query work-unit budget (None = unlimited).
         fallback_to_builtin: degrade to the built-in planner when no
@@ -186,6 +197,11 @@ class QueryService:
         self.pool = ExecutorPool(
             workers=workers, queue_capacity=queue_capacity, name="hdqo-serve"
         )
+        self._texts: "OrderedDict[Tuple[str, str], TranslationResult]" = (
+            OrderedDict()
+        )
+        self._text_counts = {"hits": 0, "misses": 0}
+        self._texts_lock = make_lock("QueryService._texts_lock")
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -284,9 +300,6 @@ class QueryService:
                 max_cells=self.memory_budget_cells,
                 max_intermediate_rows=self.max_intermediate_rows,
             )
-        query_token = CancellationToken(
-            parents=(self.drain_token,) + ((token,) if token is not None else ())
-        )
         if (
             deadline is None
             and token is None
@@ -299,10 +312,41 @@ class QueryService:
             return None
         return ExecutionContext(
             deadline=deadline,
-            token=query_token,
+            token=CancellationToken(
+                parents=(self.drain_token,) + ((token,) if token is not None else ())
+            ),
             memory=memory,
             faults=self.fault_injector,
         )
+
+    def _translate(self, sql: str) -> Union[ast.SelectQuery, TranslationResult]:
+        """``sql`` through the text memo, keyed on (text, schema digest):
+        translation reads only the schema, so DDL misses and ``analyze()``
+        hits.  A subquery text comes back parsed and is never stored: its
+        flattening executes the subquery against the data, per query.  A
+        stored translation is shared by concurrent queries, never mutated.
+        """
+        key = (sql, schema_digest(self.dbms.database))
+        with self._texts_lock:
+            translation = self._texts.get(key)
+            if translation is not None:
+                self._texts.move_to_end(key)
+                self._text_counts["hits"] += 1
+                return translation
+            self._text_counts["misses"] += 1
+        query = parse_sql(sql)
+        if has_subqueries(query):
+            return query
+        translation = self.dbms.translate(query)
+        translation = replace(
+            translation, fingerprint=fingerprint_translation(translation)
+        )
+        with self._texts_lock:
+            # Two concurrent misses on one text both get here; the last wins.
+            self._texts[key] = translation
+            while len(self._texts) > self.plan_cache.capacity:
+                self._texts.popitem(last=False)
+        return translation
 
     def _run(
         self,
@@ -315,11 +359,14 @@ class QueryService:
         context = self._make_context(deadline_seconds, token)
         started = time.perf_counter()
         try:
+            query: Union[str, ast.SelectQuery, TranslationResult] = sql
+            if isinstance(sql, str) and self.plan_cache.capacity:
+                query = self._translate(sql)
             if context is None:
-                result = self.dbms.run_sql(sql, work_budget=budget)
+                result = self.dbms.run_sql(query, work_budget=budget)
             else:
                 with resilient(context):
-                    result = self.dbms.run_sql(sql, work_budget=budget)
+                    result = self.dbms.run_sql(query, work_budget=budget)
         except DeadlineExceeded:
             self.metrics.record_error()
             self.metrics.record_deadline_miss()
@@ -347,9 +394,11 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Full serving snapshot: metrics + plan cache + pool."""
+        """Full serving snapshot: metrics + plan cache + pool + text memo."""
         data = self.metrics.snapshot(cache=self.plan_cache.snapshot())
         data["pool"] = self.pool.snapshot()
+        with self._texts_lock:
+            data["texts"] = dict(self._text_counts)
         if self.insights.enabled:
             data["insights"] = self.insights.snapshot()
         return data

@@ -192,8 +192,88 @@ class TestQueryService:
         assert snap["pool"]["workers"] == 2
 
     def test_analyze_invalidates_cached_plans(self, chain_db, chain_sql, service):
-        service.execute(chain_sql)
+        first = service.execute(chain_sql)
         assert service.execute(chain_sql).optimizer == "q-hd(cached)"
         chain_db.analyze()  # bumps the statistics version
-        assert service.execute(chain_sql).optimizer == "q-hd"
+        replanned = service.execute(chain_sql)
+        assert replanned.optimizer == "q-hd"
         assert service.plan_cache.stats.invalidations == 1
+        # Translation reads only the schema: the text memo still hits.
+        assert service.snapshot()["texts"] == {"hits": 2, "misses": 1}
+        assert replanned.relation.tuples == first.relation.tuples
+
+
+class TestTextMemo:
+    def test_ddl_retranslates(self, chain_db, chain_sql, service):
+        from repro.errors import QueryError
+        from repro.relational import AttributeType, RelationSchema
+
+        extra_sql = "SELECT extra.z FROM extra, r0 WHERE extra.z = r0.a0"
+        first = service.execute(chain_sql)
+        chain_db.create_table(
+            RelationSchema.of("extra", {"z": AttributeType.INT}), [(1,)]
+        )
+        after_create = service.execute(chain_sql)
+        assert service.snapshot()["texts"] == {"hits": 0, "misses": 2}
+        # The schema digest is in the plan key too: a new plan, same answer.
+        assert after_create.optimizer == "q-hd"
+        assert after_create.relation.tuples == first.relation.tuples
+        assert service.execute(extra_sql).finished
+        chain_db.drop_table("extra")
+        with pytest.raises(QueryError, match="not in the schema"):
+            service.execute(extra_sql)
+        snap = service.snapshot()
+        assert snap["texts"] == {"hits": 0, "misses": 4}
+        assert snap["queries"]["errors"] == 1
+
+    def test_subquery_text_retranslates_every_time(self, chain_db, service):
+        from repro.relational import AttributeType, RelationSchema
+
+        sql = (
+            "SELECT r0.a0, r1.a1 FROM r0, r1 WHERE r0.b0 = r1.a1 "
+            "AND r0.a0 IN (SELECT r2.a2 FROM r2)"
+        )
+        first = service.execute(sql)
+        # Same schema (and digest), other data: a stored flattening would
+        # serve the old IN-list.
+        chain_db.drop_table("r2")
+        chain_db.create_table(
+            RelationSchema.of(
+                "r2", {"a2": AttributeType.INT, "b2": AttributeType.INT}
+            ),
+            [(first.relation.tuples[0][0], 0)],
+        )
+        second = service.execute(sql)
+        baseline = SimulatedDBMS(chain_db, COMMDB_PROFILE).run_sql(sql)
+        assert second.relation.tuples == baseline.relation.tuples
+        assert len(second.relation) < len(first.relation)
+        assert service.snapshot()["texts"] == {"hits": 0, "misses": 2}
+
+    def test_pool_workers_share_one_translation(self, chain_sql, service):
+        import pickle
+        import sys
+
+        from repro.errors import QueryError, SqlSyntaxError
+
+        serial = service.execute(chain_sql)
+        (translation,) = service._texts.values()
+        frozen = pickle.dumps(translation)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = service.run_all([chain_sql] * 50)
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert result.relation.tuples == serial.relation.tuples
+            assert result.work_breakdown == serial.work_breakdown
+        assert pickle.dumps(translation) == frozen
+        # Parse and translate errors are counted, and never stored.
+        with pytest.raises(SqlSyntaxError):
+            service.execute("NOT SQL AT ALL")
+        with pytest.raises(QueryError):
+            service.execute("SELECT missing.x FROM missing")
+        snap = service.snapshot()
+        assert snap["texts"] == {"hits": 50, "misses": 3}
+        assert snap["queries"]["errors"] == 2
+        assert len(service._texts) == 1

@@ -130,7 +130,8 @@ class TestRenameHypertree:
 
 class TestSchemaDigest:
     def test_stable(self, chain_db):
-        assert schema_digest(chain_db) == schema_digest(chain_db)
+        # Computed once per schema state: the very same string comes back.
+        assert schema_digest(chain_db) is schema_digest(chain_db)
 
     def test_changes_with_schema(self, chain_db):
         from repro.relational import AttributeType, RelationSchema
@@ -139,4 +140,12 @@ class TestSchemaDigest:
         chain_db.create_table(
             RelationSchema.of("extra", {"z": AttributeType.INT}), [(1,)]
         )
-        assert schema_digest(chain_db) != before
+        with_extra = schema_digest(chain_db)
+        assert with_extra != before
+        chain_db.drop_table("r0")
+        assert schema_digest(chain_db) not in (before, with_extra)
+        chain_db.drop_table("extra")
+        chain_db.create_table(
+            RelationSchema.of("r0", {"a0": AttributeType.INT, "b0": AttributeType.INT})
+        )
+        assert schema_digest(chain_db) == before

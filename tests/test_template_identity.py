@@ -2,8 +2,9 @@
 
 * the context-free canonicalisation and ``with_context`` compose to the
   fingerprint ``fingerprint_translation(t, context=c)`` always produced;
-* the Fig. 6 handler canonicalises (and digests the schema) exactly once
-  per operation on every path — and never for a bare install;
+* through ``QueryService``, a new SQL text costs one parse and one
+  canonicalisation and a repeated text costs neither, on every path —
+  and the Fig. 6 handler never canonicalises for a bare install;
 * the ladder's four rungs (and rung 1 skipped by an open breaker), and
   the execution-time retry that re-enters it at rung 2, each leave the
   same label / span tag / counter / insights event wherever they are
@@ -24,7 +25,9 @@ from repro.errors import InjectedFault, QueryError
 from repro.obs.insights.registry import InsightsRegistry
 from repro.obs.insights.report import analyze_spans, replay_mismatches
 from repro.obs.tracing import tracing
+from repro.query.parser import _Parser
 from repro.query.translate import sql_to_conjunctive
+from repro.relational.schema import DatabaseSchema
 from repro.resilience import CircuitBreaker, FaultInjector
 from repro.service.fingerprint import fingerprint_translation
 from repro.service.server import QueryService
@@ -79,41 +82,50 @@ def test_contexts_differing_in_k_share_the_labelling(query, k):
 
 
 # ---------------------------------------------------------------------------
-# (b) exactly one canonicalisation per operation
+# (b) a new text: one parse, one canonicalisation; a repeated text: none
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture()
-def identity_calls(monkeypatch):
-    """Count the two halves of the identity as the handler obtains them.
+def front_end(monkeypatch):
+    """Count real parses and colour-refinement runs.
 
-    The handler binds both names when it is installed, so the fixture
-    must be requested before the service (or install) under test exists.
+    Counted where the work happens, not on a wrapper that may return a
+    cached value, so a memo hit counts zero of each.
     """
-    calls = {"canonicalise": 0, "schema_digest": 0}
-    canonicalise = fingerprint_module.fingerprint_translation
-    digest = fingerprint_module.schema_digest
+    counts = {"parse": 0, "refine": 0}
+    parse = _Parser.parse_query
+    refine = fingerprint_module._refine
 
-    def counting_canonicalise(translation, context=""):
-        calls["canonicalise"] += 1
-        return canonicalise(translation, context)
+    def counting_parse(self):
+        counts["parse"] += 1
+        return parse(self)
 
-    def counting_digest(database):
-        calls["schema_digest"] += 1
-        return digest(database)
+    def counting_refine(*args):
+        counts["refine"] += 1
+        return refine(*args)
 
-    monkeypatch.setattr(
-        fingerprint_module, "fingerprint_translation", counting_canonicalise
-    )
-    monkeypatch.setattr(fingerprint_module, "schema_digest", counting_digest)
-    return calls
+    monkeypatch.setattr(_Parser, "parse_query", counting_parse)
+    monkeypatch.setattr(fingerprint_module, "_refine", counting_refine)
+    return counts
 
 
-def _one_operation(calls, run):
-    calls.update(canonicalise=0, schema_digest=0)
-    result = run()
-    assert calls == {"canonicalise": 1, "schema_digest": 1}, calls
-    return result
+def _operations(counts, db, sql, *runs):
+    """Run each operation of ``sql`` in turn: the first (a new text) must
+    cost one parse and one canonicalisation, every later one neither."""
+    translation = SimulatedDBMS(db, COMMDB_PROFILE).translate(sql)
+    counts["refine"] = 0
+    fingerprint_translation(translation)
+    # One canonicalisation: a refinement, plus one per individualization.
+    one = counts["refine"]
+    assert one >= 1
+    results = []
+    for i, run in enumerate(runs):
+        counts.update(parse=0, refine=0)
+        results.append(run())
+        expected = (1, one) if i == 0 else (0, 0)
+        assert (counts["parse"], counts["refine"]) == expected, (i, counts)
+    return results
 
 
 def _seed_lower_width_plan(svc, sql, width=1):
@@ -138,27 +150,26 @@ def _first_call_only(site):
 
 
 class TestOneIdentityPerOperation:
-    def test_miss_then_hit(self, identity_calls, chain_db, chain_sql):
+    def test_miss_then_hit(self, front_end, chain_db, chain_sql):
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2, workers=1
         ) as svc:
-            miss = _one_operation(identity_calls, lambda: svc.execute(chain_sql))
-            hit = _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            run = lambda: svc.execute(chain_sql)  # noqa: E731
+            miss, hit = _operations(front_end, chain_db, chain_sql, run, run)
+            assert svc.snapshot()["texts"] == {"hits": 1, "misses": 1}
         assert (miss.optimizer, hit.optimizer) == ("q-hd", "q-hd(cached)")
 
-    def test_cached_failure(self, identity_calls, chain_db, chain_sql):
+    def test_cached_failure(self, front_end, chain_db, chain_sql):
         # The 4-cycle has no width-1 decomposition; the failure is cached.
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=1, workers=1
         ) as svc:
-            for _ in range(2):
-                result = _one_operation(
-                    identity_calls, lambda: svc.execute(chain_sql)
-                )
-                assert result.optimizer == "builtin-fallback"
+            run = lambda: svc.execute(chain_sql)  # noqa: E731
+            results = _operations(front_end, chain_db, chain_sql, run, run)
             assert svc.snapshot()["cache"]["hits"] == 1
+        assert [r.optimizer for r in results] == ["builtin-fallback"] * 2
 
-    def test_breaker_open(self, identity_calls, chain_db, chain_sql):
+    def test_breaker_open(self, front_end, chain_db, chain_sql):
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
@@ -166,24 +177,23 @@ class TestOneIdentityPerOperation:
             fault_injector=FaultInjector("decompose.search:error:1.0"),
             breaker=CircuitBreaker(failure_threshold=1),
         ) as svc:
-            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
-            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            run = lambda: svc.execute(chain_sql)  # noqa: E731
+            _operations(front_end, chain_db, chain_sql, run, run)
             assert svc.snapshot()["resilience"]["breaker_skips"] == 1
 
-    def test_planning_lower_k_rung(self, identity_calls, chain_db):
+    def test_planning_lower_k_rung(self, front_end, chain_db):
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=3, workers=1
         ) as svc:
             _seed_lower_width_plan(svc, ACYCLIC_SQL)
             svc.fault_injector = FaultInjector("plancache.get:error:1.0")
-            # Two rung keys are derived (k=2 misses, k=1 hits) — still one
-            # canonicalisation.
-            result = _one_operation(
-                identity_calls, lambda: svc.execute(ACYCLIC_SQL)
-            )
-        assert result.optimizer == "q-hd(k=1)"
+            # Two rung keys are derived (k=2 misses, k=1 hits) from the
+            # text's one canonicalisation.
+            run = lambda: svc.execute(ACYCLIC_SQL)  # noqa: E731
+            results = _operations(front_end, chain_db, ACYCLIC_SQL, run, run)
+        assert [r.optimizer for r in results] == ["q-hd(k=1)"] * 2
 
-    def test_execution_lower_k_rung(self, identity_calls, chain_db):
+    def test_execution_lower_k_rung(self, front_end, chain_db):
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
@@ -191,13 +201,15 @@ class TestOneIdentityPerOperation:
             parallel_workers=2,
         ) as svc:
             _seed_lower_width_plan(svc, ACYCLIC_SQL)
-            svc.fault_injector = _first_call_only("exec.qhd")
-            result = _one_operation(
-                identity_calls, lambda: svc.execute(ACYCLIC_SQL)
-            )
-        assert result.optimizer == "q-hd(k=1)"
 
-    def test_insights_on(self, identity_calls, chain_db, chain_sql):
+            def run():
+                svc.fault_injector = _first_call_only("exec.qhd")
+                return svc.execute(ACYCLIC_SQL)
+
+            results = _operations(front_end, chain_db, ACYCLIC_SQL, run, run)
+        assert [r.optimizer for r in results] == ["q-hd(k=1)"] * 2
+
+    def test_insights_on(self, front_end, chain_db, chain_sql):
         insights = InsightsRegistry()
         with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
@@ -205,25 +217,31 @@ class TestOneIdentityPerOperation:
             workers=1,
             insights=insights,
         ) as svc:
-            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
-            _one_operation(identity_calls, lambda: svc.execute(chain_sql))
+            run = lambda: svc.execute(chain_sql)  # noqa: E731
+            _operations(front_end, chain_db, chain_sql, run, run)
         (template,) = insights.snapshot()["templates"].values()
         assert template["queries"] == 2
 
     def test_bare_install_never_canonicalises(
-        self, identity_calls, chain_db, chain_sql
+        self, front_end, chain_db, chain_sql, monkeypatch
     ):
         """What Fig. 9's coupling experiment, the TPC-H suite and
         ``hdqo run`` install: nothing keyed on the template."""
         from repro.service.metrics import ServiceMetrics
 
+        digests = []
+        digest = DatabaseSchema.digest
+        monkeypatch.setattr(
+            DatabaseSchema, "digest", lambda self: digests.append(self) or digest(self)
+        )
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         metrics = ServiceMetrics()
         install_structural_optimizer(dbms, max_width=2, metrics=metrics)
         with tracing() as tracer:
             assert dbms.run_sql(chain_sql).optimizer == "q-hd"
             assert dbms.run_sql(chain_sql).optimizer == "q-hd"
-        assert identity_calls == {"canonicalise": 0, "schema_digest": 0}
+        assert front_end == {"parse": 2, "refine": 0}
+        assert digests == []
         assert metrics.plans_built == 2
         for span in tracer.spans("serve.plan") + tracer.spans("serve.execute"):
             assert "template" not in span.tags
