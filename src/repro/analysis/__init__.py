@@ -12,7 +12,7 @@ machine-checked rules:
   protocol (``check(model)``), :class:`~repro.analysis.base.Finding`
   records, severity levels, and ``# hdqo: ignore[rule-id]`` suppressions;
 * :mod:`repro.analysis.interproc` — the program model every rule checks
-  and the four whole-program analyses over its call graph;
+  and the three whole-program analyses over its call graph;
 * :mod:`repro.analysis.rules` — the per-file rules and the one catalogue
   (:data:`repro.analysis.rules.ALL_RULES`);
 * :mod:`repro.analysis.driver` — the one pass: parse once, run the

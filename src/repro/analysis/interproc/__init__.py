@@ -1,9 +1,9 @@
-"""The program model and the four whole-program analyses.
+"""The program model and the three whole-program analyses.
 
 :mod:`~repro.analysis.interproc.model` parses the source tree once into
 a :class:`~repro.analysis.interproc.model.ProgramModel` — the object
 every rule checks — and, on request, resolves a call graph over it.
-Four rules read that graph (or the class hierarchy):
+Three rules read that graph:
 
 * :mod:`~repro.analysis.interproc.lockorder` — the static
   may-acquire-after graph over ``make_lock`` names must be acyclic
@@ -11,9 +11,6 @@ Four rules read that graph (or the class hierarchy):
 * :mod:`~repro.analysis.interproc.races` — guarded attributes of
   lock-owning or thread-reached classes must be accessed under the class
   lock, and ``*_locked`` helpers called with it held (``interproc-race``);
-* :mod:`~repro.analysis.interproc.codec` — every ``ReproError``
-  subclass must round-trip through the shard wire codec
-  (``interproc-codec``);
 * :mod:`~repro.analysis.interproc.ordering` — set iteration order must
   not flow into plans, routing, or wire messages
   (``interproc-determinism``).
@@ -23,7 +20,6 @@ beside the per-file rules and run through the one driver
 (:func:`repro.analysis.driver.run_analysis`, ``hdqo lint``).
 """
 
-from repro.analysis.interproc.codec import CodecCompletenessAnalysis
 from repro.analysis.interproc.lockorder import (
     LockGraph,
     LockOrderAnalysis,
@@ -38,7 +34,6 @@ from repro.analysis.interproc.ordering import DeterminismAnalysis
 from repro.analysis.interproc.races import SharedStateRaceAnalysis
 
 __all__ = [
-    "CodecCompletenessAnalysis",
     "DeterminismAnalysis",
     "LockGraph",
     "LockOrderAnalysis",

@@ -18,8 +18,13 @@ Resolution is heuristic but sound *in the direction the analyses need*:
 * **``self.x.m()`` / ``v.m()``** resolve through *tracked value flow*:
   ``self.x = ClassName(...)`` and ``v = ClassName(...)`` record the
   instance type, so the method lookup has a receiver class;
+* **declared return types** add the program classes they name
+  (``-> Union[Tracer, NullTracer]``, ``Optional[A]``, ``"A"``) to what a
+  call returns, covering what value flow cannot see (``getattr`` on a
+  thread-local, a ``global`` rebound in another function);
 * **callbacks** resolve one call-site deep: a function reference passed
-  as an argument binds to the receiving parameter, so a callee invoking
+  as an argument binds to the receiving parameter (positional or
+  keyword, keyword-only included), so a callee invoking
   ``param(...)`` gains edges to every function its callers pass in (the
   plan cache's single-flight builder, the executor pool's submitted
   tasks); a parameter stored into ``self.x`` flows into the attribute;
@@ -207,33 +212,6 @@ class ProgramModel:
                 return qualname
         return None
 
-    def subclasses_of(self, root_name: str) -> List[ClassInfo]:
-        """Program classes deriving (transitively) from ``root_name``.
-
-        ``root_name`` is a *bare* class name (``ReproError``): base-class
-        references that could not be resolved to a program qualname are
-        matched by terminal name, so a fixture package's own hierarchy
-        resolves the same way the real one does.
-        """
-        roots = {
-            info.qualname
-            for info in self.classes.values()
-            if info.name == root_name
-        }
-        out: List[ClassInfo] = []
-        for info in self.classes.values():
-            if info.qualname in roots:
-                continue
-            for ancestor in self.mro(info.qualname):
-                if ancestor.qualname in roots:
-                    out.append(info)
-                    break
-            else:
-                # Unresolved base chains: match on raw base names too.
-                if any(base.split(".")[-1] == root_name for base in info.bases):
-                    out.append(info)
-        return out
-
     def reachable_from(self, roots: Set[str]) -> Set[str]:
         """Call-graph closure of ``roots``."""
         seen: Set[str] = set()
@@ -366,7 +344,15 @@ class _ModuleIndexer(ast.NodeVisitor):
             source=self.module.source,
             cls=cls,
             parent=self._func_stack[-1].qualname if self._func_stack else None,
-            params=[arg.arg for arg in node.args.args],
+            # Keyword-only parameters too: call sites bind them by name.
+            params=[
+                arg.arg
+                for arg in (
+                    *node.args.posonlyargs,
+                    *node.args.args,
+                    *node.args.kwonlyargs,
+                )
+            ],
         )
         self.model.functions[qualname] = info
         if self._class_stack and not self._func_stack:
@@ -609,8 +595,44 @@ class _Resolver:
                 self._resolve_call(node, fn)
         if isinstance(fn.node, ast.Lambda):
             fn.returns.merge(self.eval_expr(fn.node.body, fn))
-        elif fn.node.returns is not None and _is_set_annotation(fn.node.returns):
-            fn.returns.is_set = True
+        elif fn.node.returns is not None:
+            fn.returns.is_set |= _is_set_annotation(fn.node.returns)
+            # A declared return type covers what the body hides from value
+            # flow: ``current_context()`` reads a thread-local through
+            # ``getattr``, and ``set_tracer`` rebinds ``current_tracer()``'s
+            # global.
+            fn.returns.classes |= self._annotated_classes(
+                fn.node.returns, fn
+            )
+
+    def _annotated_classes(
+        self, annotation: ast.expr, fn: FunctionInfo
+    ) -> Set[str]:
+        """Program classes an annotation names: ``A``, ``"A"``,
+        ``Optional[A]``, ``Union[A, B]``, ``A | B``."""
+        if isinstance(annotation, ast.Constant) and isinstance(
+            annotation.value, str
+        ):
+            try:
+                annotation = ast.parse(annotation.value, mode="eval").body
+            except SyntaxError:
+                return set()
+        parts: List[ast.expr] = []
+        if isinstance(annotation, ast.BinOp) and isinstance(
+            annotation.op, ast.BitOr
+        ):
+            parts = [annotation.left, annotation.right]
+        elif isinstance(annotation, ast.Subscript) and _terminal_name(
+            annotation.value
+        ) in {"Optional", "Union"}:
+            inner = annotation.slice
+            parts = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+        elif isinstance(annotation, (ast.Name, ast.Attribute)):
+            return self.eval_expr(annotation, fn).classes
+        classes: Set[str] = set()
+        for part in parts:
+            classes |= self._annotated_classes(part, fn)
+        return classes
 
     def lock_names_of(self, expr: ast.expr, fn: FunctionInfo) -> Set[str]:
         """Lock names an expression used as a ``with`` item may denote."""

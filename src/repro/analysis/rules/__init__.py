@@ -3,7 +3,7 @@
 Each rule guards one of the stack's unwritten invariants; see the module
 docstrings for the precise semantics and the rationale.  The first five
 look at one file at a time (:class:`~repro.analysis.base.FileRule`); the
-``interproc-*`` four read the whole program
+``interproc-*`` three read the whole program
 (:mod:`repro.analysis.interproc`).
 
 ==========================  ========  ===================================
@@ -16,7 +16,6 @@ rule id                     severity  guards
 ``span-balance``            error     tracer spans are context-managed
 ``interproc-lock-order``    error     lock acquisition order is acyclic
 ``interproc-race``          error     guarded attributes stay guarded
-``interproc-codec``         error     every error crosses the shard wire
 ``interproc-determinism``   error     set order never reaches a plan
 ==========================  ========  ===================================
 """
@@ -27,7 +26,6 @@ from typing import Tuple
 
 from repro.analysis.base import Rule
 from repro.analysis.interproc import (
-    CodecCompletenessAnalysis,
     DeterminismAnalysis,
     LockOrderAnalysis,
     SharedStateRaceAnalysis,
@@ -45,7 +43,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     SpanBalanceRule(),
     LockOrderAnalysis(),
     SharedStateRaceAnalysis(),
-    CodecCompletenessAnalysis(),
     DeterminismAnalysis(),
 )
 

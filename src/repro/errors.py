@@ -4,13 +4,27 @@ Every error raised by the library derives from :class:`ReproError`, so a
 caller embedding the optimizer can catch a single base class.  More specific
 subclasses are raised close to the failure site and carry enough context to
 diagnose the problem without reading library source.
+
+Every error pickles as itself — type, message and attributes — whatever
+its constructor takes, so a shard worker's error reaches the router as
+the same typed object (:mod:`repro.shard.messages`).
 """
 
 from __future__ import annotations
 
+import copyreg
+from typing import Any, Tuple
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Plain exception pickling re-calls ``cls(*self.args)``, which
+        # breaks (or rewords) any subclass whose constructor takes
+        # structured arguments.  Rebuild through ``cls.__new__`` instead,
+        # then restore ``args`` and the instance attributes as they were.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class HypergraphError(ReproError):

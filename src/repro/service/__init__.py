@@ -5,7 +5,7 @@ star):
 
 * :mod:`repro.service.fingerprint` — canonical, parameter-insensitive
   query-template fingerprints (the cache key);
-* :mod:`repro.service.plancache` — thread-safe LRU+TTL plan cache with
+* :mod:`repro.service.plancache` — thread-safe LRU plan cache with
   statistics-version invalidation;
 * :mod:`repro.service.executor_pool` — bounded worker pool with
   reject-on-saturation admission control;

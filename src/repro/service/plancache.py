@@ -1,4 +1,4 @@
-"""A thread-safe structural plan cache: LRU + TTL + statistics versioning.
+"""A thread-safe structural plan cache: LRU + statistics versioning.
 
 Maps :class:`~repro.service.fingerprint.QueryFingerprint` keys to completed
 q-hypertree decompositions stored in *canonical* names (so one entry serves
@@ -10,8 +10,6 @@ fingerprint (microseconds) plus a rename.
 Invalidation is layered:
 
 * **LRU** — bounded capacity, least-recently-used entry evicted on insert;
-* **TTL** — entries older than ``ttl_seconds`` are evicted lazily on access
-  and eagerly by :meth:`PlanCache.sweep`;
 * **statistics version** — every entry records the
   :attr:`~repro.relational.database.Database.stats_version` it was built
   under; an ANALYZE refresh bumps the version and the next lookup lazily
@@ -25,10 +23,9 @@ every repetition before falling back to the built-in planner.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.analysis.lockwitness import make_lock
 from repro.core.hypertree import Hypertree
@@ -45,14 +42,12 @@ class CachedPlan:
         tree: the decomposition in canonical names; ``None`` caches the
             *absence* of a width-≤k decomposition (the fallback path).
         stats_version: statistics version the plan was costed under.
-        created: monotonic creation timestamp (drives TTL).
         hits: number of times this entry was served.
     """
 
     text: str
     tree: Optional[Hypertree]
     stats_version: int
-    created: float
     hits: int = 0
 
     @property
@@ -69,7 +64,6 @@ class CacheStats:
     misses: int = 0
     inserts: int = 0
     evictions_lru: int = 0
-    evictions_ttl: int = 0
     invalidations: int = 0
 
     @property
@@ -86,36 +80,24 @@ class CacheStats:
             "misses": self.misses,
             "inserts": self.inserts,
             "evictions_lru": self.evictions_lru,
-            "evictions_ttl": self.evictions_ttl,
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
         }
 
 
 class PlanCache:
-    """Thread-safe LRU+TTL cache of canonical structural plans.
+    """Thread-safe LRU cache of canonical structural plans.
 
     Args:
         capacity: maximum entries; 0 disables caching entirely (every
             lookup misses, every store is dropped) — the serving layer's
             "cold" baseline.
-        ttl_seconds: entry lifetime; ``None`` = no expiry.
-        clock: injectable monotonic clock (tests freeze time with it).
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        ttl_seconds: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, capacity: int = 128):
         if capacity < 0:
             raise ValueError("cache capacity must be non-negative")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive")
         self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._lock = make_lock("PlanCache._lock")
         self._build_locks: Dict[str, threading.Lock] = {}
@@ -147,21 +129,13 @@ class PlanCache:
     ) -> Optional[CachedPlan]:
         """The live entry for a fingerprint, or None (counting a miss).
 
-        Stale entries — expired TTL, outdated statistics version, or a
-        digest collision with different canonical text — are evicted here,
-        lazily, with the reason counted.
+        An entry costed under an outdated statistics version is evicted
+        here, lazily, and counted as an invalidation; a digest collision
+        with different canonical text is a plain miss.
         """
         with self._lock:
             entry = self._entries.get(fingerprint.key)
             if entry is None:
-                self.stats.misses += 1
-                return None
-            if (
-                self.ttl_seconds is not None
-                and self._clock() - entry.created > self.ttl_seconds
-            ):
-                del self._entries[fingerprint.key]
-                self.stats.evictions_ttl += 1
                 self.stats.misses += 1
                 return None
             if entry.stats_version != stats_version:
@@ -195,7 +169,6 @@ class PlanCache:
                 text=fingerprint.text,
                 tree=tree,
                 stats_version=stats_version,
-                created=self._clock(),
             )
             self._entries.move_to_end(fingerprint.key)
             self.stats.inserts += 1
@@ -204,22 +177,6 @@ class PlanCache:
                 self.stats.evictions_lru += 1
 
     # ------------------------------------------------------------------
-
-    def sweep(self) -> int:
-        """Eagerly evict every TTL-expired entry; returns how many."""
-        if self.ttl_seconds is None:
-            return 0
-        now = self._clock()
-        with self._lock:
-            expired = [
-                key
-                for key, entry in self._entries.items()
-                if now - entry.created > self.ttl_seconds
-            ]
-            for key in expired:
-                del self._entries[key]
-            self.stats.evictions_ttl += len(expired)
-        return len(expired)
 
     def clear(self) -> None:
         with self._lock:

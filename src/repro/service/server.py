@@ -114,7 +114,6 @@ class QueryService:
             :meth:`submit` rejects with ``ServiceOverloaded``.
         cache_capacity: plan cache entries, and text memo entries (0
             disables both).
-        cache_ttl_seconds: plan cache entry lifetime (None = no expiry).
         work_budget: default per-query work-unit budget (None = unlimited).
         fallback_to_builtin: degrade to the built-in planner when no
             width-≤k decomposition exists.
@@ -154,7 +153,6 @@ class QueryService:
         workers: int = 4,
         queue_capacity: int = 32,
         cache_capacity: int = 128,
-        cache_ttl_seconds: Optional[float] = None,
         work_budget: Optional[int] = None,
         fallback_to_builtin: bool = True,
         optimize: bool = True,
@@ -176,9 +174,7 @@ class QueryService:
         #: Parent token of every in-flight query; :meth:`drain` cancels it.
         self.drain_token = CancellationToken()
         self.metrics = ServiceMetrics()
-        self.plan_cache = PlanCache(
-            capacity=cache_capacity, ttl_seconds=cache_ttl_seconds
-        )
+        self.plan_cache = PlanCache(capacity=cache_capacity)
         self.parallel_workers = parallel_workers
         #: Per-template insights sink; the disabled NULL_INSIGHTS (every
         #: call a constant no-op, zero work-unit cost) unless one is given.

@@ -6,8 +6,8 @@ deterministic worker processes:
 * :mod:`repro.shard.hashring` — consistent hashing of canonical template
   fingerprints to shards (template affinity: isomorphic queries share a
   shard, so each shard's plan cache stays small and hot);
-* :mod:`repro.shard.messages` — the picklable wire protocol and the
-  typed-error codec across the process boundary;
+* :mod:`repro.shard.messages` — the picklable wire protocol (typed
+  errors cross the process boundary as themselves);
 * :mod:`repro.shard.worker` — the worker process: one
   :class:`~repro.service.server.QueryService` (own plan cache, metrics,
   tracer, fault injector) behind its own request queue and response
@@ -39,8 +39,7 @@ from repro.shard.messages import (
     SnapshotReply,
     WorkerExit,
     WorkerReady,
-    decode_error,
-    encode_error,
+    wire_error,
 )
 from repro.shard.router import ShardRouter
 from repro.shard.supervisor import ShardSupervisor, SupervisorPolicy
@@ -61,10 +60,9 @@ __all__ = [
     "SupervisorPolicy",
     "WorkerExit",
     "WorkerReady",
-    "decode_error",
-    "encode_error",
     "merge_metric_snapshots",
     "merge_span_records",
     "shard_cache_hit_rates",
     "shard_worker_main",
+    "wire_error",
 ]

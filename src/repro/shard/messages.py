@@ -1,21 +1,21 @@
-"""The sharding wire protocol: picklable messages and the error codec.
+"""The sharding wire protocol: picklable messages.
 
 Everything that crosses the process boundary between the
 :class:`~repro.shard.router.ShardRouter` and its workers is one of the
 small dataclasses here — no live objects (services, relations, futures)
-ever cross, only plain data.  Two conversions make the boundary
-transparent to callers:
+ever cross, only plain data.  Two rules make the boundary transparent to
+callers:
 
 * **results** travel as :class:`QueryAnswer` (attribute names + tuples +
   the deterministic counters) and are rebuilt into a real
   :class:`~repro.engine.dbms.DBMSResult` on the router side, so a sharded
   answer is byte-identical — rows *and* order — to a single-process one;
-* **errors** travel as :class:`QueryFailure` through
-  :func:`encode_error`/:func:`decode_error`, which reconstruct the typed
-  :class:`~repro.errors.ReproError` subclasses (their constructors take
-  structured arguments, so naive exception pickling would break).  An
-  error type the codec does not know degrades to :class:`ShardError`
-  carrying the original type name — still explicit, still typed.
+* **errors** travel as themselves inside :class:`QueryFailure`: every
+  :class:`~repro.errors.ReproError` pickles with its type, message and
+  attributes.  :func:`wire_error` picks what a worker sends — anything
+  else (a non-``ReproError`` bug, or an error holding an attribute that
+  does not pickle) degrades to :class:`ShardError` carrying the original
+  type name, still explicit, still typed.
 
 Deadlines do not pickle as absolute times: monotonic clocks are
 per-process, so a deadline crosses the boundary as *remaining seconds*
@@ -24,10 +24,10 @@ per-process, so a deadline crosses the boundary as *remaining seconds*
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import errors as errors_module
 from repro.errors import ReproError, ShardError
 
 
@@ -136,16 +136,26 @@ class QueryAnswer:
 
 @dataclass
 class QueryFailure:
-    """A typed error outcome, encoded for reconstruction on the router."""
+    """A typed error outcome; ``error`` is what :func:`wire_error` chose."""
 
     request_id: int
     shard_id: int
-    error_type: str
-    message: str
-    details: Dict[str, object] = field(default_factory=dict)
+    error: ReproError
 
-    def to_error(self) -> ReproError:
-        return decode_error(self.error_type, self.message, self.details)
+
+def wire_error(exc: BaseException) -> ReproError:
+    """The error a worker sends for ``exc``: itself, when it is a
+    :class:`ReproError` that pickles, else a :class:`ShardError` naming
+    its type — so a failure can never leave the router's future unresolved.
+    """
+    if isinstance(exc, ReproError):
+        try:
+            pickle.dumps(exc)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            pass  # an attribute that does not pickle
+        else:
+            return exc
+    return ShardError(str(exc), original_type=type(exc).__name__)
 
 
 @dataclass
@@ -168,11 +178,9 @@ class SnapshotReply:
 class RestartEvent:
     """One supervision transition of a shard worker, in plain-data form.
 
-    The supervisor records these for the cluster slow log and the
-    ``supervisor`` section of the router snapshot; :meth:`to_entry` /
-    :meth:`from_entry` give the record a stable dict form (the shape that
-    crosses snapshot-merge boundaries), mirroring the error codec's
-    round-trip discipline.
+    The supervisor records these, as ``dataclasses.asdict`` dicts, for
+    the cluster slow log and the ``supervisor`` section of the router
+    snapshot.
 
     Attributes:
         shard_id: which shard the event concerns.
@@ -196,39 +204,6 @@ class RestartEvent:
     exitcode: Optional[int] = None
     backoff_seconds: float = 0.0
     inflight_lost: int = 0
-
-    def to_entry(self) -> Dict[str, object]:
-        """The stable dict form used in slow-log events and snapshots."""
-        return {
-            "shard_id": self.shard_id,
-            "kind": self.kind,
-            "incarnation": self.incarnation,
-            "attempt": self.attempt,
-            "exitcode": self.exitcode,
-            "backoff_seconds": self.backoff_seconds,
-            "inflight_lost": self.inflight_lost,
-        }
-
-    @classmethod
-    def from_entry(cls, entry: Dict[str, object]) -> "RestartEvent":
-        """Rebuild an event from :meth:`to_entry`'s dict (round-trips)."""
-        return cls(
-            shard_id=int(entry["shard_id"]),  # type: ignore[arg-type]
-            kind=str(entry["kind"]),
-            incarnation=int(entry.get("incarnation", 0)),  # type: ignore[arg-type]
-            attempt=int(entry.get("attempt", 0)),  # type: ignore[arg-type]
-            exitcode=(
-                None
-                if entry.get("exitcode") is None
-                else int(entry["exitcode"])  # type: ignore[arg-type]
-            ),
-            backoff_seconds=float(
-                entry.get("backoff_seconds", 0.0)  # type: ignore[arg-type]
-            ),
-            inflight_lost=int(
-                entry.get("inflight_lost", 0)  # type: ignore[arg-type]
-            ),
-        )
 
 
 @dataclass
@@ -261,64 +236,3 @@ class WorkerExit:
     open_spans: int = 0
     lock_violation: Optional[str] = None
     incarnation: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Error codec
-# ---------------------------------------------------------------------------
-
-#: Attributes worth carrying across the boundary, per error type.  The
-#: decoder passes them straight back to the constructor, so each tuple
-#: must match the constructor's signature (checked by tests).
-_ERROR_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "WorkBudgetExceeded": ("budget", "spent", "phase"),
-    "DeadlineExceeded": ("deadline_seconds", "elapsed_seconds", "site"),
-    "QueryCancelled": ("reason", "site"),
-    "MemoryBudgetExceeded": (
-        "site", "rows", "row_width", "cells", "budget_cells", "max_rows"
-    ),
-    "InjectedFault": ("site",),
-    "ServiceOverloaded": ("queued", "capacity"),
-    "SqlSyntaxError": ("args0", "position"),
-    "DecompositionNotFound": ("args0", "width"),
-    "ShardError": ("args0", "original_type", "shard_id"),
-    "ShardUnavailable": ("args0", "shard_id", "attempts", "reason"),
-    "LockOrderViolation": ("cycle",),
-}
-
-#: Error types whose constructor takes just a message string.
-_MESSAGE_ONLY = frozenset({
-    "ReproError", "HypergraphError", "QueryError", "SchemaError",
-    "ExecutionError", "DecompositionError", "OptimizationError",
-    "ServiceError", "ServiceClosed",
-})
-
-
-def encode_error(exc: BaseException) -> Tuple[str, str, Dict[str, object]]:
-    """``(type_name, message, details)`` for a :class:`QueryFailure`."""
-    name = type(exc).__name__
-    details: Dict[str, object] = {}
-    for attr in _ERROR_FIELDS.get(name, ()):
-        if attr == "args0":
-            details[attr] = str(exc.args[0]) if exc.args else str(exc)
-        else:
-            details[attr] = getattr(exc, attr, None)
-    return name, str(exc), details
-
-
-def decode_error(
-    error_type: str, message: str, details: Dict[str, object]
-) -> ReproError:
-    """Rebuild the typed error; unknown types become :class:`ShardError`."""
-    cls = getattr(errors_module, error_type, None)
-    if cls is not None and isinstance(cls, type) and issubclass(cls, ReproError):
-        fields = _ERROR_FIELDS.get(error_type)
-        try:
-            if fields is not None:
-                args = [details.get(attr) for attr in fields]
-                return cls(*args)
-            if error_type in _MESSAGE_ONLY:
-                return cls(message)
-        except TypeError:
-            pass  # constructor drifted; fall through to the generic carrier
-    return ShardError(message, original_type=error_type)

@@ -23,7 +23,7 @@ Design points that keep the boundary honest:
   by the shard's own admission control); further submissions block,
   mirroring :meth:`QueryService.run_all`'s blocking admission;
 * **failures are explicit** — worker-side errors come back as typed
-  :class:`~repro.errors.ReproError`\\ s via the message codec, and a
+  :class:`~repro.errors.ReproError`\\ s (each pickles as itself), and a
   worker that *dies* fails its in-flight futures with
   :class:`~repro.errors.ShardError`: the worker holds the only write end
   of its response pipe, so its death reaches the collector as
@@ -534,7 +534,7 @@ class ShardRouter:
         if isinstance(message, QueryAnswer):
             entry.future.set_result(message.to_result())
         else:
-            entry.future.set_exception(message.to_error())
+            entry.future.set_exception(message.error)
 
     def _on_pipe_closed(self, handle: _ShardHandle) -> None:
         """``handle``'s pipe hit end-of-file: the worker is gone (collector).

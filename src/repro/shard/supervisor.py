@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from threading import Condition, Thread
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -346,7 +346,7 @@ class ShardSupervisor:
 
     def _record(self, event: RestartEvent) -> None:
         self._events.record_event(
-            f"shard:{event.shard_id}", event.kind, event.to_entry()
+            f"shard:{event.shard_id}", event.kind, asdict(event)
         )
 
     def events(self) -> List[Dict[str, object]]:

@@ -10,8 +10,10 @@ when ``config.trace``) — then serves a simple loop:
 
 * :class:`~repro.shard.messages.QueryRequest` → submitted to the shard's
   own executor pool (intra-shard concurrency), the outcome posted back as
-  :class:`~repro.shard.messages.QueryAnswer` or
-  :class:`~repro.shard.messages.QueryFailure`;
+  :class:`~repro.shard.messages.QueryAnswer` or as a
+  :class:`~repro.shard.messages.QueryFailure` carrying the typed error
+  itself (:func:`~repro.shard.messages.wire_error` degrades one that
+  cannot cross to :class:`~repro.errors.ShardError`);
 * :class:`~repro.shard.messages.SnapshotCommand` → the service snapshot;
 * :class:`~repro.shard.messages.DrainCommand` → graceful shutdown: the
   service drains (queued queries cancel, in-flight queries abort at their
@@ -53,7 +55,7 @@ from repro.shard.messages import (
     SnapshotReply,
     WorkerExit,
     WorkerReady,
-    encode_error,
+    wire_error,
 )
 
 #: How long the exit path waits for the last response callbacks after the
@@ -148,9 +150,9 @@ def shard_worker_main(
             except CancelledError:
                 # Queued but never started: the drain cancelled it.
                 exc = QueryCancelled("shard draining", site="shard.queue")
-                send(QueryFailure(request_id, shard_id, *encode_error(exc)))
+                send(QueryFailure(request_id, shard_id, exc))
             except BaseException as exc:  # hdqo: ignore[error-swallowing] — delivered as a typed QueryFailure response
-                send(QueryFailure(request_id, shard_id, *encode_error(exc)))
+                send(QueryFailure(request_id, shard_id, wire_error(exc)))
             else:
                 send(_answer_from_result(request_id, shard_id, result))
         finally:
@@ -183,7 +185,7 @@ def shard_worker_main(
             except ReproError as exc:  # overloaded/closed: still explicit
                 send(
                     QueryFailure(
-                        message.request_id, shard_id, *encode_error(exc)
+                        message.request_id, shard_id, wire_error(exc)
                     )
                 )
                 continue

@@ -1,4 +1,4 @@
-"""Tests for the thread-safe LRU+TTL structural plan cache."""
+"""Tests for the thread-safe LRU structural plan cache."""
 
 import threading
 
@@ -16,14 +16,6 @@ def make_fp(name: str, text: str = "") -> QueryFingerprint:
 
 class FakeTree:
     """Stands in for a Hypertree; the cache never inspects entries."""
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class TestBasics:
@@ -54,8 +46,6 @@ class TestBasics:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=-1)
-        with pytest.raises(ValueError):
-            PlanCache(ttl_seconds=0)
 
 
 class TestLRU:
@@ -70,29 +60,6 @@ class TestLRU:
         assert cache.lookup(b, 0) is None
         assert cache.lookup(c, 0) is not None
         assert cache.stats.evictions_lru == 1
-
-
-class TestTTL:
-    def test_lazy_expiry(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        fp = make_fp("a")
-        cache.store(fp, FakeTree(), 0)
-        clock.now = 9.0
-        assert cache.lookup(fp, 0) is not None
-        clock.now = 11.0
-        assert cache.lookup(fp, 0) is None
-        assert cache.stats.evictions_ttl == 1
-
-    def test_sweep(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_seconds=10.0, clock=clock)
-        cache.store(make_fp("a"), FakeTree(), 0)
-        clock.now = 5.0
-        cache.store(make_fp("b"), FakeTree(), 0)
-        clock.now = 12.0
-        assert cache.sweep() == 1  # only "a" expired
-        assert len(cache) == 1
 
 
 class TestStatsVersion:

@@ -1,6 +1,6 @@
-"""Shard subsystem: ring, wire codec, aggregation, router.
+"""Shard subsystem: ring, typed errors on the wire, aggregation, router.
 
-The cheap layers (hash ring, error codec, snapshot/span/registry merges,
+The cheap layers (hash ring, error pickling, snapshot/span/registry merges,
 span-record validation) are tested in-process.  The expensive layer —
 real worker processes behind a :class:`ShardRouter` — runs **once** in a
 module-scoped fixture that drives a multi-template workload through the
@@ -14,6 +14,7 @@ transport — continuous traffic, orphaned workers — is tested at the end.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -30,13 +31,23 @@ import pytest
 from repro.engine.dbms import COMMDB_PROFILE, DBMSResult, SimulatedDBMS
 from repro.errors import (
     DeadlineExceeded,
+    DecompositionError,
+    DecompositionNotFound,
+    ExecutionError,
+    HypergraphError,
     InjectedFault,
+    LockOrderViolation,
     MemoryBudgetExceeded,
+    OptimizationError,
     QueryCancelled,
+    QueryError,
     ReproError,
+    SchemaError,
     ServiceClosed,
+    ServiceError,
     ServiceOverloaded,
     ShardError,
+    ShardUnavailable,
     SqlSyntaxError,
     WorkBudgetExceeded,
 )
@@ -52,12 +63,12 @@ from repro.service.config import ServiceConfig
 from repro.service.server import QueryService
 from repro.shard import (
     ConsistentHashRing,
+    QueryFailure,
     ShardRouter,
-    decode_error,
-    encode_error,
     merge_metric_snapshots,
     merge_span_records,
     shard_cache_hit_rates,
+    wire_error,
 )
 
 from tests.conftest import CHAIN_SQL, assert_wellformed_exposition
@@ -128,49 +139,102 @@ class TestConsistentHashRing:
 
 
 # ---------------------------------------------------------------------------
-# Error codec
+# Typed errors on the wire
 # ---------------------------------------------------------------------------
 
 
+def wire_round_trip(exc):
+    """What the router receives when a worker's query fails with ``exc``:
+    the error :func:`wire_error` picks, sent through a real pipe."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    try:
+        sender.send(QueryFailure(0, 0, wire_error(exc)))
+        return receiver.recv().error
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+#: One example per error type whose constructor takes structured arguments.
+STRUCTURED_ERRORS = [
+    WorkBudgetExceeded(1000, 1234, phase="exec.join"),
+    DeadlineExceeded(0.5, 0.7, site="exec.scan"),
+    QueryCancelled("shard draining", site="shard.queue"),
+    MemoryBudgetExceeded(
+        "exec.join", rows=10, row_width=4, cells=40, budget_cells=30
+    ),
+    InjectedFault("decompose.search"),
+    ServiceOverloaded(queued=64, capacity=64),
+    SqlSyntaxError("unexpected token", position=17),
+    DecompositionNotFound("no width-2 decomposition", width=2),
+    ShardError("worker raised", original_type="KeyError", shard_id=1),
+    ShardUnavailable(
+        "no live shard", shard_id=2, attempts=3, reason="no-live-shard"
+    ),
+    LockOrderViolation(("A._lock", "B._lock", "A._lock")),
+]
+
+#: One example per error type whose constructor takes just a message.
+MESSAGE_ONLY_ERRORS = [
+    ReproError("base"),
+    HypergraphError("unknown vertex"),
+    QueryError("unsupported construct"),
+    SchemaError("unknown relation"),
+    ExecutionError("operator failed"),
+    DecompositionError("invariant violated"),
+    OptimizationError("no plan"),
+    ServiceError("service failed"),
+    ServiceClosed("router closed"),
+]
+
+
+def assert_same_error(rebuilt, original):
+    assert type(rebuilt) is type(original)
+    assert str(rebuilt) == str(original)
+    assert vars(rebuilt) == vars(original)
+
+
 class TestErrorCodec:
+    """Every error crosses the shard pipe as itself (type, message,
+    attributes); what cannot degrades to ``ShardError`` naming its type."""
+
     @pytest.mark.parametrize(
-        "original",
-        [
-            WorkBudgetExceeded(1000, 1234, phase="exec.join"),
-            DeadlineExceeded(0.5, 0.7, site="exec.scan"),
-            QueryCancelled("shard draining", site="shard.queue"),
-            MemoryBudgetExceeded(
-                "exec.join", rows=10, row_width=4, cells=40, budget_cells=30
-            ),
-            InjectedFault("decompose.search"),
-            ServiceOverloaded(queued=64, capacity=64),
-            SqlSyntaxError("unexpected token", position=17),
-        ],
-        ids=lambda e: type(e).__name__,
+        "original", STRUCTURED_ERRORS, ids=lambda e: type(e).__name__
     )
     def test_round_trip_preserves_type_and_attributes(self, original):
-        rebuilt = decode_error(*encode_error(original))
-        assert type(rebuilt) is type(original)
-        assert str(rebuilt) == str(original)
-        for attr, value in vars(original).items():
-            assert getattr(rebuilt, attr) == value
+        assert_same_error(wire_round_trip(original), original)
 
     def test_message_only_types_round_trip(self):
-        rebuilt = decode_error(*encode_error(ServiceClosed("router closed")))
-        assert type(rebuilt) is ServiceClosed
-        assert str(rebuilt) == "router closed"
+        for original in MESSAGE_ONLY_ERRORS:
+            assert_same_error(wire_round_trip(original), original)
+
+    def test_every_error_type_has_an_example(self):
+        covered = {type(e) for e in STRUCTURED_ERRORS + MESSAGE_ONLY_ERRORS}
+        missing = sorted(
+            cls.__name__
+            for cls in {ReproError, *all_subclasses(ReproError)} - covered
+        )
+        assert not missing, f"add a wire round-trip example for {missing}"
 
     def test_unknown_type_degrades_to_shard_error(self):
-        rebuilt = decode_error("NotARealError", "boom", {})
-        assert isinstance(rebuilt, ShardError)
-        assert rebuilt.original_type == "NotARealError"
+        rebuilt = wire_round_trip(KeyError("boom"))
+        assert type(rebuilt) is ShardError
+        assert rebuilt.original_type == "KeyError"
         assert "boom" in str(rebuilt)
 
-    def test_non_error_attribute_never_leaks_arbitrary_types(self):
-        """Only ReproError subclasses reconstruct; e.g. a name that
-        resolves to a non-exception in the errors module degrades."""
-        rebuilt = decode_error("Dict", "boom", {})
-        assert isinstance(rebuilt, ShardError)
+    def test_unpicklable_attribute_degrades_to_shard_error(self):
+        original = QueryError("bad callback")
+        original.callback = lambda: None
+        rebuilt = wire_round_trip(original)
+        assert type(rebuilt) is ShardError
+        assert rebuilt.original_type == "QueryError"
+        assert str(rebuilt) == "bad callback"
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Four layers of coverage, cheapest first:
 
-* **property layer** — hypothesis round-trips of the new wire shapes
-  (:class:`ShardUnavailable` through the error codec,
-  :class:`RestartEvent` through ``to_entry``/``from_entry``) and the
-  bounds of :func:`jittered_backoff` / :class:`RetryBudget`;
+* **property layer** — hypothesis round-trips of
+  :class:`ShardUnavailable` through a real pipe and the bounds of
+  :func:`jittered_backoff` / :class:`RetryBudget`;
 * **unit layer** — the :class:`ShardSupervisor` state machine driven
   with a fake router and a fake clock (no processes, no sleeping):
   seeded backoff schedules, the restart budget opening the breaker, the
@@ -37,16 +36,13 @@ from repro.resilience import RetryBudget, RetryPolicy, jittered_backoff
 from repro.service.config import ServiceConfig
 from repro.shard import (
     ConsistentHashRing,
-    RestartEvent,
     ShardRouter,
     ShardSupervisor,
     SupervisorPolicy,
-    decode_error,
-    encode_error,
 )
 
 from tests.conftest import assert_wellformed_exposition
-from tests.test_shard import SHARDS, TEMPLATES, workload
+from tests.test_shard import SHARDS, TEMPLATES, wire_round_trip, workload
 
 import random as random_module
 
@@ -56,15 +52,6 @@ import random as random_module
 # ---------------------------------------------------------------------------
 
 _REASONS = ["retry-budget", "deadline", "no-live-shard", "draining"]
-
-_EVENT_KINDS = [
-    "worker-death",
-    "restart-scheduled",
-    "worker-restarted",
-    "shard-recovered",
-    "breaker-open",
-]
-
 
 class TestShardUnavailableCodec:
     @settings(max_examples=60, deadline=None)
@@ -80,7 +67,7 @@ class TestShardUnavailableCodec:
         original = ShardUnavailable(
             message, shard_id=shard_id, attempts=attempts, reason=reason
         )
-        rebuilt = decode_error(*encode_error(original))
+        rebuilt = wire_round_trip(original)
         assert type(rebuilt) is ShardUnavailable
         assert str(rebuilt) == str(original)
         assert rebuilt.shard_id == shard_id
@@ -89,36 +76,6 @@ class TestShardUnavailableCodec:
 
     def test_is_a_shard_error(self):
         assert issubclass(ShardUnavailable, ShardError)
-
-
-class TestRestartEventCodec:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        shard_id=st.integers(0, 63),
-        kind=st.sampled_from(_EVENT_KINDS),
-        incarnation=st.integers(0, 100),
-        attempt=st.integers(0, 20),
-        exitcode=st.one_of(st.none(), st.integers(-15, 255)),
-        backoff=st.floats(0.0, 60.0, allow_nan=False),
-        lost=st.integers(0, 1000),
-    )
-    def test_entry_round_trips(
-        self, shard_id, kind, incarnation, attempt, exitcode, backoff, lost
-    ):
-        original = RestartEvent(
-            shard_id=shard_id,
-            kind=kind,
-            incarnation=incarnation,
-            attempt=attempt,
-            exitcode=exitcode,
-            backoff_seconds=backoff,
-            inflight_lost=lost,
-        )
-        assert RestartEvent.from_entry(original.to_entry()) == original
-
-    def test_missing_optional_entry_keys_default(self):
-        event = RestartEvent.from_entry({"shard_id": 3, "kind": "worker-death"})
-        assert event == RestartEvent(shard_id=3, kind="worker-death")
 
 
 class TestRetryPrimitives:
