@@ -16,15 +16,15 @@ machine-checked rules:
 * :mod:`repro.analysis.rules` — the per-file rules and the one catalogue
   (:data:`repro.analysis.rules.ALL_RULES`);
 * :mod:`repro.analysis.driver` — the one pass: parse once, run the
-  selected rules, apply suppressions and the baseline;
+  selected rules, apply the inline suppressions;
 * :mod:`repro.analysis.report` — text and JSON reporters (the ``hdqo
   lint`` CLI output);
 * :mod:`repro.analysis.lockwitness` — the complementary *dynamic* check:
   an opt-in instrumented lock (``HDQO_LOCKCHECK=1``) that records
   per-thread lock-acquisition graphs and reports ordering cycles.
 
-Run it with ``hdqo lint [--format json] [--select rules] [--baseline
-file] [--graphs-out dir] [paths]``.
+Run it with ``hdqo lint [--format json] [--select rules] [--graphs-out
+dir] [paths]``.
 """
 
 from __future__ import annotations

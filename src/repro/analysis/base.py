@@ -60,8 +60,7 @@ class Finding:
     line: int
     column: int
     message: str
-    #: Stable identity of the finding, independent of line numbers — the
-    #: handle baseline entries match on.
+    #: Stable identity of the finding, independent of line numbers.
     key: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:

@@ -16,8 +16,6 @@ def render_text(report: AnalysisReport) -> str:
         f"{report.errors} error(s), {report.warnings} warning(s), "
         f"{report.suppressed} suppressed"
     )
-    if report.baselined:
-        summary += f", {report.baselined} baselined"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -29,7 +27,6 @@ def render_json(report: AnalysisReport) -> str:
         "errors": report.errors,
         "warnings": report.warnings,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "ok": report.ok,
         "findings": [finding.to_dict() for finding in report.findings],
     }

@@ -88,22 +88,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan = HybridOptimizer(database, max_width=args.width).optimize(sql)
     qhd = plan.execute(work_budget=budget, spill=dbms.spill_model)
     rows.append(("q-hd", qhd))
-    if args.parallel >= 2:
-        qhd_par = plan.execute(
-            work_budget=budget,
-            spill=dbms.spill_model,
-            parallel_workers=args.parallel,
-        )
-        rows.append((f"q-hd(par={args.parallel})", qhd_par))
 
     coupled = SimulatedDBMS(database, POSTGRES_PROFILE)
-    handler = install_structural_optimizer(
-        coupled, max_width=args.width, parallel_workers=args.parallel
-    )
-    try:
-        rows.append(("postgres+q-hd", coupled.run_sql(sql, work_budget=budget)))
-    finally:
-        handler.close()  # type: ignore[attr-defined]
+    install_structural_optimizer(coupled, max_width=args.width)
+    rows.append(("postgres+q-hd", coupled.run_sql(sql, work_budget=budget)))
 
     print(f"{'system':<16} {'work':>12} {'rows':>8} {'wall(s)':>9}")
     for name, res in rows:
@@ -149,14 +137,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     With no paths, lints the installed ``repro`` package itself — the
     self-clean gate CI enforces.  Exits 1 when any error-severity finding
-    survives suppression and the baseline, when a ``--select``-ed rule id
-    is unknown, or when a ``--baseline`` file cannot be read.
+    survives suppression, or when a ``--select``-ed rule id is unknown.
     """
     import os.path
 
     import repro
     from repro.analysis import render_json, render_text, run_analysis
-    from repro.analysis.driver import find_baseline, write_graphs
+    from repro.analysis.driver import write_graphs
     from repro.analysis.rules import ALL_RULES
 
     if args.list_rules:
@@ -168,7 +155,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         report = run_analysis(
             paths,
             select=args.select.split(",") if args.select else None,
-            baseline_path=args.baseline or find_baseline(paths),
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -305,7 +291,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         fault_spec=args.inject,
         seed=args.seed,
-        parallel_workers=args.parallel,
         trace=bool(args.trace),
         insights=args.insights,
     )
@@ -788,14 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a query on every system and compare")
     common(p)
     p.add_argument("--budget", type=int, default=5_000_000)
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-query parallel q-HD evaluation on N workers "
-        "(0/1 = serial; results are identical either way)",
-    )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("explain", help="engine plan vs decomposition plan")
@@ -841,13 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="accepted-findings baseline file "
-        "(default: nearest lint-baseline.json above the linted paths)",
     )
     p.add_argument(
         "--graphs-out",
@@ -899,14 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="drain grace period (seconds) on SIGINT/SIGTERM",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-query parallel q-HD evaluation on N workers per query "
-        "(0/1 = serial; results are identical either way)",
     )
     p.add_argument(
         "--shards",

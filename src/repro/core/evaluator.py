@@ -41,7 +41,6 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.relational.relation import Relation
 from repro.resilience.context import current_context, fanout_context
 from repro.core.hypertree import Hypertree, HypertreeNode
-from repro.core.memo import NodeMemo, Signature, node_signature
 from repro.core.pool import SubtreePool
 
 # ---------------------------------------------------------------------------
@@ -167,6 +166,50 @@ def yannakakis_acyclic(
 # ---------------------------------------------------------------------------
 
 
+Signature = Tuple[object, ...]
+
+
+def node_signature(
+    node: HypertreeNode,
+    keep: "Optional[FrozenSet[str]]",
+    relations: Mapping[str, Relation],
+    children: "Tuple[Signature, ...]",
+) -> Signature:
+    """A node's signature given its children's (``ordered_children`` order).
+
+    Two nodes whose subtrees are structurally identical — same λ labels
+    over the same (filtered) relations, same interface projection, same
+    children in the same fold order — materialize the same relation in the
+    same row order, so one tree folds such a subtree once (repeated
+    subquery templates, self-joins).  Within one query the atom name fixes
+    the relation's contents; its cardinality is a cheap guard.
+    """
+    lam = tuple(
+        sorted((name, len(relations[name])) for name in node.lam)
+    )
+    return ("node", lam, keep, node.chi, children)
+
+
+def subtree_signature(
+    node: HypertreeNode,
+    keep: "Optional[FrozenSet[str]]",
+    relations: Mapping[str, Relation],
+) -> Signature:
+    """:func:`node_signature` of a whole subtree, computed recursively.
+
+    Args:
+        node: the decomposition node.
+        keep: the interface projection requested by the parent — at the
+            root, out(Q).
+        relations: atom name → relation, as passed to the evaluator.
+    """
+    children = tuple(
+        subtree_signature(child, child.chi & node.chi, relations)
+        for child in node.ordered_children()
+    )
+    return node_signature(node, keep, relations, children)
+
+
 #: (node, the interface to return, its children with their results in
 #: fold order).
 _Task = Tuple[
@@ -187,17 +230,14 @@ class _Schedule:
     children: Dict[int, List[HypertreeNode]]
     #: node id → the interface its parent requests (out(Q) at the root).
     keeps: Dict[int, FrozenSet[str]]
-    signatures: Dict[int, Signature]
     #: The nodes that will actually be folded, parents before children.
     compute: List[HypertreeNode] = field(default_factory=list)
     #: node id → the structurally identical node whose result it shares.
     aliases: Dict[int, int] = field(default_factory=dict)
-    #: node id → materialization: memo hits up front, fold results as
-    #: they complete.
+    #: node id → materialization, filled as folds complete.
     results: Dict[int, Optional[Relation]] = field(default_factory=dict)
     #: node id → the fold log of each node actually folded.
     traces: Dict[int, List[str]] = field(default_factory=dict)
-    memo_hits: int = 0
 
     def result_of(self, node: HypertreeNode) -> Optional[Relation]:
         return self.results.get(self.aliases.get(node.node_id, node.node_id))
@@ -231,6 +271,8 @@ class QHDEvaluator:
     each to a :class:`~repro.core.pool.SubtreePool` the moment its
     children complete.  The folds, and therefore the answer (rows *and*
     order) and every work-unit charge, are the same at any worker count.
+    A subtree structurally identical to one already scheduled (same
+    :func:`node_signature`) is not folded again: it shares that result.
 
     Args:
         decomposition: the q-hypertree decomposition to evaluate.
@@ -240,9 +282,6 @@ class QHDEvaluator:
         tracer: span sink; pool-worker ``qhd.node`` spans are pinned under
             the submitting ``qhd.parallel`` span.
         workers: pool workers to fan nodes out on; ``0``/``1`` = inline.
-        memo: a per-query :class:`~repro.core.memo.NodeMemo`; pass the same
-            instance across degradation-ladder retries to share subtree
-            materializations.
         pool: an existing pool to run on when ``workers >= 2``; without
             one, an ephemeral pool lives for the :meth:`evaluate` call.
     """
@@ -255,7 +294,6 @@ class QHDEvaluator:
         spill: Optional[SpillModel] = None,
         tracer: "Optional[Union[Tracer, NullTracer]]" = None,
         workers: int = 0,
-        memo: Optional[NodeMemo] = None,
         pool: Optional[SubtreePool] = None,
     ):
         if workers < 0:
@@ -266,7 +304,6 @@ class QHDEvaluator:
         self.spill = spill
         self.tracer = tracer if tracer is not None else current_tracer()
         self.workers = workers
-        self.memo = memo
         self._pool = pool
         self._trace: List[str] = []
 
@@ -342,26 +379,19 @@ class QHDEvaluator:
                 relations,
                 tuple(signatures[c.node_id] for c in children[node.node_id]),
             )
-        schedule = _Schedule(order, children, keeps, signatures)
+        schedule = _Schedule(order, children, keeps)
 
-        # Memo/alias resolution, top-down: a subtree whose signature is
-        # already materialized (an earlier ladder attempt) or claimed by a
-        # structurally identical subtree of this tree is not folded at all
-        # — neither are its descendants.
+        # Alias resolution, top-down: a subtree whose signature is already
+        # claimed by a structurally identical subtree of this tree is not
+        # folded at all — neither are its descendants.
         claimed: Dict[Signature, int] = {}
         stack = [root]
         while stack:
             node = stack.pop()
             signature = signatures[node.node_id]
-            cached = self.memo.get(signature) if self.memo is not None else None
-            if cached is not None:
-                schedule.results[node.node_id] = cached
-                schedule.memo_hits += 1
-                continue
             owner = claimed.get(signature)
             if owner is not None:
                 schedule.aliases[node.node_id] = owner
-                schedule.memo_hits += 1
                 continue
             claimed[signature] = node.node_id
             schedule.compute.append(node)
@@ -447,7 +477,6 @@ class QHDEvaluator:
                     )
                     wait(list(futures))
                     raise
-                parallel_span.tag(memo_hits=schedule.memo_hits)
         finally:
             if self._pool is None:
                 pool.close()
@@ -461,8 +490,6 @@ class QHDEvaluator:
         rel, lines = outcome
         schedule.results[node.node_id] = rel
         schedule.traces[node.node_id] = lines
-        if rel is not None and self.memo is not None:
-            self.memo.put(schedule.signatures[node.node_id], rel)
 
     def _assemble_trace(self, schedule: _Schedule) -> List[str]:
         lines: List[str] = []
@@ -470,10 +497,10 @@ class QHDEvaluator:
             node_id = node.node_id
             if node_id in schedule.traces:
                 lines.extend(schedule.traces[node_id])
-            elif node_id in schedule.aliases or node_id in schedule.results:
+            elif node_id in schedule.aliases:
                 rel = schedule.result_of(node)
                 lines.append(
-                    f"node {node_id}: memo -> "
+                    f"node {node_id}: alias -> "
                     f"{len(rel) if rel is not None else 0} tuples"
                 )
         return lines

@@ -50,9 +50,7 @@ from repro.resilience.context import current_context
 from repro.core.costmodel import DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
 from repro.core.hypertree import Hypertree
-from repro.core.memo import NodeMemo
 from repro.core.optimizer import cost_model_from_database
-from repro.core.pool import SubtreePool
 from repro.core.qhd import q_hypertree_decomp
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -106,7 +104,6 @@ def install_structural_optimizer(
     plan_cache: "Optional[PlanCache]" = None,
     metrics: "Optional[ServiceMetrics]" = None,
     breaker: "Optional[CircuitBreaker]" = None,
-    parallel_workers: int = 0,
     insights: "Optional[Union[InsightsRegistry, NullInsights]]" = None,
 ) -> OptimizerHandler:
     """Replace the engine's optimizer handler with the structural pipeline.
@@ -127,12 +124,10 @@ def install_structural_optimizer(
         breaker: a :class:`repro.resilience.breaker.CircuitBreaker` keyed
             by template fingerprint; templates whose planning keeps failing
             skip the cost-k-decomp search (straight to the ladder's
-            fallback steps) until the cooldown elapses.
-        parallel_workers: ``>= 2`` fans each decomposition's nodes out on
-            a shared :class:`~repro.core.pool.SubtreePool` of that many
-            workers, with a per-request :class:`~repro.core.memo.NodeMemo`;
-            ``0``/``1`` folds them inline.  Rows, row order and work units
-            are the same either way.
+            fallback steps) until the cooldown elapses.  A search cut
+            short by anything but a ladder error (cancellation, a bug)
+            records no outcome: a half-open key goes back to waiting for
+            its trial.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
             receiving one ``record_query`` per handled query (keyed by
@@ -155,6 +150,8 @@ def install_structural_optimizer(
     work/memory budget, injected fault — (2) a cached structural plan at
     a *smaller* width bound (lookup + rename only, never a new search);
     (3) the built-in quantitative planner; (4) the original typed error.
+    The ladder is a planning ladder only: an error raised while
+    *evaluating* the chosen plan reaches the caller as its typed error.
     Every rung taken is recorded on the span that took it
     (``degraded_to``, ``breaker_open`` tags), as a :class:`ServiceMetrics`
     counter and as an event.
@@ -168,19 +165,9 @@ def install_structural_optimizer(
     reads those same values, so ``hdqo report`` replaying the spans
     rebuilds the live record.
 
-    In parallel mode a ladder error while *evaluating* a ``max_width``
-    plan re-enters the ladder at rung 2: the handler retries once with a
-    cached lower-width plan — passing the **same** per-request node memo,
-    so every subtree the failed attempt already materialized (and the
-    retry's tree shares) is reused instead of recomputed — and re-raises
-    when there is none.  The memo never outlives the request, so
-    plan-cache stats-version invalidation still governs freshness.
-
     Returns:
         The installed handler (also retained on the DBMS); call
-        ``dbms.set_optimizer_handler(None)`` to uninstall and
-        ``handler.close()`` to stop its worker pool
-        (``parallel_workers >= 2``).
+        ``dbms.set_optimizer_handler(None)`` to uninstall.
     """
     from repro.service.fingerprint import (
         fingerprint_translation,
@@ -198,11 +185,6 @@ def install_structural_optimizer(
     # them so a repeated query re-reads the statistics catalog zero times.
     model_cache: dict = {}
     model_lock = make_lock("integration.model_cache")
-
-    # One shared pool for every request the handler serves;
-    # node tasks never wait on other node tasks, so requests interleave
-    # on it without deadlock risk.
-    pool = SubtreePool(parallel_workers) if parallel_workers >= 2 else None
 
     def _model_for(
         engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
@@ -320,9 +302,8 @@ def install_structural_optimizer(
         """Rung 2: a cached decomposition at a smaller width bound.
 
         Lookup + rename only — never a new search.  Taking the rung is
-        recorded here, once, for the planning step and the execution
-        retry alike: the ``degraded_to`` tag on the span that took it,
-        the ``degraded_lower_k`` counter, the event.  Returns
+        recorded here, once: the ``degraded_to`` tag on the span that took
+        it, the ``degraded_lower_k`` counter, the event.  Returns
         ``(decomposition, k)`` or ``(None, None)``.
         """
         if not caching:
@@ -339,21 +320,6 @@ def install_structural_optimizer(
             events.append("degraded:lower-k")
             return _named_for(translation, entry.tree, fingerprint), lower
         return None, None
-
-    def _evaluate(engine, translation, meter, tracer, tree, memo):
-        base = atom_relations(
-            translation.query, engine.database, translation, meter
-        )
-        return QHDEvaluator(
-            tree,
-            translation.query,
-            meter,
-            spill=engine.spill_model,
-            tracer=tracer,
-            workers=parallel_workers,
-            memo=memo,
-            pool=pool,
-        ).evaluate(base)
 
     def handler(
         engine: SimulatedDBMS, translation: TranslationResult, meter: WorkMeter
@@ -399,6 +365,12 @@ def install_structural_optimizer(
                                 cache_hit=False, plan_error=type(exc).__name__
                             )
                             events.append(f"plan_error:{type(exc).__name__}")
+                        except BaseException:
+                            # Cut short, not failed: the template proved
+                            # nothing, so a half-open trial is handed back.
+                            if breaker is not None:
+                                breaker.release(key)
+                            raise
                         else:
                             span.tag(cache_hit=cache_hit, plan_units=plan_units)
                         if breaker is not None:
@@ -442,31 +414,16 @@ def install_structural_optimizer(
                         plan_text = f"(builtin fallback: {label})\n{plan_text}"
                         label = "builtin-fallback"
                     else:
-                        memo = NodeMemo() if parallel_workers >= 2 else None
-                        try:
-                            answer = _evaluate(
-                                engine, translation, meter, tracer,
-                                decomposition, memo,
-                            )
-                        except _LADDER_ERRORS:
-                            # The execution retry is rung 2 again (parallel
-                            # mode only, and only from a max_width plan):
-                            # the same per-request memo goes to the retry,
-                            # so subtrees the failed attempt already
-                            # materialized are reused, not recomputed.
-                            if memo is None or lower_k is not None:
-                                raise
-                            decomposition, lower_k = _lower_k(
-                                engine, translation, identity, events, span
-                            )
-                            if decomposition is None:
-                                raise
-                            answer = _evaluate(
-                                engine, translation, meter, tracer,
-                                decomposition, memo,
-                            )
-                        if memo is not None:
-                            span.tag(memo_hits=memo.hits)
+                        base = atom_relations(
+                            translation.query, engine.database, translation, meter
+                        )
+                        answer = QHDEvaluator(
+                            decomposition,
+                            translation.query,
+                            meter,
+                            spill=engine.spill_model,
+                            tracer=tracer,
+                        ).evaluate(base)
                         plan_text = decomposition.render()
                         if lower_k is not None:
                             label = f"q-hd(k={lower_k})"
@@ -520,11 +477,4 @@ def install_structural_optimizer(
         return answer, plan_text, label
 
     dbms.set_optimizer_handler(handler)
-
-    def close() -> None:
-        """Stop the handler's worker pool (idempotent; a no-op without one)."""
-        if pool is not None:
-            pool.close()
-
-    handler.close = close  # type: ignore[attr-defined]
     return handler

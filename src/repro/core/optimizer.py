@@ -131,14 +131,8 @@ class OptimizedPlan:
         work_budget: Optional[int] = None,
         spill: Optional[SpillModel] = None,
         tracer: "Optional[Union[Tracer, NullTracer]]" = None,
-        parallel_workers: int = 0,
     ) -> DBMSResult:
-        """Evaluate via the q-hypertree evaluator and apply SQL semantics.
-
-        ``parallel_workers >= 2`` fans the decomposition's nodes out on
-        that many pool workers; ``0``/``1`` folds them inline.  Rows, row
-        order and work units are the same either way.
-        """
+        """Evaluate via the q-hypertree evaluator and apply SQL semantics."""
         from repro.errors import WorkBudgetExceeded
 
         meter = WorkMeter(budget=work_budget)
@@ -153,7 +147,6 @@ class OptimizedPlan:
                 meter,
                 spill,
                 tracer=tracer,
-                workers=parallel_workers,
             )
             answer = evaluator.evaluate(base)
             final = apply_sql_semantics(answer, self.translation, meter)

@@ -20,7 +20,7 @@ the self-contained equivalent of pointing the rewriting at CommDB.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import DecompositionError, QueryError, WorkBudgetExceeded
@@ -271,115 +271,10 @@ def _rewrite_order_expr(
     raise QueryError(f"ORDER BY supports plain columns/aliases, got {expression}")
 
 
-def _view_dependencies(
-    views: "Sequence[Tuple[str, str]]",
-) -> "Dict[str, List[str]]":
-    """Which earlier views each view's SQL references, by name.
-
-    View names are ordinary identifiers, so a word-boundary scan of the
-    statement text is exact (the generator never embeds a view name in a
-    string literal).
-    """
-    deps: "Dict[str, List[str]]" = {}
-    earlier: List[str] = []
-    for name, sql in views:
-        pattern = re.compile(
-            r"\b(" + "|".join(map(re.escape, earlier)) + r")\b"
-        ) if earlier else None
-        deps[name] = (
-            sorted(set(pattern.findall(sql))) if pattern is not None else []
-        )
-        earlier.append(name)
-    return deps
-
-
-def _materialize_views_parallel(
-    view_plan: SqlViewPlan,
-    dbms,
-    work_budget: "Optional[int]",
-    workers: int,
-    created: List[str],
-) -> "Tuple[int, float]":
-    """Materialize the view stack in dependency waves on a thread pool.
-
-    Each wave holds every not-yet-built view whose referenced views are all
-    materialized; statements in a wave run concurrently (queries are
-    read-only over the shared database), then the wave's tables are created
-    — and its work units summed — in the serial view order.  Results,
-    created tables, and totals are identical to the serial loop; only wall
-    clock differs.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.resilience.context import set_context
-
-    context = current_context()
-    deps = _view_dependencies(view_plan.views)
-    order = [name for name, _ in view_plan.views]
-    sql_of = dict(view_plan.views)
-    total_work = 0
-    total_elapsed = 0.0
-    done: set = set()
-
-    def run_view(sql: str, remaining: "Optional[int]"):
-        # Workers inherit the caller's resilience context so deadlines,
-        # cancellation, and fault injection keep reaching every statement.
-        set_context(context)  # type: ignore[arg-type]
-        try:
-            return dbms.run_sql(sql, bypass_handler=True, work_budget=remaining)
-        finally:
-            set_context(None)
-
-    with ThreadPoolExecutor(
-        max_workers=max(2, workers), thread_name_prefix="hdqo-views"
-    ) as pool:
-        while len(done) < len(order):
-            wave = [
-                name
-                for name in order
-                if name not in done and all(d in done for d in deps[name])
-            ]
-            context.checkpoint("views.execute")
-            remaining = None
-            if work_budget is not None:
-                remaining = work_budget - total_work
-                if remaining <= 0:
-                    raise WorkBudgetExceeded(
-                        work_budget, total_work, phase="views.execute"
-                    )
-            futures = {
-                name: pool.submit(run_view, sql_of[name], remaining)
-                for name in wave
-            }
-            # Await the whole wave before touching the catalog: create_table
-            # mutates shared state the in-flight statements read from.
-            results = {name: futures[name].result() for name in wave}
-            for name in wave:
-                result = results[name]
-                total_work += result.work
-                total_elapsed += result.elapsed_seconds
-                if not result.finished:
-                    raise WorkBudgetExceeded(
-                        work_budget, total_work, phase="views.execute"
-                    )
-                relation = result.relation
-                if relation is None:
-                    raise QueryError(f"view {name} did not finish")
-                schema = RelationSchema.of(
-                    name,
-                    {attr: AttributeType.STRING for attr in relation.attributes},
-                )
-                dbms.database.create_table(schema, relation.tuples)
-                created.append(name)
-                done.add(name)
-    return total_work, total_elapsed
-
-
 def execute_view_plan(
     view_plan: SqlViewPlan,
     dbms,
     work_budget: "Optional[int]" = None,
-    parallel_workers: int = 0,
 ) -> "DBMSResultLike":
     """Run the view stack on a :class:`repro.engine.dbms.SimulatedDBMS`.
 
@@ -395,51 +290,15 @@ def execute_view_plan(
             mid-view (raising :class:`~repro.errors.WorkBudgetExceeded`
             with the cumulative spend) rather than enforcing the budget
             only at statement boundaries.
-        parallel_workers: ``>= 2`` runs *independent* views (no dependency
-            path between them in the view stack) concurrently, in
-            dependency waves.  Tables are still created — and work units
-            summed — in the serial view order, so results and totals are
-            identical to the serial path.  With a budget, enforcement
-            moves to wave boundaries: each statement in a wave runs under
-            the balance remaining when its wave started.
     """
     context = current_context()
     created: List[str] = []
     total_work = 0
     total_elapsed = 0.0
-    try:
-        if parallel_workers >= 2 and len(view_plan.views) > 1:
-            total_work, total_elapsed = _materialize_views_parallel(
-                view_plan, dbms, work_budget, parallel_workers, created
-            )
-        else:
-            for name, sql in view_plan.views:
-                context.checkpoint("views.execute")
-                remaining = None
-                if work_budget is not None:
-                    remaining = work_budget - total_work
-                    if remaining <= 0:
-                        raise WorkBudgetExceeded(
-                            work_budget, total_work, phase="views.execute"
-                        )
-                result = dbms.run_sql(
-                    sql, bypass_handler=True, work_budget=remaining
-                )
-                total_work += result.work
-                total_elapsed += result.elapsed_seconds
-                if not result.finished:
-                    raise WorkBudgetExceeded(
-                        work_budget, total_work, phase="views.execute"
-                    )
-                relation = result.relation
-                if relation is None:
-                    raise QueryError(f"view {name} did not finish")
-                schema = RelationSchema.of(
-                    name,
-                    {attr: AttributeType.STRING for attr in relation.attributes},
-                )
-                dbms.database.create_table(schema, relation.tuples)
-                created.append(name)
+
+    def run(sql: str):
+        # One budget step per statement, views and final SELECT alike.
+        nonlocal total_work, total_elapsed
         context.checkpoint("views.execute")
         remaining = None
         if work_budget is not None:
@@ -448,13 +307,25 @@ def execute_view_plan(
                 raise WorkBudgetExceeded(
                     work_budget, total_work, phase="views.execute"
                 )
-        final = dbms.run_sql(
-            view_plan.final_sql, bypass_handler=True, work_budget=remaining
-        )
-        total_work += final.work
-        total_elapsed += final.elapsed_seconds
-        if not final.finished:
+        result = dbms.run_sql(sql, bypass_handler=True, work_budget=remaining)
+        total_work += result.work
+        total_elapsed += result.elapsed_seconds
+        if not result.finished:
             raise WorkBudgetExceeded(work_budget, total_work, phase="views.execute")
+        return result
+
+    try:
+        for name, sql in view_plan.views:
+            relation = run(sql).relation
+            if relation is None:
+                raise QueryError(f"view {name} did not finish")
+            schema = RelationSchema.of(
+                name,
+                {attr: AttributeType.STRING for attr in relation.attributes},
+            )
+            dbms.database.create_table(schema, relation.tuples)
+            created.append(name)
+        final = run(view_plan.final_sql)
         final.work = total_work
         final.elapsed_seconds = total_elapsed
         final.simulated_seconds = total_work * dbms.profile.work_time_factor

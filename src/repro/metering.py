@@ -80,7 +80,7 @@ class WorkMeter:
 
     def __repr__(self) -> str:
         budget = f"/{self.budget}" if self.budget is not None else ""
-        return f"WorkMeter({self.total}{budget})"
+        return f"WorkMeter({self.total}{budget})"  # hdqo: ignore[interproc-race] — repr runs inside locked sections and _lock is not reentrant; a racy int read only shows a stale total
 
 
 #: Meter categories charged during planning; everything else is execution.

@@ -1,15 +1,15 @@
-"""Intra-query parallel q-HD evaluation — the names of its pieces.
+"""The evaluator-level fan-out pieces, under the names their callers use.
 
-The implementation lives with the evaluator: one
-:class:`~repro.core.evaluator.QHDEvaluator` fans decomposition nodes out
-on a :class:`~repro.core.pool.SubtreePool` when ``workers >= 2``, shares
-subtree materializations through a :class:`~repro.core.memo.NodeMemo`,
-and folds with :meth:`Relation.join_project
-<repro.relational.relation.Relation.join_project>`.
+A served or stand-alone query folds its decomposition inline, on the
+calling thread.  :class:`~repro.core.evaluator.QHDEvaluator` still takes
+``workers >= 2`` to fan nodes out on a :class:`~repro.core.pool.SubtreePool`
+because the benchmark's per-layer ``parallel.*`` metrics
+(``perf/staged.py``) and the evaluator's worker-count parity tests use it;
+this module goes with those metrics.
 """
 
 from repro.core.evaluator import QHDEvaluator as ParallelQHDEvaluator
-from repro.core.memo import NodeMemo, subtree_signature
+from repro.core.evaluator import subtree_signature
 from repro.core.pool import SubtreePool
 from repro.relational.relation import Relation
 
@@ -19,7 +19,6 @@ joined_attributes = Relation.joined_attributes
 __all__ = [
     "ParallelQHDEvaluator",
     "SubtreePool",
-    "NodeMemo",
     "subtree_signature",
     "fused_join_project",
     "joined_attributes",

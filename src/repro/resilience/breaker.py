@@ -13,7 +13,9 @@ Standard three-state breaker, keyed by template fingerprint:
   skipped entirely (``allow`` returns False) until ``cooldown_seconds``
   pass.
 * **half-open** — after the cooldown one trial search is admitted; success
-  closes the breaker, failure re-opens it for another cooldown.
+  closes the breaker, failure re-opens it for another cooldown, and a
+  trial that ends with no outcome (``release``) leaves the next caller to
+  run the trial instead.
 
 The clock is injectable so tests drive the state machine without sleeping.
 """
@@ -107,6 +109,18 @@ class CircuitBreaker:
                     self.trips += 1
                 state.state = OPEN
                 state.opened_at = self._clock()
+
+    def release(self, key: str) -> None:
+        """The admitted search ended without an outcome (cancelled, a bug).
+
+        A half-open key goes back to open with its cooldown still elapsed,
+        so the next ``allow`` admits a fresh trial; a closed key is left
+        as it is.
+        """
+        with self._lock:
+            state = self._keys.get(key)
+            if state is not None and state.state == HALF_OPEN:
+                state.state = OPEN
 
     # ------------------------------------------------------------------
 

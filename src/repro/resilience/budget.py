@@ -87,4 +87,4 @@ class MemoryBudget:
 
     def __repr__(self) -> str:
         cap = self.max_cells if self.max_cells is not None else "∞"
-        return f"MemoryBudget({self.live_cells}/{cap} cells)"
+        return f"MemoryBudget({self.live_cells}/{cap} cells)"  # hdqo: ignore[interproc-race] — repr runs inside locked sections and _lock is not reentrant; a racy read only shows a stale count

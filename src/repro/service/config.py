@@ -30,7 +30,7 @@ class ServiceConfig:
     Attributes:
         database: the (pickled) database every service serves.
         max_width, workers, queue_capacity, cache_capacity, work_budget,
-        deadline_seconds, parallel_workers: forwarded to
+        deadline_seconds: forwarded to
             :class:`~repro.service.server.QueryService` under the same
             names.
         fault_spec: fault-injection spec string (chaos testing); each
@@ -56,7 +56,6 @@ class ServiceConfig:
     deadline_seconds: Optional[float] = None
     fault_spec: Optional[str] = None
     seed: int = 0
-    parallel_workers: int = 0
     trace: bool = False
     insights: bool = False
 
@@ -79,6 +78,5 @@ class ServiceConfig:
                 if self.fault_spec
                 else None
             ),
-            parallel_workers=self.parallel_workers,
             insights=InsightsRegistry() if self.insights else None,
         )

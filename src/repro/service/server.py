@@ -133,11 +133,6 @@ class QueryService:
         breaker: the per-template :class:`CircuitBreaker` backing the
             degradation ladder; pass one explicitly to share or configure
             it, or leave the default (3 failures, 30 s cooldown).
-        parallel_workers: ``>= 2`` fans each query's decomposition nodes
-            out on that many :class:`repro.core.pool.SubtreePool` workers;
-            ``0``/``1`` folds them inline (rows, row order and work units
-            are the same either way).  Orthogonal to ``workers``, which
-            bounds how many *queries* run concurrently.
         insights: a per-template
             :class:`~repro.obs.insights.registry.InsightsRegistry`
             receiving one record per handled query and slow-query
@@ -161,7 +156,6 @@ class QueryService:
         max_intermediate_rows: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
         breaker: Optional[CircuitBreaker] = None,
-        parallel_workers: int = 0,
         insights: "Optional[Union[InsightsRegistry, NullInsights]]" = None,
     ):
         self.dbms = dbms
@@ -175,7 +169,6 @@ class QueryService:
         self.drain_token = CancellationToken()
         self.metrics = ServiceMetrics()
         self.plan_cache = PlanCache(capacity=cache_capacity)
-        self.parallel_workers = parallel_workers
         #: Per-template insights sink; the disabled NULL_INSIGHTS (every
         #: call a constant no-op, zero work-unit cost) unless one is given.
         self.insights = insights if insights is not None else NULL_INSIGHTS
@@ -187,7 +180,6 @@ class QueryService:
             plan_cache=self.plan_cache,
             metrics=self.metrics,
             breaker=self.breaker,
-            parallel_workers=parallel_workers,
             insights=self.insights,
         )
         self.pool = ExecutorPool(
@@ -417,7 +409,6 @@ class QueryService:
         )
         if self.dbms.optimizer_handler is self._handler:
             self.dbms.set_optimizer_handler(None)
-        self._handler.close()  # type: ignore[attr-defined]
         return drained
 
     def close(self) -> None:
@@ -428,7 +419,6 @@ class QueryService:
         self.pool.shutdown(wait=True)
         if self.dbms.optimizer_handler is self._handler:
             self.dbms.set_optimizer_handler(None)
-        self._handler.close()  # type: ignore[attr-defined]
 
     def __enter__(self) -> "QueryService":
         return self

@@ -620,8 +620,9 @@ class TestLintCli:
         with pytest.raises(SystemExit):
             cli_main(["lint", "--help"])
         out = capsys.readouterr().out
-        assert "--jobs" not in out and "--interproc" not in out
-        assert "--baseline" in out and "--graphs-out" in out
+        for removed in ("--jobs", "--interproc", "--baseline"):
+            assert removed not in out
+        assert "--graphs-out" in out
 
     def test_list_rules_prints_catalogue(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0

@@ -22,18 +22,8 @@ from repro.service.server import QueryService
 
 from tests.conftest import CHAIN_SQL
 
-#: CI re-runs this whole suite with intra-query parallel evaluation
-#: (``HDQO_TEST_PARALLEL=4``); the availability contract must hold there too.
-PARALLEL_WORKERS = int(os.environ.get("HDQO_TEST_PARALLEL", "0") or 0)
-
 #: Worker-process count for the sharded storm; CI's shards job sets 8.
 SHARDS = int(os.environ.get("HDQO_TEST_SHARDS", "3") or 3)
-
-
-def make_service(dbms: SimulatedDBMS, **kwargs) -> QueryService:
-    """A :class:`QueryService` honouring the suite's parallel-workers knob."""
-    kwargs.setdefault("parallel_workers", PARALLEL_WORKERS)
-    return QueryService(dbms, **kwargs)
 
 #: ~10 % faults across planning, cache, and execution sites.
 STORM_FAULTS = (
@@ -69,7 +59,7 @@ class TestChaosStorm:
     def test_storm_correct_or_typed_error(self, chain_db, baselines):
         injector = FaultInjector(STORM_FAULTS, seed=42)
         queries = storm_queries()
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
             workers=8,
@@ -112,7 +102,7 @@ class TestChaosStorm:
         """The same seed yields the same per-query verdicts twice."""
 
         def verdicts():
-            svc = make_service(
+            svc = QueryService(
                 SimulatedDBMS(chain_db, COMMDB_PROFILE),
                 max_width=2,
                 workers=1,  # serial: call order (hence firing) is fixed
@@ -138,7 +128,7 @@ class TestChaosStorm:
 
     def test_storm_recovers_when_faults_stop(self, chain_db, baselines):
         """After the injector is removed, the same service serves cleanly."""
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
             workers=4,
@@ -161,7 +151,7 @@ class TestChaosStorm:
 
 class TestDrainUnderStorm:
     def test_drain_mid_storm_leaves_no_stragglers(self, chain_db, baselines):
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
             workers=4,
@@ -234,7 +224,6 @@ class TestShardChaosStorm:
             queue_capacity=len(queries),
             fault_spec=STORM_FAULTS,
             seed=42,
-            parallel_workers=PARALLEL_WORKERS,
         )
         router = ShardRouter(config, shards=SHARDS)
         try:
@@ -268,7 +257,6 @@ class TestShardChaosStorm:
             queue_capacity=256,
             fault_spec="exec.join:latency:0.5:2",
             seed=3,
-            parallel_workers=PARALLEL_WORKERS,
         )
         router = ShardRouter(config, shards=SHARDS)
         queries = shard_storm_queries(repetitions=10)
@@ -299,7 +287,7 @@ class TestServiceErrorPaths:
             started.set()
             release.wait(timeout=30)
 
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
             workers=1,
@@ -326,7 +314,7 @@ class TestServiceErrorPaths:
     ):
         from repro.errors import SqlSyntaxError
 
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2, workers=2
         )
         sql = storm_queries()[0]
@@ -346,7 +334,7 @@ class TestServiceErrorPaths:
     def test_analyze_racing_single_flight_build(self, chain_db, baselines):
         """Statistics refreshes racing concurrent plan builds never yield a
         stale or wrong plan — at worst an extra rebuild."""
-        svc = make_service(
+        svc = QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE),
             max_width=2,
             workers=4,
@@ -371,7 +359,7 @@ class TestServiceErrorPaths:
             thread.join(timeout=10)
             svc.close()
         # The race settles: a fresh execute plans against current stats.
-        with make_service(
+        with QueryService(
             SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2, workers=1
         ) as fresh:
             result = fresh.execute(sql)
@@ -411,7 +399,6 @@ class TestWorkerKillStorm:
             workers=2,
             queue_capacity=len(queries),
             seed=42,
-            parallel_workers=PARALLEL_WORKERS,
         )
         policy = SupervisorPolicy(
             max_restarts=12,

@@ -14,12 +14,12 @@ from repro.errors import HypergraphError
 from repro.metering import SpillModel, WorkMeter
 from repro.query.builder import ConjunctiveQueryBuilder
 from repro.core.detkdecomp import det_k_decomp
-from repro.core.memo import NodeMemo
 from repro.core.evaluator import (
     QHDEvaluator,
     atom_relations,
     evaluate_hd_classic,
     evaluate_qhd,
+    subtree_signature,
     yannakakis_acyclic,
     yannakakis_boolean,
 )
@@ -261,20 +261,28 @@ class TestProjectionRule:
         # The root's last fold already holds exactly the answer's rows.
         assert root_lines[-1].endswith(f"-> {len(answer)} tuples")
 
-    def test_shared_memo_keys_the_root_on_the_head(self):
-        """Two heads over one body share a memo but never a root result."""
+    def test_signature_keys_the_root_on_the_head(self):
+        """Two heads over one body sign their subtrees alike but never
+        their roots, so no root result is ever shared between them."""
         narrow = chain_query(5, output=("V0",))
         wide = narrow.with_output(["V0", "V2"])
         rels = relations_for(wide, seed=6, rows=20, values=3)
         tree = q_hypertree_decomp(wide, 2)
-        memo = NodeMemo()
-        first = QHDEvaluator(tree, narrow, memo=memo).evaluate(rels)
-        second = QHDEvaluator(tree, wide, memo=memo).evaluate(rels)
-        assert memo.hits > 0  # the subtrees below the root were shared
-        assert first.same_content(brute_force_answer(narrow, rels))
-        assert second.same_content(brute_force_answer(wide, rels))
-        fresh = QHDEvaluator(tree, wide).evaluate(rels)
-        assert second.tuples == fresh.tuples
+        root = tree.root
+        assert subtree_signature(
+            root, frozenset(narrow.output), rels
+        ) != subtree_signature(root, frozenset(wide.output), rels)
+        for child in root.ordered_children():
+            keep = child.chi & root.chi
+            assert subtree_signature(child, keep, rels) == subtree_signature(
+                child, keep, rels
+            )
+        assert QHDEvaluator(tree, narrow).evaluate(rels).same_content(
+            brute_force_answer(narrow, rels)
+        )
+        assert QHDEvaluator(tree, wide).evaluate(rels).same_content(
+            brute_force_answer(wide, rels)
+        )
 
 
 @settings(max_examples=30, deadline=None)

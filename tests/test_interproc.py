@@ -1,20 +1,22 @@
 """The whole-program analyses: each on seeded bad/good fixture packages,
-suppression and baseline behavior (uniform across rules), the JSON
-reporter schema, the parse-exactly-once invariant, the dynamic-witness ⊆
-static-graph soundness check — and the self-clean gate (zero unbaselined
-findings on ``src/repro``)."""
+inline suppression (uniform across rules), the JSON reporter schema, the
+parse-exactly-once invariant, the dynamic-witness ⊆ static-graph soundness
+check — and the self-clean gate (zero unsuppressed findings on
+``src/repro``)."""
 
 from __future__ import annotations
 
 import json
+import re
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.analysis.base import FileSource
-from repro.analysis.driver import find_baseline, run_analysis
+from repro.analysis.driver import run_analysis
 from repro.analysis.interproc import build_lock_graph
 from repro.cli import main as cli_main
 
@@ -31,22 +33,6 @@ def write_fixture(tmp_path: Path, files: dict) -> Path:
 
 def interproc_report(tmp_path: Path, files: dict, **kwargs):
     return run_analysis([str(write_fixture(tmp_path, files))], **kwargs)
-
-
-def write_baseline(tmp_path: Path, *entries) -> str:
-    """A baseline file accepting the given ``(rule, key)`` pairs."""
-    path = tmp_path / "accepted.json"
-    path.write_text(
-        json.dumps(
-            {
-                "entries": [
-                    {"rule": rule, "key": key, "justification": "test"}
-                    for rule, key in entries
-                ]
-            }
-        )
-    )
-    return str(path)
 
 
 def keys(report):
@@ -349,11 +335,11 @@ class TestDeterminismAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Suppressions, baseline, selection
+# Suppressions, selection
 # ---------------------------------------------------------------------------
 
 
-class TestSuppressionAndBaseline:
+class TestSuppression:
     def test_inline_suppression_applies(self, tmp_path):
         files = {
             "shared.py": RACY_SHARED["shared.py"].replace(
@@ -365,46 +351,7 @@ class TestSuppressionAndBaseline:
         assert report.findings == []
         assert report.suppressed == 1
 
-    def test_baseline_accepts_by_identity(self, tmp_path):
-        report = interproc_report(
-            tmp_path,
-            RACY_SHARED,
-            baseline_path=write_baseline(
-                tmp_path, ("interproc-race", "race:Counter.total:peek")
-            ),
-        )
-        assert report.findings == []
-        assert report.baselined == 1
-
-    def test_stale_baseline_entry_is_reported(self, tmp_path):
-        baseline = write_baseline(
-            tmp_path, ("interproc-race", "race:Gone.attr:method")
-        )
-        report = interproc_report(
-            tmp_path, GUARDED_SHARED, baseline_path=baseline
-        )
-        assert keys(report) == [
-            "baseline-stale:interproc-race:race:Gone.attr:method"
-        ]
-        (finding,) = report.findings
-        assert finding.rule_id == "interproc-baseline"
-        assert finding.severity == "warning"
-        assert finding.path == baseline
-        # An entry whose rule did not run cannot be judged stale …
-        report = run_analysis(
-            [str(tmp_path)], select=["span-balance"], baseline_path=baseline
-        )
-        assert report.findings == []
-        # … but one naming a rule the catalogue does not have (a typo, a
-        # removed rule) is stale under every selection.
-        baseline = write_baseline(tmp_path, ("lock-discipline", "box:x"))
-        for select in (None, ["span-balance"]):
-            report = run_analysis(
-                [str(tmp_path)], select=select, baseline_path=baseline
-            )
-            assert keys(report) == ["baseline-stale:lock-discipline:box:x"]
-
-    def test_baseline_covers_per_file_rules_too(self, tmp_path):
+    def test_suppression_covers_per_file_rules_too(self, tmp_path):
         leaky = {
             "repro/obs/leaky.py": """
             def trace(tracer):
@@ -415,31 +362,17 @@ class TestSuppressionAndBaseline:
         (finding,) = report.findings
         assert finding.rule_id == "span-balance"
         assert finding.key == 'leaky:trace:return tracer.span("leak")'
-        report = run_analysis(
-            [str(tmp_path)],
-            baseline_path=write_baseline(
-                tmp_path, (finding.rule_id, finding.key)
-            ),
-        )
-        assert (report.findings, report.baselined) == ([], 1)
-        # Moving the line keeps the identity; an inline comment wins over
-        # the baseline (suppressed, and the entry goes stale).
+        # Moving the line keeps the identity; the comment accepts it.
         (tmp_path / "repro/obs/leaky.py").write_text(
             "\n\ndef trace(tracer):\n"
             '    return tracer.span("leak")  # hdqo: ignore[span-balance]\n'
         )
-        report = run_analysis(
-            [str(tmp_path)],
-            baseline_path=write_baseline(
-                tmp_path, (finding.rule_id, finding.key)
-            ),
-        )
-        assert (report.suppressed, report.baselined) == (1, 0)
-        assert [f.rule_id for f in report.findings] == ["interproc-baseline"]
+        report = run_analysis([str(tmp_path)])
+        assert (report.findings, report.suppressed) == ([], 1)
 
-    def test_baselining_one_line_does_not_hide_its_twin(self, tmp_path):
-        # Two textually identical findings in two functions: the key names
-        # the enclosing def, so accepting one leaves the other reported.
+    def test_suppressing_one_line_does_not_hide_its_twin(self, tmp_path):
+        # Two textually identical findings in two functions: the comment
+        # accepts the line it sits on and leaves the other reported.
         swallowing = {
             "repro/service/twins.py": """
             class Handler:
@@ -461,37 +394,18 @@ class TestSuppressionAndBaseline:
             "twins:Handler.first:except Exception:",
             "twins:second:except Exception:",
         ]
-        report = run_analysis(
-            [str(tmp_path)],
-            baseline_path=write_baseline(
-                tmp_path, ("error-swallowing", keys(report)[0])
-            ),
-        )
-        assert (keys(report), report.baselined) == (
-            ["twins:second:except Exception:"], 1
-        )
-
-    def test_baseline_file_is_discovered_upwards(self, tmp_path):
-        write_fixture(tmp_path, RACY_SHARED)
-        baseline = tmp_path / "lint-baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "entries": [
-                        {
-                            "rule": "interproc-race",
-                            "key": "race:Counter.total:peek",
-                            "justification": "test",
-                        }
-                    ]
-                }
+        path = tmp_path / "repro/service/twins.py"
+        path.write_text(
+            path.read_text().replace(
+                "except Exception:",
+                "except Exception:  # hdqo: ignore[error-swallowing]",
+                1,
             )
         )
-        found = find_baseline([str(tmp_path / "shared.py")])
-        assert found == str(baseline)
-        report = run_analysis([str(tmp_path)], baseline_path=found)
-        assert report.findings == []
-        assert report.baselined == 1
+        report = run_analysis([str(tmp_path)])
+        assert (keys(report), report.suppressed) == (
+            ["twins:second:except Exception:"], 1
+        )
 
     def test_unknown_select_raises(self, tmp_path):
         write_fixture(tmp_path, GUARDED_SHARED)
@@ -508,7 +422,7 @@ class TestSuppressionAndBaseline:
 
 
 # ---------------------------------------------------------------------------
-# CLI integration: baseline flag, JSON schema, graph artifacts
+# CLI integration: JSON schema, graph artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -520,7 +434,7 @@ class TestLintCli:
         assert "race:Counter.total:peek" not in out  # keys are JSON-only
         assert "Counter.total" in out
 
-    def test_json_schema_includes_keys_and_baselined(self, tmp_path, capsys):
+    def test_json_schema_includes_keys(self, tmp_path, capsys):
         write_fixture(tmp_path, RACY_SHARED)
         code = cli_main(
             ["lint", "--format", "json", str(tmp_path)]
@@ -528,8 +442,7 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert set(payload) == {
-            "files", "errors", "warnings", "suppressed", "baselined",
-            "ok", "findings",
+            "files", "errors", "warnings", "suppressed", "ok", "findings",
         }
         assert payload["errors"] == 1
         (finding,) = payload["findings"]
@@ -577,20 +490,6 @@ class TestLintCli:
         )
         assert (code, scanned) == (0, [])
 
-    def test_explicit_baseline_must_be_readable(self, tmp_path, capsys):
-        write_fixture(tmp_path, RACY_SHARED)
-        missing = str(tmp_path / "no-such-baseline.json")
-        code = cli_main(["lint", "--baseline", missing, str(tmp_path)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert missing in captured.err
-        assert "checked" not in captured.out  # no report was produced
-        # The discovered default stays optional: none above tmp_path, and
-        # the run reports the finding instead of failing on the baseline.
-        assert find_baseline([str(tmp_path)]) is None
-        assert cli_main(["lint", str(tmp_path)]) == 1
-        assert "Counter.total" in capsys.readouterr().out
-
 
 # ---------------------------------------------------------------------------
 # Parse-exactly-once across rule groups
@@ -624,16 +523,25 @@ class TestParseOnce:
 
 
 class TestSelfCleanGate:
-    def test_src_repro_is_clean_modulo_baseline(self, self_lint):
+    def test_src_repro_is_clean(self, self_lint):
         assert self_lint.payload["findings"] == []
-        assert self_lint.payload["baselined"] == 2
 
-    def test_baseline_entries_are_justified(self):
-        path = find_baseline([REPRO_SRC])
-        assert path is not None
-        payload = json.loads(Path(path).read_text())
-        for entry in payload["entries"]:
-            assert entry["justification"].strip(), entry["key"]
+    def test_suppressions_are_justified(self):
+        # Every accepted finding says why, beside the code it accepts.
+        marker = re.compile(r"#\s*hdqo:\s*ignore(-file)?(\[[^\]]*\])?(.*)$")
+        comments = 0
+        unjustified = []
+        for path in sorted(Path(REPRO_SRC).rglob("*.py")):
+            with open(path, "rb") as handle:
+                for token in tokenize.tokenize(handle.readline):
+                    match = marker.match(token.string)
+                    if token.type != tokenize.COMMENT or match is None:
+                        continue
+                    comments += 1
+                    if not match.group(3).strip(" —-:"):
+                        unjustified.append(f"{path}:{token.start[0]}")
+        assert comments >= 6
+        assert unjustified == []
 
     def test_thread_roots_cover_the_serving_stack(self, self_lint):
         roots = self_lint.call_graph["thread_roots"]

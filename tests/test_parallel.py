@@ -1,10 +1,11 @@
-"""The q-HD evaluator across worker counts: parity, memoization, tracing, faults.
+"""The q-HD evaluator across worker counts: parity, signatures, tracing, budgets.
 
 The contract under test is the strongest one the evaluator makes: for every
 workload and every worker count it returns *exactly* the inline
 evaluation's relation — same rows, same order — for exactly the same work
-units, and under injected faults or exhausted budgets each run is
-correct-or-typed-error, never silently wrong.
+units, and under exhausted budgets each run trips with the same typed
+error at the same fold.  Served and stand-alone queries always fold
+inline; ``workers >= 2`` is reachable only through the evaluator.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import threading
 
 import pytest
 
-from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.engine.scans import atom_relations
-from repro.errors import MemoryBudgetExceeded, ReproError, WorkBudgetExceeded
+from repro.errors import MemoryBudgetExceeded, WorkBudgetExceeded
 from repro.metering import SpillModel, WorkMeter
 from repro.obs.tracing import Tracer
 from repro.parallel import (
-    NodeMemo,
     ParallelQHDEvaluator,
     SubtreePool,
     fused_join_project,
@@ -29,11 +28,8 @@ from repro.parallel import (
 from repro.relational.relation import Relation
 from repro.resilience.budget import MemoryBudget
 from repro.resilience.context import resilient
-from repro.resilience.faults import FaultInjector
-from repro.service.server import QueryService
 from repro.core.evaluator import QHDEvaluator
 from repro.core.optimizer import HybridOptimizer
-from repro.core.views import _view_dependencies, execute_view_plan
 from repro.workloads.synthetic import (
     StarConfig,
     SyntheticConfig,
@@ -42,8 +38,6 @@ from repro.workloads.synthetic import (
     star_query_sql,
     synthetic_query_sql,
 )
-
-from tests.conftest import CHAIN_SQL
 
 WORKER_COUNTS = (1, 2, 8)
 
@@ -65,6 +59,22 @@ def workloads():
     return _plans()
 
 
+def _evaluate(plan, workers, tracer=None):
+    """One evaluation of ``plan`` at ``workers``: (answer, work by category)."""
+    meter = WorkMeter()
+    base = atom_relations(
+        plan.translation.query, plan.database, plan.translation, meter
+    )
+    answer = QHDEvaluator(
+        plan.decomposition,
+        plan.translation.query,
+        meter,
+        tracer=tracer,
+        workers=workers,
+    ).evaluate(base)
+    return answer, meter.snapshot()
+
+
 class TestParity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_synthetic_parity(self, workloads, workers):
@@ -72,13 +82,11 @@ class TestParity:
             plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(
                 sql, name=name
             )
-            serial = plan.execute()
-            parallel = plan.execute(parallel_workers=workers)
-            assert parallel.relation.attributes == serial.relation.attributes, name
-            assert parallel.relation.tuples == serial.relation.tuples, name
-            assert parallel.finished and serial.finished
-            assert parallel.work == serial.work, name
-            assert parallel.work_breakdown == serial.work_breakdown, name
+            serial, serial_work = _evaluate(plan, 0)
+            parallel, parallel_work = _evaluate(plan, workers)
+            assert parallel.attributes == serial.attributes, name
+            assert parallel.tuples == serial.tuples, name
+            assert parallel_work == serial_work, name
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("query", ["q5", "q8"])
@@ -88,12 +96,11 @@ class TestParity:
         plan = HybridOptimizer(tiny_tpch, max_width=3).optimize(
             TPCH_QUERIES[query](), name=query
         )
-        serial = plan.execute()
-        parallel = plan.execute(parallel_workers=workers)
-        assert parallel.relation.attributes == serial.relation.attributes
-        assert parallel.relation.tuples == serial.relation.tuples
-        assert parallel.work == serial.work
-        assert parallel.work_breakdown == serial.work_breakdown
+        serial, serial_work = _evaluate(plan, 0)
+        parallel, parallel_work = _evaluate(plan, workers)
+        assert parallel.attributes == serial.attributes
+        assert parallel.tuples == serial.tuples
+        assert parallel_work == serial_work
 
     def test_single_worker_is_the_serial_path(self, workloads):
         """``workers <= 1`` folds inline: no pool, no thread, no fan-out span."""
@@ -101,7 +108,7 @@ class TestParity:
         plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
         for workers in (0, 1):
             tracer = Tracer()
-            plan.execute(tracer=tracer, parallel_workers=workers)
+            _evaluate(plan, workers, tracer=tracer)
             assert not tracer.spans("qhd.parallel")
             nodes = tracer.spans("qhd.node")
             assert nodes
@@ -242,20 +249,8 @@ class TestFusedKernel:
 
 
 class TestMemo:
-    def test_shared_across_evaluations(self, workloads):
-        name, db, sql, width = workloads[0]
-        plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
-        base = atom_relations(plan.translation.query, db, plan.translation)
-        memo = NodeMemo()
-        first = ParallelQHDEvaluator(
-            plan.decomposition, plan.translation.query, workers=2, memo=memo
-        ).evaluate(base)
-        assert memo.misses > 0 and len(memo) > 0
-        second = ParallelQHDEvaluator(
-            plan.decomposition, plan.translation.query, workers=2, memo=memo
-        ).evaluate(base)
-        assert memo.hits > 0
-        assert second.tuples == first.tuples
+    """The signature under in-tree sharing: structurally identical
+    subtrees are folded once."""
 
     def test_signature_soundness(self, workloads):
         name, db, sql, width = workloads[0]
@@ -282,7 +277,7 @@ class TestTracing:
         name, db, sql, width = workloads[0]
         plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
         tracer = Tracer()
-        plan.execute(tracer=tracer, parallel_workers=4)
+        _evaluate(plan, 4, tracer=tracer)
         spans = tracer.spans()
         parallel = [s for s in spans if s.name == "qhd.parallel"]
         assert len(parallel) == 1
@@ -292,7 +287,7 @@ class TestTracing:
             assert span.parent_id == parallel[0].span_id
 
 
-class TestPoolAndService:
+class TestPool:
     def test_pool_reuse_and_close(self, workloads):
         name, db, sql, width = workloads[0]
         plan = HybridOptimizer(db, max_width=width, use_statistics=False).optimize(sql)
@@ -305,79 +300,3 @@ class TestPoolAndService:
                 plan.decomposition, plan.translation.query, workers=4, pool=pool
             ).evaluate(base)
         assert a.tuples == b.tuples
-
-    def test_service_parallel_parity(self, chain_db):
-        serial_svc = QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2
-        )
-        try:
-            baseline = serial_svc.execute(CHAIN_SQL)
-        finally:
-            serial_svc.close()
-        svc = QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE),
-            max_width=2,
-            parallel_workers=4,
-        )
-        try:
-            result = svc.execute(CHAIN_SQL)
-            assert result.relation.attributes == baseline.relation.attributes
-            assert result.relation.tuples == baseline.relation.tuples
-        finally:
-            svc.close()
-
-    def test_service_parallel_fault_injection(self, chain_db):
-        """Correct-or-typed-error: faults never produce a wrong answer."""
-        serial_svc = QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2
-        )
-        try:
-            baseline = serial_svc.execute(CHAIN_SQL)
-        finally:
-            serial_svc.close()
-        injector = FaultInjector(
-            "exec.join:error:0.2,exec.qhd:error:0.2", seed=11
-        )
-        svc = QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE),
-            max_width=2,
-            parallel_workers=4,
-            fault_injector=injector,
-        )
-        outcomes = {"ok": 0, "typed": 0}
-        try:
-            for _ in range(10):
-                try:
-                    result = svc.execute(CHAIN_SQL)
-                except ReproError:
-                    outcomes["typed"] += 1
-                    continue
-                assert result.relation.tuples == baseline.relation.tuples
-                outcomes["ok"] += 1
-        finally:
-            svc.close()
-        assert outcomes["ok"] + outcomes["typed"] == 10
-
-
-class TestParallelViews:
-    def test_dependency_extraction(self):
-        views = [
-            ("hdv_1", "SELECT a FROM base"),
-            ("hdv_2", "SELECT a FROM other"),
-            ("hdv_3", "SELECT a FROM hdv_1, hdv_2 WHERE hdv_1.a = hdv_2.a"),
-        ]
-        deps = _view_dependencies(views)
-        assert deps == {
-            "hdv_1": [],
-            "hdv_2": [],
-            "hdv_3": ["hdv_1", "hdv_2"],
-        }
-
-    def test_view_stack_parallel_parity(self, chain_db):
-        plan = HybridOptimizer(chain_db, max_width=2).optimize(CHAIN_SQL)
-        views = plan.to_sql_views()
-        dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
-        serial = execute_view_plan(views, dbms)
-        parallel = execute_view_plan(views, dbms, parallel_workers=4)
-        assert parallel.relation.tuples == serial.relation.tuples
-        assert parallel.work == serial.work

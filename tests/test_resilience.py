@@ -561,6 +561,37 @@ class TestDegradationLadder:
                 > calls_before
             )
 
+    def test_cancelled_half_open_trial_leaves_the_trial_to_the_next_query(
+        self, chain_db, chain_sql
+    ):
+        """A half-open trial cut short by a non-ladder error records no
+        outcome: the key neither closes nor re-opens, and the next query
+        runs the search."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_seconds=30.0, clock=clock
+        )
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE),
+            max_width=2,
+            workers=1,
+            fault_injector=FaultInjector("decompose.search:error:1.0", seed=0),
+            breaker=breaker,
+        ) as svc:
+            assert svc.execute(chain_sql).optimizer == "builtin-fallback"
+            assert breaker.snapshot()["open"] == 1
+            clock.advance(31)
+            svc.fault_injector = None
+            token = CancellationToken()
+            token.cancel("client gave up")
+            with pytest.raises(QueryCancelled):
+                svc.execute(chain_sql, token=token)  # the admitted trial
+            assert breaker.snapshot()["open"] == 1
+            assert svc.execute(chain_sql).optimizer == "q-hd"
+            assert breaker.snapshot() == {
+                "keys": 1, "open": 0, "trips": 1, "skips": 0,
+            }
+
     def test_ladder_raises_typed_error_without_fallback(
         self, chain_db, chain_sql
     ):

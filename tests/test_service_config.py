@@ -30,7 +30,6 @@ FIELD_CASES = [
     ("cache_capacity", 5, lambda s: s.snapshot()["cache"]["capacity"], 5),
     ("work_budget", 9, lambda s: s.execute(CHAIN_SQL).finished, False),
     ("deadline_seconds", 12.5, lambda s: s.deadline_seconds, 12.5),
-    ("parallel_workers", 2, lambda s: s.parallel_workers, 2),
     ("fault_spec", None, lambda s: s.fault_injector, None),
     (
         "fault_spec",
@@ -47,11 +46,11 @@ FIELD_CASES = [
 
 
 class TestBuild:
-    def test_the_config_has_exactly_its_twelve_fields(self):
+    def test_the_config_has_exactly_its_eleven_fields(self):
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "database", "max_width", "workers", "queue_capacity",
             "cache_capacity", "work_budget", "deadline_seconds",
-            "fault_spec", "seed", "parallel_workers", "trace", "insights",
+            "fault_spec", "seed", "trace", "insights",
         ]
         covered = {case[0] for case in FIELD_CASES} | {"database", "seed"}
         assert covered == {f.name for f in dataclasses.fields(ServiceConfig)}
@@ -93,7 +92,7 @@ def test_config_round_trips_through_pickle(chain_db):
     config = ServiceConfig(
         database=chain_db, max_width=2, workers=3, queue_capacity=9,
         cache_capacity=11, work_budget=10_000, deadline_seconds=1.5,
-        fault_spec="exec.join:latency:0.1:1", seed=5, parallel_workers=2,
+        fault_spec="exec.join:latency:0.1:1", seed=5,
         trace=True, insights=True,
     )
     clone = pickle.loads(pickle.dumps(config))

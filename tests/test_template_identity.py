@@ -5,11 +5,11 @@
 * through ``QueryService``, a new SQL text costs one parse and one
   canonicalisation and a repeated text costs neither, on every path —
   and the Fig. 6 handler never canonicalises for a bare install;
-* the ladder's four rungs (and rung 1 skipped by an open breaker), and
-  the execution-time retry that re-enters it at rung 2, each leave the
-  same label / span tag / counter / insights event wherever they are
-  taken — and ``hdqo report``'s replay of the spans rebuilds exactly the
-  live insights record.
+* the ladder's four rungs (and rung 1 skipped by an open breaker) each
+  leave the same label / span tag / counter / insights event wherever
+  they are taken — and ``hdqo report``'s replay of the spans rebuilds
+  exactly the live insights record; an error while *executing* a plan is
+  not a rung, and reaches the caller as itself.
 """
 
 import zlib
@@ -17,7 +17,6 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.integration as integration
 import repro.service.fingerprint as fingerprint_module
 from repro.core.integration import install_structural_optimizer
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
@@ -190,22 +189,6 @@ class TestOneIdentityPerOperation:
             # Two rung keys are derived (k=2 misses, k=1 hits) from the
             # text's one canonicalisation.
             run = lambda: svc.execute(ACYCLIC_SQL)  # noqa: E731
-            results = _operations(front_end, chain_db, ACYCLIC_SQL, run, run)
-        assert [r.optimizer for r in results] == ["q-hd(k=1)"] * 2
-
-    def test_execution_lower_k_rung(self, front_end, chain_db):
-        with QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE),
-            max_width=2,
-            workers=1,
-            parallel_workers=2,
-        ) as svc:
-            _seed_lower_width_plan(svc, ACYCLIC_SQL)
-
-            def run():
-                svc.fault_injector = _first_call_only("exec.qhd")
-                return svc.execute(ACYCLIC_SQL)
-
             results = _operations(front_end, chain_db, ACYCLIC_SQL, run, run)
         assert [r.optimizer for r in results] == ["q-hd(k=1)"] * 2
 
@@ -395,71 +378,25 @@ def test_ladder_rung_by_rung(
     assert replay_mismatches(insights.snapshot(), replayed) == []
 
 
-class TestExecutionRung:
-    """A ladder error while *evaluating* the max-width plan (parallel mode)
-    re-enters the ladder at rung 2."""
-
-    def test_retry_serves_the_cached_lower_width_plan(
-        self, chain_db, monkeypatch
-    ):
-        baseline = SimulatedDBMS(chain_db, COMMDB_PROFILE).run_sql(ACYCLIC_SQL)
-        memos = []
-
-        class RecordingEvaluator(integration.QHDEvaluator):
-            def __init__(self, *args, memo=None, **kwargs):
-                memos.append(memo)
-                super().__init__(*args, memo=memo, **kwargs)
-
-        monkeypatch.setattr(integration, "QHDEvaluator", RecordingEvaluator)
-        insights = InsightsRegistry()
-        with QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE),
-            max_width=2,
-            workers=1,
-            parallel_workers=2,
-            insights=insights,
-        ) as svc:
-            _seed_lower_width_plan(svc, ACYCLIC_SQL)
-            assert svc.execute(ACYCLIC_SQL).optimizer == "q-hd"  # k=2 cached
-            del memos[:]
-            svc.fault_injector = injector = _first_call_only("exec.qhd")
-            before = svc.snapshot()
-            with tracing() as tracer:
-                result = svc.execute(ACYCLIC_SQL)
-            after = svc.snapshot()
-
-        assert injector.snapshot()["fired"] == {"exec.qhd:error": 1}
-        assert result.optimizer == "q-hd(k=1)"
-        assert result.relation.tuples == baseline.relation.tuples
-        # Counted as the lower-k rung it is — the built-in planner never ran.
-        assert after["planning"]["fallbacks"] == before["planning"]["fallbacks"] == 0
-        assert (
-            after["resilience"]["degraded_lower_k"]
-            - before["resilience"]["degraded_lower_k"]
-        ) == 1
-        assert after["planning"]["cache_hits"] - before["planning"]["cache_hits"] == 1
-        # Tagged on the span that took the rung.
-        (plan_span,) = tracer.spans("serve.plan")
-        (execute_span,) = tracer.spans("serve.execute")
-        assert plan_span.tags["cache_hit"] is True
-        assert "degraded_to" not in plan_span.tags
-        assert execute_span.tags["degraded_to"] == "lower-k(1)"
-        assert execute_span.tags["template"] == plan_span.tags["template"]
-        events = insights.snapshot()["templates"][plan_span.tags["template"]]
-        assert events["events"] == {"degraded:lower-k": 1}
-        assert events["errors"] == 0
-        # Both attempts evaluated against the one per-request memo.
-        assert len(memos) == 2
-        assert memos[0] is not None and memos[0] is memos[1]
-
-    def test_no_lower_width_plan_reraises(self, chain_db):
-        with QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE),
-            max_width=2,
-            workers=1,
-            parallel_workers=2,
-            fault_injector=_first_call_only("exec.qhd"),
-        ) as svc:
-            with pytest.raises(InjectedFault):
-                svc.execute(ACYCLIC_SQL)
-            assert svc.snapshot()["resilience"]["degraded_lower_k"] == 0
+@pytest.mark.parametrize("workers", [1, 4])
+def test_execution_error_is_not_retried(chain_db, workers):
+    """The ladder is a planning ladder: a ladder error raised while
+    *evaluating* the max-width plan reaches the caller as its typed error,
+    though a lower-width plan is cached."""
+    insights = InsightsRegistry()
+    with QueryService(
+        SimulatedDBMS(chain_db, COMMDB_PROFILE),
+        max_width=2,
+        workers=workers,
+        insights=insights,
+    ) as svc:
+        _seed_lower_width_plan(svc, ACYCLIC_SQL)
+        svc.fault_injector = injector = _first_call_only("exec.qhd")
+        with pytest.raises(InjectedFault):
+            svc.submit(ACYCLIC_SQL).result(timeout=60)
+        snapshot = svc.snapshot()
+    assert injector.snapshot()["fired"] == {"exec.qhd:error": 1}
+    assert snapshot["resilience"]["degraded_lower_k"] == 0
+    (record,) = insights.snapshot()["templates"].values()
+    assert (record["queries"], record["errors"]) == (1, 1)
+    assert record["events"] == {"error:InjectedFault": 1}
