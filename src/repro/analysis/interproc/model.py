@@ -830,7 +830,13 @@ class _Resolver:
             source=module.source,
         )
         for node in module.source.tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{module.name}.{node.name}"
+                if qualname in self.model.functions:
+                    module.env.setdefault(node.name, ValueSet()).funcs.add(
+                        qualname
+                    )
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 if node.value is None:
                     continue
                 evaluated = self.eval_expr(node.value, holder)

@@ -721,7 +721,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         tags = search.tags
         print(
             f"planning: {tags['candidates']} candidate separators "
-            f"({tags['pruned']} pruned) over {tags['subproblems']} subproblems; "
+            f"({tags['pruned']} pruned, {tags['bounded']} bounded) "
+            f"over {tags['subproblems']} subproblems; "
             f"weighting: {tags['distinct_lambdas']} distinct λ, "
             f"{tags['estimate_joins']} join estimates; "
             f"{search.duration * 1e3:.1f} ms"

@@ -85,9 +85,11 @@ class CostKDecomp:
         # Search statistics, reported on the "decompose.search" span (and
         # free to read afterwards): candidate separators evaluated, pruned
         # (no strictly shrinking split, or an unsolvable sub-component),
-        # DP memo hits, and join estimates computed (λ joins + stitches).
+        # bounded (beaten before weighting), DP memo hits, and join
+        # estimates computed (λ joins + stitches of surviving candidates).
         self.candidates = 0
         self.pruned = 0
+        self.bounded = 0
         self.memo_hits = 0
         self.estimate_joins = 0
         # The search is exponential in k; every candidate separator is a
@@ -126,6 +128,7 @@ class CostKDecomp:
             span.tag(
                 candidates=self.candidates,
                 pruned=self.pruned,
+                bounded=self.bounded,
                 memo_hits=self.memo_hits,
                 subproblems=len(self._memo),
                 distinct_lambdas=len(self._lambda_joins),
@@ -173,15 +176,12 @@ class CostKDecomp:
             if pieces and pieces[0][0] == component:
                 self.pruned += 1
                 continue
-            chi = space.names_of(chi_mask)
-
             lam_join = self._lambda_joins.get(lam)
             if lam_join is None:
                 lam_join = model.join_atoms(lam, self.atom_variables)
                 self._lambda_joins[lam] = lam_join
                 self.estimate_joins += len(lam) - 1
-            current = model.project(lam_join[0], chi)
-            total_cost = lam_join[1]
+            bound = lam_join[1]
             width = len(lam)
             children: List[_Best] = []
             for sub, sub_connector in pieces:
@@ -189,15 +189,28 @@ class CostKDecomp:
                 if child is None:
                     break
                 children.append(child)
-                total_cost += child.cost
-                step_cost, current = model.stitch(current, child.estimate, chi)
-                total_cost += step_cost
-                self.estimate_joins += 1
+                bound += child.cost
                 if child.width > width:
                     width = child.width
             if len(children) < len(pieces):
                 self.pruned += 1
                 continue
+            # The total adds a stitch cost (a sum of cardinalities, ≥ 0)
+            # after each child cost, and float addition is monotone, so it
+            # is ≥ ``bound``: a candidate whose bound already exceeds the
+            # winner's total cannot win, and its weighting is skipped.
+            if best is not None and bound > best[0][0]:
+                self.bounded += 1
+                continue
+
+            chi = space.names_of(chi_mask)
+            current = model.project(lam_join[0], chi)
+            total_cost = lam_join[1]
+            for child in children:
+                total_cost += child.cost
+                step_cost, current = model.stitch(current, child.estimate, chi)
+                total_cost += step_cost
+            self.estimate_joins += len(children)
 
             if at_root:
                 answer = model.project(current, self.output_variables & chi)

@@ -65,9 +65,19 @@ class DecompositionCostModel:
     Args:
         atom_estimates: per atom name, the statistical summary of its base
             relation (already reflecting pushed-down constant filters).
+            Every cardinality and distinct count must be ≥ 0 (not NaN): the
+            search's lower bound rests on every estimated size being ≥ 0.
     """
 
     def __init__(self, atom_estimates: Mapping[str, AtomEstimate]):
+        for name, estimate in atom_estimates.items():
+            checked = [("cardinality", estimate.cardinality)]
+            checked += [(f"distinct({v})", d) for v, d in estimate.distinct.items()]
+            for label, value in checked:
+                if not value >= 0.0:
+                    raise DecompositionError(
+                        f"atom {name!r}: {label} estimate must be >= 0, got {value!r}"
+                    )
         self.atom_estimates: Dict[str, AtomEstimate] = dict(atom_estimates)
 
     # ------------------------------------------------------------------

@@ -78,6 +78,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "planning: " in out
         assert "distinct λ" in out and "join estimates" in out
+        assert " bounded)" in out
 
     def test_run_compares_systems(self, capsys):
         assert main(["run", "q5", "--size-mb", "50", "--width", "3"]) == 0

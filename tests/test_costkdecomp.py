@@ -52,6 +52,18 @@ class TestCostModel:
         with pytest.raises(DecompositionError):
             model.estimate_for("zzz")
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_cardinality_rejected(self, value):
+        with pytest.raises(DecompositionError, match="cardinality"):
+            DecompositionCostModel({"p0": AtomEstimate(value, {"V0": 10.0})})
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_distinct_rejected(self, value):
+        with pytest.raises(DecompositionError, match=r"distinct\(V1\)"):
+            DecompositionCostModel(
+                {"p0": AtomEstimate(10.0, {"V0": 10.0, "V1": value})}
+            )
+
     def test_join_estimate_formula(self):
         left = JoinEstimate(1000, {"X": 100, "Y": 50})
         right = JoinEstimate(2000, {"X": 200, "Z": 10})
@@ -398,6 +410,16 @@ def sql_corpus():
     return corpus
 
 
+#: Cardinalities and distinct counts for random statistics: zero and values
+#: below one exercise the clamps in ``join``/``project``, where the search's
+#: lower bound rests on every estimated size being ≥ 0.
+SIZES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1e5),
+)
+
+
 class TestMatchesReferenceSearch:
     """The production search against the recompute-everything oracle:
     bit-identical cost, same tree, same counters, same plan units."""
@@ -441,11 +463,10 @@ class TestMatchesReferenceSearch:
             members = data.draw(
                 st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True)
             )
-            rows = data.draw(st.floats(1.0, 1e5, allow_nan=False))
+            rows = data.draw(SIZES)
             edges[f"e{i}"] = members
             estimates[f"e{i}"] = AtomEstimate(
-                rows,
-                {v: data.draw(st.floats(1.0, 1e5, allow_nan=False)) for v in members},
+                rows, {v: data.draw(SIZES) for v in members}
             )
         hypergraph = Hypergraph.from_dict(edges)
         used = sorted(hypergraph.vertices)
@@ -478,6 +499,13 @@ class TestSearchWorkGuard:
             "join",
             staticmethod(lambda *args: joins.append(1) or real_join(*args)),
         )
+        weighed = []
+        real_names_of = _SearchSpace.names_of
+        monkeypatch.setattr(
+            _SearchSpace,
+            "names_of",
+            lambda *args: weighed.append(1) or real_names_of(*args),
+        )
         nodes = []
         real_init = HypertreeNode.__init__
 
@@ -490,12 +518,20 @@ class TestSearchWorkGuard:
             search = CostKDecomp(hypergraph, 4, model)
             tree, _cost = search.decompose(query.output_variables)
 
-        assert len(joins) <= reference.stitched + lambda_joins
+        # Strictly fewer: the lower bound skips the stitches of candidates
+        # that are beaten before they are weighed.
+        assert len(joins) < reference.stitched + lambda_joins
         assert len(nodes) <= 2 * solved + len(tree)
         # The span's weighting tags are these same counts.
         (span,) = tracer.spans("decompose.search")
         assert span.tags["estimate_joins"] == len(joins)
         assert span.tags["distinct_lambdas"] == len(reference.lambdas)
+        # Every candidate is pruned, bounded or weighed; only a weighed one
+        # names its χ.
+        assert span.tags["bounded"] > 0
+        assert span.tags["candidates"] == (
+            span.tags["pruned"] + span.tags["bounded"] + len(weighed)
+        )
 
     def test_chain9_k4_floods_once_per_distinct_split(self, monkeypatch):
         query = path_query(9, cyclic=True)

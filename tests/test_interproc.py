@@ -149,6 +149,28 @@ ANNOTATED_FLOW = {
 }
 
 
+#: A module-level function calling another one in the same module: the
+#: callee's acquisition is reached through the module's own binding.
+SAME_MODULE_CALL = {
+    "locks.py": """
+    from repro.analysis.lockwitness import make_lock
+
+    _A = make_lock("Fixture.A")
+    _B = make_lock("Fixture.B")
+
+
+    def forward():
+        with _A:
+            _grab_b()
+
+
+    def _grab_b():
+        with _B:
+            pass
+    """
+}
+
+
 class TestLockOrderAnalysis:
     def test_opposite_acquisition_orders_are_a_cycle(self, tmp_path):
         report = interproc_report(tmp_path, CYCLIC_LOCKS)
@@ -179,6 +201,16 @@ class TestLockOrderAnalysis:
         graph = build_lock_graph(report.model).to_json()
         edges = {(e["source"], e["target"]) for e in graph["edges"]}
         assert ("Fixture.Cache", "Fixture.Injector") in edges
+
+    def test_same_module_function_call_resolves(self, tmp_path):
+        report = interproc_report(
+            tmp_path, SAME_MODULE_CALL, select=["interproc-lock-order"]
+        )
+        (site,) = report.model.functions["locks.forward"].calls
+        assert site.targets == {"locks._grab_b"}
+        graph = build_lock_graph(report.model).to_json()
+        edges = {(e["source"], e["target"]) for e in graph["edges"]}
+        assert ("Fixture.A", "Fixture.B") in edges
 
 
 # ---------------------------------------------------------------------------
