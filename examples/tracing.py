@@ -1,4 +1,4 @@
-"""End-to-end observability: tracing, EXPLAIN ANALYZE, and the metrics registry.
+"""End-to-end observability: tracing, EXPLAIN ANALYZE, and the metrics record.
 
 Walks the three layers of ``repro.obs`` over a TPC-H Q5 run:
 
@@ -8,8 +8,10 @@ Walks the three layers of ``repro.obs`` over a TPC-H Q5 run:
    each span carrying wall time, deterministic work-unit deltas, and tags;
 2. render ``EXPLAIN ANALYZE`` for both the engine's binary-join plan and
    the q-hypertree plan (estimated vs actual cardinality per operator);
-3. snapshot a :class:`~repro.obs.metrics.MetricsRegistry` and export the
-   collected spans as JSONL.
+3. serve the query through a :class:`~repro.service.QueryService`, render
+   its snapshot — the one metrics record ``hdqo serve`` prints as text or
+   JSON — as a Prometheus exposition, and export the collected spans as
+   JSONL.
 
 Tracing is strictly opt-in: outside ``tracing()`` the process-wide tracer
 is a shared no-op and a run charges exactly the same work units.
@@ -22,8 +24,9 @@ import io
 from repro.core.optimizer import HybridOptimizer
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.obs.histogram import WORK_RANGE, Histogram, summary
-from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import tracing
+from repro.service import QueryService
 from repro.workloads.tpch import generate_tpch_database
 from repro.workloads.tpch_queries import query_q5
 
@@ -58,15 +61,17 @@ def main() -> None:
     print("\nq-hd EXPLAIN ANALYZE (per-node rows and fold counts):")
     print(plan.explain(analyze=True))
 
-    # -- 3. metrics registry + JSONL export ----------------------------------
-    registry = MetricsRegistry()
-    registry.counter("example_queries_total").inc()
-    span_seconds = registry.histogram("example_span_seconds")
-    for span in spans:
-        span_seconds.observe(span.duration)
-    print("\nPrometheus exposition:")
-    print(render_prometheus(registry.export()))
-    # Outside a registry the same class summarises any distribution.
+    # -- 3. the metrics record + JSONL export --------------------------------
+    with QueryService(dbms, max_width=4, workers=2) as service:
+        service.run_all([sql, sql])  # the second run is a plan-cache hit
+        snapshot = service.snapshot()
+    print(f"\nserved 2 queries: {snapshot['planning']['built']} plan built, "
+          f"{snapshot['planning']['cache_hits']} served from the plan cache")
+    print("Prometheus exposition (bucket lines elided):")
+    for line in render_prometheus(snapshot).splitlines():
+        if "_bucket{" not in line:
+            print(f"  {line}")
+    # The snapshot's histogram class summarises any distribution.
     work_units = Histogram(index_range=WORK_RANGE)
     work_units.observe(result.work)
     print(f"work-unit summary: {summary(work_units.snapshot())}")

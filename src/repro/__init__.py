@@ -50,7 +50,7 @@ from repro.core import (
 from repro.engine import COMMDB_PROFILE, POSTGRES_PROFILE, SimulatedDBMS
 from repro.errors import ServiceClosed, ServiceError, ServiceOverloaded
 from repro.service import PlanCache, QueryService, ServiceMetrics
-from repro.obs import MetricsRegistry, Tracer, current_tracer, tracing
+from repro.obs import Tracer, current_tracer, tracing
 from repro.resilience import (
     CancellationToken,
     CircuitBreaker,
@@ -108,7 +108,6 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "tracing",
-    "MetricsRegistry",
     "Deadline",
     "CancellationToken",
     "ExecutionContext",

@@ -425,11 +425,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_format == "json":
             print(json_module.dumps(snapshot, indent=2, sort_keys=True))
         elif args.metrics_format == "prom":
-            print(
-                render_prometheus(service.metrics.registry.export())
-                if router is None
-                else router.render_prometheus()
-            )
+            print(render_prometheus(view))
+            supervisor_view = snapshot.get("supervisor")
+            if supervisor_view is not None:
+                print(render_prometheus({"shard": supervisor_view["metrics"]}))
             if args.insights and view.get("insights"):
                 from repro.obs.insights.registry import (
                     render_insights_prometheus,

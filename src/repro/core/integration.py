@@ -316,7 +316,7 @@ def install_structural_optimizer(
                 continue
             span.tag(degraded_to=f"lower-k({lower})")
             if metrics is not None:
-                metrics.record_degradation("lower-k")
+                metrics.record_lower_k()
             events.append("degraded:lower-k")
             return _named_for(translation, entry.tree, fingerprint), lower
         return None, None

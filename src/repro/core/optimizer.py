@@ -22,14 +22,13 @@ from typing import Dict, Optional, Union
 
 from repro.errors import DecompositionNotFound, QueryError
 from repro.engine.cost import filters_selectivity
-from repro.engine.dbms import DBMSResult
+from repro.engine.dbms import DBMSResult, SimulatedDBMS
 from repro.engine.postprocess import apply_sql_semantics
 from repro.engine.scans import atom_relations
 from repro.metering import SpillModel, WorkMeter
 from repro.obs.tracing import NullTracer, Tracer, current_tracer
 from repro.query import ast
-from repro.query.parser import parse_sql
-from repro.query.translate import TranslationResult, sql_to_conjunctive
+from repro.query.translate import TranslationResult
 from repro.relational.database import Database
 from repro.core.costmodel import AtomEstimate, DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
@@ -206,21 +205,9 @@ class HybridOptimizer:
         self, sql: Union[str, ast.SelectQuery], name: str = "Q"
     ) -> TranslationResult:
         """Parse and translate; uncorrelated IN-subqueries are flattened by
-        evaluating them on a default engine over this database."""
-        from repro.engine.dbms import SimulatedDBMS
-        from repro.query.subqueries import flatten_subqueries, has_subqueries
-
-        query = parse_sql(sql) if isinstance(sql, str) else sql
-        schema = self.database.schema.as_mapping()
-        if has_subqueries(query):
-            engine = SimulatedDBMS(self.database)
-
-            def run_subquery(subquery: ast.SelectQuery):
-                result = engine.run_sql(subquery, bypass_handler=True)
-                return [row[0] for row in result.relation.tuples]
-
-            query = flatten_subqueries(query, run_subquery, schema)
-        return sql_to_conjunctive(query, schema, name=name)
+        :meth:`SimulatedDBMS.translate` on a default engine over this
+        database."""
+        return SimulatedDBMS(self.database).translate(sql, name=name)
 
     def optimize(
         self, sql: Union[str, ast.SelectQuery, TranslationResult], name: str = "Q"

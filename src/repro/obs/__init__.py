@@ -5,10 +5,10 @@ Four dependency-free pieces, usable together or alone:
 * :mod:`repro.obs.tracing` — hierarchical spans with wall time, work-unit
   deltas (via :class:`~repro.metering.WorkMeter`), and tags, exported as
   JSONL.  Disabled by default and zero-cost when disabled.
-* :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
-  and histograms with one export, one merge and one Prometheus renderer;
-  the serving layer's :class:`~repro.service.metrics.ServiceMetrics` is
-  built on it.
+* :mod:`repro.obs.metrics` — the Prometheus rendering of the one metrics
+  record, the nested snapshot
+  :class:`~repro.service.metrics.ServiceMetrics` and
+  :meth:`QueryService.snapshot` produce.
 * :mod:`repro.obs.histogram` — the one distribution summary: a
   log-bucketed, exactly mergeable :class:`~repro.obs.histogram.Histogram`.
 * :mod:`repro.obs.explain` — EXPLAIN ANALYZE renderers: operator trees
@@ -25,13 +25,7 @@ from repro.obs.tracing import (
     tracing,
 )
 from repro.obs.histogram import Histogram
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.explain import (
     NodeStats,
     estimation_error,
@@ -48,11 +42,7 @@ __all__ = [
     "current_tracer",
     "set_tracer",
     "tracing",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "get_registry",
     "render_prometheus",
     "NodeStats",
     "stats_by_node",

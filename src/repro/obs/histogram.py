@@ -1,8 +1,9 @@
 """The one distribution summary: a mergeable log-bucketed histogram.
 
-Every latency and work-unit distribution in the system — the registry's
-``service_latency_seconds`` / ``shard_recovery_seconds``, the per-template
-insight phases, ``hdqo report``'s reconstruction — is a :class:`Histogram`.
+Every latency and work-unit distribution in the system — the service
+snapshot's ``latency_seconds``, the supervisor's ``recovery_seconds``, the
+per-template insight phases, ``hdqo report``'s reconstruction — is a
+:class:`Histogram`.
 A value ``v`` lands in bucket ``floor(scale * log2(v))`` —
 *deterministically*, a pure function of the value — so two histograms fed
 the same observations, in any order, on any number of processes, hold
@@ -107,28 +108,16 @@ class Histogram:
     """A thread-safe log-bucketed histogram with exact sparse counts.
 
     Args:
-        name: instrument name when registered in a
-            :class:`~repro.obs.metrics.MetricsRegistry` (empty otherwise).
-        help: one-line description for the Prometheus exposition.
         index_range: ``(lo, hi)`` bucket-index clamp bounding memory.
 
     Reading goes through :meth:`snapshot` and the snapshot functions of
     this module (:func:`summary`, :func:`quantile_from_snapshot`).
     """
 
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str = "",
-        help: str = "",
-        index_range: Tuple[int, int] = LATENCY_RANGE,
-    ) -> None:
+    def __init__(self, index_range: Tuple[int, int] = LATENCY_RANGE) -> None:
         lo, hi = index_range
         if lo > hi:
             raise ValueError(f"invalid index range: {index_range}")
-        self.name = name
-        self.help = help
         self.lo = lo
         self.hi = hi
         self._lock = make_lock("Histogram._lock")
@@ -171,7 +160,7 @@ class Histogram:
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"Histogram({self.name!r}, count={self._count}, "
+                f"Histogram(count={self._count}, "
                 f"buckets={len(self._buckets)})"
             )
 

@@ -1,20 +1,15 @@
 """Serving-layer metrics: latency, work units, planning effort, cache hits.
 
-:class:`ServiceMetrics` is a façade over a per-instance
-:class:`repro.obs.metrics.MetricsRegistry` — each counter/histogram is a
-registered instrument (``service_*`` names), so the same numbers are
-available three ways:
-
-* :meth:`ServiceMetrics.snapshot` — the stable nested dict the CLI
-  (``hdqo serve`` / ``bench-serve``), :mod:`repro.bench.serving` and the
-  tests consume (unchanged shape);
-* ``render_prometheus(ServiceMetrics().registry.export())`` —
-  Prometheus-flavoured exposition (:mod:`repro.obs.metrics`);
-* ``ServiceMetrics().registry`` — direct instrument access for anything
-  else.
-
-The registry is per-instance (not the process-global one) so concurrent
-services — and tests — never share counters.
+:class:`ServiceMetrics` keeps plain counters and one latency
+:class:`~repro.obs.histogram.Histogram` under one lock; its
+:meth:`~ServiceMetrics.snapshot` (completed by
+:meth:`QueryService.snapshot` with the plan cache, pool and text-memo
+sections) is the one metrics record.  The CLI (``hdqo serve`` /
+``bench-serve`` / ``top``), :mod:`repro.bench.serving`, the benchmark and
+the tests read it; shard workers ship it and the router merges it
+(:func:`repro.shard.aggregate.merge_metric_snapshots`);
+:func:`repro.obs.metrics.render_prometheus` renders it for scraping.
+:class:`SupervisorMetrics` is the same for a supervised cluster.
 """
 
 from __future__ import annotations
@@ -22,8 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from repro.analysis.lockwitness import make_lock
-from repro.obs.histogram import is_snapshot, summarised, summary
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.histogram import Histogram, is_snapshot, summarised, summary
 
 
 class ServiceMetrics:
@@ -36,94 +30,47 @@ class ServiceMetrics:
     * **planning** — structural plans built fresh vs served from the plan
       cache vs degraded to the built-in planner, with the deterministic
       ``"plan"`` work-unit effort and planning wall time;
-    * **cache** — merged in from :meth:`PlanCache.snapshot` by the service.
+    * **resilience** — deadline misses, cancellations, memory aborts,
+      lower-width degradations and circuit-breaker skips.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        # One outer lock keeps multi-instrument updates (and snapshots)
-        # mutually consistent; the instruments' own locks make each safe
-        # for direct use too.
+    def __init__(self) -> None:
         self._lock = make_lock("ServiceMetrics._lock")
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self._queries = reg.counter(
-            "service_queries_submitted_total", help="Queries accepted"
-        )
-        self._finished = reg.counter(
-            "service_queries_finished_total", help="Queries that completed"
-        )
-        self._dnf = reg.counter(
-            "service_queries_dnf_total", help="Queries that exhausted the budget"
-        )
-        self._errors = reg.counter(
-            "service_queries_errors_total", help="Queries that raised"
-        )
-        self._rejected = reg.counter(
-            "service_queries_rejected_total", help="Queries rejected at admission"
-        )
-        self._work_units = reg.counter(
-            "service_work_units_total", help="Execution work units charged"
-        )
-        self._latency = reg.histogram(
-            "service_latency_seconds", help="Per-query wall-clock latency"
-        )
-        self._plans_built = reg.counter(
-            "service_plans_built_total", help="Decompositions built fresh"
-        )
-        self._plans_cached = reg.counter(
-            "service_plans_cached_total", help="Decompositions served from cache"
-        )
-        self._plan_fallbacks = reg.counter(
-            "service_plan_fallbacks_total", help="Queries degraded to builtin"
-        )
-        self._planning_units = reg.counter(
-            "service_planning_work_units_total",
-            help='Deterministic "plan" work units spent searching',
-        )
-        self._planning_seconds = reg.counter(
-            "service_planning_seconds_total", help="Wall-clock planning time"
-        )
-        self._degraded_lower_k = reg.counter(
-            "service_degraded_lower_k_total",
-            help="Queries served from a cached lower-width plan",
-        )
-        self._breaker_skips = reg.counter(
-            "service_breaker_skips_total",
-            help="Planning attempts skipped by an open circuit breaker",
-        )
-        self._deadline_misses = reg.counter(
-            "service_deadline_misses_total",
-            help="Queries aborted by an expired deadline",
-        )
-        self._cancellations = reg.counter(
-            "service_cancellations_total", help="Queries aborted by cancellation"
-        )
-        self._memory_aborts = reg.counter(
-            "service_memory_aborts_total",
-            help="Queries aborted by the memory budget",
-        )
+        self._latency = Histogram()
+        self._queries = self._finished = self._dnf = self._errors = 0
+        self._rejected = self._work_units = 0
+        self._plans_built = self._plans_cached = self._plan_fallbacks = 0
+        self._planning_units = 0
+        self._planning_seconds = 0.0
+        self._deadline_misses = self._cancellations = self._memory_aborts = 0
+        self._degraded_lower_k = self._breaker_skips = 0
 
     # -- the counters callers read directly --------------------------------
 
     @property
     def queries(self) -> int:
-        return self._queries.value
+        with self._lock:
+            return self._queries
 
     @property
     def rejected(self) -> int:
-        return self._rejected.value
+        with self._lock:
+            return self._rejected
 
     @property
     def plans_built(self) -> int:
-        return self._plans_built.value
+        with self._lock:
+            return self._plans_built
 
     @property
     def plans_cached(self) -> int:
-        return self._plans_cached.value
+        with self._lock:
+            return self._plans_cached
 
     @property
     def planning_units(self) -> int:
-        return self._planning_units.value
+        with self._lock:
+            return self._planning_units
 
     # ------------------------------------------------------------------
 
@@ -131,22 +78,22 @@ class ServiceMetrics:
         self, *, finished: bool, work: int, seconds: float
     ) -> None:
         with self._lock:
-            self._queries.inc()
+            self._queries += 1
             if finished:
-                self._finished.inc()
+                self._finished += 1
             else:
-                self._dnf.inc()
-            self._work_units.inc(work)
+                self._dnf += 1
+            self._work_units += work
             self._latency.observe(seconds)
 
     def record_error(self) -> None:
         with self._lock:
-            self._queries.inc()
-            self._errors.inc()
+            self._queries += 1
+            self._errors += 1
 
     def record_rejection(self) -> None:
         with self._lock:
-            self._rejected.inc()
+            self._rejected += 1
 
     def record_plan(
         self,
@@ -167,43 +114,34 @@ class ServiceMetrics:
         """
         with self._lock:
             if cache_hit:
-                self._plans_cached.inc()
+                self._plans_cached += 1
             else:
-                self._plans_built.inc()
+                self._plans_built += 1
             if fallback:
-                self._plan_fallbacks.inc()
-            self._planning_units.inc(units)
-            self._planning_seconds.inc(seconds)
+                self._plan_fallbacks += 1
+            self._planning_units += units
+            self._planning_seconds += seconds
 
-    def record_degradation(self, step: str) -> None:
-        """One degradation-ladder step taken.
-
-        ``"lower-k"`` counts a query served from a cached plan at a smaller
-        width bound; any other step name counts a builtin fallback (the
-        ladder's last resort, shared with :meth:`record_plan`'s
-        ``fallback``).
-        """
+    def record_lower_k(self) -> None:
+        """One query served from a cached plan at a smaller width bound."""
         with self._lock:
-            if step == "lower-k":
-                self._degraded_lower_k.inc()
-            else:
-                self._plan_fallbacks.inc()
+            self._degraded_lower_k += 1
 
     def record_breaker_skip(self) -> None:
         with self._lock:
-            self._breaker_skips.inc()
+            self._breaker_skips += 1
 
     def record_deadline_miss(self) -> None:
         with self._lock:
-            self._deadline_misses.inc()
+            self._deadline_misses += 1
 
     def record_cancellation(self) -> None:
         with self._lock:
-            self._cancellations.inc()
+            self._cancellations += 1
 
     def record_memory_abort(self) -> None:
         with self._lock:
-            self._memory_aborts.inc()
+            self._memory_aborts += 1
 
     # ------------------------------------------------------------------
 
@@ -215,27 +153,27 @@ class ServiceMetrics:
         with self._lock:
             data: Dict[str, object] = {
                 "queries": {
-                    "submitted": self._queries.snapshot(),
-                    "finished": self._finished.snapshot(),
-                    "dnf": self._dnf.snapshot(),
-                    "errors": self._errors.snapshot(),
-                    "rejected": self._rejected.snapshot(),
-                    "work_units": self._work_units.snapshot(),
+                    "submitted": self._queries,
+                    "finished": self._finished,
+                    "dnf": self._dnf,
+                    "errors": self._errors,
+                    "rejected": self._rejected,
+                    "work_units": self._work_units,
                 },
                 "latency_seconds": summarised(self._latency.snapshot()),
                 "planning": {
-                    "built": self._plans_built.snapshot(),
-                    "cache_hits": self._plans_cached.snapshot(),
-                    "fallbacks": self._plan_fallbacks.snapshot(),
-                    "work_units": self._planning_units.snapshot(),
-                    "seconds": round(float(self._planning_seconds.value), 6),
+                    "built": self._plans_built,
+                    "cache_hits": self._plans_cached,
+                    "fallbacks": self._plan_fallbacks,
+                    "work_units": self._planning_units,
+                    "seconds": round(self._planning_seconds, 6),
                 },
                 "resilience": {
-                    "deadline_misses": self._deadline_misses.snapshot(),
-                    "cancellations": self._cancellations.snapshot(),
-                    "memory_aborts": self._memory_aborts.snapshot(),
-                    "degraded_lower_k": self._degraded_lower_k.snapshot(),
-                    "breaker_skips": self._breaker_skips.snapshot(),
+                    "deadline_misses": self._deadline_misses,
+                    "cancellations": self._cancellations,
+                    "memory_aborts": self._memory_aborts,
+                    "degraded_lower_k": self._degraded_lower_k,
+                    "breaker_skips": self._breaker_skips,
                 },
             }
         if cache is not None:
@@ -246,81 +184,56 @@ class ServiceMetrics:
 class SupervisorMetrics:
     """Cluster self-healing counters for a supervised shard router.
 
-    Registry-backed like :class:`ServiceMetrics` (``shard_*`` instrument
-    names), including a ``shard_recovery_seconds`` histogram of shard
-    recovery times — the down-to-serving interval per restart — so
-    availability reports can quote exact recovery percentiles even after
-    cross-run merging.
+    Plain counters under one lock like :class:`ServiceMetrics`, plus a
+    ``recovery_seconds`` histogram of shard recovery times — the
+    down-to-serving interval per restart — so availability reports can
+    quote exact recovery percentiles even after cross-run merging.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._lock = make_lock("SupervisorMetrics._lock")
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self._worker_deaths = reg.counter(
-            "shard_worker_deaths_total",
-            help="Worker processes observed dead by the router",
-        )
-        self._restarts = reg.counter(
-            "shard_worker_restarts_total",
-            help="Worker processes respawned by the supervisor",
-        )
-        self._breaker_opens = reg.counter(
-            "shard_breaker_opens_total",
-            help="Shard restart budgets exhausted (breaker opened)",
-        )
-        self._failovers = reg.counter(
-            "shard_failovers_total",
-            help="In-flight queries re-dispatched to a failover shard",
-        )
-        self._unavailable = reg.counter(
-            "shard_unavailable_total",
-            help="Queries failed with ShardUnavailable (budgets exhausted)",
-        )
-        self._ring_epochs = reg.counter(
-            "shard_ring_epochs_total",
-            help="Ring epoch bumps (route-LRU invalidations)",
-        )
-        self._recovery = reg.histogram(
-            "shard_recovery_seconds",
-            help="Down-to-serving interval per shard restart",
-        )
+        self._recovery = Histogram()
+        self._worker_deaths = self._restarts = self._breaker_opens = 0
+        self._failovers = self._unavailable = self._ring_epochs = 0
 
     @property
     def worker_deaths(self) -> int:
-        return self._worker_deaths.value
+        with self._lock:
+            return self._worker_deaths
 
     @property
     def restarts(self) -> int:
-        return self._restarts.value
+        with self._lock:
+            return self._restarts
 
     @property
     def breaker_opens(self) -> int:
-        return self._breaker_opens.value
+        with self._lock:
+            return self._breaker_opens
 
     def record_worker_death(self) -> None:
         with self._lock:
-            self._worker_deaths.inc()
+            self._worker_deaths += 1
 
     def record_restart(self) -> None:
         with self._lock:
-            self._restarts.inc()
+            self._restarts += 1
 
     def record_breaker_open(self) -> None:
         with self._lock:
-            self._breaker_opens.inc()
+            self._breaker_opens += 1
 
     def record_failover(self) -> None:
         with self._lock:
-            self._failovers.inc()
+            self._failovers += 1
 
     def record_unavailable(self) -> None:
         with self._lock:
-            self._unavailable.inc()
+            self._unavailable += 1
 
     def record_ring_epoch(self) -> None:
         with self._lock:
-            self._ring_epochs.inc()
+            self._ring_epochs += 1
 
     def observe_recovery(self, seconds: float) -> None:
         with self._lock:
@@ -329,12 +242,12 @@ class SupervisorMetrics:
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "worker_deaths": self._worker_deaths.snapshot(),
-                "restarts": self._restarts.snapshot(),
-                "breaker_opens": self._breaker_opens.snapshot(),
-                "failovers": self._failovers.snapshot(),
-                "unavailable": self._unavailable.snapshot(),
-                "ring_epochs": self._ring_epochs.snapshot(),
+                "worker_deaths": self._worker_deaths,
+                "restarts": self._restarts,
+                "breaker_opens": self._breaker_opens,
+                "failovers": self._failovers,
+                "unavailable": self._unavailable,
+                "ring_epochs": self._ring_epochs,
                 "recovery_seconds": summarised(self._recovery.snapshot()),
             }
 

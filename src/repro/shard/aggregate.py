@@ -1,14 +1,16 @@
 """Cross-shard aggregation: one merged view of N per-process sinks.
 
-Each shard worker owns its own metrics registry, plan cache, and tracer —
-there is no shared memory, so "cluster observability" is a *merge*
-problem.  Both sink formats were designed mergeable: metric snapshots are
-nested dicts of counters (pointwise addition) and summarised histograms
-(merged through :func:`repro.obs.histogram.merge_snapshots` and
-re-summarised, so means, extrema and quantiles are recomputed, never
-summed), and span exports are plain records whose ids only need to be
-made process-unique.  Registry exports merge and render in
-:mod:`repro.obs.metrics`.
+Each shard worker owns its own metrics, plan cache, and tracer — there
+is no shared memory, so "cluster observability" is a *merge* problem.
+Both sink formats were designed mergeable: the metrics snapshot (the one
+metrics record) is a nested dict of counters (pointwise addition) and
+summarised histograms (merged through
+:func:`repro.obs.histogram.merge_snapshots` and re-summarised, so means,
+extrema and quantiles are recomputed, never summed), merged here once and
+rendered as text, JSON or Prometheus
+(:func:`repro.obs.metrics.render_prometheus`) like a single process's;
+span exports are plain records whose ids only need to be made
+process-unique.
 
 Span merging namespaces every shard's ids into a disjoint block of
 :data:`SPAN_ID_STRIDE` (shard *s* owns ``(s+1)*stride .. (s+2)*stride``),

@@ -160,18 +160,12 @@ def wire_error(exc: BaseException) -> ReproError:
 
 @dataclass
 class SnapshotReply:
-    """A shard's metrics snapshot (see :meth:`QueryService.snapshot`).
-
-    Attributes:
-        registry: the shard's kind-tagged Prometheus registry export
-            (:meth:`repro.obs.metrics.MetricsRegistry.export`), merged by
-            the router into one cluster exposition.
-    """
+    """A shard's metrics snapshot (see :meth:`QueryService.snapshot`),
+    merged by the router into the cluster view."""
 
     request_id: int
     shard_id: int
     snapshot: Dict[str, object]
-    registry: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -213,9 +207,7 @@ class WorkerExit:
     Attributes:
         shard_id: which shard exited.
         drained: every worker thread finished within the grace period.
-        snapshot: final metrics/cache snapshot.
-        registry: the shard's kind-tagged Prometheus registry export
-            (:meth:`repro.obs.metrics.MetricsRegistry.export`).
+        snapshot: final metrics snapshot (:meth:`QueryService.snapshot`).
         span_records: the shard tracer's exported span records (empty when
             tracing was off).
         spans_dropped: spans lost to the tracer's retention cap.
@@ -230,7 +222,6 @@ class WorkerExit:
     shard_id: int
     drained: bool
     snapshot: Dict[str, object]
-    registry: Dict[str, object] = field(default_factory=dict)
     span_records: List[Dict[str, object]] = field(default_factory=list)
     spans_dropped: int = 0
     open_spans: int = 0

@@ -70,7 +70,6 @@ from repro.errors import (
     ShardError,
     ShardUnavailable,
 )
-from repro.obs.metrics import merge_registry_exports, render_prometheus
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.resilience.retry import RetryBudget, RetryPolicy
@@ -214,7 +213,6 @@ class ShardRouter:
         self._route_hits = 0
         self._route_misses = 0
         self._latencies: List[float] = []
-        self._registry_exports: Dict[int, Dict[str, Any]] = {}
         self._closed = False
         # Drain coordination: the gate serializes drain() callers (the
         # first runs the shutdown, late callers block then reuse its
@@ -507,13 +505,10 @@ class ShardRouter:
         elif isinstance(message, SnapshotReply):
             with self._room:
                 waiter = self._snapshot_waiters.pop(message.request_id, None)
-                self._registry_exports[handle.shard_id] = message.registry
             if waiter is not None and not waiter.done():
                 waiter.set_result((handle.shard_id, message.snapshot))
         elif isinstance(message, WorkerExit):
             handle.exit = message
-            with self._room:
-                self._registry_exports[handle.shard_id] = message.registry
 
     def _resolve(
         self,
@@ -837,22 +832,6 @@ class ShardRouter:
                     if isinstance(events, list):
                         events.extend(self.supervisor.events())
         return data
-
-    def render_prometheus(self) -> str:
-        """One Prometheus exposition merged from every shard's registry,
-        plus the supervisor's ``shard_*`` instruments when supervised.
-
-        Uses the most recent registry export from each shard (refreshed
-        by :meth:`snapshot` and finalized by :meth:`drain`).
-        """
-        with self._room:
-            exports = [
-                self._registry_exports[shard_id]
-                for shard_id in sorted(self._registry_exports)
-            ]
-        if self.supervisor is not None:
-            exports.append(self.supervisor.metrics.registry.export())
-        return render_prometheus(merge_registry_exports(exports))
 
     def client_latencies(self) -> List[float]:
         """Router-observed seconds from dispatch to response, per query."""

@@ -195,14 +195,7 @@ def shard_worker_main(
                 lambda fut, request_id=request_id: finish(request_id, fut)
             )
         elif isinstance(message, SnapshotCommand):
-            send(
-                SnapshotReply(
-                    message.request_id,
-                    shard_id,
-                    service.snapshot(),
-                    registry=service.metrics.registry.export(),
-                )
-            )
+            send(SnapshotReply(message.request_id, shard_id, service.snapshot()))
         elif isinstance(message, DrainCommand):
             grace = message.grace_seconds
             break
@@ -228,7 +221,6 @@ def shard_worker_main(
             shard_id=shard_id,
             drained=drained and flushed,
             snapshot=service.snapshot(),
-            registry=service.metrics.registry.export(),
             span_records=tracer.to_records(),
             spans_dropped=tracer.dropped,
             open_spans=tracer.open_spans,

@@ -246,7 +246,7 @@ class TestCommands:
         [
             ("text", "\nqueries:\n  submitted: 3", "\n  queries:\n    submitted: 3"),
             ("json", '\n  "planning": {', '\n  "merged": {'),
-            ("prom", "\nservice_queries_submitted_total 3", "\nservice_queries_submitted_total 3"),
+            ("prom", "\nhdqo_queries_submitted 3", "\nhdqo_queries_submitted 3"),
         ],
         ids=["text", "json", "prom"],
     )
@@ -300,7 +300,7 @@ class TestCommands:
             monkeypatch.setattr("sys.stdin", io.StringIO("q5\nq5\n"))
             assert main(argv + flags) == 0
             out = capsys.readouterr().out
-            assert "service_queries_submitted_total 2" in out
+            assert "hdqo_queries_submitted 2" in out
             assert ("hdqo_template_queries_total{" in out) is expected
 
     def test_serve_single_process_reports_lock_order_violations(

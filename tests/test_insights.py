@@ -56,11 +56,7 @@ from repro.obs.insights import (
     replay_mismatches,
     run_top,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_registry_exports,
-    render_prometheus,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import tracing
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import QueryService
@@ -542,9 +538,9 @@ class TestAggregateMergeSpecialCases:
             ), seed
 
     def test_every_histogram_renders_identically_however_it_was_fed(self):
-        """Single process, its shipped export, and N merged exports fed
-        the same observations in another order: one exposition text, and
-        byte-identical histogram sections in the nested snapshot."""
+        """Single process, its shipped snapshot, and N merged snapshots
+        fed the same observations in another order: one exposition text,
+        and byte-identical histogram sections in the nested snapshot."""
         rng = random.Random(7)
         observations = [
             (f"T{rng.randrange(3)}", rng.lognormvariate(-5.0, 1.0),
@@ -561,25 +557,24 @@ class TestAggregateMergeSpecialCases:
                     finished=True, work=work, seconds=seconds
                 )
                 _query(insights[shard], template, seconds, work)
-            exports = [m.registry.export() for m in metrics]
-            snapshot = merge_metric_snapshots([
+            snapshots = [
                 {**m.snapshot(), "insights": i.snapshot()}
                 for m, i in zip(metrics, insights)
-            ])
-            return exports, snapshot
+            ]
+            return snapshots, merge_metric_snapshots(snapshots)
 
         (live,), single = feed(observations, 1)
         shuffled = list(observations)
         rng.shuffle(shuffled)
-        exports, merged = feed(shuffled, 4)
+        _, merged = feed(shuffled, 4)
 
         text = render_prometheus(live)
         assert render_prometheus(json.loads(json.dumps(live))) == text
-        assert render_prometheus(merge_registry_exports([live])) == text
-        assert render_prometheus(merge_registry_exports(exports)) == text
+        assert render_prometheus(single) == text
+        assert render_prometheus(merged) == text
         assert_wellformed_exposition(
             text,
-            sums={"service_latency_seconds": single["latency_seconds"]["total"]},
+            sums={"hdqo_latency_seconds": single["latency_seconds"]["total"]},
         )
         assert json.dumps(merged["latency_seconds"]) == json.dumps(
             single["latency_seconds"]

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import sys
 import threading
 
 import pytest
@@ -14,15 +16,10 @@ from repro.obs.histogram import (
     WORK_RANGE,
     Histogram,
     merge_snapshots,
+    summarised,
     summary,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
@@ -172,30 +169,13 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Histogram and its Prometheus rendering
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(10)
-        gauge.dec(3)
-        gauge.inc()
-        assert gauge.value == 8
-
+class TestHistogram:
     def test_histogram_buckets_and_summary(self):
-        histogram = Histogram("h", index_range=WORK_RANGE)
+        histogram = Histogram(index_range=WORK_RANGE)
         for value in (0.5, 5, 50, 500):
             histogram.observe(value)
         snap = histogram.snapshot()
@@ -214,18 +194,17 @@ class TestMetricsRegistry:
         }
 
     def test_histogram_empty_snapshot_has_no_inf(self):
-        snap = Histogram("h").snapshot()
+        snap = Histogram().snapshot()
         assert snap["min"] is None and snap["max"] is None
         assert "Infinity" not in json.dumps(snap)  # must be JSON-safe
-        registry = MetricsRegistry()
-        registry.histogram("h")
-        text = render_prometheus(registry.export())
-        assert 'h_bucket{le="+Inf"} 0' in text and "h_sum 0.0" in text
-        assert_wellformed_exposition(text, sums={"h": 0.0})
+        text = render_prometheus({"h": summarised(snap)})
+        assert 'hdqo_h_bucket{le="+Inf"} 0' in text
+        assert "hdqo_h_sum 0.0" in text
+        assert_wellformed_exposition(text, sums={"hdqo_h": 0.0})
 
     def test_histogram_merge(self):
-        a = Histogram("a")
-        b = Histogram("b")
+        a = Histogram()
+        b = Histogram()
         a.observe(0.5)
         b.observe(20)
         snap = merge_snapshots([a.snapshot(), b.snapshot()])
@@ -233,56 +212,50 @@ class TestMetricsRegistry:
         assert snap["min"] == 0.5 and snap["max"] == 20
         with pytest.raises(ValueError, match="geometry"):
             merge_snapshots(
-                [snap, Histogram("c", index_range=WORK_RANGE).snapshot()]
+                [snap, Histogram(index_range=WORK_RANGE).snapshot()]
             )
 
-    def test_registration_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x")
-
-    def test_snapshot_and_names(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc(2)
-        registry.gauge("a").set(1)
-        assert registry.names() == ["a", "b"]
-        assert registry.snapshot() == {"a": 1, "b": 2}
-        registry.unregister("a")
-        assert registry.names() == ["b"]
-
     def test_render_text(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total", help="All requests").inc(3)
-        registry.histogram("latency").observe(0.05)
-        text = render_prometheus(registry.export())
-        assert "# HELP requests_total All requests" in text
-        assert "# TYPE requests_total counter" in text
-        assert "requests_total 3" in text
+        histogram = Histogram()
+        histogram.observe(0.05)
+        text = render_prometheus({
+            "requests": {"total": 3, "rate": 0.5, "busy": True},
+            "latency": summarised(histogram.snapshot()),
+            "note": "skipped",
+            "per_shard": {0: {"inflight": 1}},
+            "insights": {"templates": 1},
+        })
+        assert "# HELP" not in text
+        assert "# TYPE hdqo_requests_total untyped" in text
+        assert "hdqo_requests_total 3" in text
+        assert "hdqo_requests_rate 0.5" in text
         # le steps over the powers of two; 0.05 lies in [2^-5, 2^-4).
-        assert 'latency_bucket{le="0.03125"} 0' in text
-        assert 'latency_bucket{le="0.0625"} 1' in text
-        assert 'latency_bucket{le="+Inf"} 1' in text
-        assert "latency_sum 0.05" in text
-        assert "latency_count 1" in text
+        assert "# TYPE hdqo_latency histogram" in text
+        assert 'hdqo_latency_bucket{le="0.03125"} 0' in text
+        assert 'hdqo_latency_bucket{le="0.0625"} 1' in text
+        assert 'hdqo_latency_bucket{le="+Inf"} 1' in text
+        assert "hdqo_latency_sum 0.05" in text
+        assert "hdqo_latency_count 1" in text
+        # The summary fields are the histogram's, not samples of their own.
+        assert "hdqo_latency_p50" not in text
+        # Bools, strings, shard-keyed tables and insights are skipped.
+        for skipped in ("busy", "note", "inflight", "templates"):
+            assert skipped not in text
         assert_wellformed_exposition(text)
 
     def test_le_label_set_is_fixed_and_boundaries_are_exclusive(self):
         def bucket_lines(*values):
-            registry = MetricsRegistry()
-            histogram = registry.histogram("latency")
+            histogram = Histogram()
             for value in values:
                 histogram.observe(value)
-            text = render_prometheus(registry.export())
+            text = render_prometheus(
+                {"latency": summarised(histogram.snapshot())}
+            )
             assert_wellformed_exposition(text)
             return [
                 line.rsplit(" ", 1)
                 for line in text.splitlines()
-                if line.startswith("latency_bucket")
+                if line.startswith("hdqo_latency_bucket")
             ]
 
         empty = bucket_lines()
@@ -290,14 +263,11 @@ class TestMetricsRegistry:
         # A scraper sees the same series whatever was observed.
         assert [label for label, _ in empty] == [label for label, _ in busy]
         counts = dict(busy)
-        assert counts['latency_bucket{le="0"}'] == "1"
-        assert counts['latency_bucket{le="0.0625"}'] == "2"  # exclusive
-        assert counts['latency_bucket{le="0.125"}'] == "3"
-        assert counts['latency_bucket{le="4096.0"}'] == "4"  # hi clamp
-        assert counts['latency_bucket{le="+Inf"}'] == "5"    # only here
-
-    def test_global_registry_is_shared(self):
-        assert get_registry() is get_registry()
+        assert counts['hdqo_latency_bucket{le="0"}'] == "1"
+        assert counts['hdqo_latency_bucket{le="0.0625"}'] == "2"  # exclusive
+        assert counts['hdqo_latency_bucket{le="0.125"}'] == "3"
+        assert counts['hdqo_latency_bucket{le="4096.0"}'] == "4"  # hi clamp
+        assert counts['hdqo_latency_bucket{le="+Inf"}'] == "5"    # only here
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +334,53 @@ class TestServiceMetrics:
         assert latency["total"] == latency["hdr"]["total"] == 0.002629
         assert latency["p50"] == latency["p99"] == latency["max"] == 0.002629
         histograms = [
-            name
-            for name, entry in metrics.registry.export().items()
-            if entry["kind"] == "histogram"
+            line.split()[2]
+            for line in render_prometheus(metrics.snapshot()).splitlines()
+            if line.endswith(" histogram")
         ]
-        assert histograms == ["service_latency_seconds"]
-        assert (
-            metrics.registry.get("service_latency_seconds").snapshot()
-            == latency["hdr"]
-        )
+        assert histograms == ["hdqo_latency_seconds"]
+
+    def test_concurrent_updates_are_not_lost(self):
+        """Writers on more threads than cores, and a reader whose every
+        snapshot must be consistent: one query is one counter step and
+        one latency observation, never half of it."""
+        metrics = ServiceMetrics()
+        threads_n, per_thread = 2 * (os.cpu_count() or 1) + 2, 2000
+        torn = []
+
+        def record():
+            for _ in range(per_thread):
+                metrics.record_query(finished=True, work=3, seconds=0.001)
+
+        def read():
+            while any(thread.is_alive() for thread in writers):
+                snap = metrics.snapshot()
+                submitted = snap["queries"]["submitted"]
+                if submitted != snap["latency_seconds"]["count"]:
+                    torn.append(submitted)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [
+                threading.Thread(target=record) for _ in range(threads_n)
+            ]
+            reader = threading.Thread(target=read)
+            for thread in writers:
+                thread.start()
+            reader.start()
+            for thread in (*writers, reader):
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads_n * per_thread
+        snap = metrics.snapshot()
+        assert not torn
+        assert snap["queries"]["submitted"] == total
+        assert snap["queries"]["finished"] == total
+        assert snap["queries"]["work_units"] == 3 * total
+        assert snap["latency_seconds"]["count"] == total
 
     def test_instances_do_not_share_instruments(self):
         a, b = ServiceMetrics(), ServiceMetrics()
@@ -382,11 +390,34 @@ class TestServiceMetrics:
     def test_render_text_exposes_service_instruments(self):
         metrics = ServiceMetrics()
         metrics.record_query(finished=False, work=2, seconds=0.5)
-        text = render_prometheus(metrics.registry.export())
-        assert "service_queries_submitted_total 1" in text
-        assert "service_queries_dnf_total 1" in text
-        assert "service_latency_seconds_count 1" in text
-        assert_wellformed_exposition(text)
+        text = render_prometheus(metrics.snapshot())
+        assert "hdqo_queries_submitted 1" in text
+        assert "hdqo_queries_dnf 1" in text
+        assert "hdqo_latency_seconds_count 1" in text
+        assert_wellformed_exposition(text, sums={"hdqo_latency_seconds": 0.5})
+
+    def test_service_exposition_covers_every_section(self, chain_db):
+        """The exposition is the snapshot's: the plan cache, pool and text
+        memo sections are scraped too."""
+        with QueryService(
+            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=2, workers=2
+        ) as service:
+            service.run_all([CHAIN_SQL] * 3)
+            snapshot = service.snapshot()
+        text = render_prometheus(snapshot)
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        assert samples["hdqo_cache_hits"] == str(snapshot["cache"]["hits"])
+        assert samples["hdqo_pool_workers"] == "2"
+        assert samples["hdqo_texts_hits"] == str(snapshot["texts"]["hits"])
+        assert samples["hdqo_queries_submitted"] == "3"
+        assert_wellformed_exposition(
+            text,
+            sums={"hdqo_latency_seconds": snapshot["latency_seconds"]["total"]},
+        )
 
     def test_render_snapshot_prints_summaries_not_bucket_tables(self):
         metrics = ServiceMetrics()

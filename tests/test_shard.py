@@ -1,6 +1,6 @@
 """Shard subsystem: ring, typed errors on the wire, aggregation, router.
 
-The cheap layers (hash ring, error pickling, snapshot/span/registry merges,
+The cheap layers (hash ring, error pickling, snapshot/span merges,
 span-record validation) are tested in-process.  The expensive layer —
 real worker processes behind a :class:`ShardRouter` — runs **once** in a
 module-scoped fixture that drives a multi-template workload through the
@@ -52,11 +52,7 @@ from repro.errors import (
     WorkBudgetExceeded,
 )
 from repro.obs.histogram import Histogram, summarised
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_registry_exports,
-    render_prometheus,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import validate_span_records
 from repro.relational import AttributeType, Database, RelationSchema
 from repro.service.config import ServiceConfig
@@ -238,7 +234,7 @@ class TestErrorCodec:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation: snapshots, spans, registries
+# Aggregation: snapshots and spans
 # ---------------------------------------------------------------------------
 
 
@@ -274,6 +270,45 @@ class TestMergeMetricSnapshots:
     def test_empty_input(self):
         assert merge_metric_snapshots([]) == {}
         assert merge_metric_snapshots([{}, {}]) == {}
+
+    @staticmethod
+    def shard_snapshot(scale):
+        busy, idle = Histogram(), Histogram()
+        busy.observe(0.05 * scale)
+        return {
+            "queries": {"submitted": 3 * scale},
+            "pool": {"active": 2 * scale},
+            "latency_seconds": summarised(busy.snapshot()),
+            "recovery_seconds": summarised(idle.snapshot()),
+        }
+
+    def test_shipped_snapshot_renders_like_the_live_one(self):
+        live = self.shard_snapshot(1)
+        text = render_prometheus(live)
+        shipped = pickle.loads(pickle.dumps(live))
+        assert render_prometheus(shipped) == text
+        assert render_prometheus(merge_metric_snapshots([shipped])) == text
+        assert_wellformed_exposition(
+            text,
+            sums={"hdqo_latency_seconds": 0.05, "hdqo_recovery_seconds": 0.0},
+        )
+
+    def test_merged_snapshot_renders_summed_counters_and_histograms(self):
+        merged = merge_metric_snapshots(
+            [self.shard_snapshot(1), self.shard_snapshot(2)]
+        )
+        text = render_prometheus(merged)
+        assert "hdqo_queries_submitted 9" in text
+        assert "hdqo_pool_active 6" in text
+        assert 'hdqo_latency_seconds_bucket{le="+Inf"} 2' in text
+        assert merged["latency_seconds"]["min"] == 0.05
+        assert merged["latency_seconds"]["max"] == 0.1
+        # Extrema ignore histograms that never observed anything.
+        assert merged["recovery_seconds"]["count"] == 0
+        assert merged["recovery_seconds"]["hdr"]["min"] is None
+        assert_wellformed_exposition(
+            text, sums={"hdqo_latency_seconds": 0.15}
+        )
 
 
 class TestMergeSpanRecords:
@@ -356,54 +391,6 @@ class TestValidateSpanRecords:
         assert any("negative" in p for p in problems)
 
 
-class TestRegistryAggregation:
-    def populated_registry(self, scale):
-        registry = MetricsRegistry()
-        counter = registry.counter("rpc_total", help="requests")
-        counter.inc(3 * scale)
-        gauge = registry.gauge("inflight", help="current")
-        gauge.set(2 * scale)
-        histogram = registry.histogram("latency", help="seconds")
-        histogram.observe(0.05 * scale)
-        registry.histogram("idle", help="never observed")
-        return registry
-
-    def test_single_export_renders_like_the_live_registry(self):
-        registry = self.populated_registry(1)
-        live = render_prometheus(registry.export())
-        shipped = pickle.loads(pickle.dumps(registry.export()))
-        assert render_prometheus(shipped) == live
-        assert render_prometheus(merge_registry_exports([shipped])) == live
-        assert_wellformed_exposition(live, sums={"latency": 0.05, "idle": 0.0})
-
-    def test_merge_sums_counters_and_histograms(self):
-        exports = [
-            self.populated_registry(1).export(),
-            self.populated_registry(2).export(),
-        ]
-        merged = merge_registry_exports(exports)
-        assert merged["rpc_total"]["value"] == 9
-        assert merged["inflight"]["value"] == 6
-        histogram = merged["latency"]["value"]
-        assert histogram["count"] == 2
-        assert histogram["min"] == 0.05
-        assert histogram["max"] == 0.1
-        # Extrema ignore histograms that never observed anything.
-        assert merged["idle"]["value"]["count"] == 0
-        assert merged["idle"]["value"]["min"] is None
-        text = render_prometheus(merged)
-        assert "rpc_total 9" in text
-        assert 'latency_bucket{le="+Inf"} 2' in text
-        assert_wellformed_exposition(text, sums={"latency": 0.15})
-
-    def test_kind_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            merge_registry_exports([
-                {"m": {"kind": "counter", "help": "", "value": 1}},
-                {"m": {"kind": "gauge", "help": "", "value": 1}},
-            ])
-
-
 class TestShardCacheHitRates:
     def test_per_query_rate_from_planning_counters(self):
         rates = shard_cache_hit_rates({
@@ -463,6 +450,8 @@ def cluster():
     routes = {sql: router.route(sql) for sql in queries}
     routes_again = {sql: router.route(sql) for sql in queries}
     sharded_results = router.run_all(queries)
+    first_snapshot = router.snapshot()
+    first_prometheus_text = render_prometheus(first_snapshot["merged"])
 
     # The second pass: the same workload from two threads at once (even
     # and odd positions), reassembled in submission order.
@@ -481,7 +470,7 @@ def cluster():
         thread.join(timeout=60)
         assert not thread.is_alive()
     live_snapshot = router.snapshot()
-    prometheus_text = router.render_prometheus()
+    prometheus_text = render_prometheus(live_snapshot["merged"])
     latencies = router.client_latencies()
     drained = router.drain(grace_seconds=30.0)
     yield SimpleNamespace(
@@ -494,6 +483,8 @@ def cluster():
         routes_again=routes_again,
         sharded_results=sharded_results,
         second_pass=second_pass,
+        first_snapshot=first_snapshot,
+        first_prometheus_text=first_prometheus_text,
         live_snapshot=live_snapshot,
         prometheus_text=prometheus_text,
         latencies=latencies,
@@ -581,13 +572,34 @@ class TestClusterObservability:
     def test_prometheus_exposition_is_cluster_wide(self, cluster):
         text = cluster.prometheus_text
         expected = 2 * len(cluster.queries)
-        assert f"service_queries_submitted_total {expected}" in text
-        assert "# TYPE service_queries_submitted_total counter" in text
-        assert f"service_latency_seconds_count {expected}" in text
+        assert f"hdqo_queries_submitted {expected}" in text
+        assert "# TYPE hdqo_queries_submitted untyped" in text
+        assert f"hdqo_latency_seconds_count {expected}" in text
+        assert f"hdqo_pool_workers {SHARDS * 2}" in text
         merged = cluster.live_snapshot["merged"]["latency_seconds"]
         assert_wellformed_exposition(
-            text, sums={"service_latency_seconds": merged["total"]}
+            text, sums={"hdqo_latency_seconds": merged["total"]}
         )
+
+    def test_prometheus_exposition_is_fresh(self, cluster):
+        """A live router's exposition renders the snapshot taken for it:
+        after N more queries it reads the new count."""
+        views = [
+            (cluster.first_snapshot, cluster.first_prometheus_text),
+            (cluster.live_snapshot, cluster.prometheus_text),
+        ]
+        counts = []
+        for snapshot, text in views:
+            samples = dict(
+                line.rsplit(" ", 1)
+                for line in text.splitlines()
+                if not line.startswith("#")
+            )
+            submitted = int(samples["hdqo_queries_submitted"])
+            assert submitted == snapshot["merged"]["queries"]["submitted"]
+            assert_wellformed_exposition(text)
+            counts.append(submitted)
+        assert counts == [len(cluster.queries), 2 * len(cluster.queries)]
 
     def test_client_latencies_recorded_per_query(self, cluster):
         assert len(cluster.latencies) == 2 * len(cluster.queries)

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.dbms import DBMSResult
 from repro.errors import ReproError, ShardError, ShardUnavailable
+from repro.obs.metrics import render_prometheus
 from repro.relational import AttributeType, Database, RelationSchema
 from repro.resilience import RetryBudget, RetryPolicy, jittered_backoff
 from repro.service.config import ServiceConfig
@@ -377,8 +378,11 @@ def healed_cluster(chain_db_module):
         artifacts["recovered"] = _await_live(router, SHARDS)
         artifacts["after"] = router.run_all(queries)
         artifacts["epoch_after"] = router.ring_epoch()
-        artifacts["snapshot"] = router.snapshot()
-        artifacts["prometheus"] = router.render_prometheus()
+        artifacts["snapshot"] = snapshot = router.snapshot()
+        artifacts["prometheus"] = "\n".join([
+            render_prometheus(snapshot["merged"]),
+            render_prometheus({"shard": snapshot["supervisor"]["metrics"]}),
+        ])
         artifacts["live_after"] = router.live_shards()
     finally:
         artifacts["drained"] = router.drain(grace_seconds=30.0)
@@ -445,9 +449,10 @@ class TestSelfHealingCluster:
     def test_prometheus_exposition_carries_the_supervisor_instruments(
         self, healed_cluster
     ):
-        """The cluster exposition is the workers' merged ``service_*``
-        instruments *plus* the supervisor's ``shard_*`` ones — restarts
-        and the recovery-time histogram were once in no exposition."""
+        """The cluster exposition (what ``hdqo serve --metrics-format
+        prom`` prints) is the workers' merged snapshot *plus* the
+        supervisor's metrics as ``hdqo_shard_*``, restarts and the
+        recovery-time histogram included."""
         text = healed_cluster["prometheus"]
         samples = dict(
             line.rsplit(" ", 1)
@@ -455,14 +460,14 @@ class TestSelfHealingCluster:
             if not line.startswith("#")
         )
         metrics = healed_cluster["snapshot"]["supervisor"]["metrics"]
-        assert int(samples["shard_worker_restarts_total"]) >= 1
-        assert int(samples["shard_worker_deaths_total"]) >= 1
+        assert int(samples["hdqo_shard_restarts"]) >= 1
+        assert int(samples["hdqo_shard_worker_deaths"]) >= 1
         recovery = metrics["recovery_seconds"]
-        assert int(samples["shard_recovery_seconds_count"]) >= 1
-        assert "# TYPE shard_recovery_seconds histogram" in text
-        assert "service_queries_submitted_total" in samples
+        assert int(samples["hdqo_shard_recovery_seconds_count"]) >= 1
+        assert "# TYPE hdqo_shard_recovery_seconds histogram" in text
+        assert "hdqo_queries_submitted" in samples
         assert_wellformed_exposition(
-            text, sums={"shard_recovery_seconds": recovery["total"]}
+            text, sums={"hdqo_shard_recovery_seconds": recovery["total"]}
         )
 
     def test_router_snapshot_tags_down_shards_and_incarnations(
