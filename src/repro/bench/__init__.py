@@ -25,7 +25,6 @@ from repro.bench.experiments import (
     run_fig10,
     run_overhead,
 )
-from repro.bench.serving import run_serving_throughput, serving_workload
 
 __all__ = [
     "RunRecord",
@@ -46,6 +45,4 @@ __all__ = [
     "run_fig9",
     "run_fig10",
     "run_overhead",
-    "run_serving_throughput",
-    "serving_workload",
 ]

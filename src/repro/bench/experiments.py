@@ -422,16 +422,7 @@ EXPERIMENTS = {
     "fig9": lambda scale="quick": run_fig9(scale),
     "fig10": lambda scale="quick": run_fig10(scale),
     "overhead": lambda scale="quick": run_overhead(scale),
-    "serving": lambda scale="quick": _run_serving(scale),
 }
-
-
-def _run_serving(scale: str) -> ExperimentResult:
-    # Imported lazily: repro.bench.serving pulls in the serving layer,
-    # which the figure experiments above do not need.
-    from repro.bench.serving import run_serving_throughput
-
-    return run_serving_throughput(scale)
 
 
 def run_experiment(experiment_id: str, scale: str = "quick") -> ExperimentResult:

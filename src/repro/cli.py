@@ -15,9 +15,7 @@ Subcommands:
   insights registry: counters, streaming histograms, slow-query log);
 * ``top`` — live terminal view over a published insights snapshot;
 * ``report`` — offline per-template analytics over exported span JSONL,
-  with optional regression checks against a ``BENCH_*.json`` baseline;
-* ``bench-serve`` — the repeated-template serving benchmark (plan cache
-  cold vs warm).
+  with optional regression checks against an earlier span export.
 """
 
 from __future__ import annotations
@@ -243,7 +241,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     ``--trace FILE`` turns end-to-end tracing on for the whole batch and
     exports every span (``serve.plan``, ``serve.execute``, ``qhd.node``,
-    ``exec.*``) as validated JSONL; ``--metrics-format`` picks the final
+    ``exec.*``) as validated JSONL — with ``--insights``, also replayed
+    against the live registries; ``--metrics-format`` picks the final
     snapshot rendering (human text, JSON, or Prometheus exposition).
 
     SIGINT/SIGTERM trigger a graceful drain: no new queries start, queued
@@ -256,6 +255,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.analysis.lockwitness import GLOBAL_WITNESS, lockcheck_enabled
     from repro.obs.flush import FlushRegistry
+    from repro.obs.insights.report import analyze_spans, replay_mismatches
     from repro.obs.metrics import render_prometheus
     from repro.obs.tracing import (
         NULL_TRACER,
@@ -373,6 +373,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"warning: draining {units} outlasted the grace period",
                 file=sys.stderr,
             )
+        snapshot = (
+            service.snapshot() if router is None else router.final_snapshot()
+        )
+        view = dict(snapshot if router is None else snapshot["merged"])
         problems: List[str] = []
         if config.trace:
             if router is None:
@@ -397,6 +401,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     require_shard_tag=router is not None,
                 )
             ]
+            if args.insights:
+                # The span replay must rebuild the live registries' records.
+                problems += [
+                    f"trace problem: replay != live: {mismatch}"
+                    for mismatch in replay_mismatches(
+                        view.get("insights") or {}, analyze_spans(records)
+                    )
+                ]
         if router is not None:
             problems += [
                 f"lock-order violation on shard {shard_id}: {violation}"
@@ -418,10 +430,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if exit_code == 0:
                 exit_code = 2
         print()
-        snapshot = (
-            service.snapshot() if router is None else router.final_snapshot()
-        )
-        view = dict(snapshot if router is None else snapshot["merged"])
         if args.metrics_format == "json":
             print(json_module.dumps(snapshot, indent=2, sort_keys=True))
         elif args.metrics_format == "prom":
@@ -466,164 +474,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.bench.serving import run_serving_throughput
-
-    if args.shards >= 2:
-        return _bench_serve_sharded(args)
-    result = run_serving_throughput(
-        scale=args.scale,
-        workers=args.workers,
-        repetitions=args.repetitions,
-        deadline_ms=args.deadline_ms,
-        inject=args.inject,
-        insights=args.insights,
-    )
-    print(render_series_table(result, metric="work", point_label="repetitions"))
-    cold = result.series("cold")[-1]
-    warm = result.series("warm")[-1]
-    print()
-    print(
-        f"planning work: cold={cold.work}  warm={warm.work}  "
-        f"({cold.work / warm.work:.1f}× amortization)"
-        if warm.work
-        else f"planning work: cold={cold.work}  warm={warm.work}"
-    )
-    print(
-        f"plans built:   cold={cold.extra['plans_built']}  "
-        f"warm={warm.extra['plans_built']} "
-        f"(+{warm.extra['cache_hits']} cache hits)"
-    )
-    print(
-        f"throughput:    cold={cold.extra['throughput_qps']} q/s  "
-        f"warm={warm.extra['throughput_qps']} q/s"
-    )
-    print(
-        f"fallbacks:     cold={cold.extra['fallbacks']}  "
-        f"warm={warm.extra['fallbacks']}  "
-        f"(lower-k: cold={cold.extra['degraded_lower_k']} "
-        f"warm={warm.extra['degraded_lower_k']})"
-    )
-    if args.deadline_ms is not None or args.inject:
-        print(
-            f"deadline miss: cold={cold.extra['deadline_miss_rate']:.2%} "
-            f"({cold.extra['deadline_misses']})  "
-            f"warm={warm.extra['deadline_miss_rate']:.2%} "
-            f"({warm.extra['deadline_misses']})"
-        )
-        print(
-            f"errors:        cold={cold.extra['errors']}  "
-            f"warm={warm.extra['errors']}"
-        )
-    if cold.phase_work and warm.phase_work:
-        print(
-            "phase work:    "
-            f"cold decompose={cold.phase_work['decompose']} "
-            f"execute={cold.phase_work['execute']}  |  "
-            f"warm decompose={warm.phase_work['decompose']} "
-            f"execute={warm.phase_work['execute']}"
-        )
-    print(
-        f"latency:       cold p99={cold.extra['latency_p99_ms']}ms  "
-        f"warm p99={warm.extra['latency_p99_ms']}ms"
-    )
-    if args.insights:
-        print(
-            f"insights:      cold templates={cold.extra['insight_templates']} "
-            f"warm templates={warm.extra['insight_templates']}  "
-            f"(slow outliers: cold={cold.extra['slow_outliers']} "
-            f"warm={warm.extra['slow_outliers']})"
-        )
-    return 0
-
-
-def _bench_serve_sharded(args: argparse.Namespace) -> int:
-    """``bench-serve --shards N``: the multi-tenant cluster benchmark."""
-    from repro.bench.serving import run_sharded_serving
-
-    report = run_sharded_serving(
-        scale=args.scale,
-        shards=args.shards,
-        workers=args.workers,
-        repetitions=args.repetitions,
-        deadline_ms=args.deadline_ms,
-        inject=args.inject,
-        insights=args.insights,
-        kill_rate=args.kill_rate,
-        supervise=args.supervise or args.kill_rate > 0,
-    )
-    base, shard = report["baseline"], report["sharded"]
-    print(
-        f"sharded serving: {report['queries']} queries "
-        f"({report['tenants']} tenants × {report['repetitions']} reps) "
-        f"over {report['shards']} shards × {report['workers_per_shard']} workers"
-    )
-    print(
-        f"throughput:  baseline={base['throughput_qps']} q/s  "
-        f"sharded={shard['throughput_qps']} q/s"
-    )
-    print(
-        f"latency:     p50={shard['latency_p50_ms']}ms  "
-        f"p99={shard['latency_p99_ms']}ms  "
-        f"max={shard['latency_max_ms']}ms  "
-        f"saturation={shard['saturation']:.2f}"
-    )
-    rates = ", ".join(
-        f"{shard_id}:{rate:.2%}" if rate is not None else f"{shard_id}:-"
-        for shard_id, rate in shard["per_shard_cache_hit_rates"].items()
-    )
-    print(
-        f"cache:       baseline={base['cache_hit_rate']:.2%}  "
-        f"per-shard [{rates}]"
-    )
-    parity = report["parity"]
-    if parity["checked"]:
-        print(
-            f"parity:      identical={parity['identical']} "
-            f"({parity['compared']} queries, {parity['rows']} rows)"
-        )
-    print(
-        f"hit-rate:    every shard ≥ baseline: {report['hit_rate_ok']}  "
-        f"drain clean: {shard['drained_clean']}"
-    )
-    resilience = report.get("resilience")
-    if resilience is not None:
-        print(
-            f"resilience:  availability={resilience['availability']:.2%}  "
-            f"kills={resilience['kills']}  "
-            f"restarts={resilience['restarts']}  "
-            f"failovers={resilience['failovers']}  "
-            f"recovered={resilience['recovered_to_full']}"
-        )
-        print(
-            f"recovery:    p50={resilience['recovery_p50_ms']}ms  "
-            f"p99={resilience['recovery_p99_ms']}ms"
-        )
-    if args.insights and "insights" in shard:
-        templates = shard["insights"]["templates"]
-        worst = max(
-            (entry["latency_p99_ms"] for entry in templates.values()),
-            default=0.0,
-        )
-        print(
-            f"insights:    {len(templates)} template(s), "
-            f"worst p99={worst}ms"
-        )
-    if args.record:
-        from repro.bench.record import write_record
-
-        write_record(report, args.record)
-        print(f"recorded -> {args.record}")
-    ok = (
-        (report["parity"]["identical"] or not parity["checked"])
-        and report["hit_rate_ok"]
-        and shard["drained_clean"]
-    )
-    if resilience is not None:
-        ok = ok and resilience["recovered_to_full"]
-    return 0 if ok else 1
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """Live top-style view over a published insights snapshot file.
 
@@ -647,11 +497,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     Replays every ``serve.query`` span into a fresh insights registry (the
     record the live registry held, by the same rule), validates the
     trace's internal consistency, and — with ``--baseline`` — flags regressions
-    against a recorded ``BENCH_*.json`` trajectory point.  Exits 1 on any
-    trace problem or flagged regression.
+    against an earlier span export, analysed by the same rule.  Exits 1 on
+    any trace problem or flagged regression; problems in the baseline
+    trace are only warnings.
     """
-    import json as json_module
-
     from repro.obs.insights.report import (
         analyze_spans,
         check_baseline,
@@ -659,25 +508,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         render_report,
     )
 
-    records, load_problems = load_span_records(args.spans)
-    analysis = analyze_spans(records)
-    analysis["problems"] = load_problems + list(analysis["problems"])
+    def analyze(path: str) -> dict:
+        records, load_problems = load_span_records(path)
+        analysis = analyze_spans(records)
+        analysis["problems"] = load_problems + list(analysis["problems"])
+        return analysis
 
+    analysis = analyze(args.spans)
     flags = None
     warnings = None
     if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json_module.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
+        baseline = analyze(args.baseline)
+        if not baseline["spans"]:
+            reason = (baseline["problems"] or ["no span records"])[0]
+            print(f"cannot read baseline {args.baseline}: {reason}", file=sys.stderr)
             return 1
-        if not isinstance(baseline, dict):
-            print(f"baseline {args.baseline} is not a JSON object", file=sys.stderr)
-            return 1
-        flags, warnings = check_baseline(
-            analysis, baseline, tolerance=args.tolerance
-        )
+        flags, warnings = check_baseline(analysis, baseline)
 
     print(render_report(analysis, flags, warnings))
     problems = analysis["problems"]
@@ -747,22 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size-mb", type=float, default=100.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--width", type=int, default=4, help="width bound k")
-
-    def bounds(p: argparse.ArgumentParser) -> None:
-        """The deadline/fault flags ``serve`` and ``bench-serve`` share."""
-        p.add_argument(
-            "--deadline-ms",
-            type=float,
-            default=None,
-            help="per-query wall-clock deadline in milliseconds",
-        )
-        p.add_argument(
-            "--inject",
-            metavar="FAULTSPEC",
-            default=None,
-            help="deterministic fault injection: site:kind:rate[:param], "
-            "comma separated (e.g. 'exec.join:error:0.1,decompose.search:latency:0.05:20')",
-        )
 
     p = sub.add_parser("decompose", help="show the q-hypertree decomposition")
     common(p)
@@ -863,7 +693,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="rendering of the final metrics snapshot",
     )
-    bounds(p)
+    p.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="per-query wall-clock deadline in milliseconds",
+    )
+    p.add_argument(
+        "--inject",
+        metavar="FAULTSPEC",
+        default=None,
+        help="deterministic fault injection: site:kind:rate[:param], "
+        "comma separated (e.g. 'exec.join:error:0.1,decompose.search:latency:0.05:20')",
+    )
     p.add_argument(
         "--grace",
         type=float,
@@ -947,64 +789,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline",
         metavar="FILE",
         default=None,
-        help="BENCH_*.json record to check for regressions against",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=10.0,
-        help="allowed p99 ratio over the baseline before flagging",
+        help="an earlier span JSONL export to check for regressions against",
     )
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser(
-        "bench-serve",
-        help="repeated-template serving benchmark (plan cache cold vs warm)",
-    )
-    p.add_argument("--scale", choices=["quick", "full"], default="quick")
-    p.add_argument("--workers", type=int, default=8)
-    p.add_argument(
-        "--repetitions", type=int, default=0, help="0 = scale default"
-    )
-    bounds(p)
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="benchmark multi-tenant traffic over N shard processes "
-        "(reports p50/p99 latency, saturation, per-shard cache hit rates)",
-    )
-    p.add_argument(
-        "--kill-rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="with --shards: SIGKILL a random live shard with probability "
-        "R per killer tick while the workload runs (implies --supervise "
-        "semantics are what is being measured: availability and recovery "
-        "percentiles land in the report)",
-    )
-    p.add_argument(
-        "--supervise",
-        action="store_true",
-        help="with --shards: run the cluster under the self-healing "
-        "supervisor (required for a --kill-rate > 0 run to recover)",
-    )
-    p.add_argument(
-        "--record",
-        metavar="FILE",
-        default=None,
-        help="with --shards: also write the report JSON "
-        "(BENCH_serving.json format) to FILE",
-    )
-    p.add_argument(
-        "--insights",
-        action="store_true",
-        help="record per-template insights during the benchmark and "
-        "report the per-template summary",
-    )
-    p.set_defaults(func=cmd_bench_serve)
     return parser
 
 

@@ -15,13 +15,14 @@ duration and work delta (execute).  The replay then checks two things:
   :func:`repro.obs.tracing.validate_span_records`, parse as JSON, and
   the ``serve.query`` spans carry template attribution; any problem here
   is a broken trace pipeline and fails the CI step;
-* **regressions** — with ``--baseline BENCH_*.json``, deterministic
-  signals from the trace are compared against the recorded bench
-  trajectory: queries that raised where the baseline recorded none, lost
-  plan-cache amortization, and a p99 blow-up beyond a generous tolerance
-  factor (wall-clock comparisons across machines need slack; the factor
-  is configurable and sized so an honest run never trips it while a
-  seeded regression — a 10×+ tail — always does).
+* **regressions** — with ``--baseline BASE``, an earlier span export
+  analysed by the same rule, deterministic signals are compared side by
+  side: queries that raised where the baseline trace had none, lost
+  plan-cache amortization, and an execute-phase p99 blow-up beyond
+  :data:`DEFAULT_TOLERANCE` times the baseline's execute p99 (the two
+  exports may come from different machines or topologies, so the bar is
+  sized so an honest run never trips it while a seeded regression — a
+  10×+ tail — always does).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ __all__ = [
     "DEFAULT_TOLERANCE",
 ]
 
-#: Allowed ratio between the trace's reconstructed p99 and the baseline's
-#: recorded p99 before a latency regression is flagged.  Wall-clock
+#: Allowed ratio between the trace's execute p99 and the baseline trace's
+#: execute p99 before a latency regression is flagged.  Wall-clock
 #: numbers cross machines here, so the bar is deliberately loose — an
 #: honest run sits far under it, a seeded tail blows far past it.
 DEFAULT_TOLERANCE = 10.0
@@ -214,75 +215,57 @@ def _overall_quantile(
     return quantile_from_snapshot(merge_snapshots(snapshots), q)
 
 
-def check_baseline(
-    analysis: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Tuple[List[str], List[str]]:
-    """Regression flags (and non-fatal warnings) vs a bench record.
-
-    Returns ``(flags, warnings)``.  Flags are regressions; warnings note
-    baseline-side quirks (unstamped record, unhealthy baseline run).
-    """
-    from repro.bench.record import validate_record
-
-    flags: List[str] = []
-    warnings: List[str] = []
-
-    schema_problems = validate_record(baseline, require_stamp=False)
-    if schema_problems:
-        warnings.extend(f"baseline schema: {p}" for p in schema_problems)
-    if "recorded_at" not in baseline or "git_sha" not in baseline:
-        warnings.append(
-            "baseline record is unstamped (no git_sha/recorded_at); "
-            "re-record with hdqo bench-serve --shards N --record"
-        )
-
+def _totals(analysis: Mapping[str, Any]) -> Tuple[int, ...]:
+    """``(queries, errors, cache_hits)`` summed over every template."""
     templates = analysis.get("templates")
     entries = [
         entry
         for entry in (templates.values() if isinstance(templates, Mapping) else ())
         if isinstance(entry, Mapping)
     ]
-    total_queries, total_errors, total_hits = (
+    return tuple(
         sum(int(_number(entry, counter)) for entry in entries)
         for counter in ("queries", "errors", "cache_hits")
     )
 
-    sharded = baseline.get("sharded")
-    sharded = sharded if isinstance(sharded, Mapping) else {}
-    baseline_errors = sharded.get("errors")
+
+def check_baseline(
+    analysis: Mapping[str, Any], baseline: Mapping[str, Any]
+) -> Tuple[List[str], List[str]]:
+    """Regression flags (and non-fatal warnings) vs an earlier trace.
+
+    Both arguments are :func:`analyze_spans` results.  Returns ``(flags,
+    warnings)``: flags are regressions; warnings are the baseline trace's
+    own problems, which weaken the comparison but do not fail it.
+    """
+    flags: List[str] = []
+    problems = baseline.get("problems")
+    warnings = [
+        f"baseline trace: {problem}"
+        for problem in (problems if isinstance(problems, list) else ())
+    ]
+    total_queries, total_errors, total_hits = _totals(analysis)
+    _, baseline_errors, baseline_hits = _totals(baseline)
+
     if baseline_errors == 0 and total_errors > 0:
         flags.append(
             f"error regression: {total_errors} traced quer(y/ies) raised; "
-            f"baseline recorded 0 errors"
+            f"the baseline trace has 0 errors"
         )
-
-    baseline_hits = sharded.get("cache_hits_total")
-    if (
-        isinstance(baseline_hits, int)
-        and baseline_hits > 0
-        and total_queries > 0
-        and total_hits == 0
-    ):
+    if baseline_hits > 0 and total_queries > 0 and total_hits == 0:
         flags.append(
-            "cache amortization lost: baseline recorded "
-            f"{baseline_hits} plan-cache hits; trace shows none"
+            f"cache amortization lost: the baseline trace has "
+            f"{baseline_hits} plan-cache hits; this trace has none"
         )
-
-    baseline_p99_ms = sharded.get("latency_p99_ms")
-    if isinstance(baseline_p99_ms, (int, float)) and baseline_p99_ms > 0:
+    baseline_p99_ms = _overall_quantile(baseline, "execute", 0.99) * 1000.0
+    if baseline_p99_ms > 0:
         trace_p99_ms = _overall_quantile(analysis, "execute", 0.99) * 1000.0
-        if trace_p99_ms > tolerance * float(baseline_p99_ms):
+        if trace_p99_ms > DEFAULT_TOLERANCE * baseline_p99_ms:
             flags.append(
                 f"latency regression: execute p99 {trace_p99_ms:.1f} ms "
-                f"exceeds {tolerance:g}x the baseline p99 "
-                f"{float(baseline_p99_ms):.1f} ms"
+                f"exceeds {DEFAULT_TOLERANCE:g}x the baseline execute p99 "
+                f"{baseline_p99_ms:.1f} ms"
             )
-
-    parity = baseline.get("parity")
-    if isinstance(parity, Mapping) and parity.get("identical") is False:
-        warnings.append("baseline run itself failed parity; comparisons weak")
     return flags, warnings
 
 

@@ -5,8 +5,8 @@
 :meth:`~ServiceMetrics.snapshot` (completed by
 :meth:`QueryService.snapshot` with the plan cache, pool and text-memo
 sections) is the one metrics record.  The CLI (``hdqo serve`` /
-``bench-serve`` / ``top``), :mod:`repro.bench.serving`, the benchmark and
-the tests read it; shard workers ship it and the router merges it
+``top``), the ``perf/`` benchmark and the tests read it; shard workers
+ship it and the router merges it
 (:func:`repro.shard.aggregate.merge_metric_snapshots`);
 :func:`repro.obs.metrics.render_prometheus` renders it for scraping.
 :class:`SupervisorMetrics` is the same for a supervised cluster.

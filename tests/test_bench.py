@@ -125,7 +125,6 @@ class TestExperiments:
         assert set(EXPERIMENTS) == {
             "fig7a", "fig7b", "fig7c", "fig7d",
             "fig8a", "fig8b", "fig9", "fig10", "overhead",
-            "serving",
         }
 
     def test_unknown_experiment(self):

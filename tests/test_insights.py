@@ -12,16 +12,15 @@ The contract under test is the PR's acceptance bar:
 * the sharded serving path carries the per-shard registries through the
   existing snapshot merge, and the deterministic work histograms come
   out byte-identical to a single-process run of the same workload;
-* ``hdqo report`` flags a seeded regression against the committed
-  ``BENCH_serving.json`` trajectory point and passes clean on an honest
-  trace — including one whose template falls back to the built-in
-  planner.
+* ``hdqo report`` flags a seeded regression against an earlier span
+  export (the baseline, analysed by the same rule) and passes clean on an
+  honest trace — including one whose template falls back to the built-in
+  planner, and a sharded run checked against its single-process twin.
 """
 
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,14 +55,13 @@ from repro.obs.insights import (
     replay_mismatches,
     run_top,
 )
+from repro.obs.insights.report import DEFAULT_TOLERANCE
 from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import tracing
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import QueryService
 from repro.shard.aggregate import merge_metric_snapshots
 from tests.conftest import assert_wellformed_exposition
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +777,20 @@ class TestReport:
         assert any("attribution" in p for p in analysis["problems"])
 
     def test_clean_run_passes_committed_baseline(self, tmp_path):
-        baseline = json.loads(
-            (REPO_ROOT / "BENCH_serving.json").read_text()
+        """An honest trace against an earlier export of the same traffic
+        is clean; problems in the baseline trace are warnings only."""
+        baseline = analyze_spans(_serving_spans(execute_seconds=0.004))
+        analysis = analyze_spans(_serving_spans(execute_seconds=0.006))
+        assert check_baseline(analysis, baseline) == ([], [])
+        untagged = _span(100, None, "serve.query", 0.0, 0.01, 1, {})
+        flawed = analyze_spans(
+            _serving_spans(execute_seconds=0.004) + [untagged]
         )
-        records = _serving_spans(execute_seconds=0.004)
-        analysis = analyze_spans(records)
-        flags, warnings = check_baseline(analysis, baseline)
+        flags, warnings = check_baseline(analysis, flawed)
         assert flags == []
+        assert len(warnings) == 1
+        assert warnings[0].startswith("baseline trace: ")
+        assert "attribution" in warnings[0]
 
     def test_builtin_fallback_run_passes_committed_baseline(self):
         """A healthy run whose template falls back to the built-in planner:
@@ -793,9 +798,7 @@ class TestReport:
         replay agrees with the live registry and the baseline is clean."""
         from tests.conftest import CHAIN_SQL
 
-        baseline = json.loads(
-            (REPO_ROOT / "BENCH_serving.json").read_text()
-        )
+        baseline = analyze_spans(_serving_spans(execute_seconds=0.004))
         insights = InsightsRegistry()
         with QueryService(
             SimulatedDBMS(_chain_db(), COMMDB_PROFILE),
@@ -837,30 +840,42 @@ class TestReport:
         assert mismatches[-1] == "template T2: only in the replay"
 
     def test_seeded_regression_is_flagged(self):
-        baseline = json.loads(
-            (REPO_ROOT / "BENCH_serving.json").read_text()
-        )
-        p99_s = baseline["sharded"]["latency_p99_ms"] / 1000.0
+        """Each flag on its own, then all three at once."""
+        baseline = analyze_spans(_serving_spans(execute_seconds=0.004))
+        for seeded, expected in (
+            ({"execute_seconds": 0.004 * 20}, ["latency regression"]),
+            ({"execute_seconds": 0.004, "errors": 2}, ["error regression"]),
+            ({"execute_seconds": 0.004, "cache_hits": False},
+             ["cache amortization lost"]),
+        ):
+            flags, _ = check_baseline(
+                analyze_spans(_serving_spans(**seeded)), baseline
+            )
+            assert [flag.split(":")[0] for flag in flags] == expected, seeded
         seeded = analyze_spans(
-            _serving_spans(execute_seconds=p99_s * 20, errors=2,
+            _serving_spans(execute_seconds=0.004 * 20, errors=2,
                            cache_hits=False)
         )
         flags, _ = check_baseline(seeded, baseline)
-        assert any("latency regression" in flag for flag in flags)
-        assert any("error regression" in flag for flag in flags)
-        assert any("cache amortization" in flag for flag in flags)
+        assert len(flags) == 3
+        # A baseline that itself raised does not turn errors into a flag.
+        erring = analyze_spans(_serving_spans(execute_seconds=0.004, errors=1))
+        flags, _ = check_baseline(seeded, erring)
+        assert not any("error regression" in flag for flag in flags)
 
     def test_tolerance_is_respected(self):
-        baseline = {
-            "benchmark": "sharded-serving",
-            "sharded": {"latency_p50_ms": 1.0, "latency_p99_ms": 10.0,
-                        "errors": 0},
-        }
-        analysis = analyze_spans(_serving_spans(execute_seconds=0.050))
-        strict, _ = check_baseline(analysis, baseline, tolerance=2.0)
-        loose, _ = check_baseline(analysis, baseline, tolerance=100.0)
-        assert any("latency regression" in f for f in strict)
-        assert not any("latency regression" in f for f in loose)
+        """The latency flag compares execute p99 against the baseline
+        trace's execute p99, at :data:`DEFAULT_TOLERANCE` (10×)."""
+        baseline = analyze_spans(_serving_spans(execute_seconds=0.004))
+        assert DEFAULT_TOLERANCE == 10
+        under, _ = check_baseline(
+            analyze_spans(_serving_spans(execute_seconds=0.004 * 9)), baseline
+        )
+        over, _ = check_baseline(
+            analyze_spans(_serving_spans(execute_seconds=0.004 * 11)), baseline
+        )
+        assert under == []
+        assert [flag.split(":")[0] for flag in over] == ["latency regression"]
 
     def test_render_report_text(self):
         analysis = analyze_spans(_serving_spans(execute_seconds=0.004))
@@ -869,22 +884,26 @@ class TestReport:
         assert "baseline comparison: clean" in clean
         flagged = render_report(
             analysis, flags=["latency regression: ..."],
-            warnings=["baseline record is unstamped"],
+            warnings=["baseline trace: duplicate span_id 3"],
         )
         assert "REGRESSIONS FLAGGED" in flagged
-        assert "warning: baseline record is unstamped" in flagged
+        assert "warning: baseline trace: duplicate span_id 3" in flagged
 
 
 class TestReportCli:
     def test_cli_report_clean_and_seeded(self, tmp_path, capsys):
         from repro.cli import main
 
+        baseline = _write_jsonl(
+            tmp_path / "baseline.jsonl", _serving_spans(execute_seconds=0.004)
+        )
         clean = _write_jsonl(
             tmp_path / "clean.jsonl", _serving_spans(execute_seconds=0.004)
         )
-        baseline = str(REPO_ROOT / "BENCH_serving.json")
         assert main(["report", clean, "--baseline", baseline]) == 0
-        assert "chain-template" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "chain-template" in out
+        assert "baseline comparison: clean" in out
 
         seeded = _write_jsonl(
             tmp_path / "seeded.jsonl",
@@ -894,16 +913,75 @@ class TestReportCli:
         assert "REGRESSIONS FLAGGED" in capsys.readouterr().out
 
     def test_cli_report_bad_baseline(self, tmp_path, capsys):
+        """A baseline with no span record in it — missing, empty, or a
+        JSON document that is not a span export — exits 1."""
         from repro.cli import main
 
         spans = _write_jsonl(
             tmp_path / "spans.jsonl", _serving_spans(execute_seconds=0.004)
         )
-        assert main(["report", spans, "--baseline",
-                     str(tmp_path / "missing.json")]) == 1
-        not_object = tmp_path / "list.json"
-        not_object.write_text("[]\n")
-        assert main(["report", spans, "--baseline", str(not_object)]) == 1
+        not_spans = tmp_path / "record.json"
+        not_spans.write_text(json.dumps({"benchmark": "x"}, indent=2))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        for bad in (tmp_path / "missing.jsonl", not_spans, empty):
+            assert main(["report", spans, "--baseline", str(bad)]) == 1
+            assert "cannot read baseline" in capsys.readouterr().err
+
+    def test_cli_report_sharded_trace_against_single_process(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The CI path: one stdin served single-process and by a supervised
+        2-shard cluster, each exporting its spans; the sharded export is
+        clean against the single-process one, and a seeded 10×-tail,
+        erring, never-cached export is not."""
+        from repro.cli import main
+
+        stdin = "q3\nq5\nq10\n" * 3
+        argv = ["serve", "--size-mb", "20", "--seed", "7", "--workers", "2",
+                "--insights", "--trace"]
+        single = str(tmp_path / "single.jsonl")
+        sharded = str(tmp_path / "sharded.jsonl")
+        for extra in ([single], [sharded, "--shards", "2", "--supervise"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(argv + extra) == 0
+        capsys.readouterr()
+
+        assert main(["report", sharded, "--baseline", single]) == 0
+        out = capsys.readouterr().out
+        assert "baseline comparison: clean" in out
+
+        records, _ = load_span_records(single)
+        slowest = max(
+            record["duration"] for record in records
+            if record["name"] == "serve.execute"
+        )
+        seeded = _write_jsonl(
+            tmp_path / "seeded.jsonl",
+            _serving_spans(execute_seconds=slowest * 11, errors=2,
+                           cache_hits=False),
+        )
+        assert main(["report", seeded, "--baseline", single]) == 1
+        out = capsys.readouterr().out
+        for flag in ("latency regression", "error regression",
+                     "cache amortization lost"):
+            assert flag in out
+
+        # serve checks its own export: a replay that loses a query no
+        # longer rebuilds the live registry, and that is exit 2.
+        import repro.obs.insights.report as report_module
+
+        replay = report_module.analyze_spans
+
+        def lossy(records):
+            names = [record["name"] for record in records]
+            first = names.index("serve.query")
+            return replay(records[:first] + records[first + 1:])
+
+        monkeypatch.setattr(report_module, "analyze_spans", lossy)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv + [str(tmp_path / "lossy.jsonl")]) == 2
+        assert "trace problem: replay != live" in capsys.readouterr().err
 
     def test_cli_top_non_tty(self, tmp_path, capsys):
         from repro.cli import main
@@ -1027,56 +1105,3 @@ class TestShardedInsightsParity:
                 latency = merged[key]["phases"][phase]["latency"]
                 for field in ("scale", "lo", "hi", "count"):
                     assert latency[field] == data["latency"][field]
-
-
-# ---------------------------------------------------------------------------
-# Bench-record provenance
-# ---------------------------------------------------------------------------
-
-
-class TestBenchRecord:
-    def test_stamp_adds_provenance(self):
-        from repro.bench.record import stamp_record
-
-        record = {"benchmark": "sharded-serving"}
-        stamp_record(record, sha="a" * 40)
-        assert record["git_sha"] == "a" * 40
-        assert record["recorded_at"].endswith("Z")
-
-    def test_validate_accepts_a_stamped_serving_record(self):
-        from repro.bench.record import stamp_record, validate_record
-
-        record = {
-            "benchmark": "sharded-serving",
-            "scale": "quick", "shards": 4,
-            "baseline": {}, "parity": {}, "hit_rate_ok": True,
-            "sharded": {"latency_p50_ms": 1.0, "latency_p99_ms": 2.0,
-                        "errors": 0},
-        }
-        stamp_record(record, sha="b" * 40)
-        assert validate_record(record) == []
-
-    def test_validate_flags_schema_problems(self):
-        from repro.bench.record import validate_record
-
-        assert validate_record({}) == ["missing 'benchmark' name"]
-        assert validate_record({"benchmark": "nope"}) == [
-            "unknown benchmark kind 'nope'"
-        ]
-        problems = validate_record({
-            "benchmark": "sharded-serving",
-            "scale": "quick", "shards": 1, "baseline": {}, "parity": {},
-            "hit_rate_ok": True, "sharded": {},
-            "git_sha": "short", "recorded_at": "not-a-date",
-        })
-        assert any("latency_p99_ms" in p for p in problems)
-        assert any("40-char SHA" in p for p in problems)
-        assert any("ISO-8601" in p for p in problems)
-
-    def test_committed_baseline_parses_without_stamp(self):
-        from repro.bench.record import validate_record
-
-        baseline = json.loads(
-            (REPO_ROOT / "BENCH_serving.json").read_text()
-        )
-        assert validate_record(baseline, require_stamp=False) == []
