@@ -5,8 +5,10 @@ sizes and domains, and 0–3 constant filters — comparisons, BETWEEN, IN —
 over random columns), runs each through the quantitative engine, the q-HD
 plan, the classic 3-phase evaluation, the SQL-view stack and the un-pushed
 baseline (filters applied per row on the join result, so independent of
-the base scans the other four share), and verifies all answers agree.  Any
-disagreement prints a reproducer seed.
+the base scans the other four share), and verifies all answers agree.  The
+Boolean decision procedure (``is_satisfiable``) must say *yes* exactly when
+the engine's answer is non-empty.  Any disagreement prints a reproducer
+seed.
 
 Run:  python scripts/fuzz_differential.py --iterations 200 --seed 0
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.boolean import is_satisfiable
 from repro.core.evaluator import evaluate_hd_classic, evaluate_qhd
 from repro.core.optimizer import HybridOptimizer
 from repro.core.views import execute_view_plan
@@ -130,6 +133,9 @@ def check_case(db: Database, sql: str):
 
     via_views = execute_view_plan(plan.to_sql_views(), dbms).relation
     if not via_views.same_content(reference):
+        return False, False
+
+    if is_satisfiable(sql, db, max_width=3) != (len(reference) > 0):
         return False, False
 
     unpushed = dbms.run_sql(sql, optimizer_enabled=False, work_budget=UNPUSHED_BUDGET)

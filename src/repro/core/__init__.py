@@ -9,8 +9,9 @@
   built on the PODS'04 weighted-decomposition ideas);
 * :mod:`repro.core.qhd` — Algorithm q-HypertreeDecomp (Fig. 4): root
   covering out(Q), atom assignment, Procedure Optimize with guards;
-* :mod:`repro.core.evaluator` — Yannakakis (Boolean and full) plus the
-  single-pass q-hypertree evaluator (P′/P″/P‴);
+* :mod:`repro.core.evaluator` — Yannakakis' semijoin program (over join
+  forests and decompositions, Boolean and full) plus the single-pass
+  q-hypertree evaluator (P′/P″/P‴);
 * :mod:`repro.core.views` — decomposition → rewritten SQL views
   (stand-alone mode);
 * :mod:`repro.core.optimizer` — the HybridOptimizer facade (Fig. 5);

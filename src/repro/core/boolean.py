@@ -1,78 +1,28 @@
-"""Boolean (decision) query evaluation through decompositions.
+"""Boolean (decision) queries over SQL.
 
 §3.2 of the paper: for Boolean conjunctive queries, a hypertree
 decomposition yields a pure semijoin program — materialize each node's
 relation (step S₂′), then process the tree bottom-up with upward semijoins
-(Yannakakis); the answer is *yes* iff the root relation is non-empty.  No
-intermediate joins are ever computed, which gives the
-O((m−1)·|r_max|^k · log|r_max|) bound the paper quotes.
+(Yannakakis); the answer is *yes* iff the root relation is non-empty.  That
+program is :func:`repro.core.evaluator.evaluate_hd_boolean`.
 
-This module provides that evaluator plus an EXISTS-style façade over SQL:
+This module is its EXISTS-style façade over SQL:
 ``is_satisfiable(sql, database)`` decides whether the query has any answer
 without enumerating it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union
+from typing import Union
 
 from repro.engine.scans import atom_relations
 from repro.metering import NULL_METER, WorkMeter
 from repro.query import ast
-from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.relational.database import Database
-from repro.relational.relation import Relation
-from repro.core.costmodel import DecompositionCostModel
-from repro.core.costkdecomp import cost_k_decomp
-from repro.core.hypertree import Hypertree
-from repro.core.qhd import assign_atoms
-
-
-def evaluate_hd_boolean(
-    decomposition: Hypertree,
-    query: ConjunctiveQuery,
-    relations: Mapping[str, Relation],
-    meter: WorkMeter = NULL_METER,
-) -> bool:
-    """Boolean evaluation over a decomposition: S₂′ + upward semijoins.
-
-    Args:
-        decomposition: any decomposition whose λ labels include every atom
-            (run :func:`repro.core.qhd.assign_atoms` first when unsure).
-        query: the (Boolean or not) conjunctive query — the head is ignored.
-        relations: atom name → variable-named relation.
-
-    Returns:
-        True iff the query body is satisfiable on the given relations.
-    """
-    # Constant-only atoms act as global guards.
-    for atom in query.atoms:
-        if not atom.variables and len(relations.get(atom.name, ())) == 0:
-            return False
-
-    # S₂′: materialize node relations (join λ atoms, project onto χ).
-    node_rels: Dict[int, Relation] = {}
-    for node in decomposition.root.walk():
-        rel: Optional[Relation] = None
-        for atom_rel in sorted((relations[n] for n in node.lam), key=len):
-            rel = atom_rel if rel is None else rel.natural_join(atom_rel, meter=meter)
-        if rel is None:
-            rel = Relation((), [()])
-        keep = [a for a in rel.attributes if a in node.chi]
-        node_rels[node.node_id] = rel.project(keep, dedup=True, meter=meter)
-
-    # Bottom-up semijoin pass; empty at any point on the spine ⇒ No.
-    for node in decomposition.root.postorder():
-        rel = node_rels[node.node_id]
-        for child in node.children:
-            child_rel = node_rels[child.node_id]
-            if len(child_rel) == 0:
-                return False
-            rel = rel.semijoin(child_rel, meter=meter)
-        node_rels[node.node_id] = rel
-    return len(node_rels[decomposition.root.node_id]) > 0
+from repro.core.evaluator import evaluate_hd_boolean
+from repro.core.qhd import q_hypertree_decomp
 
 
 def is_satisfiable(
@@ -90,14 +40,11 @@ def is_satisfiable(
     Raises:
         DecompositionNotFound: hypertree width exceeds ``max_width``.
     """
-    from repro.errors import DecompositionNotFound
-
     parsed = parse_sql(sql) if isinstance(sql, str) else sql
     translation = sql_to_conjunctive(parsed, database.schema.as_mapping())
     query = translation.query.with_output(())
 
-    hypergraph = query.hypergraph()
-    if len(hypergraph) == 0:
+    if len(query.hypergraph()) == 0:
         relations = atom_relations(query, database, translation, meter)
         return all(
             atom.variables or len(relations.get(atom.name, ())) > 0
@@ -109,12 +56,8 @@ def is_satisfiable(
     model = cost_model_from_database(
         translation, database, use_statistics=database.has_statistics()
     )
-    result = cost_k_decomp(hypergraph, max_width, model)
-    if result is None:
-        raise DecompositionNotFound(
-            f"hypertree width of the query exceeds {max_width}", width=max_width
-        )
-    decomposition, _cost = result
-    assign_atoms(decomposition, query)
+    decomposition = q_hypertree_decomp(
+        query, max_width, cost_model=model, optimize=False
+    )
     relations = atom_relations(query, database, translation, meter)
     return evaluate_hd_boolean(decomposition, query, relations, meter)

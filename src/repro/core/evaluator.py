@@ -1,16 +1,22 @@
 """Query evaluation over decompositions.
 
-Three evaluators, matching §3.2 and §4 of the paper:
+Yannakakis' semijoin program (§3.2 of the paper) is written once — step
+S₂′ (materialize each decomposition node), phase (i) upward semijoins,
+phase (ii) downward semijoins, phase (iii) upward joins with the output
+projection — and four evaluators call it:
 
-* :func:`yannakakis_boolean` — the classical bottom-up semijoin pass over a
-  join tree (Boolean acyclic queries);
-* :func:`yannakakis_acyclic` — the full three-phase Yannakakis algorithm
-  (bottom-up semijoins, top-down semijoins, bottom-up joins) computing all
-  answers of a non-Boolean acyclic query in input+output polynomial time;
-* :class:`QHDEvaluator` — the paper's *q-hypertree evaluator* (steps
-  P′/P″/P‴): one bottom-up pass over a q-hypertree decomposition whose
-  root covers out(Q), joining Optimize-guard children before their
-  siblings.
+* :func:`yannakakis_boolean` — join forest + phase (i), stopping at the
+  first empty node (Boolean acyclic queries);
+* :func:`yannakakis_acyclic` — join forest + all three phases, computing
+  all answers of an acyclic query in input+output polynomial time;
+* :func:`evaluate_hd_classic` — S₂′ + all three phases over a
+  decomposition: the classic pipeline q-HD evaluation improves upon;
+* :func:`evaluate_hd_boolean` — S₂′ + phase (i) with the early stop: the
+  Boolean decision procedure behind :func:`repro.core.boolean.is_satisfiable`.
+
+:class:`QHDEvaluator` is the paper's *q-hypertree evaluator* (steps
+P′/P″/P‴): one bottom-up pass over a q-hypertree decomposition whose root
+covers out(Q), joining Optimize-guard children before their siblings.
 
 All evaluators consume *atom relations*: per query atom, its base relation
 filtered by the pushed-down constant predicates and renamed so attributes
@@ -23,17 +29,20 @@ import collections
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Deque,
     Dict,
     FrozenSet,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from repro.errors import ExecutionError
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTreeNode, build_join_forest
 from repro.metering import NULL_METER, SpillModel, WorkMeter
 from repro.obs.tracing import NullTracer, Tracer, current_tracer
@@ -61,8 +70,114 @@ def _constant_atoms_satisfiable(
 
 
 # ---------------------------------------------------------------------------
-# Yannakakis over join trees (acyclic queries)
+# Yannakakis' semijoin program (§3.2): S₂′ and three passes over a forest of
+# join-tree or decomposition nodes, with one relation per node
 # ---------------------------------------------------------------------------
+
+_Node = Union[JoinTreeNode, HypertreeNode]
+
+
+def _materialize_nodes(
+    decomposition: Hypertree,
+    relations: Mapping[str, Relation],
+    meter: WorkMeter,
+    spill: Optional[SpillModel] = None,
+) -> Dict[_Node, Relation]:
+    """Step S₂′: join each node's λ atoms (smallest first), project onto χ —
+    an acyclic instance whose join tree is the decomposition tree itself."""
+    context = current_context()
+    node_rels: Dict[_Node, Relation] = {}
+    for node in decomposition.root.walk():
+        context.checkpoint("exec.classic")
+        rel: Optional[Relation] = None
+        for atom_rel in sorted((relations[n] for n in node.lam), key=len):
+            rel = atom_rel if rel is None else rel.natural_join(atom_rel, meter=meter)
+            if spill is not None:
+                spill.charge(meter, len(rel))
+        if rel is None:
+            rel = Relation((), [()])
+        keep = [a for a in rel.attributes if a in node.chi]
+        node_rels[node] = rel.project(keep, dedup=True, meter=meter)
+    return node_rels
+
+
+def _semijoin_upward(
+    roots: Sequence[_Node],
+    rels: Dict[_Node, Relation],
+    meter: WorkMeter,
+    stop_on_empty: bool = False,
+) -> bool:
+    """Phase (i): reduce every node by its children, bottom-up.  With
+    ``stop_on_empty``, stop at the first empty node and return False."""
+    for root in roots:
+        for node in root.postorder():
+            rel = rels[node]
+            for child in node.children:
+                rel = rel.semijoin(rels[child], meter=meter)
+            rels[node] = rel
+            if stop_on_empty and len(rel) == 0:
+                return False
+    return True
+
+
+def _semijoin_downward(
+    roots: Sequence[_Node], rels: Dict[_Node, Relation], meter: WorkMeter
+) -> None:
+    """Phase (ii): reduce every child by its parent, top-down."""
+    for root in roots:
+        for node in root.walk():
+            for child in node.children:
+                rels[child] = rels[child].semijoin(rels[node], meter=meter)
+
+
+def _yannakakis(
+    roots: Sequence[_Node],
+    rels: Dict[_Node, Relation],
+    own_variables: Callable[[_Node], FrozenSet[str]],
+    output: List[str],
+    meter: WorkMeter,
+    spill: Optional[SpillModel] = None,
+) -> Relation:
+    """Phases (i)–(iii) over a forest: the answer over ``output``.
+
+    Phase (iii) joins bottom-up, keeping at each node its own variables (a
+    hyperedge or χ) and the output variables; the roots' partials are joined.
+    """
+    _semijoin_upward(roots, rels, meter)
+    _semijoin_downward(roots, rels, meter)
+    out_set = frozenset(output)
+    context = current_context()
+
+    def eval_subtree(node: _Node) -> Relation:
+        rel = rels[node]
+        for child in node.children:
+            context.checkpoint("exec.classic")
+            rel = rel.natural_join(eval_subtree(child), meter=meter)
+            if spill is not None:
+                spill.charge(meter, len(rel))
+        own = own_variables(node)
+        keep = [a for a in rel.attributes if a in own or a in out_set]
+        return rel.project(keep, dedup=True, meter=meter)
+
+    partials = [eval_subtree(root) for root in roots]
+    answer = partials[0]
+    for partial in partials[1:]:
+        if len(partial) == 0:
+            answer = Relation(output, [])
+            break
+        answer = answer.natural_join(partial, meter=meter)
+    missing = [v for v in output if not answer.has_attribute(v)]
+    if missing:
+        raise ExecutionError(f"output variables missing from the answer: {missing}")
+    return answer.project(output, dedup=True, meter=meter)
+
+
+def _join_forest(
+    hypergraph: Hypergraph, relations: Mapping[str, Relation]
+) -> Tuple[List[JoinTreeNode], Dict[_Node, Relation]]:
+    """A join forest's roots, and each node's atom relation."""
+    roots = build_join_forest(hypergraph)
+    return roots, {node: relations[node.edge.name] for r in roots for node in r.walk()}
 
 
 def yannakakis_boolean(
@@ -72,23 +187,14 @@ def yannakakis_boolean(
 ) -> bool:
     """Boolean acyclic evaluation: bottom-up semijoins over a join forest.
 
-    Returns True iff the query body is satisfiable on the given relations.
+    Returns True iff the query body is satisfiable on the given relations;
+    the pass stops at the first node it leaves empty.
     Raises :class:`repro.errors.HypergraphError` when the query is cyclic.
     """
-    hypergraph = query.hypergraph()
-    if len(hypergraph) == 0:
-        return _constant_atoms_satisfiable(query, relations)
-    roots = build_join_forest(hypergraph)
-    current = {name: relations[name] for name in hypergraph.edge_names}
-    for root in roots:
-        for node in root.postorder():
-            rel = current[node.edge.name]
-            for child in node.children:
-                rel = rel.semijoin(current[child.edge.name], meter=meter)
-            current[node.edge.name] = rel
-        if len(current[root.edge.name]) == 0:
-            return False
-    return _constant_atoms_satisfiable(query, relations)
+    roots, rels = _join_forest(query.hypergraph(), relations)
+    if not _constant_atoms_satisfiable(query, relations):
+        return False
+    return _semijoin_upward(roots, rels, meter, stop_on_empty=True)
 
 
 def yannakakis_acyclic(
@@ -109,56 +215,8 @@ def yannakakis_acyclic(
         return Relation(output, [()] if satisfiable and not output else [])
     if not _constant_atoms_satisfiable(query, relations):
         return Relation(output, [])
-
-    roots = build_join_forest(hypergraph)
-    current: Dict[str, Relation] = {
-        name: relations[name] for name in hypergraph.edge_names
-    }
-    out_set = frozenset(output)
-
-    # Phase (i): bottom-up semijoins.
-    for root in roots:
-        for node in root.postorder():
-            rel = current[node.edge.name]
-            for child in node.children:
-                rel = rel.semijoin(current[child.edge.name], meter=meter)
-            current[node.edge.name] = rel
-
-    # Phase (ii): top-down semijoins.
-    for root in roots:
-        for node in root.walk():
-            rel = current[node.edge.name]
-            for child in node.children:
-                current[child.edge.name] = current[child.edge.name].semijoin(
-                    rel, meter=meter
-                )
-
-    # Phase (iii): bottom-up joins with output projection.
-    def eval_subtree(node: JoinTreeNode) -> Relation:
-        rel = current[node.edge.name]
-        for child in node.children:
-            rel = rel.natural_join(eval_subtree(child), meter=meter)
-        keep = [
-            a
-            for a in rel.attributes
-            if a in node.edge.vertices or a in out_set
-        ]
-        return rel.project(keep, dedup=True, meter=meter)
-
-    partials = [eval_subtree(root) for root in roots]
-    answer = partials[0]
-    for partial in partials[1:]:
-        if len(partial) == 0:
-            answer = Relation(answer.attributes, [])
-            break
-        answer = answer.natural_join(partial, meter=meter)
-    ordered = [v for v in output if answer.has_attribute(v)]
-    missing = [v for v in output if not answer.has_attribute(v)]
-    if missing:
-        raise ExecutionError(
-            f"output variables missing from the answer: {missing}"
-        )
-    return answer.project(ordered, dedup=True, meter=meter)
+    roots, rels = _join_forest(hypergraph, relations)
+    return _yannakakis(roots, rels, lambda node: node.edge.vertices, output, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +679,7 @@ def evaluate_qhd(
 
 
 # ---------------------------------------------------------------------------
-# Classic decomposition evaluation (S₂′ + S₂″) for comparison
+# Decompositions through the semijoin program: classic S₂′ + S₂″, Boolean
 # ---------------------------------------------------------------------------
 
 
@@ -643,53 +701,34 @@ def evaluate_hd_classic(
     output = list(query.output)
     if not _constant_atoms_satisfiable(query, relations):
         return Relation(output, [])
+    rels = _materialize_nodes(decomposition, relations, meter, spill)
+    return _yannakakis(
+        [decomposition.root], rels, lambda node: node.chi, output, meter, spill
+    )
 
-    context = current_context()
 
-    # S₂′: materialize node relations.
-    node_rels: Dict[int, Relation] = {}
-    for node in decomposition.root.walk():
-        context.checkpoint("exec.classic")
-        rel: Optional[Relation] = None
-        for atom_rel in sorted((relations[n] for n in node.lam), key=len):
-            rel = atom_rel if rel is None else rel.natural_join(atom_rel, meter=meter)
-            if spill is not None:
-                spill.charge(meter, len(rel))
-        if rel is None:
-            rel = Relation((), [()])
-        keep = [a for a in rel.attributes if a in node.chi]
-        node_rels[node.node_id] = rel.project(keep, dedup=True, meter=meter)
+def evaluate_hd_boolean(
+    decomposition: Hypertree,
+    query: ConjunctiveQuery,
+    relations: Mapping[str, Relation],
+    meter: WorkMeter = NULL_METER,
+) -> bool:
+    """Boolean evaluation over a decomposition: S₂′ + upward semijoins.
 
-    out_set = frozenset(output)
+    The pure semijoin program of §3.2 — no intermediate join is computed,
+    which gives the O((m−1)·|r_max|^k · log|r_max|) bound the paper quotes.
 
-    # S₂″ phase (i): bottom-up semijoins.
-    for node in decomposition.root.postorder():
-        rel = node_rels[node.node_id]
-        for child in node.children:
-            rel = rel.semijoin(node_rels[child.node_id], meter=meter)
-        node_rels[node.node_id] = rel
+    Args:
+        decomposition: any decomposition whose λ labels include every atom
+            (run :func:`repro.core.qhd.assign_atoms` first when unsure).
+        query: the (Boolean or not) conjunctive query — the head is ignored.
+        relations: atom name → variable-named relation.
 
-    # Phase (ii): top-down semijoins.
-    for node in decomposition.root.walk():
-        rel = node_rels[node.node_id]
-        for child in node.children:
-            node_rels[child.node_id] = node_rels[child.node_id].semijoin(
-                rel, meter=meter
-            )
-
-    # Phase (iii): bottom-up joins with output projection.
-    def eval_subtree(node: HypertreeNode) -> Relation:
-        rel = node_rels[node.node_id]
-        for child in node.children:
-            context.checkpoint("exec.classic")
-            rel = rel.natural_join(eval_subtree(child), meter=meter)
-            if spill is not None:
-                spill.charge(meter, len(rel))
-        keep = [a for a in rel.attributes if a in node.chi or a in out_set]
-        return rel.project(keep, dedup=True, meter=meter)
-
-    answer = eval_subtree(decomposition.root)
-    missing = [v for v in output if not answer.has_attribute(v)]
-    if missing:
-        raise ExecutionError(f"output variables missing from the answer: {missing}")
-    return answer.project(output, dedup=True, meter=meter)
+    Returns:
+        True iff the query body is satisfiable on the given relations; the
+        upward pass stops at the first node it leaves empty.
+    """
+    if not _constant_atoms_satisfiable(query, relations):
+        return False
+    rels = _materialize_nodes(decomposition, relations, meter)
+    return _semijoin_upward([decomposition.root], rels, meter, stop_on_empty=True)

@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import DecompositionError
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.jointree import disconnected_variables
 
 
 class HypertreeNode:
@@ -179,21 +180,9 @@ class Hypertree:
         """Condition 2 of Def. 1 / condition 3 of Def. 2.
 
         For every variable Y, the nodes with Y ∈ χ(p) induce a connected
-        subtree: exactly (holders − 1) of them have a parent also holding Y.
+        subtree (see :func:`repro.hypergraph.jointree.disconnected_variables`).
         """
-        holders: Dict[str, List[HypertreeNode]] = {}
-        for node in self.root.walk():
-            for variable in node.chi:
-                holders.setdefault(variable, []).append(node)
-        for variable, nodes in holders.items():
-            linked = sum(
-                1
-                for node in nodes
-                if node.parent is not None and variable in node.parent.chi
-            )
-            if linked != len(nodes) - 1:
-                return False
-        return True
+        return not disconnected_variables(self.root, lambda node: node.chi)
 
     def chi_covered_by_lambda(self) -> bool:
         """Condition 3 of Def. 1: χ(p) ⊆ var(λ(p)) at every node."""

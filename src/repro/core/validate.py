@@ -11,10 +11,11 @@ negative cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
+from repro.hypergraph.jointree import disconnected_variables
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.core.hypertree import Hypertree, HypertreeNode
+from repro.core.hypertree import Hypertree
 
 
 @dataclass
@@ -73,7 +74,6 @@ def validate_decomposition(
             do NOT hold for optimized q-hypertree decompositions, by design.
     """
     report = ValidationReport()
-    hypergraph = decomposition.hypergraph
     nodes = decomposition.nodes()
 
     # Condition 1: edge coverage.
@@ -86,24 +86,15 @@ def validate_decomposition(
         )
 
     # Connectedness.
-    holders: Dict[str, List[HypertreeNode]] = {}
-    for node in nodes:
-        for variable in node.chi:
-            holders.setdefault(variable, []).append(node)
-    for variable, nodes_with in holders.items():
-        linked = sum(
-            1
-            for node in nodes_with
-            if node.parent is not None and variable in node.parent.chi
-        )
-        if linked != len(nodes_with) - 1:
-            report.violations.append(
-                Violation(
-                    "connectedness",
-                    f"variable {variable!r} occurs in {len(nodes_with)} nodes "
-                    f"but only {linked} of them connect to a parent holding it",
-                )
+    disconnected = disconnected_variables(decomposition.root, lambda node: node.chi)
+    for variable, (held, linked) in disconnected.items():
+        report.violations.append(
+            Violation(
+                "connectedness",
+                f"variable {variable!r} occurs in {held} nodes "
+                f"but only {linked} of them connect to a parent holding it",
             )
+        )
 
     if require_hd_conditions:
         for node in nodes:

@@ -12,7 +12,7 @@ Construction rides on GYO reduction: when an ear ``h`` is absorbed by
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.errors import HypergraphError
 from repro.hypergraph.algorithms import gyo_reduction
@@ -107,21 +107,37 @@ def verify_join_tree(root: JoinTreeNode) -> bool:
     For every variable, the set of nodes containing it must induce a
     connected subtree.  Used by tests and by property-based checks.
     """
-    # Collect, for each variable, the nodes containing it.
-    holders: Dict[str, List[JoinTreeNode]] = {}
-    for node in root.walk():
-        for vertex in node.edge.vertices:
-            holders.setdefault(vertex, []).append(node)
+    return not disconnected_variables(root, lambda node: node.edge.vertices)
 
-    # A variable's holders form a connected subtree iff the number of holders
-    # whose parent also holds the variable is exactly len(holders) - 1.
-    for vertex, nodes in holders.items():
-        node_set = set(id(n) for n in nodes)
-        linked = sum(
-            1
-            for node in nodes
-            if node.parent is not None and id(node.parent) in node_set
-        )
-        if linked != len(nodes) - 1:
-            return False
-    return True
+
+TreeNode = TypeVar("TreeNode")
+
+
+def disconnected_variables(
+    root: TreeNode, labels: Callable[[TreeNode], AbstractSet[str]]
+) -> Dict[str, Tuple[int, int]]:
+    """Variables whose holders do not induce a connected subtree.
+
+    The connectedness condition of join trees and of (q-)hypertree
+    decompositions alike.  ``labels`` gives a node's variables — its
+    hyperedge, or χ; the tree is read through ``walk()`` and ``parent``.
+    A variable's holders form a connected subtree iff exactly
+    (holders − 1) of them have a parent also holding it.
+
+    Returns:
+        variable → (holders, holders linked to a parent holding it) for
+        every violating variable, in order of first occurrence.
+    """
+    holders: Dict[str, int] = {}
+    linked: Dict[str, int] = {}
+    for node in root.walk():  # type: ignore[attr-defined]
+        parent = node.parent
+        for variable in labels(node):
+            holders[variable] = holders.get(variable, 0) + 1
+            if parent is not None and variable in labels(parent):
+                linked[variable] = linked.get(variable, 0) + 1
+    return {
+        variable: (count, linked.get(variable, 0))
+        for variable, count in holders.items()
+        if linked.get(variable, 0) != count - 1
+    }

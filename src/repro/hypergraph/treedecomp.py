@@ -25,6 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.errors import DecompositionError, HypergraphError
 from repro.hypergraph.algorithms import primal_graph
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.jointree import disconnected_variables
 
 
 class TreeBag:
@@ -85,19 +86,7 @@ class TreeDecomposition:
         return True
 
     def is_connected(self) -> bool:
-        holders: Dict[str, List[TreeBag]] = {}
-        for bag in self.bags():
-            for vertex in bag.vertices:
-                holders.setdefault(vertex, []).append(bag)
-        for vertex, bags in holders.items():
-            linked = sum(
-                1
-                for bag in bags
-                if bag.parent is not None and vertex in bag.parent.vertices
-            )
-            if linked != len(bags) - 1:
-                return False
-        return True
+        return not disconnected_variables(self.root, lambda bag: bag.vertices)
 
     def is_valid(self, adjacency: Dict[str, Set[str]]) -> bool:
         return (

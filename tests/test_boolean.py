@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.boolean import evaluate_hd_boolean, is_satisfiable
+from repro.core.boolean import is_satisfiable
+from repro.core.evaluator import evaluate_hd_boolean
 from repro.core.costkdecomp import cost_k_decomp
 from repro.core.costmodel import DecompositionCostModel
 from repro.core.qhd import assign_atoms

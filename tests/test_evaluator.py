@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HypergraphError
+from repro.hypergraph.jointree import build_join_forest
 from repro.metering import SpillModel, WorkMeter
 from repro.query.builder import ConjunctiveQueryBuilder
 from repro.core.detkdecomp import det_k_decomp
@@ -24,6 +25,8 @@ from repro.core.evaluator import (
     yannakakis_boolean,
 )
 from repro.core.qhd import assign_atoms, procedure_optimize, q_hypertree_decomp
+
+from repro.relational import Relation
 
 from tests.conftest import brute_force_answer, random_database_for
 
@@ -59,8 +62,6 @@ class TestYannakakisBoolean:
         q = line_query(2, output=())
         rels = relations_for(q, seed=1)
         # Make the middle variable never match.
-        from repro.relational import Relation
-
         rels["p1"] = Relation(["V1", "V2"], [(99, 99)])
         assert not yannakakis_boolean(q, rels)
 
@@ -69,6 +70,23 @@ class TestYannakakisBoolean:
         rels = relations_for(q)
         with pytest.raises(HypergraphError):
             yannakakis_boolean(q, rels)
+
+    def test_stops_at_the_first_empty_node(self):
+        q = line_query(5, output=())
+        rels = relations_for(q, seed=3)
+        (root,) = build_join_forest(q.hypergraph())
+        first = next(iter(root.postorder()))
+        rels[first.edge.name] = Relation(rels[first.edge.name].attributes, [])
+        # What a full upward pass over the join tree charges.
+        full, current = WorkMeter(), dict(rels)
+        for node in root.postorder():
+            for child in node.children:
+                current[node.edge.name] = current[node.edge.name].semijoin(
+                    current[child.edge.name], meter=full
+                )
+        meter = WorkMeter()
+        assert not yannakakis_boolean(q, rels, meter=meter)
+        assert meter.total < full.total
 
 
 class TestYannakakisFull:
@@ -92,11 +110,28 @@ class TestYannakakisFull:
     def test_empty_answer(self):
         q = line_query(3, output=("V0",))
         rels = relations_for(q, seed=2)
-        from repro.relational import Relation
-
         rels["p1"] = Relation(["V1", "V2"], [])
         got = yannakakis_acyclic(q, rels)
         assert len(got) == 0
+
+        # A disconnected query: whichever component is empty, the answer is
+        # the empty relation over the whole head.
+        forest = (
+            ConjunctiveQueryBuilder("forest")
+            .atom("p0", "r0", "A", "B")
+            .atom("p1", "r1", "C", "D")
+            .output("A", "C")
+            .build()
+        )
+        for empty in ("p0", "p1"):
+            rels = {
+                "p0": Relation(["A", "B"], [(1, 2)]),
+                "p1": Relation(["C", "D"], [(3, 4)]),
+            }
+            rels[empty] = Relation(rels[empty].attributes, [])
+            got = yannakakis_acyclic(forest, rels)
+            assert got.attributes == ("A", "C")
+            assert len(got) == 0
 
 
 class TestQHDEvaluator:
@@ -179,6 +214,30 @@ class TestClassicHD:
         classic = evaluate_hd_classic(tree, q, rels)
         single_pass = evaluate_qhd(tree, q, rels)
         assert classic.same_content(single_pass)
+
+    @pytest.mark.parametrize(
+        "n, seed, rows, spill, expected",
+        [
+            (5, 0, 10, None, {
+                "join-build": 10, "join-out": 14, "join-probe": 13,
+                "project": 14, "semijoin-build": 2, "semijoin-probe": 11,
+            }),
+            (6, 11, 20, SpillModel(1, 5.0), {
+                "join-build": 41, "join-out": 134, "join-probe": 65,
+                "project": 159, "semijoin-build": 99, "semijoin-probe": 132,
+                "spill": 725,
+            }),
+        ],
+    )
+    def test_work_units_are_pinned(self, n, seed, rows, spill, expected):
+        """The comparator's work-unit contract: S₂′ + the three phases charge
+        exactly these units, category by category."""
+        q = chain_query(n)
+        rels = relations_for(q, seed=seed, rows=rows)
+        tree = q_hypertree_decomp(q, 2)
+        meter = WorkMeter()
+        evaluate_hd_classic(tree, q, rels, meter=meter, spill=spill)
+        assert dict(meter.by_category) == expected
 
 
 @settings(max_examples=30, deadline=None)

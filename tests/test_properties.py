@@ -14,6 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.boolean import is_satisfiable
 from repro.core.evaluator import evaluate_hd_classic, evaluate_qhd
 from repro.core.optimizer import HybridOptimizer
 from repro.core.views import execute_view_plan
@@ -168,7 +169,9 @@ def chain_sql_for(n_atoms):
 )
 def test_all_execution_strategies_agree(n_atoms, seed):
     """Engine DP, q-HD single pass, classic 3-phase, SQL views, and the
-    tight coupling all produce identical answers on random chain data."""
+    tight coupling all produce identical answers on random chain data, and
+    the Boolean decision procedure says *yes* exactly when they are
+    non-empty."""
     db = make_chain_database(n_atoms, seed)
     sql = chain_sql_for(n_atoms)
 
@@ -188,6 +191,8 @@ def test_all_execution_strategies_agree(n_atoms, seed):
 
     views_answer = execute_view_plan(plan.to_sql_views(), dbms).relation
     assert engine_answer.same_content(views_answer)
+
+    assert is_satisfiable(sql, db, max_width=2) == (len(engine_answer) > 0)
 
 
 @settings(max_examples=10, deadline=None)
