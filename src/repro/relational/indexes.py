@@ -12,11 +12,12 @@ setup was).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.metering import NULL_METER, WorkMeter
-from repro.relational.relation import _CHECK_EVERY, Relation, _row_getter
+from repro.relational.relation import _CHECK_EVERY, Relation, _project_rows
 from repro.resilience.context import current_context
 
 Key = Tuple[object, ...]
@@ -36,11 +37,12 @@ class HashIndex:
             raise SchemaError("an index needs at least one attribute")
         self.relation = relation
         self.attributes: Tuple[str, ...] = tuple(attributes)
-        key_of = _row_getter([relation.index_of(a) for a in self.attributes])
+        keys = _project_rows(
+            relation.tuples, [relation.index_of(a) for a in self.attributes]
+        )
         self._buckets: Dict[Key, List[Tuple[object, ...]]] = {}
         buckets = self._buckets
-        for row in relation.tuples:
-            key = key_of(row)
+        for key, row in zip(keys, relation.tuples):
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [row]
@@ -95,8 +97,6 @@ def index_nested_loop_join(
     ]
 
     context = current_context()
-    key_of = _row_getter(probe_key_idx)
-    rest_of = _row_getter(build_rest_idx)
     residual_pairs = list(zip(probe_res_idx, build_res_idx))
     buckets = index._buckets
     probe_rows = probe.tuples
@@ -110,14 +110,14 @@ def index_nested_loop_join(
         meter.charge(len(chunk), "inl-probe")
         meter.charge(len(chunk), "index-probe")
         emitted = len(out)
-        for row in chunk:
-            matches = buckets.get(key_of(row))
+        for row, key in zip(chunk, _project_rows(chunk, probe_key_idx)):
+            matches = buckets.get(key)
             if not matches:
                 continue
-            for match in matches:
+            for match, rest in zip(matches, _project_rows(matches, build_rest_idx)):
                 if any(row[pi] != match[bi] for pi, bi in residual_pairs):
                     continue
-                out.append(row + rest_of(match))
+                out.append(row + rest)
         if len(out) > emitted:
             meter.charge(len(out) - emitted, "inl-out")
     return Relation(out_attrs, out, name=f"({probe.name}⋈idx)")
@@ -132,11 +132,10 @@ def indexed_semijoin(
     for attribute in index.attributes:
         if not left.has_attribute(attribute):
             raise SchemaError(f"left side lacks indexed attribute {attribute!r}")
-    key_of = _row_getter([left.index_of(a) for a in index.attributes])
+    keys = _project_rows(left.tuples, [left.index_of(a) for a in index.attributes])
     meter.charge(len(left), "semijoin-probe")
     meter.charge(len(left), "index-probe")
-    buckets = index._buckets
-    kept = [row for row in left.tuples if key_of(row) in buckets]
+    kept = list(compress(left.tuples, map(index._buckets.__contains__, keys)))
     return Relation(left.attributes, kept, name=left.name)
 
 

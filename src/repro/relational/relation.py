@@ -15,7 +15,7 @@ mode of bad quantitative plans the paper's Fig. 7/8 expose.
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, repeat
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -69,22 +69,23 @@ def _key_getter(indices: Sequence[int]) -> Callable[[Tuple[object, ...]], object
     columns — the cartesian case — collapse to one constant key.
     """
     if not indices:
-        return lambda row: ()
+        return operator.itemgetter(slice(0, 0))
     if len(indices) == 1:
         return operator.itemgetter(indices[0])
     return operator.itemgetter(*indices)
 
 
-def _row_getter(
-    indices: Sequence[int],
-) -> Callable[[Tuple[object, ...]], Tuple[object, ...]]:
-    """Like :func:`_key_getter` but always yields a tuple (output rows)."""
+def _project_rows(
+    rows: Iterable[Tuple[object, ...]], indices: Sequence[int]
+) -> Iterator[Tuple[object, ...]]:
+    """``rows`` projected onto ``indices``, as tuples, in order, with no
+    Python call per row: ``itemgetter(*indices)`` for several columns,
+    ``zip`` over one column's values, an empty slice for none."""
     if not indices:
-        return lambda row: ()
+        return map(operator.itemgetter(slice(0, 0)), rows)
     if len(indices) == 1:
-        index = indices[0]
-        return lambda row: (row[index],)
-    return operator.itemgetter(*indices)
+        return zip(map(operator.itemgetter(indices[0]), rows))
+    return map(operator.itemgetter(*indices), rows)
 
 
 def _unique_attributes(attributes: Sequence[str]) -> Tuple[str, ...]:
@@ -100,7 +101,8 @@ class Relation:
 
     Args:
         attributes: ordered attribute names (unique).
-        tuples: row values, each of length ``len(attributes)``.
+        tuples: row values, each of length ``len(attributes)``; any
+            sequence, stored as a tuple.
         name: display name for plans and EXPLAIN output.
     """
 
@@ -118,12 +120,18 @@ class Relation:
         self._index: Dict[str, int] = {
             attr: i for i, attr in enumerate(self.attributes)
         }
-        for row in self.tuples:
-            if len(row) != len(self.attributes):
-                raise SchemaError(
-                    f"tuple arity {len(row)} != schema arity "
-                    f"{len(self.attributes)} in relation {self.name!r}"
-                )
+        # Rows are stored as tuples: operators concatenate, hash and hand
+        # out the row objects themselves.  Both checks run at C level.
+        rows = self.tuples
+        if list(map(type, rows)).count(tuple) != len(rows):
+            rows = self.tuples = list(map(tuple, rows))
+        arity = len(self.attributes)
+        if list(map(len, rows)).count(arity) != len(rows):
+            row = next(row for row in rows if len(row) != arity)
+            raise SchemaError(
+                f"tuple arity {len(row)} != schema arity "
+                f"{arity} in relation {self.name!r}"
+            )
 
     @classmethod
     def _trusted(
@@ -207,7 +215,7 @@ class Relation:
         """π over ``attributes``; set semantics when ``dedup`` (the default)."""
         indices = [self.index_of(a) for a in _unique_attributes(attributes)]
         meter.charge(len(self.tuples), "project")
-        rows = map(_row_getter(indices), self.tuples)
+        rows = _project_rows(self.tuples, indices)
         # dict.fromkeys keeps first occurrences in row order, at C speed.
         out = list(dict.fromkeys(rows)) if dedup else list(rows)
         return Relation._trusted(attributes, out, name=self.name)
@@ -317,45 +325,65 @@ class Relation:
         if keep is None:
             # The whole probe row is the head: no copy.
             emitted = list(self.joined_attributes(other))
-            head_of, rest_attrs = None, emitted[len(probe.attributes) :]
+            head_idx, rest_attrs = None, emitted[len(probe.attributes) :]
         else:
             head_attrs = [a for a in keep if a in probe._index]
             rest_attrs = [a for a in keep if a not in probe._index]
             emitted = head_attrs + rest_attrs
-            head_of = _row_getter([probe._index[a] for a in head_attrs])
-        rest_of = _row_getter([build.index_of(a) for a in rest_attrs])
+            head_idx = [probe._index[a] for a in head_attrs]
+        rest_idx = [build.index_of(a) for a in rest_attrs]
         context = current_context()
 
-        # Build phase: one hash-table insert per row, keys extracted by a
-        # precompiled itemgetter, the output suffix precomputed once per
-        # build row (it is re-emitted for every probe match).  Work is
-        # charged in ≤ _CHECK_EVERY blocks with identical totals.
-        table: Dict[object, List[Tuple[object, ...]]] = {}
-        table_get = table.get
+        # Build phase, charged in ≤ _CHECK_EVERY blocks: every build row's
+        # key and output suffix (re-emitted for every probe match) at C
+        # level.  When the keys are distinct — every PK–FK build — the
+        # table is one dict(zip(keys, suffixes)), key → suffix, with no
+        # lists.  Otherwise one loop over the precomputed pairs groups them,
+        # key → [suffixes] in build order.  Distinctness is tested on a set
+        # of the keys, not on that dict: a dict built and then discarded
+        # slows a nearly-unique build past the per-row loop's cost.
+        keys: List[object] = []
+        suffixes: Rows = []
         build_rows = build.tuples
         for start in range(0, len(build_rows), _CHECK_EVERY):
             context.checkpoint("exec.join")
             chunk = build_rows[start : start + _CHECK_EVERY]
             meter.charge(len(chunk), "join-build")
-            for row in chunk:
-                key = build_key(row)
-                bucket = table_get(key)
+            keys.extend(map(build_key, chunk))
+            suffixes.extend(_project_rows(chunk, rest_idx))
+        unique = len(set(keys)) == len(keys)
+        if unique:
+            table: Dict[object, object] = dict(zip(keys, suffixes))
+        else:
+            table = {}
+            for key, suffix in zip(keys, suffixes):
+                bucket = table.get(key)
                 if bucket is None:
-                    table[key] = [rest_of(row)]
+                    table[key] = [suffix]
                 else:
-                    bucket.append(rest_of(row))
+                    bucket.append(suffix)
+        table_get = table.get
+        del keys, suffixes
 
         # Probe phase, one ≤ _CHECK_EVERY-row block at a time.  The
         # checkpoint is driven by *probe-row* count, not output count: a long
         # probe with few or no matches must still be interruptible by
         # deadlines and cancellation.  A block's pairs are counted from its
-        # buckets and charged as one lump *before* any of its rows exist, so
+        # hits and charged as one lump *before* any of its rows exist, so
         # a budgeted meter aborts a blow-up while it is still hypothetical;
-        # the rows are then emitted at C level.  Only a block holding a
-        # bucket larger than _CHECK_EVERY takes the per-row loop, which
-        # checkpoints and charges inside that bucket.
-        big_buckets = max(map(len, table.values()), default=0) > _CHECK_EVERY
-        out: List[Tuple[object, ...]] = []
+        # the rows are then emitted at C level.  Probe keys are looked up
+        # as they are made, never listed: most probe rows of a PK–FK join
+        # miss.  Against a unique table a hit is one pair, and a build side
+        # that adds no column emits the matched probe rows (or their heads)
+        # as they are.  Only a block holding a bucket larger than
+        # _CHECK_EVERY takes the per-row loop, which checkpoints and charges
+        # inside that bucket; no bucket exceeds len(build) - len(table) + 1
+        # rows, so the tables are searched for one only when that allows it.
+        big_buckets = (
+            len(build_rows) - len(table) >= _CHECK_EVERY
+            and max(map(len, table.values())) > _CHECK_EVERY
+        )
+        out: Rows = []
         out_extend = out.extend
         pairs = 0
         probe_rows = probe.tuples
@@ -363,16 +391,27 @@ class Relation:
             context.checkpoint("exec.join")
             chunk = probe_rows[start : start + _CHECK_EVERY]
             meter.charge(len(chunk), "join-probe")
-            hits = list(map(table_get, map(probe_key, chunk)))
-            # The matched probe rows' buckets, in probe order (misses are None).
-            buckets = list(filter(None, hits))
-            if not buckets:
+            if unique and not rest_idx:
+                matched = list(
+                    compress(chunk, map(table.__contains__, map(probe_key, chunk)))
+                )
+                if matched:
+                    meter.charge(len(matched), "join-out")
+                    pairs += len(matched)
+                    if head_idx is not None:
+                        matched = _project_rows(matched, head_idx)
+                    out_extend(matched)
                 continue
-            if big_buckets and max(map(len, buckets)) > _CHECK_EVERY:
-                for row, matches in zip(chunk, hits):
+            hits = list(map(table_get, map(probe_key, chunk)))
+            # The matched probe rows' suffixes or buckets, in probe order.
+            found = list(filter(None, hits))
+            if not found:
+                continue
+            if big_buckets and max(map(len, found)) > _CHECK_EVERY:
+                heads = chunk if head_idx is None else _project_rows(chunk, head_idx)
+                for head, matches in zip(heads, hits):
                     if not matches:
                         continue
-                    head = row if head_of is None else head_of(row)
                     pairs += len(matches)
                     if len(matches) <= _CHECK_EVERY:
                         meter.charge(len(matches), "join-out")
@@ -384,17 +423,16 @@ class Relation:
                         meter.charge(len(run), "join-out")
                         out_extend([head + rest for rest in run])
                 continue
-            block_pairs = sum(map(len, buckets))
+            block_pairs = len(found) if unique else sum(map(len, found))
             meter.charge(block_pairs, "join-out")
             pairs += block_pairs
             heads = compress(chunk, hits)
-            if head_of is not None:
-                heads = map(head_of, heads)
-            out_extend(
-                chain.from_iterable(
-                    map(map, repeat(operator.add), map(repeat, heads), buckets)
-                )
-            )
+            if head_idx is not None:
+                heads = _project_rows(heads, head_idx)
+            if unique:
+                out_extend(map(operator.add, heads, found))
+            else:
+                out_extend([h + r for h, b in zip(heads, found) for r in b])
         return out, emitted, pairs
 
     def _join_name(self, other: "Relation") -> str:
@@ -443,7 +481,7 @@ class Relation:
         out = list(dict.fromkeys(rows))
         # Rows were emitted probe columns first; restore ``keep`` order.
         if emitted != list(keep):
-            out = list(map(_row_getter([emitted.index(a) for a in keep]), out))
+            out = list(_project_rows(out, [emitted.index(a) for a in keep]))
         return Relation._trusted(keep, out, name=self._join_name(other))
 
     def nested_loop_join(
@@ -464,8 +502,8 @@ class Relation:
         self_key = _key_getter(self_idx)
         # Inner-side keys and output suffixes are extracted once, not once
         # per outer row.
-        other_keys = [_key_getter(other_idx)(row) for row in other.tuples]
-        other_rests = [_row_getter(other_rest_idx)(row) for row in other.tuples]
+        other_keys = list(map(_key_getter(other_idx), other.tuples))
+        other_rests = list(_project_rows(other.tuples, other_rest_idx))
         pairs = 0
         out: List[Tuple[object, ...]] = []
         for row in self.tuples:
@@ -512,7 +550,7 @@ class Relation:
         other_rest_idx = [
             i for i, a in enumerate(other.attributes) if a not in self._index
         ]
-        right_rests = list(map(_row_getter(other_rest_idx), right_rows))
+        right_rests = list(_project_rows(right_rows, other_rest_idx))
 
         context = current_context()
         steps = 0
@@ -574,7 +612,7 @@ class Relation:
             if start:
                 context.checkpoint("exec.join")
             chunk = rows[start : start + _CHECK_EVERY]
-            kept.extend([row for row in chunk if self_key(row) in keys])
+            kept.extend(compress(chunk, map(keys.__contains__, map(self_key, chunk))))
         return Relation._trusted(self.attributes, kept, name=self.name)
 
     def union(self, other: "Relation", meter: WorkMeter = NULL_METER) -> "Relation":
@@ -587,14 +625,13 @@ class Relation:
         reorder = [other.index_of(a) for a in self.attributes]
         context = current_context()
         aligned = reorder == list(range(len(self.attributes)))
-        row_of = _row_getter(reorder)
         merged = list(self.tuples)
         rows = other.tuples
         for start in range(0, len(rows), _CHECK_EVERY):
             context.checkpoint("exec.union")
             chunk = rows[start : start + _CHECK_EVERY]
             meter.charge(len(chunk), "union")
-            merged.extend(chunk if aligned else list(map(row_of, chunk)))
+            merged.extend(chunk if aligned else _project_rows(chunk, reorder))
         return Relation._trusted(self.attributes, merged, name=self.name)
 
     # ------------------------------------------------------------------
@@ -627,8 +664,7 @@ class Relation:
 
         meter.charge(len(self.tuples), "aggregate")
         groups: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
-        for row in self.tuples:
-            key = tuple(row[i] for i in group_idx)
+        for key, row in zip(_project_rows(self.tuples, group_idx), self.tuples):
             groups.setdefault(key, []).append(row)
         if not group_by and not groups:
             groups[()] = []  # global aggregate over the empty relation

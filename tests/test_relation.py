@@ -40,6 +40,20 @@ class TestBasics:
         r2 = Relation(["a"], [(1,)])
         assert not r1.same_content(r2)
 
+    def test_list_rows_are_stored_as_tuples(self):
+        rows = [[1, 2], [5, 2], [7, 9]]
+        listed = Relation(["a", "b"], rows)
+        assert listed.tuples == [(1, 2), (5, 2), (7, 9)]
+        assert all(type(row) is tuple for row in listed.tuples)
+        rows[0][0] = 99  # the caller's rows are not aliased
+        assert listed.tuples[0] == (1, 2)
+        assert listed.distinct().tuples == listed.tuples
+        # The list side is the probe side here, and the build side below.
+        joined = listed.natural_join(Relation(["b", "c"], [(2, 3), (2, 4)]))
+        assert joined.tuples == [(1, 2, 3), (1, 2, 4), (5, 2, 3), (5, 2, 4)]
+        joined = listed.natural_join(Relation(["b", "c"], [(2, 3)] * 4))
+        assert joined.to_multiset() == {(1, 2, 3): 4, (5, 2, 3): 4}
+
     def test_copy_is_independent(self, r):
         c = r.copy()
         c.tuples.append((9, "q"))
