@@ -2,14 +2,14 @@
 
 The resilience layer (PR 3) relies on *cooperative* aborts: a deadline or
 cancellation is only observed when the running code calls
-``context.checkpoint(site)`` / ``context.tick(site)``.  The metering layer
+``context.checkpoint(site)``.  The metering layer
 (the paper's machine-independent cost accounting) relies on every physical
 operator charging the :class:`~repro.metering.WorkMeter` for each tuple it
 touches.  The two contracts meet in row loops:
 
 * **checkpoint-coverage** — a ``for``/``while`` loop that charges work
   units is, by definition, a row loop on a hot path; if no loop in its
-  enclosing loop nest ever calls ``checkpoint``/``tick``, a pathological
+  enclosing loop nest ever calls ``checkpoint``, a pathological
   input wedges the worker until the loop ends, and deadlines, drains and
   fault injection are all blind to it.
 * **work-charging** — an operator that accepts a ``meter`` parameter but
@@ -33,7 +33,7 @@ from repro.analysis.base import (
 )
 
 _LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
-_CHECKPOINT_NAMES = frozenset({"checkpoint", "tick"})
+_CHECKPOINT_NAMES = frozenset({"checkpoint"})
 
 
 def _loop_has_checkpoint(loop: ast.AST) -> bool:
@@ -53,7 +53,7 @@ class CheckpointCoverageRule(FileRule):
     rule_id = "checkpoint-coverage"
     description = (
         "a loop that charges WorkMeter units must call context.checkpoint()"
-        " or context.tick() somewhere in its loop nest"
+        " somewhere in its loop nest"
     )
     scopes = (
         "repro/engine/",
@@ -100,7 +100,7 @@ class CheckpointCoverageRule(FileRule):
                                 node,
                                 "work-charging row loop (line "
                                 f"{getattr(innermost, 'lineno', '?')}) never "
-                                "reaches context.checkpoint()/tick(); a "
+                                "reaches context.checkpoint(); a "
                                 "deadline or cancellation cannot interrupt it",
                             )
                         )

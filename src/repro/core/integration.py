@@ -28,7 +28,7 @@ Two serving-layer amortizations live in the installed handler:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.analysis.lockwitness import make_lock
 from repro.errors import (
@@ -49,7 +49,6 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.context import current_context
 from repro.core.costmodel import DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
-from repro.core.hypertree import Hypertree
 from repro.core.optimizer import cost_model_from_database
 from repro.core.qhd import q_hypertree_decomp
 
@@ -141,15 +140,14 @@ def install_structural_optimizer(
     translation carries its ``fingerprint``) and one cached schema digest
     when a plan cache (capacity > 0), a breaker or an enabled insights
     sink is configured, none otherwise — and derives the breaker key, the
-    ``template=`` span tag, the insights key, the plan-cache key at
-    ``max_width`` and every lower-width key from it.
+    ``template=`` span tag, the insights key and the plan-cache key from
+    it.
 
     It plans through one **degradation ladder**: (1) the cost-k-decomp
     search at ``max_width`` (cache-accelerated; skipped while the
     template's breaker is open); on failure — no decomposition, deadline,
-    work/memory budget, injected fault — (2) a cached structural plan at
-    a *smaller* width bound (lookup + rename only, never a new search);
-    (3) the built-in quantitative planner; (4) the original typed error.
+    work/memory budget, injected fault — (2) the built-in quantitative
+    planner; (3) the original typed error.
     The ladder is a planning ladder only: an error raised while
     *evaluating* the chosen plan reaches the caller as its typed error.
     Every rung taken is recorded on the span that took it
@@ -158,8 +156,8 @@ def install_structural_optimizer(
 
     Each handled query is one ``serve.query`` span around ``serve.plan``
     and ``serve.execute`` (which also holds a built-in execution).  The
-    query span carries ``template``, ``cache_hit`` (a plan from the cache
-    at any width) and ``events``; ``error`` on any span means that span
+    query span carries ``template``, ``cache_hit`` (a plan from the cache)
+    and ``events``; ``error`` on any span means that span
     raised (an absorbed planning failure is ``plan_error`` on
     ``serve.plan``).  The handler's one ``insights.record_query`` call
     reads those same values, so ``hdqo report`` replaying the spans
@@ -216,32 +214,20 @@ def install_structural_optimizer(
 
     def _identity(
         engine: SimulatedDBMS, translation: TranslationResult, use_stats: bool
-    ) -> "Callable[[int], QueryFingerprint]":
-        """The operation's template identity: canonicalised once, keyed per k.
+    ) -> "QueryFingerprint":
+        """The operation's template identity, canonicalised once.
 
-        Only the ``k=`` field differs between the plan-cache key at
-        ``max_width`` (whose ``key`` is also the breaker key and the
-        insights / ``template=`` tag) and the lower-k rung keys.  A
-        translation that arrives canonicalised (from the serving layer's
-        text memo) is not canonicalised again.
+        Its ``key`` is the plan-cache key, the breaker key and the
+        insights / ``template=`` tag.  A translation that arrives
+        canonicalised (from the serving layer's text memo) is not
+        canonicalised again.
         """
         canonical = translation.fingerprint
         if canonical is None:
             canonical = fingerprint_translation(translation)
         schema = f"schema={schema_digest(engine.database)}"
         flags = f"opt={optimize};stats={use_stats}"
-        return lambda k: canonical.with_context(f"{schema};k={k};{flags}")
-
-    def _named_for(
-        translation: TranslationResult, tree: Hypertree, fingerprint: "QueryFingerprint"
-    ) -> Hypertree:
-        """A cached canonical tree in the requesting query's names."""
-        return rename_hypertree(
-            tree,
-            fingerprint.inverse_var_map(),
-            fingerprint.inverse_atom_map(),
-            hypergraph=translation.query.hypergraph(),
-        )
+        return canonical.with_context(f"{schema};k={max_width};{flags}")
 
     def _search(
         engine: SimulatedDBMS,
@@ -278,48 +264,34 @@ def install_structural_optimizer(
             # Single-flight: concurrent misses on one template coalesce —
             # the first holder builds and stores, the rest re-check and hit.
             with plan_cache.build_lock(fingerprint.key):
-                entry = plan_cache.lookup(fingerprint, stats_version)
-                if entry is None:
-                    try:
-                        built = build()
-                    except DecompositionNotFound:
-                        plan_cache.store(fingerprint, None, stats_version)
-                        raise
-                    canonical = rename_hypertree(
-                        built[0], fingerprint.var_map, fingerprint.atom_map
-                    )
-                    plan_cache.store(fingerprint, canonical, stats_version)
-                    return built
+                try:
+                    entry = plan_cache.lookup(fingerprint, stats_version)
+                    if entry is None:
+                        try:
+                            built = build()
+                        except DecompositionNotFound:
+                            plan_cache.store(fingerprint, None, stats_version)
+                            raise
+                        canonical = rename_hypertree(
+                            built[0], fingerprint.var_map, fingerprint.atom_map
+                        )
+                        plan_cache.store(fingerprint, canonical, stats_version)
+                        return built
+                finally:
+                    plan_cache.release_build_lock(fingerprint.key)
         if entry.failure:
             raise DecompositionNotFound(
                 f"cached: no width-≤{max_width} decomposition for "
                 "this template",
                 width=max_width,
             )
-        return _named_for(translation, entry.tree, fingerprint), True, 0
-
-    def _lower_k(engine, translation, identity, events, span):
-        """Rung 2: a cached decomposition at a smaller width bound.
-
-        Lookup + rename only — never a new search.  Taking the rung is
-        recorded here, once: the ``degraded_to`` tag on the span that took
-        it, the ``degraded_lower_k`` counter, the event.  Returns
-        ``(decomposition, k)`` or ``(None, None)``.
-        """
-        if not caching:
-            return None, None
-        stats_version = engine.database.stats_version
-        for lower in range(max_width - 1, 0, -1):
-            fingerprint = identity(lower)
-            entry = plan_cache.lookup(fingerprint, stats_version)
-            if entry is None or entry.failure:
-                continue
-            span.tag(degraded_to=f"lower-k({lower})")
-            if metrics is not None:
-                metrics.record_lower_k()
-            events.append("degraded:lower-k")
-            return _named_for(translation, entry.tree, fingerprint), lower
-        return None, None
+        named = rename_hypertree(
+            entry.tree,
+            fingerprint.inverse_var_map(),
+            fingerprint.inverse_atom_map(),
+            hypergraph=translation.query.hypergraph(),
+        )
+        return named, True, 0
 
     def handler(
         engine: SimulatedDBMS, translation: TranslationResult, meter: WorkMeter
@@ -328,9 +300,9 @@ def install_structural_optimizer(
         use_stats = engine.database.has_statistics()
         name = translation.query.name
         started = time.perf_counter()
-        identity = top = key = None
-        decomposition = lower_k = failure = error = exec_started = None
-        cache_hit = served_cached = False
+        identity = key = None
+        decomposition = failure = error = exec_started = None
+        cache_hit = False
         plan_units, plan_seconds, exec_work_start = 0, 0.0, 0
         events: list = []
         with tracer.span("serve.query", query=name) as query_span:
@@ -338,16 +310,14 @@ def install_structural_optimizer(
                 with tracer.span("serve.plan", query=name) as span:
                     if keyed:
                         identity = _identity(engine, translation, use_stats)
-                        top = identity(max_width)
-                        key = top.key
+                        key = identity.key
                         query_span.tag(template=key)
                         span.tag(template=key)
                     # Rung 1: cost-k-decomp at max_width — unless this
                     # template's breaker is open (repeated planning failures).
                     if breaker is not None and not breaker.allow(key):
                         failure = DecompositionNotFound(
-                            "circuit breaker open for this template and no "
-                            "cached lower-width plan available",
+                            "circuit breaker open for this template",
                             width=max_width,
                         )
                         span.tag(breaker_open=True)
@@ -357,7 +327,7 @@ def install_structural_optimizer(
                     else:
                         try:
                             decomposition, cache_hit, plan_units = _search(
-                                engine, translation, use_stats, top
+                                engine, translation, use_stats, identity
                             )
                         except _LADDER_ERRORS as exc:
                             failure = exc
@@ -378,25 +348,20 @@ def install_structural_optimizer(
                                 breaker.record_success(key)
                             else:
                                 breaker.record_failure(key)
-                    if decomposition is None:
-                        decomposition, lower_k = _lower_k(
-                            engine, translation, identity, events, span
-                        )
-                        if decomposition is None and fallback_to_builtin:
-                            span.tag(degraded_to="builtin", fallback=True)
-                            events.append("degraded:builtin")
+                    if decomposition is None and fallback_to_builtin:
+                        span.tag(degraded_to="builtin", fallback=True)
+                        events.append("degraded:builtin")
                 plan_seconds = time.perf_counter() - started
-                served_cached = cache_hit or lower_k is not None
                 if metrics is not None:
                     # One planning event per handled query, whichever rung.
                     metrics.record_plan(
-                        cache_hit=served_cached,
+                        cache_hit=cache_hit,
                         units=plan_units,
                         seconds=plan_seconds if failure is None else 0.0,
                         fallback=decomposition is None,
                     )
                 if decomposition is None and not fallback_to_builtin:
-                    raise failure  # rung 4: the original typed error
+                    raise failure  # rung 3: the original typed error
                 exec_started, exec_work_start = time.perf_counter(), meter.total
                 with tracer.span(
                     "serve.execute",
@@ -407,7 +372,7 @@ def install_structural_optimizer(
                     if key is not None:
                         span.tag(template=key)
                     if decomposition is None:
-                        # Rung 3: the built-in quantitative planner.
+                        # Rung 2: the built-in quantitative planner.
                         answer, plan_text, label = engine.plan_and_join(
                             translation, meter, use_stats, optimizer_enabled=True
                         )
@@ -425,10 +390,7 @@ def install_structural_optimizer(
                             tracer=tracer,
                         ).evaluate(base)
                         plan_text = decomposition.render()
-                        if lower_k is not None:
-                            label = f"q-hd(k={lower_k})"
-                        else:
-                            label = "q-hd(cached)" if cache_hit else "q-hd"
+                        label = "q-hd(cached)" if cache_hit else "q-hd"
                     span.tag(rows_out=len(answer))
             except BaseException as exc:  # what Span.__exit__ tags as `error`
                 error = type(exc).__name__
@@ -437,14 +399,14 @@ def install_structural_optimizer(
                 # The one insights record, from the values tagged on the
                 # serve.query span and its serve.plan / serve.execute
                 # children — what `hdqo report` replays.
-                query_span.tag(cache_hit=served_cached, events=tuple(events))
+                query_span.tag(cache_hit=cache_hit, events=tuple(events))
                 if key is not None:
                     executed = exec_started is not None
                     sink.record_query(
                         key,
                         plan_seconds=plan_seconds,
                         plan_units=plan_units,
-                        cache_hit=served_cached,
+                        cache_hit=cache_hit,
                         execute_seconds=(
                             time.perf_counter() - exec_started
                             if executed
@@ -459,17 +421,13 @@ def install_structural_optimizer(
         # On slow-log admission only: the expensive evidence capture.
         seconds = time.perf_counter() - started
         if sink.qualifies_slow(key, seconds):
-            if lower_k is not None:
-                degraded_to = f"lower-k({lower_k})"
-            else:
-                degraded_to = "builtin" if decomposition is None else None
             sink.record_slow(
                 key,
                 seconds,
                 {
                     "query": name,
                     "plan_label": label,
-                    "degraded_to": degraded_to,
+                    "degraded_to": "builtin" if decomposition is None else None,
                     "explain": plan_text,
                     "spans": _span_subtree(tracer, query_span.span_id),
                 },

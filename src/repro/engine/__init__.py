@@ -11,18 +11,18 @@ the same algorithmic behaviours the paper's figures measure:
   orders (left-deep or bushy);
 * :mod:`repro.engine.geqo` — a genetic join-order search (PostgreSQL's
   GEQO equivalent) used above a configurable relation-count threshold;
-* :mod:`repro.engine.executor` — hash-join execution over
-  :class:`repro.relational.relation.Relation`, work-metered;
 * :mod:`repro.engine.dbms` — the façade: engine profiles ``PostgresLike``
-  and ``CommDBLike``, SQL entry point, and the *optimizer handler* hook the
-  tight coupling replaces (Fig. 6 of the paper).
+  and ``CommDBLike``, SQL entry point, the one executor of join plans
+  (hash or nested-loop joins over
+  :class:`repro.relational.relation.Relation`, work-metered, with spill
+  charges), and the *optimizer handler* hook the tight coupling replaces
+  (Fig. 6 of the paper).
 """
 
 from repro.engine.plan import JoinNode, PlanNode, ScanNode, render_plan
 from repro.engine.cost import CardinalityEstimator, EstimationContext
 from repro.engine.optimizer import JoinOrderOptimizer
 from repro.engine.geqo import GeqoOptimizer
-from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.dbms import (
     COMMDB_PROFILE,
     POSTGRES_PROFILE,
@@ -39,8 +39,6 @@ __all__ = [
     "EstimationContext",
     "JoinOrderOptimizer",
     "GeqoOptimizer",
-    "PlanExecutor",
-    "ExecutionResult",
     "EngineProfile",
     "SimulatedDBMS",
     "POSTGRES_PROFILE",

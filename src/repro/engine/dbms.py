@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import WorkBudgetExceeded
 from repro.engine.cost import CardinalityEstimator, EstimationContext
-from repro.engine.executor import ExecutionResult
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.optimizer import JoinOrderOptimizer, syntactic_plan
 from repro.engine.plan import JoinNode, PlanNode, ScanNode, render_plan
@@ -43,7 +42,7 @@ from repro.relational.relation import Relation
 # An optimizer handler receives the DBMS, the translated query and the run's
 # meter, and returns the conjunctive answer (variables covering out(Q)), a
 # plan description for EXPLAIN, and the label of the planner that produced
-# the plan ("q-hd", "q-hd(cached)", "q-hd(k=1)", "builtin-fallback").
+# the plan ("q-hd", "q-hd(cached)", "builtin-fallback").
 OptimizerHandler = Callable[
     ["SimulatedDBMS", TranslationResult, WorkMeter], Tuple[Relation, str, str]
 ]
@@ -66,10 +65,9 @@ class EngineProfile:
             larger than ``memory_tuples`` charge ``spill_factor`` extra
             work per overflowing tuple (the paper's 512 MB laptop spilling
             to a 5400 rpm disk).  None disables spilling.
-        join_algorithm: the default physical join ("hash" or "merge").
         nlj_threshold: when a join input's estimated rows fall at or below
-            this, nested loops replace the default algorithm (no build cost
-            for tiny inputs).
+            this, nested loops replace the hash join (no build cost for
+            tiny inputs).
     """
 
     name: str
@@ -80,7 +78,6 @@ class EngineProfile:
     geqo_population: int = 32
     memory_tuples: Optional[int] = 20_000
     spill_factor: float = 10.0
-    join_algorithm: str = "hash"
     nlj_threshold: float = 4.0
 
 
@@ -350,15 +347,13 @@ class SimulatedDBMS:
         for node in plan.walk():
             if not isinstance(node, JoinNode):
                 continue
-            if node.is_cross_product:
-                node.algorithm = "hash"  # natural_join handles the cross case
-            elif (
+            if not node.is_cross_product and (
                 min(node.left.estimated_rows, node.right.estimated_rows)
                 <= self.profile.nlj_threshold
             ):
                 node.algorithm = "nlj"
             else:
-                node.algorithm = self.profile.join_algorithm
+                node.algorithm = "hash"  # natural_join handles the cross case
 
     def _execute_plan(
         self,
@@ -396,9 +391,7 @@ class SimulatedDBMS:
             left = self._execute_plan(plan.left, base, meter, tracer)
             right = self._execute_plan(plan.right, base, meter, tracer)
             span.tag(rows_in_left=len(left), rows_in_right=len(right))
-            if plan.algorithm == "merge" and not plan.is_cross_product:
-                joined = left.merge_join(right, meter=meter)
-            elif plan.algorithm == "nlj" and not plan.is_cross_product:
+            if plan.algorithm == "nlj" and not plan.is_cross_product:
                 small, big = (left, right) if len(left) <= len(right) else (right, left)
                 joined = small.nested_loop_join(big, meter=meter)
             else:

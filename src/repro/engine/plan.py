@@ -58,9 +58,8 @@ class ScanNode(PlanNode):
 class JoinNode(PlanNode):
     """Join of two sub-plans on their shared CQ variables.
 
-    ``algorithm`` selects the physical operator: ``"hash"`` (default),
-    ``"merge"`` (sort-merge) or ``"nlj"`` (nested loops — chosen by the
-    engine when one input is tiny).
+    ``algorithm`` selects the physical operator: ``"hash"`` (default) or
+    ``"nlj"`` (nested loops — chosen by the engine when one input is tiny).
     """
 
     left: PlanNode
@@ -88,9 +87,7 @@ class JoinNode(PlanNode):
         if self.is_cross_product:
             kind = "CrossJoin"
         else:
-            kind = {"hash": "HashJoin", "merge": "MergeJoin", "nlj": "NestedLoopJoin"}.get(
-                self.algorithm, "HashJoin"
-            )
+            kind = "NestedLoopJoin" if self.algorithm == "nlj" else "HashJoin"
         on = ", ".join(self.shared_variables)
         return f"{kind}[{on}]"
 

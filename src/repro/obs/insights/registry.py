@@ -129,7 +129,7 @@ class InsightsRegistry:
         The rule: ``queries`` +1; ``errors`` +1 when the query raised
         (``error`` names the exception class and adds an
         ``error:<Name>`` event); ``cache_hits`` +1 when the plan came from
-        the cache at any width; each event counted and pushed to the
+        the cache; each event counted and pushed to the
         slow-log ring; the ``decompose`` phase observed always, the
         ``execute`` phase whenever the query executed
         (``execute_seconds`` is not None), by q-HD or the built-in
@@ -138,11 +138,10 @@ class InsightsRegistry:
         if error is not None:
             events = [*events, f"error:{error}"]
         with self._lock:
+            template = self._fold_locked(template)
             state = self._templates.get(template)
             if state is None:
-                if len(self._templates) >= self.max_templates:
-                    template = _OVERFLOW_KEY
-                state = self._templates.setdefault(template, _TemplateState())
+                state = self._templates[template] = _TemplateState()
             state.queries += 1
             state.errors += error is not None
             state.cache_hits += cache_hit
@@ -161,13 +160,28 @@ class InsightsRegistry:
 
     def qualifies_slow(self, template: str, seconds: float) -> bool:
         """Cheap pre-check before building an expensive slow capture."""
+        with self._lock:
+            template = self._fold_locked(template)
         return self.slow_log.qualifies(template, seconds)
 
     def record_slow(
         self, template: str, seconds: float, payload: Entry
     ) -> bool:
         """Offer a fully-built capture to the template's top-K."""
+        with self._lock:
+            template = self._fold_locked(template)
         return self.slow_log.offer(template, seconds, lambda: payload)
+
+    def _fold_locked(self, template: str) -> str:
+        """The key ``template`` is recorded under — itself while tracked or
+        while there is room, the overflow key beyond ``max_templates``
+        (caller holds the lock).  Queries, events and slow captures all
+        fold by this one rule."""
+        if template in self._templates:
+            return template
+        if len(self._templates) < self.max_templates:
+            return template
+        return _OVERFLOW_KEY
 
     # -- export ----------------------------------------------------------
 

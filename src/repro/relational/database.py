@@ -28,12 +28,9 @@ class Database:
     """A named collection of stored relations plus statistics."""
 
     def __init__(self, name: str = "db"):
-        from repro.relational.indexes import IndexCatalog
-
         self.name = name
         self.schema = DatabaseSchema()
         self.statistics = StatisticsCatalog()
-        self.indexes = IndexCatalog()
         self._tables: Dict[str, Relation] = {}
 
     # ------------------------------------------------------------------
@@ -112,10 +109,6 @@ class Database:
         names = [relation.lower()] if relation else list(self._tables)
         for name in names:
             self.statistics.put(analyze_relation(self.table(name), meter=meter))
-
-    def create_index(self, relation: str, attributes: Tuple[str, ...]):
-        """Build and register a hash index on a stored relation."""
-        return self.indexes.create(self.table(relation), tuple(attributes))
 
     def stats_for(self, relation: str) -> Optional[TableStatistics]:
         return self.statistics.get(relation)

@@ -520,72 +520,6 @@ class Relation:
                     out.append(row + other_rests[j])
         return Relation._trusted(out_attrs, out, name=self._join_name(other))
 
-    def merge_join(
-        self, other: "Relation", meter: WorkMeter = NULL_METER
-    ) -> "Relation":
-        """⋈ by sort-merge on the shared attributes.
-
-        Sorts both inputs on the join key (charged), then merges runs of
-        equal keys.  Requires at least one shared attribute — with none, a
-        merge join degenerates to a cross product, which
-        :meth:`natural_join` handles.
-        """
-        shared = self.shared_attributes(other)
-        if not shared:
-            return self.natural_join(other, meter=meter)
-        self_idx = [self.index_of(a) for a in shared]
-        other_idx = [other.index_of(a) for a in shared]
-        left_key_of = _key_getter(self_idx)
-        right_key_of = _key_getter(other_idx)
-        meter.charge(len(self.tuples) + len(other.tuples), "merge-sort")
-        left_rows = sorted(self.tuples, key=left_key_of)
-        right_rows = sorted(other.tuples, key=right_key_of)
-        # Key arrays are materialized once after the sort; the merge loop
-        # below never re-extracts a key tuple.
-        left_keys = list(map(left_key_of, left_rows))
-        right_keys = list(map(right_key_of, right_rows))
-        out_attrs = list(self.attributes) + [
-            a for a in other.attributes if a not in self._index
-        ]
-        other_rest_idx = [
-            i for i, a in enumerate(other.attributes) if a not in self._index
-        ]
-        right_rests = list(_project_rows(right_rows, other_rest_idx))
-
-        context = current_context()
-        steps = 0
-        out: List[Tuple[object, ...]] = []
-        out_extend = out.extend
-        n_left, n_right = len(left_rows), len(right_rows)
-        i = j = 0
-        while i < n_left and j < n_right:
-            if steps % _CHECK_EVERY == 0:
-                context.checkpoint("exec.join")
-            steps += 1
-            left_key = left_keys[i]
-            right_key = right_keys[j]
-            meter.charge(1, "merge-advance")
-            if left_key < right_key:
-                i += 1
-            elif left_key > right_key:
-                j += 1
-            else:
-                # Collect the run of equal keys on both sides.
-                i_end = i + 1
-                while i_end < n_left and left_keys[i_end] == left_key:
-                    i_end += 1
-                j_end = j + 1
-                while j_end < n_right and right_keys[j_end] == right_key:
-                    j_end += 1
-                run_rests = right_rests[j:j_end]
-                for li in range(i, i_end):
-                    context.tick("exec.join")
-                    left_row = left_rows[li]
-                    meter.charge(len(run_rests), "join-out")
-                    out_extend([left_row + rest for rest in run_rests])
-                i, j = i_end, j_end
-        return Relation._trusted(out_attrs, out, name=self._join_name(other))
-
     def semijoin(
         self, other: "Relation", meter: WorkMeter = NULL_METER
     ) -> "Relation":

@@ -4,9 +4,8 @@ The cost-k-decomp search is exponential in k, and a single pathological
 query can otherwise wedge a pool worker indefinitely.  This module provides
 the cooperative-abort primitives the whole stack checks:
 
-* :class:`Deadline` — an immutable monotonic-clock expiry.  Composable:
-  :meth:`Deadline.earliest` combines a per-query deadline with e.g. a
-  server-wide drain deadline; immutability makes it trivially thread-safe.
+* :class:`Deadline` — an immutable monotonic-clock expiry; immutability
+  makes it trivially thread-safe.
 * :class:`CancellationToken` — a thread-safe flag a client (or the server's
   drain path) flips from *any* thread; the running query observes it at the
   next checkpoint.  Tokens compose: a token constructed with ``parents``
@@ -24,9 +23,8 @@ every method is a constant-time no-op — unless a context was activated with
 :func:`resilient`.  A run without a context is therefore bit-identical in
 work units to an uninstrumented build (the overhead guard test pins this).
 
-Row loops amortize clock reads through :meth:`ExecutionContext.tick`, which
-only performs the full checkpoint every :attr:`ExecutionContext.stride`
-calls per site.
+Row loops amortize clock reads by calling :meth:`ExecutionContext.checkpoint`
+once per block of rows (the kernels' ``_CHECK_EVERY``).
 """
 
 from __future__ import annotations
@@ -34,9 +32,8 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from repro.analysis.lockwitness import make_lock
 from repro.errors import DeadlineExceeded, QueryCancelled
 
 if TYPE_CHECKING:
@@ -75,26 +72,6 @@ class Deadline:
         self.seconds = seconds
         self._clock = clock
         self._expires_at = clock() + seconds
-
-    @classmethod
-    def after(cls, seconds: float, clock=time.monotonic) -> "Deadline":
-        """A deadline ``seconds`` from now (alias of the constructor)."""
-        return cls(seconds, clock=clock)
-
-    @classmethod
-    def from_ms(cls, milliseconds: float, clock=time.monotonic) -> "Deadline":
-        return cls(milliseconds / 1000.0, clock=clock)
-
-    @staticmethod
-    def earliest(*deadlines: "Optional[Deadline]") -> "Optional[Deadline]":
-        """Compose deadlines: the one that expires first wins.
-
-        ``None`` entries (no bound) are ignored; all-None returns None.
-        """
-        live = [d for d in deadlines if d is not None]
-        if not live:
-            return None
-        return min(live, key=lambda d: d._expires_at)
 
     def remaining(self) -> float:
         """Seconds until expiry (negative once expired)."""
@@ -151,10 +128,6 @@ class CancellationToken:
                 return parent.reason
         return ""
 
-    def child(self) -> "CancellationToken":
-        """A new token cancelled whenever this one is."""
-        return CancellationToken(parents=(self,))
-
     def check(self, site: str = "") -> None:
         """Raise :class:`~repro.errors.QueryCancelled` once cancelled."""
         if self.cancelled:
@@ -174,8 +147,6 @@ class ExecutionContext:
         memory: per-query :class:`~repro.resilience.budget.MemoryBudget`.
         faults: a :class:`~repro.resilience.faults.FaultInjector` whose
             named sites align with checkpoint sites.
-        stride: row-loop amortization — :meth:`tick` performs the full
-            checkpoint every ``stride`` calls per site.
     """
 
     #: Real contexts take the instrumented slow path; NULL_CONTEXT doesn't.
@@ -187,17 +158,11 @@ class ExecutionContext:
         token: Optional[CancellationToken] = None,
         memory: "Optional[MemoryBudget]" = None,
         faults: "Optional[FaultInjector]" = None,
-        stride: int = 1024,
     ):
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
         self.deadline = deadline
         self.token = token
         self.memory = memory
         self.faults = faults
-        self.stride = stride
-        self._tick_counts: Dict[str, int] = {}
-        self._tick_lock = make_lock("ExecutionContext._tick_lock")
 
     # ------------------------------------------------------------------
 
@@ -213,14 +178,6 @@ class ExecutionContext:
             self.deadline.check(site)
         if self.faults is not None:
             self.faults.fire(site)
-
-    def tick(self, site: str) -> None:
-        """Amortized checkpoint for row loops (every ``stride`` calls)."""
-        with self._tick_lock:
-            count = self._tick_counts.get(site, 0) + 1
-            self._tick_counts[site] = count
-        if count % self.stride == 0:
-            self.checkpoint(site)
 
     def account(self, rows: int, row_width: int, site: str = "") -> None:
         """Charge one materialized intermediate to the memory budget."""
@@ -252,9 +209,6 @@ class NullExecutionContext:
     __slots__ = ()
 
     def checkpoint(self, site: str = "") -> None:
-        return None
-
-    def tick(self, site: str) -> None:
         return None
 
     def account(self, rows: int, row_width: int, site: str = "") -> None:
@@ -304,7 +258,6 @@ def fanout_context(
         token=token,
         memory=base.memory,
         faults=base.faults,
-        stride=base.stride,
     )
     return worker, token
 

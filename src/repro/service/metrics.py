@@ -31,7 +31,7 @@ class ServiceMetrics:
       cache vs degraded to the built-in planner, with the deterministic
       ``"plan"`` work-unit effort and planning wall time;
     * **resilience** — deadline misses, cancellations, memory aborts,
-      lower-width degradations and circuit-breaker skips.
+      and circuit-breaker skips.
     """
 
     def __init__(self) -> None:
@@ -43,7 +43,7 @@ class ServiceMetrics:
         self._planning_units = 0
         self._planning_seconds = 0.0
         self._deadline_misses = self._cancellations = self._memory_aborts = 0
-        self._degraded_lower_k = self._breaker_skips = 0
+        self._breaker_skips = 0
 
     # -- the counters callers read directly --------------------------------
 
@@ -122,11 +122,6 @@ class ServiceMetrics:
             self._planning_units += units
             self._planning_seconds += seconds
 
-    def record_lower_k(self) -> None:
-        """One query served from a cached plan at a smaller width bound."""
-        with self._lock:
-            self._degraded_lower_k += 1
-
     def record_breaker_skip(self) -> None:
         with self._lock:
             self._breaker_skips += 1
@@ -172,7 +167,6 @@ class ServiceMetrics:
                     "deadline_misses": self._deadline_misses,
                     "cancellations": self._cancellations,
                     "memory_aborts": self._memory_aborts,
-                    "degraded_lower_k": self._degraded_lower_k,
                     "breaker_skips": self._breaker_skips,
                 },
             }

@@ -101,6 +101,7 @@ class PlanCache:
         self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._lock = make_lock("PlanCache._lock")
         self._build_locks: Dict[str, threading.Lock] = {}
+        self._build_users: Dict[str, int] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -111,16 +112,28 @@ class PlanCache:
         Concurrent misses on the same template grab the same lock, so only
         the first runs cost-k-decomp; the rest re-check the cache after it
         stores (a thundering cold-start herd builds each plan once, not
-        once per worker).  The lock is dropped from the registry when the
-        build completes (:meth:`store`), keeping the registry bounded by
-        the number of *in-flight* builds.
+        once per worker).  Every caller registers as a user of the key's
+        lock and must call :meth:`release_build_lock` on every exit — a
+        stored plan, a cached failure, a deadline, a budget, a fault or a
+        cancellation alike.  The last user out drops the lock, keeping the
+        registry bounded by the number of *in-flight* builds.
         """
         with self._lock:
             lock = self._build_locks.get(key)
             if lock is None:
                 lock = make_lock("PlanCache.build")
                 self._build_locks[key] = lock
+            self._build_users[key] = self._build_users.get(key, 0) + 1
             return lock
+
+    def release_build_lock(self, key: str) -> None:
+        """One :meth:`build_lock` user is done with ``key``."""
+        with self._lock:
+            users = self._build_users.pop(key) - 1
+            if users:
+                self._build_users[key] = users
+            else:
+                del self._build_locks[key]
 
     # ------------------------------------------------------------------
 
@@ -160,8 +173,6 @@ class PlanCache:
         stats_version: int,
     ) -> None:
         """Insert a canonical plan (or ``None`` = cached failure)."""
-        with self._lock:
-            self._build_locks.pop(fingerprint.key, None)
         if self.capacity == 0:
             return
         with self._lock:
@@ -181,7 +192,6 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._build_locks.clear()
 
     def __len__(self) -> int:
         with self._lock:

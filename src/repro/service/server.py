@@ -278,7 +278,7 @@ class QueryService:
             if deadline_seconds is not None
             else self.deadline_seconds
         )
-        deadline = Deadline.after(seconds) if seconds is not None else None
+        deadline = Deadline(seconds) if seconds is not None else None
         memory = None
         if (
             self.memory_budget_cells is not None

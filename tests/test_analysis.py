@@ -77,19 +77,6 @@ class TestCheckpointCoverage:
         )
         assert report.findings == []
 
-    def test_tick_counts_as_checkpoint(self, tmp_path):
-        report = lint_fixture(
-            tmp_path,
-            "repro/engine/tick_scan.py",
-            """
-            def scan(rows, meter, context):
-                for row in rows:
-                    context.tick("scan")
-                    meter.charge(1, "scan")
-            """,
-        )
-        assert report.findings == []
-
     def test_parallel_scope_is_covered(self, tmp_path):
         """A charging loop in ``repro/parallel/`` regresses the lint gate."""
         report = lint_fixture(

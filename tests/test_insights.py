@@ -371,6 +371,19 @@ class TestInsightsRegistry:
         assert set(snap["templates"]) == {"T1", "T2", "(overflow)"}
         assert snap["templates"]["(overflow)"]["queries"] == 2
 
+    def test_overflow_folds_slow_captures(self):
+        registry = InsightsRegistry(slow_k=1, max_templates=4)
+        for n in range(50):
+            name = f"T{n}"
+            _query(registry, name)
+            if registry.qualifies_slow(name, 0.5):
+                registry.record_slow(name, 0.5, {"plan": name})
+        snap = registry.snapshot()
+        assert len(snap["templates"]) == 5
+        outliers = snap["slow_log"]["outliers"]
+        assert set(outliers) == set(snap["templates"])
+        assert [e["plan"] for e in outliers["(overflow)"]] == ["T4"]
+
     def test_slow_capture_via_registry(self):
         registry = InsightsRegistry(slow_k=1)
         assert registry.qualifies_slow("T1", 0.5)

@@ -1,4 +1,4 @@
-"""Tests for the physical join operators (hash / merge / nested loops)."""
+"""Tests for the physical join operators (hash / nested loops)."""
 
 import random
 
@@ -25,48 +25,14 @@ def relation_pair(draw):
 class TestOperatorEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(pair=relation_pair())
-    def test_merge_equals_hash(self, pair):
-        r, s = pair
-        assert r.merge_join(s).same_content(r.natural_join(s))
-
-    @settings(max_examples=60, deadline=None)
-    @given(pair=relation_pair())
     def test_nlj_equals_hash(self, pair):
         r, s = pair
         assert r.nested_loop_join(s).same_content(r.natural_join(s))
-
-    def test_merge_without_shared_falls_back_to_cross(self):
-        r = Relation(["a"], [(1,), (2,)])
-        s = Relation(["b"], [(3,)])
-        assert len(r.merge_join(s)) == 2
 
     def test_nlj_cross_product(self):
         r = Relation(["a"], [(1,), (2,)])
         s = Relation(["b"], [(3,), (4,)])
         assert len(r.nested_loop_join(s)) == 4
-
-    def test_merge_duplicate_runs(self):
-        r = Relation(["j", "x"], [(1, "a"), (1, "b")])
-        s = Relation(["j", "y"], [(1, "p"), (1, "q")])
-        joined = r.merge_join(s)
-        assert len(joined) == 4
-
-    def test_merge_duplicate_runs_both_sides_multiple_keys(self):
-        """Equal-key runs on both inputs multiply without leaking across keys."""
-        r = Relation(
-            ["j", "x"],
-            [(1, "a"), (2, "c"), (1, "b"), (2, "d"), (2, "e"), (3, "f")],
-            name="r",
-        )
-        s = Relation(
-            ["j", "y"],
-            [(2, "q"), (1, "p"), (1, "q"), (2, "r"), (4, "z")],
-            name="s",
-        )
-        joined = r.merge_join(s)
-        # key 1: 2×2, key 2: 3×2, keys 3/4 unmatched.
-        assert len(joined) == 10
-        assert joined.same_content(r.natural_join(s))
 
     def test_semijoin_no_shared_attributes(self):
         """⋉ with disjoint schemas: all-or-nothing on the right's emptiness."""
@@ -77,22 +43,12 @@ class TestOperatorEquivalence:
     def test_work_categories(self):
         r = Relation(["j"], [(1,), (2,)])
         s = Relation(["j"], [(1,), (3,)])
-        m1, m2 = WorkMeter(), WorkMeter()
-        r.merge_join(s, meter=m1)
-        r.nested_loop_join(s, meter=m2)
-        assert "merge-sort" in m1.by_category
-        assert m2.by_category["nlj-pair"] == 4
+        meter = WorkMeter()
+        r.nested_loop_join(s, meter=meter)
+        assert meter.by_category["nlj-pair"] == 4
 
 
 class TestPlannerSelection:
-    def test_profile_merge_join(self, chain_db, chain_sql):
-        profile = EngineProfile(name="mj", join_algorithm="merge", nlj_threshold=0.0)
-        dbms = SimulatedDBMS(chain_db, profile)
-        result = dbms.run_sql(chain_sql)
-        assert "MergeJoin" in result.plan_text
-        baseline = SimulatedDBMS(chain_db, COMMDB_PROFILE).run_sql(chain_sql)
-        assert result.relation.same_content(baseline.relation)
-
     def test_nlj_for_tiny_inputs(self, tiny_tpch):
         from repro.workloads.tpch_queries import query_q5
 
@@ -113,15 +69,16 @@ class TestPlannerSelection:
     def test_all_algorithms_agree_on_q5(self, tiny_tpch):
         from repro.workloads.tpch_queries import query_q5
 
-        answers = []
-        for algorithm in ("hash", "merge"):
-            profile = EngineProfile(name=algorithm, join_algorithm=algorithm)
-            result = SimulatedDBMS(tiny_tpch, profile).run_sql(query_q5())
-            answers.append(result.relation)
-        assert answers[0].same_content(answers[1])
+        # COMMDB_PROFILE runs nested loops on the tiny region input; a zero
+        # threshold makes every join a hash join.
+        with_nlj = SimulatedDBMS(tiny_tpch, COMMDB_PROFILE).run_sql(query_q5())
+        hash_only = SimulatedDBMS(
+            tiny_tpch, EngineProfile(name="hashonly", nlj_threshold=0.0)
+        ).run_sql(query_q5())
+        assert "NestedLoopJoin" in with_nlj.plan_text
+        assert "NestedLoopJoin" not in hash_only.plan_text
+        assert with_nlj.relation.same_content(hash_only.relation)
 
     def test_plan_node_labels(self):
-        join = JoinNode(ScanNode("a", "a"), ScanNode("b", "b"), ("x",), algorithm="merge")
-        assert "MergeJoin" in str(join)
         join = JoinNode(ScanNode("a", "a"), ScanNode("b", "b"), ("x",), algorithm="nlj")
         assert "NestedLoopJoin" in str(join)

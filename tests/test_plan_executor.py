@@ -1,20 +1,9 @@
-"""Tests for plan nodes and the standalone executor."""
+"""Tests for plan nodes."""
 
 import pytest
 
-from repro.engine.executor import ExecutionResult, PlanExecutor, run_plan
 from repro.engine.plan import JoinNode, ScanNode, left_deep_plan, render_plan
-from repro.errors import ExecutionError, OptimizationError
-from repro.metering import WorkMeter
-from repro.relational import Relation
-
-
-@pytest.fixture()
-def base():
-    return {
-        "r": Relation(["a", "j"], [(1, 1), (2, 2)], name="r"),
-        "s": Relation(["j", "b"], [(1, 10), (2, 20), (2, 21)], name="s"),
-    }
+from repro.errors import OptimizationError
 
 
 class TestPlanNodes:
@@ -51,38 +40,3 @@ class TestPlanNodes:
         text = render_plan(join)
         assert text.count("Scan") == 2
         assert "rows≈" in text
-
-
-class TestExecutor:
-    def test_scan_and_join(self, base):
-        plan = JoinNode(ScanNode("r", "r"), ScanNode("s", "s"), ("j",))
-        meter = WorkMeter()
-        result = PlanExecutor(base, meter).execute(plan)
-        assert len(result) == 3
-        assert meter.total > 0
-
-    def test_missing_alias(self, base):
-        with pytest.raises(ExecutionError, match="alias"):
-            PlanExecutor(base).execute(ScanNode("zzz", "zzz"))
-
-    def test_run_plan_success(self, base):
-        plan = JoinNode(ScanNode("r", "r"), ScanNode("s", "s"), ("j",))
-        result = run_plan(plan, base, WorkMeter())
-        assert result.finished
-        assert len(result.require_relation()) == 3
-        assert "HashJoin" in result.plan_text
-
-    def test_run_plan_budget_exhaustion(self, base):
-        plan = JoinNode(ScanNode("r", "r"), ScanNode("s", "s"), ("j",))
-        result = run_plan(plan, base, WorkMeter(budget=1))
-        assert not result.finished
-        assert result.relation is None
-        with pytest.raises(ExecutionError):
-            result.require_relation()
-
-    def test_run_plan_finalize(self, base):
-        plan = ScanNode("r", "r")
-        result = run_plan(
-            plan, base, WorkMeter(), finalize=lambda rel: rel.project(["a"])
-        )
-        assert result.relation.attributes == ("a",)

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.analysis.lockwitness import make_lock
 from repro.service.fingerprint import QueryFingerprint
 from repro.service.plancache import PlanCache
 
@@ -96,11 +97,23 @@ class TestSnapshotAndConcurrency:
 
     def test_build_lock_single_instance_per_key(self):
         cache = PlanCache(capacity=4)
-        assert cache.build_lock("k") is cache.build_lock("k")
-        assert cache.build_lock("k") is not cache.build_lock("other")
-        cache.store(make_fp("k"), FakeTree(), 0)  # completes the build
+        first = cache.build_lock("k")
+        assert cache.build_lock("k") is first
+        assert cache.build_lock("other") is not first
+        # a plain Lock, or a WitnessLock under HDQO_LOCKCHECK=1
+        assert isinstance(first, type(make_lock("probe")))
+
+    def test_build_lock_dropped_when_last_user_releases(self):
+        cache = PlanCache(capacity=4)
+        first = cache.build_lock("k")
+        cache.build_lock("k")  # a second, coalescing miss
+        cache.release_build_lock("k")
+        assert cache.build_lock("k") is first  # still in flight
+        cache.release_build_lock("k")
+        cache.release_build_lock("k")
+        assert cache._build_locks == {}
         # a fresh build cycle gets a fresh lock object
-        assert isinstance(cache.build_lock("k"), type(threading.Lock()))
+        assert cache.build_lock("k") is not first
 
     def test_concurrent_store_lookup(self):
         cache = PlanCache(capacity=16)

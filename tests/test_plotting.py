@@ -73,16 +73,3 @@ class TestChart:
         assert main(["experiment", "fig10", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "legend:" in out
-
-
-class TestDatabaseIndexIntegration:
-    def test_create_index_via_database(self):
-        from repro.relational import AttributeType, Database, RelationSchema
-
-        db = Database()
-        db.create_table(
-            RelationSchema.of("t", {"a": AttributeType.INT}), [(1,), (2,)]
-        )
-        index = db.create_index("t", ("a",))
-        assert index.contains((1,))
-        assert db.indexes.find("t", ("a",)) is index

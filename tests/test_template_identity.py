@@ -5,7 +5,7 @@
 * through ``QueryService``, a new SQL text costs one parse and one
   canonicalisation and a repeated text costs neither, on every path —
   and the Fig. 6 handler never canonicalises for a bare install;
-* the ladder's four rungs (and rung 1 skipped by an open breaker) each
+* the ladder's three rungs (and rung 1 skipped by an open breaker) each
   leave the same label / span tag / counter / insights event wherever
   they are taken — and ``hdqo report``'s replay of the spans rebuilds
   exactly the live insights record; an error while *executing* a plan is
@@ -127,18 +127,6 @@ def _operations(counts, db, sql, *runs):
     return results
 
 
-def _seed_lower_width_plan(svc, sql, width=1):
-    """Leave a width-``width`` plan for ``sql`` in the service's cache,
-    exactly as a previous lower-width deployment would have."""
-    install_structural_optimizer(
-        svc.dbms, max_width=width, plan_cache=svc.plan_cache
-    )
-    seeded = svc.dbms.run_sql(sql)
-    assert seeded.optimizer == "q-hd"
-    svc.dbms.set_optimizer_handler(svc._handler)
-    return seeded
-
-
 def _first_call_only(site):
     """An injector whose only firing at ``site`` is the very first call."""
     period = 1000
@@ -179,18 +167,6 @@ class TestOneIdentityPerOperation:
             run = lambda: svc.execute(chain_sql)  # noqa: E731
             _operations(front_end, chain_db, chain_sql, run, run)
             assert svc.snapshot()["resilience"]["breaker_skips"] == 1
-
-    def test_planning_lower_k_rung(self, front_end, chain_db):
-        with QueryService(
-            SimulatedDBMS(chain_db, COMMDB_PROFILE), max_width=3, workers=1
-        ) as svc:
-            _seed_lower_width_plan(svc, ACYCLIC_SQL)
-            svc.fault_injector = FaultInjector("plancache.get:error:1.0")
-            # Two rung keys are derived (k=2 misses, k=1 hits) from the
-            # text's one canonicalisation.
-            run = lambda: svc.execute(ACYCLIC_SQL)  # noqa: E731
-            results = _operations(front_end, chain_db, ACYCLIC_SQL, run, run)
-        assert [r.optimizer for r in results] == ["q-hd(k=1)"] * 2
 
     def test_insights_on(self, front_end, chain_db, chain_sql):
         insights = InsightsRegistry()
@@ -243,63 +219,43 @@ class _OpenBreaker(CircuitBreaker):
         return False
 
 
-# service kwargs, faults armed after seeding, seed a k=1 plan?, label (or the
-# typed error), serve.plan tags, serve.execute present?, counter deltas, events
+# service kwargs, faults armed before the query, label (or the typed error),
+# serve.plan tags, serve.execute present?, counter deltas, events
 RUNGS = [
     pytest.param(
         {},
         None,
-        False,
         "q-hd",
         {"cache_hit": False},
         True,
-        {"planning.built": 1, "planning.fallbacks": 0,
-         "resilience.degraded_lower_k": 0},
+        {"planning.built": 1, "planning.fallbacks": 0},
         {},
         id="rung1-search",
     ),
     pytest.param(
         {},
         "plancache.get:error:1.0",
-        True,
-        "q-hd(k=1)",
-        {"cache_hit": False, "plan_error": "InjectedFault",
-         "degraded_to": "lower-k(1)"},
-        True,
-        {"planning.cache_hits": 1, "planning.fallbacks": 0,
-         "resilience.degraded_lower_k": 1},
-        {"plan_error:InjectedFault": 1, "degraded:lower-k": 1},
-        id="rung2-lower-k",
-    ),
-    pytest.param(
-        {},
-        "plancache.get:error:1.0",
-        False,
         "builtin-fallback",
         {"cache_hit": False, "plan_error": "InjectedFault",
          "degraded_to": "builtin", "fallback": True},
         True,
-        {"planning.built": 1, "planning.fallbacks": 1,
-         "resilience.degraded_lower_k": 0},
+        {"planning.built": 1, "planning.fallbacks": 1},
         {"plan_error:InjectedFault": 1, "degraded:builtin": 1},
         id="rung3-builtin",
     ),
     pytest.param(
         {"fallback_to_builtin": False},
         "plancache.get:error:1.0",
-        False,
         InjectedFault,
         {"cache_hit": False, "plan_error": "InjectedFault"},
         False,
-        {"planning.built": 1, "planning.fallbacks": 1,
-         "resilience.degraded_lower_k": 0},
+        {"planning.built": 1, "planning.fallbacks": 1},
         {"plan_error:InjectedFault": 1, "error:InjectedFault": 1},
         id="rung4-typed-error",
     ),
     pytest.param(
         {"breaker": _OpenBreaker()},
         None,
-        False,
         "builtin-fallback",
         {"breaker_open": True, "degraded_to": "builtin", "fallback": True},
         True,
@@ -312,11 +268,11 @@ RUNGS = [
 
 
 @pytest.mark.parametrize(
-    "kwargs, faults, seed_k1, label, plan_tags, executes, counters, events",
+    "kwargs, faults, label, plan_tags, executes, counters, events",
     RUNGS,
 )
 def test_ladder_rung_by_rung(
-    chain_db, kwargs, faults, seed_k1, label, plan_tags, executes, counters, events
+    chain_db, kwargs, faults, label, plan_tags, executes, counters, events
 ):
     insights = InsightsRegistry()
     with QueryService(
@@ -326,8 +282,6 @@ def test_ladder_rung_by_rung(
         insights=insights,
         **kwargs,
     ) as svc:
-        if seed_k1:
-            _seed_lower_width_plan(svc, ACYCLIC_SQL)
         if faults:
             svc.fault_injector = FaultInjector(faults)
         before = svc.snapshot()
@@ -349,7 +303,7 @@ def test_ladder_rung_by_rung(
         if tag in ("cache_hit", "error", "plan_error", "degraded_to",
                    "fallback", "breaker_open")
     } == plan_tags
-    # `error` marks the span that raised: only the query span, on rung 4.
+    # `error` marks the span that raised: only the query span, on rung 3.
     assert query_span.tags.get("error") == (
         None if isinstance(label, str) else label.__name__
     )
@@ -381,8 +335,7 @@ def test_ladder_rung_by_rung(
 @pytest.mark.parametrize("workers", [1, 4])
 def test_execution_error_is_not_retried(chain_db, workers):
     """The ladder is a planning ladder: a ladder error raised while
-    *evaluating* the max-width plan reaches the caller as its typed error,
-    though a lower-width plan is cached."""
+    *evaluating* the plan reaches the caller as its typed error."""
     insights = InsightsRegistry()
     with QueryService(
         SimulatedDBMS(chain_db, COMMDB_PROFILE),
@@ -390,13 +343,12 @@ def test_execution_error_is_not_retried(chain_db, workers):
         workers=workers,
         insights=insights,
     ) as svc:
-        _seed_lower_width_plan(svc, ACYCLIC_SQL)
         svc.fault_injector = injector = _first_call_only("exec.qhd")
         with pytest.raises(InjectedFault):
             svc.submit(ACYCLIC_SQL).result(timeout=60)
         snapshot = svc.snapshot()
     assert injector.snapshot()["fired"] == {"exec.qhd:error": 1}
-    assert snapshot["resilience"]["degraded_lower_k"] == 0
+    assert snapshot["planning"]["fallbacks"] == 0  # not handed to the built-in
     (record,) = insights.snapshot()["templates"].values()
     assert (record["queries"], record["errors"]) == (1, 1)
     assert record["events"] == {"error:InjectedFault": 1}
