@@ -16,7 +16,7 @@ import pytest
 from repro.core.evaluator import evaluate_hd_classic, evaluate_qhd
 from repro.core.optimizer import HybridOptimizer
 from repro.core.qhd import q_hypertree_decomp
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import atom_estimates
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.optimizer import JoinOrderOptimizer
 from repro.engine.scans import atom_relations
@@ -79,14 +79,13 @@ def test_search_space_ablation(benchmark):
 
         dbms = SimulatedDBMS(db, COMMDB_PROFILE)
         translation = dbms.translate(query_q5())
-        context = EstimationContext.build(translation, db, True)
-        estimator = CardinalityEstimator(context)
+        estimates = atom_estimates(translation, db, True)
 
         results = {}
         for label, planner in (
-            ("bushy", JoinOrderOptimizer(translation, estimator, "bushy")),
-            ("leftdeep", JoinOrderOptimizer(translation, estimator, "leftdeep")),
-            ("geqo", GeqoOptimizer(translation, estimator, seed=0)),
+            ("bushy", JoinOrderOptimizer(translation, estimates, "bushy")),
+            ("leftdeep", JoinOrderOptimizer(translation, estimates, "leftdeep")),
+            ("geqo", GeqoOptimizer(translation, estimates, seed=0)),
         ):
             plan = planner.optimize()
             meter = WorkMeter()

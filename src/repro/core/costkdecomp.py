@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.engine.cost import Estimate
 from repro.errors import DecompositionError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.metering import NULL_METER, WorkMeter
 from repro.obs.tracing import current_tracer
 from repro.resilience.context import current_context
-from repro.core.costmodel import DecompositionCostModel, JoinEstimate
+from repro.core.costmodel import DecompositionCostModel
 from repro.core.detkdecomp import _SearchSpace
 from repro.core.hypertree import Hypertree, HypertreeNode
 
@@ -33,7 +34,7 @@ class _Best:
 
     cost: float
     width: int
-    estimate: JoinEstimate  # estimate of the node relation handed to the parent
+    estimate: Estimate  # estimate of the node relation handed to the parent
     node: HypertreeNode
 
 
@@ -81,7 +82,7 @@ class CostKDecomp:
         self._memo: Dict[Tuple[int, int], Optional[_Best]] = {}
         # λ → (joined estimate, join cost): the λ join depends on λ alone,
         # each candidate only projects it onto its χ.
-        self._lambda_joins: Dict[Tuple[str, ...], Tuple[JoinEstimate, float]] = {}
+        self._lambda_joins: Dict[Tuple[str, ...], Tuple[Estimate, float]] = {}
         # Search statistics, reported on the "decompose.search" span (and
         # free to read afterwards): candidate separators evaluated, pruned
         # (no strictly shrinking split, or an unsolvable sub-component),
@@ -214,7 +215,7 @@ class CostKDecomp:
 
             if at_root:
                 answer = model.project(current, self.output_variables & chi)
-                total_cost += self.output_weight * answer.cardinality
+                total_cost += self.output_weight * answer.rows
 
             candidate_key = (total_cost, width, lam)
             if best is None or candidate_key < best[0]:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import DecompositionNotFound, QueryError
-from repro.engine.cost import filters_selectivity
+from repro.engine.cost import atom_estimates
 from repro.engine.dbms import DBMSResult, SimulatedDBMS
 from repro.engine.postprocess import apply_sql_semantics
 from repro.engine.scans import atom_relations
@@ -30,7 +30,7 @@ from repro.obs.tracing import NullTracer, Tracer, current_tracer
 from repro.query import ast
 from repro.query.translate import TranslationResult
 from repro.relational.database import Database
-from repro.core.costmodel import AtomEstimate, DecompositionCostModel
+from repro.core.costmodel import DecompositionCostModel
 from repro.core.evaluator import QHDEvaluator
 from repro.core.hypertree import Hypertree
 from repro.core.qhd import q_hypertree_decomp
@@ -44,26 +44,15 @@ def cost_model_from_database(
 ) -> DecompositionCostModel:
     """Build the Statistics-Picker cost model for a translated query.
 
-    With statistics: per-atom cardinality (scaled by pushed-down filter
-    selectivity) and per-variable distinct counts.  Without: the uniform
-    purely-structural model.
+    With statistics for every atom: :func:`repro.engine.cost.atom_estimates`.
+    Without, or with some relation not analyzed: the uniform purely
+    structural model.
     """
-    if not use_statistics:
+    estimates = atom_estimates(
+        translation, database, use_statistics, whole_query_fallback=True
+    )
+    if estimates is None:
         return DecompositionCostModel.uniform(translation.query)
-    estimates: Dict[str, AtomEstimate] = {}
-    for atom in translation.query.atoms:
-        stats = database.stats_for(atom.relation)
-        if stats is None:
-            return DecompositionCostModel.uniform(translation.query)
-        selectivity = filters_selectivity(
-            translation.atom_filters.get(atom.name, ()), stats
-        )
-        rows = max(float(stats.row_count) * selectivity, 1.0)
-        distinct = {}
-        for variable in atom.variables:
-            column = translation.variable_bindings[variable][atom.name]
-            distinct[variable] = max(min(float(stats.distinct(column)), rows), 1.0)
-        estimates[atom.name] = AtomEstimate(cardinality=rows, distinct=distinct)
     return DecompositionCostModel(estimates)
 
 

@@ -6,7 +6,8 @@ an instrumented, from-scratch engine whose optimizer and executor exhibit
 the same algorithmic behaviours the paper's figures measure:
 
 * :mod:`repro.engine.cost` — textbook cardinality estimation, with and
-  without statistics (the no-ANALYZE mode uses magic defaults);
+  without statistics (the no-ANALYZE mode uses magic defaults), shared
+  with the decomposition cost model;
 * :mod:`repro.engine.optimizer` — System-R dynamic programming over join
   orders (left-deep or bushy);
 * :mod:`repro.engine.geqo` — a genetic join-order search (PostgreSQL's
@@ -20,7 +21,7 @@ the same algorithmic behaviours the paper's figures measure:
 """
 
 from repro.engine.plan import JoinNode, PlanNode, ScanNode, render_plan
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import Estimate, atom_estimates
 from repro.engine.optimizer import JoinOrderOptimizer
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.dbms import (
@@ -35,8 +36,8 @@ __all__ = [
     "ScanNode",
     "JoinNode",
     "render_plan",
-    "CardinalityEstimator",
-    "EstimationContext",
+    "Estimate",
+    "atom_estimates",
     "JoinOrderOptimizer",
     "GeqoOptimizer",
     "EngineProfile",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import WorkBudgetExceeded
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import Estimate, atom_estimates
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.optimizer import JoinOrderOptimizer, syntactic_plan
 from repro.engine.plan import JoinNode, PlanNode, ScanNode, render_plan
@@ -295,16 +295,13 @@ class SimulatedDBMS:
         optimizer_enabled: bool,
     ) -> Tuple[Relation, str, str]:
         """Build and execute the join plan; returns (CQ answer, plan, label)."""
-        context = EstimationContext.build(
-            translation, self.database, use_statistics
-        )
-        estimator = CardinalityEstimator(context)
+        estimates = atom_estimates(translation, self.database, use_statistics)
         push = optimizer_enabled
         base, residual = atom_relations_sql(
             translation.query, self.database, translation, meter, push_filters=push
         )
 
-        plan, label = self._choose_plan(translation, estimator, optimizer_enabled)
+        plan, label = self._choose_plan(translation, estimates, optimizer_enabled)
         joined = self._execute_plan(plan, base, meter)
         if residual:
             joined = apply_residual_filters(joined, residual, meter)
@@ -315,13 +312,13 @@ class SimulatedDBMS:
     def _choose_plan(
         self,
         translation: TranslationResult,
-        estimator: CardinalityEstimator,
+        estimates: Mapping[str, Estimate],
         optimizer_enabled: bool = True,
     ) -> Tuple[PlanNode, str]:
         """Run the profile's planner; returns (plan, planner label)."""
         n_relations = len(translation.query.atoms)
         if not optimizer_enabled:
-            plan = syntactic_plan(translation, estimator)
+            plan = syntactic_plan(translation, estimates)
             label = "syntactic"
         elif (
             self.profile.geqo_threshold is not None
@@ -329,14 +326,14 @@ class SimulatedDBMS:
         ):
             plan = GeqoOptimizer(
                 translation,
-                estimator,
+                estimates,
                 population_size=self.profile.geqo_population,
                 generations=self.profile.geqo_generations,
             ).optimize()
             label = "geqo"
         else:
             plan = JoinOrderOptimizer(
-                translation, estimator, search=self.profile.search
+                translation, estimates, search=self.profile.search
             ).optimize()
             label = f"dp-{self.profile.search}"
         self._assign_join_algorithms(plan)
@@ -415,9 +412,8 @@ class SimulatedDBMS:
         )
         if use_statistics is None:
             use_statistics = self.database.has_statistics()
-        context = EstimationContext.build(translation, self.database, use_statistics)
-        estimator = CardinalityEstimator(context)
-        plan, _label = self._choose_plan(translation, estimator)
+        estimates = atom_estimates(translation, self.database, use_statistics)
+        plan, _label = self._choose_plan(translation, estimates)
         return render_plan(plan)
 
     def explain_analyze(
@@ -442,9 +438,8 @@ class SimulatedDBMS:
         )
         if use_statistics is None:
             use_statistics = self.database.has_statistics()
-        context = EstimationContext.build(translation, self.database, use_statistics)
-        estimator = CardinalityEstimator(context)
-        plan, label = self._choose_plan(translation, estimator)
+        estimates = atom_estimates(translation, self.database, use_statistics)
+        plan, label = self._choose_plan(translation, estimates)
 
         tracer = Tracer()
         meter = WorkMeter(budget=work_budget)

@@ -13,10 +13,10 @@ reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
-from repro.engine.cost import CardinalityEstimator, JoinSizeEstimate
+from repro.engine.cost import Estimate, join
 from repro.engine.optimizer import JoinGraph
 from repro.engine.plan import JoinNode, PlanNode, ScanNode
 from repro.query.translate import TranslationResult
@@ -29,7 +29,7 @@ class GeqoOptimizer:
 
     Args:
         translation: the query being optimized.
-        estimator: cardinality estimator (statistics-backed or defaults).
+        estimates: per-alias estimates (:func:`repro.engine.cost.atom_estimates`).
         population_size / generations / mutation_rate: GA knobs; defaults
             follow PostgreSQL's effort scaling for medium queries.
         seed: RNG seed — deterministic runs for the benchmark harness.
@@ -38,7 +38,7 @@ class GeqoOptimizer:
     def __init__(
         self,
         translation: TranslationResult,
-        estimator: CardinalityEstimator,
+        estimates: Mapping[str, Estimate],
         population_size: int = 32,
         generations: int = 40,
         mutation_rate: float = 0.15,
@@ -46,7 +46,7 @@ class GeqoOptimizer:
     ):
         self.graph = JoinGraph(translation)
         self.translation = translation
-        self.estimator = estimator
+        self.estimates = estimates
         self.population_size = max(population_size, 4)
         self.generations = max(generations, 1)
         self.mutation_rate = mutation_rate
@@ -125,15 +125,15 @@ class GeqoOptimizer:
     # ------------------------------------------------------------------
 
     def _fitness(self, order: Sequence[str]) -> float:
-        current = self.estimator.scan(order[0])
+        current = self.estimates[order[0]]
         current_aliases = frozenset({order[0]})
         cost = current.rows
         for alias in order[1:]:
             shared = self.graph.shared_variables(
                 current_aliases, frozenset({alias})
             )
-            scan = self.estimator.scan(alias)
-            current = CardinalityEstimator.join(current, scan, shared)
+            scan = self.estimates[alias]
+            current = join(current, scan, shared)
             current_aliases = current_aliases | {alias}
             cost += scan.rows + current.rows
             if not shared:
@@ -142,12 +142,12 @@ class GeqoOptimizer:
 
     def _plan_for(self, order: Sequence[str]) -> PlanNode:
         plan: Optional[PlanNode] = None
-        current: Optional[JoinSizeEstimate] = None
+        current: Optional[Estimate] = None
         current_aliases: FrozenSet[str] = frozenset()
         for alias in order:
             relation = self.translation.query.atom(alias).relation
             scan_node = ScanNode(alias, relation)
-            scan_estimate = self.estimator.scan(alias)
+            scan_estimate = self.estimates[alias]
             scan_node.estimated_rows = scan_estimate.rows
             if plan is None:
                 plan, current = scan_node, scan_estimate
@@ -157,7 +157,7 @@ class GeqoOptimizer:
                 current_aliases, frozenset({alias})
             )
             assert current is not None
-            current = CardinalityEstimator.join(current, scan_estimate, shared)
+            current = join(current, scan_estimate, shared)
             node = JoinNode(plan, scan_node, shared)
             node.estimated_rows = current.rows
             plan = node

@@ -19,7 +19,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import OptimizationError
-from repro.engine.cost import CardinalityEstimator, JoinSizeEstimate
+from repro.engine.cost import Estimate, join
 from repro.engine.plan import JoinNode, PlanNode, ScanNode, left_deep_plan
 from repro.query.translate import TranslationResult
 
@@ -68,18 +68,19 @@ class JoinGraph:
 
 
 class JoinOrderOptimizer:
-    """DP join enumeration over a join graph with a cardinality estimator."""
+    """DP join enumeration over a join graph, from per-alias estimates
+    (:func:`repro.engine.cost.atom_estimates`)."""
 
     def __init__(
         self,
         translation: TranslationResult,
-        estimator: CardinalityEstimator,
+        estimates: Mapping[str, Estimate],
         search: str = "bushy",
     ):
         if search not in ("bushy", "leftdeep"):
             raise OptimizationError(f"unknown search space {search!r}")
         self.graph = JoinGraph(translation)
-        self.estimator = estimator
+        self.estimates = estimates
         self.search = search
 
     # ------------------------------------------------------------------
@@ -88,13 +89,13 @@ class JoinOrderOptimizer:
         """Best plan over all FROM aliases (components cross-joined last,
         smallest first)."""
         components = self.graph.connected_components()
-        plans: List[Tuple[PlanNode, JoinSizeEstimate, float]] = []
+        plans: List[Tuple[PlanNode, Estimate, float]] = []
         for component in components:
             plans.append(self._optimize_component(component))
         plans.sort(key=lambda item: item[1].rows)
         plan, estimate, _cost = plans[0]
         for other_plan, other_estimate, _other_cost in plans[1:]:
-            estimate = CardinalityEstimator.join(estimate, other_estimate, ())
+            estimate = join(estimate, other_estimate, ())
             node = JoinNode(plan, other_plan, ())
             node.estimated_rows = estimate.rows
             plan = node
@@ -102,16 +103,16 @@ class JoinOrderOptimizer:
 
     # ------------------------------------------------------------------
 
-    def _scan(self, alias: str) -> Tuple[PlanNode, JoinSizeEstimate, float]:
+    def _scan(self, alias: str) -> Tuple[PlanNode, Estimate, float]:
         relation = self.graph.translation.query.atom(alias).relation
         node = ScanNode(alias, relation)
-        estimate = self.estimator.scan(alias)
+        estimate = self.estimates[alias]
         node.estimated_rows = estimate.rows
         return node, estimate, estimate.rows
 
     def _optimize_component(
         self, component: FrozenSet[str]
-    ) -> Tuple[PlanNode, JoinSizeEstimate, float]:
+    ) -> Tuple[PlanNode, Estimate, float]:
         if len(component) == 1:
             (alias,) = component
             return self._scan(alias)
@@ -121,8 +122,8 @@ class JoinOrderOptimizer:
 
     def _dp_leftdeep(
         self, component: FrozenSet[str]
-    ) -> Tuple[PlanNode, JoinSizeEstimate, float]:
-        best: Dict[FrozenSet[str], Tuple[float, PlanNode, JoinSizeEstimate]] = {}
+    ) -> Tuple[PlanNode, Estimate, float]:
+        best: Dict[FrozenSet[str], Tuple[float, PlanNode, Estimate]] = {}
         for alias in sorted(component):
             plan, estimate, cost = self._scan(alias)
             best[frozenset({alias})] = (cost, plan, estimate)
@@ -131,7 +132,7 @@ class JoinOrderOptimizer:
         for size in range(2, len(component) + 1):
             for subset in itertools.combinations(ordered_aliases, size):
                 subset_key = frozenset(subset)
-                champion: Optional[Tuple[float, PlanNode, JoinSizeEstimate]] = None
+                champion: Optional[Tuple[float, PlanNode, Estimate]] = None
                 for alias in subset:
                     rest = subset_key - {alias}
                     if rest not in best:
@@ -141,7 +142,7 @@ class JoinOrderOptimizer:
                         continue  # no cross products inside a component
                     rest_cost, rest_plan, rest_estimate = best[rest]
                     scan_plan, scan_estimate, scan_cost = self._scan(alias)
-                    joined = CardinalityEstimator.join(
+                    joined = join(
                         rest_estimate, scan_estimate, shared
                     )
                     cost = rest_cost + scan_cost + joined.rows
@@ -155,8 +156,8 @@ class JoinOrderOptimizer:
 
     def _dp_bushy(
         self, component: FrozenSet[str]
-    ) -> Tuple[PlanNode, JoinSizeEstimate, float]:
-        best: Dict[FrozenSet[str], Tuple[float, PlanNode, JoinSizeEstimate]] = {}
+    ) -> Tuple[PlanNode, Estimate, float]:
+        best: Dict[FrozenSet[str], Tuple[float, PlanNode, Estimate]] = {}
         for alias in sorted(component):
             plan, estimate, cost = self._scan(alias)
             best[frozenset({alias})] = (cost, plan, estimate)
@@ -165,7 +166,7 @@ class JoinOrderOptimizer:
         for size in range(2, len(component) + 1):
             for subset in itertools.combinations(ordered_aliases, size):
                 subset_key = frozenset(subset)
-                champion: Optional[Tuple[float, PlanNode, JoinSizeEstimate]] = None
+                champion: Optional[Tuple[float, PlanNode, Estimate]] = None
                 for split_size in range(1, size // 2 + 1):
                     for left in itertools.combinations(subset, split_size):
                         left_key = frozenset(left)
@@ -182,7 +183,7 @@ class JoinOrderOptimizer:
                             continue
                         lcost, lplan, lest = best[left_key]
                         rcost, rplan, rest_ = best[right_key]
-                        joined = CardinalityEstimator.join(lest, rest_, shared)
+                        joined = join(lest, rest_, shared)
                         cost = lcost + rcost + joined.rows
                         if champion is None or cost < champion[0]:
                             node = JoinNode(lplan, rplan, shared)
@@ -194,9 +195,9 @@ class JoinOrderOptimizer:
 
     def _finish(
         self,
-        best: Dict[FrozenSet[str], Tuple[float, PlanNode, JoinSizeEstimate]],
+        best: Dict[FrozenSet[str], Tuple[float, PlanNode, Estimate]],
         component: FrozenSet[str],
-    ) -> Tuple[PlanNode, JoinSizeEstimate, float]:
+    ) -> Tuple[PlanNode, Estimate, float]:
         entry = best.get(frozenset(component))
         if entry is None:
             raise OptimizationError(
@@ -207,7 +208,7 @@ class JoinOrderOptimizer:
 
 
 def syntactic_plan(
-    translation: TranslationResult, estimator: CardinalityEstimator
+    translation: TranslationResult, estimates: Mapping[str, Estimate]
 ) -> PlanNode:
     """FROM-clause-order left-deep plan — the optimizer-disabled baseline.
 
@@ -218,7 +219,7 @@ def syntactic_plan(
     scans: List[ScanNode] = []
     for atom in translation.query.atoms:
         node = ScanNode(atom.name, atom.relation)
-        node.estimated_rows = estimator.scan(atom.name).rows
+        node.estimated_rows = estimates[atom.name].rows
         scans.append(node)
 
     def shared_for(prefix_aliases: FrozenSet[str], scan: ScanNode) -> Tuple[str, ...]:
@@ -226,20 +227,18 @@ def syntactic_plan(
 
     plan = left_deep_plan(scans, shared_for)
     # Annotate estimates bottom-up for EXPLAIN fidelity.
-    _annotate(plan, estimator, graph)
+    _annotate(plan, estimates)
     return plan
 
 
-def _annotate(
-    plan: PlanNode, estimator: CardinalityEstimator, graph: JoinGraph
-) -> JoinSizeEstimate:
+def _annotate(plan: PlanNode, estimates: Mapping[str, Estimate]) -> Estimate:
     if isinstance(plan, ScanNode):
-        estimate = estimator.scan(plan.alias)
+        estimate = estimates[plan.alias]
         plan.estimated_rows = estimate.rows
         return estimate
     assert isinstance(plan, JoinNode)
-    left = _annotate(plan.left, estimator, graph)
-    right = _annotate(plan.right, estimator, graph)
-    joined = CardinalityEstimator.join(left, right, plan.shared_variables)
+    left = _annotate(plan.left, estimates)
+    right = _annotate(plan.right, estimates)
+    joined = join(left, right, plan.shared_variables)
     plan.estimated_rows = joined.rows
     return joined

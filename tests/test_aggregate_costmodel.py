@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.costkdecomp import cost_k_decomp
-from repro.core.costmodel import AtomEstimate, DecompositionCostModel
+from repro.core.costmodel import DecompositionCostModel
+from repro.engine.cost import Estimate
 from repro.core.optimizer import HybridOptimizer
 from repro.core.qhd import q_hypertree_decomp
 from repro.query.builder import ConjunctiveQueryBuilder
@@ -58,9 +59,9 @@ class TestOutputWeight:
         )
         model = DecompositionCostModel(
             {
-                "big": AtomEstimate(5000, {"A": 5000, "B": 50}),
-                "s1": AtomEstimate(50, {"B": 50, "C": 50}),
-                "s2": AtomEstimate(50, {"C": 50, "A": 40}),
+                "big": Estimate(5000, {"A": 5000, "B": 50}),
+                "s1": Estimate(50, {"B": 50, "C": 50}),
+                "s2": Estimate(50, {"C": 50, "A": 40}),
             }
         )
         tree_plain, cost_plain = cost_k_decomp(

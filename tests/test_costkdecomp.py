@@ -5,16 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.cost import Estimate, join
 from repro.errors import DecompositionError
 from repro.hypergraph import Hypergraph, cycle_hypergraph, line_hypergraph
 from repro.metering import WorkMeter
 from repro.obs.tracing import tracing
 from repro.query.builder import ConjunctiveQueryBuilder
-from repro.core.costmodel import (
-    AtomEstimate,
-    DecompositionCostModel,
-    JoinEstimate,
-)
+from repro.core import costmodel
+from repro.core.costmodel import DecompositionCostModel
 from repro.core.costkdecomp import CostKDecomp, cost_k_decomp
 from repro.core.detkdecomp import _SearchSpace, det_k_decomp
 from repro.core.hypertree import HypertreeNode
@@ -42,67 +40,67 @@ class TestCostModel:
     def test_uniform_model(self):
         q = chain_query(3)
         model = DecompositionCostModel.uniform(q, cardinality=500, distinct=100)
-        est = model.estimate_for("p0")
-        assert est.cardinality == 500
-        assert est.distinct_of("V0") == 100
+        est = model.atom_estimates["p0"]
+        assert est.rows == 500
+        assert est.distinct["V0"] == 100
 
     def test_missing_atom_rejected(self):
         q = chain_query(3)
         model = DecompositionCostModel.uniform(q)
-        with pytest.raises(DecompositionError):
-            model.estimate_for("zzz")
+        with pytest.raises(DecompositionError, match="zzz"):
+            model.join_atoms(("zzz",), {"zzz": frozenset()})
 
     @pytest.mark.parametrize("value", [-1.0, float("nan")])
     def test_negative_or_nan_cardinality_rejected(self, value):
-        with pytest.raises(DecompositionError, match="cardinality"):
-            DecompositionCostModel({"p0": AtomEstimate(value, {"V0": 10.0})})
+        with pytest.raises(DecompositionError, match="rows"):
+            DecompositionCostModel({"p0": Estimate(value, {"V0": 10.0})})
 
     @pytest.mark.parametrize("value", [-1.0, float("nan")])
     def test_negative_or_nan_distinct_rejected(self, value):
         with pytest.raises(DecompositionError, match=r"distinct\(V1\)"):
             DecompositionCostModel(
-                {"p0": AtomEstimate(10.0, {"V0": 10.0, "V1": value})}
+                {"p0": Estimate(10.0, {"V0": 10.0, "V1": value})}
             )
 
     def test_join_estimate_formula(self):
-        left = JoinEstimate(1000, {"X": 100, "Y": 50})
-        right = JoinEstimate(2000, {"X": 200, "Z": 10})
-        joined = DecompositionCostModel.join(left, right, ["X"])
+        left = Estimate(1000, {"X": 100, "Y": 50})
+        right = Estimate(2000, {"X": 200, "Z": 10})
+        joined = join(left, right, ["X"])
         # |L|·|R| / max(V(L,X), V(R,X)) = 1000·2000/200
-        assert joined.cardinality == pytest.approx(10_000)
+        assert joined.rows == pytest.approx(10_000)
         assert joined.distinct["X"] == 100  # min of the two
         assert joined.distinct["Y"] == 50
         assert joined.distinct["Z"] == 10
 
     def test_cross_join_estimate(self):
-        left = JoinEstimate(10, {"X": 5})
-        right = JoinEstimate(20, {"Y": 4})
-        joined = DecompositionCostModel.join(left, right, [])
-        assert joined.cardinality == 200
+        left = Estimate(10, {"X": 5})
+        right = Estimate(20, {"Y": 4})
+        joined = join(left, right, [])
+        assert joined.rows == 200
 
     def test_projection_bounded_by_distincts(self):
-        est = JoinEstimate(1_000_000, {"X": 10, "Y": 5})
+        est = Estimate(1_000_000, {"X": 10, "Y": 5})
         model = DecompositionCostModel({})
         projected = model.project(est, ["X", "Y"])
-        assert projected.cardinality <= 50
+        assert projected.rows <= 50
 
     def test_join_sequence_smallest_first(self):
         model = DecompositionCostModel({})
-        estimates = [JoinEstimate(1000, {"X": 10}), JoinEstimate(10, {"X": 10})]
+        estimates = [Estimate(1000, {"X": 10}), Estimate(10, {"X": 10})]
         variables = [frozenset({"X"}), frozenset({"X"})]
         final, cost = model.join_sequence(estimates, variables)
-        assert final.cardinality == pytest.approx(1000.0)
+        assert final.rows == pytest.approx(1000.0)
         assert cost > 0
 
     def test_empty_join_sequence(self):
         model = DecompositionCostModel({})
         final, cost = model.join_sequence([], [])
-        assert final.cardinality == 1.0
+        assert final.rows == 1.0
         assert cost == 0.0
 
     def test_stitch_cost_positive(self):
-        parent = JoinEstimate(100, {"X": 10})
-        child = JoinEstimate(50, {"X": 10})
+        parent = Estimate(100, {"X": 10})
+        child = Estimate(50, {"X": 10})
         cost, _ = DecompositionCostModel.stitch(parent, child, frozenset({"X"}))
         assert cost > 0
 
@@ -156,9 +154,9 @@ class TestCostKDecomp:
         hg = q.hypergraph()
         expensive = DecompositionCostModel(
             {
-                "big": AtomEstimate(10_000, {"A": 100, "B": 100}),
-                "s1": AtomEstimate(10, {"B": 10, "C": 10}),
-                "s2": AtomEstimate(10, {"C": 10, "A": 10}),
+                "big": Estimate(10_000, {"A": 100, "B": 100}),
+                "s1": Estimate(10, {"B": 10, "C": 10}),
+                "s2": Estimate(10, {"C": 10, "A": 10}),
             }
         )
         tree, cost = cost_k_decomp(hg, 2, expensive, required_root_cover={"A"})
@@ -264,7 +262,7 @@ class ReferenceSearch:
                 continue
             self.lambdas.add(lam)
             joined, total = model.join_sequence(
-                [model.atom_as_join(name) for name in lam],
+                [model.atom_estimates[name] for name in lam],
                 [self.atom_variables[name] for name in lam],
             )
             current = model.project(joined, chi)
@@ -278,15 +276,15 @@ class ReferenceSearch:
                 children.append(child_node)
                 total += child_cost
                 shared = [v for v in current.distinct if v in child_estimate.distinct]
-                out = model.join(current, child_estimate, shared)
+                out = join(current, child_estimate, shared)
                 total += (
-                    current.cardinality + child_estimate.cardinality + out.cardinality
+                    current.rows + child_estimate.rows + out.rows
                 )
                 shared = [v for v in current.distinct if v in child_estimate.distinct]
-                out = model.join(current, child_estimate, shared)
+                out = join(current, child_estimate, shared)
                 keep = set(out.distinct) & chi
-                current = JoinEstimate(
-                    out.cardinality,
+                current = Estimate(
+                    out.rows,
                     {v: d for v, d in out.distinct.items() if v in keep},
                 )
             if len(children) < len(pieces):
@@ -294,7 +292,7 @@ class ReferenceSearch:
                 continue
             if self.output_weight > 0.0 and self.root_key == (component, connector):
                 answer = model.project(current, self.output_variables & chi)
-                total += self.output_weight * answer.cardinality
+                total += self.output_weight * answer.rows
             width = max(
                 [len(lam)]
                 + [max(len(n.lam) for n in child.walk()) for child in children]
@@ -367,7 +365,7 @@ def skewed_model(query):
     estimates = {}
     for i, atom in enumerate(query.atoms):
         rows = 37.0 * (i % 5 + 2) ** 1.7
-        estimates[atom.name] = AtomEstimate(
+        estimates[atom.name] = Estimate(
             rows,
             {
                 v: max(rows / (1.3 + j + (i * 7) % 4), 1.0)
@@ -465,7 +463,7 @@ class TestMatchesReferenceSearch:
             )
             rows = data.draw(SIZES)
             edges[f"e{i}"] = members
-            estimates[f"e{i}"] = AtomEstimate(
+            estimates[f"e{i}"] = Estimate(
                 rows, {v: data.draw(SIZES) for v in members}
             )
         hypergraph = Hypergraph.from_dict(edges)
@@ -493,11 +491,8 @@ class TestSearchWorkGuard:
         lambda_joins = sum(len(lam) - 1 for lam in reference.lambdas)
 
         joins = []
-        real_join = DecompositionCostModel.join
         monkeypatch.setattr(
-            DecompositionCostModel,
-            "join",
-            staticmethod(lambda *args: joins.append(1) or real_join(*args)),
+            costmodel, "join", lambda *args: joins.append(1) or join(*args)
         )
         weighed = []
         real_names_of = _SearchSpace.names_of

@@ -16,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import atom_estimates
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.plan import ScanNode
 from repro.query.parser import parse_sql
@@ -45,10 +45,8 @@ def geqo_scan_order(n: int = 6, seed: int = 0):
     froms = ", ".join(f"r{i}" for i in range(n))
     sql = f"SELECT r0.a0 FROM {froms} WHERE {conditions}"
     translation = sql_to_conjunctive(parse_sql(sql), db.schema.as_mapping())
-    context = EstimationContext.build(translation, db, True)
-    optimizer = GeqoOptimizer(
-        translation, CardinalityEstimator(context), seed=seed
-    )
+    estimates = atom_estimates(translation, db, True)
+    optimizer = GeqoOptimizer(translation, estimates, seed=seed)
     plan = optimizer.optimize()
     return [node.alias for node in plan.walk() if isinstance(node, ScanNode)]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import atom_estimates
 from repro.engine.geqo import GeqoOptimizer
 from repro.engine.optimizer import JoinGraph, JoinOrderOptimizer, syntactic_plan
 from repro.engine.plan import JoinNode, ScanNode, render_plan
@@ -70,30 +70,30 @@ class TestDP:
     @pytest.mark.parametrize("search", ["bushy", "leftdeep"])
     def test_produces_complete_plan(self, star_db, search):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), search).optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, search).optimize()
         assert plan.aliases == frozenset({"fact", "dim1", "dim2", "dim3"})
         assert plan.join_count() == 3
 
     def test_no_cross_products_when_connected(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "bushy").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, "bushy").optimize()
         for node in plan.walk():
             if isinstance(node, JoinNode):
                 assert not node.is_cross_product
 
     def test_disconnected_gets_cross_join(self, star_db):
         tr = translate(star_db, "SELECT dim1.a1 FROM dim1, dim2")
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "bushy").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, "bushy").optimize()
         joins = [n for n in plan.walk() if isinstance(n, JoinNode)]
         assert len(joins) == 1 and joins[0].is_cross_product
 
     def test_leftdeep_is_left_deep(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "leftdeep").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, "leftdeep").optimize()
         node = plan
         while isinstance(node, JoinNode):
             assert isinstance(node.right, ScanNode)
@@ -101,38 +101,38 @@ class TestDP:
 
     def test_invalid_search_space(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
+        estimates = atom_estimates(tr, star_db, True)
         from repro.errors import OptimizationError
 
         with pytest.raises(OptimizationError):
-            JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "zigzag")
+            JoinOrderOptimizer(tr, estimates, "zigzag")
 
     def test_estimates_annotated(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "bushy").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, "bushy").optimize()
         assert all(node.estimated_rows > 0 for node in plan.walk())
 
     def test_single_relation(self, star_db):
         tr = translate(star_db, "SELECT dim1.a1 FROM dim1")
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = JoinOrderOptimizer(tr, CardinalityEstimator(ctx), "bushy").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = JoinOrderOptimizer(tr, estimates, "bushy").optimize()
         assert isinstance(plan, ScanNode)
 
 
 class TestSyntactic:
     def test_follows_from_order(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = syntactic_plan(tr, CardinalityEstimator(ctx))
+        estimates = atom_estimates(tr, star_db, True)
+        plan = syntactic_plan(tr, estimates)
         # Left-deep with scans in FROM order: fact, dim1, dim2, dim3.
         scans = [n.alias for n in plan.walk() if isinstance(n, ScanNode)]
         assert scans == ["fact", "dim1", "dim2", "dim3"]
 
     def test_render(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        text = render_plan(syntactic_plan(tr, CardinalityEstimator(ctx)))
+        estimates = atom_estimates(tr, star_db, True)
+        text = render_plan(syntactic_plan(tr, estimates))
         assert "Scan(fact)" in text
         assert "HashJoin" in text
 
@@ -140,24 +140,21 @@ class TestSyntactic:
 class TestGeqo:
     def test_deterministic_with_seed(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        est = CardinalityEstimator(ctx)
-        p1 = GeqoOptimizer(tr, est, seed=7).optimize()
-        p2 = GeqoOptimizer(tr, est, seed=7).optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        p1 = GeqoOptimizer(tr, estimates, seed=7).optimize()
+        p2 = GeqoOptimizer(tr, estimates, seed=7).optimize()
         assert render_plan(p1) == render_plan(p2)
 
     def test_covers_all_aliases(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = GeqoOptimizer(tr, CardinalityEstimator(ctx)).optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = GeqoOptimizer(tr, estimates).optimize()
         assert plan.aliases == frozenset({"fact", "dim1", "dim2", "dim3"})
 
     def test_avoids_cross_products_on_connected_graph(self, star_db):
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = GeqoOptimizer(
-            tr, CardinalityEstimator(ctx), generations=60, seed=1
-        ).optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = GeqoOptimizer(tr, estimates, generations=60, seed=1).optimize()
         crosses = [
             n for n in plan.walk()
             if isinstance(n, JoinNode) and n.is_cross_product
@@ -166,18 +163,17 @@ class TestGeqo:
 
     def test_single_relation(self, star_db):
         tr = translate(star_db, "SELECT dim1.a1 FROM dim1")
-        ctx = EstimationContext.build(tr, star_db, True)
-        plan = GeqoOptimizer(tr, CardinalityEstimator(ctx)).optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        plan = GeqoOptimizer(tr, estimates).optimize()
         assert isinstance(plan, ScanNode)
 
     def test_geqo_quality_close_to_dp(self, star_db):
         # On a small star schema GEQO should find a plan whose estimated
         # cost is within a small factor of the DP optimum.
         tr = translate(star_db, STAR_SQL)
-        ctx = EstimationContext.build(tr, star_db, True)
-        est = CardinalityEstimator(ctx)
-        geqo = GeqoOptimizer(tr, est, generations=80, seed=0)
-        dp_plan = JoinOrderOptimizer(tr, est, "leftdeep").optimize()
+        estimates = atom_estimates(tr, star_db, True)
+        geqo = GeqoOptimizer(tr, estimates, generations=80, seed=0)
+        dp_plan = JoinOrderOptimizer(tr, estimates, "leftdeep").optimize()
         geqo_plan = geqo.optimize()
         dp_cost = geqo._fitness(
             [n.alias for n in dp_plan.walk() if isinstance(n, ScanNode)][::-1]

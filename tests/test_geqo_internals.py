@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.cost import CardinalityEstimator, EstimationContext
+from repro.engine.cost import atom_estimates
 from repro.engine.geqo import CROSS_PRODUCT_PENALTY, GeqoOptimizer
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
@@ -23,8 +23,8 @@ def make_optimizer(n=5, seed=0):
     conditions = " AND ".join(f"r{i}.b{i} = r{i + 1}.a{i + 1}" for i in range(n - 1))
     sql = f"SELECT r0.a0 FROM {', '.join(f'r{i}' for i in range(n))} WHERE {conditions}"
     tr = sql_to_conjunctive(parse_sql(sql), db.schema.as_mapping())
-    ctx = EstimationContext.build(tr, db, True)
-    return GeqoOptimizer(tr, CardinalityEstimator(ctx), seed=seed)
+    estimates = atom_estimates(tr, db, True)
+    return GeqoOptimizer(tr, estimates, seed=seed)
 
 
 class TestCrossover:

@@ -70,20 +70,20 @@ class TestCostModelFromDatabase:
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         tr = dbms.translate(chain_sql)
         model = cost_model_from_database(tr, chain_db, use_statistics=True)
-        assert model.estimate_for("r0").cardinality == 40
+        assert model.atom_estimates["r0"].rows == 40
 
     def test_uniform_without_statistics(self, chain_db, chain_sql):
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         tr = dbms.translate(chain_sql)
         model = cost_model_from_database(tr, chain_db, use_statistics=False)
-        assert model.estimate_for("r0").cardinality == 1000.0
+        assert model.atom_estimates["r0"].rows == 1000.0
 
     def test_falls_back_when_stats_missing(self, chain_db, chain_sql):
         chain_db.statistics.clear()
         dbms = SimulatedDBMS(chain_db, COMMDB_PROFILE)
         tr = dbms.translate(chain_sql)
         model = cost_model_from_database(tr, chain_db, use_statistics=True)
-        assert model.estimate_for("r0").cardinality == 1000.0
+        assert model.atom_estimates["r0"].rows == 1000.0
 
 
 class TestTightCoupling:
