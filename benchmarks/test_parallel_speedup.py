@@ -26,8 +26,6 @@ from repro.workloads.synthetic import (
     synthetic_query_sql,
 )
 
-from .conftest import run_once
-
 CHAIN = SyntheticConfig(
     n_atoms=10, cardinality=1000, selectivity=30, cyclic=True, seed=7
 )
@@ -71,7 +69,7 @@ def _compare():
 
 
 def test_parallel_speedup_chain(benchmark):
-    stats = run_once(benchmark, _compare)
+    stats = benchmark.pedantic(_compare, rounds=1, iterations=1)
     speedup = stats["serial_wall"] / stats["parallel_wall"]
     print()
     print(

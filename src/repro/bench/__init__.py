@@ -8,9 +8,8 @@
 """
 
 from repro.bench.harness import ExperimentResult, RunRecord, run_with_budget
-from repro.bench.reporting import render_series_table, render_speedup
+from repro.bench.reporting import render_series_table
 from repro.bench.export import (
-    render_markdown_report,
     render_markdown_table,
     write_csv,
     write_json,
@@ -31,8 +30,6 @@ __all__ = [
     "ExperimentResult",
     "run_with_budget",
     "render_series_table",
-    "render_speedup",
-    "render_markdown_report",
     "render_markdown_table",
     "write_csv",
     "write_json",

@@ -368,7 +368,8 @@ class _SimpleResult:
 def run_overhead(scale: str = "quick", seed: int = 1) -> ExperimentResult:
     """§6.1 overhead: statistics gathering grows with the database; the
     structural plan does not (the paper: 800 s for 1 GB vs ~1.5 s, size-
-    independent)."""
+    independent).  Both rows record work units: ANALYZE's scan work and the
+    cost-k-decomp search's plan units."""
     result = ExperimentResult(
         experiment_id="overhead",
         title="§6.1 — statistics gathering vs decomposition cost",
@@ -398,7 +399,7 @@ def run_overhead(scale: str = "quick", seed: int = 1) -> ExperimentResult:
             RunRecord(
                 system="decompose",
                 point=size,
-                work=0,
+                work=plan.planning_work,
                 simulated_seconds=0.0,
                 elapsed_seconds=decompose_elapsed,
                 finished=True,

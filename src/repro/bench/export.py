@@ -1,19 +1,18 @@
-"""Exporting experiment results: CSV, JSON, and Markdown.
+"""Exporting experiment results: CSV, JSON, and Markdown tables.
 
-``EXPERIMENTS.md`` is generated from real runs via
-:func:`render_markdown_report`; the CSV/JSON writers make the raw series
-available to external plotting tools.
+``scripts/generate_experiments_md.py`` builds ``EXPERIMENTS.md`` from real
+runs with :func:`render_markdown_table`; the CSV/JSON writers make the raw
+series available to external plotting tools.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from repro.bench.harness import DNF, ExperimentResult, RunRecord
+from repro.bench.harness import DNF, ExperimentResult
 
 PathLike = Union[str, Path]
 
@@ -102,29 +101,3 @@ def render_markdown_table(
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
-
-def render_markdown_report(
-    results: Sequence[ExperimentResult],
-    paper_notes: Optional[Dict[str, str]] = None,
-    metric: str = "work",
-) -> str:
-    """A full Markdown report: one section per experiment.
-
-    Args:
-        paper_notes: optional ``{experiment_id: text}`` describing what the
-            paper's figure shows, printed above each measured table.
-    """
-    paper_notes = paper_notes or {}
-    sections = []
-    for result in results:
-        sections.append(f"## {result.experiment_id} — {result.title}\n")
-        note = paper_notes.get(result.experiment_id)
-        if note:
-            sections.append(f"**Paper:** {note}\n")
-        sections.append(f"**Measured ({metric}):**\n")
-        sections.append(render_markdown_table(result, metric=metric))
-        if result.notes:
-            sections.append("")
-            sections.extend(f"*{n}*" for n in result.notes)
-        sections.append("")
-    return "\n".join(sections)

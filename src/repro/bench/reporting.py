@@ -61,26 +61,3 @@ def render_series_table(
         lines.extend(f"note: {note}" for note in result.notes)
     return "\n".join(lines)
 
-
-def render_speedup(
-    result: ExperimentResult,
-    baseline: str,
-    challenger: str,
-    metric: str = "work",
-) -> str:
-    """Per-point speedup of ``challenger`` over ``baseline`` (×, or DNF)."""
-    lines = [f"{result.experiment_id}: {challenger} vs {baseline} ({metric})"]
-    for point in result.points():
-        base = result.record_for(baseline, point)
-        chal = result.record_for(challenger, point)
-        if base is None or chal is None:
-            continue
-        if not base.finished and chal.finished:
-            lines.append(f"  {point}: baseline {DNF}, challenger finished (∞×)")
-        elif not chal.finished:
-            lines.append(f"  {point}: challenger {DNF}")
-        else:
-            base_value = float(getattr(base, metric)) or 1.0
-            chal_value = float(getattr(chal, metric)) or 1.0
-            lines.append(f"  {point}: {base_value / chal_value:.2f}×")
-    return "\n".join(lines)

@@ -30,7 +30,6 @@ class HypertreeNode:
         chi: the variable label χ(p).
         lam: the edge label λ(p) — *edge names*, order preserved.
         children: child nodes.
-        parent: parent node (None at the root).
         guards: filled by Procedure Optimize — maps a removed atom name to
             the child node whose λ-atom subsumes its bounding role; the
             evaluator joins guard children before other siblings.
@@ -38,7 +37,7 @@ class HypertreeNode:
 
     _counter = itertools.count()
 
-    __slots__ = ("node_id", "chi", "lam", "children", "parent", "guards")
+    __slots__ = ("node_id", "chi", "lam", "children", "guards")
 
     def __init__(
         self,
@@ -50,13 +49,11 @@ class HypertreeNode:
         self.chi: FrozenSet[str] = frozenset(chi)
         self.lam: Tuple[str, ...] = tuple(lam)
         self.children: List[HypertreeNode] = []
-        self.parent: Optional[HypertreeNode] = None
         self.guards: Dict[str, "HypertreeNode"] = {}
         for child in children:
             self.add_child(child)
 
     def add_child(self, child: "HypertreeNode") -> None:
-        child.parent = self
         self.children.append(child)
 
     # -- traversal -------------------------------------------------------
@@ -239,8 +236,9 @@ class Hypertree:
     def render(self) -> str:
         """Human-readable indented rendering of the decomposition tree."""
         lines: List[str] = []
-
-        def visit(node: HypertreeNode, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             chi = ", ".join(sorted(node.chi))
             lam = ", ".join(node.lam) if node.lam else "∅"
             guard_note = ""
@@ -252,10 +250,7 @@ class Hypertree:
             lines.append(
                 "  " * depth + f"[{node.node_id}] λ={{{lam}}} χ={{{chi}}}{guard_note}"
             )
-            for child in node.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)
 
     def __repr__(self) -> str:

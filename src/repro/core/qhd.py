@@ -100,9 +100,8 @@ def procedure_optimize(decomposition: Hypertree) -> int:
             occurrences[name] = occurrences.get(name, 0) + 1
 
     removed = 0
-
-    def optimize(node: HypertreeNode) -> None:
-        nonlocal removed
+    # Pre-order: a node's λ is settled before its children are visited.
+    for node in decomposition.root.walk():
         context.checkpoint("decompose.optimize")
         kept: List[str] = []
         for atom_name in node.lam:
@@ -114,10 +113,6 @@ def procedure_optimize(decomposition: Hypertree) -> int:
             else:
                 kept.append(atom_name)
         node.lam = tuple(kept)
-        for child in node.children:
-            optimize(child)
-
-    optimize(decomposition.root)
     return removed
 
 

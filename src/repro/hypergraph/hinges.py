@@ -30,17 +30,15 @@ from repro.hypergraph.hypergraph import Hypergraph
 class HingeNode:
     """One block of a hinge tree: a set of hyperedge names."""
 
-    __slots__ = ("edges", "children", "parent", "shared_edge")
+    __slots__ = ("edges", "children", "shared_edge")
 
     def __init__(self, edges: FrozenSet[str], shared_edge: Optional[str] = None):
         self.edges = edges
         self.children: List["HingeNode"] = []
-        self.parent: Optional["HingeNode"] = None
         #: the hinge edge shared with the parent (None at the root)
         self.shared_edge = shared_edge
 
     def add_child(self, child: "HingeNode") -> None:
-        child.parent = self
         self.children.append(child)
 
     def walk(self):

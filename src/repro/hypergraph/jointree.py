@@ -12,7 +12,7 @@ Construction rides on GYO reduction: when an ear ``h`` is absorbed by
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import AbstractSet, Callable, Dict, Iterable, List, Tuple, TypeVar
 
 from repro.errors import HypergraphError
 from repro.hypergraph.algorithms import gyo_reduction
@@ -22,15 +22,13 @@ from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
 class JoinTreeNode:
     """One node of a join tree: a hyperedge plus its children."""
 
-    __slots__ = ("edge", "children", "parent")
+    __slots__ = ("edge", "children")
 
     def __init__(self, edge: Hyperedge):
         self.edge = edge
         self.children: List["JoinTreeNode"] = []
-        self.parent: Optional["JoinTreeNode"] = None
 
     def add_child(self, child: "JoinTreeNode") -> None:
-        child.parent = self
         self.children.append(child)
 
     def walk(self) -> Iterable["JoinTreeNode"]:
@@ -120,9 +118,10 @@ def disconnected_variables(
 
     The connectedness condition of join trees and of (q-)hypertree
     decompositions alike.  ``labels`` gives a node's variables — its
-    hyperedge, or χ; the tree is read through ``walk()`` and ``parent``.
-    A variable's holders form a connected subtree iff exactly
-    (holders − 1) of them have a parent also holding it.
+    hyperedge, or χ; the tree is read through ``children``, pre-order,
+    each node beside its parent's labels.  A variable's holders form a
+    connected subtree iff exactly (holders − 1) of them have a parent also
+    holding it.
 
     Returns:
         variable → (holders, holders linked to a parent holding it) for
@@ -130,12 +129,17 @@ def disconnected_variables(
     """
     holders: Dict[str, int] = {}
     linked: Dict[str, int] = {}
-    for node in root.walk():  # type: ignore[attr-defined]
-        parent = node.parent
-        for variable in labels(node):
+    stack: List[Tuple[TreeNode, AbstractSet[str]]] = [(root, frozenset())]
+    while stack:
+        node, above = stack.pop()
+        mine = labels(node)
+        for variable in mine:
             holders[variable] = holders.get(variable, 0) + 1
-            if parent is not None and variable in labels(parent):
+            if variable in above:
                 linked[variable] = linked.get(variable, 0) + 1
+        stack.extend(
+            (child, mine) for child in reversed(node.children)  # type: ignore[attr-defined]
+        )
     return {
         variable: (count, linked.get(variable, 0))
         for variable, count in holders.items()

@@ -328,24 +328,23 @@ def rename_hypertree(
         hypergraph: the hypergraph of the *target* name space; derived by
             renaming the source's hypergraph when omitted.
     """
-    node_copies: Dict[int, HypertreeNode] = {}
-
-    def rebuild(node: HypertreeNode) -> HypertreeNode:
-        copy = HypertreeNode(
+    # Copies are made in pre-order, so node ids follow the source's order.
+    nodes = list(tree.root.walk())
+    node_copies: Dict[int, HypertreeNode] = {
+        id(node): HypertreeNode(
             chi=(var_map[v] for v in node.chi),
             lam=tuple(atom_map[a] for a in node.lam),
         )
-        node_copies[id(node)] = copy
-        for child in node.children:
-            copy.add_child(rebuild(child))
+        for node in nodes
+    }
+    for node in nodes:
+        copy = node_copies[id(node)]
+        copy.children = [node_copies[id(child)] for child in node.children]
         copy.guards = {
             atom_map[name]: node_copies[id(guard)]
             for name, guard in node.guards.items()
             if id(guard) in node_copies
         }
-        return copy
-
-    root = rebuild(tree.root)
     if hypergraph is None:
         hypergraph = rename_hypergraph(tree.hypergraph, var_map, atom_map)
-    return Hypertree(root, hypergraph)
+    return Hypertree(node_copies[id(tree.root)], hypergraph)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import DNF, ExperimentResult, RunRecord, run_with_budget
-from repro.bench.reporting import render_series_table, render_speedup
+from repro.bench.reporting import render_series_table
 from repro.bench.experiments import EXPERIMENTS, run_experiment, run_fig10, run_overhead
 
 
@@ -109,16 +109,6 @@ class TestReporting:
         text = render_series_table(result)
         assert "-" in text
 
-    def test_speedup(self):
-        result = ExperimentResult("x", "t")
-        result.add(record("base", 1, work=100))
-        result.add(record("fast", 1, work=25))
-        result.add(record("base", 2, work=100, finished=False))
-        result.add(record("fast", 2, work=10))
-        text = render_speedup(result, "base", "fast")
-        assert "4.00×" in text
-        assert "∞×" in text
-
 
 class TestExperiments:
     def test_registry_complete(self):
@@ -141,13 +131,19 @@ class TestExperiments:
             without = result.record_for("q-hd-no-optimize", point)
             if with_opt.finished and without.finished:
                 assert with_opt.work <= without.work
+        # Optimize removes λ occurrences on the longer chains (a count the
+        # CSV does not carry, so the fig10 verdict cannot read it).
+        assert any(
+            record.extra["removed"] > 0 for record in result.series("q-hd+optimize")
+        )
 
     def test_overhead_runs(self):
         result = run_overhead(scale="quick")
         analyze = result.series("analyze")
         decompose = result.series("decompose")
         assert len(analyze) == len(decompose) == 3
-        # ANALYZE work grows with size; decomposition does not (work = 0,
-        # wall time roughly constant).
+        # ANALYZE work grows with size; the decomposition search charges
+        # the same plan units at every size.
         assert analyze[-1].work > analyze[0].work
-        assert all(rec.work == 0 for rec in decompose)
+        assert decompose[0].work > 0
+        assert len({rec.work for rec in decompose}) == 1

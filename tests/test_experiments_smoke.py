@@ -1,8 +1,10 @@
 """Smoke tests for the figure experiments (tiny budgets, quick scale).
 
-The full shape assertions live in ``benchmarks/``; these just pin that the
+The shape assertions are the verdict predicates of
+``scripts/generate_experiments_md.py``, run at full scale by its
+``--check`` (and mutated in ``test_verdicts.py``); these just pin that the
 sweep runners produce complete, internally consistent series so a
-regression cannot hide until the (slower) benchmark run.
+regression cannot hide until that slower run.
 """
 
 import pytest

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.bench.export import (
-    render_markdown_report,
     render_markdown_table,
     result_to_rows,
     write_csv,
@@ -75,11 +74,3 @@ class TestMarkdown:
         result.add(record("c", 3))
         text = render_markdown_table(result)
         assert "–" in text
-
-    def test_report_sections(self, result):
-        text = render_markdown_report(
-            [result], paper_notes={"figX": "the paper says X"}
-        )
-        assert "## figX" in text
-        assert "the paper says X" in text
-        assert "*a note*" in text

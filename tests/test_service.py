@@ -315,3 +315,53 @@ class TestTextMemo:
         assert snap["texts"] == {"hits": 50, "misses": 3}
         assert snap["queries"]["errors"] == 2
         assert len(service._texts) == 1
+
+
+class TestNoCyclicGarbage:
+    """A served q-HD query frees everything it built by reference counting.
+
+    Decomposition trees hold no parent back-pointers and are walked
+    without recursive closures, so neither a planned query (cache off)
+    nor a cache hit (a renamed copy of the stored tree) leaves work for
+    the cyclic collector.
+    """
+
+    @pytest.mark.parametrize("cache_capacity", [0, 128])
+    def test_served_query_leaves_no_cycles(self, cache_capacity):
+        import gc
+
+        from repro.workloads.synthetic import (
+            SyntheticConfig,
+            generate_synthetic_database,
+            synthetic_query_sql,
+        )
+
+        config = SyntheticConfig(
+            n_atoms=8, cardinality=100, selectivity=60, cyclic=True, seed=8
+        )
+        database = generate_synthetic_database(config)
+        database.analyze()
+        sql = synthetic_query_sql(config)
+        svc = QueryService(
+            SimulatedDBMS(database, COMMDB_PROFILE),
+            max_width=4,
+            workers=1,
+            cache_capacity=cache_capacity,
+        )
+        try:
+            # The first run fills the text memo (and the plan cache).
+            first = svc.execute(sql)
+            assert first.optimizer.startswith("q-hd")
+            gc.collect()
+            gc.disable()
+            try:
+                result = svc.execute(sql)
+                assert result.optimizer == (
+                    "q-hd(cached)" if cache_capacity else "q-hd"
+                )
+                del result
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        finally:
+            svc.close()
