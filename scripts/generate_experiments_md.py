@@ -11,7 +11,9 @@ every number is computed from the cells it tested.
 
 ``--check`` writes nothing: it re-runs the experiments, prints every
 verdict, and exits 1 when a verdict is false or a deterministic column of
-the committed ``experiments.csv`` has drifted.
+the committed ``experiments.csv`` has drifted.  That file is the
+full-scale record, so ``--check`` runs only with ``--scale full``; with
+``--scale quick`` it exits 2 before any experiment runs.
 """
 
 from __future__ import annotations
@@ -644,6 +646,9 @@ def main() -> int:
         "deterministic columns no longer match a fresh run",
     )
     args = parser.parse_args()
+    if args.check and args.scale != "full":
+        # experiments.csv is the full-scale record: a quick sweep can only drift.
+        parser.error("--check compares with the full-scale experiments.csv; use --scale full")
 
     results = []
     for experiment_id in EXPERIMENT_IDS:

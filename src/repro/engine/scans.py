@@ -91,7 +91,9 @@ def _scan(
 ) -> Relation:
     """The scan pipeline both modes run: narrow ``base``'s row list filter
     by filter, in order — a later filter sees only what the earlier ones
-    kept — then project once onto ``columns``, named ``variables``."""
+    kept — then project once onto ``columns``, named ``variables``.  The
+    projection's dedup is skipped where ``base``'s rows rule duplicates out
+    (:meth:`Relation.project_rows`)."""
 
     def resolve(ref: ast.ColumnRef) -> int:
         if ref.table is not None and ref.table != alias:
@@ -106,9 +108,10 @@ def _scan(
             rows = _narrow(rows, predicate, resolve)
         except TypeError as exc:
             raise ExecutionError(f"type error evaluating {predicate}: {exc}") from exc
-    projected = Relation._trusted(base.attributes, rows).project(columns, dedup)
     return Relation._trusted(
-        _unique_attributes(variables), projected.tuples, name=alias
+        _unique_attributes(variables),
+        base.project_rows(rows, columns, dedup),
+        name=alias,
     )
 
 

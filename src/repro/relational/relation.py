@@ -106,7 +106,7 @@ class Relation:
         name: display name for plans and EXPLAIN output.
     """
 
-    __slots__ = ("name", "attributes", "tuples", "_index")
+    __slots__ = ("name", "attributes", "tuples", "_index", "_keys")
 
     def __init__(
         self,
@@ -120,6 +120,7 @@ class Relation:
         self._index: Dict[str, int] = {
             attr: i for i, attr in enumerate(self.attributes)
         }
+        self._keys: Optional[Dict[Tuple[int, ...], bool]] = None
         # Rows are stored as tuples: operators concatenate, hash and hand
         # out the row objects themselves.  Both checks run at C level.
         rows = self.tuples
@@ -151,6 +152,7 @@ class Relation:
         rel.tuples = tuples
         rel.name = name
         rel._index = {attr: i for i, attr in enumerate(rel.attributes)}
+        rel._keys = None
         return rel
 
     # ------------------------------------------------------------------
@@ -219,6 +221,44 @@ class Relation:
         # dict.fromkeys keeps first occurrences in row order, at C speed.
         out = list(dict.fromkeys(rows)) if dedup else list(rows)
         return Relation._trusted(attributes, out, name=self.name)
+
+    def project_rows(
+        self, rows: Rows, attributes: Sequence[str], dedup: bool = True
+    ) -> Rows:
+        """``rows`` — this relation's row list, or the sub-list of it a
+        selection kept, in order — projected onto ``attributes``; with
+        ``dedup``, first occurrences only, as :meth:`project` keeps them.
+        Charges nothing.
+
+        When no two rows of this relation agree on those columns, no two
+        rows of any sub-list do either, so the dedup is the identity and is
+        skipped.  Whether that holds is learned from the rows once per
+        column set and remembered on the relation — one boolean, no rows:
+        for free from the dedup of the whole row list, or by one pass over
+        it when ``rows`` is a sub-list.  The rows of a relation never
+        change after it is built, so the fact cannot go stale; a race only
+        computes the same boolean twice.
+        """
+        indices = [self.index_of(a) for a in _unique_attributes(attributes)]
+        projected = _project_rows(rows, indices)
+        if not dedup:
+            return list(projected)
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = {}
+        # Keyed by the sorted column positions: a column set, in one order.
+        columns = tuple(sorted(indices))
+        keyed = keys.get(columns)
+        if keyed is None and rows is not self.tuples:
+            distinct = len(set(_project_rows(self.tuples, columns)))
+            keyed = keys[columns] = distinct == len(self.tuples)
+        if keyed:
+            return list(projected)
+        # dict.fromkeys keeps first occurrences in row order, at C speed.
+        out = list(dict.fromkeys(projected))
+        if keyed is None:
+            keys[columns] = len(out) == len(rows)
+        return out
 
     def select(
         self,

@@ -43,7 +43,9 @@ class RelationSchema:
     Args:
         name: relation name (lower-cased on construction by convention).
         attributes: ordered ``(attribute_name, type)`` pairs.
-        key: names of the primary-key attributes, or empty.
+        key: names of the primary-key attributes, or empty.  A
+            declaration that nothing checks against the rows, so no
+            operator trusts it (a base scan learns its keys from the rows).
     """
 
     name: str

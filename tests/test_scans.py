@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,11 @@ def scan_table(draw):
 
 
 class TestAgainstReferenceScan:
+    """Each example scans one ``Database`` twice, filtered then unfiltered
+    or the reverse: the first scan of a column set learns whether the
+    table's rows rule duplicates out (by a pass over the table, or from
+    the unfiltered dedup), the second reads what it learned."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         database=scan_table(),
@@ -281,9 +287,12 @@ class TestAgainstReferenceScan:
         filters=st.lists(scan_filter(), max_size=4),
         equalities=st.lists(st.sampled_from([("a", "b"), ("b", "c"), ("a", "c")]), max_size=2),
         push_filters=st.booleans(),
+        filtered_first=st.booleans(),
     )
-    def test_sql_mode(self, database, selected, filters, equalities, push_filters):
-        translation = dataclasses.replace(
+    def test_sql_mode(
+        self, database, selected, filters, equalities, push_filters, filtered_first
+    ):
+        filtered = dataclasses.replace(
             sql_to_conjunctive(
                 parse_sql(f"SELECT {', '.join('t.' + c for c in selected)} FROM t"),
                 database.schema.as_mapping(),
@@ -291,18 +300,24 @@ class TestAgainstReferenceScan:
             atom_filters={"t": tuple(filters)},
             intra_atom_equalities={"t": tuple(equalities)},
         )
-        query = translation.query
+        unfiltered = dataclasses.replace(
+            filtered, atom_filters={}, intra_atom_equalities={}
+        )
+        for translation in (
+            [filtered, unfiltered] if filtered_first else [unfiltered, filtered]
+        ):
+            query = translation.query
 
-        def production(meter):
-            relations, residual = atom_relations_sql(
-                query, database, translation, meter, push_filters
-            )
-            return relations, len(residual)
+            def production(meter):
+                relations, residual = atom_relations_sql(
+                    query, database, translation, meter, push_filters
+                )
+                return relations, len(residual)
 
-        def reference(meter):
-            return reference_scan(query, database, translation, meter, push_filters)
+            def reference(meter):
+                return reference_scan(query, database, translation, meter, push_filters)
 
-        assert _outcome(production) == _outcome(reference)
+            assert _outcome(production) == _outcome(reference)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -313,16 +328,23 @@ class TestAgainstReferenceScan:
                 for c in ("a", "b", "s", "c")
             )
         ),
+        filtered_first=st.booleans(),
     )
-    def test_positional_mode(self, database, terms):
-        variables = sorted({t for t in terms if isinstance(t, str)})
-        query = (
-            ConjunctiveQueryBuilder().atom("x", "t", *terms).output(*variables[:1]).build()
-        )
-        production = _outcome(
-            lambda meter: (atom_relations_positional(query, database, meter), 0)
-        )
-        assert production == _outcome(lambda meter: reference_scan(query, database, None, meter))
+    def test_positional_mode(self, database, terms, filtered_first):
+        unfiltered = ("A", "B", "S", "C")
+        for atom_terms in [terms, unfiltered] if filtered_first else [unfiltered, terms]:
+            variables = sorted({t for t in atom_terms if isinstance(t, str)})
+            query = (
+                ConjunctiveQueryBuilder()
+                .atom("x", "t", *atom_terms)
+                .output(*variables[:1])
+                .build()
+            )
+            production = _outcome(
+                lambda meter: (atom_relations_positional(query, database, meter), 0)
+            )
+            reference = _outcome(lambda meter: reference_scan(query, database, None, meter))
+            assert production == reference
 
 
 class TestScanErrors:
@@ -415,3 +437,155 @@ class TestScanWorkGuard:
     def test_calls_do_not_scale_with_rows(self):
         small, large = self._calls(500), self._calls(5000)
         assert abs(large - small) < 20, (small, large)
+
+
+class TestKeyFacts:
+    """What a stored relation remembers about its column sets: whether any
+    two of its rows agree on them, never rows.  No clock: the dedup's
+    ``dict.fromkeys`` calls are counted with ``sys.setprofile``."""
+
+    @staticmethod
+    def _database(rows):
+        database = Database("scans")
+        database.create_table(
+            RelationSchema.of("t", {"k": AttributeType.INT, "v": AttributeType.INT}),
+            rows,
+        )
+        return database
+
+    @staticmethod
+    def _scan(database, sql):
+        """The scanned rows and the number of dedups the scan ran.  ``sql``
+        is a query text, or a tuple of terms for a positional atom on t."""
+        if isinstance(sql, tuple):
+            translation = None
+            query = ConjunctiveQueryBuilder().atom("t", "t", *sql).output(sql[0]).build()
+        else:
+            translation = sql_to_conjunctive(parse_sql(sql), database.schema.as_mapping())
+            query = translation.query
+        dedups = []
+
+        def profiler(_frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) == "fromkeys":
+                dedups.append(1)
+
+        sys.setprofile(profiler)
+        try:
+            relations = atom_relations(query, database, translation)
+        finally:
+            sys.setprofile(None)
+        return relations["t"].tuples, len(dedups)
+
+    KEYED = [(1, 5), (2, 5), (3, 6)]
+    BAG = [(1, 5), (2, 5), (1, 5)]
+
+    def test_keyed_table_learns_from_its_unfiltered_dedup(self):
+        database = self._database(self.KEYED)
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 1)
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 0)
+        assert self._scan(database, "SELECT t.k FROM t WHERE t.k < 3") == ([(1,), (2,)], 0)
+
+    def test_filtered_scan_checks_the_whole_table_once(self):
+        database = self._database(self.KEYED)
+        assert self._scan(database, "SELECT t.k FROM t WHERE t.k < 3") == ([(1,), (2,)], 0)
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 0)
+
+    def test_bag_table_keeps_deduplicating(self):
+        database = self._database(self.BAG)
+        for _ in range(2):
+            assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,)], 1)
+            assert self._scan(database, "SELECT t.k FROM t WHERE t.k < 3") == (
+                [(1,), (2,)],
+                1,
+            )
+
+    def test_column_sets_are_learned_apart(self):
+        database = self._database(self.KEYED)
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 1)
+        assert self._scan(database, "SELECT t.v FROM t") == ([(5,), (6,)], 1)
+        assert self._scan(database, "SELECT t.v FROM t") == ([(5,), (6,)], 1)
+        # {k, v} is one column set, whichever order a scan projects it in:
+        # t(B, A) projects (v, k), t(A, B) projects (k, v).
+        assert self._scan(database, ("B", "A")) == ([(5, 1), (5, 2), (6, 3)], 1)
+        assert self._scan(database, ("A", "B")) == (self.KEYED, 0)
+        assert self._scan(database, "SELECT t.k, t.v FROM t WHERE t.v > 0") == (
+            self.KEYED,
+            0,
+        )
+
+    def test_replaced_table_deduplicates_again(self):
+        database = self._database(self.KEYED)
+        self._scan(database, "SELECT t.k FROM t")
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 0)
+        database.drop_table("t")
+        database.create_table(
+            RelationSchema.of("t", {"k": AttributeType.INT, "v": AttributeType.INT}),
+            self.KEYED + [(1, 7)],
+        )
+        assert self._scan(database, "SELECT t.k FROM t") == ([(1,), (2,), (3,)], 1)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [lambda rel: rel.copy(), lambda rel: rel.rename({"v": "w"})],
+        ids=["copy", "rename"],
+    )
+    def test_derived_relations_do_not_carry_the_fact(self, derive):
+        database = self._database(self.KEYED)
+        self._scan(database, "SELECT t.k FROM t")
+        derived = derive(database.table("t"))
+        derived.tuples.append((1, 9))
+        assert derived.project_rows(derived.tuples, ["k"]) == [(1,), (2,), (3,)]
+        assert database.table("t").project_rows(
+            database.table("t").tuples, ["k"]
+        ) == [(1,), (2,), (3,)]
+
+    def test_threads_racing_on_unknown_column_sets(self):
+        """Eight threads, short switch interval, one fresh database: a race
+        on a column set nobody has learned yet only computes its boolean
+        twice, so every scan still equals the reference."""
+        database = Database("scans")
+        tables = {
+            "keyed": [(i, i % 3) for i in range(300)],
+            "bag": [(i % 50, i % 3) for i in range(300)],
+        }
+        for name, rows in tables.items():
+            database.create_table(
+                RelationSchema.of(name, {"k": AttributeType.INT, "v": AttributeType.INT}),
+                rows,
+            )
+        texts = [
+            f"SELECT {name}.{columns} FROM {name}{where}"
+            for name in ("keyed", "bag")
+            for columns in ("k", "v", "k, v")
+            for where in ("", f" WHERE {name}.k < 40")
+        ]
+        translations = [
+            sql_to_conjunctive(parse_sql(text), database.schema.as_mapping())
+            for text in texts
+        ]
+        expected = [
+            _outcome(lambda meter, t=t: (reference_scan(t.query, database, t, meter)[0], 0))
+            for t in translations
+        ]
+        failures = []
+
+        def worker(offset):
+            for step in range(len(translations)):
+                index = (offset + step) % len(translations)
+                t = translations[index]
+                got = _outcome(lambda meter: (atom_relations(t.query, database, t, meter), 0))
+                if got != expected[index]:
+                    failures.append(texts[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

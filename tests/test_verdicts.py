@@ -191,3 +191,17 @@ def test_fig9_geqo_clause_follows_the_growth_rates(committed):
         scale(f"postgres-{kind}", 10, 3)(result)
     holds, sentence = gen.VERDICTS["fig9"](result)
     assert holds and "is shown:" in sentence and "at least" in sentence
+
+
+def test_quick_check_is_rejected_before_any_experiment_runs(monkeypatch, capsys):
+    def run_experiment(*_args, **_kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(gen, "run_experiment", run_experiment)
+    monkeypatch.setattr(
+        "sys.argv", ["generate_experiments_md.py", "--scale", "quick", "--check"]
+    )
+    with pytest.raises(SystemExit) as exited:
+        gen.main()
+    assert exited.value.code == 2
+    assert "--scale full" in capsys.readouterr().err
