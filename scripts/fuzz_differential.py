@@ -10,6 +10,11 @@ Boolean decision procedure (``is_satisfiable``) must say *yes* exactly when
 the engine's answer is non-empty.  Any disagreement prints a reproducer
 seed.
 
+Each line/chain table is drawn without replacement with probability ½, so
+one fold mixes keyed scans (a column set no two stored rows share, read
+through a column map) with bag scans (deduplicated copies).  The run ends
+with a census of the cases whose scans were keyed, bag or both.
+
 Run:  python scripts/fuzz_differential.py --iterations 200 --seed 0
 """
 
@@ -29,6 +34,7 @@ from repro.core.views import execute_view_plan
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.engine.scans import atom_relations
 from repro.relational import AttributeType, Database, RelationSchema
+from repro.relational.relation import _ScanRelation
 
 
 COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
@@ -68,10 +74,13 @@ def random_case(rng: random.Random):
             schema = RelationSchema.of(
                 f"r{i}", {f"x{i}": AttributeType.INT, f"y{i}": AttributeType.INT}
             )
-            db.create_table(
-                schema,
-                [(rng.randrange(domain), rng.randrange(domain)) for _ in range(rows)],
-            )
+            if rng.random() < 0.5:
+                # Without replacement: no two rows agree, {x, y} is a key.
+                pairs = [(x, y) for x in range(domain) for y in range(domain)]
+                table = rng.sample(pairs, min(rows, len(pairs)))
+            else:
+                table = [(rng.randrange(domain), rng.randrange(domain)) for _ in range(rows)]
+            db.create_table(schema, table)
         conditions = [f"r{i}.y{i} = r{i + 1}.x{i + 1}" for i in range(n - 1)]
         if kind == "chain":
             conditions.append(f"r{n - 1}.y{n - 1} = r0.x0")
@@ -114,34 +123,44 @@ def random_case(rng: random.Random):
     return db, sql, f"star-{d}"
 
 
+def scan_kind(relations) -> str:
+    """``keyed``, ``bag`` or ``mixed``: whether a case's pushed-down scans
+    read stored rows through a column map, deduplicated a copy, or both."""
+    keyed = {isinstance(relation, _ScanRelation) for relation in relations}
+    return "mixed" if len(keyed) == 2 else "keyed" if True in keyed else "bag"
+
+
 def check_case(db: Database, sql: str):
-    """Run every strategy; ``(all agree, the un-pushed baseline was compared)``."""
+    """Run every strategy; ``(all agree, the un-pushed baseline was
+    compared, the scan kind)``."""
     db.analyze()
     dbms = SimulatedDBMS(db, COMMDB_PROFILE)
+    # The engine's scans learn which scanned column sets are keys.
     reference = dbms.run_sql(sql).relation
 
     plan = HybridOptimizer(db, max_width=3).optimize(sql)
-    if not plan.execute().relation.same_content(reference):
-        return False, False
-
     translation = plan.translation
     rels = atom_relations(translation.query, db, translation)
+    kind = scan_kind(rels.values())
+    if not plan.execute().relation.same_content(reference):
+        return False, False, kind
+
     single = evaluate_qhd(plan.decomposition, translation.query, rels)
     classic = evaluate_hd_classic(plan.decomposition, translation.query, rels)
     if not single.same_content(classic):
-        return False, False
+        return False, False, kind
 
     via_views = execute_view_plan(plan.to_sql_views(), dbms).relation
     if not via_views.same_content(reference):
-        return False, False
+        return False, False, kind
 
     if is_satisfiable(sql, db, max_width=3) != (len(reference) > 0):
-        return False, False
+        return False, False, kind
 
     unpushed = dbms.run_sql(sql, optimizer_enabled=False, work_budget=UNPUSHED_BUDGET)
     if not unpushed.finished:
-        return True, False
-    return unpushed.relation.same_content(reference), True
+        return True, False, kind
+    return unpushed.relation.same_content(reference), True, kind
 
 
 def main() -> int:
@@ -152,6 +171,7 @@ def main() -> int:
 
     failures = []
     counts = {}
+    kinds = {}  # shape -> [keyed only, bag only, mixed]
     unpushed_compared = 0
     for i in range(args.iterations):
         case_seed = args.seed * 1_000_003 + i
@@ -159,8 +179,10 @@ def main() -> int:
         db, sql, label = random_case(rng)
         counts[label.split("-")[0]] = counts.get(label.split("-")[0], 0) + 1
         try:
-            ok, compared = check_case(db, sql)
+            ok, compared, kind = check_case(db, sql)
             unpushed_compared += compared
+            shape = kinds.setdefault(label.split("-")[0], [0, 0, 0])
+            shape[("keyed", "bag", "mixed").index(kind)] += 1
         except Exception as exc:  # noqa: BLE001 — a fuzzer reports, not crashes
             print(f"[seed {case_seed}] {label}: EXCEPTION {exc!r}")
             failures.append(case_seed)
@@ -175,6 +197,9 @@ def main() -> int:
         f"({', '.join(f'{k}: {v}' for k, v in sorted(counts.items()))}; "
         f"un-pushed baseline compared on {unpushed_compared})"
     )
+    census = ", ".join(f"{k}: {'/'.join(map(str, v))}" for k, v in sorted(kinds.items()))
+    print(f"scan census, cases keyed only/bag only/mixed: {census}")
+    print(f"cases mixing keyed and bag scans: {sum(v[2] for v in kinds.values())}")
     if failures:
         print(f"failing seeds: {failures}")
         return 1

@@ -22,7 +22,7 @@ from repro.engine.expressions import compile_scalar
 from repro.metering import NULL_METER, WorkMeter
 from repro.query import ast
 from repro.query.translate import TranslationResult
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, _project_rows
 
 
 def apply_sql_semantics(
@@ -151,7 +151,7 @@ def _aggregate(
         else:
             indices.append(grouped.index_of(payload))  # type: ignore[arg-type]
             out_names.append(payload)  # type: ignore[arg-type]
-    rows = [tuple(row[i] for i in indices) for row in grouped.tuples]
+    rows = list(_project_rows(grouped.tuples, indices))
     return Relation(_dedupe_names(out_names), rows, name="answer")
 
 

@@ -16,7 +16,8 @@ stay unfiltered and the constant predicates are returned as residual
 predicates to apply after the joins (the naive evaluation order).
 
 Both modes run one pipeline (:func:`_scan`): the base table's row list is
-narrowed filter by filter, then projected once onto the atom's columns.
+narrowed filter by filter, then projected once onto the atom's columns —
+for a column set no two stored rows share, lazily, through a column map.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.query import ast
 from repro.query.conjunctive import ConjunctiveQuery, Constant
 from repro.query.translate import TranslationResult
 from repro.relational.database import Database
-from repro.relational.relation import Relation, _unique_attributes, row_selector
+from repro.relational.relation import Relation, row_selector
 from repro.resilience.context import current_context
 
 Row = Tuple[object, ...]
@@ -91,9 +92,10 @@ def _scan(
 ) -> Relation:
     """The scan pipeline both modes run: narrow ``base``'s row list filter
     by filter, in order — a later filter sees only what the earlier ones
-    kept — then project once onto ``columns``, named ``variables``.  The
-    projection's dedup is skipped where ``base``'s rows rule duplicates out
-    (:meth:`Relation.project_rows`)."""
+    kept — then project once onto ``columns``, named ``variables``.  Where
+    ``base``'s rows rule duplicates out, the projection is neither
+    deduplicated nor copied: the result reads the kept rows themselves
+    (:meth:`Relation.scan`)."""
 
     def resolve(ref: ast.ColumnRef) -> int:
         if ref.table is not None and ref.table != alias:
@@ -108,11 +110,7 @@ def _scan(
             rows = _narrow(rows, predicate, resolve)
         except TypeError as exc:
             raise ExecutionError(f"type error evaluating {predicate}: {exc}") from exc
-    return Relation._trusted(
-        _unique_attributes(variables),
-        base.project_rows(rows, columns, dedup),
-        name=alias,
-    )
+    return base.scan(rows, columns, variables, alias, dedup)
 
 
 def _columns_equal(left: str, right: str) -> ast.Comparison:

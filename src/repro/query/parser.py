@@ -131,6 +131,11 @@ class _Parser:
         limit: Optional[int] = None
         if self.accept_keyword("limit"):
             token = self.expect(TokenKind.NUMBER)
+            if not token.value.isdecimal():
+                raise SqlSyntaxError(
+                    f"LIMIT takes a whole number of rows, found {token.value!r}",
+                    position=token.position,
+                )
             limit = int(token.value)
         return ast.SelectQuery(
             select_items=select_items,

@@ -10,10 +10,16 @@ materializes).
 Natural joins are hash joins on the shared attribute names; a join with no
 shared attributes degenerates to a cartesian product, exactly the failure
 mode of bad quantitative plans the paper's Fig. 7/8 expose.
+
+A base scan over a column set no two stored rows share is a
+:class:`_ScanRelation`: the stored rows and a column map, which the join
+and projection kernels read in place; its rows are built only for a
+reader outside them (:meth:`Relation.scan`).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from itertools import compress
 from typing import (
@@ -86,6 +92,14 @@ def _project_rows(
     if len(indices) == 1:
         return zip(map(operator.itemgetter(indices[0]), rows))
     return map(operator.itemgetter(*indices), rows)
+
+
+def _through(
+    columns: Optional[Sequence[int]], indices: Sequence[int]
+) -> Sequence[int]:
+    """``indices``, positions in a relation's rows, as positions in the row
+    list it stores (:meth:`Relation._stored`)."""
+    return indices if columns is None else [columns[i] for i in indices]
 
 
 def _unique_attributes(attributes: Sequence[str]) -> Tuple[str, ...]:
@@ -167,7 +181,12 @@ class Relation:
 
     def __repr__(self) -> str:
         label = self.name or "?"
-        return f"Relation({label}{list(self.attributes)}, {len(self.tuples)} tuples)"
+        return f"Relation({label}{list(self.attributes)}, {len(self)} tuples)"
+
+    def _stored(self) -> "Tuple[Rows, Optional[Tuple[int, ...]]]":
+        """The row list the kernels read, and each attribute's position in
+        those rows — ``None`` when they are this relation's own rows."""
+        return self.tuples, None
 
     def index_of(self, attribute: str) -> int:
         try:
@@ -216,49 +235,58 @@ class Relation:
     ) -> "Relation":
         """π over ``attributes``; set semantics when ``dedup`` (the default)."""
         indices = [self.index_of(a) for a in _unique_attributes(attributes)]
-        meter.charge(len(self.tuples), "project")
-        rows = _project_rows(self.tuples, indices)
+        meter.charge(len(self), "project")
+        stored, columns = self._stored()
+        rows = _project_rows(stored, _through(columns, indices))
         # dict.fromkeys keeps first occurrences in row order, at C speed.
         out = list(dict.fromkeys(rows)) if dedup else list(rows)
         return Relation._trusted(attributes, out, name=self.name)
 
-    def project_rows(
-        self, rows: Rows, attributes: Sequence[str], dedup: bool = True
-    ) -> Rows:
+    def scan(
+        self,
+        rows: Rows,
+        columns: Sequence[str],
+        attributes: Sequence[str],
+        name: str = "",
+        dedup: bool = True,
+    ) -> "Relation":
         """``rows`` — this relation's row list, or the sub-list of it a
-        selection kept, in order — projected onto ``attributes``; with
-        ``dedup``, first occurrences only, as :meth:`project` keeps them.
-        Charges nothing.
+        selection kept, in order — projected onto ``columns`` and named
+        ``attributes``; with ``dedup``, first occurrences only, as
+        :meth:`project` keeps them.  Charges nothing.
 
         When no two rows of this relation agree on those columns, no two
-        rows of any sub-list do either, so the dedup is the identity and is
-        skipped.  Whether that holds is learned from the rows once per
-        column set and remembered on the relation — one boolean, no rows:
-        for free from the dedup of the whole row list, or by one pass over
-        it when ``rows`` is a sub-list.  The rows of a relation never
-        change after it is built, so the fact cannot go stale; a race only
-        computes the same boolean twice.
+        rows of any sub-list do either: the dedup is the identity, and the
+        result reads ``rows`` themselves through a column map, copying none
+        (:class:`_ScanRelation`).  Whether that holds is learned from the
+        rows once per column set and remembered on the relation — one
+        boolean, no rows: for free from the dedup of the whole row list, or
+        by one pass over it when ``rows`` is a sub-list.  The rows of a
+        relation never change after it is built, so neither the fact nor a
+        result that reads them can go stale; a race only computes the same
+        boolean twice.
         """
-        indices = [self.index_of(a) for a in _unique_attributes(attributes)]
+        attributes = _unique_attributes(attributes)
+        indices = [self.index_of(a) for a in _unique_attributes(columns)]
         projected = _project_rows(rows, indices)
         if not dedup:
-            return list(projected)
+            return Relation._trusted(attributes, list(projected), name)
         keys = self._keys
         if keys is None:
             keys = self._keys = {}
         # Keyed by the sorted column positions: a column set, in one order.
-        columns = tuple(sorted(indices))
-        keyed = keys.get(columns)
+        key = tuple(sorted(indices))
+        keyed = keys.get(key)
         if keyed is None and rows is not self.tuples:
-            distinct = len(set(_project_rows(self.tuples, columns)))
-            keyed = keys[columns] = distinct == len(self.tuples)
+            distinct = len(set(_project_rows(self.tuples, key)))
+            keyed = keys[key] = distinct == len(self.tuples)
         if keyed:
-            return list(projected)
+            return _ScanRelation(attributes, rows, tuple(indices), name)
         # dict.fromkeys keeps first occurrences in row order, at C speed.
         out = list(dict.fromkeys(projected))
         if keyed is None:
-            keys[columns] = len(out) == len(rows)
-        return out
+            keys[key] = len(out) == len(rows)
+        return Relation._trusted(attributes, out, name)
 
     def select(
         self,
@@ -360,18 +388,27 @@ class Relation:
         """
         shared = self.shared_attributes(other)
         build, probe = self._build_probe(other)
-        build_key = _key_getter([build.index_of(a) for a in shared])
-        probe_key = _key_getter([probe.index_of(a) for a in shared])
+        # Both sides are read as stored: positions go through their maps.
+        build_rows, build_columns = build._stored()
+        probe_rows, probe_columns = probe._stored()
+        build_key = _key_getter(
+            _through(build_columns, [build.index_of(a) for a in shared])
+        )
+        probe_key = _key_getter(
+            _through(probe_columns, [probe.index_of(a) for a in shared])
+        )
+        head_idx: Optional[Sequence[int]]
         if keep is None:
-            # The whole probe row is the head: no copy.
+            # The whole probe row is the head: no copy, unless it is stored
+            # wider than its attributes.
             emitted = list(self.joined_attributes(other))
-            head_idx, rest_attrs = None, emitted[len(probe.attributes) :]
+            head_idx, rest_attrs = probe_columns, emitted[len(probe.attributes) :]
         else:
             head_attrs = [a for a in keep if a in probe._index]
             rest_attrs = [a for a in keep if a not in probe._index]
             emitted = head_attrs + rest_attrs
-            head_idx = [probe._index[a] for a in head_attrs]
-        rest_idx = [build.index_of(a) for a in rest_attrs]
+            head_idx = _through(probe_columns, [probe._index[a] for a in head_attrs])
+        rest_idx = _through(build_columns, [build.index_of(a) for a in rest_attrs])
         context = current_context()
 
         # Build phase, charged in ≤ _CHECK_EVERY blocks: every build row's
@@ -384,7 +421,6 @@ class Relation:
         # slows a nearly-unique build past the per-row loop's cost.
         keys: List[object] = []
         suffixes: Rows = []
-        build_rows = build.tuples
         for start in range(0, len(build_rows), _CHECK_EVERY):
             context.checkpoint("exec.join")
             chunk = build_rows[start : start + _CHECK_EVERY]
@@ -426,7 +462,6 @@ class Relation:
         out: Rows = []
         out_extend = out.extend
         pairs = 0
-        probe_rows = probe.tuples
         for start in range(0, len(probe_rows), _CHECK_EVERY):
             context.checkpoint("exec.join")
             chunk = probe_rows[start : start + _CHECK_EVERY]
@@ -658,6 +693,56 @@ class Relation:
         return Relation._trusted(out_attrs, out_rows, name=self.name)
 
 
+class _ScanRelation(Relation):
+    """A keyed base scan's output, made without copying a row.
+
+    ``rows`` is a stored relation's row list, or the sub-list of it a
+    scan's filters kept, and ``columns`` each attribute's position in those
+    rows; no two of them agree on ``columns`` (:meth:`Relation.scan`), so
+    the projection has one row per stored row.  The kernels read ``rows``
+    through ``columns`` (:meth:`_stored`), so a scan the fold joins or
+    projects is never copied.  Any other reader of ``tuples`` gets the
+    projection, built on first read — exactly the rows an eager scan makes.
+    ``copy()`` and ``rename()`` return plain relations, and so does a
+    pickle.
+    """
+
+    __slots__ = ("_rows", "_columns")
+
+    def __init__(
+        self,
+        attributes: Tuple[str, ...],
+        rows: Rows,
+        columns: Tuple[int, ...],
+        name: str = "",
+    ):
+        self.attributes = attributes
+        self.name = name
+        self._index = {attr: i for i, attr in enumerate(attributes)}
+        self._keys = None
+        self._rows = rows
+        self._columns = columns
+
+    def __getattr__(self, attribute: str) -> Rows:
+        # Reached only while the ``tuples`` slot is unset.  Two threads that
+        # race here build equal lists.
+        if attribute != "tuples":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {attribute!r}"
+            )
+        rows = self.tuples = list(_project_rows(self._rows, self._columns))
+        return rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __reduce__(self) -> "Tuple[object, ...]":
+        return Relation._trusted, (self.attributes, self.tuples, self.name)
+
+    def _stored(self) -> "Tuple[Rows, Optional[Tuple[int, ...]]]":
+        return self._rows, self._columns
+
+
 def _numeric_sum(column: List[object]) -> object:
     """Order-independent summation.
 
@@ -667,8 +752,6 @@ def _numeric_sum(column: List[object]) -> object:
     sum regardless of order whenever any float is involved; pure-integer
     columns keep exact integer arithmetic.
     """
-    import math
-
     if any(isinstance(value, float) for value in column):
         return math.fsum(column)  # type: ignore[arg-type]
     return sum(column)  # type: ignore[arg-type]

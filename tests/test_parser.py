@@ -215,6 +215,27 @@ class TestErrors:
         with pytest.raises(QueryError):
             parse_sql("SELECT a FROM t x, s x")
 
+    @pytest.mark.parametrize("count", ["1.5", "1e3", "2.0"])
+    def test_limit_takes_a_whole_number(self, count):
+        sql = f"SELECT a FROM t LIMIT {count}"
+        with pytest.raises(SqlSyntaxError, match=f"LIMIT .*{count!r}") as caught:
+            parse_sql(sql)
+        assert caught.value.position == sql.index(count)
+
+    def test_non_integer_limit_is_a_typed_error_through_the_service(
+        self, chain_db, chain_sql
+    ):
+        from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
+        from repro.errors import ReproError
+        from repro.service.server import QueryService
+
+        with QueryService(SimulatedDBMS(chain_db, COMMDB_PROFILE), workers=1) as svc:
+            for count in ("1.5", "1e3"):
+                with pytest.raises(ReproError, match=repr(count)) as caught:
+                    svc.execute(f"{chain_sql} LIMIT {count}")
+                assert isinstance(caught.value, SqlSyntaxError)
+            assert svc.execute(f"{chain_sql} LIMIT 1").finished
+
 
 class TestRoundTrip:
     def test_to_sql_reparses(self):

@@ -1,10 +1,14 @@
 """Tests for the relational algebra."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError, WorkBudgetExceeded
 from repro.metering import WorkMeter
 from repro.relational import Relation
+from repro.relational.relation import _ScanRelation
 
 
 @pytest.fixture()
@@ -245,3 +249,104 @@ class TestAggregate:
         rel = Relation(["v"], [(10**18,), (1,)])
         total = rel.group_aggregate([], [("sum", "v", "s")]).tuples[0][0]
         assert total == 10**18 + 1 and isinstance(total, int)
+
+
+def _built(relation):
+    """Whether ``relation.tuples`` holds rows, read without building them."""
+    try:
+        Relation.tuples.__get__(relation, type(relation))
+    except AttributeError:
+        return False
+    return True
+
+
+@st.composite
+def _scans(draw, stored_prefix):
+    """A stored table whose first column no two rows share, and a scan of it
+    over a random filter subset, onto a random column order that holds that
+    column, under random names: ``(late, eager)``.  ``late()`` makes a fresh
+    scan relation over the stored rows; ``eager`` is its projection, built
+    by hand."""
+    width = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(draw(st.integers(0, 12)))))
+    rows = [
+        (key,) + tuple(draw(st.integers(0, 3)) for _ in range(width - 1))
+        for key in ids
+    ]
+    stored = Relation([f"{stored_prefix}{i}" for i in range(width)], rows)
+    others = draw(st.permutations(stored.attributes[1:]))
+    chosen = others[: draw(st.integers(0, len(others)))]
+    columns = draw(st.permutations([stored.attributes[0]] + chosen))
+    names = draw(st.permutations("abcde"))[: len(columns)]
+    mask = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    kept = stored.tuples if all(mask) else [r for r, m in zip(rows, mask) if m]
+    # The first scan of the whole row list learns that ``columns`` are a key.
+    assert type(stored.scan(stored.tuples, columns, names, "t")) is Relation
+    positions = [stored.index_of(c) for c in columns]
+    eager = Relation(
+        names, [tuple(row[i] for i in positions) for row in kept], name="t"
+    )
+
+    def late():
+        relation = stored.scan(kept, columns, names, "t")
+        assert type(relation) is _ScanRelation
+        return relation
+
+    return late, eager
+
+
+def _outcome(operation, relation):
+    meter = WorkMeter()
+    out = operation(relation, meter)
+    return out.attributes, out.tuples, out.name, meter.snapshot()
+
+
+class TestLateScanRelation:
+    """A keyed scan's relation over stored rows and a column map equals its
+    eager copy under every operator, on either side of a join, as the build
+    or the probe side; the kernels the fold calls never build its rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_its_eager_copy(self, data):
+        late, eager = data.draw(_scans("s"))
+        other_late, other_eager = data.draw(_scans("o"))
+        other = other_late if data.draw(st.booleans()) else (lambda: other_eager)
+
+        def pick(attributes):
+            chosen = data.draw(st.permutations(list(attributes)))
+            return chosen[: data.draw(st.integers(0, len(chosen)))]
+
+        projected, dedup = pick(eager.attributes), data.draw(st.booleans())
+        keep = pick(eager.joined_attributes(other_eager))
+        keep_back = pick(other_eager.joined_attributes(eager))
+        kernels = {
+            "project": lambda rel, m: rel.project(projected, dedup, m),
+            "join_project": lambda rel, m: rel.join_project(other(), keep, m),
+            "join_project_back": lambda rel, m: other().join_project(rel, keep_back, m),
+            "natural_join": lambda rel, m: rel.natural_join(other(), m),
+            "natural_join_back": lambda rel, m: other().natural_join(rel, m),
+        }
+        readers = {
+            "semijoin": lambda rel, m: rel.semijoin(other(), m),
+            "semijoin_back": lambda rel, m: other().semijoin(rel, m),
+            "union": lambda rel, m: rel.union(eager, m),
+            "union_back": lambda rel, m: eager.union(rel, m),
+            "copy": lambda rel, m: rel.copy(),
+            "rename": lambda rel, m: rel.rename({eager.attributes[0]: "z"}),
+        }
+        for name, operation in {**kernels, **readers}.items():
+            relation = late()
+            assert _outcome(operation, relation) == _outcome(operation, eager), name
+            if name in kernels:
+                assert not _built(relation), name
+
+        relation = late()
+        assert len(relation) == len(eager) and not _built(relation)
+        assert list(relation) == eager.tuples
+        assert relation.tuples is relation.tuples
+        pickled = pickle.loads(pickle.dumps(late()))
+        for derived in (late().copy(), late().rename({}), pickled):
+            assert type(derived) is Relation
+            assert derived.attributes == eager.attributes
+            assert derived.tuples == eager.tuples

@@ -22,6 +22,7 @@ from repro.query.conjunctive import Constant
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.relational import AttributeType, Database, Relation, RelationSchema
+from repro.relational.relation import _ScanRelation
 
 
 @pytest.fixture()
@@ -534,10 +535,9 @@ class TestKeyFacts:
         self._scan(database, "SELECT t.k FROM t")
         derived = derive(database.table("t"))
         derived.tuples.append((1, 9))
-        assert derived.project_rows(derived.tuples, ["k"]) == [(1,), (2,), (3,)]
-        assert database.table("t").project_rows(
-            database.table("t").tuples, ["k"]
-        ) == [(1,), (2,), (3,)]
+        assert derived.scan(derived.tuples, ["k"], ["k"]).tuples == [(1,), (2,), (3,)]
+        stored = database.table("t")
+        assert stored.scan(stored.tuples, ["k"], ["k"]).tuples == [(1,), (2,), (3,)]
 
     def test_threads_racing_on_unknown_column_sets(self):
         """Eight threads, short switch interval, one fresh database: a race
@@ -588,4 +588,115 @@ class TestKeyFacts:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestLateProjection:
+    """A scan over a column set no two stored rows share reads the stored
+    rows through a column map; its rows are built only for a reader outside
+    the kernels.  Bag tables and column sets not yet learned take the eager
+    path."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count scan relations made, and rows built for one of them."""
+        counts = {"late": 0, "built": 0}
+        init, lookup = _ScanRelation.__init__, _ScanRelation.__getattr__
+
+        def counting_init(self, *args):
+            counts["late"] += 1
+            init(self, *args)
+
+        def counting_getattr(self, attribute):
+            counts["built"] += attribute == "tuples"
+            return lookup(self, attribute)
+
+        monkeypatch.setattr(_ScanRelation, "__init__", counting_init)
+        monkeypatch.setattr(_ScanRelation, "__getattr__", counting_getattr)
+        return counts
+
+    @pytest.mark.parametrize("name", ["q3", "q5", "q10"])
+    def test_qhd_evaluation_over_keyed_tables_copies_no_scan(
+        self, tiny_tpch, monkeypatch, name
+    ):
+        from repro.core.optimizer import HybridOptimizer
+        from repro.workloads.tpch_queries import TPCH_QUERIES
+
+        plan = HybridOptimizer(tiny_tpch, max_width=3).optimize(TPCH_QUERIES[name]())
+        first = plan.execute()  # the unfiltered scans learn their keys here
+        counts = self._spy(monkeypatch)
+        again = plan.execute()
+        assert counts == {"late": len(plan.translation.query.atoms), "built": 0}
+        assert again.relation.attributes == first.relation.attributes
+        assert again.relation.tuples == first.relation.tuples
+        assert again.work_breakdown == first.work_breakdown
+
+    def test_bag_table_scans_stay_eager(self):
+        database = TestKeyFacts._database(TestKeyFacts.BAG)
+        for sql in ["SELECT t.k FROM t", "SELECT t.k FROM t WHERE t.k < 3"] * 2:
+            translation = sql_to_conjunctive(parse_sql(sql), database.schema.as_mapping())
+            scanned = atom_relations(translation.query, database, translation)["t"]
+            assert type(scanned) is Relation
+            assert scanned.tuples == [(1,), (2,)]
+
+    def test_replaced_table_with_a_duplicate_scans_eagerly_again(self):
+        database = TestKeyFacts._database(TestKeyFacts.KEYED)
+        translation = sql_to_conjunctive(
+            parse_sql("SELECT t.k FROM t"), database.schema.as_mapping()
+        )
+
+        def scan():
+            return atom_relations(translation.query, database, translation)["t"]
+
+        assert type(scan()) is Relation  # learns that k is a key
+        late = scan()
+        assert type(late) is _ScanRelation
+        database.drop_table("t")
+        database.create_table(
+            RelationSchema.of("t", {"k": AttributeType.INT, "v": AttributeType.INT}),
+            TestKeyFacts.KEYED + [(1, 7)],
+        )
+        for _ in range(2):
+            scanned = scan()
+            assert type(scanned) is Relation
+            assert scanned.tuples == [(1,), (2,), (3,)]
+        # The scan made before the replacement still reads the old rows.
+        assert late.tuples == [(1,), (2,), (3,)] and len(late) == 3
+
+    def test_threads_racing_on_the_first_read_of_a_late_scan(self):
+        """Eight threads, short switch interval: readers of one late scan's
+        ``tuples`` and kernels reading its stored rows all see the eager
+        rows, whoever builds them first."""
+        database = Database("scans")
+        database.create_table(
+            RelationSchema.of("t", {"k": AttributeType.INT, "v": AttributeType.INT}),
+            [(i, i % 7) for i in range(5000)],
+        )
+        stored = database.table("t")
+        stored.scan(stored.tuples, ["v", "k"], ["b", "a"])  # learns the key
+        expected = [(i % 7, i) for i in range(5000)]
+        failures = []
+
+        def worker(late, index):
+            for _ in range(3):
+                got = late.tuples if index % 2 else late.project(["b", "a"]).tuples
+                if got != expected:
+                    failures.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                late = stored.scan(stored.tuples, ["v", "k"], ["b", "a"])
+                assert type(late) is _ScanRelation
+                threads = [
+                    threading.Thread(target=worker, args=(late, i)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert failures == []
