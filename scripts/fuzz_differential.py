@@ -1,8 +1,9 @@
 """Differential fuzzer: random queries, every execution strategy, one oracle.
 
 Generates random conjunctive workloads (lines, chains, stars with random
-sizes and domains, and 0–3 constant filters — comparisons, BETWEEN, IN —
-over random columns), runs each through the quantitative engine, the q-HD
+sizes and domains, and 0–3 filters — constant comparisons, BETWEEN and IN
+over random columns, or arithmetic and column-to-column comparisons between
+two columns of one alias), runs each through the quantitative engine, the q-HD
 plan, the classic 3-phase evaluation, the SQL-view stack and the un-pushed
 baseline (filters applied per row on the join result, so independent of
 the base scans the other four share), and verifies all answers agree.  The
@@ -13,7 +14,8 @@ seed.
 Each line/chain table is drawn without replacement with probability ½, so
 one fold mixes keyed scans (a column set no two stored rows share, read
 through a column map) with bag scans (deduplicated copies).  The run ends
-with a census of the cases whose scans were keyed, bag or both.
+with a census of the cases whose scans were keyed, bag or both, and a
+count of the cases with a two-column filter.
 
 Run:  python scripts/fuzz_differential.py --iterations 200 --seed 0
 """
@@ -44,25 +46,47 @@ COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 UNPUSHED_BUDGET = 300_000
 
 
-def random_filters(rng: random.Random, columns, domain: int):
-    """0–3 constant filters, each over a random column of ``columns``."""
-    filters = []
+#: Filters between two columns of one alias, arithmetic or not; every
+#: divisor is a non-zero literal.  The pushed-down scan and the un-pushed
+#: baseline's residual filters evaluate them on different rows.
+TWO_COLUMN_SHAPES = (
+    "{x} + {y} > {c}",
+    "{x} * 2 <= {y}",
+    "{x} <> {y}",
+    "{c} < {x} - {y}",
+    "{x} / 2 >= {y}",
+)
+
+
+def random_filters(rng: random.Random, tables, domain: int):
+    """0–3 filters, each over a random alias's columns (``tables`` lists
+    each alias's qualified columns): a constant comparison, BETWEEN or IN
+    over one column, or a two-column shape over two of them.  Returns the
+    filters and whether any has a two-column shape."""
+    filters, two_column = [], False
     for _ in range(rng.randint(0, 3)):
+        columns = rng.choice(tables)
         column = rng.choice(columns)
-        shape = rng.choice(["compare", "between", "in"])
+        shape = rng.choice(["compare", "between", "in", "two-column"])
         if shape == "compare":
             filters.append(f"{column} {rng.choice(COMPARISONS)} {rng.randrange(domain)}")
         elif shape == "between":
             low = rng.randrange(domain)
             filters.append(f"{column} BETWEEN {low} AND {rng.randrange(low, domain)}")
-        else:
+        elif shape == "in":
             values = sorted({rng.randrange(domain) for _ in range(rng.randint(1, 3))})
             filters.append(f"{column} IN ({', '.join(map(str, values))})")
-    return filters
+        else:
+            x, y = rng.sample(columns, 2)
+            template = rng.choice(TWO_COLUMN_SHAPES)
+            filters.append(template.format(x=x, y=y, c=rng.randrange(domain)))
+            two_column = True
+    return filters, two_column
 
 
 def random_case(rng: random.Random):
-    """One random workload: (database, sql, label)."""
+    """One random workload: (database, sql, label, whether a filter has a
+    two-column shape)."""
     kind = rng.choice(["line", "chain", "star"])
     domain = rng.randint(2, 8)
     rows = rng.randint(5, 40)
@@ -84,13 +108,14 @@ def random_case(rng: random.Random):
         conditions = [f"r{i}.y{i} = r{i + 1}.x{i + 1}" for i in range(n - 1)]
         if kind == "chain":
             conditions.append(f"r{n - 1}.y{n - 1} = r0.x0")
-        columns = [f"r{i}.{c}{i}" for i in range(n) for c in "xy"]
-        conditions += random_filters(rng, columns, domain)
+        tables = [[f"r{i}.x{i}", f"r{i}.y{i}"] for i in range(n)]
+        filters, two_column = random_filters(rng, tables, domain)
+        conditions += filters
         sql = (
             f"SELECT r0.x0, r1.x1 FROM {', '.join(f'r{i}' for i in range(n))} "
             f"WHERE {' AND '.join(conditions)}"
         )
-        return db, sql, f"{kind}-{n}"
+        return db, sql, f"{kind}-{n}", two_column
 
     d = rng.randint(2, 4)
     db = Database("fuzz")
@@ -113,14 +138,16 @@ def random_case(rng: random.Random):
             schema, [(k, rng.randrange(domain)) for k in range(domain)]
         )
     conditions = [f"fact.k{i} = dim{i}.k{i}" for i in range(d)]
-    columns = ["fact.m"] + [f"fact.k{i}" for i in range(d)] + [f"dim{i}.p{i}" for i in range(d)]
-    conditions += random_filters(rng, columns, domain)
+    tables = [["fact.m"] + [f"fact.k{i}" for i in range(d)]]
+    tables += [[f"dim{i}.k{i}", f"dim{i}.p{i}"] for i in range(d)]
+    filters, two_column = random_filters(rng, tables, domain)
+    conditions += filters
     sql = (
         f"SELECT dim0.p0, fact.m FROM fact, "
         f"{', '.join(f'dim{i}' for i in range(d))} "
         f"WHERE {' AND '.join(conditions)}"
     )
-    return db, sql, f"star-{d}"
+    return db, sql, f"star-{d}", two_column
 
 
 def scan_kind(relations) -> str:
@@ -173,10 +200,12 @@ def main() -> int:
     counts = {}
     kinds = {}  # shape -> [keyed only, bag only, mixed]
     unpushed_compared = 0
+    two_column_cases = 0
     for i in range(args.iterations):
         case_seed = args.seed * 1_000_003 + i
         rng = random.Random(case_seed)
-        db, sql, label = random_case(rng)
+        db, sql, label, two_column = random_case(rng)
+        two_column_cases += two_column
         counts[label.split("-")[0]] = counts.get(label.split("-")[0], 0) + 1
         try:
             ok, compared, kind = check_case(db, sql)
@@ -200,6 +229,7 @@ def main() -> int:
     census = ", ".join(f"{k}: {'/'.join(map(str, v))}" for k, v in sorted(kinds.items()))
     print(f"scan census, cases keyed only/bag only/mixed: {census}")
     print(f"cases mixing keyed and bag scans: {sum(v[2] for v in kinds.values())}")
+    print(f"cases with arithmetic filters: {two_column_cases}")
     if failures:
         print(f"failing seeds: {failures}")
         return 1

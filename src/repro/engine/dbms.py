@@ -304,7 +304,7 @@ class SimulatedDBMS:
         plan, label = self._choose_plan(translation, estimates, optimizer_enabled)
         joined = self._execute_plan(plan, base, meter)
         if residual:
-            joined = apply_residual_filters(joined, residual, meter)
+            joined = apply_residual_filters(joined, translation, residual, meter)
         output = list(translation.query.output)
         answer = joined.project(output, dedup=True, meter=meter)
         return answer, render_plan(plan), label
@@ -454,7 +454,7 @@ class SimulatedDBMS:
             )
             joined = self._execute_plan(plan, base, meter, tracer)
             if residual:
-                joined = apply_residual_filters(joined, residual, meter)
+                joined = apply_residual_filters(joined, translation, residual, meter)
             answer = joined.project(
                 list(translation.query.output), dedup=True, meter=meter
             )

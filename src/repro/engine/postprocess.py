@@ -15,10 +15,10 @@ through this same module, so all compared systems share the semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError, QueryError
-from repro.engine.expressions import compile_scalar
+from repro.engine.expressions import compile_rows
 from repro.metering import NULL_METER, WorkMeter
 from repro.query import ast
 from repro.query.translate import TranslationResult
@@ -70,17 +70,13 @@ def _plain_select(
     meter: WorkMeter,
 ) -> Relation:
     query = translation.select_query
-    names: List[str] = []
-    evaluators: List[Callable[[Tuple[object, ...]], object]] = []
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star):
-            # SELECT *: keep every answer column under its variable name.
-            return answer.copy()
-        names.append(item.output_name)
-        evaluators.append(compile_scalar(item.expr, resolve))
+    if any(isinstance(item.expr, ast.Star) for item in query.select_items):
+        # SELECT *: keep every answer column under its variable name.
+        return answer.copy()
+    select = compile_rows([item.expr for item in query.select_items], resolve)
     meter.charge(len(answer), "postprocess")
-    rows = [tuple(ev(row) for ev in evaluators) for row in answer.tuples]
-    return Relation(_dedupe_names(names), rows, name="answer")
+    names = _dedupe_names([item.output_name for item in query.select_items])
+    return Relation(names, select(answer.tuples), name="answer")
 
 
 def _aggregate(
@@ -98,7 +94,7 @@ def _aggregate(
     # derived columns (supports arithmetic inside the aggregate).
     agg_specs: List[Tuple[str, Optional[str], str]] = []
     derived_names: List[str] = []
-    derived_evaluators: List[Callable[[Tuple[object, ...]], object]] = []
+    derived: List[ast.Expression] = []
     select_plan: List[Tuple[str, object]] = []  # ("group", var) | ("agg", out)
 
     for index, item in enumerate(query.select_items):
@@ -113,7 +109,7 @@ def _aggregate(
             else:
                 column = f"__agg_arg_{index}"
                 derived_names.append(column)
-                derived_evaluators.append(compile_scalar(arg, resolve))
+                derived.append(arg)
                 agg_specs.append((expr.name, column, out_name))
             select_plan.append(("agg", out_name))
         elif isinstance(expr, ast.ColumnRef):
@@ -131,12 +127,10 @@ def _aggregate(
             )
 
     # Extend the answer with the derived aggregate-argument columns.
+    extend = compile_rows(derived, resolve, extend=True)
     meter.charge(len(answer), "postprocess")
     extended_attrs = list(answer.attributes) + derived_names
-    extended_rows = [
-        row + tuple(ev(row) for ev in derived_evaluators) for row in answer.tuples
-    ]
-    extended = Relation(extended_attrs, extended_rows)
+    extended = Relation(extended_attrs, extend(answer.tuples))
 
     grouped = extended.group_aggregate(group_vars, agg_specs, meter=meter)
 
@@ -186,14 +180,18 @@ def _order(
 
 
 def _dedupe_names(names: Sequence[str]) -> List[str]:
-    """Make output column names unique (SQL allows duplicate select names)."""
-    seen: Dict[str, int] = {}
+    """Make output column names unique (SQL allows duplicate select names):
+    a repeat becomes ``name_k``, the least ``k ≥ 1`` no other name uses."""
+    taken = set(names)
+    seen: Set[str] = set()
     unique: List[str] = []
     for name in names:
         if name in seen:
-            seen[name] += 1
-            unique.append(f"{name}_{seen[name]}")
-        else:
-            seen[name] = 0
-            unique.append(name)
+            suffix = 1
+            while f"{name}_{suffix}" in taken:
+                suffix += 1
+            name = f"{name}_{suffix}"
+            taken.add(name)
+        seen.add(name)
+        unique.append(name)
     return unique

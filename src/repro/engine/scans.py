@@ -22,80 +22,33 @@ for a column set no two stored rows share, lazily, through a column map.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, QueryError
-from repro.engine.expressions import _COMPARATORS, Resolver, compile_filter, like_regex
+from repro.engine.expressions import Predicate, compile_filter
 from repro.metering import NULL_METER, WorkMeter
 from repro.query import ast
 from repro.query.conjunctive import ConjunctiveQuery, Constant
 from repro.query.translate import TranslationResult
 from repro.relational.database import Database
-from repro.relational.relation import Relation, row_selector
+from repro.relational.relation import Relation
 from repro.resilience.context import current_context
-
-Row = Tuple[object, ...]
-
-
-def _operand(
-    expression: ast.Expression, rows: List[Row], resolve: Resolver
-) -> Optional[Iterable[object]]:
-    """A column's or a literal's value for each row, as a C-level iterator."""
-    if isinstance(expression, ast.ColumnRef):
-        return map(itemgetter(resolve(expression)), rows)
-    if isinstance(expression, ast.Literal):
-        return repeat(expression.value)
-    return None
-
-
-def _narrow(
-    rows: List[Row], predicate: "ast.Comparison | ast.InList", resolve: Resolver
-) -> List[Row]:
-    """The rows that pass one filter, in order, in one pass.
-
-    ``column op literal``, ``column LIKE literal`` and ``column IN (…)`` are
-    one comprehension with the test inline; any other comparison between
-    columns and literals is one ``compress`` over C-level maps, operands in
-    their written order.  Neither makes a Python call per row.  The rest —
-    arithmetic, LIKE with a computed pattern — is :func:`compile_filter`'s
-    per-row closure.
-    """
-    if isinstance(predicate, ast.InList):
-        if isinstance(predicate.expr, ast.ColumnRef):
-            index, values = resolve(predicate.expr), frozenset(predicate.values)
-            return [r for r in rows if r[index] in values]
-    elif isinstance(predicate, ast.Comparison):
-        op, left, right = predicate.op, predicate.left, predicate.right
-        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-            index = resolve(left)
-            if op != "like":
-                return row_selector(op)(rows, index, right.value)
-            like = like_regex(right.value).fullmatch
-            return [r for r in rows if isinstance(r[index], str) and like(r[index])]
-        if op != "like":
-            sides = [_operand(side, rows, resolve) for side in (left, right)]
-            if None not in sides:
-                return list(compress(rows, map(_COMPARATORS[op], *sides)))
-    keep = compile_filter(predicate, resolve)
-    return [r for r in rows if keep(r)]
 
 
 def _scan(
     base: Relation,
     alias: str,
-    predicates: Sequence["ast.Comparison | ast.InList"],
+    predicates: Sequence[Predicate],
     columns: Sequence[str],
     variables: Sequence[str],
     dedup: bool,
 ) -> Relation:
     """The scan pipeline both modes run: narrow ``base``'s row list filter
-    by filter, in order — a later filter sees only what the earlier ones
-    kept — then project once onto ``columns``, named ``variables``.  Where
-    ``base``'s rows rule duplicates out, the projection is neither
-    deduplicated nor copied: the result reads the kept rows themselves
-    (:meth:`Relation.scan`)."""
+    by filter, in order, each one compiled comprehension — a later filter
+    sees only what the earlier ones kept — then project once onto
+    ``columns``, named ``variables``.  Where ``base``'s rows rule
+    duplicates out, the projection is neither deduplicated nor copied: the
+    result reads the kept rows themselves (:meth:`Relation.scan`)."""
 
     def resolve(ref: ast.ColumnRef) -> int:
         if ref.table is not None and ref.table != alias:
@@ -106,10 +59,7 @@ def _scan(
 
     rows = base.tuples
     for predicate in predicates:
-        try:
-            rows = _narrow(rows, predicate, resolve)
-        except TypeError as exc:
-            raise ExecutionError(f"type error evaluating {predicate}: {exc}") from exc
+        rows = compile_filter(predicate, resolve)(rows)
     return base.scan(rows, columns, variables, alias, dedup)
 
 
@@ -138,17 +88,17 @@ def atom_relations_sql(
     translation: TranslationResult,
     meter: WorkMeter = NULL_METER,
     push_filters: bool = True,
-) -> Tuple[Dict[str, Relation], List[Callable[[Row], bool]]]:
+) -> Tuple[Dict[str, Relation], List[Predicate]]:
     """SQL-mode base scans.
 
     Returns ``(relations, residual_predicates)``; the residual list is
-    empty when filters are pushed down.  Residual predicates operate on
-    rows of a relation whose attributes are CQ variables — they are meant
-    to be applied on the final join result (the naive baseline).
+    empty when filters are pushed down.  Residual predicates are the
+    un-pushed filters, for :func:`apply_residual_filters` to apply on the
+    final join result (the naive baseline).
     """
     context = current_context()
     relations: Dict[str, Relation] = {}
-    residual: List[Callable[[Row], bool]] = []
+    residual: List[Predicate] = []
 
     for atom in query.atoms:
         context.checkpoint("exec.scan")
@@ -158,8 +108,7 @@ def atom_relations_sql(
 
         predicates = list(translation.atom_filters.get(alias, ()))
         if not push_filters:
-            # They reference CQ variables of the joined result instead.
-            residual += [_residual_predicate(translation, p) for p in predicates]
+            residual += predicates
             predicates = []
         predicates += [
             _columns_equal(left, right)
@@ -173,45 +122,32 @@ def atom_relations_sql(
     return relations, residual
 
 
-def _residual_predicate(
-    translation: TranslationResult, comparison: ast.Comparison
-) -> Callable[[Row], bool]:
-    """A predicate over join-result rows; ``predicate.bind(relation)``
-    compiles it against that relation's attribute positions before use."""
-    compiled: List[Callable[[Row], bool]] = []
-
-    def predicate(row: Row) -> bool:
-        if not compiled:
-            raise ExecutionError("residual predicate not bound to a relation")
-        return compiled[0](row)
-
-    def bind(relation: Relation) -> None:
-        def resolve(ref: ast.ColumnRef) -> int:
-            variable = translation.resolve_variable(ref)
-            if not relation.has_attribute(variable):
-                raise ExecutionError(
-                    f"variable {variable!r} missing from the joined relation"
-                )
-            return relation.index_of(variable)
-
-        compiled[:] = [compile_filter(comparison, resolve)]
-
-    predicate.bind = bind  # type: ignore[attr-defined]
-    return predicate
-
-
 def apply_residual_filters(
     relation: Relation,
-    predicates: List[Callable[[Row], bool]],
+    translation: TranslationResult,
+    predicates: Sequence[Predicate],
     meter: WorkMeter = NULL_METER,
 ) -> Relation:
-    """Apply residual (non-pushed) filters to the joined relation."""
+    """Apply residual (non-pushed) filters to the joined relation, in order:
+    each compiled against its attributes (CQ variables), and each charged
+    as a ``select`` over the rows it reads."""
+    context = current_context()
+
+    def resolve(ref: ast.ColumnRef) -> int:
+        variable = translation.resolve_variable(ref)
+        if not relation.has_attribute(variable):
+            raise ExecutionError(
+                f"variable {variable!r} missing from the joined relation"
+            )
+        return relation.index_of(variable)
+
+    rows = relation.tuples
     for predicate in predicates:
-        bind = getattr(predicate, "bind", None)
-        if bind is not None:
-            bind(relation)
-        relation = relation.select(predicate, meter=meter)
-    return relation
+        context.checkpoint("exec.select")
+        keep = compile_filter(predicate, resolve)
+        meter.charge(len(rows), "select")
+        rows = keep(rows)
+    return Relation._trusted(relation.attributes, rows, name=relation.name)
 
 
 def atom_relations_positional(

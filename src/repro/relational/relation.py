@@ -45,27 +45,6 @@ _CHECK_EVERY = 4096
 
 Rows = List[Tuple[object, ...]]
 
-#: σ column ⟨op⟩ constant over a row list: one comprehension per operator
-#: with the comparison inline, so a selection makes no Python call per row.
-_SELECT_COMPARE: Dict[str, Callable[[Rows, int, object], Rows]] = {
-    "=": lambda rows, i, c: [r for r in rows if r[i] == c],
-    "<>": lambda rows, i, c: [r for r in rows if r[i] != c],
-    "<": lambda rows, i, c: [r for r in rows if r[i] < c],
-    "<=": lambda rows, i, c: [r for r in rows if r[i] <= c],
-    ">": lambda rows, i, c: [r for r in rows if r[i] > c],
-    ">=": lambda rows, i, c: [r for r in rows if r[i] >= c],
-}
-
-
-def row_selector(op: str) -> Callable[[Rows, int, object], Rows]:
-    """``(rows, index, value) -> the rows with row[index] ⟨op⟩ value``, in
-    order, for op in ``= <> < <= > >=``: :meth:`Relation.select_compare` on a
-    bare row list, which a base scan narrows before it builds one relation."""
-    select = _SELECT_COMPARE.get(op)
-    if select is None:
-        raise SchemaError(f"unsupported comparison operator {op!r}")
-    return select
-
 
 def _key_getter(indices: Sequence[int]) -> Callable[[Tuple[object, ...]], object]:
     """Hash/sort key extractor built once per relation, not once per row.
@@ -287,39 +266,6 @@ class Relation:
         if keyed is None:
             keys[key] = len(out) == len(rows)
         return Relation._trusted(attributes, out, name)
-
-    def select(
-        self,
-        predicate: Callable[[Tuple[object, ...]], bool],
-        meter: WorkMeter = NULL_METER,
-    ) -> "Relation":
-        """σ with an arbitrary tuple predicate."""
-        meter.charge(len(self.tuples), "select")
-        kept = [row for row in self.tuples if predicate(row)]
-        return Relation._trusted(self.attributes, kept, name=self.name)
-
-    def select_compare(
-        self,
-        attribute: str,
-        op: str,
-        value: object,
-        meter: WorkMeter = NULL_METER,
-    ) -> "Relation":
-        """σ attribute ⟨op⟩ constant, with op in ``= <> < <= > >=``."""
-        select = row_selector(op)
-        idx = self.index_of(attribute)
-        meter.charge(len(self.tuples), "select")
-        kept = select(self.tuples, idx, value)
-        return Relation._trusted(self.attributes, kept, name=self.name)
-
-    def select_attr_eq(
-        self, left: str, right: str, meter: WorkMeter = NULL_METER
-    ) -> "Relation":
-        """σ left = right between two attributes of this relation."""
-        li, ri = self.index_of(left), self.index_of(right)
-        meter.charge(len(self.tuples), "select")
-        kept = [row for row in self.tuples if row[li] == row[ri]]
-        return Relation._trusted(self.attributes, kept, name=self.name)
 
     def rename(self, mapping: Dict[str, str]) -> "Relation":
         """ρ: rename attributes; unmentioned attributes keep their names."""

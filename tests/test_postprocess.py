@@ -45,6 +45,20 @@ class TestPlainSelect:
         out = apply_sql_semantics(answer, tr)
         assert len(set(out.attributes)) == 2
 
+    @pytest.mark.parametrize(
+        "items, expected",
+        [
+            ("dept AS a, dept AS a, salary AS a_1", ("a", "a_2", "a_1")),
+            ("salary AS a_1, dept AS a, dept AS a", ("a_1", "a", "a_2")),
+            ("dept AS a, dept AS a, dept AS a", ("a", "a_1", "a_2")),
+            ("dept AS a, salary AS a_1, bonus AS a_2, dept AS a", ("a", "a_1", "a_2", "a_3")),
+        ],
+    )
+    def test_a_renamed_duplicate_takes_a_free_suffix(self, items, expected):
+        tr = translate(f"SELECT {items} FROM emp")
+        answer = make_answer(tr, [tuple(range(len(tr.query.output)))])
+        assert apply_sql_semantics(answer, tr).attributes == expected
+
 
 class TestAggregates:
     def test_sum_of_expression(self):

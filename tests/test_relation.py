@@ -88,25 +88,6 @@ class TestUnary:
         rel = Relation(["a", "b"], [(2, 0), (1, 0), (2, 1), (1, 1), (3, 0)])
         assert rel.project(["a"]).tuples == [(2,), (1,), (3,)]
 
-    def test_select_predicate(self, r):
-        out = r.select(lambda row: row[0] == 2)
-        assert len(out) == 2
-
-    def test_select_compare_all_ops(self):
-        rel = Relation(["a"], [(i,) for i in range(5)])
-        assert len(rel.select_compare("a", "=", 2)) == 1
-        assert len(rel.select_compare("a", "<>", 2)) == 4
-        assert len(rel.select_compare("a", "<", 2)) == 2
-        assert len(rel.select_compare("a", "<=", 2)) == 3
-        assert len(rel.select_compare("a", ">", 2)) == 2
-        assert len(rel.select_compare("a", ">=", 2)) == 3
-        with pytest.raises(SchemaError):
-            rel.select_compare("a", "~", 2)
-
-    def test_select_attr_eq(self):
-        rel = Relation(["a", "b"], [(1, 1), (1, 2)])
-        assert rel.select_attr_eq("a", "b").tuples == [(1, 1)]
-
     def test_rename(self, r):
         renamed = r.rename({"a": "x"})
         assert renamed.attributes == ("x", "b")
@@ -125,9 +106,6 @@ class TestUnary:
         """Unary operators adopt their rows unchecked: what they hand on
         must still be a well-formed relation."""
         for derived in (
-            r.select(lambda row: row[0] == 2),
-            r.select_compare("a", ">=", 2),
-            r.select_attr_eq("a", "a"),
             r.distinct(),
             r.sort_by([("b", True)]),
             r.limit(2),

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError, QueryError
-from repro.engine.expressions import compile_filter, conjunction
 from repro.engine.scans import (
     apply_residual_filters,
     atom_relations,
@@ -23,6 +22,7 @@ from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.relational import AttributeType, Database, Relation, RelationSchema
 from repro.relational.relation import _ScanRelation
+from tests.expression_oracle import compile_filter, conjunction
 
 
 @pytest.fixture()
@@ -95,7 +95,7 @@ class TestSqlMode:
         rels, residual = atom_relations_sql(
             tr.query, db, tr, push_filters=False
         )
-        filtered = apply_residual_filters(rels["t"], residual)
+        filtered = apply_residual_filters(rels["t"], tr, residual)
         a_var = tr.variable_for("t", "a")
         idx = filtered.index_of(a_var)
         assert all(row[idx] == 1 for row in filtered.tuples)
@@ -144,25 +144,26 @@ class TestPositionalMode:
 def reference_scan(query, database, translation=None, meter=None, push_filters=True):
     """Base scans the way they were built before the one pipeline.
 
-    Every row goes through ``select(conjunction(compile_filter…))`` closures,
-    then ``select_attr_eq`` / ``select_compare``, ``project`` and the
-    arity-checking ``Relation`` constructor.  The production scan must agree
-    with it in attributes, rows, row order, name and charges.
-    Returns ``(relations, residual filter count)``.
+    Every row goes through all of its atom's tests at once, row at a time:
+    the oracle's closures for the pushed-down filters, then the constant
+    terms and equalities inline, ANDed by the oracle's ``conjunction``;
+    then ``project`` and the arity-checking ``Relation`` constructor.  The
+    production scan must agree with it in attributes, rows, row order, name
+    and charges.  Returns ``(relations, residual filter count)``.
     """
     meter = meter if meter is not None else WorkMeter()
     relations, unpushed = {}, 0
     for atom in query.atoms:
         base = database.table(atom.relation)
         meter.charge(len(base), "scan")
-        filtered = base
+        tests, equalities = [], []
         if translation is None:
             first_position = {}
-            for attribute, term in zip(base.attributes, atom.terms):
+            for index, (attribute, term) in enumerate(zip(base.attributes, atom.terms)):
                 if isinstance(term, Constant):
-                    filtered = filtered.select_compare(attribute, "=", term.value)
+                    tests.append(lambda row, i=index, c=term.value: row[i] == c)
                 elif term in first_position:
-                    filtered = filtered.select_attr_eq(first_position[term], attribute)
+                    equalities.append((first_position[term], attribute))
                 else:
                     first_position[term] = attribute
             variables = sorted(first_position)
@@ -179,15 +180,17 @@ def reference_scan(query, database, translation=None, meter=None, push_filters=T
 
             comparisons = translation.atom_filters.get(alias, ())
             if push_filters:
-                predicates = [compile_filter(c, resolve) for c in comparisons]
-                if predicates:
-                    filtered = filtered.select(conjunction(predicates))
+                tests += [compile_filter(c, resolve) for c in comparisons]
             else:
                 unpushed += len(comparisons)
-            for left, right in translation.intra_atom_equalities.get(alias, ()):
-                filtered = filtered.select_attr_eq(left, right)
+            equalities += translation.intra_atom_equalities.get(alias, ())
             variables = list(atom.terms)
             columns = [translation.variable_bindings[v][alias] for v in variables]
+        for left, right in equalities:
+            li, ri = base.index_of(left), base.index_of(right)
+            tests.append(lambda row, i=li, j=ri: row[i] == row[j])
+        keep = conjunction(tests)
+        filtered = Relation(base.attributes, [row for row in base.tuples if keep(row)])
         dedup = push_filters or translation is None
         projected = filtered.project(columns, dedup=dedup)
         relations[atom.name] = Relation(variables, projected.tuples, name=atom.name)
@@ -223,8 +226,8 @@ def _ref(draw, column):
 
 @st.composite
 def scan_filter(draw):
-    """One pushed-down filter of any shape the scan recognises, or the
-    arithmetic one it leaves to ``compile_filter``."""
+    """One pushed-down filter: a comparison of columns and literals in
+    either order, IN, LIKE with a literal pattern, or arithmetic."""
     shape = draw(
         st.sampled_from(
             ["col-lit", "lit-col", "in", "like", "col-col", "arith", "lit-lit"]
