@@ -280,11 +280,6 @@ def iter_scope_nodes(root: ast.AST) -> List[ast.AST]:
     return collected
 
 
-def scope_calls(root: ast.AST) -> List[ast.Call]:
-    """Every call in ``root``'s own scope (nested defs excluded)."""
-    return [n for n in iter_scope_nodes(root) if isinstance(n, ast.Call)]
-
-
 def iter_functions(tree: ast.Module) -> List[ast.AST]:
     """All function definitions in a module, nested ones included, plus the
     module itself (for top-level code)."""

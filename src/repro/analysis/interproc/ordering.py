@@ -33,7 +33,7 @@ and the parity tests enforce.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Set
+from typing import FrozenSet, List, Set
 
 from repro.analysis.base import Finding, Rule
 from repro.analysis.interproc.model import (
@@ -55,7 +55,6 @@ DEFAULT_SINK_BASENAMES: FrozenSet[str] = frozenset(
         "normalform",
         "hypertree",
         "jointree",
-        "treedecomp",
         "views",
         "optimizer",
         "plan",

@@ -14,7 +14,6 @@ from repro.bench.export import (
     write_csv,
     write_json,
 )
-from repro.bench.tpch_suite import render_suite, run_tpch_suite
 from repro.bench.experiments import (
     EXPERIMENTS,
     run_experiment,
@@ -33,8 +32,6 @@ __all__ = [
     "render_markdown_table",
     "write_csv",
     "write_json",
-    "render_suite",
-    "run_tpch_suite",
     "EXPERIMENTS",
     "run_experiment",
     "run_fig7",

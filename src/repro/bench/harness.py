@@ -10,7 +10,7 @@ it took, and whether it finished within the budget — the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 DNF = "DNF"
 
@@ -44,10 +44,6 @@ class RunRecord:
     answer_rows: Optional[int] = None
     extra: Dict[str, object] = field(default_factory=dict)
     phase_work: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def display_work(self) -> str:
-        return f"{self.work}" if self.finished else DNF
 
 
 @dataclass

@@ -26,11 +26,13 @@ from typing import List, Optional
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import render_series_table
+from repro.core.detkdecomp import hypertree_width
 from repro.core.integration import install_structural_optimizer
 from repro.core.optimizer import HybridOptimizer
 from repro.engine.dbms import COMMDB_PROFILE, POSTGRES_PROFILE, SimulatedDBMS
 from repro.errors import DecompositionError, OptimizationError
-from repro.workloads.tpch import TPCH_SCHEMA, generate_tpch_database
+from repro.hypergraph.algorithms import is_acyclic
+from repro.workloads.tpch import generate_tpch_database
 from repro.workloads.tpch_queries import TPCH_QUERIES
 
 
@@ -104,22 +106,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.hypergraph.treedecomp import structural_summary
-
     database = generate_tpch_database(size_mb=args.size_mb, seed=args.seed, analyze=True)
     optimizer = HybridOptimizer(database, max_width=args.width)
-    sql = _query_text(args)
-    translation = optimizer.translate(sql)
+    name = args.query if args.query in TPCH_QUERIES else "Q"
+    translation = optimizer.translate(_query_text(args), name=name)
     hypergraph = translation.query.hypergraph()
-    summary = structural_summary(hypergraph)
+    try:
+        width: object = hypertree_width(hypergraph, max_k=6)
+    except DecompositionError:
+        width = ">6"
     print(f"query: {translation.query.name}")
-    print(f"  atoms:               {summary['edges']}")
-    print(f"  variables:           {summary['variables']}")
-    print(f"  acyclic:             {summary['acyclic']}")
-    print(f"  hypertree width:     {summary['hypertree_width']}")
-    print(f"  treewidth (minfill): {summary.get('treewidth_min_fill', '-')}")
-    print(f"  biconnected width:   {summary['biconnected_width']}")
-    print(f"  hinge degree:        {summary['hinge_degree']}")
+    print(f"  atoms:               {len(hypergraph)}")
+    print(f"  variables:           {len(hypergraph.vertices)}")
+    print(f"  acyclic:             {is_acyclic(hypergraph)}")
+    print(f"  hypertree width:     {width}")
     out = sorted(translation.query.output_variables)
     print(f"  output variables:    {len(out)} ({', '.join(out)})")
     try:
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
-        "analyze", help="structural measures of a query (widths, acyclicity)"
+        "analyze", help="structural measures of a query (hypertree widths, acyclicity)"
     )
     common(p)
     p.set_defaults(func=cmd_analyze)

@@ -385,9 +385,8 @@ class QHDEvaluator:
         self._trace = self._assemble_trace(schedule)
         root_rel = schedule.result_of(self.decomposition.root)
         if root_rel is None:
-            raise ExecutionError(
-                "decomposition root produced no relation (empty λ and no children)"
-            )
+            # Nothing to fold (a query without variables): the empty join.
+            root_rel = Relation([], [()])
         missing = [v for v in output if not root_rel.has_attribute(v)]
         if missing:
             raise ExecutionError(

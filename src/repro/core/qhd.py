@@ -168,9 +168,9 @@ def q_hypertree_decomp(
     """
     hypergraph = query.hypergraph()
     if len(hypergraph) == 0:
-        raise DecompositionError(
-            "query has no atoms with variables; nothing to decompose"
-        )
+        # No atom has a variable: one node with χ = λ = ∅, whose answer is
+        # the empty join {()} once the variable-free atoms are satisfied.
+        return Hypertree(HypertreeNode((), ()), hypergraph)
     tracer = current_tracer()
     with tracer.span(
         "decompose.qhd", meter=meter, k=k, atoms=len(query.atoms)

@@ -51,9 +51,6 @@ class SqlViewPlan:
     def create_statements(self) -> List[str]:
         return [f"CREATE VIEW {name} AS {sql};" for name, sql in self.views]
 
-    def drop_statements(self) -> List[str]:
-        return [f"DROP VIEW {name};" for name, _ in reversed(self.views)]
-
     def render(self) -> str:
         """The full script: CREATE VIEWs then the final SELECT."""
         return "\n".join(self.create_statements() + [self.final_sql + ";"])

@@ -8,7 +8,7 @@ chosen join order — which is the entire story the paper's baselines tell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 from repro.errors import OptimizationError
 
@@ -25,9 +25,6 @@ class PlanNode:
 
     def walk(self) -> Iterator["PlanNode"]:
         raise NotImplementedError
-
-    def join_count(self) -> int:
-        return sum(1 for node in self.walk() if isinstance(node, JoinNode))
 
 
 @dataclass

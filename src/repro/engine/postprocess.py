@@ -172,9 +172,19 @@ def _order(
             continue
         variable = translation.resolve_variable(expr)
         if not result.has_attribute(variable):
-            raise QueryError(
-                f"ORDER BY column {expr} is not part of the SELECT output"
-            )
+            # A column selected plain is ordered by under its output name,
+            # e.g. ``n.k`` under ``k``, an alias, or a deduplicated ``k_1``.
+            selected = [
+                position
+                for position, item in enumerate(query.select_items)
+                if isinstance(item.expr, ast.ColumnRef)
+                and translation.resolve_variable(item.expr) == variable
+            ]
+            if not selected:
+                raise QueryError(
+                    f"ORDER BY column {expr} is not part of the SELECT output"
+                )
+            variable = result.attributes[selected[0]]
         keys.append((variable, order_item.descending))
     return result.sort_by(keys, meter=meter)
 

@@ -3,42 +3,21 @@
 A query hypergraph ``H(Q)`` has one vertex per query variable and one named
 hyperedge per query atom (§2 of the paper).  This subpackage provides the
 data structure plus the classical structural algorithms the decomposition
-layer builds on: GYO reduction and acyclicity testing, connected components
-relative to a separator, join-tree construction for acyclic hypergraphs, and
-generators for the structured families used in the experiments.
+layer builds on: GYO reduction and acyclicity testing, the primal graph and
+its components once a separator's vertices are deleted, join forests for
+acyclic hypergraphs, and generators for the structured families used in the
+experiments.
 """
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
 from repro.hypergraph.algorithms import (
-    connected_components,
     gyo_reduction,
     is_acyclic,
     primal_graph,
     vertex_connected_components,
 )
-from repro.hypergraph.jointree import JoinTreeNode, build_join_forest, build_join_tree
-from repro.hypergraph.biconnected import (
-    biconnected_components,
-    biconnected_width,
-    block_cut_tree,
-    primal_biconnected_components,
-)
-from repro.hypergraph.dot import (
-    decomposition_to_dot,
-    hypergraph_to_dot,
-    join_tree_to_dot,
-)
-from repro.hypergraph.hinges import (
-    HingeTree,
-    degree_of_cyclicity,
-    hinge_decomposition,
-)
-from repro.hypergraph.treedecomp import (
-    TreeDecomposition,
-    structural_summary,
-    tree_decomposition_min_fill,
-    treewidth_min_fill,
-)
+from repro.hypergraph.jointree import JoinTreeNode, build_join_forest
+from repro.hypergraph.dot import decomposition_to_dot, hypergraph_to_dot
 from repro.hypergraph.generators import (
     clique_hypergraph,
     cycle_hypergraph,
@@ -50,28 +29,14 @@ from repro.hypergraph.generators import (
 __all__ = [
     "Hyperedge",
     "Hypergraph",
-    "connected_components",
     "gyo_reduction",
     "is_acyclic",
     "primal_graph",
     "vertex_connected_components",
-    "biconnected_components",
-    "biconnected_width",
-    "block_cut_tree",
-    "primal_biconnected_components",
     "decomposition_to_dot",
     "hypergraph_to_dot",
-    "join_tree_to_dot",
-    "HingeTree",
-    "degree_of_cyclicity",
-    "hinge_decomposition",
-    "TreeDecomposition",
-    "structural_summary",
-    "tree_decomposition_min_fill",
-    "treewidth_min_fill",
     "JoinTreeNode",
     "build_join_forest",
-    "build_join_tree",
     "clique_hypergraph",
     "cycle_hypergraph",
     "grid_hypergraph",

@@ -5,15 +5,13 @@ These are the primitives the decomposition layer is built on:
 * **GYO reduction** — the Graham / Yu–Ozsoyoglu ear-removal procedure.  A
   hypergraph is (α-)acyclic iff GYO reduces it to nothing; the removal order
   additionally yields a join forest (see :mod:`repro.hypergraph.jointree`).
-* **connected components** relative to a separator — the [λ]-components of
-  det-k-decomp: edges of a sub-hypergraph connected once the separator's
-  vertices are deleted.
+* **vertex components** once a separator's vertices are deleted.
 * **primal graph** — the Gaifman graph of the hypergraph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
 
@@ -147,64 +145,3 @@ def vertex_connected_components(
         if component:
             components.append(frozenset(component))
     return components
-
-
-def connected_components(
-    hypergraph: Hypergraph,
-    edge_names: Iterable[str],
-    separator_vertices: Iterable[str],
-) -> List[FrozenSet[str]]:
-    """[λ]-components: partition ``edge_names`` by connectivity modulo a separator.
-
-    Two edges are connected when they share a vertex **not** in
-    ``separator_vertices``.  Edges entirely covered by the separator belong
-    to no component (they need no further decomposition).  This is exactly
-    the component notion used by det-k-decomp.
-
-    Returns:
-        The components as frozensets of edge names, ordered by each
-        component's smallest edge name — a function of the partition alone,
-        so it cannot depend on set iteration (string hashing).  The
-        decomposition search orders the pieces of a split the same way
-        (they become a node's children, in this order).
-    """
-    separator = frozenset(separator_vertices)
-    # Edges are linked through shared non-separator vertices.  ``root`` names
-    # each edge's group and ``members`` lists each group; on a link the group
-    # of the vertex's first owner absorbs the newcomer's group (for an edge
-    # bridging two earlier groups that follows set order; the final sort
-    # does not).
-    root: Dict[str, str] = {}
-    members: Dict[str, List[str]] = {}
-    vertex_owner: Dict[str, str] = {}
-    for name in sorted(set(edge_names)):
-        free_vertices = hypergraph.edge(name).vertices - separator
-        if not free_vertices:
-            continue  # fully covered by the separator
-        root[name] = name
-        members[name] = [name]
-        for vertex in free_vertices:
-            owner = vertex_owner.get(vertex)
-            if owner is None:
-                vertex_owner[vertex] = name
-            elif root[owner] != root[name]:
-                kept = root[owner]
-                absorbed = members.pop(root[name])
-                for member in absorbed:
-                    root[member] = kept
-                members[kept] += absorbed
-    return [frozenset(group) for group in sorted(members.values(), key=min)]
-
-
-def component_frontier(
-    hypergraph: Hypergraph,
-    component_edges: Iterable[str],
-    separator_vertices: Iterable[str],
-) -> FrozenSet[str]:
-    """Vertices shared between a component and its separator.
-
-    In det-k-decomp terms this is the *connector* set the child separator
-    must cover: ``var(component) ∩ separator``.
-    """
-    separator = frozenset(separator_vertices)
-    return frozenset(hypergraph.variables_of(component_edges) & separator)

@@ -73,19 +73,3 @@ def decomposition_to_dot(decomposition, name: str = "HD") -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def join_tree_to_dot(root, name: str = "JT") -> str:
-    """Tree drawing of a join tree (:class:`repro.hypergraph.JoinTreeNode`)."""
-    lines: List[str] = [f"digraph {_quote(name)} {{"]
-    lines.append('  node [fontname="Helvetica", fontsize=10, shape=box];')
-    counter = iter(range(10_000_000))
-    ids = {}
-    for node in root.walk():
-        ids[id(node)] = next(counter)
-        label = f"{node.edge.name}({', '.join(sorted(node.edge.vertices))})"
-        lines.append(f"  j{ids[id(node)]} [label={_quote(label)}];")
-    for node in root.walk():
-        for child in node.children:
-            lines.append(f"  j{ids[id(node)]} -> j{ids[id(child)]};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -8,7 +8,7 @@ name).  Vertices are arbitrary hashable labels, in practice variable names.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
 
 from repro.errors import HypergraphError
 
@@ -125,17 +125,6 @@ class Hypergraph:
     def has_edge(self, name: str) -> bool:
         return name in self._edges
 
-    def has_vertex(self, vertex: str) -> bool:
-        return vertex in self._incidence
-
-    def edges_with_vertex(self, vertex: str) -> Tuple[Hyperedge, ...]:
-        """All hyperedges incident to ``vertex``."""
-        try:
-            names = self._incidence[vertex]
-        except KeyError:
-            raise HypergraphError(f"no vertex named {vertex!r}") from None
-        return tuple(self._edges[name] for name in sorted(names))
-
     def __len__(self) -> int:
         return len(self._edges)
 
@@ -183,27 +172,6 @@ class Hypergraph:
         """The sub-hypergraph containing exactly the named edges."""
         return Hypergraph(self.edge(name) for name in edge_names)
 
-    def restrict_vertices(self, keep: Iterable[str]) -> "Hypergraph":
-        """Project every edge onto ``keep``, dropping edges that become empty.
-
-        Edge names are preserved; useful for reasoning about a component
-        after a separator's vertices have been removed.
-        """
-        keep_set = frozenset(keep)
-        kept_edges: List[Hyperedge] = []
-        for edge in self._edges.values():
-            reduced = edge.vertices & keep_set
-            if reduced:
-                kept_edges.append(Hyperedge(edge.name, reduced))
-        return Hypergraph(kept_edges)
-
-    def covering_edges(self, vertices: Iterable[str]) -> Tuple[Hyperedge, ...]:
-        """All edges whose vertex set is a superset of ``vertices``."""
-        target = frozenset(vertices)
-        return tuple(
-            edge for edge in self._edges.values() if target <= edge.vertices
-        )
-
     def isolated_vertices(self) -> FrozenSet[str]:
         """Vertices contained in no hyperedge (only possible via extra_vertices)."""
         return frozenset(v for v, names in self._incidence.items() if not names)
@@ -217,10 +185,3 @@ class Hypergraph:
     def copy(self) -> "Hypergraph":
         return Hypergraph(self.edges, extra_vertices=self.isolated_vertices())
 
-
-def edge_subset_variables(edges: Iterable[Hyperedge]) -> FrozenSet[str]:
-    """Union of the vertex sets of ``edges`` — ``var(·)`` over edge objects."""
-    result: Set[str] = set()
-    for edge in edges:
-        result |= edge.vertices
-    return frozenset(result)

@@ -77,28 +77,6 @@ def build_join_forest(hypergraph: Hypergraph) -> List[JoinTreeNode]:
     return roots
 
 
-def build_join_tree(hypergraph: Hypergraph) -> JoinTreeNode:
-    """Build a join tree; requires the hypergraph to be acyclic *and* connected.
-
-    For convenience, a forest with several roots is stitched under the first
-    root only when the roots share no variables (true forests); otherwise a
-    :class:`HypergraphError` is raised.
-    """
-    roots = build_join_forest(hypergraph)
-    if not roots:
-        raise HypergraphError("cannot build a join tree of an empty hypergraph")
-    if len(roots) == 1:
-        return roots[0]
-    # Disconnected acyclic hypergraph: gluing the roots is safe because the
-    # connectedness condition is vacuous across variable-disjoint subtrees.
-    head, *rest = roots
-    for other in rest:
-        if head.edge.vertices & other.edge.vertices:
-            raise HypergraphError("join forest roots unexpectedly share variables")
-        head.add_child(other)
-    return head
-
-
 def verify_join_tree(root: JoinTreeNode) -> bool:
     """Check the connectedness condition of a join tree.
 

@@ -11,14 +11,15 @@ join conditions (§2).  This subpackage provides:
 * :mod:`repro.query.translate` — the SQL → CQ(Q) construction of §2:
   equality conditions induce equivalence classes of attributes, each class
   becomes one variable;
-* :mod:`repro.query.builder` — a small fluent API to build queries in code.
+* :mod:`repro.query.builder` — a small fluent API to build a conjunctive
+  query in code.
 """
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
 from repro.query.lexer import Token, TokenKind, tokenize
 from repro.query.parser import parse_sql
 from repro.query.translate import TranslationResult, sql_to_conjunctive
-from repro.query.builder import ConjunctiveQueryBuilder, SqlQueryBuilder
+from repro.query.builder import ConjunctiveQueryBuilder
 from repro.query import ast
 
 __all__ = [
@@ -31,6 +32,5 @@ __all__ = [
     "TranslationResult",
     "sql_to_conjunctive",
     "ConjunctiveQueryBuilder",
-    "SqlQueryBuilder",
     "ast",
 ]

@@ -310,18 +310,6 @@ class SelectQuery:
     def has_aggregates(self) -> bool:
         return any(contains_aggregate(item.expr) for item in self.select_items)
 
-    @property
-    def join_conditions(self) -> Tuple[Comparison, ...]:
-        return tuple(p for p in self.predicates if p.is_equijoin)
-
-    @property
-    def filter_conditions(self) -> Tuple[Comparison, ...]:
-        return tuple(p for p in self.predicates if not p.is_equijoin)
-
-    def alias_map(self) -> dict:
-        """Map alias → relation name."""
-        return {t.alias: t.relation for t in self.tables}
-
     def to_sql(self) -> str:
         """Render the query back to SQL text (used by the view builder)."""
         parts = ["SELECT"]

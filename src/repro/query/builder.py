@@ -1,27 +1,18 @@
-"""Fluent builders for conjunctive and SQL queries.
+"""A fluent builder for conjunctive queries.
 
-These keep tests and workload generators readable:
+It keeps tests that build a query in code readable:
 
     cq = (ConjunctiveQueryBuilder("chain")
           .atom("p0", "rel0", "X0", "X1")
           .atom("p1", "rel1", "X1", "X2")
           .output("X0", "X2")
           .build())
-
-    sql = (SqlQueryBuilder()
-           .select("n_name").select_sum("l_extendedprice", alias="revenue")
-           .from_table("nation").from_table("lineitem")
-           .where_eq("n_nationkey", "l_nationkey")
-           .group_by("n_name")
-           .build_sql())
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Union
 
-from repro.errors import QueryError
-from repro.query import ast
 from repro.query.conjunctive import Atom, ConjunctiveQuery, Constant
 
 
@@ -51,103 +42,3 @@ class ConjunctiveQueryBuilder:
     def build(self) -> ConjunctiveQuery:
         return ConjunctiveQuery(self._atoms, self._output, name=self._name)
 
-
-class SqlQueryBuilder:
-    """Incremental construction of a :class:`repro.query.ast.SelectQuery`."""
-
-    def __init__(self) -> None:
-        self._select: List[ast.SelectItem] = []
-        self._tables: List[ast.TableRef] = []
-        self._predicates: List[ast.Comparison] = []
-        self._group_by: List[ast.ColumnRef] = []
-        self._order_by: List[ast.OrderItem] = []
-        self._distinct = False
-        self._limit: Optional[int] = None
-
-    # -- SELECT ----------------------------------------------------------
-
-    def select(self, column: str, alias: "str | None" = None) -> "SqlQueryBuilder":
-        self._select.append(ast.SelectItem(_column(column), alias))
-        return self
-
-    def select_expr(
-        self, expr: ast.Expression, alias: "str | None" = None
-    ) -> "SqlQueryBuilder":
-        self._select.append(ast.SelectItem(expr, alias))
-        return self
-
-    def select_sum(self, column: str, alias: "str | None" = None) -> "SqlQueryBuilder":
-        return self.select_expr(
-            ast.FuncCall("sum", (_column(column),)), alias
-        )
-
-    def select_count(self, alias: "str | None" = None) -> "SqlQueryBuilder":
-        return self.select_expr(ast.FuncCall("count", (ast.Star(),)), alias)
-
-    def distinct(self) -> "SqlQueryBuilder":
-        self._distinct = True
-        return self
-
-    # -- FROM ------------------------------------------------------------
-
-    def from_table(self, relation: str, alias: "str | None" = None) -> "SqlQueryBuilder":
-        name = relation.lower()
-        self._tables.append(ast.TableRef(name, (alias or name).lower()))
-        return self
-
-    # -- WHERE -----------------------------------------------------------
-
-    def where_eq(self, left: str, right: str) -> "SqlQueryBuilder":
-        """Equality join condition between two columns."""
-        self._predicates.append(ast.Comparison("=", _column(left), _column(right)))
-        return self
-
-    def where_const(self, column: str, op: str, value: object) -> "SqlQueryBuilder":
-        """Filter condition column–constant."""
-        self._predicates.append(
-            ast.Comparison(op, _column(column), ast.Literal(value))
-        )
-        return self
-
-    # -- tail clauses ------------------------------------------------------
-
-    def group_by(self, *columns: str) -> "SqlQueryBuilder":
-        self._group_by.extend(_column(c) for c in columns)
-        return self
-
-    def order_by(self, column: str, descending: bool = False) -> "SqlQueryBuilder":
-        self._order_by.append(ast.OrderItem(_column(column), descending))
-        return self
-
-    def limit(self, value: int) -> "SqlQueryBuilder":
-        self._limit = value
-        return self
-
-    # -- output ------------------------------------------------------------
-
-    def build(self) -> ast.SelectQuery:
-        if not self._select:
-            raise QueryError("SELECT list is empty; call .select() first")
-        if not self._tables:
-            raise QueryError("FROM clause is empty; call .from_table() first")
-        return ast.SelectQuery(
-            select_items=tuple(self._select),
-            tables=tuple(self._tables),
-            predicates=tuple(self._predicates),
-            group_by=tuple(self._group_by),
-            order_by=tuple(self._order_by),
-            distinct=self._distinct,
-            limit=self._limit,
-        )
-
-    def build_sql(self) -> str:
-        """Render to SQL text (round-trips through the parser)."""
-        return self.build().to_sql()
-
-
-def _column(text: str) -> ast.ColumnRef:
-    """Parse ``"alias.column"`` or ``"column"`` into a ColumnRef."""
-    if "." in text:
-        table, column = text.split(".", 1)
-        return ast.ColumnRef(table.lower(), column.lower())
-    return ast.ColumnRef(None, text.lower())

@@ -14,7 +14,7 @@ fresh-variable convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
@@ -63,14 +63,6 @@ class Atom:
     @property
     def arity(self) -> int:
         return len(self.terms)
-
-    def variable_positions(self) -> Dict[str, List[int]]:
-        """Map each variable to the argument positions where it occurs."""
-        positions: Dict[str, List[int]] = {}
-        for index, term in enumerate(self.terms):
-            if isinstance(term, str):
-                positions.setdefault(term, []).append(index)
-        return positions
 
     def __str__(self) -> str:
         inner = ", ".join(
@@ -132,19 +124,11 @@ class ConjunctiveQuery:
         """``out(Q)`` as a set."""
         return frozenset(self.output)
 
-    @property
-    def is_boolean(self) -> bool:
-        """True when the query has no output variables (decision query)."""
-        return not self.output
-
     def atom(self, name: str) -> Atom:
         for atom in self.atoms:
             if atom.name == name:
                 return atom
         raise QueryError(f"no atom named {name!r} in query {self.name}")
-
-    def atoms_with_variable(self, variable: str) -> Tuple[Atom, ...]:
-        return tuple(a for a in self.atoms if variable in a.variables)
 
     # ------------------------------------------------------------------
 

@@ -15,8 +15,6 @@ from repro.relational.schema import (
 from repro.relational.relation import Relation
 from repro.relational.database import Database
 from repro.relational.csvio import (
-    database_from_json,
-    database_to_json,
     export_database_csv,
     load_database_csv,
     read_relation_csv,
@@ -35,8 +33,6 @@ __all__ = [
     "DatabaseSchema",
     "Relation",
     "Database",
-    "database_from_json",
-    "database_to_json",
     "export_database_csv",
     "load_database_csv",
     "read_relation_csv",

@@ -1,17 +1,16 @@
-"""Relation and database import/export (CSV and JSON).
+"""Relation and database import/export (CSV).
 
 The paper's stand-alone mode expects users to bring their own data; this
-module provides the loading path: CSV files with a header row (one file per
-relation) or a single JSON document.  Values are coerced to the relation
-schema's types on load (``dbgen`` emits text, like every CSV source).
+module provides the loading path: CSV files with a header row, one file per
+relation.  Values are coerced to the relation schema's types on load
+(``dbgen`` emits text, like every CSV source).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import SchemaError
 from repro.relational.database import Database
@@ -111,52 +110,6 @@ def load_database_csv(
             raise SchemaError(f"missing CSV file for relation {rel_schema.name!r}: {path}")
         relation = read_relation_csv(path, rel_schema)
         database.create_table(rel_schema, relation.tuples)
-    if analyze:
-        database.analyze()
-    return database
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip (schema + data in one document)
-# ---------------------------------------------------------------------------
-
-
-def database_to_json(database: Database) -> str:
-    """Serialize schema + data as a JSON document."""
-    doc = {"name": database.name, "relations": []}
-    for rel_schema in database.schema:
-        relation = database.table(rel_schema.name)
-        doc["relations"].append(
-            {
-                "name": rel_schema.name,
-                "attributes": [
-                    {"name": attr, "type": attr_type.value}
-                    for attr, attr_type in rel_schema.attributes
-                ],
-                "key": list(rel_schema.key),
-                "tuples": [list(row) for row in relation.tuples],
-            }
-        )
-    return json.dumps(doc)
-
-
-def database_from_json(text: str, analyze: bool = False) -> Database:
-    """Deserialize a database produced by :func:`database_to_json`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid database JSON: {exc}") from exc
-    database = Database(doc.get("name", "db"))
-    for entry in doc.get("relations", []):
-        attributes = [
-            (a["name"], AttributeType(a["type"])) for a in entry["attributes"]
-        ]
-        rel_schema = RelationSchema(
-            entry["name"], tuple(attributes), tuple(entry.get("key", []))
-        )
-        database.create_table(
-            rel_schema, [tuple(row) for row in entry.get("tuples", [])]
-        )
     if analyze:
         database.analyze()
     return database

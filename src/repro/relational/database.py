@@ -90,10 +90,6 @@ class Database:
     def table_names(self) -> Tuple[str, ...]:
         return tuple(self._tables)
 
-    def total_tuples(self) -> int:
-        """Total stored tuples across all relations (a database-size proxy)."""
-        return sum(len(rel) for rel in self._tables.values())
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -86,14 +86,6 @@ class RelationSchema:
     def arity(self) -> int:
         return len(self.attributes)
 
-    def type_of(self, attribute: str) -> AttributeType:
-        for attr, attr_type in self.attributes:
-            if attr == attribute:
-                return attr_type
-        raise SchemaError(
-            f"relation {self.name!r} has no attribute {attribute!r}"
-        )
-
     def index_of(self, attribute: str) -> int:
         for index, (attr, _) in enumerate(self.attributes):
             if attr == attribute:
@@ -149,10 +141,6 @@ class DatabaseSchema:
 
     def __len__(self) -> int:
         return len(self._relations)
-
-    @property
-    def relation_names(self) -> Tuple[str, ...]:
-        return tuple(self._relations)
 
     def as_mapping(self) -> Dict[str, Tuple[str, ...]]:
         """``{relation: attribute_names}`` — the shape the SQL translator wants."""

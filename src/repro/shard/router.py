@@ -154,7 +154,6 @@ class _PendingEntry:
 
     future: "Future[DBMSResult]"
     shard_id: int
-    submitted: float  # perf_counter at first dispatch
     sql: str
     work_budget: Optional[int]
     budget: RetryBudget
@@ -212,7 +211,6 @@ class ShardRouter:
         self._routes: "OrderedDict[str, int]" = OrderedDict()
         self._route_hits = 0
         self._route_misses = 0
-        self._latencies: List[float] = []
         self._closed = False
         # Drain coordination: the gate serializes drain() callers (the
         # first runs the shutdown, late callers block then reuse its
@@ -416,7 +414,6 @@ class ShardRouter:
                     _PendingEntry(
                         future=future,
                         shard_id=shard_id,
-                        submitted=time.perf_counter(),
                         sql=sql,
                         work_budget=work_budget,
                         budget=self._retry.budget(deadline_at),
@@ -520,9 +517,6 @@ class ShardRouter:
             if entry is None:
                 return  # already failed by the drain
             handle.inflight -= 1
-            self._latencies.append(
-                time.perf_counter() - entry.submitted
-            )
             self._room.notify_all()
         if entry.future.done():
             return
@@ -832,11 +826,6 @@ class ShardRouter:
                     if isinstance(events, list):
                         events.extend(self.supervisor.events())
         return data
-
-    def client_latencies(self) -> List[float]:
-        """Router-observed seconds from dispatch to response, per query."""
-        with self._room:
-            return list(self._latencies)
 
     def saturation(self) -> float:
         """Peak per-shard inflight as a fraction of the per-shard bound."""

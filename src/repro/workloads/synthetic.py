@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import QueryError
 from repro.relational.database import Database
@@ -107,13 +107,6 @@ def synthetic_query_sql(config: SyntheticConfig) -> str:
         conditions.append(f"rel{n - 1}.y{n - 1} = rel0.x0")
     where = " AND ".join(conditions)
     return f"SELECT rel0.x0, rel0.y0 FROM {tables} WHERE {where}"
-
-
-def synthetic_workload(
-    config: SyntheticConfig,
-) -> Tuple[Database, str]:
-    """Convenience: ``(database, sql)`` for one experiment point."""
-    return generate_synthetic_database(config), synthetic_query_sql(config)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,6 @@ def record(system, point, work=100, finished=True, rows=5, group=""):
     )
 
 
-class TestRunRecord:
-    def test_display_work(self):
-        assert record("s", 1).display_work == "100"
-        assert record("s", 1, finished=False).display_work == DNF
-
-
 class TestExperimentResult:
     def make(self):
         result = ExperimentResult("x", "Title")

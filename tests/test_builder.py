@@ -1,12 +1,7 @@
-"""Tests for the fluent query builders."""
+"""Tests for the fluent conjunctive-query builder."""
 
-import pytest
-
-from repro.errors import QueryError
-from repro.query import ast
-from repro.query.builder import ConjunctiveQueryBuilder, SqlQueryBuilder
+from repro.query.builder import ConjunctiveQueryBuilder
 from repro.query.conjunctive import Constant
-from repro.query.parser import parse_sql
 
 
 class TestConjunctiveQueryBuilder:
@@ -30,62 +25,3 @@ class TestConjunctiveQueryBuilder:
         q = ConjunctiveQueryBuilder().atom("r", "rel", "X", Constant(3)).build()
         assert q.atom("r").variables == frozenset({"X"})
 
-
-class TestSqlQueryBuilder:
-    def test_full_query(self):
-        q = (
-            SqlQueryBuilder()
-            .select("n_name")
-            .select_sum("l_extendedprice", alias="revenue")
-            .from_table("nation")
-            .from_table("lineitem")
-            .where_eq("n_nationkey", "l_nationkey")
-            .where_const("n_name", "=", "ASIA")
-            .group_by("n_name")
-            .order_by("revenue", descending=True)
-            .limit(5)
-            .build()
-        )
-        assert len(q.tables) == 2
-        assert q.limit == 5
-        assert q.has_aggregates
-        assert q.order_by[0].descending
-
-    def test_build_sql_round_trips(self):
-        sql = (
-            SqlQueryBuilder()
-            .select("t.a")
-            .from_table("t")
-            .where_const("t.b", ">", 3)
-            .build_sql()
-        )
-        reparsed = parse_sql(sql)
-        assert reparsed.predicates[0].op == ">"
-
-    def test_qualified_column_parsing(self):
-        q = (
-            SqlQueryBuilder()
-            .select("n1.n_name")
-            .from_table("nation", alias="n1")
-            .build()
-        )
-        assert q.select_items[0].expr == ast.ColumnRef("n1", "n_name")
-
-    def test_distinct_and_count(self):
-        q = (
-            SqlQueryBuilder()
-            .select_count(alias="n")
-            .distinct()
-            .from_table("t")
-            .build()
-        )
-        assert q.distinct
-        assert q.select_items[0].expr.name == "count"
-
-    def test_empty_select_rejected(self):
-        with pytest.raises(QueryError):
-            SqlQueryBuilder().from_table("t").build()
-
-    def test_empty_from_rejected(self):
-        with pytest.raises(QueryError):
-            SqlQueryBuilder().select("a").build()

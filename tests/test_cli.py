@@ -104,9 +104,10 @@ class TestCommands:
     def test_analyze(self, capsys):
         assert main(["analyze", "q5", "--size-mb", "50", "--width", "3"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("query: q5\n")
         assert "hypertree width:     2" in out
         assert "acyclic:             False" in out
-        assert "biconnected width" in out
+        assert "q-hypertree width:" in out
 
     def test_decompose_dot_output(self, capsys):
         assert main(

@@ -12,10 +12,6 @@ class TestAtom:
         assert atom.variables == frozenset({"X", "Y"})
         assert atom.arity == 4
 
-    def test_variable_positions(self):
-        atom = Atom("a", "r", ("X", "Y", "X"))
-        assert atom.variable_positions() == {"X": [0, 2], "Y": [1]}
-
     def test_validation(self):
         with pytest.raises(QueryError):
             Atom("", "r", ("X",))
@@ -42,11 +38,11 @@ class TestConjunctiveQuery:
         q = self.make()
         assert q.variables == frozenset({"X", "Y", "Z"})
         assert q.output_variables == frozenset({"X", "Z"})
-        assert not q.is_boolean
 
     def test_boolean_query(self):
         q = ConjunctiveQuery([Atom("a", "r", ("X",))])
-        assert q.is_boolean
+        assert q.output == ()
+        assert q.output_variables == frozenset()
 
     def test_duplicate_atom_names_rejected(self):
         with pytest.raises(QueryError):
@@ -67,10 +63,6 @@ class TestConjunctiveQuery:
         assert q.atom("a").relation == "r1"
         with pytest.raises(QueryError):
             q.atom("zzz")
-
-    def test_atoms_with_variable(self):
-        q = self.make()
-        assert [a.name for a in q.atoms_with_variable("Y")] == ["a", "b"]
 
     def test_hypergraph(self):
         hg = self.make().hypergraph()

@@ -1,12 +1,10 @@
-"""Tests for CSV/JSON relation and database I/O."""
+"""Tests for CSV relation and database I/O."""
 
 import pytest
 
 from repro.errors import SchemaError
 from repro.relational import AttributeType, Database, Relation, RelationSchema
 from repro.relational.csvio import (
-    database_from_json,
-    database_to_json,
     export_database_csv,
     load_database_csv,
     read_relation_csv,
@@ -83,19 +81,3 @@ class TestDatabaseCsv:
         with pytest.raises(SchemaError, match="missing CSV"):
             load_database_csv(db.schema, tmp_path)
 
-
-class TestJson:
-    def test_round_trip(self, db):
-        text = database_to_json(db)
-        loaded = database_from_json(text)
-        assert loaded.table("t").tuples == db.table("t").tuples
-        assert loaded.schema.relation("t").key == ("a",)
-        assert loaded.schema.relation("t").type_of("b") is AttributeType.FLOAT
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(SchemaError):
-            database_from_json("{nope")
-
-    def test_analyze_on_load(self, db):
-        loaded = database_from_json(database_to_json(db), analyze=True)
-        assert loaded.has_statistics()

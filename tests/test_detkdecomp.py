@@ -12,11 +12,11 @@ from repro.hypergraph import (
     line_hypergraph,
     random_hypergraph,
 )
-from repro.hypergraph.algorithms import connected_components
 from repro.core.detkdecomp import _SearchSpace, det_k_decomp, hypertree_width
 from repro.core.validate import validate_decomposition
 
 from .test_costkdecomp import ReferenceSearch
+from .test_hypergraph_algorithms import union_find_components
 
 
 class TestKnownWidths:
@@ -181,7 +181,7 @@ def test_split_matches_connected_components(drawn, data):
     )
     assert named_pieces(space, space.split(component, space.vertex_mask(chi))) == [
         (sub, hg.variables_of(sub) & chi)
-        for sub in connected_components(hg, subset, chi)
+        for sub in union_find_components(hg, subset, chi)
     ]
 
 

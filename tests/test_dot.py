@@ -4,12 +4,8 @@ import re
 
 import pytest
 
-from repro.hypergraph import Hypergraph, build_join_tree, line_hypergraph
-from repro.hypergraph.dot import (
-    decomposition_to_dot,
-    hypergraph_to_dot,
-    join_tree_to_dot,
-)
+from repro.hypergraph import Hypergraph
+from repro.hypergraph.dot import decomposition_to_dot, hypergraph_to_dot
 from repro.core.qhd import q_hypertree_decomp
 from repro.query.builder import ConjunctiveQueryBuilder
 
@@ -74,11 +70,3 @@ class TestDecompositionDot:
         dot = decomposition_to_dot(tree)
         assert "style=bold" in dot  # guard edges stand out
         assert "removed:" in dot
-
-
-class TestJoinTreeDot:
-    def test_join_tree(self):
-        root = build_join_tree(line_hypergraph(4))
-        dot = join_tree_to_dot(root)
-        assert balanced(dot)
-        assert dot.count(" -> ") == 3

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import HypergraphError
 from repro.hypergraph import Hyperedge, Hypergraph
-from repro.hypergraph.hypergraph import edge_subset_variables
 
 
 class TestHyperedge:
@@ -69,13 +68,6 @@ class TestHypergraph:
         assert "zzz" not in hg
         assert 42 not in hg
 
-    def test_edges_with_vertex(self):
-        hg = self.make()
-        names = [e.name for e in hg.edges_with_vertex("Z")]
-        assert names == ["b", "c"]
-        with pytest.raises(HypergraphError):
-            hg.edges_with_vertex("missing")
-
     def test_degree(self):
         hg = self.make()
         assert hg.degree("X") == 2
@@ -94,24 +86,6 @@ class TestHypergraph:
         assert len(sub) == 2
         assert sub.vertices == frozenset({"X", "Y", "Z", "W"})
         assert not sub.has_edge("b")
-
-    def test_restrict_vertices(self):
-        hg = self.make()
-        restricted = hg.restrict_vertices({"X", "Y"})
-        assert restricted.edge("a").vertices == frozenset({"X", "Y"})
-        assert restricted.edge("c").vertices == frozenset({"X"})
-        assert not restricted.has_edge("b") or restricted.edge("b").vertices
-
-    def test_restrict_drops_empty_edges(self):
-        hg = self.make()
-        restricted = hg.restrict_vertices({"W"})
-        assert [e.name for e in restricted] == ["c"]
-
-    def test_covering_edges(self):
-        hg = self.make()
-        covers = [e.name for e in hg.covering_edges({"X", "Z"})]
-        assert covers == ["c"]
-        assert len(hg.covering_edges({"X"})) == 2
 
     def test_equality_and_hash(self):
         hg1 = self.make()
@@ -132,7 +106,3 @@ class TestHypergraph:
         hg = Hypergraph([Hyperedge("a", ["X"])], extra_vertices=["L"])
         assert "L" in hg.vertices
         assert hg.isolated_vertices() == frozenset({"L"})
-
-    def test_edge_subset_variables(self):
-        edges = [Hyperedge("a", ["X", "Y"]), Hyperedge("b", ["Z"])]
-        assert edge_subset_variables(edges) == frozenset({"X", "Y", "Z"})

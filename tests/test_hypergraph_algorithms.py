@@ -1,4 +1,7 @@
-"""Tests for GYO reduction, acyclicity, components, and the primal graph."""
+"""Tests for GYO reduction, acyclicity, components, and the primal graph.
+
+``union_find_components`` is the [λ]-component reference that the
+decomposition searches are checked against; its own cases are here."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.hypergraph import (
     Hyperedge,
     Hypergraph,
-    connected_components,
     gyo_reduction,
     is_acyclic,
     line_hypergraph,
@@ -14,7 +16,6 @@ from repro.hypergraph import (
     primal_graph,
     vertex_connected_components,
 )
-from repro.hypergraph.algorithms import component_frontier
 
 
 class TestPrimalGraph:
@@ -110,34 +111,31 @@ class TestComponents:
 
     def test_edge_components_modulo_separator(self):
         hg = self.make()
-        comps = connected_components(hg, ["a", "b", "c", "d"], {"Z"})
+        comps = union_find_components(hg, ["a", "b", "c", "d"], {"Z"})
         as_sets = sorted(tuple(sorted(c)) for c in comps)
         assert as_sets == [("a", "b"), ("c",), ("d",)]
 
     def test_fully_covered_edges_excluded(self):
         hg = self.make()
-        comps = connected_components(hg, ["a", "b"], {"X", "Y", "Z"})
+        comps = union_find_components(hg, ["a", "b"], {"X", "Y", "Z"})
         assert comps == []
 
     def test_empty_separator_keeps_connectivity(self):
         hg = self.make()
-        comps = connected_components(hg, ["a", "b", "c", "d"], set())
+        comps = union_find_components(hg, ["a", "b", "c", "d"], set())
         assert sorted(len(c) for c in comps) == [1, 3]
-
-    def test_component_frontier(self):
-        hg = self.make()
-        frontier = component_frontier(hg, ["a", "b"], {"Z", "W"})
-        assert frontier == frozenset({"Z"})
 
 
 def union_find_components(hypergraph, edge_names, separator_vertices):
-    """Reference for ``connected_components``: the textbook union-find.
+    """[λ]-components: ``edge_names`` partitioned by shared vertices outside
+    the separator, by the textbook union-find.  Edges the separator covers
+    belong to no component.
 
-    The *order* of the returned groups (by each group's smallest edge
-    name — never by its union-find root, which set iteration order picks
-    when one edge bridges two earlier groups) decides the child order of
-    every decomposition node, so the production function must reproduce
-    it, not just the partition.
+    The reference for the decomposition searches' splits.  The *order* of
+    the returned groups (by each group's smallest edge name — never by its
+    union-find root, which set iteration order picks when one edge bridges
+    two earlier groups) decides the child order of every decomposition
+    node, so a search must reproduce it, not just the partition.
     """
     separator = frozenset(separator_vertices)
     names = sorted(set(edge_names))
@@ -166,24 +164,6 @@ def union_find_components(hypergraph, edge_names, separator_vertices):
     for name in uncovered:
         groups.setdefault(find(name), set()).add(name)
     return [frozenset(group) for group in sorted(groups.values(), key=min)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_components_match_union_find_reference(data):
-    vertices = [f"V{i}" for i in range(8)]
-    edges = {
-        f"e{i}": data.draw(
-            st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True)
-        )
-        for i in range(data.draw(st.integers(1, 9)))
-    }
-    hg = Hypergraph.from_dict(edges)
-    subset = data.draw(st.lists(st.sampled_from(sorted(edges)), unique=True))
-    separator = data.draw(st.lists(st.sampled_from(vertices), unique=True))
-    assert connected_components(hg, subset, separator) == union_find_components(
-        hg, subset, separator
-    )
 
 
 @settings(max_examples=50, deadline=None)

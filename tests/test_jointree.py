@@ -1,4 +1,4 @@
-"""Tests for join-tree construction over acyclic hypergraphs."""
+"""Tests for join-forest construction over acyclic hypergraphs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,6 @@ from repro.hypergraph import (
     Hypergraph,
     Hyperedge,
     build_join_forest,
-    build_join_tree,
     cycle_hypergraph,
     line_hypergraph,
 )
@@ -17,28 +16,18 @@ from repro.hypergraph.jointree import verify_join_tree
 
 class TestJoinTree:
     def test_line_join_tree(self):
-        root = build_join_tree(line_hypergraph(6))
+        (root,) = build_join_forest(line_hypergraph(6))
         assert root.size() == 6
         assert verify_join_tree(root)
 
     def test_cyclic_raises(self):
         with pytest.raises(HypergraphError):
-            build_join_tree(cycle_hypergraph(4))
+            build_join_forest(cycle_hypergraph(4))
 
     def test_forest_for_disconnected(self):
         hg = Hypergraph.from_dict({"a": ["X", "Y"], "b": ["U", "V"]})
         roots = build_join_forest(hg)
         assert len(roots) == 2
-
-    def test_disconnected_glued_into_tree(self):
-        hg = Hypergraph.from_dict({"a": ["X", "Y"], "b": ["U", "V"]})
-        root = build_join_tree(hg)
-        assert root.size() == 2
-        assert verify_join_tree(root)
-
-    def test_empty_hypergraph_rejected(self):
-        with pytest.raises(HypergraphError):
-            build_join_tree(Hypergraph())
 
     def test_star_schema(self):
         hg = Hypergraph.from_dict(
@@ -49,17 +38,17 @@ class TestJoinTree:
                 "dim3": ["K3", "C"],
             }
         )
-        root = build_join_tree(hg)
+        (root,) = build_join_forest(hg)
         assert verify_join_tree(root)
         assert root.size() == 4
 
     def test_postorder_visits_children_first(self):
-        root = build_join_tree(line_hypergraph(4))
+        (root,) = build_join_forest(line_hypergraph(4))
         order = [node.edge.name for node in root.postorder()]
         assert order[-1] == root.edge.name
 
     def test_walk_preorder(self):
-        root = build_join_tree(line_hypergraph(3))
+        (root,) = build_join_forest(line_hypergraph(3))
         order = [node.edge.name for node in root.walk()]
         assert order[0] == root.edge.name
         assert len(order) == 3
@@ -79,6 +68,6 @@ class TestJoinTree:
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=15))
 def test_line_join_trees_always_verify(n):
-    root = build_join_tree(line_hypergraph(n, shared=1, private=2))
+    (root,) = build_join_forest(line_hypergraph(n, shared=1, private=2))
     assert verify_join_tree(root)
     assert root.size() == n

@@ -51,8 +51,7 @@ class TestWhere:
 
     def test_equijoin_detection(self):
         q = parse_sql("SELECT a FROM t, s WHERE t.a = s.b AND t.c = 1")
-        assert len(q.join_conditions) == 1
-        assert len(q.filter_conditions) == 1
+        assert [p.is_equijoin for p in q.predicates] == [True, False]
 
     def test_between_desugars(self):
         q = parse_sql("SELECT a FROM t WHERE a BETWEEN 1 AND 5")

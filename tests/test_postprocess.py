@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.optimizer import HybridOptimizer
+from repro.engine.dbms import SimulatedDBMS
 from repro.engine.postprocess import apply_sql_semantics
 from repro.errors import QueryError
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
-from repro.relational import Relation
+from repro.relational import AttributeType, Database, Relation, RelationSchema
 
 SCHEMA = {"emp": ["dept", "salary", "bonus"]}
 
@@ -122,3 +124,49 @@ class TestOrderLimit:
         answer = make_answer(tr, [("a",), ("a",), ("b",)])
         out = apply_sql_semantics(answer, tr)
         assert len(out) == 2
+
+    @pytest.mark.parametrize(
+        "sql, rows, expected",
+        [
+            (
+                "SELECT DISTINCT emp.dept FROM emp ORDER BY emp.dept",
+                [("b",), ("c",), ("a",)],
+                [("a",), ("b",), ("c",)],
+            ),
+            (
+                "SELECT emp.dept, count(*) FROM emp GROUP BY emp.dept ORDER BY emp.dept",
+                [("b",), ("a",)],
+                [("a", 1), ("b", 1)],
+            ),
+            (
+                "SELECT DISTINCT emp.dept AS x FROM emp ORDER BY emp.dept DESC",
+                [("a",), ("c",), ("b",)],
+                [("c",), ("b",), ("a",)],
+            ),
+            (
+                "SELECT emp.salary AS a, emp.dept AS a FROM emp ORDER BY emp.dept",
+                [(1, "b"), (2, "a")],
+                [(2, "a"), (1, "b")],
+            ),
+        ],
+    )
+    def test_order_by_a_qualified_selected_column(self, sql, rows, expected):
+        tr = translate(sql)
+        assert apply_sql_semantics(make_answer(tr, rows), tr).tuples == expected
+
+    def test_order_by_an_unselected_column_is_rejected(self):
+        tr = translate("SELECT emp.salary FROM emp ORDER BY emp.dept")
+        with pytest.raises(QueryError, match="not part of the SELECT output"):
+            apply_sql_semantics(make_answer(tr, [(1,)]), tr)
+
+    def test_engine_and_qhd_order_alike(self):
+        db = Database("emp")
+        db.create_table(
+            RelationSchema.of("emp", {"dept": AttributeType.STRING, "salary": AttributeType.INT}),
+            [("b", 1), ("a", 2), ("c", 3), ("a", 4)],
+        )
+        db.analyze()
+        sql = "SELECT emp.dept, count(*) FROM emp GROUP BY emp.dept ORDER BY emp.dept DESC"
+        engine = SimulatedDBMS(db).run_sql(sql).relation.tuples
+        qhd = HybridOptimizer(db).optimize(sql).execute().relation.tuples
+        assert engine == qhd == [("c", 1), ("b", 1), ("a", 1)]

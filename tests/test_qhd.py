@@ -46,12 +46,13 @@ class TestQHypertreeDecomp:
             placed.update(node.lam)
         assert placed == {a.name for a in q.atoms}
 
-    def test_empty_query_rejected(self):
+    def test_query_without_variables_gets_one_empty_node(self):
         from repro.query.conjunctive import Atom, ConjunctiveQuery, Constant
 
         q = ConjunctiveQuery([Atom("a", "r", (Constant(1),))])
-        with pytest.raises(DecompositionError):
-            q_hypertree_decomp(q, 2)
+        tree = q_hypertree_decomp(q, 2)
+        assert len(tree) == 1
+        assert tree.root.chi == frozenset() and not tree.root.lam
 
     def test_example4_style_output_forces_width_2(self):
         # An acyclic line whose output spans both endpoints: the q-HD must
@@ -142,3 +143,45 @@ class TestProcedureOptimize:
         tree = q_hypertree_decomp(q, 2, optimize=False)
         removed = procedure_optimize(tree)
         assert removed >= 0  # lean trees stay lean; nothing breaks
+
+
+class TestQueriesWithoutVariables:
+    """``SELECT count(*)`` over unreferenced columns has an empty H(Q): its
+    decomposition is one node with χ = λ = ∅, and both q-HD paths give the
+    built-in engine's answer."""
+
+    @pytest.fixture()
+    def db(self):
+        from repro.relational import AttributeType, Database, RelationSchema
+
+        db = Database("nv")
+        db.create_table(RelationSchema.of("n", {"k": AttributeType.INT}), [(1,), (2,), (3,)])
+        db.create_table(RelationSchema.of("m", {"j": AttributeType.INT}), [(1,), (5,)])
+        db.create_table(RelationSchema.of("e", {"j": AttributeType.INT}), [])
+        db.analyze()
+        return db
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT count(*) FROM n", [(1,)]),
+            ("SELECT count(*) FROM n, m", [(1,)]),
+            ("SELECT count(*) FROM n, e", [(0,)]),
+        ],
+    )
+    def test_optimizer_and_service_match_the_engine(self, db, sql, expected):
+        from repro.core.optimizer import HybridOptimizer
+        from repro.engine.dbms import SimulatedDBMS
+        from repro.service.config import ServiceConfig
+
+        assert SimulatedDBMS(db).run_sql(sql).relation.tuples == expected
+        plan = HybridOptimizer(db).optimize(sql)
+        assert plan.decomposition.root.chi == frozenset()
+        assert plan.execute().relation.tuples == expected
+        service = ServiceConfig(db).build()
+        try:
+            result = service.execute(sql)
+        finally:
+            service.close()
+        assert result.optimizer == "q-hd"
+        assert result.relation.tuples == expected

@@ -471,7 +471,6 @@ def cluster():
         assert not thread.is_alive()
     live_snapshot = router.snapshot()
     prometheus_text = render_prometheus(live_snapshot["merged"])
-    latencies = router.client_latencies()
     drained = router.drain(grace_seconds=30.0)
     yield SimpleNamespace(
         database=database,
@@ -487,7 +486,6 @@ def cluster():
         first_prometheus_text=first_prometheus_text,
         live_snapshot=live_snapshot,
         prometheus_text=prometheus_text,
-        latencies=latencies,
         drained=drained,
     )
 
@@ -600,10 +598,6 @@ class TestClusterObservability:
             assert_wellformed_exposition(text)
             counts.append(submitted)
         assert counts == [len(cluster.queries), 2 * len(cluster.queries)]
-
-    def test_client_latencies_recorded_per_query(self, cluster):
-        assert len(cluster.latencies) == 2 * len(cluster.queries)
-        assert all(latency >= 0 for latency in cluster.latencies)
 
 
 class TestClusterDrain:

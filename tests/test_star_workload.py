@@ -5,8 +5,7 @@ import pytest
 from repro.core.optimizer import HybridOptimizer
 from repro.engine.dbms import COMMDB_PROFILE, SimulatedDBMS
 from repro.errors import QueryError
-from repro.hypergraph import is_acyclic
-from repro.hypergraph.treedecomp import treewidth_min_fill
+from repro.hypergraph import is_acyclic, primal_graph
 from repro.query.parser import parse_sql
 from repro.query.translate import sql_to_conjunctive
 from repro.workloads.synthetic import (
@@ -48,13 +47,18 @@ class TestGeneration:
 
 class TestStructure:
     def test_wide_atom_gap(self, star):
-        """The intro's motivating case: acyclic hypergraph (hw 1), clique
-        primal graph (treewidth = n_dimensions)."""
+        """The intro's motivating case: the hypergraph is acyclic (hw 1),
+        but the fact atom makes its primal graph a clique on the dimension
+        keys, so every primal-graph method sees a width of n_dimensions."""
         config, db = star
         tr = sql_to_conjunctive(parse_sql(star_query_sql(config)), db.schema.as_mapping())
         hg = tr.query.hypergraph()
         assert is_acyclic(hg)
-        assert treewidth_min_fill(hg) >= config.n_dimensions - 1
+        dimensions = hg.variables_of(n for n in hg.edge_names if n != "fact")
+        keys = hg.edge("fact").vertices & dimensions
+        assert len(keys) == config.n_dimensions
+        adjacency = primal_graph(hg)
+        assert all(keys - {key} <= adjacency[key] for key in keys)
 
 
 class TestExecution:

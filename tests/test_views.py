@@ -57,13 +57,11 @@ class TestViewPlan:
         final = parse_sql(view_plan.final_sql)
         assert final.tables[0].relation == view_plan.root_view
 
-    def test_create_and_drop_statements(self, plan):
+    def test_create_statements(self, plan):
         view_plan = plan.to_sql_views()
         creates = view_plan.create_statements()
-        drops = view_plan.drop_statements()
-        assert len(creates) == len(drops) == len(view_plan.views)
+        assert len(creates) == len(view_plan.views)
         assert creates[0].startswith("CREATE VIEW ")
-        assert drops[0].startswith("DROP VIEW ")
 
     def test_render_is_complete_script(self, plan):
         text = plan.to_sql_views().render()

@@ -9,7 +9,6 @@ from repro.workloads.synthetic import (
     SyntheticConfig,
     generate_synthetic_database,
     synthetic_query_sql,
-    synthetic_workload,
 )
 from repro.workloads.tpch import (
     NATIONS,
@@ -213,8 +212,3 @@ class TestSynthetic:
         hg = tr.query.hypergraph()
         assert not is_acyclic(hg)
         assert hypertree_width(hg) == 2
-
-    def test_workload_helper(self):
-        db, sql = synthetic_workload(SyntheticConfig(n_atoms=3))
-        assert len(db) == 3
-        assert "SELECT" in sql
